@@ -51,6 +51,18 @@ def vm_hwm_mb(pid: int) -> float:
     raise RuntimeError(f"no VmHWM for pid {pid}")
 
 
+def cpu_s(pid: int) -> float:
+    """CPU time (user + system) one process has used so far, in seconds.
+
+    Time the hypervisor gives to other guests (steal) is not charged to
+    the process, so a busy host moves this far less than wall-clock time.
+    """
+    with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+        # the command name (field 2) may hold spaces: split after it
+        fields = fh.read().rsplit(")", 1)[1].split()
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+
 class LiveFleet:
     """One ``repro fleet`` process: start, seed, measure shard memory,
     stop, and check that nothing was left behind.
@@ -123,6 +135,10 @@ class LiveFleet:
 
     def peak_rss_mb(self) -> float:
         return max(vm_hwm_mb(pid) for pid in self.shard_pids)
+
+    def cpu_s(self) -> float:
+        """CPU seconds used so far by the front end and every shard."""
+        return sum(cpu_s(pid) for pid in (self.proc.pid, *self.shard_pids))
 
     def close(self) -> list[str]:
         """Stop the fleet; return every hygiene failure."""

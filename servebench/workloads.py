@@ -34,13 +34,13 @@ HIT_RATE = 100.0
 #: latency limit a hit-path answer must meet to count as goodput (ms)
 HIT_LIMIT_MS = 20.0
 
-#: cold-path burst size per second of run, sized so the burst drains in
-#: roughly the run length on a 2-CPU machine
-COLD_PER_SECOND = 16.0
-COLD_N_RANGE = (48, 160)
-#: the cold-path is a throughput workload: its limit only catches
-#: requests that effectively never finish
-COLD_LIMIT_MS = 60_000.0
+#: cold-path instances per second of run, sized so that sending them
+#: one at a time takes about the run length on a 2-CPU machine
+COLD_PER_SECOND = 10.0
+COLD_BST_RANGE = (48, 112)
+COLD_CHAIN_RANGE = (48, 160)
+#: one cold solve must answer within this limit to count as goodput
+COLD_LIMIT_MS = 1_000.0
 
 #: edit-mix offered load (req/s), base sizes and mix
 EDIT_RATE = 20.0
@@ -76,6 +76,9 @@ class Workload:
     kinds: list[str]
     #: untimed hits on the pre-solved pool, replayed before the timed window
     warmup: list[TraceEvent]
+    #: ``"open"``: each request leaves at its ``at_s``; ``"closed"``: the
+    #: next leaves when the previous answer lands
+    mode: str = "open"
 
 
 def _arrivals(rng: np.random.Generator, rate: float, seconds: float) -> np.ndarray:
@@ -93,7 +96,7 @@ def _zipf_hits(rng: np.random.Generator, pool: list[dict], rate: float, seconds:
     return [(float(t), dict(pool[int(p)]), kind) for t, p in zip(times, picks)]
 
 
-def _workload(name, seed, requests, warm_specs, limit_ms) -> Workload:
+def _workload(name, seed, requests, warm_specs, limit_ms, mode="open") -> Workload:
     """A workload from due-ordered ``(at_s, spec, kind)`` requests;
     ``warm_specs`` must include the hit-path pool the warm-up hits."""
     warm_rng = np.random.default_rng([seed, 0])
@@ -106,6 +109,7 @@ def _workload(name, seed, requests, warm_specs, limit_ms) -> Workload:
         limit_ms=limit_ms,
         kinds=[r[2] for r in requests],
         warmup=[TraceEvent(index=i, at_s=at, spec=spec) for i, (at, spec, _) in enumerate(warmup)],
+        mode=mode,
     )
 
 
@@ -118,21 +122,26 @@ def hit_path(seed: int, seconds: float) -> Workload:
 
 
 def cold_path(seed: int, seconds: float) -> Workload:
-    """A burst of distinct never-seen instances, all due at t=0."""
-    rng = np.random.default_rng([seed, 2])
-    count = max(2, int(round(COLD_PER_SECOND * seconds)))
-    # Sizes spread evenly over the range, in seeded order: every seed
-    # solves the same amount of work, in a different mix.
-    lo, hi = COLD_N_RANGE
-    sizes = rng.permutation(np.linspace(lo, hi, count).round().astype(int))
-    burst = [
-        (0.0, {"family": ("chain", "bst")[i % 2], "n": int(n), "seed": seed * 100_000 + i}, "cold")
-        for i, n in enumerate(sizes)
-    ]
-    # Warm-up instances outside the burst's sizes: they pay first-request
+    """Distinct never-seen instances, sent one at a time: BSTs, then
+    chains, each family in rising size."""
+    per_family = max(1, int(round(COLD_PER_SECOND * seconds / 2)))
+    # Every seed solves the same sizes (the seed picks the instances), so
+    # every seed does the same amount of work. The order keeps the memory
+    # peak steady: once a large freed table has raised the C allocator's
+    # mapping threshold, a smaller one comes from the heap, which keeps
+    # it, so sizes that fall after a large solve pile up. Alternating
+    # chain and BST at each size peaked at 205-237 MB in one shard-like
+    # process; this order, with the BSTs below the largest chains, at
+    # 180-186 MB.
+    requests = []
+    for family, (lo, hi) in (("bst", COLD_BST_RANGE), ("chain", COLD_CHAIN_RANGE)):
+        for n in np.linspace(lo, hi, per_family).round().astype(int):
+            spec = {"family": family, "n": int(n), "seed": seed * 100_000 + len(requests)}
+            requests.append((0.0, spec, "cold"))
+    # Warm-up instances outside the timed sizes: they pay first-request
     # costs (lazy imports, L2 directory creation) before the timed window.
     warm = [{"family": fam, "n": 8, "seed": seed} for fam in ("chain", "bst")]
-    return _workload("cold-path", seed, burst, warm + _hit_pool(seed), COLD_LIMIT_MS)
+    return _workload("cold-path", seed, requests, warm + _hit_pool(seed), COLD_LIMIT_MS, mode="closed")
 
 
 def _dims(rng: np.random.Generator, n: int) -> list[int]:
@@ -161,9 +170,15 @@ def edit_mix(seed: int, seconds: float) -> Workload:
     bases = [_dims(rng, n) for n in sizes]
     history = [list(b) for b in bases]
     seen = {tuple(b) for b in bases}
+    times = _arrivals(rng, EDIT_RATE, seconds)
+    # An exact share of fresh edits, in seeded order: every seed does the
+    # same amount of delta work.
+    fresh = np.zeros(len(times), dtype=bool)
+    fresh[: int(round(EDIT_FRESH_SHARE * len(times)))] = True
+    fresh = rng.permutation(fresh)
     requests = []
-    for t in _arrivals(rng, EDIT_RATE, seconds):
-        if rng.random() < EDIT_FRESH_SHARE:
+    for t, is_fresh in zip(times, fresh):
+        if is_fresh:
             dims = _edit(rng, bases[int(rng.integers(len(bases)))])
             while tuple(dims) in seen:
                 dims = _edit(rng, bases[int(rng.integers(len(bases)))])
