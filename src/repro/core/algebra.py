@@ -56,10 +56,12 @@ Registered instances
     weights (``pw``), where gap sizes vary, are where the second
     channel genuinely discriminates.
 
-Problem tables are mapped into an algebra's domain once per solver via
-``encode_f`` / ``encode_init`` (the ``+inf`` invalid-triple markers of
+Problem tables are mapped into an algebra's domain via ``encode_f`` /
+``encode_init`` — once per solver for the iterative solvers' dense
+tables, one split-cost row per cell in the sequential sweep (the
+``+inf`` invalid-triple markers of
 :meth:`~repro.problems.base.ParenthesizationProblem.f_table` become the
-algebra's ``zero``) and reported values are mapped back via ``decode``.
+algebra's ``zero``) — and reported values are mapped back via ``decode``.
 For ``min_plus`` all three hooks are the identity, so the default path
 is bit-for-bit the pre-algebra engine.
 
@@ -120,9 +122,11 @@ FLOAT_EXACT_INT_MAX = float(2**53 - 1)
 
 
 def _mask_unreached(a: np.ndarray, zero: float) -> np.ndarray:
-    """Map the dense tables' non-finite "no such entry" markers to the
-    algebra's own unreached element."""
-    return np.where(np.isfinite(a), a, zero)
+    """Map the dense tables' infinite "no such entry" markers to the
+    algebra's own unreached element. A NaN is no marker: it passes
+    through, so the sequential sweep's per-cell NaN test sees an invalid
+    split cost under every algebra."""
+    return np.where(np.isinf(a), zero, a)
 
 
 def _encode_neg_inf(a: np.ndarray) -> np.ndarray:
@@ -169,7 +173,7 @@ def _lex_check_domain(a: np.ndarray, what: str) -> None:
 def _lex_encode_f(F: np.ndarray) -> np.ndarray:
     # Each application of f is one split: the secondary channel ticks +1.
     _lex_check_domain(F, "split")
-    return np.where(np.isfinite(F), F * LEX_SCALE + 1.0, np.inf)
+    return np.where(np.isinf(F), np.inf, F * LEX_SCALE + 1.0)
 
 
 def _lex_encode_init(init: np.ndarray) -> np.ndarray:

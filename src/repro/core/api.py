@@ -431,14 +431,7 @@ def solve(
         # Exact miss: probe for a delta parent — an already-solved
         # sibling differing only in a weight window — and, when one
         # works, populate the cache exactly like a cold solve would.
-        hit = try_delta(
-            cache,
-            problem,
-            method=method,
-            algebra=alg,
-            kernel_impl=kernel_impl,
-            **key_kwargs,
-        )
+        hit = try_delta(cache, problem, method=method, algebra=alg, **key_kwargs)
         if hit is not None:
             return _done(hit)
 

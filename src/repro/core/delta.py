@@ -22,31 +22,21 @@ This module is that reuse path:
   which delta-capable caches index stored results;
 - :func:`try_delta` probes a cache for parents of a request and hands
   each to :func:`delta_resolve`, which copies the parent table and
-  re-sweeps **only the dirty cells**, length by length, with exactly
-  the sequential DP's candidate expression.
+  re-sweeps **only the dirty cells** through the sequential DP's own
+  sweep (:func:`repro.core.sequential.sweep_window`).
 
 Bitwise contract
 ----------------
 The re-sweep recomputes every dirty cell from already-correct inputs
 (clean cells are bitwise the cold child values by the window argument;
-dirty dependencies are recomputed first, in length order) using the
-same elementwise float64 operations the cold sequential DP applies —
-``extend(extend(w[i, k], w[k, j]), f)`` reduced by ``argwitness`` —
-against rows produced by the families' closed-form
-:meth:`~repro.problems.base.ParenthesizationProblem.split_cost_row`
-(bitwise equal to the dense ``f`` table slices). Hence a delta table is
+dirty dependencies are recomputed first, in length order) with the
+very cell function the cold sequential DP runs. Hence a delta table is
 bitwise-identical to a cold solve of the child, and — by the engine's
 cross-method invariant (DESIGN.md §3) — valid for every method in
 :data:`DELTA_METHODS`. The property suite pins this along a delta axis.
-
-Both ``kernel_impl`` tiers are served: with numba present the per-cell
-reduction runs as a JIT scalar loop built from the algebra's
-:class:`~repro.core.algebra.KernelLowering` (the
-:mod:`repro.core.kernels_fused` factories — one source of truth for the
-scalar semantics); otherwise the numpy slab expression runs as-is.
-Packed ``lex_min_plus`` needs no range-checked fallback here: the cold
-sequential path itself adds packed floats directly, so replicating its
-plain adds *is* the bitwise-identical behaviour.
+That invariant needs exact sums: on float costs under a ``+``-extend
+algebra the iterative solvers round differently, and a delta answer
+for them is an ulp off their cold table.
 
 Delta results carry no ``iterations``/``trace``/``tree`` — they are
 table-and-value answers, which is all the service layer's cache serves.
@@ -55,18 +45,12 @@ table-and-value answers, which is all the service layer's cache serves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Iterable, Optional
 
 import numpy as np
 
 from repro.core.algebra import SelectionSemiring, get_algebra
-from repro.core.kernels_fused import (
-    HAVE_NUMBA,
-    _identity_jit,
-    _scalar_extend,
-    _scalar_improves,
-    numba,
-)
+from repro.core.sequential import set_leaves, sweep_window
 from repro.errors import InvalidProblemError
 from repro.problems.base import ParenthesizationProblem
 
@@ -161,7 +145,6 @@ def try_delta(
     *,
     method: str = "sequential",
     algebra: SelectionSemiring | str | None = None,
-    kernel_impl: str | None = "auto",
     **key_kwargs,
 ) -> Optional[SolveResult]:
     """Probe ``cache`` for a delta parent of ``problem`` and re-solve
@@ -204,7 +187,6 @@ def try_delta(
                 parent_result,
                 method=method,
                 algebra=algebra,
-                kernel_impl=kernel_impl,
                 max_dirty=max_dirty,
             )
         except InvalidProblemError:
@@ -233,7 +215,6 @@ def delta_resolve(
     *,
     method: str = "sequential",
     algebra: SelectionSemiring | str | None = None,
-    kernel_impl: str | None = "auto",
     max_dirty: float = MAX_DIRTY_FRACTION,
 ) -> Optional[SolveResult]:
     """Re-solve ``problem`` from a parent's table, re-sweeping only the
@@ -242,7 +223,10 @@ def delta_resolve(
 
     The returned table is bitwise-identical to a cold solve of
     ``problem`` (module docstring); ``iterations``/``trace``/``tree``
-    are ``None``.
+    are ``None``. Invalid leaf costs or a NaN split cost in the dirty
+    window raise :class:`~repro.errors.InvalidProblemError`, as in the
+    cold solve; :func:`try_delta` then moves on, and the cold solve
+    reports the error.
     """
     from repro.core.api import SolveResult
 
@@ -273,90 +257,15 @@ def delta_resolve(
     if _dirty_cell_count(n, lo, hi) > max_dirty * problem.num_intervals:
         return None
 
-    init = problem.init_vector()
-    if (init < 0).any() or np.isnan(init).any():
-        raise InvalidProblemError("init costs must be non-negative and finite")
     w = w_parent.copy()
-    idx = np.arange(n)
-    w[idx, idx + 1] = alg.encode_init(init)
-
-    cell = (
-        _cell_kernel_for(alg)
-        if HAVE_NUMBA and kernel_impl in (None, "auto", "fused")
-        else None
-    )
-    for length in range(2, n + 1):
-        a = max(0, lo - length)
-        b = min(n - length, hi)
-        for i in range(a, b + 1):
-            j = i + length
-            frow = alg.encode_f(problem.split_cost_row(i, j))
-            left = w[i, i + 1 : j]
-            right = w[i + 1 : j, j]
-            if cell is not None:  # pragma: no cover - the [perf] CI leg
-                w[i, j] = cell(left, np.ascontiguousarray(right), frow)
-            else:
-                # Bit-for-bit the sequential DP's inner loop
-                # (core/sequential.py): slab extend, first-extremum
-                # argwitness, commit the selected candidate verbatim.
-                cand = alg.extend(alg.extend(left, right), frow)
-                w[i, j] = cand[int(alg.argwitness(cand))]
+    set_leaves(problem, alg, w)
+    sweep_window(problem, alg, w, lo=lo, hi=hi)
     return SolveResult(
         method=method,
         value=float(alg.decode(w[0, n])),
         w=w,
         algebra=alg.name,
     )
-
-
-# ---------------------------------------------------------------------------
-# The fused-tier per-cell kernel: one JIT scalar reduction over a cell's
-# candidate row, built from the same scalar-lowering factories as the
-# fused sweep kernels (shared source of truth for the semantics).
-# ---------------------------------------------------------------------------
-
-_CELL_CACHE: dict[tuple[str, str], Callable[..., float]] = {}
-
-
-def _make_cell_kernel(
-    ext_scalar: Callable[..., Any],
-    better_scalar: Callable[..., Any],
-    jit: Callable[..., Any],
-) -> Callable[..., float]:
-    """``comb over k of ext(ext(left[k], right[k]), frow[k])`` as a
-    scalar loop; strict ``better`` keeps the first extremum, matching
-    ``argwitness`` selection (the committed value is a candidate
-    verbatim either way, so the bits agree)."""
-
-    @jit
-    def kernel(left: np.ndarray, right: np.ndarray, frow: np.ndarray) -> float:
-        best = ext_scalar(ext_scalar(left[0], right[0]), frow[0])
-        for k in range(1, left.shape[0]):
-            v = ext_scalar(ext_scalar(left[k], right[k]), frow[k])
-            if better_scalar(v, best):
-                best = v
-        return best
-
-    return kernel
-
-
-def _cell_kernel_for(algebra: SelectionSemiring) -> Callable[..., float]:
-    low = algebra.lowering()
-    key = (low.ext_name, low.comb_name)
-    kernel = _CELL_CACHE.get(key)
-    if kernel is None:
-        jit = (
-            numba.njit(cache=False, fastmath=False)  # exact float64 only
-            if HAVE_NUMBA
-            else _identity_jit
-        )
-        kernel = _make_cell_kernel(
-            _scalar_extend(low.ext_name, jit),
-            _scalar_improves(low.comb_name, jit),
-            jit,
-        )
-        _CELL_CACHE[key] = kernel
-    return kernel
 
 
 def candidates_from_entries(

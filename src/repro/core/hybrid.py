@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.core.banded import BandedSolver
+from repro.core.sequential import sweep_window
 from repro.core.termination import FixedIterations
 from repro.errors import InvalidProblemError
 from repro.problems.base import ParenthesizationProblem
@@ -85,18 +84,9 @@ class HybridSolver(BandedSolver):
 
     def reset(self) -> None:
         super().reset()
-        # Sequential seeding: fill w for spans 2..seed_span bottom-up
-        # (under the solver's algebra — self._F is already encoded).
-        n = self.n
-        alg = self.algebra
-        F = self._F
-        w = self.w
-        for length in range(2, self.seed_span + 1):
-            for i in range(0, n - length + 1):
-                j = i + length
-                ks = np.arange(i + 1, j)
-                cand = alg.extend(alg.extend(w[i, ks], w[ks, j]), F[i, ks, j])
-                w[i, j] = float(alg.select(cand))
+        # Sequential seeding: the sequential DP's sweep over spans
+        # 2..seed_span, under the solver's algebra.
+        sweep_window(self.problem, self.algebra, self.w, max_length=self.seed_span)
 
     def run(self, policy=None, **kwargs):
         if policy is None:

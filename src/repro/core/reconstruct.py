@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.algebra import SelectionSemiring, get_algebra
+from repro.core.sequential import best_split
 from repro.errors import InvalidProblemError
 from repro.problems.base import ParenthesizationProblem
 from repro.trees.parse_tree import ParseTree
@@ -50,7 +51,6 @@ def reconstruct_tree(
     if w.shape != (n + 1, n + 1):
         raise InvalidProblemError(f"w must have shape {(n + 1, n + 1)}, got {w.shape}")
     alg = get_algebra(algebra)
-    F = problem.cached_f_table()
 
     splits: dict[tuple[int, int], int] = {}
     stack = [(i, j)]
@@ -58,20 +58,14 @@ def reconstruct_tree(
         a, b = stack.pop()
         if b - a == 1:
             continue
-        ks = np.arange(a + 1, b)
-        # Encode only the O(n) slice this node reads (the descent
-        # touches O(n²) cells total; a full-table encode would cost an
-        # O(n³) pass per call for the non-identity algebras).
-        cand = alg.extend(alg.extend(w[a, ks], w[ks, b]), alg.encode_f(F[a, ks, b]))
-        best = int(alg.argwitness(cand))
+        k, best = best_split(problem, alg, w, a, b)
         if not alg.reachable(w[a, b]) or not (
-            abs(cand[best] - w[a, b]) <= atol * max(1.0, abs(w[a, b]))
+            abs(best - w[a, b]) <= atol * max(1.0, abs(w[a, b]))
         ):
             raise InvalidProblemError(
                 f"w table is inconsistent at ({a}, {b}): "
-                f"w={w[a, b]!r} but best split gives {cand[best]!r}"
+                f"w={w[a, b]!r} but best split gives {best!r}"
             )
-        k = int(ks[best])
         splits[(a, b)] = k
         stack.append((a, k))
         stack.append((k, b))
@@ -109,13 +103,10 @@ def verify_w_table(
         return False
     if not np.allclose(leaves[finite], init[finite], atol=atol):
         return False
-    F = problem.cached_f_table()
     for length in range(2, n + 1):
         for i in range(0, n - length + 1):
             j = i + length
-            ks = np.arange(i + 1, j)
-            cand = alg.extend(alg.extend(w[i, ks], w[ks, j]), alg.encode_f(F[i, ks, j]))
-            best = float(alg.select(cand))
+            _, best = best_split(problem, alg, w, i, j)
             actual = w[i, j]
             if np.isinf(best) or np.isinf(actual):
                 if best != actual:

@@ -5,6 +5,15 @@ Ullman): fill ``c(i, j)`` by increasing interval length, selecting over
 all splits. It provides ground truth for every parallel solver and the
 split table for optimal-tree reconstruction.
 
+The recurrence's candidate expression is written once, in
+:func:`best_split`, and the bottom-up fill once, in
+:func:`sweep_window`. Every path that evaluates (*) cell by cell goes
+through them: the cold solve below sweeps the whole triangle, a delta
+re-solve (:mod:`repro.core.delta`) sweeps the dirty window of a cached
+table, :class:`~repro.core.hybrid.HybridSolver` sweeps the short spans
+it seeds, and :mod:`repro.core.reconstruct` asks the cell function for
+its witnesses.
+
 The ``algebra`` parameter generalises the recurrence over any
 registered :class:`~repro.core.algebra.SelectionSemiring` — the same
 bottom-up sweep with ``combine`` selecting the split and ``extend``
@@ -12,10 +21,14 @@ composing the parts. This is the per-algebra reference DP the property
 and golden suites pin the iterative solvers against; the default
 ``min_plus`` path is bit-for-bit the historical implementation.
 
-The inner loop over splits is vectorised (one numpy reduction per
-``(length, i)`` pair), so instances up to n of a few thousand are
-practical — far beyond what the Θ(n⁴)-memory parallel table solvers can
-hold — which is what lets the iteration-count experiments scale.
+Each cell reads its split costs from
+:meth:`~repro.problems.base.ParenthesizationProblem.split_cost_row`,
+which the problem families compute in closed form, so a solve takes
+O(n²) space: it never builds the dense (n+1)³ ``f`` table. The inner
+loop over splits is vectorised (one numpy reduction per cell), so
+instances up to n of a few thousand are practical — far beyond what the
+Θ(n⁴)-memory parallel table solvers can hold — which is what lets the
+iteration-count experiments scale.
 """
 
 from __future__ import annotations
@@ -28,7 +41,14 @@ from repro.core.algebra import SelectionSemiring, get_algebra
 from repro.errors import InvalidProblemError
 from repro.problems.base import ParenthesizationProblem
 
-__all__ = ["solve_sequential", "SequentialResult", "work_count_sequential"]
+__all__ = [
+    "solve_sequential",
+    "SequentialResult",
+    "best_split",
+    "sweep_window",
+    "set_leaves",
+    "work_count_sequential",
+]
 
 
 @dataclass(frozen=True)
@@ -49,13 +69,81 @@ class SequentialResult:
         return self.w.shape[0] - 1
 
 
+def best_split(
+    problem: ParenthesizationProblem,
+    alg: SelectionSemiring,
+    w: np.ndarray,
+    i: int,
+    j: int,
+) -> tuple[int, float]:
+    """The selected split ``k`` of cell ``(i, j)`` and its candidate.
+
+    Evaluates ``extend(extend(w[i, k], w[k, j]), f(i, k, j))`` for every
+    ``i < k < j`` from the table ``w`` (in ``alg``'s domain) and picks
+    the first extremum through the algebra's argwitness channel. The
+    value is the selected candidate itself, never a re-reduction, so
+    every caller commits and compares the same bits.
+    """
+    cand = alg.extend(
+        alg.extend(w[i, i + 1 : j], w[i + 1 : j, j]),
+        alg.encode_f(problem.split_cost_row(i, j)),
+    )
+    best = int(alg.argwitness(cand))
+    return i + 1 + best, cand[best]
+
+
+def sweep_window(
+    problem: ParenthesizationProblem,
+    alg: SelectionSemiring,
+    w: np.ndarray,
+    *,
+    lo: int = 0,
+    hi: int | None = None,
+    max_length: int | None = None,
+    split: np.ndarray | None = None,
+) -> None:
+    """Fill ``w`` in rising length order over every cell ``(i, j)`` with
+    ``j >= lo`` and ``i <= hi`` (default: all of them), of length 2 up
+    to ``max_length`` (default ``n``); cells outside the window are read
+    as they stand. ``split``, when given, records each cell's selected
+    split.
+
+    A NaN split cost makes its cell select the NaN (argmin and argmax
+    return the first one), so one scalar test per cell rejects it
+    without scanning each row.
+    """
+    n = problem.n
+    hi = n if hi is None else hi
+    top = n if max_length is None else max_length
+    for length in range(2, top + 1):
+        for i in range(max(0, lo - length), min(n - length, hi) + 1):
+            j = i + length
+            k, value = best_split(problem, alg, w, i, j)
+            if value != value:
+                raise InvalidProblemError(f"f(i, k, j) contains NaN at cell ({i}, {j})")
+            w[i, j] = value
+            if split is not None:
+                split[i, j] = k
+
+
+def set_leaves(
+    problem: ParenthesizationProblem, alg: SelectionSemiring, w: np.ndarray
+) -> None:
+    """Write the validated, encoded ``init`` costs onto the unit
+    intervals ``(i, i+1)`` of ``w``."""
+    init = problem.init_vector()
+    if (init < 0).any() or np.isnan(init).any():
+        raise InvalidProblemError("init costs must be non-negative and finite")
+    idx = np.arange(problem.n)
+    w[idx, idx + 1] = alg.encode_init(init)
+
+
 def solve_sequential(
     problem: ParenthesizationProblem,
     *,
     algebra: SelectionSemiring | str | None = None,
 ) -> SequentialResult:
-    """Solve recurrence (*) bottom-up in O(n³) time, O(n²) space
-    (plus the problem's dense f table).
+    """Solve recurrence (*) bottom-up in O(n³) time and O(n²) space.
 
     ``algebra`` selects the semiring the recurrence runs over (``None``
     resolves to the problem family's ``preferred_algebra``); the
@@ -66,26 +154,10 @@ def solve_sequential(
     if algebra is None:
         algebra = getattr(problem, "preferred_algebra", "min_plus")
     alg = get_algebra(algebra)
-    F = alg.encode_f(problem.cached_f_table())
-    init = problem.init_vector()
-    if (init < 0).any() or np.isnan(init).any():
-        raise InvalidProblemError("init costs must be non-negative and finite")
-    init = alg.encode_init(init)
-
-    N = n + 1
-    w = alg.full((N, N))
-    split = np.full((N, N), -1, dtype=np.int64)
-    idx = np.arange(N)
-    w[idx[:-1], idx[:-1] + 1] = init
-
-    for length in range(2, n + 1):
-        for i in range(0, n - length + 1):
-            j = i + length
-            ks = np.arange(i + 1, j)
-            cand = alg.extend(alg.extend(w[i, ks], w[ks, j]), F[i, ks, j])
-            best = int(alg.argwitness(cand))
-            w[i, j] = cand[best]
-            split[i, j] = ks[best]
+    w = alg.full((n + 1, n + 1))
+    split = np.full((n + 1, n + 1), -1, dtype=np.int64)
+    set_leaves(problem, alg, w)
+    sweep_window(problem, alg, w, split=split)
     return SequentialResult(w=w, split=split, value=float(w[0, n]))
 
 

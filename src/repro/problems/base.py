@@ -96,11 +96,8 @@ class ParenthesizationProblem(abc.ABC):
             raise InvalidProblemError(
                 f"f table must have shape {(n + 1,) * 3}, got {F.shape}"
             )
-        i, k, j = np.meshgrid(
-            np.arange(n + 1), np.arange(n + 1), np.arange(n + 1), indexing="ij"
-        )
-        valid = (i < k) & (k < j)
-        vals = F[valid]
+        i, k, j = np.ogrid[: n + 1, : n + 1, : n + 1]
+        vals = F[(i < k) & (k < j)]
         if np.isnan(vals).any():
             raise InvalidProblemError("f(i, k, j) contains NaN")
         if (vals < 0).any():
@@ -179,12 +176,16 @@ class ParenthesizationProblem(abc.ABC):
     def split_cost_row(self, i: int, j: int) -> np.ndarray:
         """``f(i, k, j)`` for all interior splits ``k = i+1 .. j-1``.
 
-        Bitwise-identical to ``self.cached_f_table()[i, i+1:j, j]`` —
-        the slice the sequential DP's inner loop consumes — but, in the
-        family overrides, computed in closed form without materialising
-        the dense Θ(n³) table. This is what keeps a delta re-sweep's
-        cost proportional to its dirty region instead of to the full
-        table build.
+        This is the row every cell-by-cell sweep of recurrence (*)
+        reads (:func:`repro.core.sequential.best_split`: the sequential
+        DP, delta re-solves, hybrid seeding and tree reconstruction).
+        It must be bitwise-identical to
+        ``self.cached_f_table()[i, i+1:j, j]``, which is what this
+        default returns, validated. The family overrides compute it in
+        closed form without materialising the dense Θ(n³) table, so a
+        sequential solve runs in O(n²) space and a delta re-sweep costs
+        in proportion to its dirty region. A subclass that redefines
+        ``f`` must redefine this row with it.
         """
         return self.cached_f_table()[i, i + 1 : j, j]
 

@@ -98,22 +98,13 @@ class OptimalBSTProblem(ParenthesizationProblem):
         changed = np.flatnonzero(parent_weights != mine)
         if changed.size == 0:
             return (self.n + 1, -1)
+        # Gap q[d] feeds init(d) and prefix[d:]; key p[t] (1-based, at
+        # index m + t) feeds prefix[t:]. f(i, k, j) reads prefix[j - 1]
+        # and prefix[i], and an edit changes the rounding of every later
+        # prefix sum, so each cell with j - 1 >= t is dirty, whatever its i.
         m = self.num_keys
-        los: list[int] = []
-        his: list[int] = []
-        for d in changed:
-            if d <= m:
-                # q[d] feeds init(d) and every f(i, k, j) with
-                # i <= d <= j - 1 (via q[i] and the prefix sums).
-                los.append(int(d) + 1)
-                his.append(int(d))
-            else:
-                # p[t] (keys are 1-based) feeds f(i, k, j) with
-                # i + 1 <= t <= j - 1.
-                t = int(d) - m
-                los.append(t + 1)
-                his.append(t - 1)
-        return (min(los), max(his))
+        t = np.where(changed <= m, changed, changed - m)
+        return (int(t.min()) + 1, self.n)
 
     def split_cost_row(self, i: int, j: int) -> np.ndarray:
         val = (self._prefix[j - 1] - self._prefix[i]) + self._q[i]

@@ -10,11 +10,13 @@ from repro.core.delta import (
     delta_resolve,
     try_delta,
 )
+from repro.errors import InvalidProblemError
 from repro.problems import (
     BottleneckChainProblem,
     MatrixChainProblem,
     PolygonTriangulationProblem,
 )
+from repro.problems.base import ParenthesizationProblem
 from repro.problems.generators import (
     random_bottleneck_chain,
     random_bst,
@@ -32,7 +34,13 @@ def _families(n=12, seed=5):
         random_bst(n, seed=seed),
         random_reliability_bst(n, seed=seed),
         random_polygon(n + 2, seed=seed),
+        random_polygon(n + 2, seed=seed, rule="product"),
     ]
+
+
+def _family_id(problem):
+    rule = getattr(problem, "rule", None)
+    return type(problem).__name__ + (f"-{rule}" if rule else "")
 
 
 def _bump_last(problem):
@@ -58,20 +66,27 @@ def _rebuild(problem, weights):
         n = (len(weights) + 1) // 2
         return ReliabilityBSTProblem(list(weights[n:]), list(weights[:n]))
     if isinstance(problem, PolygonTriangulationProblem):
+        if problem.rule == "product":
+            return PolygonTriangulationProblem(list(weights), rule="product")
         pts = [tuple(pt) for pt in np.asarray(weights).reshape(-1, 2)]
-        return PolygonTriangulationProblem(pts, rule=problem._rule)
+        return PolygonTriangulationProblem(pts, rule=problem.rule)
     raise AssertionError(f"no rebuild for {type(problem).__name__}")
 
 
 class TestSplitCostRow:
-    @pytest.mark.parametrize("problem", _families(), ids=lambda p: type(p).__name__)
+    """``split_cost_row`` feeds every sweep of the recurrence, so each
+    family's closed form is pinned against its dense table on every
+    interval."""
+
+    @pytest.mark.parametrize("problem", _families(), ids=_family_id)
     def test_matches_dense_f_table_bitwise(self, problem):
         f = problem.cached_f_table()
         n = problem.n
-        for i, j in [(0, n), (0, 2), (1, n - 1), (n - 3, n)]:
-            row = problem.split_cost_row(i, j)
-            assert row.dtype == np.float64
-            np.testing.assert_array_equal(row, f[i, i + 1 : j, j])
+        for i in range(n):
+            for j in range(i + 1, n + 1):
+                row = problem.split_cost_row(i, j)
+                assert row.dtype == np.float64
+                np.testing.assert_array_equal(row, f[i, i + 1 : j, j])
 
     def test_perimeter_polygon_matches_too(self):
         problem = PolygonTriangulationProblem(
@@ -80,7 +95,79 @@ class TestSplitCostRow:
         )
         f = problem.cached_f_table()
         n = problem.n
-        np.testing.assert_array_equal(problem.split_cost_row(0, n), f[0, 1:n, n])
+        for i in range(n):
+            for j in range(i + 1, n + 1):
+                np.testing.assert_array_equal(
+                    problem.split_cost_row(i, j), f[i, i + 1 : j, j]
+                )
+
+
+class TestNoDenseTable:
+    @pytest.mark.parametrize("problem", _families(), ids=_family_id)
+    def test_sequential_and_delta_never_build_it(self, problem, monkeypatch):
+        expected = solve(_bump_last(problem), method="sequential")
+
+        def refuse(self):
+            raise AssertionError("the dense f table was built")
+
+        monkeypatch.setattr(ParenthesizationProblem, "cached_f_table", refuse)
+        child = _bump_last(problem)
+        parent_result = solve(problem, method="sequential")
+        cold = solve(child, method="sequential")
+        got = delta_resolve(
+            child,
+            problem.delta_weights(),
+            parent_result,
+            method="sequential",
+            max_dirty=1.0,
+        )
+        assert got is not None
+        np.testing.assert_array_equal(cold.w, expected.w)
+        np.testing.assert_array_equal(got.w, expected.w)
+
+
+class TestNaNSplitCosts:
+    """An inf weight can make a closed-form split cost NaN (inf - inf).
+    The sweep rejects it on the cold path and on the delta path alike."""
+
+    ALGEBRAS = ["min_plus", "max_plus", "minimax", "maxmin"]
+
+    def _bst_parent_and_child(self):
+        parent = random_bst(12, seed=3)
+        weights = parent.delta_weights()
+        # key 10 of 12: prefix[10:] become inf, so every f with i >= 10
+        # reads inf - inf; the dirty window stays under half the table
+        weights[parent.num_keys + 10] = np.inf
+        return parent, _rebuild(parent, weights)
+
+    @pytest.mark.parametrize("algebra", ALGEBRAS)
+    def test_bst_cold_solve_raises(self, algebra):
+        _, child = self._bst_parent_and_child()
+        with pytest.raises(InvalidProblemError, match="NaN"):
+            solve(child, method="sequential", algebra=algebra)
+
+    def test_bst_delta_resolve_raises(self):
+        parent, child = self._bst_parent_and_child()
+        parent_result = solve(parent, method="sequential")
+        with pytest.raises(InvalidProblemError, match="NaN"):
+            delta_resolve(child, parent.delta_weights(), parent_result)
+
+    @pytest.mark.parametrize("algebra", ALGEBRAS)
+    def test_bst_warm_cache_raises(self, algebra):
+        parent, child = self._bst_parent_and_child()
+        cache = ResultCache()
+        solve(parent, method="sequential", algebra=algebra, cache=cache)
+        with pytest.raises(InvalidProblemError, match="NaN"):
+            solve(child, method="sequential", algebra=algebra, cache=cache)
+
+    @pytest.mark.parametrize("algebra", ALGEBRAS)
+    def test_perimeter_polygon_cold_solve_raises(self, algebra):
+        # vertices 1 and 2 share x = inf: their distance is hypot(nan, 1)
+        problem = PolygonTriangulationProblem(
+            [(0.0, 0.0), (np.inf, 0.0), (np.inf, 1.0), (0.0, 1.0)]
+        )
+        with pytest.raises(InvalidProblemError, match="NaN"):
+            solve(problem, method="sequential", algebra=algebra)
 
 
 class TestDeltaWindow:
@@ -110,9 +197,8 @@ class TestDeltaWindow:
 
 
 class TestDeltaResolveBitwise:
-    @pytest.mark.parametrize("problem", _families(), ids=lambda p: type(p).__name__)
-    @pytest.mark.parametrize("kernel_impl", ["numpy", "auto"])
-    def test_families_bitwise_identical_to_cold(self, problem, kernel_impl):
+    @pytest.mark.parametrize("problem", _families(), ids=_family_id)
+    def test_families_bitwise_identical_to_cold(self, problem):
         parent_result = solve(problem, method="sequential")
         child = _bump_last(problem)
         cold = solve(child, method="sequential")
@@ -121,12 +207,35 @@ class TestDeltaResolveBitwise:
             problem.delta_weights(),
             parent_result,
             method="sequential",
-            kernel_impl=kernel_impl,
             max_dirty=1.0,
         )
         assert got is not None
         assert got.value == cold.value
         np.testing.assert_array_equal(got.w, cold.w)
+
+    @pytest.mark.parametrize("algebra", ["min_plus", "max_plus", "minimax", "maxmin"])
+    def test_bst_any_edit_position_bitwise_identical_to_cold(self, algebra):
+        # An edit changes the rounding of every later prefix sum, which
+        # f reads at both ends of the interval: a window that keeps the
+        # cells right of the edit clean leaves them an ulp off.
+        problem = random_bst(12, seed=7)
+        parent_result = solve(problem, method="sequential", algebra=algebra)
+        for pos in range(len(problem.delta_weights())):
+            weights = problem.delta_weights()
+            weights[pos] *= 1.37
+            child = _rebuild(problem, weights)
+            cold = solve(child, method="sequential", algebra=algebra)
+            got = delta_resolve(
+                child,
+                problem.delta_weights(),
+                parent_result,
+                method="sequential",
+                algebra=algebra,
+                max_dirty=1.0,
+            )
+            assert got is not None
+            assert got.value == cold.value, pos
+            np.testing.assert_array_equal(got.w, cold.w)
 
     @pytest.mark.parametrize("algebra", ["min_plus", "max_plus", "minimax", "lex_min_plus"])
     def test_algebras_bitwise_identical_to_cold(self, algebra):
