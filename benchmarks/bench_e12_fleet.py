@@ -209,25 +209,38 @@ def hit_rate_table(stats: dict | None = None):
     )
 
 
+def _kill_while_busy(router: FleetRouter, shard: int, timeout: float = 60.0) -> bool:
+    """SIGKILL ``shard`` once the router has routed it requests, after
+    a grace that lets the router write them; returns whether the shard
+    still held unanswered requests at the kill."""
+    deadline = time.monotonic() + timeout
+    while not router.inflight().get(shard) and time.monotonic() < deadline:
+        time.sleep(0.001)
+    time.sleep(0.05)
+    busy = router.inflight().get(shard, 0) > 0
+    os.kill(router.shard_pids()[shard], signal.SIGKILL)
+    return busy
+
+
 def kill_recovery_stats(count: int = 24) -> dict:
-    """Axis 3: SIGKILL a shard mid-batch; every accepted request must
-    still produce a record (solved after re-dispatch, or an explicit
-    error — never a silent drop)."""
+    """Axis 3: SIGKILL a shard while it works on its share of a batch;
+    every accepted request must still produce a record (solved after
+    re-dispatch, or an explicit error — never a silent drop). The
+    chains are large (n >= 300) so that share takes far longer than
+    the router takes to write it, whatever the solver's speed."""
     specs = [
-        {"family": "chain", "n": 40 + (i % 4) * 8, "seed": 1000 + i}
+        {"family": "chain", "n": 300 + (i % 4) * 20, "seed": 1000 + i}
         for i in range(count)
     ]
     out: dict = {}
     with FleetRouter(2, **SHARD_KWARGS) as router:
-        victim = router.shard_pids()[0]
 
         def _run():
             out["records"] = router.request_many(specs)
 
         worker = threading.Thread(target=_run)
         worker.start()
-        time.sleep(0.1)  # let the batch get in flight
-        os.kill(victim, signal.SIGKILL)
+        busy_at_kill = _kill_while_busy(router, 0)
         worker.join(timeout=120.0)
         hung = worker.is_alive()
         records = out.get("records") or []
@@ -236,6 +249,7 @@ def kill_recovery_stats(count: int = 24) -> dict:
     answered = [r for r in records if r is not None]
     return {
         "count": count,
+        "busy_at_kill": busy_at_kill,
         "hung": hung,
         "answered": len(answered),
         "ok": sum(1 for r in answered if r.get("ok")),
@@ -251,6 +265,7 @@ def kill_recovery_table(stats: dict | None = None):
     s = stats if stats is not None else kill_recovery_stats()
     rows = [
         ("requests in flight", s["count"]),
+        ("killed shard held unanswered requests", "yes" if s["busy_at_kill"] else "NO"),
         ("answered (ok / error)", f"{s['answered']} ({s['ok']} / {s['errors']})"),
         ("silently dropped", s["dropped"]),
         ("re-dispatched (at most once each)", s["redispatched"]),
@@ -319,6 +334,8 @@ def smoke_failures(stats: dict, bars: dict) -> list[str]:
             f"{hr['delta']:.3f} from the single service's "
             f"{hr['single_hit_rate']:.3f} (bar {bars['hit_rate_delta']:.2f})"
         )
+    if not kill["busy_at_kill"]:
+        failed.append("the shard had answered its share before the kill")
     if kill["hung"]:
         failed.append("request_many hung after the shard kill")
     if kill["dropped"] > bars["max_dropped"]:

@@ -5,9 +5,10 @@ Each smoke benchmark (E10 backends, E11 service, E12 fleet, E13
 latency, E14 routing) measures, gates itself against the bars stored in its
 ``BENCH_<name>.json`` at the repository root, and records the
 measurement back into that file's bounded history (see
-:mod:`repro.util.bench` for the schema). E11 carries four axes:
+:mod:`repro.util.bench` for the schema). E11 carries five axes:
 coalesced throughput, cache-hit latency, the delta re-solve speedup
 (incremental re-sweep of a suffix edit vs a cold solve, bitwise-gated),
+the time and traced memory peak of a cold sequential solve at n=256,
 and L2 crash survival (a SIGKILLed shard's respawn answering from the
 shared on-disk tier). E13 replays a seeded Zipf+Poisson trace against
 a live fleet and gates the p99 cache-hit latency plus replay
@@ -81,10 +82,13 @@ def main(argv: list[str] | None = None) -> int:
                 "metrics", {}
             )
             delta, l2 = metrics.get("delta"), metrics.get("l2")
-            if delta and l2:
+            cold = metrics.get("cold_sequential")
+            if delta and l2 and cold:
                 print(
                     f"--- delta re-solve {delta['speedup']:.0f}x at "
-                    f"n={delta['n']}; L2 respawn hit: {l2['respawn_hit']}",
+                    f"n={delta['n']}; cold sequential {cold['cold_ms']:.0f} ms, "
+                    f"{cold['peak_mib']:.1f} MiB at n={cold['n']}; "
+                    f"L2 respawn hit: {l2['respawn_hit']}",
                     flush=True,
                 )
         if name == "e12_fleet":

@@ -58,7 +58,7 @@ Registered instances
 
 Problem tables are mapped into an algebra's domain via ``encode_f`` /
 ``encode_init`` — once per solver for the iterative solvers' dense
-tables, one split-cost row per cell in the sequential sweep (the
+tables, one split-cost block per diagonal in the sequential sweep (the
 ``+inf`` invalid-triple markers of
 :meth:`~repro.problems.base.ParenthesizationProblem.f_table` become the
 algebra's ``zero``) — and reported values are mapped back via ``decode``.
@@ -124,8 +124,8 @@ FLOAT_EXACT_INT_MAX = float(2**53 - 1)
 def _mask_unreached(a: np.ndarray, zero: float) -> np.ndarray:
     """Map the dense tables' infinite "no such entry" markers to the
     algebra's own unreached element. A NaN is no marker: it passes
-    through, so the sequential sweep's per-cell NaN test sees an invalid
-    split cost under every algebra."""
+    through, so the sequential sweep's NaN test sees an invalid split
+    cost under every algebra."""
     return np.where(np.isinf(a), zero, a)
 
 

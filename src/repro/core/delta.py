@@ -30,13 +30,16 @@ Bitwise contract
 The re-sweep recomputes every dirty cell from already-correct inputs
 (clean cells are bitwise the cold child values by the window argument;
 dirty dependencies are recomputed first, in length order) with the
-very cell function the cold sequential DP runs. Hence a delta table is
+very sweep the cold sequential DP runs. Hence a delta table is
 bitwise-identical to a cold solve of the child, and — by the engine's
 cross-method invariant (DESIGN.md §3) — valid for every method in
 :data:`DELTA_METHODS`. The property suite pins this along a delta axis.
 That invariant needs exact sums: on float costs under a ``+``-extend
-algebra the iterative solvers round differently, and a delta answer
-for them is an ulp off their cold table.
+algebra the iterative solvers associate each sum differently, and their
+cold tables differ from the sequential one in the last bits. So a
+delta answers for an iterative method only where no sum rounds (a min
+or max ``extend``, or integer-valued costs in float64's exact range;
+see :func:`exact_sums`) and declines otherwise.
 
 Delta results carry no ``iterations``/``trace``/``tree`` — they are
 table-and-value answers, which is all the service layer's cache serves.
@@ -49,7 +52,7 @@ from typing import Any, Iterable, Optional
 
 import numpy as np
 
-from repro.core.algebra import SelectionSemiring, get_algebra
+from repro.core.algebra import FLOAT_EXACT_INT_MAX, SelectionSemiring, get_algebra
 from repro.core.sequential import set_leaves, sweep_window
 from repro.errors import InvalidProblemError
 from repro.problems.base import ParenthesizationProblem
@@ -59,19 +62,23 @@ __all__ = [
     "MAX_DIRTY_FRACTION",
     "DeltaMeta",
     "delta_meta_for",
+    "exact_sums",
     "try_delta",
     "delta_resolve",
 ]
 
 #: methods a delta re-solve may answer for: every method whose committed
 #: ``w`` table is pinned bitwise-identical to the sequential DP's by the
-#: golden/property suites. ``knuth`` is excluded — its split-window
-#: pruning commits the same *values* but is not on the pinned axis.
+#: golden/property suites wherever sums are exact (the iterative ones
+#: only there: :func:`exact_sums`). ``knuth`` is excluded — its
+#: split-window pruning commits the same *values* but is not on the
+#: pinned axis.
 DELTA_METHODS = ("sequential", "huang", "huang-banded", "huang-compact", "rytter")
 
 #: default refusal threshold: if more than this fraction of the DP cells
-#: is dirty, a delta re-sweep approaches cold-solve work (while still
-#: paying per-cell Python dispatch) and the probe declines. Caches may
+#: is dirty, a delta re-sweep approaches cold-solve work — it runs the
+#: same diagonal passes, and a narrow window pays one Python iteration
+#: per diagonal for few cells each — and the probe declines. Caches may
 #: override via a ``delta_max_dirty`` attribute (the ``--delta-max-dirty``
 #: CLI knob).
 MAX_DIRTY_FRACTION = 0.5
@@ -196,6 +203,34 @@ def try_delta(
     return None
 
 
+def exact_sums(problem: ParenthesizationProblem, alg: SelectionSemiring) -> bool:
+    """Does every method sum ``problem``'s costs under ``alg`` without
+    rounding, so that all of them commit the sequential DP's table?
+
+    A min or max ``extend`` never rounds. Under ``+`` every value any
+    method computes is a sum of at most ``2n - 1`` encoded costs (the
+    nodes of one tree), so the sums are exact when every encoded cost
+    is integer-valued and ``2n - 1`` times the largest magnitude stays
+    within float64's exact-integer range. This reads every split cost
+    once, one diagonal at a time.
+    """
+    if alg.extend_ufunc is not np.add:
+        return True
+    n = problem.n
+    blocks = [alg.encode_init(problem.init_vector())]
+    blocks += [
+        alg.encode_f(problem.split_cost_segment(length, 0, n - length + 1))
+        for length in range(2, n + 1)
+    ]
+    largest = 0.0
+    for block in blocks:
+        finite = block[np.isfinite(block)]
+        if not (finite == np.floor(finite)).all():
+            return False
+        largest = max(largest, float(np.abs(finite).max(initial=0.0)))
+    return (2 * n - 1) * largest <= FLOAT_EXACT_INT_MAX
+
+
 def _dirty_cell_count(n: int, lo: int, hi: int) -> int:
     """Cells ``(i, j)``, ``0 <= i < j <= n``, with ``j >= lo`` and
     ``i <= hi`` — the region :func:`delta_resolve` re-sweeps."""
@@ -219,7 +254,9 @@ def delta_resolve(
 ) -> Optional[SolveResult]:
     """Re-solve ``problem`` from a parent's table, re-sweeping only the
     dirty window; ``None`` when the parent is unusable (window unknown,
-    wrong algebra/shape, or dirty fraction above ``max_dirty``).
+    wrong algebra/shape, or dirty fraction above ``max_dirty``), or when
+    ``method`` is iterative and the sums are not exact
+    (:func:`exact_sums`).
 
     The returned table is bitwise-identical to a cold solve of
     ``problem`` (module docstring); ``iterations``/``trace``/``tree``
@@ -255,6 +292,8 @@ def delta_resolve(
             algebra=alg.name,
         )
     if _dirty_cell_count(n, lo, hi) > max_dirty * problem.num_intervals:
+        return None
+    if method != "sequential" and not exact_sums(problem, alg):
         return None
 
     w = w_parent.copy()

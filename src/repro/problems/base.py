@@ -11,7 +11,11 @@ provides :meth:`init_vector` (shape ``(n,)``) and :meth:`f_table`
 (shape ``(n+1, n+1, n+1)``, ``F[i, k, j] = f(i, k, j)`` where
 ``0 <= i < k < j <= n`` and ``+inf`` elsewhere). The generic
 implementations loop over :meth:`split_cost`; concrete problems override
-them with closed-form numpy broadcasts.
+them with closed-form numpy broadcasts. The sequential sweep reads
+``f`` one diagonal segment at a time through
+:meth:`~ParenthesizationProblem.split_cost_segment`, which the concrete
+families compute from the :func:`segment_operands` of their weight
+vectors.
 """
 
 from __future__ import annotations
@@ -24,7 +28,40 @@ import numpy as np
 from repro.errors import InvalidProblemError
 from repro.util.validation import check_positive_int
 
-__all__ = ["ParenthesizationProblem"]
+__all__ = ["ParenthesizationProblem", "segment_operands", "windows"]
+
+
+def windows(a: np.ndarray, start: int, rows: int, width: int) -> np.ndarray:
+    """``rows`` overlapping runs of ``width`` consecutive entries of the
+    1-D array ``a``, the first starting at ``a[start]``: a zero-copy
+    ``(rows, width)`` view ``v`` with ``v[r, t] = a[start + r + t]``.
+
+    For a diagonal segment of the DP triangle, ``windows(a, i0 + 1,
+    cells, length - 1)`` lines up ``a[k]`` over the interior splits
+    ``k`` of each cell, one cell per row.
+    """
+    a = np.ascontiguousarray(a)
+    step = a.strides[0]
+    return np.ndarray((rows, width), a.dtype, a, start * step, (step, step))
+
+
+def segment_operands(
+    a: np.ndarray, length: int, i0: int, cells: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(a[i], a[k], a[j])`` over a diagonal segment: the cells
+    ``(i, j) = (i0 + c, i0 + c + length)`` for ``c < cells`` and their
+    interior splits ``k = i+1 .. j-1``, shaped to broadcast together to
+    ``(cells, length - 1)`` — two columns and a :func:`windows` view.
+    One cell takes two scalars and a basic slice instead, which numpy
+    evaluates for less than the strided view costs to build.
+    """
+    if cells == 1:
+        return a[i0], a[i0 + 1 : i0 + length], a[i0 + length]
+    return (
+        a[i0 : i0 + cells, None],
+        windows(a, i0 + 1, cells, length - 1),
+        a[i0 + length : i0 + length + cells, None],
+    )
 
 
 class ParenthesizationProblem(abc.ABC):
@@ -173,21 +210,28 @@ class ParenthesizationProblem(abc.ABC):
         """
         return None
 
-    def split_cost_row(self, i: int, j: int) -> np.ndarray:
-        """``f(i, k, j)`` for all interior splits ``k = i+1 .. j-1``.
+    def split_cost_segment(self, length: int, i0: int, cells: int) -> np.ndarray:
+        """``f`` over ``cells`` consecutive cells of one diagonal.
 
-        This is the row every cell-by-cell sweep of recurrence (*)
-        reads (:func:`repro.core.sequential.best_split`: the sequential
-        DP, delta re-solves, hybrid seeding and tree reconstruction).
-        It must be bitwise-identical to
-        ``self.cached_f_table()[i, i+1:j, j]``, which is what this
-        default returns, validated. The family overrides compute it in
-        closed form without materialising the dense Θ(n³) table, so a
+        Row ``c`` is cell ``(i, j) = (i0 + c, i0 + c + length)`` and
+        holds ``f(i, k, j)`` for its interior splits ``k = i+1 .. j-1``,
+        so the block has shape ``(cells, length - 1)``; an override may
+        return any array that broadcasts to it (a column when ``f`` does
+        not depend on ``k``, a row for one cell). This is the block
+        every sweep of recurrence (*) reads
+        (:func:`repro.core.sequential.sweep_window` one diagonal at a
+        time, :func:`repro.core.sequential.best_split` one cell at a
+        time: the sequential DP, delta re-solves, hybrid seeding and
+        tree reconstruction). It must be bitwise-identical to the same
+        entries of :meth:`cached_f_table`, which is what this default
+        gathers, validated. The family overrides compute it in closed
+        form without materialising the dense Θ(n³) table, so a
         sequential solve runs in O(n²) space and a delta re-sweep costs
         in proportion to its dirty region. A subclass that redefines
-        ``f`` must redefine this row with it.
+        ``f`` must redefine this block with it.
         """
-        return self.cached_f_table()[i, i + 1 : j, j]
+        i = np.arange(i0, i0 + cells)[:, None]
+        return self.cached_f_table()[i, i + np.arange(1, length), i + length]
 
     # -- conveniences -----------------------------------------------------------
 

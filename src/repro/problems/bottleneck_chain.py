@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import InvalidProblemError
-from repro.problems.base import ParenthesizationProblem
+from repro.problems.base import ParenthesizationProblem, segment_operands
 
 __all__ = ["BottleneckChainProblem"]
 
@@ -90,9 +90,9 @@ class BottleneckChainProblem(ParenthesizationProblem):
             return (self.n + 1, -1)
         return (int(changed.min()), int(changed.max()))
 
-    def split_cost_row(self, i: int, j: int) -> np.ndarray:
-        c = self._weights
-        return (c[i] + c[i + 1 : j]) + c[j]
+    def split_cost_segment(self, length: int, i0: int, cells: int) -> np.ndarray:
+        c_i, c_k, c_j = segment_operands(self._weights, length, i0, cells)
+        return (c_i + c_k) + c_j
 
     def init_cost(self, i: int) -> float:
         if not (0 <= i < self.n):

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import InvalidProblemError
-from repro.problems.base import ParenthesizationProblem
+from repro.problems.base import ParenthesizationProblem, segment_operands
 
 __all__ = ["MatrixChainProblem"]
 
@@ -46,6 +46,7 @@ class MatrixChainProblem(ParenthesizationProblem):
             raise InvalidProblemError("all matrix dimensions must be positive")
         super().__init__(int(dims_arr.size - 1))
         self._dims = dims_arr
+        self._fdims = dims_arr.astype(np.float64)
 
     @property
     def dims(self) -> np.ndarray:
@@ -75,9 +76,9 @@ class MatrixChainProblem(ParenthesizationProblem):
             return (self.n + 1, -1)
         return (int(changed.min()), int(changed.max()))
 
-    def split_cost_row(self, i: int, j: int) -> np.ndarray:
-        d = self._dims.astype(np.float64)
-        return (d[i] * d[i + 1 : j]) * d[j]
+    def split_cost_segment(self, length: int, i0: int, cells: int) -> np.ndarray:
+        d_i, d_k, d_j = segment_operands(self._fdims, length, i0, cells)
+        return (d_i * d_k) * d_j
 
     def init_cost(self, i: int) -> float:
         if not (0 <= i < self.n):

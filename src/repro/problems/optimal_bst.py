@@ -106,9 +106,11 @@ class OptimalBSTProblem(ParenthesizationProblem):
         t = np.where(changed <= m, changed, changed - m)
         return (int(t.min()) + 1, self.n)
 
-    def split_cost_row(self, i: int, j: int) -> np.ndarray:
-        val = (self._prefix[j - 1] - self._prefix[i]) + self._q[i]
-        return np.full(j - i - 1, val, dtype=np.float64)
+    def split_cost_segment(self, length: int, i0: int, cells: int) -> np.ndarray:
+        # f(i, k, j) = w(i, j - 1) whatever k: a column, one value per cell
+        i = slice(i0, i0 + cells)
+        j_less_one = slice(i0 + length - 1, i0 + length - 1 + cells)
+        return ((self._prefix[j_less_one] - self._prefix[i]) + self._q[i])[:, None]
 
     def subtree_weight(self, i: int, j: int) -> float:
         """Total weight w of keys ``i+1 .. j`` and gaps ``i .. j``

@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import InvalidProblemError
-from repro.problems.base import ParenthesizationProblem
+from repro.problems.base import ParenthesizationProblem, windows
 
 __all__ = ["ReliabilityBSTProblem"]
 
@@ -128,8 +128,9 @@ class ReliabilityBSTProblem(ParenthesizationProblem):
                 his.append(k - 1)
         return (min(los), max(his))
 
-    def split_cost_row(self, i: int, j: int) -> np.ndarray:
-        return self._r[i : j - 1].copy()
+    def split_cost_segment(self, length: int, i0: int, cells: int) -> np.ndarray:
+        # f(i, k, j) = r[k - 1] over k = i+1 .. j-1
+        return windows(self._r, i0, cells, length - 1).copy()
 
     def init_cost(self, i: int) -> float:
         if not (0 <= i < self.n):

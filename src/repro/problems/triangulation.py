@@ -24,7 +24,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from repro.errors import InvalidProblemError
-from repro.problems.base import ParenthesizationProblem
+from repro.problems.base import ParenthesizationProblem, segment_operands
 
 __all__ = ["PolygonTriangulationProblem"]
 
@@ -73,6 +73,9 @@ class PolygonTriangulationProblem(ParenthesizationProblem):
         super().__init__(count - 1)
         self._vertices = arr
         self._rule: WeightRule = rule
+        # the weights (product) or the coordinate rows x, y (perimeter),
+        # contiguous for segment_operands
+        self._rows = np.ascontiguousarray(arr if rule == "product" else arr.T)
 
     @property
     def rule(self) -> WeightRule:
@@ -116,14 +119,16 @@ class PolygonTriangulationProblem(ParenthesizationProblem):
             changed = changed // 2
         return (int(changed.min()), int(changed.max()))
 
-    def split_cost_row(self, i: int, j: int) -> np.ndarray:
-        v = self._vertices
+    def split_cost_segment(self, length: int, i0: int, cells: int) -> np.ndarray:
         if self._rule == "product":
-            return (v[i] * v[i + 1 : j]) * v[j]
-        mid = v[i + 1 : j]
-        d_ik = np.hypot(v[i, 0] - mid[:, 0], v[i, 1] - mid[:, 1])
-        d_kj = np.hypot(mid[:, 0] - v[j, 0], mid[:, 1] - v[j, 1])
-        d_ij = np.hypot(v[i, 0] - v[j, 0], v[i, 1] - v[j, 1])
+            v_i, v_k, v_j = segment_operands(self._rows, length, i0, cells)
+            return (v_i * v_k) * v_j
+        x, y = self._rows
+        x_i, x_k, x_j = segment_operands(x, length, i0, cells)
+        y_i, y_k, y_j = segment_operands(y, length, i0, cells)
+        d_ik = np.hypot(x_i - x_k, y_i - y_k)
+        d_kj = np.hypot(x_k - x_j, y_k - y_j)
+        d_ij = np.hypot(x_i - x_j, y_i - y_j)
         return (d_ik + d_kj) + d_ij
 
     def triangle_weight(self, i: int, k: int, j: int) -> float:

@@ -744,6 +744,13 @@ class FleetRouter:
     def shard_pids(self) -> list[Optional[int]]:
         return [shard.pid() for _, shard in sorted(self._shards.items())]
 
+    def inflight(self) -> dict[int, int]:
+        """Accepted-but-unanswered requests per shard index, read from
+        the router's own load gauges — unlike :meth:`status`, without
+        waiting for a shard that is busy answering a batch."""
+        with self._route_lock:
+            return {sid: load.inflight for sid, load in self._loads.items()}
+
     def status(self) -> dict:
         """Aggregate health: per-shard status records (or ``alive:
         False`` for unreachable shards) plus fleet-wide sums — total

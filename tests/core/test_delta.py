@@ -73,33 +73,52 @@ def _rebuild(problem, weights):
     raise AssertionError(f"no rebuild for {type(problem).__name__}")
 
 
-class TestSplitCostRow:
-    """``split_cost_row`` feeds every sweep of the recurrence, so each
-    family's closed form is pinned against its dense table on every
-    interval."""
+def _segment_cases(n):
+    """Every diagonal segment ``(length, i0, cells)`` of an n-object
+    triangle."""
+    for length in range(2, n + 1):
+        for i0 in range(n - length + 1):
+            for cells in range(1, n - length - i0 + 2):
+                yield length, i0, cells
+
+
+class TestSplitCostSegment:
+    """``split_cost_segment`` feeds every sweep of the recurrence, so
+    each family's closed form is pinned bitwise against its dense table
+    on every diagonal segment."""
+
+    @staticmethod
+    def _assert_pinned(problem):
+        f = problem.cached_f_table()
+        for length, i0, cells in _segment_cases(problem.n):
+            block = problem.split_cost_segment(length, i0, cells)
+            assert block.dtype == np.float64
+            i = np.arange(i0, i0 + cells)[:, None]
+            expected = f[i, i + np.arange(1, length), i + length]
+            got = np.broadcast_to(block, expected.shape)
+            assert got.tobytes() == expected.tobytes(), (length, i0, cells)
 
     @pytest.mark.parametrize("problem", _families(), ids=_family_id)
     def test_matches_dense_f_table_bitwise(self, problem):
-        f = problem.cached_f_table()
-        n = problem.n
-        for i in range(n):
-            for j in range(i + 1, n + 1):
-                row = problem.split_cost_row(i, j)
-                assert row.dtype == np.float64
-                np.testing.assert_array_equal(row, f[i, i + 1 : j, j])
+        self._assert_pinned(problem)
 
     def test_perimeter_polygon_matches_too(self):
-        problem = PolygonTriangulationProblem(
-            [(0.0, 0.0), (2.0, 0.1), (3.0, 1.5), (1.7, 3.0), (0.1, 2.0), (-0.5, 1.0)],
-            rule="perimeter",
+        self._assert_pinned(
+            PolygonTriangulationProblem(
+                [(0.0, 0.0), (2.0, 0.1), (3.0, 1.5), (1.7, 3.0), (0.1, 2.0), (-0.5, 1.0)],
+                rule="perimeter",
+            )
         )
-        f = problem.cached_f_table()
-        n = problem.n
-        for i in range(n):
-            for j in range(i + 1, n + 1):
-                np.testing.assert_array_equal(
-                    problem.split_cost_row(i, j), f[i, i + 1 : j, j]
-                )
+
+    def test_base_default_reads_the_dense_table(self):
+        from repro.problems import GenericProblem
+
+        rng = np.random.default_rng(4)
+        problem = GenericProblem.from_tables(
+            rng.integers(0, 9, size=7).astype(float),
+            rng.uniform(0.0, 5.0, size=(8, 8, 8)),
+        )
+        self._assert_pinned(problem)
 
 
 class TestNoDenseTable:

@@ -8,7 +8,7 @@ what is under test is the replayer, not the solvers.
 import pytest
 
 from repro.errors import ReproError
-from repro.loadgen import TraceConfig, generate_trace, run_loadtest
+from repro.loadgen import TraceConfig, TraceEvent, generate_trace, run_loadtest
 
 SERVICE_KWARGS = dict(backend="serial", method="sequential", batch_window=0.001)
 
@@ -83,9 +83,15 @@ class TestOpenReplay:
         assert result.summary()["dropped"] == 0
 
     def test_timeout_converts_to_dropped(self):
-        config = TraceConfig(arrival="uniform", rate=1000.0, count=3, pool=3, n=12)
+        # Three distinct instances: a repeat of one whose solve has
+        # already finished is a cache hit, answered within the submit
+        # call, before any timer can fire.
+        events = [
+            TraceEvent(index=i, at_s=(i + 1) * 1e-3, spec={"family": "chain", "n": 12, "seed": i})
+            for i in range(3)
+        ]
         result = run_loadtest(
-            config, target="local", target_kwargs=SERVICE_KWARGS, timeout=1e-6
+            events=events, target="local", target_kwargs=SERVICE_KWARGS, timeout=1e-6
         )
         summary = result.summary()
         assert summary["dropped"] == 3

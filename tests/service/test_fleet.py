@@ -23,6 +23,19 @@ from repro.service.fleet import FleetRouter, HashRing
 FLEET_KWARGS = dict(backend="serial", method="sequential", batch_window=0.002)
 
 
+def kill_while_busy(router: FleetRouter, shard: int, timeout: float = 60.0) -> bool:
+    """SIGKILL ``shard`` once the router has routed it requests, after
+    a grace that lets the router write them; returns whether the shard
+    still held unanswered requests at the kill."""
+    deadline = time.monotonic() + timeout
+    while not router.inflight().get(shard) and time.monotonic() < deadline:
+        time.sleep(0.001)
+    time.sleep(0.05)
+    busy = router.inflight().get(shard, 0) > 0
+    os.kill(router.shard_pids()[shard], signal.SIGKILL)
+    return busy
+
+
 def pid_alive(pid: int) -> bool:
     try:
         os.kill(pid, 0)
@@ -171,11 +184,12 @@ class TestShardDeathRecovery:
     respawn it, re-dispatch at most once, and drop nothing."""
 
     def test_kill_mid_batch_no_request_dropped(self):
+        # n >= 300: each shard's share of the batch takes hundreds of ms,
+        # far longer than writing it, so the kill lands while it works
         specs = [
-            {"family": "chain", "n": 40 + (i % 4) * 8, "seed": i} for i in range(24)
+            {"family": "chain", "n": 300 + (i % 4) * 20, "seed": i} for i in range(24)
         ]
         with FleetRouter(2, **FLEET_KWARGS) as router:
-            victim = router.shard_pids()[0]
             out = {}
 
             def _run():
@@ -183,8 +197,7 @@ class TestShardDeathRecovery:
 
             worker = threading.Thread(target=_run)
             worker.start()
-            time.sleep(0.1)  # let the batch get in flight
-            os.kill(victim, signal.SIGKILL)
+            assert kill_while_busy(router, 0), "shard 0 answered before the kill"
             worker.join(timeout=120.0)
             assert not worker.is_alive(), "request_many hung after the kill"
 
