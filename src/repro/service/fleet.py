@@ -80,6 +80,7 @@ from repro.service.routing import (
     make_policy,
 )
 from repro.service.transport import (
+    MAX_LINE_BYTES,
     Address,
     decode_record,
     encode_record,
@@ -111,13 +112,21 @@ class _Job:
 
 
 class _Shard:
-    """One shard process plus its persistent router-side connection."""
+    """One shard process plus its persistent router-side connection and
+    its dispatcher: the one thread that runs this shard's groups of the
+    rounds a caller does not drive itself. The dispatcher starts on
+    first use, survives respawns (it belongs to the shard index, not
+    the process) and stops when the shard is retired or the fleet
+    closes."""
 
     def __init__(self, index: int, socket_path: str) -> None:
         self.index = index
         self.socket_path = socket_path
         self.proc: Optional[subprocess.Popen] = None
         self.lock = threading.Lock()
+        self.dispatcher = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix=f"repro-fleet-shard-{index}"
+        )
         self._sock = None
         self._rfile = None
         self.next_id = 0
@@ -146,9 +155,16 @@ class _Shard:
                 pass
             self._sock = None
 
-    def send(self, msg: dict) -> None:
+    def send(self, msg: dict) -> bool:
+        """Write one request line; ``False`` (nothing written) when the
+        line is longer than the shard would read. A spec the front end
+        accepted can grow past the limit when re-encoded."""
         assert self._sock is not None
-        self._sock.sendall(encode_record(msg))
+        line = encode_record(msg)
+        if len(line) - 1 > MAX_LINE_BYTES:
+            return False
+        self._sock.sendall(line)
+        return True
 
     def recv(self) -> dict:
         assert self._rfile is not None
@@ -417,16 +433,28 @@ class FleetRouter:
         shard.respawns += 1
 
     def close(self) -> None:
-        """Stop every shard (graceful shutdown op first, escalating to
-        terminate/kill), then remove sockets, logs and — if the router
-        created it — the whole state directory. Idempotent."""
+        """Stop every shard through its dispatcher (graceful shutdown op
+        first, escalating to terminate/kill) and shut the dispatchers
+        down, then remove sockets, logs and — if the router created it —
+        the whole state directory. Idempotent."""
         if self._closed:
             return
         self._closed = True
+        shards = list(self._shards.values())
         if self._started:
-            with ThreadPoolExecutor(max_workers=len(self._shards)) as pool:
-                list(pool.map(self._stop_shard, self._shards.values()))
-        for shard in self._shards.values():
+            # Each stop queues behind whatever its shard's dispatcher is
+            # running; the stops themselves run in parallel.
+            stops = []
+            for shard in shards:
+                try:
+                    stops.append(shard.dispatcher.submit(self._stop_shard, shard))
+                except RuntimeError:  # retired meanwhile; _scale_down stops it
+                    pass
+            for stop in stops:
+                stop.result()
+        for shard in shards:
+            shard.dispatcher.shutdown()
+        for shard in shards:
             if os.path.exists(shard.socket_path):  # pragma: no cover - forced kill
                 try:
                     os.unlink(shard.socket_path)
@@ -517,9 +545,11 @@ class FleetRouter:
         """Route a batch across the fleet; one record per spec, in
         submission order. Specs bound for the same shard are pipelined
         over that shard's connection (so its scheduler can coalesce
-        them); different shards run concurrently. Shard deaths are
-        healed as described in the module docstring — the returned list
-        never has holes.
+        them); different shards run concurrently — the calling thread
+        drives one shard's group itself and every other group runs on
+        its shard's dispatcher, so a round bound for one shard crosses
+        no thread. Shard deaths are healed as described in the module
+        docstring — the returned list never has holes.
         """
         if self._closed:
             raise ReproError("fleet is closed")
@@ -553,35 +583,25 @@ class FleetRouter:
             by_shard: dict[int, list[_Job]] = {}
             for job in pending:
                 by_shard.setdefault(job.shard, []).append(job)
-            with ThreadPoolExecutor(max_workers=len(by_shard)) as pool:
-                leftovers = list(
-                    pool.map(
-                        lambda item: self._dispatch_to_shard(
-                            self._shards[item[0]], item[1]
-                        ),
-                        by_shard.items(),
-                    )
-                )
             pending = []
-            for failed_jobs in leftovers:
-                for job in failed_jobs:
-                    if job.dispatches >= _MAX_DISPATCHES:
-                        with self._stats_lock:
-                            self._gave_up += 1
-                        job.record = {
-                            "id": job.client_id,
-                            "ok": False,
-                            "shard": job.shard,
-                            "route": job.route,
-                            "error": (
-                                f"shard {job.shard} died again after the request "
-                                "was re-dispatched once; giving up "
-                                "(at-most-once re-dispatch)"
-                            ),
-                        }
-                        self._finish_job(job)
-                    else:
-                        pending.append(job)
+            for job in self._run_round(by_shard):
+                if job.dispatches >= _MAX_DISPATCHES:
+                    with self._stats_lock:
+                        self._gave_up += 1
+                    job.record = {
+                        "id": job.client_id,
+                        "ok": False,
+                        "shard": job.shard,
+                        "route": job.route,
+                        "error": (
+                            f"shard {job.shard} died again after the request "
+                            "was re-dispatched once; giving up "
+                            "(at-most-once re-dispatch)"
+                        ),
+                    }
+                    self._finish_job(job)
+                else:
+                    pending.append(job)
         for job in pending:  # pragma: no cover - exhausted retry margin
             with self._stats_lock:
                 self._gave_up += 1
@@ -594,6 +614,42 @@ class FleetRouter:
             }
             self._finish_job(job)
         return [job.record for job in jobs]
+
+    def _run_round(self, by_shard: dict[int, list[_Job]]) -> list[_Job]:
+        """Dispatch one round's per-shard groups; returns the jobs left
+        unanswered.
+
+        The calling thread drives the lowest-index shard's group and
+        every other group goes to its shard's dispatcher. A dispatcher
+        only ever queues behind its own shard, whose lock serialises
+        that work anyway; in a shared pool, every worker could sit
+        blocked on one busy shard while an idle shard's group waited.
+        """
+        (sid, jobs), *others = sorted(by_shard.items())
+        futures = []
+        unanswered: list[_Job] = []
+        for other, group in others:
+            shard = self._shards[other]
+            try:
+                futures.append(
+                    shard.dispatcher.submit(self._dispatch_to_shard, shard, group)
+                )
+            except RuntimeError:
+                # close() shut the dispatcher down: nothing was sent, so
+                # the jobs stay pending and end as error records.
+                unanswered += group
+        try:
+            unanswered += self._dispatch_to_shard(self._shards[sid], jobs)
+        finally:
+            # Read every future even when the inline group raised: a
+            # round never returns while a dispatcher still writes into
+            # its jobs.
+            errors = [future.exception() for future in futures]
+        for future, error in zip(futures, errors):
+            if error is not None:
+                raise error
+            unanswered += future.result()
+        return unanswered
 
     def _dispatch_to_shard(self, shard: _Shard, jobs: list[_Job]) -> list[_Job]:
         """Pipeline ``jobs`` to one shard; returns the jobs left
@@ -627,7 +683,19 @@ class FleetRouter:
                         # the job without it ever leaving the router.
                         with self._stats_lock:
                             self._redispatched += 1
-                    shard.send(msg)
+                    if not shard.send(msg):
+                        del in_flight[wire_id]
+                        job.record = {
+                            "id": job.client_id,
+                            "ok": False,
+                            "shard": shard.index,
+                            "route": job.route,
+                            "error": (
+                                "request too large: over "
+                                f"{MAX_LINE_BYTES} bytes once re-encoded"
+                            ),
+                        }
+                        self._finish_job(job)
                 while in_flight:
                     record = shard.recv()
                     job = in_flight.pop(record.get("id"), None)
@@ -733,6 +801,7 @@ class FleetRouter:
                     break
         if victim is not None:
             self._stop_shard(victim)
+            victim.dispatcher.shutdown()
             if os.path.exists(victim.socket_path):  # pragma: no cover - forced kill
                 try:
                     os.unlink(victim.socket_path)
@@ -755,7 +824,9 @@ class FleetRouter:
         """Aggregate health: per-shard status records (or ``alive:
         False`` for unreachable shards) plus fleet-wide sums — total
         requests, combined cache counters and hit rate, respawns, and
-        the router's own dispatch accounting."""
+        the router's own dispatch accounting. ``router.cpu_s`` is this
+        process's CPU time; ``totals.cpu_s`` adds every reachable
+        shard's ``cpu_s`` to it."""
         shard_records = []
         totals = {
             "requests": 0,
@@ -766,6 +837,7 @@ class FleetRouter:
             "batches": 0,
             "queue_depth": 0,
             "queue_depth_ewma": 0.0,
+            "cpu_s": 0.0,
         }
         alive = 0
         with self._route_lock:
@@ -792,6 +864,7 @@ class FleetRouter:
                 totals["batches"] += scheduler.get("batches", 0)
                 totals["delta_hits"] += scheduler.get("delta_hits", 0)
                 totals["queue_depth"] += scheduler.get("queue_depth", 0)
+                totals["cpu_s"] += status.get("cpu_s", 0.0)
             with self._route_lock:
                 load = self._loads.get(sid)
                 if load is not None:
@@ -808,6 +881,8 @@ class FleetRouter:
         lookups = totals["cache_hits"] + totals["cache_misses"]
         with self._route_lock:
             route_tags = dict(sorted(self._route_tags.items()))
+        cpu_s = round(time.process_time(), 6)
+        totals["cpu_s"] = round(totals["cpu_s"] + cpu_s, 6)
         return {
             "shards": len(self._shards),
             "min_shards": self.min_shards,
@@ -832,6 +907,7 @@ class FleetRouter:
                 "scale_downs": self._scale_downs,
                 "demand_ewma": round(self._demand_ewma, 3),
                 "route_tags": route_tags,
+                "cpu_s": cpu_s,
             },
             "totals": {
                 **totals,

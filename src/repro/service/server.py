@@ -189,9 +189,12 @@ class SolveService:
 
     def status(self) -> dict:
         """Health + counters: backend pool state, store occupancy,
-        cache and scheduler statistics."""
+        cache and scheduler statistics, and ``cpu_s``, the CPU time
+        (user + system) this process has used. ``cpu_s`` does not
+        include the worker processes of a process backend."""
         return {
             "uptime_s": round(time.monotonic() - self._started, 3),
+            "cpu_s": round(time.process_time(), 6),
             "requests": self._requests,
             "default_method": self.default_method,
             "backend": self.backend.health(),

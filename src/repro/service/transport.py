@@ -35,7 +35,12 @@ from typing import Callable, Optional, Union
 
 from repro.errors import ReproError
 
+#: the longest request line a server reads, newline excluded (asyncio's
+#: default stream limit); a longer line is answered "request too large"
+MAX_LINE_BYTES = 64 * 1024
+
 __all__ = [
+    "MAX_LINE_BYTES",
     "Address",
     "parse_address",
     "encode_record",
@@ -119,7 +124,10 @@ def decode_record(line: Union[bytes, str]) -> dict:
     """Parse one wire line into a dict; raises ``ValueError`` for
     anything that is not a single JSON object (the error text goes back
     on the wire verbatim, so keep it useful)."""
-    msg = json.loads(line)
+    try:
+        msg = json.loads(line)
+    except RecursionError:
+        raise ValueError("JSON nests too deeply") from None
     if not isinstance(msg, dict):
         raise ValueError("request must be a JSON object")
     return msg
@@ -186,7 +194,9 @@ async def start_line_server(
         if os.path.exists(address.path):
             _reclaim_stale_unix_socket(address.path)
         try:
-            server = await asyncio.start_unix_server(handler, path=address.path)
+            server = await asyncio.start_unix_server(
+                handler, path=address.path, limit=MAX_LINE_BYTES
+            )
         except OSError as exc:  # pragma: no cover - raced with another bind
             if exc.errno == errno.EADDRINUSE:
                 raise ReproError(
@@ -194,7 +204,9 @@ async def start_line_server(
                 ) from exc
             raise
         return server, address
-    server = await asyncio.start_server(handler, host=address.host, port=address.port)
+    server = await asyncio.start_server(
+        handler, host=address.host, port=address.port, limit=MAX_LINE_BYTES
+    )
     bound_port = server.sockets[0].getsockname()[1] if server.sockets else address.port
     return server, Address.tcp(address.host or "127.0.0.1", bound_port)
 
@@ -202,6 +214,27 @@ async def start_line_server(
 # ---------------------------------------------------------------------------
 # The shared JSONL server loop.
 # ---------------------------------------------------------------------------
+
+
+async def _read_request_line(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """The next request line (``b""`` at end of input), or ``None`` for
+    a line over :data:`MAX_LINE_BYTES`, which is then discarded through
+    its newline — also when that newline has not arrived yet, so the
+    line's tail is never read as a request of its own."""
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial  # end of input: the unterminated last line
+    except asyncio.LimitOverrunError:
+        pass
+    while True:
+        try:
+            await reader.readuntil(b"\n")
+            return None
+        except asyncio.LimitOverrunError as exc:
+            await reader.readexactly(exc.consumed)  # bytes before any newline
+        except asyncio.IncompleteReadError:
+            return None
 
 
 async def serve_jsonl(
@@ -240,6 +273,9 @@ async def serve_jsonl(
         closes its service here; the fleet front end leaves its router
         to the caller).
 
+    Every request line gets exactly one record: a line that is not a
+    JSON object is answered "bad request", and a line longer than
+    :data:`MAX_LINE_BYTES` "request too large"; the connection stays up.
     Runs until a shutdown op or ``max_requests`` spec responses.
     Every exit after a successful bind — including failures in the
     ``ready``/``on_bound`` notifications themselves — closes the
@@ -272,7 +308,20 @@ async def serve_jsonl(
 
         try:
             while True:
-                line = await reader.readline()
+                line = await _read_request_line(reader)
+                if line is None:
+                    await _respond(
+                        writer,
+                        lock,
+                        {
+                            "ok": False,
+                            "error": (
+                                "request too large: a request line may hold "
+                                f"at most {MAX_LINE_BYTES} bytes"
+                            ),
+                        },
+                    )
+                    continue
                 if not line:
                     break
                 line = line.strip()
@@ -338,7 +387,7 @@ async def serve_jsonl(
     finally:
         server.close()
         await server.wait_closed()
-        # Connections still parked in readline() get an orderly EOF
+        # Connections still parked in a read get an orderly EOF
         # (closing the transport feeds it) instead of a loop-teardown
         # cancellation traceback.
         for writer in list(conn_writers):

@@ -9,6 +9,7 @@ not the solvers.
 
 import os
 import signal
+import sys
 import threading
 import time
 
@@ -17,10 +18,33 @@ import pytest
 from repro.core import solve
 from repro.errors import ReproError
 from repro.problems import MatrixChainProblem
-from repro.problems.specs import route_key_from_spec
+from repro.problems.specs import batch_item_from_spec, route_key_from_spec
 from repro.service.fleet import FleetRouter, HashRing
 
 FLEET_KWARGS = dict(backend="serial", method="sequential", batch_window=0.002)
+
+#: the name prefix of every shard dispatcher thread
+DISPATCHER = "repro-fleet-shard-"
+
+
+def dispatcher_threads(prefix: str = DISPATCHER, exclude=()) -> list:
+    return [
+        t
+        for t in threading.enumerate()
+        if t.name.startswith(prefix) and t not in exclude
+    ]
+
+
+def specs_on(router: FleetRouter, shard: int, count: int, n: int = 8) -> list:
+    """``count`` distinct chain specs whose ring owner is ``shard``."""
+    found = []
+    seed = 0
+    while len(found) < count:
+        spec = {"family": "chain", "n": n, "seed": seed}
+        if router.route(dict(spec)) == shard:
+            found.append(spec)
+        seed += 1
+    return found
 
 
 def kill_while_busy(router: FleetRouter, shard: int, timeout: float = 60.0) -> bool:
@@ -170,6 +194,31 @@ class TestFleetRequests:
             assert record["shard"] == fleet.route(dict(spec))
         assert {r["shard"] for r in records} == {0, 1}
 
+    def test_status_reports_cpu_time(self, fleet):
+        """The router's and every shard's process CPU time, and a fleet
+        total that is their sum; none of them runs backwards."""
+        first, second = fleet.status(), fleet.status()
+        for status in (first, second):
+            shard_cpu = [s["status"]["cpu_s"] for s in status["per_shard"]]
+            assert status["router"]["cpu_s"] > 0 and all(c > 0 for c in shard_cpu)
+            assert status["totals"]["cpu_s"] == pytest.approx(
+                status["router"]["cpu_s"] + sum(shard_cpu), abs=1e-5
+            )
+        assert second["router"]["cpu_s"] >= first["router"]["cpu_s"]
+        assert second["totals"]["cpu_s"] >= first["totals"]["cpu_s"]
+        for before, after in zip(first["per_shard"], second["per_shard"]):
+            assert after["status"]["cpu_s"] >= before["status"]["cpu_s"]
+
+    def test_spec_too_large_once_re_encoded_is_refused(self, fleet):
+        """A spec whose re-encoded line passes the shards' line limit is
+        answered by the router instead of stalling the shard's
+        connection, and the next request on that shard is served."""
+        records = fleet.request_many([{"dims": [1] * 30000}, {"dims": [3, 7, 2]}])
+        assert not records[0]["ok"]
+        assert records[0]["error"].startswith("request too large")
+        assert records[1]["ok"] and records[1]["value"] == 42.0
+        assert fleet.inflight() == {0: 0, 1: 0}
+
     def test_status_totals_include_queue_depth(self, fleet):
         """The aggregate backlog gauge: per-shard scheduler queue
         depths sum into the fleet totals, and an idle fleet reads 0."""
@@ -177,6 +226,118 @@ class TestFleetRequests:
         assert status["totals"]["queue_depth"] == 0
         for shard in status["per_shard"]:
             assert shard["status"]["scheduler"]["queue_depth"] == 0
+
+
+class TestDispatchers:
+    """Each shard's one long-lived dispatcher thread, and the caller
+    driving one shard group of every round itself."""
+
+    def test_rounds_start_no_thread(self, fleet, monkeypatch):
+        pair = specs_on(fleet, 0, 1) + specs_on(fleet, 1, 1)
+        fleet.request_many(pair)  # warm-up: starts the dispatcher it needs
+        started = []
+        original = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread.name)
+            return original(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        for i in range(20):
+            batch = pair if i % 2 else [pair[i % 4 // 2]]
+            records = fleet.request_many([dict(spec) for spec in batch])
+            assert all(r["ok"] for r in records)
+        assert started == []
+
+    def test_concurrent_mixed_rounds(self, fleet):
+        """8 threads x 25 rounds of two-shard batches through one
+        router: every record present, in order, and equal to a
+        sequential solve; no live-load claim left behind."""
+        pool = specs_on(fleet, 0, 4, n=10) + specs_on(fleet, 1, 4, n=10)
+        want = []
+        for spec in pool:
+            problem, _, _ = batch_item_from_spec(dict(spec))
+            want.append(solve(problem, method="sequential").value)
+        failures = []
+
+        def _client(worker: int) -> None:
+            for round_no in range(25):
+                picks = [(worker + round_no + k) % len(pool) for k in (0, 3, 5)]
+                batch = [
+                    {**pool[i], "id": f"{worker}-{round_no}-{j}"}
+                    for j, i in enumerate(picks)
+                ]
+                records = fleet.request_many(batch)
+                for j, (i, record) in enumerate(zip(picks, records)):
+                    if (
+                        record is None
+                        or record.get("id") != f"{worker}-{round_no}-{j}"
+                        or not record.get("ok")
+                        or record.get("value") != want[i]
+                    ):
+                        failures.append((worker, round_no, j, record))
+                if len(records) != len(batch):
+                    failures.append((worker, round_no, "length", len(records)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=_client, args=(w,)) for w in range(8)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers), "a round hung"
+        assert failures == []
+        assert fleet.inflight() == {0: 0, 1: 0}
+
+    def test_round_overtaken_by_close_gets_error_records(self, monkeypatch):
+        """close() lands after a round's entry check and before its
+        dispatch: the round finds every dispatcher shut down and still
+        returns one record per spec, an error for each."""
+        router = FleetRouter(2, **FLEET_KWARGS).start()
+        batch = specs_on(router, 0, 1) + specs_on(router, 1, 1)
+        monkeypatch.setattr(router, "_maybe_scale", lambda incoming: router.close())
+        records = router.request_many(batch)
+        assert [r["ok"] for r in records] == [False, False]
+
+    def test_rounds_racing_close_get_records_and_threads_stop(self):
+        before = dispatcher_threads()
+        router = FleetRouter(2, **FLEET_KWARGS).start()
+        batch = specs_on(router, 0, 2) + specs_on(router, 1, 2)
+        outcomes: list = []
+
+        def _rounds() -> None:
+            while True:
+                try:
+                    records = router.request_many([dict(s) for s in batch])
+                except ReproError as exc:  # a round begun after close()
+                    outcomes.append(str(exc))
+                    return
+                outcomes.append(records)
+
+        clients = [threading.Thread(target=_rounds) for _ in range(4)]
+        for client in clients:
+            client.start()
+        try:
+            deadline = time.monotonic() + 30.0
+            while len(outcomes) < 8 and time.monotonic() < deadline:
+                time.sleep(0.005)
+        finally:
+            router.close()
+        for client in clients:
+            client.join(timeout=60.0)
+        assert not any(c.is_alive() for c in clients), "a round hung across close()"
+        closed = [o for o in outcomes if isinstance(o, str)]
+        rounds = [o for o in outcomes if not isinstance(o, str)]
+        assert closed == ["fleet is closed"] * len(clients)
+        assert len(rounds) >= 8
+        for records in rounds:
+            assert len(records) == len(batch)
+            assert all(r["ok"] or r["error"] for r in records)
+        assert dispatcher_threads(exclude=before) == []
 
 
 class TestShardDeathRecovery:
@@ -338,6 +499,11 @@ class TestDynamicScaling:
                 failures += sum(1 for r in records if not r.get("ok"))
             grown = router.status()
             assert grown["shards"] == 3, "fleet never grew under pressure"
+            # Holding the shard keeps its executor from being collected,
+            # so only an explicit shutdown on retirement stops the thread.
+            retired = router._shards[2]
+            retired_dispatchers = dispatcher_threads(f"{DISPATCHER}2")
+            assert retired_dispatchers, "shard 2 never ran on its dispatcher"
             assert grown["alive"] == 3
             # the new shard is on the ring and the old sockets survived
             assert sorted(router.ring.shard_ids()) == [0, 1, 2]
@@ -346,6 +512,8 @@ class TestDynamicScaling:
                 failures += sum(1 for r in records if not r.get("ok"))
             settled = router.status()
             assert settled["shards"] == 2, "fleet never shrank when idle"
+            assert 2 not in router._shards and retired.proc.poll() is not None
+            assert not any(t.is_alive() for t in retired_dispatchers)
             assert failures == 0
             assert settled["router"]["gave_up"] == 0
             assert settled["router"]["scale_ups"] >= 1

@@ -11,7 +11,9 @@ import pytest
 
 from repro.errors import ReproError
 from repro.service import ServiceClient, SolveService, serve, serve_tcp
+from repro.service.fleet import FleetRouter, serve_fleet
 from repro.service.transport import (
+    MAX_LINE_BYTES,
     Address,
     connect,
     decode_record,
@@ -63,6 +65,70 @@ class TestFraming:
             decode_record(b"[1, 2]\n")
         with pytest.raises(ValueError):
             decode_record(b"not json")
+        with pytest.raises(ValueError, match="nests too deeply"):
+            decode_record(b"[" * 20000 + b"]" * 20000)
+
+
+@pytest.fixture(params=["serve", "serve_fleet"])
+def jsonl_server(request, tmp_path):
+    """A live ``repro serve`` or ``repro fleet`` front end on a unix
+    socket; yields its path and shuts it down afterwards."""
+    path = str(tmp_path / "front.sock")
+    router = None
+    if request.param == "serve":
+        service = SolveService(method="sequential", backend="serial", batch_window=0.0)
+        main = serve(service, Address.unix(path))
+    else:
+        router = FleetRouter(
+            1, backend="serial", method="sequential", batch_window=0.002
+        ).start()
+        main = serve_fleet(router, Address.unix(path))
+    thread = threading.Thread(target=asyncio.run, args=(main,), daemon=True)
+    thread.start()
+    try:
+        deadline = time.monotonic() + 10.0
+        while not os.path.exists(path):
+            assert time.monotonic() < deadline, "server did not come up"
+            time.sleep(0.02)
+        yield path
+        with ServiceClient(path) as client:
+            client.shutdown()
+        thread.join(timeout=30.0)
+        assert not thread.is_alive()
+    finally:
+        if router is not None:
+            router.close()
+
+
+class TestHostileLines:
+    def test_every_line_gets_one_record_in_order(self, jsonl_server):
+        """An over-limit line and a too-deeply nested line each get one
+        error record, and the connection keeps serving the line after
+        them."""
+        oversized = b'{"dims": [' + b", ".join([b"7"] * 30000) + b"]}\n"
+        assert len(oversized) > MAX_LINE_BYTES + 1
+        nested = b"[" * 20000 + b"]" * 20000 + b"\n"
+        valid = encode_record({"dims": [10, 20, 5, 30], "id": 3})
+        sock = connect(Address.unix(jsonl_server), timeout=30.0)
+        try:
+            rfile = sock.makefile("r")
+            # The oversized line's newline arrives after the server has
+            # given up on it: its tail must not read as a second request.
+            sock.sendall(oversized[:70000])
+            time.sleep(0.2)
+            sock.sendall(oversized[70000:] + nested + valid)
+            records = [json.loads(rfile.readline()) for _ in range(3)]
+            sock.sendall(encode_record({"op": "status", "id": "after"}))
+            after = json.loads(rfile.readline())
+        finally:
+            sock.close()
+        assert not records[0]["ok"]
+        assert records[0]["error"].startswith("request too large")
+        assert not records[1]["ok"]
+        assert records[1]["error"] == "bad request: JSON nests too deeply"
+        assert records[2]["ok"] and records[2]["id"] == 3
+        assert records[2]["value"] == 2500.0
+        assert after["id"] == "after" and after["ok"], "a fourth record arrived"
 
 
 class TestStaleUnixSocket:
