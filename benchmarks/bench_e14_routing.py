@@ -6,14 +6,15 @@ workload: per-shard counts ``[8, 199, 97, 96]`` on the canonical
 2x its fair share (``tests/loadgen/test_hashring_imbalance.py``). This
 benchmark gates the ROADMAP item 4 answer (``repro.service.routing``):
 
-* **policy sweep (offline)** — the exact deterministic placements of
-  ``ring``, ``bounded`` (load_factor 1.25 and ``inf``) and ``p2c`` over
-  the pinned Zipf-400 trace via
-  :func:`repro.service.routing.simulate_routing`: the bounded router
-  must land **strictly below** the pinned CV/peak baseline, and
-  ``load_factor=inf`` must reproduce the ring placement exactly;
+* **load-factor sweep (offline)** — the exact deterministic placements
+  of bounded-load routing at ``load_factor`` 1.25 and ``inf`` over the
+  pinned Zipf-400 trace via
+  :func:`repro.service.routing.simulate_routing`: 1.25 must land
+  **strictly below** the pinned CV/peak baseline, and ``inf`` (the
+  default, and so the baseline row) must reproduce a direct
+  :class:`~repro.service.routing.HashRing` tally exactly;
 * **live imbalance (the E13 harness)** — the same trace replayed
-  open-loop through a real 4-shard fleet with ``router="bounded"``;
+  open-loop through a real 4-shard fleet at ``load_factor=1.25``;
   the per-shard record counts the analyzer measures must also beat the
   baseline (the live router adds in-flight pressure to the load signal,
   so this is the end-to-end check, not a re-run of the simulation);
@@ -36,12 +37,13 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 
 from repro.loadgen import TraceConfig, generate_trace, run_loadtest
 from repro.loadgen.analyze import imbalance
 from repro.problems.specs import route_key_from_spec
 from repro.service.fleet import FleetRouter
-from repro.service.routing import simulate_routing
+from repro.service.routing import HashRing, simulate_routing
 from repro.util.bench import load_bars, record
 from repro.util.tables import format_table
 
@@ -76,31 +78,29 @@ def _trace_keys(config: TraceConfig = BASELINE_TRACE) -> list[bytes]:
     return [route_key_from_spec(ev.spec) for ev in generate_trace(config)]
 
 
-# -- axis A: offline policy sweep ---------------------------------------------
+# -- axis A: offline load-factor sweep -----------------------------------------
 
 
 def policy_sweep_stats() -> dict:
-    """Deterministic placements of every policy over the pinned trace."""
+    """Deterministic placements over the pinned trace at the default
+    factor (``inf``, the ring baseline) and at :data:`LOAD_FACTOR`."""
     keys = _trace_keys()
     runs = []
-    for policy, factor in (
-        ("ring", LOAD_FACTOR),
-        ("bounded", LOAD_FACTOR),
-        ("bounded", math.inf),
-        ("p2c", LOAD_FACTOR),
-    ):
-        sim = simulate_routing(keys, range(SHARDS), policy=policy, load_factor=factor)
+    for factor in (math.inf, LOAD_FACTOR):
+        sim = simulate_routing(keys, range(SHARDS), load_factor=factor)
         sim.update(imbalance(sim["counts"]))
         runs.append(sim)
-    ring, bounded, bounded_inf, p2c = runs
+    ring, bounded = runs
+    owners = Counter(HashRing(range(SHARDS)).route(key) for key in keys)
     return {
         "trace": BASELINE_TRACE.to_dict(),
         "shards": SHARDS,
         "ring": ring,
         "bounded": bounded,
-        "bounded_inf": bounded_inf,
-        "p2c": p2c,
-        "inf_degenerates_to_ring": bounded_inf["counts"] == ring["counts"],
+        "inf_degenerates_to_ring": (
+            ring["counts"] == [owners.get(s, 0) for s in range(SHARDS)]
+            and ring["tags"] == {"ring": len(keys)}
+        ),
     }
 
 
@@ -108,10 +108,8 @@ def policy_sweep_table(stats: dict | None = None):
     s = stats if stats is not None else policy_sweep_stats()
     rows = []
     for label, key in (
-        ("ring (baseline)", "ring"),
-        (f"bounded c={LOAD_FACTOR}", "bounded"),
-        ("bounded c=inf", "bounded_inf"),
-        ("p2c", "p2c"),
+        ("c=inf (ring baseline)", "ring"),
+        (f"c={LOAD_FACTOR}", "bounded"),
     ):
         run = s[key]
         rows.append(
@@ -124,12 +122,12 @@ def policy_sweep_table(stats: dict | None = None):
             )
         )
     return format_table(
-        ["policy", "per-shard counts", "cv", "peak/mean", "route tags"],
+        ["load factor", "per-shard counts", "cv", "peak/mean", "route tags"],
         rows,
         title=(
-            f"E14a: routing policies over the pinned Zipf-400 trace, "
+            f"E14a: bounded-load routing over the pinned Zipf-400 trace, "
             f"{SHARDS} shards (offline simulation — deterministic). The "
-            "ring row IS the pinned baseline; bounded must beat it."
+            "c=inf row IS the pinned ring baseline; c=1.25 must beat it."
         ),
     )
 
@@ -146,11 +144,7 @@ def live_imbalance_stats(speed: float = 25.0) -> dict:
         target="fleet",
         shards=SHARDS,
         speed=speed,
-        target_kwargs={
-            **SHARD_KWARGS,
-            "router": "bounded",
-            "load_factor": LOAD_FACTOR,
-        },
+        target_kwargs={**SHARD_KWARGS, "load_factor": LOAD_FACTOR},
         with_status=True,
     )
     summary = result.summary()
@@ -191,7 +185,7 @@ def live_imbalance_table(stats: dict | None = None):
         rows,
         title=(
             f"E14b: the same Zipf-400 trace replayed live ({SHARDS}-shard "
-            f"fleet, router=bounded c={LOAD_FACTOR}, E13 open-loop "
+            f"fleet, load_factor={LOAD_FACTOR}, E13 open-loop "
             "harness). The live load signal adds in-flight pressure to "
             "the placement counts, so this is the end-to-end gate."
         ),
@@ -241,9 +235,7 @@ def hit_rate_stats(uniques: int = 8, repeats: int = 12) -> dict:
     stream (two passes; the second is where the caches answer)."""
     specs = _duplicate_workload(uniques, repeats)
     single = _run_fleet(1, specs, passes=2)
-    fleet = _run_fleet(
-        SHARDS, specs, passes=2, router="bounded", load_factor=LOAD_FACTOR
-    )
+    fleet = _run_fleet(SHARDS, specs, passes=2, load_factor=LOAD_FACTOR)
     return {
         "uniques": uniques,
         "requests": len(specs) * 2,
@@ -291,7 +283,6 @@ def scale_cycle_stats(count: int = 24) -> dict:
     with FleetRouter(
         2,
         **SHARD_KWARGS,
-        router="bounded",
         load_factor=LOAD_FACTOR,
         min_shards=2,
         max_shards=SHARDS,

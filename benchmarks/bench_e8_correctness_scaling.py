@@ -20,7 +20,6 @@ from repro.core.knuth import solve_knuth
 from repro.core.rytter import RytterSolver
 from repro.core.sequential import solve_sequential
 from repro.core.termination import WStable
-from repro.parallel import ParallelHuangSolver
 from repro.problems.generators import random_bst, random_matrix_chain, random_polygon
 from repro.util.tables import format_table
 
@@ -112,7 +111,7 @@ def backend_table():
     rows = []
     for backend in ["serial", "thread", "process"]:
         t0 = time.perf_counter()
-        with ParallelHuangSolver(prob, backend=backend, tiles=4) as s:
+        with HuangSolver(prob, backend=backend, tiles=4) as s:
             out = s.run(WStable(), max_iterations=60)
         dt = time.perf_counter() - t0
         rows.append((backend, dt, bool(np.isclose(out.value, ref))))

@@ -27,7 +27,7 @@ Examples::
     python -m repro serve --socket /tmp/repro.sock --backend process --workers 4
     python -m repro serve --tcp 0.0.0.0:7466
     python -m repro fleet --shards 4 --socket /tmp/fleet.sock
-    python -m repro fleet --shards 4 --router bounded --load-factor 1.25
+    python -m repro fleet --shards 4 --load-factor 1.25
     python -m repro fleet --shards 2 --min-shards 2 --max-shards 8
     python -m repro request --socket /tmp/repro.sock --input problems.jsonl
     python -m repro request --tcp 127.0.0.1:7466 --input problems.jsonl
@@ -67,7 +67,6 @@ from repro.core.api import ITERATIVE_METHODS, METHODS
 from repro.loadgen.arrivals import ARRIVALS
 from repro.loadgen.popularity import POPULARITIES
 from repro.parallel.backends import BACKEND_NAMES, KERNEL_IMPLS, START_METHODS
-from repro.service.routing import ROUTER_POLICIES
 
 from repro.problems.specs import FAMILIES, family_generators
 
@@ -463,22 +462,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard processes to run (default: 2)",
     )
     p_fleet.add_argument(
-        "--router",
-        choices=list(ROUTER_POLICIES),
-        default="ring",
-        help=(
-            "routing policy: ring (pure consistent hashing), bounded "
-            "(bounded-load: spill when a shard exceeds --load-factor times "
-            "the fleet mean) or p2c (power-of-two-choices) (default: ring)"
-        ),
-    )
-    p_fleet.add_argument(
         "--load-factor",
         type=float,
-        default=1.25,
+        default=float("inf"),
         help=(
-            "bounded router's spill threshold as a multiple of the mean "
-            "shard load; 'inf' never spills (default: 1.25)"
+            "bounded-load routing: spill a request off its ring owner when "
+            "the owner's load exceeds this multiple of the mean shard load; "
+            "'inf' never spills (default: inf, pure consistent hashing)"
         ),
     )
     p_fleet.add_argument(
@@ -687,16 +677,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="fleet width for --target fleet (default: 2)",
     )
     p_load.add_argument(
-        "--router",
-        choices=list(ROUTER_POLICIES),
-        default="ring",
-        help="routing policy for --target fleet (default: ring)",
-    )
-    p_load.add_argument(
         "--load-factor",
         type=float,
-        default=1.25,
-        help="bounded router's spill threshold for --target fleet",
+        default=float("inf"),
+        help="bounded-load spill threshold for --target fleet (default: inf)",
     )
     p_load.add_argument(
         "--mode",
@@ -994,7 +978,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             cache_bytes=int(args.cache_mb * (1 << 20)),
             cache_dir=args.cache_dir,
             state_dir=args.state_dir,
-            router=args.router,
             load_factor=args.load_factor,
             min_shards=args.min_shards,
             max_shards=args.max_shards,
@@ -1189,7 +1172,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         if config.method is not None:
             target_kwargs["method"] = config.method
         if args.target == "fleet":
-            target_kwargs["router"] = args.router
             target_kwargs["load_factor"] = args.load_factor
     result = run_loadtest(
         config,

@@ -13,9 +13,9 @@ Consumes the per-request records the harness emits
   ``delta`` = the hit tiers), which is what an SLO on cache-hit
   latency gates;
 * **per-route breakdown** — the same split by the fleet router's
-  routing decision (``ring``/``affinity``/``spill``/``p2c``), showing
-  how much traffic a load-aware policy actually moved and what the
-  moved requests paid (empty for non-fleet targets);
+  routing decision (``ring``/``affinity``/``spill``), showing how much
+  traffic bounded-load routing actually moved and what the moved
+  requests paid (empty for non-fleet targets);
 * **per-shard breakdown + imbalance coefficient** — request counts and
   latencies by shard attribution, summarised as the coefficient of
   variation (std/mean of per-shard counts) and the peak-to-mean ratio.
@@ -146,9 +146,9 @@ def analyze(
         source: latency_summary(vals) for source, vals in sorted(by_source.items())
     }
 
-    # Routing-decision split (ring/affinity/spill/p2c, stamped by the
-    # fleet router): how much traffic each policy mechanism actually
-    # moved, and what it cost — the E14 per-policy comparison surface.
+    # Routing-decision split (ring/affinity/spill, stamped by the fleet
+    # router): how much traffic each routing mechanism actually moved,
+    # and what it cost.
     # Absent entirely for non-fleet targets (no record carries a route).
     by_route: dict[str, list[float]] = {}
     for r in ok:

@@ -34,7 +34,7 @@ anything else
 Each request yields one JSON-able record — scheduled/send/receive
 timestamps, ``ok``, the service's ``source`` attribution
 (cache/coalesced/delta/batch), the answering ``shard`` and routing
-decision ``route`` (ring/affinity/spill/p2c, both stamped by the fleet
+decision ``route`` (ring/affinity/spill, both stamped by the fleet
 router), the server-side ``elapsed_ms`` and the harness-side
 ``latency_ms`` — which :func:`repro.loadgen.analyze.analyze` folds into
 the tail-latency/SLO summary.

@@ -43,17 +43,4 @@ __all__ = [
     "ProcessBackend",
     "TableStore",
     "make_backend",
-    "ParallelHuangSolver",
 ]
-
-
-def __getattr__(name: str):
-    # Imported lazily (PEP 562): ParallelHuangSolver now lives on top of
-    # the core kernel engine, and importing it eagerly here would close
-    # an import cycle (core.kernels -> parallel.backends -> this package
-    # -> parallel.solver -> core.huang).
-    if name == "ParallelHuangSolver":
-        from repro.parallel.solver import ParallelHuangSolver
-
-        return ParallelHuangSolver
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -13,17 +13,15 @@ the same shard, so duplicate-heavy traffic keeps hitting that shard's
 cache and coalescer exactly as it would a single service's; distinct
 requests spread across shards and scale with them.
 
-Routing is **load-aware** (ROADMAP item 4): the placement above is the
-default ``router="ring"`` policy, and two alternatives from
-:mod:`repro.service.routing` bound the Zipf imbalance pure hashing
-suffers — ``"bounded"`` (bounded-load consistent hashing: spill to the
-next ring shard when the owner exceeds ``load_factor`` times the fleet
+Routing is **load-aware** (:mod:`repro.service.routing`): one
+bounded-load consistent-hashing policy spills a request off its ring
+owner when the owner's load exceeds ``load_factor`` times the fleet
 mean, with a cache-affinity hint so a spilled hot key's repeats keep
 hitting the shard now holding its L1 entry, and the shared L2 catching
-the keys that do move) and ``"p2c"`` (power-of-two-choices between each
-key's two deterministic ring candidates). Every response carries the
-routing decision (``route: ring/affinity/spill/p2c``) next to the
-answering ``shard``.
+the keys that do move. The default ``load_factor=inf`` never spills:
+every request goes to its ring owner, the placement above. Every
+response carries the routing decision (``route: ring/affinity/spill``)
+next to the answering ``shard``.
 
 The shard set is **elastic** between batches: with ``min_shards`` /
 ``max_shards`` spanning a range, the router grows the fleet when the
@@ -40,7 +38,8 @@ by ``bench_e14_routing.py --smoke``).
 Failure semantics
 -----------------
 Shard death is detected at the transport (broken pipe / connection
-reset / EOF mid-read). The router then respawns the shard process on
+reset / EOF mid-read), or before a send when the shard's process has
+already exited. The router then respawns the shard process on
 the same socket (reclaiming the stale socket file) and re-dispatches
 the requests that were accepted but not yet answered — **at most
 once** per request. A request whose shard dies again after its
@@ -73,12 +72,7 @@ from typing import Any, Callable, Optional, Sequence
 
 from repro.errors import ReproError
 from repro.problems.specs import route_key_from_spec
-from repro.service.routing import (
-    ROUTER_POLICIES,
-    HashRing,
-    ShardLoad,
-    make_policy,
-)
+from repro.service.routing import BoundedLoadPolicy, HashRing, ShardLoad
 from repro.service.transport import (
     MAX_LINE_BYTES,
     Address,
@@ -88,7 +82,7 @@ from repro.service.transport import (
 )
 from repro.service import transport as _transport
 
-__all__ = ["FleetRouter", "HashRing", "ROUTER_POLICIES", "serve_fleet"]
+__all__ = ["FleetRouter", "HashRing", "serve_fleet"]
 
 #: total sends a single request may consume: the original dispatch plus
 #: exactly one re-dispatch after a shard death
@@ -106,7 +100,7 @@ class _Job:
     spec: dict
     shard: int
     client_id: Any = None  # the caller's own "id", echoed back verbatim
-    route: str = "ring"  # the policy's decision tag (ring/affinity/spill/p2c)
+    route: str = "ring"  # the policy's decision tag (ring/affinity/spill)
     dispatches: int = 0
     record: Optional[dict] = None
 
@@ -206,11 +200,11 @@ class FleetRouter:
         directory (removed on close) when not given.
     ``spawn_timeout``
         Seconds to wait for a shard's socket to accept connections.
-    ``router, load_factor``
-        The routing policy (``ring``/``bounded``/``p2c``, see
-        :mod:`repro.service.routing`) and the bounded policy's spill
-        threshold (spill when a shard's load exceeds ``load_factor``
-        times the fleet mean; ``inf`` disables spilling entirely).
+    ``load_factor``
+        The routing policy's spill threshold (spill when a shard's load
+        exceeds ``load_factor`` times the fleet mean, see
+        :mod:`repro.service.routing`); the default ``inf`` never spills,
+        so every request goes to its ring owner.
     ``min_shards, max_shards``
         The elastic range for dynamic scaling; both default to
         ``shards`` (autoscaling off). With a real range, the router
@@ -243,8 +237,7 @@ class FleetRouter:
         state_dir: Optional[str] = None,
         spawn_timeout: float = 30.0,
         request_timeout: float = 120.0,
-        router: str = "ring",
-        load_factor: float = 1.25,
+        load_factor: float = math.inf,
         min_shards: Optional[int] = None,
         max_shards: Optional[int] = None,
         scale_up_depth: float = 32.0,
@@ -291,7 +284,7 @@ class FleetRouter:
             for i in range(shards)
         }
         self.ring = HashRing(range(shards))
-        self._policy = make_policy(router, load_factor=load_factor)
+        self._policy = BoundedLoadPolicy(load_factor)
         self._loads: dict[int, ShardLoad] = {i: ShardLoad() for i in range(shards)}
         self._started = False
         self._closed = False
@@ -505,22 +498,21 @@ class FleetRouter:
         )
 
     def route(self, spec: dict) -> int:
-        """The shard index a spec's *ring owner* — the pure consistent-
-        hash placement, independent of the configured policy and free of
-        load-gauge side effects (so clients and tests can predict it)."""
+        """The shard index of a spec's *ring owner* — the pure consistent-
+        hash placement, independent of load and free of load-gauge side
+        effects (so clients and tests can predict it)."""
         return self.ring.route(self._route_key(spec))
 
     def _route_spec(self, body: dict) -> tuple[int, str]:
         """One load-aware placement: ask the policy, then immediately
         account for it (``assigned`` forever, ``inflight`` until the
         record lands) so the next placement — same batch or a concurrent
-        one — sees this request's weight. Returns ``(shard, tag)``."""
+        one — sees this request's weight. Returns ``(shard, tag)``. A
+        dead shard may be chosen: :meth:`_dispatch_to_shard` respawns
+        it before sending."""
         key = self._route_key(body)
         with self._route_lock:
-            alive = {
-                sid for sid, shard in self._shards.items() if shard.alive()
-            } or set(self._shards)
-            sid, tag = self._policy.choose(key, self.ring, self._loads, alive)
+            sid, tag = self._policy.choose(key, self.ring, self._loads)
             load = self._loads.get(sid)
             if load is not None:
                 load.assigned += 1
@@ -870,7 +862,7 @@ class FleetRouter:
                 if load is not None:
                     if status is not None:
                         # Fold the shard scheduler's own backlog gauge
-                        # (PR 9) into the EWMA the routing policies read.
+                        # into the EWMA the routing policy reads.
                         load.observe_queue(
                             (status.get("scheduler") or {}).get("queue_depth", 0)
                         )
@@ -890,10 +882,9 @@ class FleetRouter:
             "alive": alive,
             "uptime_s": round(time.monotonic() - self._t0, 3),
             "router": {
-                "policy": self._policy.name,
                 "load_factor": (
                     None
-                    if math.isinf(getattr(self._policy, "load_factor", math.inf))
+                    if math.isinf(self._policy.load_factor)
                     else self._policy.load_factor
                 ),
                 "requests": self._requests,

@@ -1,44 +1,32 @@
-"""Load-aware routing policies over the consistent-hash ring.
+"""Load-aware placement over the consistent-hash ring.
 
-PR 5's fleet routed every request by **pure consistent hashing**:
-perfect cache affinity (equal keys always land on the shard that
-already cached them) but no regard for load. Under a Zipf-popular
-workload the hot head of the popularity law all hashes to whichever
-shards own those few keys, and the measured imbalance is severe — the
-pinned E13 baseline is per-shard counts ``[8, 199, 97, 96]`` on the
-canonical 400-request Zipf trace, CV 0.6762, peak-to-mean 1.99
+Pure consistent hashing gives perfect cache affinity (equal keys always
+land on the shard that already cached them) but no regard for load.
+Under a Zipf-popular workload the hot head of the popularity law all
+hashes to whichever shards own those few keys, and the measured
+imbalance is severe: the canonical 400-request Zipf trace over a
+4-shard ring places ``[8, 199, 97, 96]``, CV 0.6762, peak-to-mean 1.99
 (``tests/loadgen/test_hashring_imbalance.py``). One shard absorbs 2x
-its fair share while another starves. This module is ROADMAP item 4's
-answer: keep the ring (and therefore the affinity), bound the load.
+its fair share while another starves.
 
-Three policies, selectable per :class:`~repro.service.fleet.FleetRouter`
-(``repro fleet --router {ring,bounded,p2c}``):
+:class:`BoundedLoadPolicy` is the fleet's one placement policy:
+**bounded-load consistent hashing**. A request prefers its ring owner,
+but when the owner's load exceeds ``load_factor`` times the fleet mean
+it *spills* to the next shard along the ring (then the next, ...), so
+the peak-to-mean ratio is bounded by ``load_factor`` by construction
+while cold keys keep perfect affinity. A **cache-affinity hint**
+remembers where a spilled key landed, so its repeats keep hitting the
+shard that now holds its L1 entry instead of re-spilling somewhere new;
+a spill lands on a shard mounting the same shared L2, so the move costs
+one disk hit, not a re-solve. The default ``load_factor=inf`` never
+spills and so never records a hint: every request goes to its ring
+owner in every fleet state, scale events included (pinned by a property
+test).
 
-``ring``
-    Pure consistent hashing — the PR 5 behaviour, unchanged. The
-    affinity baseline every other policy is compared against.
-``bounded``
-    **Bounded-load consistent hashing** (the CH-with-bounded-loads
-    scheme the DLB literature's "migrate away from overloaded
-    partitions, preserve locality" maps onto): a request prefers its
-    ring owner, but when the owner's load exceeds ``load_factor``
-    times the fleet mean, it *spills* to the next shard along the
-    ring (then the next, ...) — so the peak-to-mean ratio is bounded
-    by ``load_factor`` by construction while cold keys keep perfect
-    affinity. A **cache-affinity hint** remembers where each key
-    actually landed last, so the repeats of a spilled hot key keep
-    hitting the shard that now holds its L1 entry instead of
-    re-spilling somewhere new; a spill that does move a key lands on
-    a shard mounting the same shared L2, so the move costs one disk
-    hit, not a re-solve. ``load_factor=inf`` never spills and is
-    bitwise-identical to ``ring`` (pinned by a property test).
-``p2c``
-    **Power-of-two-choices** for comparison: each key hashes to two
-    deterministic candidates (its ring owner and the next distinct
-    shard along the ring) and takes whichever is less loaded. Affinity
-    is probabilistic (a key's candidates never change, but which of
-    the two wins can), which is exactly the trade the E14 benchmark
-    quantifies against ``bounded``.
+The policy knows nothing of shard liveness. A dead shard is chosen like
+any other, and the fleet's dispatch path respawns it under that shard's
+lock before sending, so a killed shard heals on its next request
+whatever the load factor.
 
 The **load signal** blends three components per shard, all maintained
 by the router (:class:`ShardLoad`): cumulative placements (``assigned``
@@ -46,16 +34,13 @@ by the router (:class:`ShardLoad`): cumulative placements (``assigned``
 requests (``inflight`` — accepted but unanswered, the router-side view
 of queue depth), and an EWMA-smoothed copy of the shard scheduler's own
 ``queue_depth`` gauge (``queue_ewma`` — PR 9's backlog gauge, folded in
-whenever the router polls shard status). ``bounded`` and ``p2c`` never
-choose a shard known to be dead while any alive candidate exists
-(pinned by a property test); with every candidate dead they fall back
-to the ring owner so the dispatch path's respawn machinery can heal it.
+whenever the router polls shard status).
 
 Everything here is synchronous, allocation-light and deterministic
 given the request order — :func:`simulate_routing` replays a key
-sequence through a policy offline, which is how the per-policy splits
-in ``bench_e14_routing.py`` and the regression tests are produced
-without spawning a single shard process.
+sequence through the policy offline, which is how the placements in
+``bench_e14_routing.py`` and the regression tests are produced without
+spawning a single shard process.
 """
 
 from __future__ import annotations
@@ -68,16 +53,7 @@ from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Set, T
 
 from repro.errors import ReproError
 
-__all__ = [
-    "HashRing",
-    "ShardLoad",
-    "RingPolicy",
-    "BoundedLoadPolicy",
-    "PowerOfTwoPolicy",
-    "ROUTER_POLICIES",
-    "make_policy",
-    "simulate_routing",
-]
+__all__ = ["HashRing", "ShardLoad", "BoundedLoadPolicy", "simulate_routing"]
 
 #: ring points per shard — enough that a 4-shard ring is within a few
 #: percent of a perfectly even split, cheap enough to rebuild at will
@@ -239,7 +215,7 @@ class ShardLoad:
         self.queue_ewma += self.EWMA_ALPHA * (float(depth) - self.queue_ewma)
 
     def value(self) -> float:
-        """The blended load the policies compare: cumulative placements
+        """The blended load the policy compares: cumulative placements
         plus the live pressure terms."""
         return self.assigned + self.inflight + self.queue_ewma
 
@@ -257,45 +233,27 @@ def _mean_load(loads: Mapping[int, ShardLoad], members: Sequence[int]) -> float:
     return sum(loads[s].value() for s in members) / len(members)
 
 
-class RingPolicy:
-    """Pure consistent hashing — PR 5's routing, unchanged. Routes to
-    the ring owner even when it is dead (the dispatch path respawns
-    it; that *is* the healing mechanism)."""
-
-    name = "ring"
-
-    def choose(
-        self,
-        key: bytes,
-        ring: HashRing,
-        loads: Mapping[int, ShardLoad],
-        alive: Set[int],
-    ) -> Tuple[int, str]:
-        return ring.route(key), "ring"
-
-
 class BoundedLoadPolicy:
     """Bounded-load consistent hashing with a cache-affinity hint.
 
-    A request's candidate order is: the shard its key last landed on
-    (the affinity hint, while that shard is alive), then the ring walk
-    starting at the key's owner. The first candidate whose blended
-    load is under ``load_factor * mean`` (mean taken over alive
-    shards, including the request being placed) wins; if every alive
+    A request's candidate order is: the shard its key last spilled to
+    (the affinity hint, while that shard is on the ring), then the ring
+    walk starting at the key's owner. The first candidate whose blended
+    load is under ``load_factor * mean`` (mean taken over the ring's
+    shards, including the request being placed) wins; if every
     candidate is over, the least-loaded one does — the bound is a
-    preference ordering, never a reason to refuse a request. Dead
-    shards are skipped outright while any candidate is alive.
+    preference ordering, never a reason to refuse a request. A hint is
+    recorded only for a key placed off its owner and dropped when the
+    key lands on its owner again.
 
-    ``load_factor=inf`` makes the capacity test vacuous, so the first
-    candidate — the ring owner, since without spills the affinity hint
-    never diverges from it — always wins: the policy degenerates to
-    pure ring routing (pinned by a property test).
+    ``load_factor=inf`` (the default) makes the capacity test vacuous,
+    so the owner always wins and no hint is ever recorded: the policy
+    is pure ring routing, placement for placement, before and after
+    any change to the ring (pinned by a property test).
     """
 
-    name = "bounded"
-
     def __init__(
-        self, load_factor: float = 1.25, affinity_limit: int = _AFFINITY_LIMIT
+        self, load_factor: float = math.inf, affinity_limit: int = _AFFINITY_LIMIT
     ) -> None:
         factor = float(load_factor)
         if not factor >= 1.0:
@@ -306,134 +264,81 @@ class BoundedLoadPolicy:
         self.affinity_limit = int(affinity_limit)
         self._affinity: "OrderedDict[bytes, int]" = OrderedDict()
 
+    @staticmethod
     def _candidates(
-        self, key: bytes, ring: HashRing, alive: Set[int]
+        key: bytes, ring: HashRing, owner: int, hint: Optional[int]
     ) -> Iterator[int]:
-        hint = self._affinity.get(key)
-        if hint is not None and hint in alive and hint in ring:
+        """The hint, the owner, then the rest of the ring walk — which
+        is only computed once both are over capacity."""
+        if hint is not None and hint != owner:
             yield hint
+        yield owner
         for sid in ring.successors(key):
-            if sid in alive and sid != hint:
+            if sid != owner and sid != hint:
                 yield sid
 
     def choose(
-        self,
-        key: bytes,
-        ring: HashRing,
-        loads: Mapping[int, ShardLoad],
-        alive: Set[int],
+        self, key: bytes, ring: HashRing, loads: Mapping[int, ShardLoad]
     ) -> Tuple[int, str]:
+        """Place ``key``; returns ``(shard, tag)``, the tag ``ring``
+        (the owner), ``affinity`` (the hint) or ``spill`` (a ring
+        successor with headroom)."""
         owner = ring.route(key)
-        members = [s for s in ring.shard_ids() if s in alive]
-        if not members:
-            # Entirely dead fleet: route to the owner so the dispatch
-            # path's respawn machinery heals it.
-            return owner, "ring"
+        hint = self._affinity.get(key)
+        if hint not in ring:  # no hint, or its shard was scaled away
+            hint = None
+        members = ring.shard_ids()
         capacity = max(
             self.load_factor * (_mean_load(loads, members) + 1.0 / len(members)),
             1.0,
         )
+        # The first candidate under capacity wins; failing that, the
+        # least loaded one (the first of equals).
         chosen: Optional[int] = None
-        fallback: Optional[int] = None
-        for sid in self._candidates(key, ring, alive):
-            if loads[sid].value() < capacity:
+        for sid in self._candidates(key, ring, owner, hint):
+            load = loads[sid].value()
+            if load < capacity:
                 chosen = sid
                 break
-            if fallback is None or loads[sid].value() < loads[fallback].value():
-                fallback = sid
-        if chosen is None:
-            chosen = fallback if fallback is not None else owner
-        hint = self._affinity.get(key)
+            if chosen is None or load < loads[chosen].value():
+                chosen = sid
+        if chosen == owner:
+            self._affinity.pop(key, None)
+            return owner, "ring"
         self._affinity[key] = chosen
         self._affinity.move_to_end(key)
         while len(self._affinity) > self.affinity_limit:
             self._affinity.popitem(last=False)
-        if chosen == owner:
-            return chosen, "ring"
-        if hint is not None and chosen == hint:
-            return chosen, "affinity"
-        return chosen, "spill"
-
-
-class PowerOfTwoPolicy:
-    """Power-of-two-choices over deterministic ring candidates: a key's
-    two candidates are its ring owner and the next distinct shard along
-    the ring (so candidates never change for a given key and fleet —
-    what affinity p2c retains), and the less loaded of the two wins,
-    ties to the owner. Dead candidates are skipped; with both dead the
-    owner is returned for the dispatch path to heal."""
-
-    name = "p2c"
-
-    def choose(
-        self,
-        key: bytes,
-        ring: HashRing,
-        loads: Mapping[int, ShardLoad],
-        alive: Set[int],
-    ) -> Tuple[int, str]:
-        owner = ring.route(key)
-        candidates = []
-        for sid in ring.successors(key):
-            if sid in alive:
-                candidates.append(sid)
-                if len(candidates) == 2:
-                    break
-        if not candidates:
-            return owner, "ring"
-        best = min(candidates, key=lambda s: (loads[s].value(), s != owner))
-        return best, ("ring" if best == owner else "p2c")
-
-
-ROUTER_POLICIES = ("ring", "bounded", "p2c")
-
-
-def make_policy(name: str, *, load_factor: float = 1.25):
-    """The policy instance for a router name (the ``--router`` choices).
-    ``load_factor`` only parameterises ``bounded``; the others ignore
-    it by construction rather than by silent acceptance — passing a
-    non-default factor with ``ring``/``p2c`` is harmless."""
-    if name == "ring":
-        return RingPolicy()
-    if name == "bounded":
-        return BoundedLoadPolicy(load_factor=load_factor)
-    if name == "p2c":
-        return PowerOfTwoPolicy()
-    raise ReproError(
-        f"unknown router policy {name!r}; choose from {ROUTER_POLICIES}"
-    )
+        return chosen, ("affinity" if chosen == hint else "spill")
 
 
 def simulate_routing(
     keys: Iterable[bytes],
     shard_ids: Sequence[int],
     *,
-    policy: str = "bounded",
-    load_factor: float = 1.25,
+    load_factor: float = math.inf,
 ) -> dict:
-    """Replay a key sequence through a policy offline — no processes,
-    no sockets, deterministic. Loads evolve by placement counting
-    (every key increments its chosen shard's ``assigned``), which is
-    the long-run component the live router maintains too; the live
-    pressure terms stay zero, so this is the policy's steady-state
-    placement. Returns per-shard counts (dense over ``shard_ids``) and
-    the route-tag histogram — what the E14 per-policy comparison table
-    and the imbalance regression tests are made of.
+    """Replay a key sequence through :class:`BoundedLoadPolicy`
+    offline — no processes, no sockets, deterministic. Loads evolve by
+    placement counting (every key increments its chosen shard's
+    ``assigned``), which is the long-run component the live router
+    maintains too; the live pressure terms stay zero, so this is the
+    policy's steady-state placement. Returns per-shard counts (dense
+    over ``shard_ids``) and the route-tag histogram — what the E14
+    placement table and the imbalance regression tests are made of.
     """
     ring = HashRing(shard_ids)
     loads = {sid: ShardLoad() for sid in shard_ids}
-    alive = set(int(s) for s in shard_ids)
-    chooser = make_policy(policy, load_factor=load_factor)
+    policy = BoundedLoadPolicy(load_factor)
     counts: Counter = Counter()
     tags: Counter = Counter()
     for key in keys:
-        sid, tag = chooser.choose(key, ring, loads, alive)
+        sid, tag = policy.choose(key, ring, loads)
         loads[sid].assigned += 1
         counts[sid] += 1
         tags[tag] += 1
     return {
-        "policy": policy,
-        "load_factor": None if math.isinf(load_factor) else load_factor,
+        "load_factor": None if math.isinf(policy.load_factor) else policy.load_factor,
         "counts": [counts.get(int(s), 0) for s in shard_ids],
         "tags": dict(sorted(tags.items())),
     }

@@ -79,7 +79,7 @@ class TestBoundedLoadBeatsTheBaseline:
 
     def test_bounded_router_beats_the_pinned_baseline(self):
         sim = simulate_routing(
-            self.trace_keys(), range(SHARDS), policy="bounded", load_factor=1.25
+            self.trace_keys(), range(SHARDS), load_factor=1.25
         )
         measured = imbalance(sim["counts"])
         # the pinned ring numbers above are 0.6762 / 1.99; the margin
@@ -89,19 +89,13 @@ class TestBoundedLoadBeatsTheBaseline:
         assert measured["peak_to_mean"] < 1.5
         assert sum(sim["counts"]) == BASELINE_TRACE.count
 
-    def test_p2c_also_beats_the_baseline(self):
-        sim = simulate_routing(self.trace_keys(), range(SHARDS), policy="p2c")
-        measured = imbalance(sim["counts"])
-        assert measured["cv"] < 0.6762
-        assert measured["peak_to_mean"] < 1.99
-
     def test_hot_head_spills_but_cold_tail_keeps_affinity(self):
         """Zipf concentrates a few hot keys; bounding moves some of
         their repeats (spill/affinity tags) while the cold tail still
         routes to its ring owner — locality is preserved where load
         allows."""
         sim = simulate_routing(
-            self.trace_keys(), range(SHARDS), policy="bounded", load_factor=1.25
+            self.trace_keys(), range(SHARDS), load_factor=1.25
         )
         assert sim["tags"]["spill"] > 0
         assert sim["tags"]["affinity"] > 0

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.huang import HuangSolver
 from repro.core.sequential import solve_sequential
-from repro.parallel import ParallelHuangSolver
 from repro.problems.generators import random_generic, random_matrix_chain
 
 
@@ -15,7 +14,7 @@ class TestParallelSolver:
         p = random_generic(10, seed=6)
         serial = HuangSolver(p)
         out_serial = serial.run()
-        with ParallelHuangSolver(p, backend=backend, tiles=3) as par:
+        with HuangSolver(p, backend=backend, tiles=3) as par:
             out_par = par.run()
         # Bit-identical, not just close: same operations, same order
         # within each reduction tile.
@@ -27,22 +26,16 @@ class TestParallelSolver:
 
     def test_value_correct(self):
         p = random_matrix_chain(12, seed=4)
-        with ParallelHuangSolver(p, backend="thread") as s:
+        with HuangSolver(p, backend="thread") as s:
             assert s.run().value == pytest.approx(solve_sequential(p).value)
-
-    def test_tile_count_default(self):
-        p = random_generic(6, seed=0)
-        s = ParallelHuangSolver(p, backend="serial")
-        assert s.tiles >= 2
-        s.close()
 
     def test_many_tiles(self):
         p = random_generic(8, seed=1)
-        with ParallelHuangSolver(p, backend="thread", tiles=9) as s:
+        with HuangSolver(p, backend="thread", tiles=9) as s:
             assert s.run().value == pytest.approx(solve_sequential(p).value)
 
     def test_context_manager(self):
         p = random_generic(5, seed=0)
-        with ParallelHuangSolver(p, backend="thread") as s:
+        with HuangSolver(p, backend="thread") as s:
             s.run()
         # close() after exit is idempotent via backend shutdown semantics.

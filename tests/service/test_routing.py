@@ -1,8 +1,8 @@
-"""Load-aware routing policies: ring memoization, bounded-load spill
-semantics, p2c, and the degeneracy/dead-shard properties ISSUE 10 pins.
+"""Load-aware routing: ring memoization, bounded-load spill semantics,
+and the property that ``load_factor=inf`` is the ring.
 
-Everything here is offline (no shard processes): the policies are pure
-functions of ``(key, ring, loads, alive)``, and
+Everything here is offline (no shard processes): the policy is a pure
+function of ``(key, ring, loads)`` and its own affinity map, and
 :func:`~repro.service.routing.simulate_routing` replays key sequences
 deterministically — which is exactly why these invariants can be exact
 assertions instead of bands.
@@ -17,19 +17,14 @@ from hypothesis import strategies as st
 from repro.errors import ReproError
 from repro.loadgen.analyze import imbalance
 from repro.service.routing import (
-    ROUTER_POLICIES,
     BoundedLoadPolicy,
     HashRing,
-    PowerOfTwoPolicy,
     ShardLoad,
-    make_policy,
     simulate_routing,
 )
 
 #: a reusable batch of distinct keys (deterministic, no RNG needed)
 KEYS = [f"key-{i}".encode() for i in range(256)]
-
-keys_strategy = st.lists(st.binary(min_size=1, max_size=16), min_size=1, max_size=64)
 
 
 class TestHashRingMemoization:
@@ -132,65 +127,62 @@ class TestShardLoad:
 
 
 class TestBoundedDegeneratesToRing:
-    """ISSUE 10 property: ``load_factor=inf`` makes the capacity test
-    vacuous, so bounded routing IS ring routing, placement for
-    placement — however skewed the key sequence."""
+    """``load_factor=inf`` makes the capacity test vacuous and records no
+    affinity hint, so bounded routing IS ring routing, placement for
+    placement — through scale events and whatever the load gauges
+    read."""
 
-    @given(keys=keys_strategy)
-    @settings(max_examples=40)
-    def test_inf_factor_reproduces_ring_exactly(self, keys):
-        ring = simulate_routing(keys, range(4), policy="ring")
-        bounded = simulate_routing(
-            keys, range(4), policy="bounded", load_factor=math.inf
-        )
-        assert bounded["counts"] == ring["counts"]
-        assert bounded["tags"] == {"ring": len(keys)}
-        assert bounded["load_factor"] is None  # JSON-able inf
+    @given(
+        events=st.lists(
+            st.one_of(
+                st.tuples(st.just("key"), st.sampled_from(KEYS[:16])),
+                st.tuples(st.sampled_from(["add", "remove"]), st.integers(0, 5)),
+            ),
+            min_size=1,
+            max_size=80,
+        ),
+        gauges=st.lists(
+            st.tuples(
+                st.integers(0, 1000),
+                st.integers(0, 64),
+                st.floats(0.0, 100.0, allow_nan=False),
+            ),
+            min_size=6,
+            max_size=6,
+        ),
+    )
+    @settings(max_examples=80)
+    def test_every_placement_is_the_ring_owner(self, events, gauges):
+        ring = HashRing(range(2))
+        loads = {}
+        for sid, (assigned, inflight, depth) in enumerate(gauges):
+            loads[sid] = ShardLoad(assigned)
+            loads[sid].inflight = inflight
+            loads[sid].observe_queue(depth)
+        policy = BoundedLoadPolicy(math.inf)
+        for kind, value in events:
+            if kind == "add":
+                ring.add_shard(value)
+            elif kind == "remove":
+                if value in ring and len(ring) > 1:
+                    ring.remove_shard(value)
+            else:
+                sid, tag = policy.choose(value, ring, loads)
+                assert (sid, tag) == (ring.route(value), "ring")
+                loads[sid].assigned += 1
+        assert not policy._affinity
 
     def test_finite_factor_beats_ring_on_a_hot_key(self):
         """One totally hot key: ring piles everything on the owner;
         bounded caps the owner at ~load_factor times the mean."""
         keys = [b"hot"] * 100
-        ring = imbalance(simulate_routing(keys, range(4), policy="ring")["counts"])
+        ring = imbalance(simulate_routing(keys, range(4))["counts"])
         bounded = imbalance(
-            simulate_routing(keys, range(4), policy="bounded", load_factor=1.25)[
-                "counts"
-            ]
+            simulate_routing(keys, range(4), load_factor=1.25)["counts"]
         )
         assert ring["peak_to_mean"] == 4.0
         assert bounded["peak_to_mean"] <= 1.25 * 1.1  # capacity slack margin
         assert bounded["cv"] < ring["cv"]
-
-
-class TestNeverRouteToDeadShards:
-    """ISSUE 10 property: bounded and p2c skip dead candidates while
-    any alive one exists; with the whole fleet dead they return the
-    ring owner so the dispatch path's respawn machinery heals it."""
-
-    @given(
-        keys=keys_strategy,
-        dead=st.sets(st.integers(0, 3), max_size=3),
-        policy=st.sampled_from(["bounded", "p2c"]),
-    )
-    @settings(max_examples=60)
-    def test_dead_shards_are_never_chosen(self, keys, dead, policy):
-        ring = HashRing(range(4))
-        loads = {sid: ShardLoad() for sid in range(4)}
-        alive = set(range(4)) - dead
-        chooser = make_policy(policy)
-        for key in keys:
-            sid, _ = chooser.choose(key, ring, loads, alive)
-            loads[sid].assigned += 1
-            assert sid in alive
-
-    def test_fully_dead_fleet_falls_back_to_the_owner(self):
-        ring = HashRing(range(4))
-        loads = {sid: ShardLoad() for sid in range(4)}
-        for policy in ("bounded", "p2c"):
-            chooser = make_policy(policy)
-            sid, tag = chooser.choose(b"key", ring, loads, set())
-            assert sid == ring.route(b"key")
-            assert tag == "ring"
 
 
 class TestBoundedPolicySemantics:
@@ -202,7 +194,7 @@ class TestBoundedPolicySemantics:
         successor = list(ring.successors(key))[1]
         loads[owner].assigned = 100  # far over any capacity
         policy = BoundedLoadPolicy(load_factor=1.25)
-        sid, tag = policy.choose(key, ring, loads, set(range(4)))
+        sid, tag = policy.choose(key, ring, loads)
         assert sid == successor and tag == "spill"
 
     def test_repeats_of_a_spilled_key_keep_their_affinity(self):
@@ -212,19 +204,28 @@ class TestBoundedPolicySemantics:
         owner = ring.route(key)
         loads[owner].assigned = 100
         policy = BoundedLoadPolicy(load_factor=1.25)
-        first, tag1 = policy.choose(key, ring, loads, set(range(4)))
+        first, tag1 = policy.choose(key, ring, loads)
         loads[first].assigned += 1
-        second, tag2 = policy.choose(key, ring, loads, set(range(4)))
+        second, tag2 = policy.choose(key, ring, loads)
         assert tag1 == "spill" and tag2 == "affinity"
         assert second == first, "the repeat must follow its L1 entry"
+        # Once the hint is over capacity and the owner is not, the key
+        # goes home and its hint is dropped.
+        loads[owner].assigned = 0
+        loads[first].assigned = 100
+        assert policy.choose(key, ring, loads) == (owner, "ring")
+        assert key not in policy._affinity
 
     def test_affinity_map_is_bounded(self):
         policy = BoundedLoadPolicy(load_factor=1.25, affinity_limit=8)
         ring = HashRing(range(4))
-        loads = {sid: ShardLoad() for sid in range(4)}
-        for i in range(64):
-            policy.choose(f"k{i}".encode(), ring, loads, set(range(4)))
-        assert len(policy._affinity) <= 8
+        # Shards 0-2 are far over capacity, so every key they own
+        # spills to shard 3 and records a hint.
+        loads = {sid: ShardLoad(assigned=100) for sid in range(3)}
+        loads[3] = ShardLoad()
+        tags = [policy.choose(f"k{i}".encode(), ring, loads)[1] for i in range(64)]
+        assert tags.count("spill") > 8
+        assert len(policy._affinity) == 8
 
     def test_sub_one_load_factor_rejected(self):
         with pytest.raises(ReproError, match="load_factor"):
@@ -233,47 +234,10 @@ class TestBoundedPolicySemantics:
             BoundedLoadPolicy(load_factor=float("nan"))
 
 
-class TestPowerOfTwoChoices:
-    def test_prefers_the_less_loaded_candidate(self):
-        ring = HashRing(range(4))
-        loads = {sid: ShardLoad() for sid in range(4)}
-        key = b"p2c-key"
-        owner, second = list(ring.successors(key))[:2]
-        policy = PowerOfTwoPolicy()
-        loads[owner].assigned = 10
-        sid, tag = policy.choose(key, ring, loads, set(range(4)))
-        assert sid == second and tag == "p2c"
-
-    def test_ties_go_to_the_owner(self):
-        ring = HashRing(range(4))
-        loads = {sid: ShardLoad() for sid in range(4)}
-        key = b"p2c-tie"
-        sid, tag = PowerOfTwoPolicy().choose(key, ring, loads, set(range(4)))
-        assert sid == ring.route(key) and tag == "ring"
-
-    def test_candidates_are_deterministic_per_key(self):
-        ring = HashRing(range(4))
-        loads = {sid: ShardLoad() for sid in range(4)}
-        policy = PowerOfTwoPolicy()
-        picks = {
-            policy.choose(b"stable", ring, loads, set(range(4)))[0]
-            for _ in range(16)
-        }
-        assert len(picks) == 1  # equal loads: same winner every time
-
-
-class TestMakePolicyAndSimulate:
-    def test_registry_matches_the_cli_choices(self):
-        assert ROUTER_POLICIES == ("ring", "bounded", "p2c")
-        for name in ROUTER_POLICIES:
-            assert make_policy(name).name == name
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ReproError, match="router policy"):
-            make_policy("roulette")
-
+class TestSimulateRouting:
     def test_simulation_conserves_requests(self):
-        out = simulate_routing(KEYS, range(4), policy="bounded")
+        out = simulate_routing(KEYS, range(4), load_factor=1.25)
         assert sum(out["counts"]) == len(KEYS)
         assert sum(out["tags"].values()) == len(KEYS)
-        assert out["policy"] == "bounded" and out["load_factor"] == 1.25
+        assert out["load_factor"] == 1.25
+        assert simulate_routing(KEYS, range(4))["load_factor"] is None  # JSON-able inf
