@@ -257,6 +257,7 @@ class FleetRouter:
                 f"scale_down_depth ({scale_down_depth}) must be below "
                 f"scale_up_depth ({scale_up_depth})"
             )
+        self._policy = BoundedLoadPolicy(load_factor)  # validates before mkdtemp
         self.scale_up_depth = float(scale_up_depth)
         self.scale_down_depth = float(scale_down_depth)
         self.default_method = method
@@ -284,7 +285,6 @@ class FleetRouter:
             for i in range(shards)
         }
         self.ring = HashRing(range(shards))
-        self._policy = BoundedLoadPolicy(load_factor)
         self._loads: dict[int, ShardLoad] = {i: ShardLoad() for i in range(shards)}
         self._started = False
         self._closed = False

@@ -63,6 +63,15 @@ class TestZipfImbalanceBaseline:
         cv_uniform = imbalance(shard_counts(uniform, SHARDS))["cv"]
         assert cv_uniform < cv_zipf
 
+    def test_default_router_places_exactly_the_baseline(self):
+        """The fleet's default policy (``load_factor=inf``) is the ring:
+        the offline simulation reproduces the pinned counts, all tagged
+        ``ring``."""
+        keys = [route_key_from_spec(ev.spec) for ev in generate_trace(BASELINE_TRACE)]
+        sim = simulate_routing(keys, range(SHARDS))
+        assert sim["counts"] == [8, 199, 97, 96]
+        assert sim["tags"] == {"ring": BASELINE_TRACE.count}
+
     def test_every_request_routes_inside_the_fleet(self):
         counts = shard_counts(BASELINE_TRACE, SHARDS)
         assert sum(counts) == BASELINE_TRACE.count
@@ -88,6 +97,12 @@ class TestBoundedLoadBeatsTheBaseline:
         assert measured["cv"] < 0.3
         assert measured["peak_to_mean"] < 1.5
         assert sum(sim["counts"]) == BASELINE_TRACE.count
+
+    def test_bounded_placements_are_pinned(self):
+        """The exact placements behind the E14 ``bounded`` row."""
+        sim = simulate_routing(self.trace_keys(), range(SHARDS), load_factor=1.25)
+        assert sim["counts"] == [104, 89, 93, 114]
+        assert sim["tags"] == {"affinity": 267, "ring": 116, "spill": 17}
 
     def test_hot_head_spills_but_cold_tail_keeps_affinity(self):
         """Zipf concentrates a few hot keys; bounding moves some of

@@ -29,6 +29,14 @@ class TestParallelSolver:
         with HuangSolver(p, backend="thread") as s:
             assert s.run().value == pytest.approx(solve_sequential(p).value)
 
+    def test_tile_count_default(self):
+        """Without ``tiles=`` a solver tiles once per backend worker."""
+        p = random_generic(6, seed=0)
+        with HuangSolver(p) as s:
+            assert s.tiles == 1
+        with HuangSolver(p, backend="thread", workers=3) as s:
+            assert s.tiles == 3
+
     def test_many_tiles(self):
         p = random_generic(8, seed=1)
         with HuangSolver(p, backend="thread", tiles=9) as s:

@@ -11,6 +11,7 @@ import math
 import os
 import signal
 import sys
+import tempfile
 import threading
 import time
 
@@ -406,6 +407,19 @@ class TestShardDeathRecovery:
             new_pid = router.shard_pids()[1]
             assert new_pid != victim and pid_alive(new_pid)
 
+    def test_request_whose_owner_died_is_answered_by_its_respawn(self):
+        """Under a finite factor the policy does not route around a dead
+        shard: the request waits for its owner's respawn and is answered
+        there, tagged ``ring``, instead of spilling to the live shard."""
+        with FleetRouter(2, **FLEET_KWARGS, load_factor=1.25) as router:
+            spec = specs_on(router, 1, 1)[0]
+            os.kill(router.shard_pids()[1], signal.SIGKILL)
+            router._shards[1].proc.wait(timeout=10.0)
+            record = router.request(spec)
+            assert record["ok"]
+            assert (record["shard"], record["route"]) == (1, "ring")
+            assert router.status()["router"]["respawns"] == 1
+
 
 class TestShutdownHygiene:
     def test_close_kills_shards_and_removes_state(self):
@@ -545,6 +559,33 @@ class TestDynamicScaling:
             assert len(router._shards) == 2
             assert router._shards[1].socket_path == first_socket
 
+    def test_default_fleet_places_on_ring_owners_across_a_scale_cycle(self):
+        """At the default ``load_factor=inf`` every request lands on its
+        ring owner at every width: the new shard takes exactly its ring
+        segment and hands it back on retirement."""
+        hot = [{"family": "chain", "n": 16, "seed": 100 + i} for i in range(16)]
+        cold = [{"family": "chain", "n": 8, "seed": 0}]
+        with FleetRouter(
+            2,
+            **FLEET_KWARGS,
+            min_shards=2,
+            max_shards=3,
+            scale_up_depth=4.0,
+            scale_down_depth=1.0,
+        ) as router:
+            widths = set()
+            for batch in [hot, hot] + [cold] * 8:
+                records = router.request_many(batch)
+                widths.add(len(router.ring))
+                assert all(r["ok"] for r in records)
+                assert [(r["shard"], r["route"]) for r in records] == [
+                    (router.route(spec), "ring") for spec in batch
+                ]
+            assert widths == {2, 3}
+            assert router.status()["router"]["route_tags"] == {
+                "ring": 2 * len(hot) + 8 * len(cold)
+            }
+
     def test_autoscaling_off_by_default(self):
         with FleetRouter(2, **FLEET_KWARGS) as router:
             hot = [{"family": "chain", "n": 12, "seed": i} for i in range(32)]
@@ -564,3 +605,16 @@ class TestValidation:
     def test_zero_shards_rejected(self):
         with pytest.raises(ReproError):
             FleetRouter(0)
+
+    def test_sub_one_load_factor_rejected_before_any_state(self):
+        def state_dirs():
+            return {
+                name
+                for name in os.listdir(tempfile.gettempdir())
+                if name.startswith("repro-fleet-")
+            }
+
+        before = state_dirs()
+        with pytest.raises(ReproError, match="load_factor"):
+            FleetRouter(2, load_factor=0.5)
+        assert state_dirs() == before, "a rejected fleet left a state dir behind"

@@ -9,6 +9,7 @@ assertions instead of bands.
 """
 
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -172,6 +173,18 @@ class TestBoundedDegeneratesToRing:
                 loads[sid].assigned += 1
         assert not policy._affinity
 
+    @given(keys=st.lists(st.binary(min_size=1, max_size=16), min_size=1, max_size=64))
+    @settings(max_examples=40)
+    def test_inf_factor_reproduces_ring_exactly(self, keys):
+        """The default factor over a fixed fleet: the simulated counts
+        are a direct tally of ring owners, every tag ``ring``."""
+        ring = HashRing(range(4))
+        owners = Counter(ring.route(key) for key in keys)
+        sim = simulate_routing(keys, range(4))
+        assert sim["counts"] == [owners.get(sid, 0) for sid in range(4)]
+        assert sim["tags"] == {"ring": len(keys)}
+        assert sim["load_factor"] is None  # JSON-able inf
+
     def test_finite_factor_beats_ring_on_a_hot_key(self):
         """One totally hot key: ring piles everything on the owner;
         bounded caps the owner at ~load_factor times the mean."""
@@ -213,6 +226,46 @@ class TestBoundedPolicySemantics:
         # goes home and its hint is dropped.
         loads[owner].assigned = 0
         loads[first].assigned = 100
+        assert policy.choose(key, ring, loads) == (owner, "ring")
+        assert key not in policy._affinity
+
+    def test_spill_walks_the_ring_in_order(self):
+        """With the owner and its first successor both overloaded the
+        key spills to the second successor, not to any shard with room."""
+        ring = HashRing(range(4))
+        loads = {sid: ShardLoad() for sid in range(4)}
+        key = b"spillme"
+        owner, first, second, _ = ring.successors(key)
+        loads[owner].assigned = loads[first].assigned = 100
+        policy = BoundedLoadPolicy(load_factor=1.25)
+        assert policy.choose(key, ring, loads) == (second, "spill")
+
+    def test_hint_wins_over_a_recovered_owner(self):
+        """A spilled key's repeats follow its hint, where its L1 entry
+        lives, even once the owner has headroom again."""
+        ring = HashRing(range(4))
+        loads = {sid: ShardLoad() for sid in range(4)}
+        key = b"hotkey"
+        owner = ring.route(key)
+        loads[owner].assigned = 100
+        policy = BoundedLoadPolicy(load_factor=1.25)
+        first, tag = policy.choose(key, ring, loads)
+        assert tag == "spill"
+        loads[owner].assigned = 0
+        assert policy.choose(key, ring, loads) == (first, "affinity")
+
+    def test_hint_on_a_scaled_away_shard_is_ignored(self):
+        """A hint whose shard left the ring is not a candidate: the key
+        goes back to its owner and the stale hint is dropped."""
+        ring = HashRing(range(4))
+        loads = {sid: ShardLoad() for sid in range(4)}
+        key = b"hotkey"
+        owner = ring.route(key)
+        loads[owner].assigned = 100
+        policy = BoundedLoadPolicy(load_factor=1.25)
+        first, _ = policy.choose(key, ring, loads)
+        ring.remove_shard(first)
+        loads[owner].assigned = 0
         assert policy.choose(key, ring, loads) == (owner, "ring")
         assert key not in policy._affinity
 

@@ -581,6 +581,22 @@ class TestFleetAndTransportCommands:
         assert args.shards == 3 and args.socket == "/tmp/f.sock"
         assert args.backend == "serial" and args.max_requests == 5
 
+    def test_load_factor_defaults_to_inf_and_router_is_gone(self, capsys):
+        parser = build_parser()
+        for command in ("fleet", "loadtest"):
+            assert parser.parse_args([command]).load_factor == float("inf")
+            args = parser.parse_args([command, "--load-factor", "1.25"])
+            assert args.load_factor == 1.25
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, "--router", "ring"])
+        assert "--router" in capsys.readouterr().err
+
+    def test_fleet_refuses_a_sub_one_load_factor(self, tmp_path, capsys):
+        sock = str(tmp_path / "f.sock")
+        assert main(["fleet", "--load-factor", "0.5", "--socket", sock]) == 2
+        assert "load_factor" in capsys.readouterr().err
+        assert not os.path.exists(sock)
+
     def test_serve_tcp_flag_parses(self):
         args = build_parser().parse_args(["serve", "--tcp", "127.0.0.1:7466"])
         assert args.tcp == "127.0.0.1:7466"
@@ -808,6 +824,23 @@ class TestTraceLoadtestCommands:
         assert summary["slo"]["threshold_ms"] == 500.0
         records = [json.loads(line) for line in open(records_path)]
         assert len(records) == 10 and all(r["ok"] for r in records)
+
+    @pytest.mark.parametrize(
+        "extra, routes",
+        [([], {"ring"}), (["--load-factor", "1.0"], {"ring", "spill", "affinity"})],
+        ids=["inf", "1.0"],
+    )
+    def test_loadtest_fleet_honours_the_load_factor(self, extra, routes, capsys):
+        """One hot key replayed closed over two shards: the default
+        factor keeps it on its owner; 1.0 spills its repeats."""
+        rc = main([
+            "loadtest", "--arrival", "closed", "--count", "6", "--pool", "1",
+            "--n", "8", "--backend", "serial", "--target", "fleet",
+            "--shards", "2", *extra,
+        ])
+        summary = json.loads(capsys.readouterr().out)
+        assert rc == 0 and summary["target"] == "fleet:2"
+        assert set(summary["by_route"]) == routes
 
     def test_loadtest_generates_when_no_trace_given(self, capsys):
         rc = main([
