@@ -21,19 +21,37 @@ Optional per-item settings: ``method``, ``algebra``, ``max_n``, and
 ``band`` (banded methods only). A spec with none of the instance keys
 is rejected — a typo'd key must not silently solve a random default
 instance.
+
+Building a problem from a spec is the expensive part of a cache hit
+(a family spec runs its random generator), so each process keeps one
+bounded memo from a spec's *identity* to its instance key
+(:func:`spec_key`). The identity is a digest of the default method and
+the fields the parser reads (:data:`IDENTITY_FIELDS`) as canonical
+JSON; fields the parser ignores (``id``, a benchmark's ``rid``, typos)
+stay out. Only a spec the parser accepted and that has an instance key
+enters the memo, so a rejected spec is rebuilt — and rejected — on
+every request. Two texts may share a key (``1`` and ``1.0``); one text
+never has two. The router (:func:`route_key_from_spec`) and the solve
+server look keys up here before building anything.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any
+import threading
+from collections import OrderedDict
+from typing import Any, Optional
 
 __all__ = [
     "FAMILIES",
+    "IDENTITY_FIELDS",
+    "KEY_MEMO_ENTRIES",
     "family_generators",
     "problem_from_spec",
     "batch_item_from_spec",
+    "spec_identity",
+    "spec_key",
     "spec_fingerprint",
     "route_key_from_spec",
 ]
@@ -124,6 +142,101 @@ def batch_item_from_spec(
     return problem_from_spec(spec), method, kwargs
 
 
+#: Every spec field :func:`batch_item_from_spec` reads — the spec's
+#: identity covers exactly these. A parser that learns a new field must
+#: list it here, or two specs differing only in it would share a key
+#: (``tests/service/test_spec_keys.py`` fails first).
+IDENTITY_FIELDS = frozenset(
+    "dims p q points rule weights connectors leaves "
+    "family n seed method algebra max_n band".split()
+)
+
+#: Entry bound of the key memo: the L1 result cache's default entry
+#: bound, so the memo can name every key a default L1 holds.
+KEY_MEMO_ENTRIES = 4096
+
+_CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def spec_identity(spec: dict, *, default_method: str = "sequential") -> Optional[bytes]:
+    """16-byte blake2b digest of what the parser reads from ``spec``:
+    the default method and the :data:`IDENTITY_FIELDS` present, as
+    canonical JSON (sorted keys, no whitespace). ``None`` when a value
+    does not serialise to JSON (an in-process numpy array, say): such a
+    spec skips the key memo."""
+    fields = {k: v for k, v in spec.items() if k in IDENTITY_FIELDS}
+    try:
+        text = _CANONICAL_JSON.encode([default_method, fields])
+    except (TypeError, ValueError, RecursionError):
+        return None
+    return hashlib.blake2b(text.encode(), digest_size=16).digest()
+
+
+class _KeyMemo:
+    """Thread-safe LRU from spec identity to instance key bytes (the
+    router computes keys on ``asyncio.to_thread`` workers)."""
+
+    def __init__(self, max_entries: int) -> None:
+        self.max_entries = max_entries
+        self._lock = threading.Lock()
+        self._keys: OrderedDict[bytes, bytes] = OrderedDict()
+
+    def get(self, identity: Optional[bytes]) -> Optional[bytes]:
+        if identity is None:
+            return None
+        with self._lock:
+            key = self._keys.get(identity)
+            if key is not None:
+                self._keys.move_to_end(identity)
+            return key
+
+    def put(self, identity: Optional[bytes], key: Optional[bytes]) -> None:
+        if identity is None or key is None:
+            return
+        with self._lock:
+            self._keys[identity] = key
+            self._keys.move_to_end(identity)
+            if len(self._keys) > self.max_entries:
+                self._keys.popitem(last=False)
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._keys)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._keys.clear()
+
+
+#: the process's one spec-key memo (see the module docstring)
+KEY_MEMO = _KeyMemo(KEY_MEMO_ENTRIES)
+
+
+def spec_key(
+    spec: dict, *, default_method: str = "sequential"
+) -> tuple[Optional[bytes], Optional[tuple]]:
+    """``(instance_key, item)`` for one spec, key first.
+
+    When the memo knows the spec's identity, the key comes from it and
+    ``item`` is ``None``: no problem was built. Otherwise the spec is
+    built once (:func:`batch_item_from_spec`, whose errors propagate)
+    and hashed once (:func:`repro.core.api.instance_key_bytes`), the key
+    is remembered, and the built ``(problem, method, kwargs)`` item is
+    returned with it. The key is ``None`` for an uncacheable request.
+    """
+    from repro.core import api
+
+    identity = spec_identity(spec, default_method=default_method)
+    key = KEY_MEMO.get(identity)
+    if key is not None:
+        return key, None
+    item = batch_item_from_spec(spec, default_method=default_method)
+    problem, method, kwargs = item
+    key = api.instance_key_bytes(problem, method=method, **kwargs)
+    KEY_MEMO.put(identity, key)
+    return key, item
+
+
 def spec_fingerprint(spec: dict) -> bytes:
     """A stable 16-byte fingerprint of a raw spec dict.
 
@@ -145,22 +258,15 @@ def route_key_from_spec(spec: dict, *, default_method: str = "sequential") -> by
     equal *requests* (same instance, method and result-determining
     settings — not necessarily the same JSON text) get equal keys.
 
-    Prefers the canonical instance digest
-    (:func:`repro.core.api.instance_key_bytes`), so duplicate requests
-    always land on the shard whose cache/coalescer can dedupe them; any
-    spec that cannot produce one falls back to
+    Prefers the canonical instance digest (:func:`spec_key`, so a spec
+    the memo knows is routed without building its problem), so
+    duplicate requests always land on the shard whose cache/coalescer
+    can dedupe them; any spec that cannot produce one falls back to
     :func:`spec_fingerprint`. Never raises — a malformed spec routes
     deterministically to the shard that will reject it.
     """
-    from repro.core.api import instance_key_bytes
-
     try:
-        problem, method, kwargs = batch_item_from_spec(
-            spec, default_method=default_method
-        )
-        key = instance_key_bytes(problem, method=method, **kwargs)
-        if key is not None:
-            return key
+        key, _ = spec_key(spec, default_method=default_method)
     except Exception:  # noqa: BLE001 - malformed specs still need a shard
-        pass
-    return spec_fingerprint(spec)
+        key = None
+    return key if key is not None else spec_fingerprint(spec)

@@ -30,10 +30,13 @@ L1 details: entries are charged for their table bytes (``w``
 dominates), and inserts evict from the cold end until the budget holds.
 Stored results are defensively rebound to private, read-only copies of
 their tables — a result computed in a shared-memory segment must not
-keep that segment pinned (or writable) from the cache — and every hit
-is handed back with a fresh writable copy, indistinguishable from a
-cold solve's table. (``tree`` and ``trace`` are shared between hitters:
-they are built once and never mutated after a solve returns.)
+keep that segment pinned (or writable) from the cache. A hit is handed
+back with a fresh writable copy, indistinguishable from a cold solve's
+table, unless the caller passes ``copy=False``: the solve server's wire
+answers read only the stored result's scalars, so they take the
+read-only stored result and copy nothing. (``tree`` and ``trace`` are
+shared between hitters: they are built once and never mutated after a
+solve returns.)
 
 L2 details: one entry is one ``<key>.npz`` file written to a unique
 temporary name, fsynced, then published with :func:`os.replace` — so a
@@ -89,6 +92,11 @@ _DELTA_CANDIDATES = 4
 #: (e.g. a SIGKILLed shard); swept on L2 construction
 _STALE_TMP_SECONDS = 300.0
 
+#: published L2 entries only: pathlib's glob matches dotfiles too, and
+#: counting or evicting a writer's ``.tmp-*.npz`` file would make its
+#: publish fail
+_ENTRY_GLOB = "[!.]*.npz"
+
 
 class ResultCache:
     """Byte-bounded LRU of solve results keyed by instance hash (L1).
@@ -137,12 +145,13 @@ class ResultCache:
 
     # -- the cache protocol solve(cache=...) expects -------------------------
 
-    def get(self, key: str) -> Optional[SolveResult]:
+    def get(self, key: str, *, copy: bool = True) -> Optional[SolveResult]:
         """The cached result for ``key``, refreshed to most-recently
         used — or ``None``. A hit is rebound to a fresh *writable* copy
         of its table, so callers see exactly what a cold solve returns
         (private, mutable) and one hitter can never corrupt another —
-        or the cache — through ``w``."""
+        or the cache — through ``w``. With ``copy=False`` the stored
+        result itself comes back, its table read-only."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -153,7 +162,7 @@ class ResultCache:
             self._hits += 1
             self._life_hits += 1
             stored = entry[0]
-        return replace(stored, w=stored.w.copy())
+        return replace(stored, w=stored.w.copy()) if copy else stored
 
     def put(
         self, key: str, result: SolveResult, delta: Optional[DeltaMeta] = None
@@ -453,7 +462,7 @@ class L2DiskCache:
         same survivors)."""
         entries = []
         total = 0
-        for path in self.directory.glob("*.npz"):
+        for path in self.directory.glob(_ENTRY_GLOB):
             try:
                 stat = path.stat()
             except OSError:
@@ -520,7 +529,7 @@ class L2DiskCache:
     def stats(self) -> dict:
         entries = 0
         nbytes = 0
-        for path in self.directory.glob("*.npz"):
+        for path in self.directory.glob(_ENTRY_GLOB):
             try:
                 nbytes += path.stat().st_size
             except OSError:
@@ -576,8 +585,8 @@ class TieredResultCache:
     def max_bytes(self) -> int:
         return self.l1.max_bytes
 
-    def get(self, key: str) -> Optional[SolveResult]:
-        hit = self.l1.get(key)
+    def get(self, key: str, *, copy: bool = True) -> Optional[SolveResult]:
+        hit = self.l1.get(key, copy=copy)
         if hit is not None:
             return hit
         loaded = self.l2.get_with_meta(key)

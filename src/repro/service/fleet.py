@@ -937,14 +937,21 @@ class _ConnBatcher:
     def __init__(self, router: FleetRouter) -> None:
         self._router = router
         self._pending: list[tuple[dict, Any]] = []
-        self._rounds: list[asyncio.Task] = []
+        # Rounds in flight only: a connection can live as long as the
+        # fleet, so finished rounds must not pile up here.
+        self._rounds: set[asyncio.Task] = set()
         self._running = False
 
     def submit(self, msg: dict, respond) -> None:
         self._pending.append((msg, respond))
         if not self._running:
-            self._running = True
-            self._rounds.append(asyncio.ensure_future(self._run_rounds()))
+            self._start_round()
+
+    def _start_round(self) -> None:
+        self._running = True
+        task = asyncio.ensure_future(self._run_rounds())
+        self._rounds.add(task)
+        task.add_done_callback(self._rounds.discard)
 
     async def _run_rounds(self) -> None:
         try:
@@ -969,12 +976,10 @@ class _ConnBatcher:
 
     async def drain(self) -> None:
         while self._rounds or self._pending:
-            rounds, self._rounds = self._rounds, []
-            if rounds:
-                await asyncio.gather(*rounds, return_exceptions=True)
+            if self._rounds:
+                await asyncio.gather(*list(self._rounds), return_exceptions=True)
             if self._pending and not self._running:  # pragma: no cover - race guard
-                self._running = True
-                self._rounds.append(asyncio.ensure_future(self._run_rounds()))
+                self._start_round()
 
 
 async def serve_fleet(

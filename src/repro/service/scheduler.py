@@ -18,8 +18,12 @@ two levels:
   ``max_batch`` entries, whichever comes first; the batch then executes
   as a unit on the service's warm backend.
 
-The cache sits in front of both: a hit resolves at submit time without
-entering a batch at all. On a delta-capable cache
+The cache sits in front of both: each request gets exactly one lookup
+(:meth:`CoalescingScheduler.lookup`), and a hit resolves without
+entering a batch at all. A caller that already holds the request's key
+— the solve server derives it from the spec before building anything —
+makes that lookup itself and, on a miss, hands ``submit`` the key, so
+nothing is hashed or probed twice. On a delta-capable cache
 (:class:`~repro.service.cache.ResultCache` and the tiered store), a
 miss gets one more chance *inside* the batch: each batch entry is first
 probed via :func:`repro.core.delta.try_delta` for an already-solved
@@ -45,6 +49,10 @@ __all__ = ["CoalescingScheduler", "ServiceClosedError"]
 
 class ServiceClosedError(ReproError):
     """Submit after close: the service is draining or gone."""
+
+
+#: ``submit``'s ``key`` default: hash the problem and look it up there
+_UNKEYED: Any = object()
 
 
 @dataclass
@@ -125,8 +133,24 @@ class CoalescingScheduler:
 
     # -- submission ----------------------------------------------------------
 
+    def lookup(self, key: Optional[str], *, copy: bool = True) -> Optional[SolveResult]:
+        """One request's cache lookup: counts the request, and a hit.
+        Returns the cached result (``copy`` as for
+        :meth:`~repro.service.cache.ResultCache.get`) or ``None`` — on a
+        miss, and for an uncacheable ``key=None`` — after which the
+        request goes to :meth:`submit` with this ``key``."""
+        if self._closed:
+            raise ServiceClosedError("scheduler is closed")
+        self._requests += 1
+        if self.cache is None or key is None:
+            return None
+        hit = self.cache.get(key, copy=copy)
+        if hit is not None:
+            self._cache_hits += 1
+        return hit
+
     async def submit(
-        self, problem, method: str, kwargs: dict | None = None
+        self, problem, method: str, kwargs: dict | None = None, *, key=_UNKEYED
     ) -> tuple[SolveResult, str]:
         """Schedule one solve; returns ``(result, source)`` where
         ``source`` is ``"cache"`` (hit, no work entered a batch),
@@ -134,16 +158,19 @@ class CoalescingScheduler:
         or already executing), ``"delta"`` (an incremental re-solve
         from a cached sibling rode the batch) or ``"batch"`` (solved
         cold in the batch this request rode). Raises whatever the solve
-        raised."""
+        raised.
+
+        Without ``key``, submit hashes the problem and makes the
+        request's :meth:`lookup` itself. A caller that already made it
+        passes the key it looked up (``None`` when uncacheable), and
+        submit neither re-hashes nor re-probes."""
         if self._closed:
             raise ServiceClosedError("scheduler is closed")
         kwargs = dict(kwargs or {})
-        self._requests += 1
-        key = instance_key(problem, method=method, **kwargs)
-        if self.cache is not None and key is not None:
-            hit = self.cache.get(key)
+        if key is _UNKEYED:
+            key = instance_key(problem, method=method, **kwargs)
+            hit = self.lookup(key)
             if hit is not None:
-                self._cache_hits += 1
                 return hit, "cache"
 
         future: asyncio.Future = asyncio.get_running_loop().create_future()

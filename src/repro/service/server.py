@@ -20,6 +20,15 @@ and carry ``ok``, ``value``, ``iterations``, ``method``, ``algebra``,
 pipelined; responses come back as they finish, so concurrent lines
 coalesce into shared batches.
 
+A spec request is key first (:meth:`SolveService.handle_spec`): the
+process's spec-key memo (:func:`repro.problems.specs.spec_key`) names
+the instance key of a spec seen before, one cache lookup by that key
+follows, and a hit is answered from the stored result's scalars — no
+problem is built and no table copied. Only a memo miss builds and
+hashes the problem. Every key is derived here from the spec; no key
+crosses the wire, so a forged field cannot select another instance's
+answer.
+
 The same server runs on either transport: :func:`serve_unix` binds a
 unix socket (kernel-local, the default), :func:`serve_tcp` a TCP
 host/port (for crossing machine or container boundaries), and
@@ -36,7 +45,7 @@ from typing import Callable, Optional
 from repro.core.api import ITERATIVE_METHODS, solve, solve_many
 from repro.parallel.backends import Backend, make_backend
 from repro.parallel.shm import TableStore
-from repro.problems.specs import batch_item_from_spec
+from repro.problems.specs import batch_item_from_spec, spec_key
 from repro.core.delta import MAX_DIRTY_FRACTION
 from repro.service.cache import ResultCache, TieredResultCache
 from repro.service.scheduler import CoalescingScheduler
@@ -153,23 +162,29 @@ class SolveService:
         )
 
     async def handle_spec(self, msg: dict) -> dict:
-        """One spec request -> one JSON-able response record."""
+        """One spec request -> one JSON-able response record.
+
+        Key first: the spec's instance key comes from the key memo when
+        the spec was seen before, else from building and hashing it
+        once. The request's one cache lookup uses that key, and a hit
+        is answered from the stored read-only result. A miss builds the
+        problem if the memo spared it, and hands the scheduler the key
+        already looked up."""
         request_id = msg.get("id")
         t0 = time.perf_counter()
+        self._requests += 1
         try:
             spec = {k: v for k, v in msg.items() if k != "id"}
-            problem, method, kwargs = batch_item_from_spec(
-                spec, default_method=self.default_method
-            )
-        except Exception as exc:  # noqa: BLE001 - protocol errors go on the wire
-            self._requests += 1  # counted even though it never schedules
-            return {
-                "id": request_id,
-                "ok": False,
-                "error": f"{type(exc).__name__}: {exc}",
-            }
-        try:
-            result, source = await self.submit(problem, method, kwargs)
+            key, item = spec_key(spec, default_method=self.default_method)
+            hex_key = None if key is None else key.hex()
+            result = self.scheduler.lookup(hex_key, copy=False)
+            source = "cache"
+            if result is None:
+                if item is None:
+                    item = batch_item_from_spec(
+                        spec, default_method=self.default_method
+                    )
+                result, source = await self.scheduler.submit(*item, key=hex_key)
         except Exception as exc:  # noqa: BLE001 - protocol errors go on the wire
             return {
                 "id": request_id,
@@ -234,17 +249,21 @@ class _TaskPerSpec:
 
     def __init__(self, service: SolveService) -> None:
         self._service = service
-        self._tasks: list[asyncio.Task] = []
+        # In-flight tasks only: a router holds one connection for a
+        # shard's whole life, so finished tasks must not pile up here.
+        self._tasks: set[asyncio.Task] = set()
 
     def submit(self, msg: dict, respond) -> None:
         async def _run() -> None:
             await respond(await self._service.handle_spec(msg))
 
-        self._tasks.append(asyncio.ensure_future(_run()))
+        task = asyncio.ensure_future(_run())
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
 
     async def drain(self) -> None:
         if self._tasks:
-            await asyncio.gather(*self._tasks, return_exceptions=True)
+            await asyncio.gather(*list(self._tasks), return_exceptions=True)
 
 
 async def serve(

@@ -107,6 +107,18 @@ class TestL2Disk:
         cache.put("a", one)
         assert cache.stats()["entries"] == 0 and cache.stats()["evictions"] >= 1
 
+    def test_temp_files_are_neither_counted_nor_evicted(self, tmp_path):
+        cache = L2DiskCache(tmp_path, max_bytes=3000)
+        writing = tmp_path / ".tmp-k-123-cafebabe.npz"  # a live writer's
+        writing.write_bytes(b"x" * 5000)
+        old = time.time() - 60  # older than the entry, younger than stale
+        os.utime(writing, (old, old))
+        cache.put("a", _result(8))
+        stats = cache.stats()
+        entry = (tmp_path / "a.npz").stat().st_size
+        assert (stats["entries"], stats["nbytes"]) == (1, entry) and entry < 3000
+        assert stats["evictions"] == 0 and writing.exists()
+
     def test_stale_tmp_files_swept_on_init(self, tmp_path):
         stale = tmp_path / ".tmp-k-123-deadbeef.npz"
         fresh = tmp_path / ".tmp-k-124-cafebabe.npz"

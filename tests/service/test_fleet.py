@@ -7,6 +7,7 @@ backend, sequential default method): what is under test is the router,
 not the solvers.
 """
 
+import asyncio
 import math
 import os
 import signal
@@ -340,6 +341,68 @@ class TestDispatchers:
             assert len(records) == len(batch)
             assert all(r["ok"] or r["error"] for r in records)
         assert dispatcher_threads(exclude=before) == []
+
+
+class TestConnBatcher:
+    """The front end's per-connection batcher holds only the rounds
+    still in flight: a client connection can live as long as the fleet."""
+
+    class _Router:
+        def __init__(self):
+            self.gate = threading.Event()
+            self.gate.set()
+
+        def request_many(self, bodies):
+            assert self.gate.wait(timeout=30)
+            return [{"ok": True, "n": body["n"]} for body in bodies]
+
+    def test_finished_rounds_are_not_held(self):
+        from repro.service.fleet import _ConnBatcher
+
+        async def main():
+            batcher = _ConnBatcher(self._Router())
+            answered = []
+
+            async def respond(record):
+                answered.append(record)
+
+            for i in range(200):
+                batcher.submit({"id": i, "n": i}, respond)
+                if i % 7 == 0:
+                    await asyncio.sleep(0.002)
+            while len(answered) < 200:
+                await asyncio.sleep(0.01)
+            await asyncio.sleep(0)
+            return answered, len(batcher._rounds)
+
+        answered, held = asyncio.run(main())
+        assert sorted(r["id"] for r in answered) == list(range(200))
+        assert all(r["n"] == r["id"] for r in answered)
+        assert held == 0
+
+    def test_drain_answers_every_request_in_flight(self):
+        from repro.service.fleet import _ConnBatcher
+
+        async def main():
+            router = self._Router()
+            router.gate.clear()
+            batcher = _ConnBatcher(router)
+            answered = []
+
+            async def respond(record):
+                answered.append(record["id"])
+
+            for i in range(3):
+                batcher.submit({"id": i, "n": i}, respond)
+            drain = asyncio.ensure_future(batcher.drain())
+            await asyncio.sleep(0.02)
+            assert not drain.done() and answered == []
+            router.gate.set()
+            await asyncio.wait_for(drain, timeout=30)
+            return answered, len(batcher._rounds)
+
+        answered, held = asyncio.run(main())
+        assert sorted(answered) == [0, 1, 2] and held == 0
 
 
 class TestShardDeathRecovery:

@@ -186,3 +186,70 @@ class TestUnixSocketServer:
         assert all(r["ok"] for r in records)
         thread.join(timeout=10.0)
         assert not thread.is_alive() and result["served"] == 2
+
+
+class TestConnectionDispatcher:
+    """A connection's dispatcher holds only the tasks still in flight:
+    a router keeps one connection open for a shard's whole life."""
+
+    def test_finished_tasks_are_not_held(self):
+        from repro.service.server import _TaskPerSpec
+
+        async def main():
+            service = SolveService(method="sequential", backend="serial",
+                                   batch_window=0.0)
+            dispatcher = _TaskPerSpec(service)
+            answered = []
+
+            async def respond(record):
+                answered.append(record)
+
+            try:
+                for i in range(300):
+                    dispatcher.submit({"id": i, "dims": [10, 20, 5, 30 + i % 3]},
+                                      respond)
+                    if i % 50 == 0:
+                        await asyncio.sleep(0.01)
+                while len(answered) < 300:
+                    await asyncio.sleep(0.01)
+                await asyncio.sleep(0)
+                return answered, len(dispatcher._tasks)
+            finally:
+                await service.aclose()
+
+        answered, held = asyncio.run(main())
+        assert sorted(r["id"] for r in answered) == list(range(300))
+        assert all(r["ok"] for r in answered)
+        assert held == 0
+
+    def test_drain_answers_every_request_in_flight(self):
+        from repro.service.server import _TaskPerSpec
+
+        class GatedService:
+            def __init__(self):
+                self.gate = asyncio.Event()
+
+            async def handle_spec(self, msg):
+                await self.gate.wait()
+                return {"id": msg["id"], "ok": True}
+
+        async def main():
+            service = GatedService()
+            dispatcher = _TaskPerSpec(service)
+            answered = []
+
+            async def respond(record):
+                answered.append(record["id"])
+
+            for i in range(5):
+                dispatcher.submit({"id": i}, respond)
+            drain = asyncio.ensure_future(dispatcher.drain())
+            await asyncio.sleep(0.01)
+            assert not drain.done() and answered == []
+            service.gate.set()
+            await asyncio.wait_for(drain, timeout=10)
+            return answered, len(dispatcher._tasks)
+
+        answered, held = asyncio.run(main())
+        assert sorted(answered) == list(range(5)) and held == 0
+
