@@ -150,7 +150,6 @@ def _service_stats(
     client = LocalClient(
         backend=backend,
         workers=workers,
-        batch_window=0.005,
         max_batch=len(workload),
     )
     try:
@@ -251,7 +250,7 @@ def latency_stats(hits: int = 50) -> dict:
         t0 = time.perf_counter()
         solve(problem_factory(), method="huang")
         cold_best = min(cold_best, time.perf_counter() - t0)
-    with LocalClient(backend="serial", batch_window=0.0) as client:
+    with LocalClient(backend="serial") as client:
         client.solve((problem_factory(), "huang"))  # warm the cache
         t0 = time.perf_counter()
         for _ in range(hits):
@@ -387,9 +386,7 @@ def l2_stats(n: int = 64) -> dict:
         "dims": [int(x) for x in random_matrix_chain(n, seed=33).delta_weights()],
         "method": "sequential",
     }
-    with FleetRouter(
-        shards=1, method="sequential", backend="serial", batch_window=0.0
-    ) as router:
+    with FleetRouter(shards=1, method="sequential", backend="serial") as router:
         first = router.request(dict(spec))
         assert first.get("ok"), f"first request failed: {first}"
         pid = router.shard_pids()[0]

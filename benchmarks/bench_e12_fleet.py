@@ -54,7 +54,7 @@ DEFAULT_BARS = {
 #: per-shard configuration shared by every axis: serial in-shard
 #: execution so measured scaling is attributable to the shard count,
 #: not to nested pools
-SHARD_KWARGS = dict(backend="serial", method="sequential", batch_window=0.002)
+SHARD_KWARGS = dict(backend="serial", method="sequential")
 
 
 def _unique_workload(count: int = 64) -> list[dict]:

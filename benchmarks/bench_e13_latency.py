@@ -55,7 +55,7 @@ DEFAULT_BARS = {
 
 #: per-shard configuration: serial in-shard execution so the measured
 #: latencies are attributable to queueing + routing, not nested pools
-SHARD_KWARGS = dict(backend="serial", method="sequential", batch_window=0.002)
+SHARD_KWARGS = dict(backend="serial", method="sequential")
 
 #: the canonical E13 open-loop workload: Zipf-popular chain instances
 #: under Poisson arrivals — enough requests for a meaningful p99 (the

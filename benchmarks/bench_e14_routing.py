@@ -70,7 +70,7 @@ LOAD_FACTOR = 1.25
 
 #: per-shard configuration shared by every live axis: serial in-shard
 #: execution so measured effects are attributable to routing, not pools
-SHARD_KWARGS = dict(backend="serial", method="sequential", batch_window=0.002)
+SHARD_KWARGS = dict(backend="serial", method="sequential")
 
 
 def _trace_keys(config: TraceConfig = BASELINE_TRACE) -> list[bytes]:

@@ -26,7 +26,7 @@ uniques = [
 stream = [uniques[i % len(uniques)] for i in range(12)]
 
 with LocalClient(backend="thread", workers=4, method="huang",
-                 batch_window=0.01, max_batch=len(stream)) as client:
+                 max_batch=len(stream)) as client:
     with Stopwatch() as sw:
         outcomes = client.solve_batch(stream, with_source=True)
     sources = Counter(source for _, source in outcomes)

@@ -401,16 +401,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="pool size (default: min(8, cpu count))",
     )
     p_serve.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=5.0,
-        help="how long the first request of a batch waits for company (default: 5)",
-    )
-    p_serve.add_argument(
         "--max-batch",
         type=_positive_int,
         default=16,
-        help="requests per coalesced batch before it executes early (default: 16)",
+        help="at most this many requests per batch (default: 16)",
     )
     p_serve.add_argument(
         "--cache-mb",
@@ -525,16 +519,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="pool size per shard (default: min(8, cpu count))",
     )
     p_fleet.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=5.0,
-        help="per-shard coalescing window (default: 5)",
-    )
-    p_fleet.add_argument(
         "--max-batch",
         type=_positive_int,
         default=16,
-        help="per-shard requests per coalesced batch (default: 16)",
+        help="per shard, at most this many requests per batch (default: 16)",
     )
     p_fleet.add_argument(
         "--cache-mb",
@@ -721,12 +709,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=None,
         help="worker count for ephemeral targets",
-    )
-    p_load.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=5.0,
-        help="scheduler batch window for ephemeral targets (default: 5)",
     )
     p_load.add_argument(
         "--records",
@@ -923,7 +905,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         backend=args.backend,
         workers=args.workers,
         start_method=args.start_method,
-        batch_window=args.batch_window_ms / 1e3,
         max_batch=args.max_batch,
         cache_bytes=int(args.cache_mb * (1 << 20)),
         cache_dir=args.cache_dir,
@@ -973,7 +954,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             backend=args.backend,
             workers=args.workers,
             start_method=args.start_method,
-            batch_window=args.batch_window_ms / 1e3,
             max_batch=args.max_batch,
             cache_bytes=int(args.cache_mb * (1 << 20)),
             cache_dir=args.cache_dir,
@@ -1163,10 +1143,7 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
     else:
         target = args.target
         tcp = False
-        target_kwargs = dict(
-            backend=args.backend,
-            batch_window=args.batch_window_ms / 1e3,
-        )
+        target_kwargs = dict(backend=args.backend)
         if args.workers is not None:
             target_kwargs["workers"] = args.workers
         if config.method is not None:

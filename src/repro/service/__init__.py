@@ -3,9 +3,10 @@
 Everything below this package exists so that *no request pays cold-start
 costs twice*: a :class:`SolveService` owns a warm worker-pool backend
 and a shared table store, coalesces concurrent requests into
-:func:`repro.core.solve_many` batches under a deadline/size-bounded
-scheduler, and fronts the whole pipeline with an instance-hash result
-cache whose hit path never compiles a plan or touches a pool.
+:func:`repro.core.solve_many` batches under a group-commit scheduler
+(requests that arrive while one batch runs form the next), and fronts
+the whole pipeline with an instance-hash result cache whose hit path
+never compiles a plan or touches a pool.
 
 Layers (each usable on its own):
 

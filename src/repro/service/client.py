@@ -39,9 +39,9 @@ class LocalClient:
     Construction starts a private event loop on a daemon thread and a
     :class:`~repro.service.server.SolveService` on it; every keyword is
     forwarded to the service (``backend=``, ``workers=``,
-    ``batch_window=``, ``max_batch=``, ``cache_bytes=``, ...). Use as a
-    context manager — closing drains the scheduler, stops the pool and
-    unlinks every shared-memory segment.
+    ``max_batch=``, ``cache_bytes=``, ...). Use as a context manager —
+    closing drains the scheduler, stops the pool and unlinks every
+    shared-memory segment.
 
     ``solve()`` blocks for one result; ``solve_batch()`` submits a
     whole sequence *concurrently*, which is what lets the scheduler
@@ -76,34 +76,38 @@ class LocalClient:
             return batch_item_from_spec(request, default_method=default)
         raise ReproError(f"cannot interpret request of type {type(request).__name__}")
 
-    def _submit(self, request) -> "asyncio.Future":
-        problem, method, kwargs = self._coerce(request)
-        return asyncio.run_coroutine_threadsafe(
-            self.service.submit(problem, method, kwargs), self._loop
-        )
-
     def solve(self, request, *, with_source: bool = False):
         """Solve one request; returns the :class:`SolveResult` (or
         ``(result, source)`` with ``with_source=True``, where source is
         ``"cache"``/``"coalesced"``/``"batch"``)."""
-        result, source = self._submit(request).result()
+        result, source = asyncio.run_coroutine_threadsafe(
+            self.service.submit(*self._coerce(request)), self._loop
+        ).result()
         return (result, source) if with_source else result
 
     def solve_batch(
         self, requests: Sequence, *, with_source: bool = False
     ) -> list:
-        """Submit every request before waiting on any — the concurrent
-        shape the coalescing scheduler batches. Results come back in
-        submission order; failures stay in place as exception objects."""
-        futures = [self._submit(r) for r in requests]
-        out = []
-        for fut in futures:
-            try:
-                result, source = fut.result()
-                out.append((result, source) if with_source else result)
-            except Exception as exc:  # noqa: BLE001 - mirror solve_many on_error
-                out.append(exc)
-        return out
+        """Hand every request to the service loop in one callback, so
+        all of them are pending before the scheduler's first batch
+        starts — the concurrent shape it batches. Results come back in
+        submission order; failures stay in place as exception objects
+        (mirroring ``solve_many``'s ``on_error="return"``). A request
+        that cannot be interpreted raises before anything is
+        submitted."""
+        items = [self._coerce(r) for r in requests]
+
+        async def _submit_all() -> list:
+            return await asyncio.gather(
+                *(self.service.submit(*item) for item in items),
+                return_exceptions=True,
+            )
+
+        outcomes = asyncio.run_coroutine_threadsafe(_submit_all(), self._loop).result()
+        return [
+            outcome if with_source or isinstance(outcome, Exception) else outcome[0]
+            for outcome in outcomes
+        ]
 
     def status(self) -> dict:
         return self.service.status()
@@ -248,9 +252,9 @@ class ServiceClient:
     """Synchronous JSONL client for a running ``repro serve``.
 
     One connection. ``request()`` round-trips a single spec;
-    ``request_many()`` pipelines a whole list (the server coalesces
-    concurrent lines into shared batches) and reorders the responses to
-    match submission order by ``id``.
+    ``request_many()`` pipelines a whole list in one write (the server
+    coalesces the lines into shared batches) and reorders the responses
+    to match submission order by ``id``.
 
     The transport is picked by how you address the server: a unix
     socket path (positional, the default) or ``tcp="host:port"`` —
@@ -295,14 +299,20 @@ class ServiceClient:
         return self.request_many([spec])[0]
 
     def request_many(self, specs: Sequence[dict]) -> list[dict]:
-        """Pipeline a batch of specs; responses in submission order."""
+        """Pipeline a batch of specs in one write; responses in
+        submission order. When the lines reach the server in one read
+        (small specs), its scheduler sees all of them before its first
+        batch starts, so up to ``max_batch`` distinct specs share one
+        batch."""
         ids = []
+        lines = []
         for spec in specs:
             msg = dict(spec)
             self._next_id += 1
             msg["id"] = self._next_id
             ids.append(self._next_id)
-            self._send(msg)
+            lines.append(encode_record(msg))
+        self._sock.sendall(b"".join(lines))
         by_id: dict[Any, dict] = {}
         for _ in specs:
             record = self._recv()

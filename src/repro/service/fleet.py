@@ -149,16 +149,15 @@ class _Shard:
                 pass
             self._sock = None
 
-    def send(self, msg: dict) -> bool:
-        """Write one request line; ``False`` (nothing written) when the
-        line is longer than the shard would read. A spec the front end
-        accepted can grow past the limit when re-encoded."""
+    def send(self, lines: list[bytes]) -> None:
+        """Write a group's request lines with one ``sendall``. The
+        shard's read loop dispatches every complete line in its buffer
+        before any of them runs, so a group that arrives in one socket
+        read — small specs; not a group near ``MAX_LINE_BYTES`` per
+        line — reaches the shard's scheduler whole, before its first
+        batch starts."""
         assert self._sock is not None
-        line = encode_record(msg)
-        if len(line) - 1 > MAX_LINE_BYTES:
-            return False
-        self._sock.sendall(line)
-        return True
+        self._sock.sendall(b"".join(lines))
 
     def recv(self) -> dict:
         assert self._rfile is not None
@@ -185,8 +184,7 @@ class FleetRouter:
     ``shards``
         How many shard processes to run. Each one is a full solve
         service (own process, own warm pool, own store, own cache).
-    ``method, backend, workers, start_method, batch_window, max_batch,
-    cache_bytes``
+    ``method, backend, workers, start_method, max_batch, cache_bytes``
         Forwarded to each shard's ``repro serve``.
     ``cache_dir``
         Directory for the shared L2 result cache every shard mounts
@@ -230,7 +228,6 @@ class FleetRouter:
         backend: str = "process",
         workers: Optional[int] = None,
         start_method: Optional[str] = None,
-        batch_window: float = 0.005,
         max_batch: int = 16,
         cache_bytes: int = 128 << 20,
         cache_dir: Optional[str] = None,
@@ -264,7 +261,6 @@ class FleetRouter:
         self.backend = backend
         self.workers = workers
         self.start_method = start_method
-        self.batch_window = float(batch_window)
         self.max_batch = int(max_batch)
         self.cache_bytes = int(cache_bytes)
         self.spawn_timeout = float(spawn_timeout)
@@ -348,8 +344,6 @@ class FleetRouter:
             self.default_method,
             "--backend",
             self.backend,
-            "--batch-window-ms",
-            str(self.batch_window * 1e3),
             "--max-batch",
             str(self.max_batch),
             "--cache-mb",
@@ -535,13 +529,14 @@ class FleetRouter:
 
     def request_many(self, specs: Sequence[dict]) -> list[dict]:
         """Route a batch across the fleet; one record per spec, in
-        submission order. Specs bound for the same shard are pipelined
-        over that shard's connection (so its scheduler can coalesce
-        them); different shards run concurrently — the calling thread
-        drives one shard's group itself and every other group runs on
-        its shard's dispatcher, so a round bound for one shard crosses
-        no thread. Shard deaths are healed as described in the module
-        docstring — the returned list never has holes.
+        submission order. Specs bound for the same shard go out in one
+        write on that shard's connection (so, when they arrive in one
+        read, its scheduler takes up to ``max_batch`` of them as one
+        batch); different shards run concurrently — the calling
+        thread drives one shard's group itself and every other group
+        runs on its shard's dispatcher, so a round bound for one shard
+        crosses no thread. Shard deaths are healed as described in the
+        module docstring — the returned list never has holes.
         """
         if self._closed:
             raise ReproError("fleet is closed")
@@ -644,9 +639,10 @@ class FleetRouter:
         return unanswered
 
     def _dispatch_to_shard(self, shard: _Shard, jobs: list[_Job]) -> list[_Job]:
-        """Pipeline ``jobs`` to one shard; returns the jobs left
-        unanswered (transport failure). Answered jobs get their record
-        attached, with the caller's ``id`` restored."""
+        """Send ``jobs`` to one shard in one write and read their
+        answers; returns the jobs left unanswered (transport failure).
+        Answered jobs get their record attached, with the caller's
+        ``id`` restored."""
         with shard.lock:
             try:
                 if not shard.alive():
@@ -661,13 +657,14 @@ class FleetRouter:
                 # records there.
                 return jobs
             in_flight: dict[int, _Job] = {}
+            lines: list[bytes] = []
             try:
                 for job in jobs:
                     shard.next_id += 1
                     wire_id = shard.next_id
                     msg = dict(job.spec)
                     msg["id"] = wire_id
-                    in_flight[wire_id] = job
+                    line = encode_record(msg)
                     job.dispatches += 1
                     if job.dispatches > 1:
                         # Counted at the actual re-send (not at requeue
@@ -675,8 +672,10 @@ class FleetRouter:
                         # the job without it ever leaving the router.
                         with self._stats_lock:
                             self._redispatched += 1
-                    if not shard.send(msg):
-                        del in_flight[wire_id]
+                    if len(line) - 1 > MAX_LINE_BYTES:
+                        # A spec the front end accepted can grow past
+                        # the shards' limit when re-encoded; the shard
+                        # would only answer it "request too large".
                         job.record = {
                             "id": job.client_id,
                             "ok": False,
@@ -688,6 +687,10 @@ class FleetRouter:
                             ),
                         }
                         self._finish_job(job)
+                        continue
+                    in_flight[wire_id] = job
+                    lines.append(line)
+                shard.send(lines)
                 while in_flight:
                     record = shard.recv()
                     job = in_flight.pop(record.get("id"), None)
@@ -915,7 +918,7 @@ class FleetRouter:
                 return None
             try:
                 shard.connect(self.request_timeout)
-                shard.send({"op": "status"})
+                shard.send([encode_record({"op": "status"})])
                 while True:
                     record = shard.recv()
                     if "status" in record:

@@ -1,4 +1,4 @@
-"""Deadline/size-bounded request coalescing over ``solve_many``.
+"""Group-commit request coalescing over ``solve_many``.
 
 The scheduler turns a stream of independent solve requests into the
 shape the batched service layer is fastest at: one
@@ -6,17 +6,22 @@ shape the batched service layer is fastest at: one
 two levels:
 
 * **Duplicate coalescing** — a request whose instance hash matches an
-  entry already waiting in the current batch — *or already detached
-  into the currently-executing batch* — does not add work; its future
-  joins the entry and all joiners share the one solve. (Executing
-  entries stay joinable until their results land: a duplicate arriving
-  moments after ``_take_pending()`` detaches its twin must not re-solve
-  from scratch.)
-* **Batch coalescing** — distinct requests accumulate until either the
-  batch window (the deadline: how long the *first* request in a batch
-  may wait before execution starts) expires or the batch reaches
-  ``max_batch`` entries, whichever comes first; the batch then executes
-  as a unit on the service's warm backend.
+  entry already waiting in the next batch — *or already detached into
+  the currently-executing batch* — does not add work; its future joins
+  the entry and all joiners share the one solve. (Executing entries
+  stay joinable until their results land: a duplicate arriving moments
+  after ``_take_pending()`` detaches its twin must not re-solve from
+  scratch.)
+* **Batch coalescing (group commit)** — a request that finds the
+  scheduler idle starts a batch, together with whatever arrived in the
+  same event-loop turn; requests that arrive while that batch runs
+  form the next one, up to ``max_batch`` entries. On a one-worker
+  runner the batch starts at once: a batch buys it no parallelism, so
+  waiting for company would only delay the request. On a pool, a
+  batch that starts from idle short of ``max_batch`` first waits 5 ms
+  for company: a burst from independent threads trickles in over a
+  few ms, and its stragglers would otherwise wait a whole batch while
+  pool workers could have solved them side by side.
 
 The cache sits in front of both: each request gets exactly one lookup
 (:meth:`CoalescingScheduler.lookup`), and a hit resolves without
@@ -29,9 +34,8 @@ miss gets one more chance *inside* the batch: each batch entry is first
 probed via :func:`repro.core.delta.try_delta` for an already-solved
 sibling to re-sweep incrementally — delta candidates resolve like hits
 but ride a batch — and only the remainder goes to the cold runner.
-Batches execute one at a time (a later batch fills while the current
-one runs), so the warm backend and the shared table store are never
-used from two threads at once.
+Batches execute one at a time on one drain task, so the warm backend
+and the shared table store are never used from two threads at once.
 """
 
 from __future__ import annotations
@@ -53,6 +57,11 @@ class ServiceClosedError(ReproError):
 
 #: ``submit``'s ``key`` default: hash the problem and look it up there
 _UNKEYED: Any = object()
+
+#: on a pool, how long a batch starting from idle waits for company; a
+#: burst of 32 threads each submitting one request was measured to land
+#: within about 4 ms on 2 vCPUs
+_GATHER_S = 0.005
 
 
 @dataclass
@@ -76,11 +85,13 @@ class CoalescingScheduler:
         ``items = [(problem, method, kwargs), ...]`` — the synchronous
         batch executor (the service runs ``solve_many`` on its warm
         backend here). Called from a worker thread, one batch at a time.
-    batch_window:
-        Seconds the first request of a batch may wait for company
-        before the batch executes (the deadline bound).
     max_batch:
-        Entry bound — a full batch executes immediately.
+        At most this many entries per batch; the rest of a backlog
+        waits for the next one.
+    workers:
+        How many entries the runner solves side by side (the service
+        passes its backend's worker count). Above 1, a batch starting
+        from idle short of ``max_batch`` waits 5 ms for company.
     cache:
         Optional :class:`~repro.service.cache.ResultCache`; consulted
         at submit, populated after each batch.
@@ -90,26 +101,23 @@ class CoalescingScheduler:
         self,
         runner: Callable[[list], list],
         *,
-        batch_window: float = 0.005,
         max_batch: int = 16,
+        workers: int = 1,
         cache=None,
     ) -> None:
-        if batch_window < 0:
-            raise ValueError("batch_window must be >= 0")
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         self._runner = runner
-        self.batch_window = float(batch_window)
         self.max_batch = int(max_batch)
+        self.workers = int(workers)
         self.cache = cache
         self._pending: list[_Entry] = []
         self._by_key: dict[str, _Entry] = {}
         self._executing: dict[str, _Entry] = {}
         self._executing_count = 0
-        self._full = asyncio.Event()
-        self._run_lock = asyncio.Lock()
         self._closed = False
-        self._flushers: set[asyncio.Task] = set()
+        #: the one task running batches, while there is work pending
+        self._drain: Optional[asyncio.Task] = None
         # -- counters (served on the status endpoint) --
         self._requests = 0
         self._cache_hits = 0
@@ -118,18 +126,6 @@ class CoalescingScheduler:
         self._batches = 0
         self._batch_items = 0
         self._largest_batch = 0
-        # EWMA of the queue_depth gauge, sampled at the two moments the
-        # backlog changes shape (a request entering, a batch resolving):
-        # the smoothed signal load-aware fleet routing consumes, served
-        # next to the raw gauge so pollers need no client-side state.
-        self._queue_ewma = 0.0
-
-    #: smoothing factor for the queue-depth EWMA gauge
-    _QUEUE_EWMA_ALPHA = 0.2
-
-    def _observe_queue(self) -> None:
-        depth = len(self._pending) + self._executing_count
-        self._queue_ewma += self._QUEUE_EWMA_ALPHA * (depth - self._queue_ewma)
 
     # -- submission ----------------------------------------------------------
 
@@ -173,7 +169,8 @@ class CoalescingScheduler:
             if hit is not None:
                 return hit, "cache"
 
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
+        loop = asyncio.get_running_loop()
+        future: asyncio.Future = loop.create_future()
         joined = False
         entry = None
         if key is not None:
@@ -189,47 +186,40 @@ class CoalescingScheduler:
             self._pending.append(entry)
             if key is not None:
                 self._by_key[key] = entry
-            if len(self._pending) == 1:
-                self._spawn_flusher()
-            if len(self._pending) >= self.max_batch:
-                self._full.set()
-        self._observe_queue()
+            if self._drain is None:
+                self._drain = loop.create_task(self._drain_pending())
         result, tag = await future
         return result, ("coalesced" if joined else tag)
 
-    # -- the flush machinery -------------------------------------------------
-
-    def _spawn_flusher(self) -> None:
-        task = asyncio.get_running_loop().create_task(self._flush_when_due())
-        self._flushers.add(task)
-        task.add_done_callback(self._flushers.discard)
+    # -- the drain task ------------------------------------------------------
 
     def _take_pending(self) -> list[_Entry]:
-        """Detach (at most) one batch; anything beyond ``max_batch``
-        stays pending with a fresh flusher, so the size bound is a hard
-        cap on batch size, not just a flush trigger. Detached keyed
-        entries move to the executing index, where late duplicates can
-        still join them until their results land."""
+        """Detach the next batch: the oldest ``max_batch`` pending
+        entries, so the size bound is a hard cap. Detached keyed entries
+        move to the executing index, where late duplicates can still
+        join them until their results land."""
         batch = self._pending[: self.max_batch]
-        self._pending = self._pending[self.max_batch :]
+        del self._pending[: self.max_batch]
         for entry in batch:
             if entry.key is not None:
                 self._by_key.pop(entry.key, None)
                 self._executing[entry.key] = entry
-        self._full.clear()
-        if self._pending:
-            if len(self._pending) >= self.max_batch or self._closed:
-                self._full.set()
-            self._spawn_flusher()
         return batch
 
-    async def _flush_when_due(self) -> None:
+    async def _drain_pending(self) -> None:
+        """Run batches until nothing is pending, then clear the slot a
+        ``submit`` checks. No ``await`` lies between the last empty
+        check and the exit, so a request is either taken by this loop
+        or finds the slot clear and starts a new drain. Only the first
+        batch may wait for company: later ones gathered while the
+        previous batch ran."""
         try:
-            await asyncio.wait_for(self._full.wait(), timeout=self.batch_window)
-        except asyncio.TimeoutError:
-            pass  # deadline reached with a partial batch — run it anyway
-        async with self._run_lock:
-            await self._run_batch(self._take_pending())
+            if self.workers > 1 and len(self._pending) < self.max_batch:
+                await asyncio.sleep(_GATHER_S)
+            while self._pending:
+                await self._run_batch(self._take_pending())
+        finally:
+            self._drain = None
 
     def _solve_batch(self, batch: list[_Entry]) -> list[tuple[str, Any]]:
         """Worker-thread body of one batch: probe each entry for a delta
@@ -278,8 +268,6 @@ class CoalescingScheduler:
             self.cache.put(entry.key, outcome)
 
     async def _run_batch(self, batch: list[_Entry]) -> None:
-        if not batch:
-            return
         self._batches += 1
         self._batch_items += len(batch)
         self._largest_batch = max(self._largest_batch, len(batch))
@@ -291,7 +279,6 @@ class CoalescingScheduler:
         # Unindex before resolving: both happen in this same event-loop
         # step, so no submit can slip between them and join a dead entry.
         self._executing_count = 0
-        self._observe_queue()
         for entry in batch:
             if entry.key is not None:
                 self._executing.pop(entry.key, None)
@@ -313,18 +300,15 @@ class CoalescingScheduler:
     async def close(self) -> None:
         """Stop accepting work, run whatever is pending, then return."""
         self._closed = True
-        while self._flushers:
-            # Release flushers still waiting out their window; oversize
-            # backlogs respawn flushers, hence the loop.
-            self._full.set()
+        if self._drain is not None:
             try:
-                await asyncio.gather(*list(self._flushers), return_exceptions=True)
+                await asyncio.gather(self._drain, return_exceptions=True)
             except RuntimeError:  # pragma: no cover - cross-loop close
-                # close() running on a different loop than the flushers
-                # (a synchronous owner after its loop died): the tasks
-                # can never complete, so don't wedge — the owner's
+                # close() running on a different loop than the drain
+                # task (a synchronous owner after its loop died): the
+                # task can never complete, so don't wedge — the owner's
                 # finally still releases pools and segments.
-                break
+                pass
 
     def stats(self) -> dict:
         mean = self._batch_items / self._batches if self._batches else 0.0
@@ -345,7 +329,4 @@ class CoalescingScheduler:
             # the one-number backlog gauge load monitors poll: every
             # entry accepted but not yet resolved, wherever it sits
             "queue_depth": len(self._pending) + self._executing_count,
-            # its EWMA (sampled on submit and batch completion) — the
-            # smoothed backlog signal load-aware routing reads
-            "queue_depth_ewma": round(self._queue_ewma, 3),
         }

@@ -65,9 +65,11 @@ class SolveService:
         The warm pool every batch leases — a backend name (owned and
         closed by the service) or a live
         :class:`~repro.parallel.backends.Backend` instance (caller
-        keeps ownership).
-    batch_window, max_batch:
-        Scheduler bounds — see
+        keeps ownership). Its worker count is the scheduler's
+        ``workers``: on a pool, a batch starting from idle short of
+        ``max_batch`` waits 5 ms for company.
+    max_batch:
+        At most this many requests per batch — see
         :class:`~repro.service.scheduler.CoalescingScheduler`.
     cache_bytes, cache_entries:
         Result-cache budget; ``cache_bytes=0`` disables caching.
@@ -89,7 +91,6 @@ class SolveService:
         backend: Backend | str = "process",
         workers: int | None = None,
         start_method: str | None = None,
-        batch_window: float = 0.005,
         max_batch: int = 16,
         cache_bytes: int = 128 << 20,
         cache_entries: int = 4096,
@@ -118,8 +119,8 @@ class SolveService:
             self.cache.delta_max_dirty = delta_max_dirty
         self.scheduler = CoalescingScheduler(
             self._execute_batch,
-            batch_window=batch_window,
             max_batch=max_batch,
+            workers=getattr(self.backend, "workers", 1),
             cache=self.cache,
         )
         self._started = time.monotonic()

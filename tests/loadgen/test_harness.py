@@ -10,7 +10,7 @@ import pytest
 from repro.errors import ReproError
 from repro.loadgen import TraceConfig, TraceEvent, generate_trace, run_loadtest
 
-SERVICE_KWARGS = dict(backend="serial", method="sequential", batch_window=0.001)
+SERVICE_KWARGS = dict(backend="serial", method="sequential")
 
 CLOSED = TraceConfig(
     arrival="closed", count=16, pool=4, popularity="zipf",

@@ -24,7 +24,7 @@ from repro.problems import MatrixChainProblem
 from repro.problems.specs import batch_item_from_spec, route_key_from_spec
 from repro.service.fleet import FleetRouter, HashRing
 
-FLEET_KWARGS = dict(backend="serial", method="sequential", batch_window=0.002)
+FLEET_KWARGS = dict(backend="serial", method="sequential")
 
 #: the name prefix of every shard dispatcher thread
 DISPATCHER = "repro-fleet-shard-"
@@ -61,6 +61,29 @@ def kill_while_busy(router: FleetRouter, shard: int, timeout: float = 60.0) -> b
     busy = router.inflight().get(shard, 0) > 0
     os.kill(router.shard_pids()[shard], signal.SIGKILL)
     return busy
+
+
+class CountingSocket:
+    """A shard socket that counts its writes."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.writes = 0
+
+    def sendall(self, data):
+        self.writes += 1
+        return self._sock.sendall(data)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def count_writes(router: FleetRouter, shard: int, monkeypatch) -> CountingSocket:
+    """Connect ``shard`` and count the writes on its socket from now on."""
+    assert router.request_many(specs_on(router, shard, 1))[0]["ok"]
+    counter = CountingSocket(router._shards[shard]._sock)
+    monkeypatch.setattr(router._shards[shard], "_sock", counter)
+    return counter
 
 
 def pid_alive(pid: int) -> bool:
@@ -229,6 +252,53 @@ class TestFleetRequests:
         assert status["totals"]["queue_depth"] == 0
         for shard in status["per_shard"]:
             assert shard["status"]["scheduler"]["queue_depth"] == 0
+
+
+class TestGroupWrites:
+    """Each shard's group of a round goes out in one write, so the
+    shard's scheduler takes the whole group as one batch."""
+
+    def test_a_shard_group_is_one_write(self, fleet, monkeypatch):
+        counter = count_writes(fleet, 0, monkeypatch)
+        records = fleet.request_many(specs_on(fleet, 0, 6, n=11))
+        assert all(r["ok"] for r in records)
+        assert counter.writes == 1
+
+    def test_over_limit_spec_is_refused_and_its_siblings_answered(
+        self, fleet, monkeypatch
+    ):
+        big = next(
+            spec
+            for spec in ({"dims": [1] * 30000 + [k]} for k in range(2, 200))
+            if fleet.route(spec) == 0
+        )
+        small = specs_on(fleet, 0, 2, n=12)
+        counter = count_writes(fleet, 0, monkeypatch)
+        records = fleet.request_many([small[0], big, small[1]])
+        assert not records[1]["ok"]
+        assert records[1]["error"].startswith("request too large")
+        for spec, record in zip(small, records[::2]):
+            problem, _, _ = batch_item_from_spec(dict(spec))
+            assert record["ok"] and record["shard"] == 0
+            assert record["value"] == solve(problem, method="sequential").value
+        assert counter.writes == 1
+        assert fleet.inflight() == {0: 0, 1: 0}
+
+    def test_one_shard_round_is_one_batch(self):
+        """k <= max_batch distinct specs for a one-shard fleet: every
+        round is exactly one scheduler batch of k."""
+        k = 16
+        with FleetRouter(1, **FLEET_KWARGS, max_batch=k) as router:
+            for repeat in range(10):
+                specs = [
+                    {"family": "chain", "n": 10, "seed": k * repeat + i}
+                    for i in range(k)
+                ]
+                records = router.request_many(specs)
+                assert all(r["ok"] and r["source"] == "batch" for r in records)
+                sched = router.status()["per_shard"][0]["status"]["scheduler"]
+                assert sched["batches"] == repeat + 1
+                assert sched["largest_batch"] == k
 
 
 class TestDispatchers:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core import solve
+from repro.errors import ReproError
 from repro.problems import BottleneckChainProblem, MatrixChainProblem
 from repro.service import LocalClient, ServiceClient, SolveService, serve_unix
 
@@ -28,8 +29,7 @@ def pid_alive(pid: int) -> bool:
 
 class TestLocalClient:
     def test_results_match_direct_solve(self):
-        with LocalClient(backend="thread", workers=2, method="huang",
-                         batch_window=0.01) as client:
+        with LocalClient(backend="thread", workers=2, method="huang") as client:
             got = client.solve(MatrixChainProblem(DIMS))
             want = solve(MatrixChainProblem(DIMS), method="huang")
             assert got.value == want.value
@@ -37,7 +37,7 @@ class TestLocalClient:
 
     def test_batch_coalesces_and_caches(self):
         with LocalClient(backend="thread", workers=2, method="huang",
-                         batch_window=0.05, max_batch=16) as client:
+                         max_batch=16) as client:
             requests = [MatrixChainProblem(DIMS) for _ in range(4)] + [
                 MatrixChainProblem([10, 20, 5, 30]),
                 {"weights": [3, 9, 2, 7], "algebra": "minimax"},
@@ -55,16 +55,14 @@ class TestLocalClient:
             assert stats["cache"]["hits"] == 1
 
     def test_spec_tuple_and_dict_requests(self):
-        with LocalClient(backend="serial", method="sequential",
-                         batch_window=0.0) as client:
+        with LocalClient(backend="serial", method="sequential") as client:
             r1 = client.solve({"dims": [10, 20, 5, 30], "method": "huang-banded"})
             r2 = client.solve((BottleneckChainProblem([3, 9, 2, 7]), "huang"))
             assert r1.method == "huang-banded" and r1.value == 2500.0
             assert r2.algebra == "minimax"
 
     def test_per_item_failure_isolated(self):
-        with LocalClient(backend="thread", workers=2, method="huang",
-                         batch_window=0.02) as client:
+        with LocalClient(backend="thread", workers=2, method="huang") as client:
             out = client.solve_batch([
                 MatrixChainProblem([10, 20, 5, 30]),
                 {"dims": [3, 7, 2], "algebra": "no_such_algebra"},
@@ -74,11 +72,38 @@ class TestLocalClient:
             assert isinstance(out[1], Exception)
             assert out[2].value == 42.0
 
+    def test_solve_batch_is_one_scheduler_batch(self):
+        """The whole sequence reaches the service loop in one callback,
+        so k distinct requests run as one batch, every round; a failing
+        item keeps its position."""
+        with LocalClient(backend="serial", method="sequential") as client:
+            for round_no in range(3):
+                first = 12 * round_no
+                requests = [
+                    MatrixChainProblem([10 + i, 20, 5, 30])
+                    for i in range(first, first + 12)
+                ]
+                requests[5] = {"dims": [3, 7, 2], "algebra": "no_such_algebra"}
+                out = client.solve_batch(requests)
+                stats = client.status()["scheduler"]
+                assert stats["batches"] == round_no + 1
+                assert stats["largest_batch"] == 12
+                assert isinstance(out[5], Exception)
+                want = [2500.0 + 250 * i for i in range(first, first + 12)]
+                assert [r.value for r in out[:5] + out[6:]] == want[:5] + want[6:]
+
+    def test_solve_batch_rejects_before_submitting(self):
+        """A request that cannot be interpreted fails the call before
+        any request of the sequence reaches the service."""
+        with LocalClient(backend="serial", method="sequential") as client:
+            with pytest.raises(ReproError, match="cannot interpret"):
+                client.solve_batch([MatrixChainProblem([10, 20, 5, 30]), 42])
+            assert client.status()["requests"] == 0
+
     def test_uncacheable_policy_requests_still_solve(self):
         from repro.core.termination import WStable
 
-        with LocalClient(backend="serial", method="huang",
-                         batch_window=0.0) as client:
+        with LocalClient(backend="serial", method="huang") as client:
             result, source = client.solve(
                 (MatrixChainProblem([10, 20, 5, 30]), "huang", {"policy": WStable()}),
                 with_source=True,
@@ -89,8 +114,7 @@ class TestLocalClient:
 
 class TestShutdownHygiene:
     def test_process_backend_workers_die_and_shm_is_clean(self):
-        client = LocalClient(backend="process", workers=2, method="huang",
-                             batch_window=0.02)
+        client = LocalClient(backend="process", workers=2, method="huang")
         try:
             client.solve(MatrixChainProblem(DIMS))
             pids = client.service.backend.worker_pids()
@@ -107,7 +131,7 @@ class TestShutdownHygiene:
         assert client.service.store.stats()["closed"]
 
     def test_close_is_idempotent(self):
-        client = LocalClient(backend="serial", batch_window=0.0)
+        client = LocalClient(backend="serial")
         client.close()
         client.close()
 
@@ -116,9 +140,7 @@ class TestUnixSocketServer:
     @pytest.fixture()
     def server(self, tmp_path):
         socket_path = str(tmp_path / "repro.sock")
-        service = SolveService(
-            method="huang", backend="thread", workers=2, batch_window=0.02
-        )
+        service = SolveService(method="huang", backend="thread", workers=2)
         done = {}
 
         def _run():
@@ -165,10 +187,27 @@ class TestUnixSocketServer:
         assert not os.path.exists(socket_path), "socket not unlinked on shutdown"
         assert service.store.stats()["closed"]
 
+    def test_request_many_is_one_batch(self, server):
+        """k <= max_batch distinct specs pipelined by one request_many
+        go out in one write, so every round is exactly one scheduler
+        batch of k."""
+        socket_path, service = server
+        k = service.scheduler.max_batch
+        with ServiceClient(socket_path) as client:
+            for repeat in range(10):
+                specs = [
+                    {"family": "chain", "n": 10, "seed": k * repeat + i}
+                    for i in range(k)
+                ]
+                records = client.request_many(specs)
+                assert all(r["ok"] and r["source"] == "batch" for r in records)
+                sched = client.status()["scheduler"]
+                assert sched["batches"] == repeat + 1
+                assert sched["largest_batch"] == k
+
     def test_max_requests_stops_server(self, tmp_path):
         socket_path = str(tmp_path / "capped.sock")
-        service = SolveService(method="sequential", backend="serial",
-                               batch_window=0.0)
+        service = SolveService(method="sequential", backend="serial")
         result = {}
 
         def _run():
@@ -196,8 +235,7 @@ class TestConnectionDispatcher:
         from repro.service.server import _TaskPerSpec
 
         async def main():
-            service = SolveService(method="sequential", backend="serial",
-                                   batch_window=0.0)
+            service = SolveService(method="sequential", backend="serial")
             dispatcher = _TaskPerSpec(service)
             answered = []
 

@@ -1,4 +1,4 @@
-"""CoalescingScheduler: dedup, batching, deadlines, error isolation."""
+"""CoalescingScheduler: dedup, group-commit batching, error isolation."""
 
 import asyncio
 import threading
@@ -8,7 +8,8 @@ import pytest
 
 from repro.core.api import SolveResult
 from repro.problems import MatrixChainProblem
-from repro.service import CoalescingScheduler, ResultCache
+from repro.service import CoalescingScheduler, LocalClient, ResultCache
+from repro.service import scheduler as scheduler_module
 from repro.service.scheduler import ServiceClosedError
 
 
@@ -36,8 +37,30 @@ class RecordingRunner:
         return out
 
 
+class GatedRunner(RecordingRunner):
+    """A RecordingRunner whose batches wait until ``release`` is set."""
+
+    def __init__(self):
+        super().__init__()
+        self.release = threading.Event()
+
+    def __call__(self, items):
+        assert self.release.wait(timeout=5.0), "test never released the runner"
+        return super().__call__(items)
+
+
 def chain(*dims):
     return MatrixChainProblem(list(dims))
+
+
+def sized(n):
+    """A chain of ``n`` matrices; the stub runners answer ``n``."""
+    return chain(*range(2, n + 3))
+
+
+def batch_sizes(runner):
+    """Each batch the runner saw, as the ``n`` of its problems."""
+    return [[problem.n for problem, _, _ in batch] for batch in runner.batches]
 
 
 def run(coro):
@@ -49,7 +72,7 @@ class TestCoalescing:
         runner = RecordingRunner()
 
         async def main():
-            sched = CoalescingScheduler(runner, batch_window=0.05, max_batch=16)
+            sched = CoalescingScheduler(runner, max_batch=16)
             p = chain(10, 20, 5, 30)
             outcomes = await asyncio.gather(
                 *(sched.submit(p, "huang", {}) for _ in range(5))
@@ -67,7 +90,7 @@ class TestCoalescing:
         runner = RecordingRunner()
 
         async def main():
-            sched = CoalescingScheduler(runner, batch_window=0.05, max_batch=16)
+            sched = CoalescingScheduler(runner, max_batch=16)
             problems = [chain(*(10 + i, 20, 5, 30)) for i in range(4)]
             await asyncio.gather(*(sched.submit(p, "huang", {}) for p in problems))
             await sched.close()
@@ -79,8 +102,7 @@ class TestCoalescing:
         runner = RecordingRunner()
 
         async def main():
-            # A window long enough that only the size bound can flush.
-            sched = CoalescingScheduler(runner, batch_window=5.0, max_batch=2)
+            sched = CoalescingScheduler(runner, max_batch=2)
             problems = [chain(10 + i, 20, 5, 30) for i in range(4)]
             await asyncio.gather(*(sched.submit(p, "huang", {}) for p in problems))
             await sched.close()
@@ -93,13 +115,137 @@ class TestCoalescing:
         runner = RecordingRunner()
 
         async def main():
-            sched = CoalescingScheduler(runner, batch_window=0.01, max_batch=64)
+            sched = CoalescingScheduler(runner, max_batch=64)
             result, source = await sched.submit(chain(10, 20, 5), "huang", {})
             await sched.close()
             return result, source
 
         result, source = run(main())
         assert source == "batch" and result.value == 2.0
+
+
+class TestGroupCommit:
+    """On a one-worker runner no timer: an idle scheduler runs a request
+    at once, and whatever arrives while a batch runs forms the next
+    batch."""
+
+    def test_lone_request_executes_without_waiting(self):
+        runner = GatedRunner()
+
+        async def main():
+            sched = CoalescingScheduler(runner, max_batch=16)
+            task = asyncio.ensure_future(sched.submit(sized(2), "huang", {}))
+            await asyncio.sleep(0)  # the submit queues it and starts the drain
+            await asyncio.sleep(0)  # the drain detaches it into a batch
+            executing = sched.stats()["executing"]
+            runner.release.set()
+            await task
+            await sched.close()
+            return executing
+
+        assert run(main()) == 1
+
+    def test_arrivals_during_a_batch_form_the_next_batch(self):
+        """Distinct arrivals form exactly one next batch, in arrival
+        order; a duplicate of the running entry joins it, and a
+        duplicate of a pending entry joins that one."""
+        runner = GatedRunner()
+
+        async def main():
+            sched = CoalescingScheduler(runner, max_batch=16)
+            running = asyncio.ensure_future(sched.submit(sized(2), "huang", {}))
+            while sched.stats()["executing"] == 0:
+                await asyncio.sleep(0.001)
+            later = [
+                asyncio.ensure_future(sched.submit(sized(n), "huang", {}))
+                for n in (3, 4, 5, 2, 3)
+            ]
+            await asyncio.sleep(0.01)
+            mid = sched.stats()
+            runner.release.set()
+            outcomes = await asyncio.gather(running, *later)
+            await sched.close()
+            return mid, outcomes
+
+        mid, outcomes = run(main())
+        assert batch_sizes(runner) == [[2], [3, 4, 5]]
+        assert mid["executing"] == 1 and mid["pending"] == 3
+        assert mid["coalesced"] == 2
+        assert [(r.value, source) for r, source in outcomes] == [
+            (2.0, "batch"), (3.0, "batch"), (4.0, "batch"), (5.0, "batch"),
+            (2.0, "coalesced"), (3.0, "coalesced"),
+        ]
+
+    def test_backlog_drains_in_max_batch_slices(self):
+        """A backlog of 2 * max_batch + 1 runs as max_batch, max_batch,
+        1 — and once idle, no scheduler task is left."""
+        runner = RecordingRunner()
+
+        async def main():
+            sched = CoalescingScheduler(runner, max_batch=3)
+            await asyncio.gather(
+                *(sched.submit(sized(n), "huang", {}) for n in range(2, 9))
+            )
+            leftover = asyncio.all_tasks() - {asyncio.current_task()}
+            await sched.close()
+            return leftover
+
+        assert run(main()) == set()
+        assert batch_sizes(runner) == [[2, 3, 4], [5, 6, 7], [8]]
+
+
+class TestPoolGather:
+    """On a pool, a batch starting from idle short of max_batch waits
+    for company; a full one starts at once."""
+
+    def test_underfilled_pool_batch_waits_for_company(self, monkeypatch):
+        monkeypatch.setattr(scheduler_module, "_GATHER_S", 0.2)
+        runner = RecordingRunner()
+
+        async def main():
+            sched = CoalescingScheduler(runner, max_batch=16, workers=4)
+            first = asyncio.ensure_future(sched.submit(sized(2), "huang", {}))
+            await asyncio.sleep(0)
+            await asyncio.sleep(0)
+            gathering = sched.stats()
+            later = [
+                asyncio.ensure_future(sched.submit(sized(n), "huang", {}))
+                for n in (3, 4)
+            ]
+            await asyncio.gather(first, *later)
+            await sched.close()
+            return gathering
+
+        gathering = run(main())
+        assert gathering["executing"] == 0 and gathering["pending"] == 1
+        assert batch_sizes(runner) == [[2, 3, 4]]
+
+    def test_full_batch_starts_at_once(self, monkeypatch):
+        monkeypatch.setattr(scheduler_module, "_GATHER_S", 10.0)
+        runner = GatedRunner()
+
+        async def main():
+            sched = CoalescingScheduler(runner, max_batch=3, workers=4)
+            burst = [
+                asyncio.ensure_future(sched.submit(sized(n), "huang", {}))
+                for n in (2, 3, 4)
+            ]
+            await asyncio.sleep(0)
+            await asyncio.sleep(0)
+            executing = sched.stats()["executing"]
+            runner.release.set()
+            await asyncio.gather(*burst)
+            await sched.close()
+            return executing
+
+        assert run(main()) == 3
+        assert batch_sizes(runner) == [[2, 3, 4]]
+
+    def test_service_passes_its_pool_width(self):
+        with LocalClient(backend="thread", workers=3) as client:
+            assert client.service.scheduler.workers == 3
+        with LocalClient(backend="serial") as client:
+            assert client.service.scheduler.workers == 1
 
 
 class TestExecutingJoin:
@@ -123,7 +269,7 @@ class TestExecutingJoin:
             ]
 
         async def main():
-            sched = CoalescingScheduler(runner, batch_window=0.0, max_batch=4)
+            sched = CoalescingScheduler(runner, max_batch=4)
             p = chain(10, 20, 5, 30)
             first = asyncio.ensure_future(sched.submit(p, "huang", {}))
             while sched.stats()["executing"] == 0:  # batch now in flight
@@ -148,7 +294,7 @@ class TestExecutingJoin:
         runner = RecordingRunner()
 
         async def main():
-            sched = CoalescingScheduler(runner, batch_window=0.0, max_batch=4)
+            sched = CoalescingScheduler(runner, max_batch=4)
             p = chain(10, 20, 5, 30)
             _, s1 = await sched.submit(p, "huang", {})
             _, s2 = await sched.submit(p, "huang", {})
@@ -167,9 +313,7 @@ class TestDeltaRide:
         cache = ResultCache()
 
         async def main():
-            sched = CoalescingScheduler(
-                runner, batch_window=0.0, max_batch=4, cache=cache
-            )
+            sched = CoalescingScheduler(runner, max_batch=4, cache=cache)
             _, s1 = await sched.submit(chain(10, 20, 5, 30), "huang", {})
             _, s2 = await sched.submit(chain(10, 20, 5, 31), "huang", {})
             _, s3 = await sched.submit(chain(10, 20, 5, 31), "huang", {})
@@ -188,9 +332,7 @@ class TestDeltaRide:
         cache = ResultCache()
 
         async def main():
-            sched = CoalescingScheduler(
-                runner, batch_window=0.0, max_batch=4, cache=cache
-            )
+            sched = CoalescingScheduler(runner, max_batch=4, cache=cache)
             await sched.submit(chain(10, 20, 5, 30), "huang", {})
             await sched.submit(chain(10, 20, 5, 31), "huang", {})
             await sched.close()
@@ -205,9 +347,7 @@ class TestCacheFront:
         cache = ResultCache()
 
         async def main():
-            sched = CoalescingScheduler(
-                runner, batch_window=0.01, max_batch=8, cache=cache
-            )
+            sched = CoalescingScheduler(runner, max_batch=8, cache=cache)
             p = chain(10, 20, 5, 30)
             _, first = await sched.submit(p, "huang", {})
             _, second = await sched.submit(p, "huang", {})
@@ -225,7 +365,7 @@ class TestFailureAndLifecycle:
         runner = RecordingRunner(fail_on={4})
 
         async def main():
-            sched = CoalescingScheduler(runner, batch_window=0.05, max_batch=16)
+            sched = CoalescingScheduler(runner, max_batch=16)
             good = sched.submit(chain(10, 20, 5, 30), "huang", {})       # n=3
             bad = sched.submit(chain(10, 20, 5, 30, 7), "huang", {})     # n=4
             results = await asyncio.gather(good, bad, return_exceptions=True)
@@ -241,7 +381,7 @@ class TestFailureAndLifecycle:
             raise RuntimeError("pool died")
 
         async def main():
-            sched = CoalescingScheduler(exploding, batch_window=0.01, max_batch=8)
+            sched = CoalescingScheduler(exploding, max_batch=8)
             results = await asyncio.gather(
                 sched.submit(chain(10, 20, 5), "huang", {}),
                 sched.submit(chain(10, 20, 5, 30), "huang", {}),
@@ -257,7 +397,7 @@ class TestFailureAndLifecycle:
         runner = RecordingRunner()
 
         async def main():
-            sched = CoalescingScheduler(runner, batch_window=0.01)
+            sched = CoalescingScheduler(runner)
             await sched.close()
             with pytest.raises(ServiceClosedError):
                 await sched.submit(chain(10, 20, 5), "huang", {})
@@ -268,7 +408,7 @@ class TestFailureAndLifecycle:
         runner = RecordingRunner()
 
         async def main():
-            sched = CoalescingScheduler(runner, batch_window=0.02, max_batch=8)
+            sched = CoalescingScheduler(runner, max_batch=8)
             p = chain(10, 20, 5, 30)
             await asyncio.gather(*(sched.submit(p, "huang", {}) for _ in range(3)))
             await sched.close()
@@ -305,7 +445,7 @@ class TestQueueDepth:
             ]
 
         async def main():
-            sched = CoalescingScheduler(runner, batch_window=0.0, max_batch=1)
+            sched = CoalescingScheduler(runner, max_batch=1)
             first = asyncio.ensure_future(sched.submit(chain(10, 20, 5), "huang", {}))
             while sched.stats()["executing"] == 0:  # first batch in flight
                 await asyncio.sleep(0.001)
@@ -322,23 +462,3 @@ class TestQueueDepth:
         assert mid["pending"] == 1 and mid["executing"] == 1
         assert mid["queue_depth"] == 2
         assert settled["queue_depth"] == 0
-
-    def test_queue_depth_ewma_smooths_the_gauge(self):
-        """The EWMA companion the load-aware router consumes: it starts
-        at zero, rises after submissions have passed through the queue,
-        and — being smoothed — does NOT snap back to zero the instant
-        the instantaneous gauge does."""
-        runner = RecordingRunner()
-
-        async def main():
-            sched = CoalescingScheduler(runner, batch_window=0.005, max_batch=8)
-            assert sched.stats()["queue_depth_ewma"] == 0.0
-            await asyncio.gather(
-                *(sched.submit(chain(10, 20, 5, n), "huang", {}) for n in range(1, 5))
-            )
-            await sched.close()
-            return sched.stats()
-
-        stats = run(main())
-        assert stats["queue_depth"] == 0  # instantaneous gauge is settled
-        assert stats["queue_depth_ewma"] > 0.0  # the smoothed one remembers

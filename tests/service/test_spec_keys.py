@@ -323,7 +323,7 @@ class TestSpecKey:
 
 
 def _service(**kwargs) -> SolveService:
-    return SolveService(method="sequential", backend="serial", batch_window=0.0, **kwargs)
+    return SolveService(method="sequential", backend="serial", **kwargs)
 
 
 class TestServer:
@@ -447,7 +447,7 @@ class TestServer:
 
     def test_in_process_hits_get_private_writable_tables(self):
         spec = {"dims": [30, 35, 15, 5, 10, 20, 25]}
-        with LocalClient(backend="serial", method="sequential", batch_window=0.0) as client:
+        with LocalClient(backend="serial", method="sequential") as client:
             client.solve(spec)
             hit, source = client.solve(spec, with_source=True)
             assert source == "cache" and hit.w.flags.writeable

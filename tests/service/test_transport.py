@@ -76,12 +76,10 @@ def jsonl_server(request, tmp_path):
     path = str(tmp_path / "front.sock")
     router = None
     if request.param == "serve":
-        service = SolveService(method="sequential", backend="serial", batch_window=0.0)
+        service = SolveService(method="sequential", backend="serial")
         main = serve(service, Address.unix(path))
     else:
-        router = FleetRouter(
-            1, backend="serial", method="sequential", batch_window=0.002
-        ).start()
+        router = FleetRouter(1, backend="serial", method="sequential").start()
         main = serve_fleet(router, Address.unix(path))
     thread = threading.Thread(target=asyncio.run, args=(main,), daemon=True)
     thread.start()
@@ -156,8 +154,7 @@ class TestStaleUnixSocket:
 
     def test_live_server_is_not_clobbered(self, tmp_path):
         path = str(tmp_path / "live.sock")
-        service = SolveService(method="sequential", backend="serial",
-                               batch_window=0.0)
+        service = SolveService(method="sequential", backend="serial")
         ready = {}
 
         def _run():
@@ -191,8 +188,7 @@ class TestServeCleanupPaths:
         (here: the ready notification raising) must still unlink the
         socket file and close the service."""
         path = str(tmp_path / "fail.sock")
-        service = SolveService(method="sequential", backend="serial",
-                               batch_window=0.0)
+        service = SolveService(method="sequential", backend="serial")
 
         class ExplodingReady:
             def set(self):
@@ -205,8 +201,7 @@ class TestServeCleanupPaths:
 
     def test_on_bound_failure_after_bind_unlinks_socket(self, tmp_path):
         path = str(tmp_path / "fail2.sock")
-        service = SolveService(method="sequential", backend="serial",
-                               batch_window=0.0)
+        service = SolveService(method="sequential", backend="serial")
 
         def boom(addr):
             raise OSError("no stdout to announce on")
@@ -220,9 +215,7 @@ class TestServeCleanupPaths:
 class TestTcpServer:
     @pytest.fixture()
     def tcp_server(self):
-        service = SolveService(
-            method="huang", backend="thread", workers=2, batch_window=0.02
-        )
+        service = SolveService(method="huang", backend="thread", workers=2)
         bound = {}
         got_addr = threading.Event()
 
@@ -297,7 +290,7 @@ class TestServiceClientAddressing:
 def test_sync_connect_tcp_and_unix(tmp_path):
     """transport.connect() serves both kinds behind one call."""
     path = str(tmp_path / "conn.sock")
-    service = SolveService(method="sequential", backend="serial", batch_window=0.0)
+    service = SolveService(method="sequential", backend="serial")
     ready = threading.Event()
     done = {}
 

@@ -430,12 +430,11 @@ class TestServeRequestCommands:
         args = build_parser().parse_args(
             [
                 "serve", "--socket", "/tmp/x.sock", "--backend", "thread",
-                "--workers", "2", "--batch-window-ms", "2.5",
-                "--max-batch", "8", "--cache-mb", "16", "--max-requests", "4",
+                "--workers", "2", "--max-batch", "8", "--cache-mb", "16",
+                "--max-requests", "4",
             ]
         )
         assert args.socket == "/tmp/x.sock"
-        assert args.batch_window_ms == 2.5
         assert args.max_batch == 8 and args.max_requests == 4
 
     def test_request_flags_parse(self):
@@ -465,8 +464,7 @@ class TestServeRequestCommands:
             args=(
                 [
                     "serve", "--socket", socket_path, "--backend", "serial",
-                    "--method", "sequential", "--batch-window-ms", "1",
-                    "--max-requests", "2",
+                    "--method", "sequential", "--max-requests", "2",
                 ],
             ),
             daemon=True,
@@ -509,7 +507,7 @@ class TestServeRequestCommands:
                 args=(
                     [
                         "serve", "--socket", socket_path, "--backend", "serial",
-                        "--method", "sequential", "--batch-window-ms", "1",
+                        "--method", "sequential",
                         "--cache-dir", cache_dir, "--max-requests", "1",
                     ],
                 ),
@@ -547,7 +545,7 @@ class TestServeRequestCommands:
             args=(
                 [
                     "serve", "--socket", socket_path, "--backend", "serial",
-                    "--batch-window-ms", "1", "--max-requests", "1",
+                    "--max-requests", "1",
                 ],
             ),
             daemon=True,
@@ -573,23 +571,34 @@ class TestFleetAndTransportCommands:
         args = build_parser().parse_args(
             [
                 "fleet", "--shards", "3", "--socket", "/tmp/f.sock",
-                "--backend", "serial", "--workers", "2",
-                "--batch-window-ms", "2", "--max-batch", "8",
+                "--backend", "serial", "--workers", "2", "--max-batch", "8",
                 "--cache-mb", "16", "--max-requests", "5",
             ]
         )
         assert args.shards == 3 and args.socket == "/tmp/f.sock"
         assert args.backend == "serial" and args.max_requests == 5
 
-    def test_load_factor_defaults_to_inf_and_router_is_gone(self, capsys):
+    def test_load_factor_defaults_to_inf(self):
         parser = build_parser()
         for command in ("fleet", "loadtest"):
             assert parser.parse_args([command]).load_factor == float("inf")
             args = parser.parse_args([command, "--load-factor", "1.25"])
             assert args.load_factor == 1.25
+
+    @pytest.mark.parametrize(
+        "flag, value, commands",
+        [
+            ("--router", "ring", ("fleet", "loadtest")),
+            ("--batch-window-ms", "1", ("serve", "fleet", "loadtest")),
+        ],
+        ids=["router", "batch-window-ms"],
+    )
+    def test_removed_flag_is_rejected(self, flag, value, commands, capsys):
+        parser = build_parser()
+        for command in commands:
             with pytest.raises(SystemExit):
-                parser.parse_args([command, "--router", "ring"])
-        assert "--router" in capsys.readouterr().err
+                parser.parse_args([command, flag, value])
+            assert flag in capsys.readouterr().err
 
     def test_fleet_refuses_a_sub_one_load_factor(self, tmp_path, capsys):
         sock = str(tmp_path / "f.sock")
@@ -632,8 +641,7 @@ class TestFleetAndTransportCommands:
             args=(
                 [
                     "serve", "--tcp", "127.0.0.1:0", "--backend", "serial",
-                    "--method", "sequential", "--batch-window-ms", "1",
-                    "--max-requests", "1",
+                    "--method", "sequential", "--max-requests", "1",
                 ],
             ),
             daemon=True,
@@ -685,7 +693,6 @@ class TestServeStaleSocketFix:
         with pytest.raises(RuntimeError, match="stdout is gone"):
             main([
                 "serve", "--socket", str(socket_path), "--backend", "serial",
-                "--batch-window-ms", "1",
             ])
         assert not socket_path.exists(), "stale socket file left behind"
 
@@ -707,7 +714,7 @@ class TestServeStaleSocketFix:
             args=(
                 [
                     "serve", "--socket", socket_path, "--backend", "serial",
-                    "--batch-window-ms", "1", "--max-requests", "1",
+                    "--max-requests", "1",
                 ],
             ),
             daemon=True,
@@ -745,7 +752,7 @@ class TestServeStaleSocketFix:
             args=(
                 [
                     "serve", "--socket", socket_path, "--backend", "serial",
-                    "--batch-window-ms", "1", "--max-requests", "1",
+                    "--max-requests", "1",
                 ],
             ),
             daemon=True,
@@ -759,7 +766,6 @@ class TestServeStaleSocketFix:
         # and the live server's socket file is left alone.
         rc = main([
             "serve", "--socket", socket_path, "--backend", "serial",
-            "--batch-window-ms", "1",
         ])
         assert rc == 2
         assert "live server" in capsys.readouterr().err
