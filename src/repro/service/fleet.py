@@ -37,16 +37,32 @@ by ``bench_e14_routing.py --smoke``).
 
 Failure semantics
 -----------------
-Shard death is detected at the transport (broken pipe / connection
-reset / EOF mid-read), or before a send when the shard's process has
-already exited. The router then respawns the shard process on
-the same socket (reclaiming the stale socket file) and re-dispatches
-the requests that were accepted but not yet answered — **at most
-once** per request. A request whose shard dies again after its
-re-dispatch is not retried a second time; it completes with an explicit
-``ok: false`` error record. No accepted request is ever silently
-dropped: ``request_many`` always returns exactly one record per spec,
-in submission order.
+Shard death is detected at the transport (connection reset, EOF
+mid-read, or no answer within ``request_timeout`` of a read), or
+before a send when the shard's process has already exited. The router
+then respawns the shard process on the same socket (reclaiming the
+stale socket file) and re-dispatches the requests that were accepted
+but not yet answered — **at most once** per request. A request whose
+shard dies again after its re-dispatch is not retried a second time;
+it completes with an explicit ``ok: false`` error record. No accepted
+request is ever silently dropped: ``request_many`` always returns
+exactly one record per spec, in submission order.
+
+One event loop
+--------------
+The router owns one asyncio event loop, which :meth:`FleetRouter.start`
+runs on a daemon thread named ``repro-fleet-router``. Routing, the
+load gauges, the counters, the ring and every shard connection (one
+asyncio stream per shard, opened on first use) are touched only on
+that loop, so none of them takes a lock. A round sends each shard its
+group in one write and reads the answers under that shard's
+``asyncio.Lock``; a round bound for one shard awaits its group
+directly, and a round over several shards gathers its groups.
+:func:`serve_fleet` runs the JSONL front end on the same loop, so a
+served round is routed, written and answered without leaving it. The
+synchronous methods (``request_many``, ``status``, ...) run the same
+coroutines on the loop and wait for them. Only process work leaves the
+loop, for a thread: spawning, respawning, stopping and scaling shards.
 
 Use it in-process (``FleetRouter.request_many``), as a one-shot CLI
 (``repro request --fleet N``), or as a long-lived front-end server
@@ -57,6 +73,8 @@ unix-socket or TCP endpoint via :func:`serve_fleet`).
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
+import itertools
 import math
 import os
 import shutil
@@ -65,7 +83,6 @@ import sys
 import tempfile
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
@@ -106,64 +123,67 @@ class _Job:
 
 
 class _Shard:
-    """One shard process plus its persistent router-side connection and
-    its dispatcher: the one thread that runs this shard's groups of the
-    rounds a caller does not drive itself. The dispatcher starts on
-    first use, survives respawns (it belongs to the shard index, not
-    the process) and stops when the shard is retired or the fleet
-    closes."""
+    """One shard process plus the router's connection to it: an asyncio
+    stream opened on first use and touched only on the router's loop.
+    ``io`` is held for a group's write and its answers, a status query,
+    a respawn or a stop, so none of them interleaves with another on
+    the connection."""
 
     def __init__(self, index: int, socket_path: str) -> None:
         self.index = index
         self.socket_path = socket_path
         self.proc: Optional[subprocess.Popen] = None
-        self.lock = threading.Lock()
-        self.dispatcher = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix=f"repro-fleet-shard-{index}"
-        )
-        self._sock = None
-        self._rfile = None
-        self.next_id = 0
+        self.io = asyncio.Lock()
+        self._reader: Optional[asyncio.StreamReader] = None
+        self._writer: Optional[asyncio.StreamWriter] = None
         self.respawns = 0
 
     # -- connection ----------------------------------------------------------
 
-    def connect(self, timeout: float) -> None:
-        if self._sock is not None:
-            return
-        sock = _transport.connect(Address.unix(self.socket_path), timeout=timeout)
-        self._sock = sock
-        self._rfile = sock.makefile("r", encoding="utf-8")
+    async def connect(self) -> None:
+        if self._writer is None:
+            self._reader, self._writer = await asyncio.open_unix_connection(
+                self.socket_path, limit=MAX_LINE_BYTES
+            )
 
-    def disconnect(self) -> None:
-        if self._rfile is not None:
+    async def disconnect(self) -> None:
+        """Drop the connection at once: unsent bytes are discarded, so
+        a shard that stopped reading cannot hold the close up."""
+        writer, self._reader, self._writer = self._writer, None, None
+        if writer is not None:
+            writer.transport.abort()
             try:
-                self._rfile.close()
-            except OSError:  # pragma: no cover - already torn down
+                await writer.wait_closed()
+            except OSError:  # pragma: no cover - the connection broke first
                 pass
-            self._rfile = None
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:  # pragma: no cover - already torn down
-                pass
-            self._sock = None
 
-    def send(self, lines: list[bytes]) -> None:
-        """Write a group's request lines with one ``sendall``. The
-        shard's read loop dispatches every complete line in its buffer
-        before any of them runs, so a group that arrives in one socket
-        read — small specs; not a group near ``MAX_LINE_BYTES`` per
-        line — reaches the shard's scheduler whole, before its first
-        batch starts."""
-        assert self._sock is not None
-        self._sock.sendall(b"".join(lines))
+    async def send(self, lines: list[bytes]) -> None:
+        """Write a group's request lines in one write. The shard's read
+        loop dispatches every complete line in its buffer before any of
+        them runs, so a group that arrives in one socket read — small
+        specs; not a group near ``MAX_LINE_BYTES`` per line — reaches
+        the shard's scheduler whole, before its first batch starts."""
+        assert self._writer is not None
+        self._writer.write(b"".join(lines))
+        await self._writer.drain()
 
-    def recv(self) -> dict:
-        assert self._rfile is not None
-        line = self._rfile.readline()
-        if not line:
-            raise ReproError(f"shard {self.index} closed the connection")
+    async def recv(self, timeout: float) -> dict:
+        """The next answer. A shard that sends none within ``timeout``
+        seconds has its connection dropped, which ends the read as if
+        the shard had closed it (a timer, not a task per read)."""
+        assert self._reader is not None and self._writer is not None
+        watchdog = asyncio.get_running_loop().call_later(
+            timeout, self._writer.transport.abort
+        )
+        try:
+            line = await self._reader.readline()
+        finally:
+            watchdog.cancel()
+        if not line.endswith(b"\n"):
+            raise ReproError(
+                f"shard {self.index} closed the connection or sent no answer "
+                f"within {timeout:g}s"
+            )
         return decode_record(line)
 
     # -- process -------------------------------------------------------------
@@ -198,6 +218,9 @@ class FleetRouter:
         directory (removed on close) when not given.
     ``spawn_timeout``
         Seconds to wait for a shard's socket to accept connections.
+    ``request_timeout``
+        Seconds a read from a shard may wait for its next answer before
+        the shard counts as dead.
     ``load_factor``
         The routing policy's spill threshold (spill when a shard's load
         exceeds ``load_factor`` times the fleet mean, see
@@ -214,10 +237,14 @@ class FleetRouter:
         ``scale_up_depth``, shrink needs it to decay below
         ``scale_down_depth``.
 
-    Thread-safe: concurrent ``request_many`` calls interleave freely;
-    access to any one shard's connection is serialised by a per-shard
-    lock, and respawn happens under the same lock, so a dying shard is
-    healed exactly once however many callers trip over it.
+    Thread-safe: every synchronous method runs its coroutine on the
+    router's one event loop and waits for it, so calls from any number
+    of threads interleave there, between awaits, and the router's state
+    needs no lock. A shard's ``asyncio.Lock`` keeps one group's write
+    and answers together; a respawn runs under the same lock, so a dying
+    shard is healed exactly once however many rounds trip over it.
+    Called on the loop's own thread, a synchronous method raises
+    :class:`~repro.errors.ReproError` instead of deadlocking.
     """
 
     def __init__(
@@ -284,19 +311,19 @@ class FleetRouter:
         self._loads: dict[int, ShardLoad] = {i: ShardLoad() for i in range(shards)}
         self._started = False
         self._closed = False
-        # -- router-level counters (served by status()); increments are
-        # read-modify-writes from concurrent request threads, so they
-        # take this lock (shard.lock only serialises shard transport) --
-        self._stats_lock = threading.Lock()
-        # Routing decisions and the load gauges they read are serialised
-        # by their own lock: a placement must see the loads including
-        # every placement before it, or two concurrent batches would
-        # both pile onto the same momentarily-least-loaded shard.
-        self._route_lock = threading.Lock()
-        # Scale events (ring/shard-set mutation) take this on top of the
-        # route lock, and are further serialised against each other so
-        # only one spawn/retire sequence runs at a time.
-        self._scale_lock = threading.Lock()
+        # The router's event loop and the thread running it: from
+        # start() to close(), everything below is touched only there.
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._thread: Optional[threading.Thread] = None
+        # Orders synchronous calls against close(): a call reaches the
+        # loop before close() begins, or it sees the fleet closed.
+        self._gate = threading.Lock()
+        #: the front ends running on the loop; close() stops them
+        self._fronts: set[asyncio.Task] = set()
+        #: wire ids, unique across every shard connection
+        self._wire_ids = itertools.count(1)
+        #: a scale event is under way (they run one at a time)
+        self._scaling = False
         self._demand_ewma = 0.0
         self._scale_ups = 0
         self._scale_downs = 0
@@ -312,10 +339,18 @@ class FleetRouter:
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> "FleetRouter":
-        """Spawn every shard and wait until each accepts connections."""
+        """Start the router's event loop, then spawn every shard and
+        wait until each accepts connections."""
+        if self._closed:
+            raise ReproError("fleet is closed")
         if self._started:
             return self
         self._started = True
+        self._loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(
+            target=self._loop.run_forever, name="repro-fleet-router", daemon=True
+        )
+        self._thread.start()
         for shard in self._shards.values():
             self._spawn(shard)
         for shard in self._shards.values():
@@ -397,15 +432,19 @@ class FleetRouter:
             f"{self.spawn_timeout:.0f}s"
         )
 
-    def _respawn(self, shard: _Shard) -> None:
-        """Replace a dead shard in place (caller holds ``shard.lock``)."""
+    async def _respawn(self, shard: _Shard) -> None:
+        """Replace a dead shard in place (caller holds ``shard.io``)."""
         if self._closed:
             # A request racing close() must not resurrect a shard the
             # shutdown already stopped — that process would outlive the
             # router (orphan + /dev/shm residue). Its jobs become
             # explicit error records instead.
             raise ReproError("fleet is closed; not respawning shard")
-        shard.disconnect()
+        await shard.disconnect()
+        await asyncio.to_thread(self._restart, shard)
+        shard.respawns += 1
+
+    def _restart(self, shard: _Shard) -> None:
         if shard.proc is not None and shard.proc.poll() is None:
             # The process is alive but its transport broke; restart it
             # cleanly rather than leaving a wedged server behind.
@@ -417,31 +456,25 @@ class FleetRouter:
                 shard.proc.wait()
         self._spawn(shard)
         self._await_ready(shard)
-        shard.respawns += 1
 
     def close(self) -> None:
-        """Stop every shard through its dispatcher (graceful shutdown op
-        first, escalating to terminate/kill) and shut the dispatchers
-        down, then remove sockets, logs and — if the router created it —
-        the whole state directory. Idempotent."""
-        if self._closed:
-            return
-        self._closed = True
-        shards = list(self._shards.values())
-        if self._started:
-            # Each stop queues behind whatever its shard's dispatcher is
-            # running; the stops themselves run in parallel.
-            stops = []
-            for shard in shards:
-                try:
-                    stops.append(shard.dispatcher.submit(self._stop_shard, shard))
-                except RuntimeError:  # retired meanwhile; _scale_down stops it
-                    pass
-            for stop in stops:
-                stop.result()
-        for shard in shards:
-            shard.dispatcher.shutdown()
-        for shard in shards:
+        """Stop the front ends running on the router's loop, then every
+        shard once its in-flight group is answered (graceful shutdown op
+        first, escalating to terminate/kill); let the rounds that raced
+        the close finish, stop the loop and its thread, and remove
+        sockets, logs and — if the router created it — the whole state
+        directory. Idempotent."""
+        self._check_thread()
+        with self._gate:
+            if self._closed:
+                return
+            self._closed = True
+        if self._loop is not None:
+            asyncio.run_coroutine_threadsafe(self._aclose(), self._loop).result()
+            self._loop.call_soon_threadsafe(self._loop.stop)
+            self._thread.join()
+            self._loop.close()
+        for shard in self._shards.values():
             if os.path.exists(shard.socket_path):  # pragma: no cover - forced kill
                 try:
                     os.unlink(shard.socket_path)
@@ -450,32 +483,47 @@ class FleetRouter:
         if self._owns_state_dir:
             shutil.rmtree(self.state_dir, ignore_errors=True)
 
-    def _stop_shard(self, shard: _Shard) -> None:
-        with shard.lock:
-            shard.disconnect()
-            if shard.proc is None:
-                return
-            if shard.proc.poll() is None:
-                try:
-                    sock = _transport.connect(
-                        Address.unix(shard.socket_path), timeout=5.0
-                    )
-                    try:
-                        sock.sendall(encode_record({"op": "shutdown"}))
-                        sock.makefile("r").readline()
-                    finally:
-                        sock.close()
-                except OSError:  # pragma: no cover - already going down
-                    pass
-                try:
-                    shard.proc.wait(timeout=15.0)
-                except subprocess.TimeoutExpired:  # pragma: no cover - wedged
-                    shard.proc.terminate()
-                    try:
-                        shard.proc.wait(timeout=5.0)
-                    except subprocess.TimeoutExpired:
-                        shard.proc.kill()
-                        shard.proc.wait()
+    async def _aclose(self) -> None:
+        fronts = list(self._fronts)
+        for front in fronts:
+            front.cancel()
+        await asyncio.gather(*fronts, return_exceptions=True)
+        # Each stop queues behind its shard's in-flight group; the stops
+        # themselves run in parallel.
+        await asyncio.gather(*map(self._stop_shard, list(self._shards.values())))
+        # Rounds that raced the close find their shards stopped and end
+        # as error records; every caller waiting on one gets its answer.
+        others = asyncio.all_tasks() - {asyncio.current_task()}
+        await asyncio.gather(*others, return_exceptions=True)
+        await asyncio.get_running_loop().shutdown_default_executor()
+
+    async def _stop_shard(self, shard: _Shard) -> None:
+        async with shard.io:
+            await shard.disconnect()
+            await asyncio.to_thread(self._stop_process, shard)
+
+    def _stop_process(self, shard: _Shard) -> None:
+        if shard.proc is None or shard.proc.poll() is not None:
+            return
+        try:
+            sock = _transport.connect(Address.unix(shard.socket_path), timeout=5.0)
+            try:
+                sock.sendall(encode_record({"op": "shutdown"}))
+                with sock.makefile("r") as answer:
+                    answer.readline()
+            finally:
+                sock.close()
+        except OSError:  # pragma: no cover - already going down
+            pass
+        try:
+            shard.proc.wait(timeout=15.0)
+        except subprocess.TimeoutExpired:  # pragma: no cover - wedged
+            shard.proc.terminate()
+            try:
+                shard.proc.wait(timeout=5.0)
+            except subprocess.TimeoutExpired:
+                shard.proc.kill()
+                shard.proc.wait()
 
     def __enter__(self) -> "FleetRouter":
         return self.start()
@@ -483,45 +531,30 @@ class FleetRouter:
     def __exit__(self, *exc: object) -> None:
         self.close()
 
-    # -- routing -------------------------------------------------------------
+    # -- the synchronous facade ------------------------------------------------
 
-    def _route_key(self, body: dict) -> bytes:
-        return route_key_from_spec(
-            {k: v for k, v in body.items() if k != "id"},
-            default_method=self.default_method,
-        )
+    def _check_thread(self) -> None:
+        if self._thread is not None and threading.current_thread() is self._thread:
+            raise ReproError(
+                "a synchronous FleetRouter call on the router's own event "
+                "loop would deadlock; await the router's coroutine instead"
+            )
+
+    def _call(self, coro_fn: Callable, *args: Any) -> Any:
+        """Run ``coro_fn(*args)`` on the router's loop and wait for it."""
+        self.start()
+        self._check_thread()
+        with self._gate:
+            if self._closed:
+                raise ReproError("fleet is closed")
+            future = asyncio.run_coroutine_threadsafe(coro_fn(*args), self._loop)
+        return future.result()
 
     def route(self, spec: dict) -> int:
         """The shard index of a spec's *ring owner* — the pure consistent-
         hash placement, independent of load and free of load-gauge side
         effects (so clients and tests can predict it)."""
-        return self.ring.route(self._route_key(spec))
-
-    def _route_spec(self, body: dict) -> tuple[int, str]:
-        """One load-aware placement: ask the policy, then immediately
-        account for it (``assigned`` forever, ``inflight`` until the
-        record lands) so the next placement — same batch or a concurrent
-        one — sees this request's weight. Returns ``(shard, tag)``. A
-        dead shard may be chosen: :meth:`_dispatch_to_shard` respawns
-        it before sending."""
-        key = self._route_key(body)
-        with self._route_lock:
-            sid, tag = self._policy.choose(key, self.ring, self._loads)
-            load = self._loads.get(sid)
-            if load is not None:
-                load.assigned += 1
-                load.inflight += 1
-            self._route_tags[tag] = self._route_tags.get(tag, 0) + 1
-        return sid, tag
-
-    def _finish_job(self, job: _Job) -> None:
-        """Release a routed job's live-load claim (exactly once)."""
-        with self._route_lock:
-            load = self._loads.get(job.shard)
-            if load is not None and load.inflight > 0:
-                load.inflight -= 1
-
-    # -- requests ------------------------------------------------------------
+        return self._call(self._ring_owner, spec)
 
     def request(self, spec: dict) -> dict:
         """Route and answer one spec; always returns a record."""
@@ -532,17 +565,69 @@ class FleetRouter:
         submission order. Specs bound for the same shard go out in one
         write on that shard's connection (so, when they arrive in one
         read, its scheduler takes up to ``max_batch`` of them as one
-        batch); different shards run concurrently — the calling
-        thread drives one shard's group itself and every other group
-        runs on its shard's dispatcher, so a round bound for one shard
-        crosses no thread. Shard deaths are healed as described in the
+        batch); the groups of different shards run concurrently on the
+        router's loop. Shard deaths are healed as described in the
         module docstring — the returned list never has holes.
         """
+        return self._call(self._request_many, list(specs))
+
+    def shard_pids(self) -> list[Optional[int]]:
+        return self._call(self._shard_pids)
+
+    def inflight(self) -> dict[int, int]:
+        """Accepted-but-unanswered requests per shard index, read from
+        the router's own load gauges — unlike :meth:`status`, without
+        waiting for a shard that is busy answering a batch."""
+        return self._call(self._inflight)
+
+    def status(self) -> dict:
+        """Aggregate health: per-shard status records (or ``alive:
+        False`` for unreachable shards) plus fleet-wide sums — total
+        requests, combined cache counters and hit rate, respawns, and
+        the router's own dispatch accounting. ``router.cpu_s`` is this
+        process's CPU time; ``totals.cpu_s`` adds every reachable
+        shard's ``cpu_s`` to it."""
+        return self._call(self._status)
+
+    # -- routing -------------------------------------------------------------
+
+    def _route_key(self, body: dict) -> bytes:
+        return route_key_from_spec(body, default_method=self.default_method)
+
+    async def _ring_owner(self, spec: dict) -> int:
+        body = {k: v for k, v in spec.items() if k != "id"}
+        return self.ring.route(self._route_key(body))
+
+    def _route_spec(self, body: dict) -> tuple[int, str]:
+        """One load-aware placement: ask the policy, then immediately
+        account for it (``assigned`` forever, ``inflight`` until the
+        record lands) so the next placement — same batch or a concurrent
+        one — sees this request's weight. Returns ``(shard, tag)``. A
+        dead shard may be chosen: :meth:`_dispatch_to_shard` respawns
+        it before sending."""
+        key = self._route_key(body)
+        sid, tag = self._policy.choose(key, self.ring, self._loads)
+        load = self._loads.get(sid)
+        if load is not None:
+            load.assigned += 1
+            load.inflight += 1
+        self._route_tags[tag] = self._route_tags.get(tag, 0) + 1
+        return sid, tag
+
+    def _finish_job(self, job: _Job) -> None:
+        """Release a routed job's live-load claim (exactly once)."""
+        load = self._loads.get(job.shard)
+        if load is not None and load.inflight > 0:
+            load.inflight -= 1
+
+    # -- requests ------------------------------------------------------------
+
+    async def _request_many(self, specs: Sequence[dict]) -> list[dict]:
+        """The one dispatch path: :meth:`request_many` and the front
+        end's rounds both await this on the router's loop."""
         if self._closed:
             raise ReproError("fleet is closed")
-        if not self._started:
-            self.start()
-        self._maybe_scale(len(specs))
+        await self._maybe_scale(len(specs))
         jobs = []
         for index, spec in enumerate(specs):
             body = {k: v for k, v in spec.items() if k != "id"}
@@ -555,10 +640,9 @@ class FleetRouter:
                 route=tag,
             )
             jobs.append(job)
-        with self._stats_lock:
-            self._requests += len(jobs)
+        self._requests += len(jobs)
 
-        pending = list(jobs)
+        pending = jobs
         # Two passes suffice: requests a dead shard absorbed are
         # re-dispatched once to its respawn; a second death converts
         # them to error records rather than a third dispatch. Requests
@@ -571,10 +655,9 @@ class FleetRouter:
             for job in pending:
                 by_shard.setdefault(job.shard, []).append(job)
             pending = []
-            for job in self._run_round(by_shard):
+            for job in await self._run_round(by_shard):
                 if job.dispatches >= _MAX_DISPATCHES:
-                    with self._stats_lock:
-                        self._gave_up += 1
+                    self._gave_up += 1
                     job.record = {
                         "id": job.client_id,
                         "ok": False,
@@ -590,8 +673,7 @@ class FleetRouter:
                 else:
                     pending.append(job)
         for job in pending:  # pragma: no cover - exhausted retry margin
-            with self._stats_lock:
-                self._gave_up += 1
+            self._gave_up += 1
             job.record = {
                 "id": job.client_id,
                 "ok": False,
@@ -602,52 +684,35 @@ class FleetRouter:
             self._finish_job(job)
         return [job.record for job in jobs]
 
-    def _run_round(self, by_shard: dict[int, list[_Job]]) -> list[_Job]:
+    async def _run_round(self, by_shard: dict[int, list[_Job]]) -> list[_Job]:
         """Dispatch one round's per-shard groups; returns the jobs left
-        unanswered.
-
-        The calling thread drives the lowest-index shard's group and
-        every other group goes to its shard's dispatcher. A dispatcher
-        only ever queues behind its own shard, whose lock serialises
-        that work anyway; in a shared pool, every worker could sit
-        blocked on one busy shard while an idle shard's group waited.
-        """
-        (sid, jobs), *others = sorted(by_shard.items())
-        futures = []
+        unanswered. A one-shard round awaits its group directly; a
+        round over several shards gathers its groups and returns only
+        after every one of them has finished writing into its jobs."""
+        groups = [(self._shards[sid], jobs) for sid, jobs in by_shard.items()]
+        if len(groups) == 1:
+            return await self._dispatch_to_shard(*groups[0])
+        outcomes = await asyncio.gather(
+            *(self._dispatch_to_shard(shard, jobs) for shard, jobs in groups),
+            return_exceptions=True,
+        )
         unanswered: list[_Job] = []
-        for other, group in others:
-            shard = self._shards[other]
-            try:
-                futures.append(
-                    shard.dispatcher.submit(self._dispatch_to_shard, shard, group)
-                )
-            except RuntimeError:
-                # close() shut the dispatcher down: nothing was sent, so
-                # the jobs stay pending and end as error records.
-                unanswered += group
-        try:
-            unanswered += self._dispatch_to_shard(self._shards[sid], jobs)
-        finally:
-            # Read every future even when the inline group raised: a
-            # round never returns while a dispatcher still writes into
-            # its jobs.
-            errors = [future.exception() for future in futures]
-        for future, error in zip(futures, errors):
-            if error is not None:
-                raise error
-            unanswered += future.result()
+        for outcome in outcomes:
+            if isinstance(outcome, BaseException):
+                raise outcome
+            unanswered += outcome
         return unanswered
 
-    def _dispatch_to_shard(self, shard: _Shard, jobs: list[_Job]) -> list[_Job]:
+    async def _dispatch_to_shard(self, shard: _Shard, jobs: list[_Job]) -> list[_Job]:
         """Send ``jobs`` to one shard in one write and read their
         answers; returns the jobs left unanswered (transport failure).
         Answered jobs get their record attached, with the caller's
         ``id`` restored."""
-        with shard.lock:
+        async with shard.io:
             try:
                 if not shard.alive():
-                    self._respawn(shard)
-                shard.connect(self.request_timeout)
+                    await self._respawn(shard)
+                await shard.connect()
             except (OSError, ReproError):
                 # Couldn't even reach the shard: nothing was dispatched,
                 # so no re-dispatch budget is consumed. The outer loop's
@@ -660,8 +725,7 @@ class FleetRouter:
             lines: list[bytes] = []
             try:
                 for job in jobs:
-                    shard.next_id += 1
-                    wire_id = shard.next_id
+                    wire_id = next(self._wire_ids)
                     msg = dict(job.spec)
                     msg["id"] = wire_id
                     line = encode_record(msg)
@@ -670,8 +734,7 @@ class FleetRouter:
                         # Counted at the actual re-send (not at requeue
                         # time): a round whose respawn failed requeues
                         # the job without it ever leaving the router.
-                        with self._stats_lock:
-                            self._redispatched += 1
+                        self._redispatched += 1
                     if len(line) - 1 > MAX_LINE_BYTES:
                         # A spec the front end accepted can grow past
                         # the shards' limit when re-encoded; the shard
@@ -690,9 +753,9 @@ class FleetRouter:
                         continue
                     in_flight[wire_id] = job
                     lines.append(line)
-                shard.send(lines)
+                await shard.send(lines)
                 while in_flight:
-                    record = shard.recv()
+                    record = await shard.recv(self.request_timeout)
                     job = in_flight.pop(record.get("id"), None)
                     if job is None:
                         # A response for a request from a previous
@@ -708,13 +771,13 @@ class FleetRouter:
                     job.record = record
                     self._finish_job(job)
                 return []
-            except (OSError, ValueError, ReproError, KeyError):
-                shard.disconnect()
+            except (OSError, ValueError, ReproError, KeyError, asyncio.TimeoutError):
+                await shard.disconnect()
                 return [job for job in jobs if job.record is None]
 
     # -- dynamic scaling -------------------------------------------------------
 
-    def _maybe_scale(self, incoming: int) -> None:
+    async def _maybe_scale(self, incoming: int) -> None:
         """Grow or shrink the shard set *between batches*.
 
         The demand signal is the per-shard work the arriving batch
@@ -725,26 +788,32 @@ class FleetRouter:
         *and* an idle shard to retire — a shard holding accepted
         requests is never touched, which (with the at-most-once
         re-dispatch machinery) is why no accepted request is ever
-        dropped across a scale cycle.
+        dropped across a scale cycle. Scale events run one at a time:
+        a round that arrives while one is under way updates the demand
+        signal and goes on without waiting for it.
         """
         if self.min_shards == self.max_shards:
             return
-        with self._scale_lock:
-            with self._route_lock:
-                width = len(self._shards)
-                inflight = sum(load.inflight for load in self._loads.values())
-            demand = (incoming + inflight) / max(width, 1)
-            self._demand_ewma += _SCALE_ALPHA * (demand - self._demand_ewma)
-            if self._demand_ewma > self.scale_up_depth and width < self.max_shards:
-                self._scale_up()
-            elif (
-                self._demand_ewma < self.scale_down_depth
-                and width > self.min_shards
-            ):
-                self._scale_down()
+        width = len(self._shards)
+        inflight = sum(load.inflight for load in self._loads.values())
+        demand = (incoming + inflight) / max(width, 1)
+        self._demand_ewma += _SCALE_ALPHA * (demand - self._demand_ewma)
+        if self._scaling:
+            return
+        if self._demand_ewma > self.scale_up_depth and width < self.max_shards:
+            event = self._scale_up
+        elif self._demand_ewma < self.scale_down_depth and width > self.min_shards:
+            event = self._scale_down
+        else:
+            return
+        self._scaling = True
+        try:
+            await event()
+        finally:
+            self._scaling = False
 
-    def _scale_up(self) -> None:
-        """Add one shard (caller holds ``_scale_lock``).
+    async def _scale_up(self) -> None:
+        """Add one shard.
 
         The smallest free index is reused, so a previously retired
         shard respawns **on the same socket path** and — because ring
@@ -759,44 +828,45 @@ class FleetRouter:
         while sid in self._shards:
             sid += 1
         shard = _Shard(sid, str(self.state_dir / f"shard-{sid}.sock"))
-        self._spawn(shard)
-        self._await_ready(shard)
-        with self._route_lock:
-            mean_assigned = int(
-                sum(load.assigned for load in self._loads.values())
-                / max(len(self._loads), 1)
-            )
-            self._shards[sid] = shard
-            self._loads[sid] = ShardLoad(assigned=mean_assigned)
-            self.ring.add_shard(sid)
-            self._scale_ups += 1
+        await asyncio.to_thread(self._restart, shard)
+        if self._closed:
+            # close() stopped the shards it knew of while this one was
+            # spawning; stop it too rather than leave an orphan.
+            await self._stop_shard(shard)
+            return
+        mean_assigned = int(
+            sum(load.assigned for load in self._loads.values())
+            / max(len(self._loads), 1)
+        )
+        self._shards[sid] = shard
+        self._loads[sid] = ShardLoad(assigned=mean_assigned)
+        self.ring.add_shard(sid)
+        self._scale_ups += 1
 
-    def _scale_down(self) -> None:
-        """Retire one idle shard (caller holds ``_scale_lock``).
+    async def _scale_down(self) -> None:
+        """Retire one idle shard.
 
         Only a shard with **zero** in-flight requests is eligible —
-        checked under the route lock in the same critical section that
-        removes it from the ring, so a concurrent placement either
-        lands before (and blocks the retirement) or after (and cannot
-        choose the retired shard). Its keyspace hands off to the ring
-        successors; duplicates of its hot keys re-materialise from the
-        shared L2 rather than re-solving.
+        checked with no ``await`` between the check and its removal
+        from the ring, so a placement either lands before (and blocks
+        the retirement) or after (and cannot choose the retired shard).
+        Its keyspace hands off to the ring successors; duplicates of its
+        hot keys re-materialise from the shared L2 rather than
+        re-solving.
         """
         victim: Optional[_Shard] = None
-        with self._route_lock:
-            for sid in sorted(self._shards, reverse=True):
-                if len(self._shards) <= self.min_shards:
-                    break
-                if self._loads[sid].inflight == 0:
-                    victim = self._shards.pop(sid)
-                    self._loads.pop(sid)
-                    self.ring.remove_shard(sid)
-                    self._retired_respawns += victim.respawns
-                    self._scale_downs += 1
-                    break
+        for sid in sorted(self._shards, reverse=True):
+            if len(self._shards) <= self.min_shards:
+                break
+            if self._loads[sid].inflight == 0:
+                victim = self._shards.pop(sid)
+                self._loads.pop(sid)
+                self.ring.remove_shard(sid)
+                self._retired_respawns += victim.respawns
+                self._scale_downs += 1
+                break
         if victim is not None:
-            self._stop_shard(victim)
-            victim.dispatcher.shutdown()
+            await self._stop_shard(victim)
             if os.path.exists(victim.socket_path):  # pragma: no cover - forced kill
                 try:
                     os.unlink(victim.socket_path)
@@ -805,23 +875,13 @@ class FleetRouter:
 
     # -- introspection -------------------------------------------------------
 
-    def shard_pids(self) -> list[Optional[int]]:
+    async def _shard_pids(self) -> list[Optional[int]]:
         return [shard.pid() for _, shard in sorted(self._shards.items())]
 
-    def inflight(self) -> dict[int, int]:
-        """Accepted-but-unanswered requests per shard index, read from
-        the router's own load gauges — unlike :meth:`status`, without
-        waiting for a shard that is busy answering a batch."""
-        with self._route_lock:
-            return {sid: load.inflight for sid, load in self._loads.items()}
+    async def _inflight(self) -> dict[int, int]:
+        return {sid: load.inflight for sid, load in self._loads.items()}
 
-    def status(self) -> dict:
-        """Aggregate health: per-shard status records (or ``alive:
-        False`` for unreachable shards) plus fleet-wide sums — total
-        requests, combined cache counters and hit rate, respawns, and
-        the router's own dispatch accounting. ``router.cpu_s`` is this
-        process's CPU time; ``totals.cpu_s`` adds every reachable
-        shard's ``cpu_s`` to it."""
+    async def _status(self) -> dict:
         shard_records = []
         totals = {
             "requests": 0,
@@ -835,15 +895,13 @@ class FleetRouter:
             "cpu_s": 0.0,
         }
         alive = 0
-        with self._route_lock:
-            members = sorted(self._shards.items())
-        for sid, shard in members:
+        for sid, shard in sorted(self._shards.items()):
             record: dict[str, Any] = {
                 "shard": shard.index,
                 "pid": shard.pid(),
                 "respawns": shard.respawns,
             }
-            status = self._shard_status(shard)
+            status = await self._shard_status(shard)
             if status is None:
                 record["alive"] = False
             else:
@@ -860,22 +918,20 @@ class FleetRouter:
                 totals["delta_hits"] += scheduler.get("delta_hits", 0)
                 totals["queue_depth"] += scheduler.get("queue_depth", 0)
                 totals["cpu_s"] += status.get("cpu_s", 0.0)
-            with self._route_lock:
-                load = self._loads.get(sid)
-                if load is not None:
-                    if status is not None:
-                        # Fold the shard scheduler's own backlog gauge
-                        # into the EWMA the routing policy reads.
-                        load.observe_queue(
-                            (status.get("scheduler") or {}).get("queue_depth", 0)
-                        )
-                    record["load"] = load.snapshot()
-                    totals["queue_depth_ewma"] += load.queue_ewma
+            # Read after the await: the shard may have retired meanwhile.
+            load = self._loads.get(sid)
+            if load is not None:
+                if status is not None:
+                    # Fold the shard scheduler's own backlog gauge
+                    # into the EWMA the routing policy reads.
+                    load.observe_queue(
+                        (status.get("scheduler") or {}).get("queue_depth", 0)
+                    )
+                record["load"] = load.snapshot()
+                totals["queue_depth_ewma"] += load.queue_ewma
             shard_records.append(record)
         totals["queue_depth_ewma"] = round(totals["queue_depth_ewma"], 3)
         lookups = totals["cache_hits"] + totals["cache_misses"]
-        with self._route_lock:
-            route_tags = dict(sorted(self._route_tags.items()))
         cpu_s = round(time.process_time(), 6)
         totals["cpu_s"] = round(totals["cpu_s"] + cpu_s, 6)
         return {
@@ -900,7 +956,7 @@ class FleetRouter:
                 "scale_ups": self._scale_ups,
                 "scale_downs": self._scale_downs,
                 "demand_ewma": round(self._demand_ewma, 3),
-                "route_tags": route_tags,
+                "route_tags": dict(sorted(self._route_tags.items())),
                 "cpu_s": cpu_s,
             },
             "totals": {
@@ -912,27 +968,27 @@ class FleetRouter:
             "per_shard": shard_records,
         }
 
-    def _shard_status(self, shard: _Shard) -> Optional[dict]:
-        with shard.lock:
+    async def _shard_status(self, shard: _Shard) -> Optional[dict]:
+        async with shard.io:
             if not shard.alive():
                 return None
             try:
-                shard.connect(self.request_timeout)
-                shard.send([encode_record({"op": "status"})])
+                await shard.connect()
+                await shard.send([encode_record({"op": "status"})])
                 while True:
-                    record = shard.recv()
+                    record = await shard.recv(self.request_timeout)
                     if "status" in record:
                         return record["status"]
-            except (OSError, ValueError, ReproError):
-                shard.disconnect()
+            except (OSError, ValueError, ReproError, asyncio.TimeoutError):
+                await shard.disconnect()
                 return None
 
 
 class _ConnBatcher:
     """Per-connection dispatcher for :func:`serve_fleet`: spec lines
     that arrive while a round is in flight accumulate, and each round
-    ships the whole accumulation through
-    :meth:`FleetRouter.request_many` — so pipelined lines keep their
+    ships the whole accumulation through the router's dispatch
+    coroutine on the router's own loop — so pipelined lines keep their
     per-shard pipelining (and the shards' schedulers keep coalescing)
     through the front end, instead of degrading to one blocking
     round-trip per line."""
@@ -960,17 +1016,13 @@ class _ConnBatcher:
         try:
             while self._pending:
                 batch, self._pending = self._pending, []
-                bodies = [
-                    {k: v for k, v in msg.items() if k != "id"} for msg, _ in batch
-                ]
                 try:
-                    records = await asyncio.to_thread(
-                        self._router.request_many, bodies
+                    records = await self._router._request_many(
+                        [msg for msg, _ in batch]
                     )
                 except Exception as exc:  # noqa: BLE001 - errors go on the wire
-                    records = [
-                        {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-                    ] * len(batch)
+                    error = f"{type(exc).__name__}: {exc}"
+                    records = [{"ok": False, "error": error} for _ in batch]
                 for (msg, respond), record in zip(batch, records):
                     record["id"] = msg.get("id")
                     await respond(record)
@@ -1005,24 +1057,75 @@ async def serve_fleet(
     (:class:`_ConnBatcher`), so shards still see concurrent streams
     they can coalesce.
 
+    The connection loop runs on the router's own event loop (started
+    here when the router was not), so a round is routed, written and
+    answered without leaving it; the caller's loop awaits its outcome.
+    ``ready`` and ``on_bound`` fire on the caller's loop. Every exit —
+    a shutdown op, ``max_requests``, the caller's cancellation, a
+    failing notification, or :meth:`FleetRouter.close` while the front
+    end runs (which raises :class:`~repro.errors.ReproError` here) —
+    closes the listener and unlinks a unix socket before this returns.
+
     Returns the number of spec requests served. The router itself is
     closed by the caller, not here — a front end is just one view onto
     the fleet.
     """
+    if router._loop is None:
+        await asyncio.to_thread(router.start)
+    caller = asyncio.get_running_loop()
+    bound: asyncio.Future = caller.create_future()
+    outcome: concurrent.futures.Future = concurrent.futures.Future()
+    front: list[asyncio.Task] = []
 
-    async def _status() -> dict:
-        return await asyncio.to_thread(router.status)
+    def _bind(at: Address) -> None:  # on the router's loop
+        caller.call_soon_threadsafe(lambda: bound.done() or bound.set_result(at))
 
-    return await serve_jsonl(
-        address,
-        make_dispatcher=lambda: _ConnBatcher(router),
-        status_fn=_status,
-        banner=lambda bound: (
-            f"repro fleet: {len(router.shard_pids())} shards behind "
-            f"{bound.describe()}"
-        ),
-        max_requests=max_requests,
-        ready=ready,
-        on_bound=on_bound,
-        quiet=quiet,
-    )
+    def _settle(task: asyncio.Task) -> None:  # on the router's loop
+        router._fronts.discard(task)
+        if task.cancelled():
+            outcome.set_exception(ReproError("fleet is closed"))
+        elif task.exception() is not None:
+            outcome.set_exception(task.exception())
+        else:
+            outcome.set_result(task.result())
+
+    def _begin() -> None:  # on the router's loop
+        task = asyncio.ensure_future(
+            serve_jsonl(
+                address,
+                make_dispatcher=lambda: _ConnBatcher(router),
+                status_fn=router._status,
+                banner=lambda at: (
+                    f"repro fleet: {len(router._shards)} shards behind "
+                    f"{at.describe()}"
+                ),
+                max_requests=max_requests,
+                on_bound=_bind,
+                quiet=quiet,
+            )
+        )
+        front.append(task)
+        router._fronts.add(task)
+        task.add_done_callback(_settle)
+
+    with router._gate:
+        if router._closed:
+            raise ReproError("fleet is closed")
+        router._loop.call_soon_threadsafe(_begin)
+    finished = asyncio.wrap_future(outcome)
+    try:
+        await asyncio.wait((bound, finished), return_when=asyncio.FIRST_COMPLETED)
+        if bound.done():
+            if on_bound is not None:
+                on_bound(bound.result())
+            if ready is not None:
+                ready.set()
+        return await asyncio.shield(finished)
+    finally:
+        if not finished.done():
+            # The caller is leaving early: stop the front end and wait
+            # until its listener is closed and its socket unlinked.
+            router._loop.call_soon_threadsafe(lambda: [t.cancel() for t in front])
+            await asyncio.wait((finished,))
+        if finished.done() and not finished.cancelled():
+            finished.exception()  # retrieved: the caller has its own outcome

@@ -164,6 +164,7 @@ while True:
         finally:
             proc.kill()
             proc.wait()
+            proc.stdout.close()
         reader = L2DiskCache(tmp_path)
         served = 0
         for path in sorted(tmp_path.glob("*.npz")):

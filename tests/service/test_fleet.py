@@ -22,20 +22,18 @@ from repro.core import solve
 from repro.errors import ReproError
 from repro.problems import MatrixChainProblem
 from repro.problems.specs import batch_item_from_spec, route_key_from_spec
-from repro.service.fleet import FleetRouter, HashRing
+from repro.service import ServiceClient
+from repro.service.fleet import FleetRouter, HashRing, serve_fleet
+from repro.service.transport import Address
 
 FLEET_KWARGS = dict(backend="serial", method="sequential")
 
-#: the name prefix of every shard dispatcher thread
-DISPATCHER = "repro-fleet-shard-"
+#: the name of the thread running a router's event loop
+ROUTER_THREAD = "repro-fleet-router"
 
 
-def dispatcher_threads(prefix: str = DISPATCHER, exclude=()) -> list:
-    return [
-        t
-        for t in threading.enumerate()
-        if t.name.startswith(prefix) and t not in exclude
-    ]
+def router_threads() -> list:
+    return [t for t in threading.enumerate() if t.name == ROUTER_THREAD]
 
 
 def specs_on(router: FleetRouter, shard: int, count: int, n: int = 8) -> list:
@@ -63,26 +61,27 @@ def kill_while_busy(router: FleetRouter, shard: int, timeout: float = 60.0) -> b
     return busy
 
 
-class CountingSocket:
-    """A shard socket that counts its writes."""
+class CountingWriter:
+    """A shard connection's writer that counts its writes."""
 
-    def __init__(self, sock):
-        self._sock = sock
+    def __init__(self, writer):
+        self._writer = writer
         self.writes = 0
 
-    def sendall(self, data):
+    def write(self, data):
         self.writes += 1
-        return self._sock.sendall(data)
+        return self._writer.write(data)
 
     def __getattr__(self, name):
-        return getattr(self._sock, name)
+        return getattr(self._writer, name)
 
 
-def count_writes(router: FleetRouter, shard: int, monkeypatch) -> CountingSocket:
-    """Connect ``shard`` and count the writes on its socket from now on."""
+def count_writes(router: FleetRouter, shard: int) -> CountingWriter:
+    """Connect ``shard`` and count the writes on its connection from now
+    on (the wrapper stays on that connection; it only counts)."""
     assert router.request_many(specs_on(router, shard, 1))[0]["ok"]
-    counter = CountingSocket(router._shards[shard]._sock)
-    monkeypatch.setattr(router._shards[shard], "_sock", counter)
+    counter = CountingWriter(router._shards[shard]._writer)
+    router._shards[shard]._writer = counter
     return counter
 
 
@@ -258,22 +257,20 @@ class TestGroupWrites:
     """Each shard's group of a round goes out in one write, so the
     shard's scheduler takes the whole group as one batch."""
 
-    def test_a_shard_group_is_one_write(self, fleet, monkeypatch):
-        counter = count_writes(fleet, 0, monkeypatch)
+    def test_a_shard_group_is_one_write(self, fleet):
+        counter = count_writes(fleet, 0)
         records = fleet.request_many(specs_on(fleet, 0, 6, n=11))
         assert all(r["ok"] for r in records)
         assert counter.writes == 1
 
-    def test_over_limit_spec_is_refused_and_its_siblings_answered(
-        self, fleet, monkeypatch
-    ):
+    def test_over_limit_spec_is_refused_and_its_siblings_answered(self, fleet):
         big = next(
             spec
             for spec in ({"dims": [1] * 30000 + [k]} for k in range(2, 200))
             if fleet.route(spec) == 0
         )
         small = specs_on(fleet, 0, 2, n=12)
-        counter = count_writes(fleet, 0, monkeypatch)
+        counter = count_writes(fleet, 0)
         records = fleet.request_many([small[0], big, small[1]])
         assert not records[1]["ok"]
         assert records[1]["error"].startswith("request too large")
@@ -302,12 +299,13 @@ class TestGroupWrites:
 
 
 class TestDispatchers:
-    """Each shard's one long-lived dispatcher thread, and the caller
-    driving one shard group of every round itself."""
+    """Rounds on the router's one event loop: the synchronous facade
+    starts no thread per round, concurrent callers interleave on the
+    loop, and rounds racing close() still get their records."""
 
     def test_rounds_start_no_thread(self, fleet, monkeypatch):
         pair = specs_on(fleet, 0, 1) + specs_on(fleet, 1, 1)
-        fleet.request_many(pair)  # warm-up: starts the dispatcher it needs
+        fleet.request_many(pair)  # warm-up: opens both shard connections
         started = []
         original = threading.Thread.start
 
@@ -368,16 +366,25 @@ class TestDispatchers:
 
     def test_round_overtaken_by_close_gets_error_records(self, monkeypatch):
         """close() lands after a round's entry check and before its
-        dispatch: the round finds every dispatcher shut down and still
-        returns one record per spec, an error for each."""
+        dispatch: the round finds every shard stopped and still returns
+        one record per spec, an error for each."""
         router = FleetRouter(2, **FLEET_KWARGS).start()
         batch = specs_on(router, 0, 1) + specs_on(router, 1, 1)
-        monkeypatch.setattr(router, "_maybe_scale", lambda incoming: router.close())
+        closing = threading.Thread(target=router.close)
+
+        async def close_first(incoming):
+            closing.start()
+            while any(shard.alive() for shard in router._shards.values()):
+                await asyncio.sleep(0.01)
+
+        monkeypatch.setattr(router, "_maybe_scale", close_first)
         records = router.request_many(batch)
+        closing.join(timeout=60.0)
+        assert not closing.is_alive()
         assert [r["ok"] for r in records] == [False, False]
 
     def test_rounds_racing_close_get_records_and_threads_stop(self):
-        before = dispatcher_threads()
+        before = router_threads()
         router = FleetRouter(2, **FLEET_KWARGS).start()
         batch = specs_on(router, 0, 2) + specs_on(router, 1, 2)
         outcomes: list = []
@@ -410,7 +417,180 @@ class TestDispatchers:
         for records in rounds:
             assert len(records) == len(batch)
             assert all(r["ok"] or r["error"] for r in records)
-        assert dispatcher_threads(exclude=before) == []
+        assert [t for t in router_threads() if t not in before] == []
+        assert all(shard._writer is None for shard in router._shards.values())
+
+
+class TestRouterLoop:
+    """The router's own event loop: wire ids unique across shards, a
+    facade that refuses to block its own loop, and a stalled shard
+    timed out per read."""
+
+    def test_one_round_over_both_shards_uses_distinct_wire_ids(self, monkeypatch):
+        from repro.service import fleet as fleet_module
+
+        sent = []
+        encode = fleet_module.encode_record
+
+        def recording(record):
+            sent.append(record.get("id"))
+            return encode(record)
+
+        with FleetRouter(2, **FLEET_KWARGS) as router:
+            batch = specs_on(router, 0, 2) + specs_on(router, 1, 2)
+            monkeypatch.setattr(fleet_module, "encode_record", recording)
+            records = router.request_many(batch)
+            wire_ids = list(sent)
+        assert all(r["ok"] for r in records)
+        assert len(wire_ids) == len(batch)
+        assert len(set(wire_ids)) == len(wire_ids), f"wire ids repeat: {wire_ids}"
+
+    def test_sync_calls_on_the_loop_thread_raise(self, fleet):
+        calls = {
+            "request": lambda: fleet.request({"dims": [3, 7, 2]}),
+            "request_many": lambda: fleet.request_many([{"dims": [3, 7, 2]}]),
+            "status": fleet.status,
+            "inflight": fleet.inflight,
+            "shard_pids": fleet.shard_pids,
+            "route": lambda: fleet.route({"dims": [3, 7, 2]}),
+            "close": fleet.close,
+        }
+
+        async def on_loop():
+            errors = {}
+            for name, call in calls.items():
+                try:
+                    call()
+                except ReproError as exc:
+                    errors[name] = str(exc)
+            return errors
+
+        errors = asyncio.run_coroutine_threadsafe(on_loop(), fleet._loop).result(30)
+        assert sorted(errors) == sorted(calls)
+        assert all("deadlock" in text for text in errors.values())
+        assert fleet.request({"dims": [3, 7, 2]})["value"] == 42.0
+
+    def test_stopped_shard_times_out_per_read_and_gives_up(self):
+        """A SIGSTOPped shard answers nothing: each of its requests is
+        re-dispatched once after one ``request_timeout`` and given up
+        after the second, while the other shard's requests are
+        answered, and the round ends in about two timeouts."""
+        with FleetRouter(2, **FLEET_KWARGS, request_timeout=1.0) as router:
+            stalled, live = specs_on(router, 0, 2), specs_on(router, 1, 2)
+            pid = router.shard_pids()[0]
+            os.kill(pid, signal.SIGSTOP)
+            try:
+                t0 = time.monotonic()
+                records = router.request_many(stalled + live)
+                elapsed = time.monotonic() - t0
+            finally:
+                os.kill(pid, signal.SIGCONT)
+            assert [r["ok"] for r in records] == [False, False, True, True]
+            assert all("giving up" in r["error"] for r in records[:2])
+            assert all(r["shard"] == 0 for r in records[:2])
+            assert 1.9 <= elapsed < 10.0
+            router_status = router.status()["router"]
+            assert router_status["redispatched"] == 2
+            assert router_status["gave_up"] == 2
+            assert router.inflight() == {0: 0, 1: 0}
+
+
+class TestServedFront:
+    """serve_fleet on the router's loop: served rounds never leave it,
+    and every exit closes the listener and unlinks the socket."""
+
+    @staticmethod
+    def _serve(router, path, **kwargs):
+        outcome: dict = {}
+
+        def _run():
+            try:
+                outcome["served"] = asyncio.run(
+                    serve_fleet(router, Address.unix(path), **kwargs)
+                )
+            except BaseException as exc:  # noqa: BLE001 - checked by the test
+                outcome["error"] = exc
+
+        thread = threading.Thread(target=_run)
+        thread.start()
+        deadline = time.monotonic() + 10.0
+        while not os.path.exists(path):
+            assert time.monotonic() < deadline, "front end did not come up"
+            time.sleep(0.01)
+        return thread, outcome
+
+    def test_served_hit_rounds_leave_the_loop_for_no_thread(
+        self, fleet, tmp_path, monkeypatch
+    ):
+        path = str(tmp_path / "front.sock")
+        thread, outcome = self._serve(fleet, path)
+        pair = specs_on(fleet, 0, 1) + specs_on(fleet, 1, 1)
+        hops, started = [], []
+        with ServiceClient(path) as client:
+            assert all(r["ok"] for r in client.request_many(pair))  # warm-up
+            original_start = threading.Thread.start
+            original_executor = asyncio.BaseEventLoop.run_in_executor
+            original_to_thread = asyncio.to_thread
+
+            def counting_start(thread):
+                started.append(thread.name)
+                return original_start(thread)
+
+            def counting_executor(loop, *args):
+                hops.append("run_in_executor")
+                return original_executor(loop, *args)
+
+            def counting_to_thread(*args, **kwargs):
+                hops.append("to_thread")
+                return original_to_thread(*args, **kwargs)
+
+            monkeypatch.setattr(threading.Thread, "start", counting_start)
+            monkeypatch.setattr(
+                asyncio.BaseEventLoop, "run_in_executor", counting_executor
+            )
+            monkeypatch.setattr(asyncio, "to_thread", counting_to_thread)
+            for i in range(20):
+                batch = pair if i % 2 else [pair[i % 4 // 2]]
+                records = client.request_many([dict(spec) for spec in batch])
+                assert [r["source"] for r in records] == ["cache"] * len(batch)
+            monkeypatch.undo()
+            client.shutdown()
+        thread.join(timeout=30.0)
+        assert not thread.is_alive()
+        assert outcome == {"served": 32}
+        assert hops == [] and started == []
+
+    def test_close_while_a_front_end_runs(self, tmp_path):
+        router = FleetRouter(1, **FLEET_KWARGS).start()
+        path = str(tmp_path / "front.sock")
+        thread, outcome = self._serve(router, path)
+        with ServiceClient(path) as client:
+            assert client.request({"dims": [3, 7, 2]})["value"] == 42.0
+        router.close()
+        thread.join(timeout=30.0)
+        assert not thread.is_alive()
+        assert isinstance(outcome.get("error"), ReproError)
+        assert not os.path.exists(path), "front socket left behind"
+
+    def test_cancelling_the_caller_unlinks_the_socket(self, tmp_path):
+        path = str(tmp_path / "front.sock")
+        with FleetRouter(1, **FLEET_KWARGS) as router:
+
+            async def main():
+                ready = asyncio.Event()
+                front = asyncio.ensure_future(
+                    serve_fleet(router, Address.unix(path), ready=ready)
+                )
+                await asyncio.wait_for(ready.wait(), 30.0)
+                assert os.path.exists(path)
+                front.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await front
+
+            asyncio.run(main())
+            assert not os.path.exists(path), "front socket left behind"
+            assert router._fronts == set()
+            assert router.request({"dims": [3, 7, 2]})["ok"]
 
 
 class TestConnBatcher:
@@ -419,12 +599,12 @@ class TestConnBatcher:
 
     class _Router:
         def __init__(self):
-            self.gate = threading.Event()
+            self.gate = asyncio.Event()
             self.gate.set()
 
-        def request_many(self, bodies):
-            assert self.gate.wait(timeout=30)
-            return [{"ok": True, "n": body["n"]} for body in bodies]
+        async def _request_many(self, specs):
+            await asyncio.wait_for(self.gate.wait(), 30)
+            return [{"ok": True, "n": spec["n"]} for spec in specs]
 
     def test_finished_rounds_are_not_held(self):
         from repro.service.fleet import _ConnBatcher
@@ -473,6 +653,32 @@ class TestConnBatcher:
 
         answered, held = asyncio.run(main())
         assert sorted(answered) == [0, 1, 2] and held == 0
+
+    def test_failed_round_answers_each_request_with_its_own_record(self):
+        """A round that raises answers every request with an error
+        record of its own, so a ``respond`` that keeps the records sees
+        each request's own id."""
+        from repro.service.fleet import _ConnBatcher
+
+        class _Failing:
+            async def _request_many(self, specs):
+                raise ReproError("fleet is closed")
+
+        async def main():
+            batcher = _ConnBatcher(_Failing())
+            kept = []
+
+            async def respond(record):
+                kept.append(record)
+
+            for i in range(3):
+                batcher.submit({"id": i, "n": i}, respond)
+            await asyncio.wait_for(batcher.drain(), timeout=30)
+            return kept
+
+        kept = asyncio.run(main())
+        assert [r["id"] for r in kept] == [0, 1, 2]
+        assert all(not r["ok"] and "fleet is closed" in r["error"] for r in kept)
 
 
 class TestShardDeathRecovery:
@@ -564,7 +770,13 @@ class TestShutdownHygiene:
         sockets = [shard.socket_path for shard in router._shards.values()]
         assert all(pid_alive(p) for p in pids)
         assert all(os.path.exists(s) for s in sockets)
+        assert all(r["ok"] for r in router.request_many(specs_on(router, 0, 1)))
+        loop_thread = router._thread
+        assert loop_thread.name == ROUTER_THREAD and loop_thread.is_alive()
         router.close()
+        assert not loop_thread.is_alive(), "the router's loop thread survived"
+        assert router._loop.is_closed()
+        assert all(s._writer is None for s in router._shards.values())
         deadline = time.monotonic() + 10.0
         while any(pid_alive(p) for p in pids) and time.monotonic() < deadline:
             time.sleep(0.05)
@@ -643,11 +855,8 @@ class TestDynamicScaling:
                 failures += sum(1 for r in records if not r.get("ok"))
             grown = router.status()
             assert grown["shards"] == 3, "fleet never grew under pressure"
-            # Holding the shard keeps its executor from being collected,
-            # so only an explicit shutdown on retirement stops the thread.
             retired = router._shards[2]
-            retired_dispatchers = dispatcher_threads(f"{DISPATCHER}2")
-            assert retired_dispatchers, "shard 2 never ran on its dispatcher"
+            assert retired._writer is not None, "shard 2 never answered a request"
             assert grown["alive"] == 3
             # the new shard is on the ring and the old sockets survived
             assert sorted(router.ring.shard_ids()) == [0, 1, 2]
@@ -657,7 +866,7 @@ class TestDynamicScaling:
             settled = router.status()
             assert settled["shards"] == 2, "fleet never shrank when idle"
             assert 2 not in router._shards and retired.proc.poll() is not None
-            assert not any(t.is_alive() for t in retired_dispatchers)
+            assert retired._writer is None, "retired shard's connection left open"
             assert failures == 0
             assert settled["router"]["gave_up"] == 0
             assert settled["router"]["scale_ups"] >= 1

@@ -606,6 +606,52 @@ class TestFleetAndTransportCommands:
         assert "load_factor" in capsys.readouterr().err
         assert not os.path.exists(sock)
 
+    def test_sigint_stops_the_fleet_and_unlinks_its_socket(self, tmp_path):
+        """Ctrl-C on ``repro fleet``: the front end, which runs on the
+        router's own loop, closes its listener and unlinks its socket,
+        the shards stop, and the exit code is 130."""
+        import signal
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from repro.service import ServiceClient
+
+        sock = str(tmp_path / "f.sock")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH", "")) if p
+        )
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "fleet", "--shards", "1",
+                "--socket", sock, "--backend", "serial", "--method", "sequential",
+            ],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            env=env,
+        )
+        try:
+            deadline = time.monotonic() + 60.0
+            while not os.path.exists(sock):
+                assert proc.poll() is None, "repro fleet exited during startup"
+                assert time.monotonic() < deadline, "repro fleet did not come up"
+                time.sleep(0.02)
+            with ServiceClient(sock) as client:
+                assert client.request({"dims": [3, 7, 2]})["value"] == 42.0
+                pids = [s["pid"] for s in client.status()["per_shard"]]
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=60.0) == 130
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert not os.path.exists(sock), "front socket left behind"
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
     def test_serve_tcp_flag_parses(self):
         args = build_parser().parse_args(["serve", "--tcp", "127.0.0.1:7466"])
         assert args.tcp == "127.0.0.1:7466"
@@ -828,7 +874,8 @@ class TestTraceLoadtestCommands:
         assert summary["dropped"] == 0 and summary["failed"] == 0
         assert summary["mode"] == "closed"
         assert summary["slo"]["threshold_ms"] == 500.0
-        records = [json.loads(line) for line in open(records_path)]
+        with open(records_path) as fh:
+            records = [json.loads(line) for line in fh]
         assert len(records) == 10 and all(r["ok"] for r in records)
 
     @pytest.mark.parametrize(
