@@ -16,9 +16,8 @@ import numpy as np
 
 from repro.core.banded import BandedSolver
 from repro.core.huang import HuangSolver
-from repro.core.knuth import solve_knuth
 from repro.core.rytter import RytterSolver
-from repro.core.sequential import solve_sequential
+from repro.core.sequential import solve_knuth, solve_sequential
 from repro.core.termination import WStable
 from repro.problems.generators import random_bst, random_matrix_chain, random_polygon
 from repro.util.tables import format_table

@@ -8,8 +8,7 @@ Run:  python examples/optimal_bst_demo.py
 
 import numpy as np
 
-from repro.core import solve
-from repro.core.knuth import solve_knuth
+from repro.core import solve, solve_knuth
 from repro.core.termination import WStable
 from repro.problems import OptimalBSTProblem
 from repro.problems.generators import random_bst

@@ -28,18 +28,19 @@ from pathlib import Path
 GOLDEN_PATH = Path(__file__).resolve().parent.parent / "tests" / "golden"
 GOLDEN_FILE = GOLDEN_PATH / "golden_tables.json"
 
-#: methods pinned per instance (knuth is excluded: min-plus only and
-#: quadrangle-inequality instances only)
+#: methods pinned per instance, except on the BST case: knuth runs only
+#: over min-plus and on families that declare the quadrangle inequality
 METHODS = ("sequential", "huang", "huang-banded", "huang-compact", "rytter")
 
 
 def golden_cases():
-    """The (case_name, problem_spec, problem, algebras) grid. Specs are
-    JSON-serialisable so the loader can rebuild problems without
-    importing this script."""
+    """The (case_name, problem_spec, problem, algebras, methods) grid.
+    Specs are JSON-serialisable so the loader can rebuild problems
+    without importing this script."""
     from repro.problems import (
         BottleneckChainProblem,
         MatrixChainProblem,
+        OptimalBSTProblem,
         ReliabilityBSTProblem,
     )
 
@@ -49,24 +50,37 @@ def golden_cases():
     bottleneck_weights = [7, 2, 9, 4, 8, 3, 6]
     connectors = [0.9, 0.75, 0.95, 0.8, 0.85]
     leaves = [0.99, 0.9, 0.97, 0.92, 0.96, 0.94]
+    # the CLRS optimal-BST instance (tests/conftest.py), cost 2.75
+    bst_p = [0.15, 0.10, 0.05, 0.10, 0.20]
+    bst_q = [0.05, 0.10, 0.05, 0.05, 0.05, 0.10]
     return [
         (
             "clrs_chain",
             {"kind": "chain", "dims": chain_dims},
             MatrixChainProblem(chain_dims),
             list(list_algebras()),
+            METHODS,
         ),
         (
             "bottleneck_chain",
             {"kind": "bottleneck", "weights": bottleneck_weights},
             BottleneckChainProblem(bottleneck_weights),
             ["minimax", "min_plus"],
+            METHODS,
         ),
         (
             "reliability_tree",
             {"kind": "reliability", "connectors": connectors, "leaves": leaves},
             ReliabilityBSTProblem(connectors, leaves),
             ["maxmin", "minimax"],
+            METHODS,
+        ),
+        (
+            "clrs_bst",
+            {"kind": "bst", "p": bst_p, "q": bst_q},
+            OptimalBSTProblem(bst_p, bst_q),
+            ["min_plus"],
+            ("sequential", "knuth"),
         ),
     ]
 
@@ -77,12 +91,15 @@ def problem_from_spec(spec: dict):
     from repro.problems import (
         BottleneckChainProblem,
         MatrixChainProblem,
+        OptimalBSTProblem,
         ReliabilityBSTProblem,
     )
 
     kind = spec["kind"]
     if kind == "chain":
         return MatrixChainProblem(spec["dims"])
+    if kind == "bst":
+        return OptimalBSTProblem(spec["p"], spec["q"])
     if kind == "bottleneck":
         return BottleneckChainProblem(spec["weights"])
     if kind == "reliability":
@@ -94,9 +111,9 @@ def compute_entries() -> list[dict]:
     from repro.core import solve
 
     entries = []
-    for case_name, spec, problem, algebras in golden_cases():
+    for case_name, spec, problem, algebras, methods in golden_cases():
         for algebra in algebras:
-            for method in METHODS:
+            for method in methods:
                 result = solve(problem, method=method, algebra=algebra)
                 entries.append(
                     {

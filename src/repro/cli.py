@@ -64,6 +64,7 @@ from typing import Sequence
 # __init__, so this costs nothing extra.)
 from repro.core.algebra import list_algebras
 from repro.core.api import ITERATIVE_METHODS, METHODS
+from repro.errors import ReproError
 from repro.loadgen.arrivals import ARRIVALS
 from repro.loadgen.popularity import POPULARITIES
 from repro.parallel.backends import BACKEND_NAMES, KERNEL_IMPLS, START_METHODS
@@ -752,7 +753,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     from repro.core.termination import WPWStable, WStable
     from repro.viz import render_iteration_trace, render_tree
 
-    problem = _problem_from_args(args)
     policy = {
         "paper": None,
         "w-stable": WStable(),
@@ -771,7 +771,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         kwargs["algebra"] = args.algebra
     if args.method in ITERATIVE_METHODS:
         kwargs["policy"] = policy
-    result = solve(problem, method=args.method, reconstruct=args.tree, **kwargs)
+    try:
+        problem = _problem_from_args(args)
+        result = solve(problem, method=args.method, reconstruct=args.tree, **kwargs)
+    except ReproError as exc:
+        print(f"solve: {exc}", file=sys.stderr)
+        return 2
     print(f"problem : {problem.describe()}")
     print(f"method  : {args.method}")
     if result.algebra != "min_plus":
@@ -892,7 +897,6 @@ def _service_address(args: argparse.Namespace):
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.errors import ReproError
     from repro.service import SolveService, serve
 
     try:
@@ -939,7 +943,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_fleet(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.errors import ReproError
     from repro.service.fleet import FleetRouter, serve_fleet
 
     try:
@@ -1067,8 +1070,6 @@ def _cmd_request(args: argparse.Namespace) -> int:
 
     from repro.service import ServiceClient
 
-    from repro.errors import ReproError
-
     if args.fleet is not None:
         # An ephemeral fleet ignores any server address; refuse the
         # combination rather than silently solving in the wrong place.
@@ -1178,17 +1179,21 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
 def _cmd_plan(args: argparse.Namespace) -> int:
     from repro.core.api import plan_for
 
-    problem = _problem_from_args(args)
-    plan = plan_for(
-        problem,
-        method=args.method,
-        algebra=args.algebra,
-        backend=args.backend,
-        workers=args.workers,
-        tiles=args.tiles,
-        start_method=args.start_method,
-        kernel_impl=args.kernel_impl,
-    )
+    try:
+        problem = _problem_from_args(args)
+        plan = plan_for(
+            problem,
+            method=args.method,
+            algebra=args.algebra,
+            backend=args.backend,
+            workers=args.workers,
+            tiles=args.tiles,
+            start_method=args.start_method,
+            kernel_impl=args.kernel_impl,
+        )
+    except ReproError as exc:
+        print(f"plan: {exc}", file=sys.stderr)
+        return 2
     print(f"problem : {problem.describe()}")
     print(plan.describe())
     return 0

@@ -1,9 +1,9 @@
 """Solvers for recurrence (*): the paper's algorithm and all baselines.
 
 * :mod:`~repro.core.sequential` — the classical O(n³) dynamic program
-  (the paper's sequential reference, [1]);
-* :mod:`~repro.core.knuth` — Knuth's O(n²) speedup for quadrangle-
-  inequality instances (optimal BSTs);
+  (the paper's sequential reference, [1]), and the same sweep over
+  Knuth's split windows, O(n²), for families that declare the
+  quadrangle inequality (optimal BSTs);
 * :mod:`~repro.core.huang` — the paper's algorithm (Sections 2–4):
   2·sqrt(n) iterations of a-activate / a-square / a-pebble over the
   w'/pw' tables, O(n⁵) work per iteration;
@@ -40,8 +40,7 @@ from repro.core.algebra import (
     register_algebra,
 )
 from repro.core.kernels import KernelEngine, SweepKernel
-from repro.core.sequential import solve_sequential, SequentialResult
-from repro.core.knuth import solve_knuth
+from repro.core.sequential import solve_sequential, solve_knuth, SequentialResult
 from repro.core.huang import HuangSolver, IterationTrace
 from repro.core.banded import BandedSolver
 from repro.core.compact import CompactBandedSolver

@@ -38,11 +38,10 @@ from repro.core.banded import BandedSolver
 from repro.core.compact import CompactBandedSolver
 from repro.core.delta import delta_meta_for, try_delta
 from repro.core.huang import HuangSolver, IterationTrace
-from repro.core.knuth import solve_knuth
 from repro.core.plan import SweepPlan
 from repro.core.reconstruct import reconstruct_tree
 from repro.core.rytter import RytterSolver
-from repro.core.sequential import solve_sequential
+from repro.core.sequential import solve_knuth, solve_sequential
 from repro.core.termination import TerminationPolicy
 from repro.errors import InvalidProblemError
 from repro.parallel.backends import (
@@ -325,8 +324,10 @@ def solve(
     Parameters
     ----------
     method:
-        One of ``"sequential"`` (O(n³) DP), ``"knuth"`` (O(n²),
-        quadrangle-inequality instances only), ``"huang"`` (the paper's
+        One of ``"sequential"`` (O(n³) DP), ``"knuth"`` (the same
+        sweep over Knuth's split windows, O(n²), for families that
+        declare ``quadrangle``, optimal BSTs: any other problem is
+        refused before a table is built), ``"huang"`` (the paper's
         algorithm), ``"huang-banded"`` (Section 5 variant, Θ(n⁴)
         storage), ``"huang-compact"`` (Section 5 with Θ(n³) storage,
         scales to n ≈ 200) or ``"rytter"`` (the [8] baseline).
@@ -435,13 +436,18 @@ def solve(
         if hit is not None:
             return _done(hit)
 
-    if method == "sequential":
-        seq = solve_sequential(problem, algebra=alg)
-        tree = (
-            ParseTree.from_split_table(seq.split)
-            if reconstruct and problem.n >= 1
-            else None
-        )
+    if method in ("sequential", "knuth"):
+        if method == "sequential":
+            seq = solve_sequential(problem, algebra=alg)
+        elif alg.name != "min_plus":
+            raise InvalidProblemError(
+                "method 'knuth' supports only the min_plus algebra (the "
+                "quadrangle-inequality split-window argument is specific to "
+                f"it); got {alg.name!r}"
+            )
+        else:
+            seq = solve_knuth(problem, **solver_kwargs)
+        tree = ParseTree.from_split_table(seq.split) if reconstruct else None
         return _done(SolveResult(
             method=method,
             value=float(alg.decode(seq.value)),
@@ -449,17 +455,6 @@ def solve(
             tree=tree,
             algebra=alg.name,
         ))
-
-    if method == "knuth":
-        if alg.name != "min_plus":
-            raise InvalidProblemError(
-                "method 'knuth' supports only the min_plus algebra (the "
-                "quadrangle-inequality split-window argument is specific to "
-                f"it); got {alg.name!r}"
-            )
-        seq = solve_knuth(problem, **solver_kwargs)
-        tree = ParseTree.from_split_table(seq.split) if reconstruct else None
-        return _done(SolveResult(method=method, value=seq.value, w=seq.w, tree=tree))
 
     solver_cls = _SOLVER_CLASSES[method]
     if max_n is not None:

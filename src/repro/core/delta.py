@@ -70,9 +70,9 @@ __all__ = [
 #: methods a delta re-solve may answer for: every method whose committed
 #: ``w`` table is pinned bitwise-identical to the sequential DP's by the
 #: golden/property suites wherever sums are exact (the iterative ones
-#: only there: :func:`exact_sums`). ``knuth`` is excluded — its
-#: split-window pruning commits the same *values* but is not on the
-#: pinned axis.
+#: only there: :func:`exact_sums`). ``knuth`` is pinned too (the golden
+#: and property suites' Knuth axis), but stays excluded by scope: adding
+#: it would change what may answer a ``knuth`` request.
 DELTA_METHODS = ("sequential", "huang", "huang-banded", "huang-compact", "rytter")
 
 #: default refusal threshold: if more than this fraction of the DP cells

@@ -37,6 +37,18 @@ changes with the segment, never the order of any sum, so every table
 is bitwise what a cell-by-cell fill produces. A one-cell segment (a
 delta window one column wide, such as an edit of the last weight)
 takes basic-slice views, which are cheaper than building strided ones.
+
+Knuth's windows. :func:`solve_knuth` runs the same sweep with each
+cell's splits cut to ``split(i, j-1) <= k <= split(i+1, j)``, read from
+the diagonal below (Knuth 1971, [5] in the paper). On a family that
+declares ``quadrangle`` (optimal BSTs) the window holds the first
+optimal split, so the pass commits bitwise the full-range tables
+wherever rounding keeps those conditions: always when the sums are
+exact, and on every BST the property suite draws, but not where one
+instance's weights span more than float precision (and a cell whose
+candidates are all ``+inf`` takes the window's first). The windows of one
+diagonal telescope to fewer than ``n + cells`` candidates, gathered
+into one ragged block and reduced segment by segment: O(n²) work.
 """
 
 from __future__ import annotations
@@ -51,6 +63,7 @@ from repro.problems.base import ParenthesizationProblem
 
 __all__ = [
     "solve_sequential",
+    "solve_knuth",
     "SequentialResult",
     "best_split",
     "sweep_window",
@@ -85,17 +98,19 @@ def _candidates(
     length: int,
     i0: int,
     cells: int,
+    at: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Recurrence (*)'s candidates ``extend(extend(w(i, k), w(k, j)),
     f(i, k, j))`` for ``cells`` consecutive cells of the diagonal
     ``length``, one row per cell ``(i0 + c, i0 + c + length)`` over its
     splits ``k = i+1 .. j-1``; ``left`` and ``right`` are the ``w(i,
     k)`` and ``w(k, j)`` operands (in ``alg``'s domain), broadcastable
-    to that ``(cells, length - 1)`` block."""
-    return alg.extend(
-        alg.extend(left, right),
-        alg.encode_f(problem.split_cost_segment(length, i0, cells)),
-    )
+    to that ``(cells, length - 1)`` block, or with ``at``, the ``(c, k -
+    i - 1)`` indices of some block entries, gathered to match them."""
+    f = alg.encode_f(problem.split_cost_segment(length, i0, cells))
+    if at is not None:
+        f = np.broadcast_to(f, (cells, length - 1))[at]
+    return alg.extend(alg.extend(left, right), f)
 
 
 def best_split(
@@ -127,6 +142,7 @@ def sweep_window(
     hi: int | None = None,
     max_length: int | None = None,
     split: np.ndarray | None = None,
+    knuth: bool = False,
 ) -> None:
     """Fill ``w`` in rising length order over every cell ``(i, j)`` with
     ``j >= lo`` and ``i <= hi`` (default: all of them), of length 2 up
@@ -139,6 +155,10 @@ def sweep_window(
     cell select the NaN (argmin and argmax return the first one), so
     one test of the selected values per diagonal rejects it, naming the
     first such cell, without scanning the candidates.
+
+    ``knuth=True`` cuts each cell of length 3 or more to Knuth's split
+    window (module docstring), read from ``split`` as this mode filled
+    it on the diagonal below.
     """
     n = problem.n
     hi = n if hi is None else hi
@@ -151,7 +171,9 @@ def sweep_window(
     for length in range(2, top + 1):
         i0 = max(0, lo - length)
         cells = min(n - length, hi) - i0 + 1
-        if cells == 1:
+        # on length 2 Knuth's window is the full range, k = i + 1
+        windows = knuth and length > 2
+        if cells == 1 and not windows:
             # scalar reads, test and writes: cheaper than array ones for
             # the one-cell diagonals of a window one column wide
             j = i0 + length
@@ -161,8 +183,11 @@ def sweep_window(
             w[i0, j] = value
             if split is not None:
                 split[i0, j] = k
-        elif cells > 1:
-            best, values = _select_run(problem, alg, w, length, i0, cells)
+        elif cells > 0:
+            if windows:
+                best, values = _select_knuth(problem, alg, w, split, length, i0, cells)
+            else:
+                best, values = _select_run(problem, alg, w, length, i0, cells)
             nan = np.flatnonzero(values != values)
             if nan.size:
                 i = i0 + int(nan[0])
@@ -206,6 +231,39 @@ def _select_run(
     return best, cand[np.arange(cells), best]
 
 
+def _select_knuth(
+    problem: ParenthesizationProblem,
+    alg: SelectionSemiring,
+    w: np.ndarray,
+    split: np.ndarray,
+    length: int,
+    i0: int,
+    cells: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_select_run` over Knuth's windows, as one ragged block of
+    (cell, k) pairs reduced one segment per cell; a cell's witness is
+    its first candidate equal to the selected value."""
+    n = problem.n
+    # split(i, j-1) of the run's cells and the next, on the diagonal below
+    start = i0 * (n + 2) + length - 1
+    below = split.reshape(-1)[start : start + (cells + 1) * (n + 2) : n + 2]
+    # Never empty, whatever the costs: on length 3 a window is k = i+1 ..
+    # i+2, and beyond, split(i+1, j-1) bounded the window of (i, j-1) from
+    # above and that of (i+1, j) from below, so it lies in this one.
+    lower, widths = below[:-1], below[1:] - below[:-1] + 1
+    starts = np.cumsum(widths) - widths
+    cell = np.repeat(np.arange(cells), widths)
+    i = i0 + cell
+    k = np.arange(cell.size) - starts[cell] + lower[cell]
+    flat_w = w.reshape(-1)
+    left, right = flat_w[i * (n + 1) + k], flat_w[k * (n + 1) + i + length]
+    cand = _candidates(problem, alg, left, right, length, i0, cells, (cell, k - i - 1))
+    values = alg.combine_ufunc.reduceat(cand, starts)
+    witness = np.where(cand == values[cell], np.arange(cand.size), cand.size)
+    first = np.minimum.reduceat(witness, starts) - starts + lower
+    return first - np.arange(i0 + 1, i0 + 1 + cells), values
+
+
 def _nan_error(i: int, j: int) -> InvalidProblemError:
     return InvalidProblemError(f"f(i, k, j) contains NaN at cell ({i}, {j})")
 
@@ -234,14 +292,31 @@ def solve_sequential(
     returned ``w`` table is in the algebra's (encoded) domain, the same
     domain the iterative solvers' tables live in.
     """
-    n = problem.n
     if algebra is None:
         algebra = getattr(problem, "preferred_algebra", "min_plus")
-    alg = get_algebra(algebra)
+    return _sweep(problem, get_algebra(algebra))
+
+
+def solve_knuth(problem: ParenthesizationProblem) -> SequentialResult:
+    """Solve recurrence (*) over min-plus in O(n²) with Knuth's split
+    windows (module docstring). A problem that does not declare
+    ``quadrangle`` is refused before any table is built."""
+    if not problem.quadrangle:
+        raise InvalidProblemError(
+            f"{type(problem).__name__} does not declare quadrangle = True, "
+            "which Knuth's split windows need; use the O(n^3) sequential DP"
+        )
+    return _sweep(problem, get_algebra("min_plus"), knuth=True)
+
+
+def _sweep(
+    problem: ParenthesizationProblem, alg: SelectionSemiring, *, knuth: bool = False
+) -> SequentialResult:
+    n = problem.n
     w = alg.full((n + 1, n + 1))
     split = np.full((n + 1, n + 1), -1, dtype=np.int64)
     set_leaves(problem, alg, w)
-    sweep_window(problem, alg, w, split=split)
+    sweep_window(problem, alg, w, split=split, knuth=knuth)
     return SequentialResult(w=w, split=split, value=float(w[0, n]))
 
 

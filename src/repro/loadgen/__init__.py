@@ -22,11 +22,13 @@ usable on its own:
 ``repro trace`` and ``repro loadtest`` are the CLI faces;
 ``benchmarks/bench_e13_latency.py`` is the CI-gated smoke that records
 the ``BENCH_e13_latency.json`` trajectory.
+
+The harness loads on first use: it imports the fleet router, which the
+CLI's parser and a serving shard, reading only the tables, never need.
 """
 
 from repro.loadgen.analyze import analyze, latency_summary, percentile
 from repro.loadgen.arrivals import ARRIVALS, generate_arrivals
-from repro.loadgen.harness import LoadTestResult, run_loadtest
 from repro.loadgen.popularity import POPULARITIES, build_pool, choose_indices
 from repro.loadgen.trace import (
     TRACE_VERSION,
@@ -57,3 +59,11 @@ __all__ = [
     "trace_lines",
     "write_trace",
 ]
+
+
+def __getattr__(name: str):
+    if name in ("LoadTestResult", "run_loadtest"):
+        from repro.loadgen import harness
+
+        return getattr(harness, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

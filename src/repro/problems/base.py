@@ -74,6 +74,12 @@ class ParenthesizationProblem(abc.ABC):
     #: reliability trees) override it.
     preferred_algebra: str = "min_plus"
 
+    #: Whether ``f(i, k, j)`` ignores ``k``, grows with the interval and
+    #: meets the quadrangle inequality, as its closed form shows: then
+    #: method ``"knuth"``'s split windows find the optimum. A subclass
+    #: that redefines ``f`` must redeclare it.
+    quadrangle: bool = False
+
     def __init__(self, n: int) -> None:
         self._n = check_positive_int(n, "n", minimum=1)
 

@@ -40,6 +40,11 @@ class OptimalBSTProblem(ParenthesizationProblem):
     """Optimal BST with key weights ``p`` (length m) and gap weights ``q``
     (length m+1). Weights need not be normalised probabilities."""
 
+    #: f(i, k, j) = w(i, j-1) ignores k, grows with the interval (the
+    #: weights are non-negative) and meets the quadrangle inequality
+    #: with equality (Knuth 1971).
+    quadrangle = True
+
     def __init__(self, p: Sequence[float], q: Sequence[float]) -> None:
         p_arr = np.asarray(p, dtype=np.float64)
         q_arr = np.asarray(q, dtype=np.float64)

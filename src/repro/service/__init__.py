@@ -27,12 +27,12 @@ Layers (each usable on its own):
   (``repro request``, the load harness), unix or TCP;
 * :class:`FleetRouter` / :func:`serve_fleet` — the scale-out layer:
   N shard processes behind a consistent-hash router that respawns dead
-  shards and re-dispatches their in-flight requests (``repro fleet``).
+  shards and re-dispatches their in-flight requests (``repro fleet``),
+  loaded on first use: a shard never routes, so it never imports them.
 """
 
 from repro.service.cache import L2DiskCache, ResultCache, TieredResultCache
 from repro.service.client import AsyncClient, LocalClient, ServiceClient
-from repro.service.fleet import FleetRouter, serve_fleet
 from repro.service.scheduler import CoalescingScheduler
 from repro.service.server import SolveService, serve, serve_tcp, serve_unix
 from repro.service.transport import Address, parse_address
@@ -54,3 +54,11 @@ __all__ = [
     "Address",
     "parse_address",
 ]
+
+
+def __getattr__(name: str):
+    if name in ("FleetRouter", "serve_fleet"):
+        from repro.service import fleet
+
+        return getattr(fleet, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,30 +1,82 @@
-"""Unit tests for Knuth's O(n²) speedup."""
+"""Knuth's split windows: the sweep's O(n²) mode for optimal BSTs."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from repro.core.knuth import is_quadrangle, solve_knuth
+from repro.core import solve, solve_knuth
 from repro.core.sequential import solve_sequential
 from repro.errors import InvalidProblemError
-from repro.problems import MatrixChainProblem, OptimalBSTProblem
+from repro.problems import (
+    BottleneckChainProblem,
+    GenericProblem,
+    MatrixChainProblem,
+    OptimalBSTProblem,
+    PolygonTriangulationProblem,
+    ReliabilityBSTProblem,
+)
+from repro.problems.base import ParenthesizationProblem
 from repro.problems.generators import random_bst
 
+UNDECLARED = {
+    "chain": lambda: MatrixChainProblem([3, 7, 2, 9, 4, 11, 5]),
+    "polygon": lambda: PolygonTriangulationProblem(
+        [(0, 0), (2, 0), (3, 2), (1, 4), (-1, 2)]
+    ),
+    "generic": lambda: GenericProblem(4, lambda i: 1.0, lambda i, k, j: float(k)),
+    "bottleneck": lambda: BottleneckChainProblem([7, 2, 9, 4, 8, 3]),
+    "reliability": lambda: ReliabilityBSTProblem(
+        [0.9, 0.8, 0.95], [0.99, 0.9, 0.97, 0.92]
+    ),
+}
 
-class TestIsQuadrangle:
-    def test_bst_satisfies(self, clrs_bst):
-        assert is_quadrangle(clrs_bst)
 
-    def test_random_bsts_satisfy(self):
-        for seed in range(5):
-            assert is_quadrangle(random_bst(10, seed=seed))
+@pytest.fixture
+def no_dense_table(monkeypatch):
+    """Make any build of the dense (n+1)³ f table fail the test."""
 
-    def test_matrix_chain_f_depends_on_split(self):
-        """Matrix-chain f depends on k, so the QI precondition fails."""
-        p = MatrixChainProblem([3, 7, 2, 9, 4, 11, 5])
-        assert not is_quadrangle(p)
+    def refuse(self):
+        raise AssertionError("built the dense f table")
 
-    def test_tiny_trivially_true(self):
-        assert is_quadrangle(OptimalBSTProblem([1.0], [0.5, 0.5]))
+    monkeypatch.setattr(ParenthesizationProblem, "cached_f_table", refuse)
+
+
+class TestQuadrangleDeclaration:
+    def test_only_bsts_declare_it(self):
+        assert OptimalBSTProblem.quadrangle is True
+        assert ParenthesizationProblem.quadrangle is False
+        for make in UNDECLARED.values():
+            assert make().quadrangle is False
+
+    def test_bst_cost_meets_the_declared_conditions(self):
+        """What the declaration states, on exact (integer) weights: f
+        ignores k, grows with the interval and meets the quadrangle
+        inequality."""
+        p = OptimalBSTProblem([3, 1, 4, 1, 5], [9, 2, 6, 5, 3, 5])
+        F, n = p.f_table(), p.n
+        for i in range(n - 1):
+            for j in range(i + 2, n + 1):
+                assert (F[i, i + 1 : j, j] == F[i, i + 1, j]).all()
+
+        def g(i, j):
+            return F[i, i + 1, j]
+
+        for i in range(n - 1):
+            for ip in range(i, n - 1):
+                for j in range(ip + 2, n + 1):
+                    for jp in range(j, n + 1):
+                        assert g(i, j) + g(ip, jp) <= g(ip, j) + g(i, jp)
+                        assert g(ip, j) <= g(i, jp)
+
+    @pytest.mark.parametrize("family", sorted(UNDECLARED))
+    def test_undeclared_family_refused_before_any_table(self, family, no_dense_table):
+        with pytest.raises(InvalidProblemError, match="quadrangle"):
+            solve_knuth(UNDECLARED[family]())
+
+    def test_solve_refuses_through_the_declaration(self, no_dense_table):
+        with pytest.raises(InvalidProblemError, match="quadrangle"):
+            solve(MatrixChainProblem([3, 7, 2, 9, 4, 11, 5]), method="knuth")
 
 
 class TestSolveKnuth:
@@ -36,25 +88,53 @@ class TestSolveKnuth:
         p = random_bst(15, seed=seed)
         a = solve_knuth(p)
         b = solve_sequential(p)
-        assert a.value == pytest.approx(b.value)
-        mask = np.isfinite(b.w)
-        assert np.allclose(a.w[mask], b.w[mask])
+        assert a.value == b.value
+        np.testing.assert_array_equal(a.w, b.w)
+        np.testing.assert_array_equal(a.split, b.split)
 
     def test_zipf_weights(self):
         p = random_bst(12, seed=3, zipf=1.5)
-        assert solve_knuth(p).value == pytest.approx(solve_sequential(p).value)
+        assert solve_knuth(p).value == solve_sequential(p).value
 
-    def test_verify_rejects_matrix_chain(self):
-        p = MatrixChainProblem([3, 7, 2, 9, 4, 11, 5])
-        with pytest.raises(InvalidProblemError, match="quadrangle"):
-            solve_knuth(p, check="verify")
+    def test_solves_bsts_without_the_dense_table(self, no_dense_table):
+        p = random_bst(40, seed=4)
+        got = solve(p, method="knuth", reconstruct=True)
+        assert got.value == solve(p, method="sequential").value
+        assert got.tree is not None
 
-    def test_trust_skips_check(self, clrs_bst):
-        assert solve_knuth(clrs_bst, check="trust").value == pytest.approx(2.75)
+    def test_peak_memory_is_quadratic_at_n_1000(self):
+        p = random_bst(999, seed=1)  # n = 1000 objects
+        tracemalloc.start()
+        try:
+            solve_knuth(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # w and split are 8 MB each; the dense f table would be 8 GB
+        assert peak < 32 * 2**20
 
-    def test_bad_check_mode(self, clrs_bst):
-        with pytest.raises(InvalidProblemError):
-            solve_knuth(clrs_bst, check="maybe")
+    def test_infinite_weight_raises_the_sweeps_nan_error(self):
+        p = OptimalBSTProblem([1.0, np.inf, 2.0, 3.0], [1.0] * 5)
+        for solver in (solve_sequential, solve_knuth):
+            with np.errstate(invalid="ignore"), pytest.raises(
+                InvalidProblemError, match=r"NaN at cell \(2, 4\)"
+            ):
+                solver(p)
+
+    def test_nan_in_a_window_names_the_first_nan_cell(self, monkeypatch):
+        p = random_bst(8, seed=1)
+        segment = p.split_cost_segment
+
+        def poisoned(length, i0, cells):
+            block = np.array(segment(length, i0, cells))
+            if length == 4 and i0 <= 2 < i0 + cells:
+                block[2 - i0] = np.nan
+            return block
+
+        monkeypatch.setattr(p, "split_cost_segment", poisoned)
+        for solver in (solve_sequential, solve_knuth):
+            with pytest.raises(InvalidProblemError, match=r"NaN at cell \(2, 6\)"):
+                solver(p)
 
     def test_window_actually_shrinks_work(self):
         """Knuth windows examine O(n²) candidates vs Θ(n³) full range."""

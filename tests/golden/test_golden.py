@@ -34,12 +34,20 @@ def _entries():
 
 def test_fixture_file_exists_and_covers_the_grid():
     entries = _entries()
-    assert len(entries) == 45
+    assert len(entries) == 47
     seen = {(e["case"], e["method"], e["algebra"]) for e in entries}
     assert len(seen) == len(entries)
     # The flagship grid: every method × every algebra on the CLRS chain.
     clrs = {(m, a) for c, m, a in seen if c == "clrs_chain"}
     assert len(clrs) == 25
+
+
+def test_knuth_pins_the_sequential_table():
+    """Knuth's split windows commit bitwise the sequential DP's table."""
+    bst = {e["method"]: e for e in _entries() if e["case"] == "clrs_bst"}
+    assert set(bst) == {"sequential", "knuth"}
+    assert bst["knuth"]["w"] == bst["sequential"]["w"]
+    assert bst["knuth"]["value"] == bst["sequential"]["value"]
 
 
 @pytest.mark.parametrize("kernel_impl", ["slab", "fused"])

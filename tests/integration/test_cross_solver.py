@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import solve
-from repro.core.knuth import solve_knuth
-from repro.core.sequential import solve_sequential
+from repro.core.sequential import solve_knuth, solve_sequential
 from repro.problems.generators import (
     random_bst,
     random_generic,

@@ -1,14 +1,15 @@
 """Property-based tests on the solvers (the core correctness story)."""
 
 import numpy as np
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.banded import BandedSolver
 from repro.core.huang import HuangSolver
 from repro.core.rytter import RytterSolver
-from repro.core.sequential import solve_sequential
-from repro.problems import GenericProblem
+from repro.core.sequential import solve_knuth, solve_sequential
+from repro.problems import GenericProblem, OptimalBSTProblem
+from repro.problems.generators import random_bst
 
 
 @st.composite
@@ -90,3 +91,37 @@ class TestSolverProperties:
         v1 = solve_sequential(p).value
         v2 = solve_sequential(p2).value
         assert np.isclose(v2, v1 + p.n * extra)
+
+
+@st.composite
+def bst_problem(draw, max_keys=30):
+    """Optimal BSTs across the generators and weight kinds Knuth's
+    windows must agree on: uniform floats, small integers (ties and
+    zeros, exact sums), floats scaled by one factor from 1e-300 to
+    1e300, and ``random_bst`` with and without Zipf access weights."""
+    m = draw(st.integers(1, max_keys))
+    seed = draw(st.integers(0, 2**31 - 1))
+    kind = draw(st.sampled_from(["float", "int", "scaled", "random", "zipf"]))
+    if kind == "random":
+        return random_bst(m, seed=seed)
+    if kind == "zipf":
+        return random_bst(m, seed=seed, zipf=draw(st.sampled_from([0.8, 1.2, 2.0])))
+    rng = np.random.default_rng(seed)
+    if kind == "int":
+        top = draw(st.sampled_from([2, 4, 100]))
+        p, q = rng.integers(0, top, m), rng.integers(0, top, m + 1)
+    else:
+        p, q = rng.uniform(0.0, 1.0, m), rng.uniform(0.0, 1.0, m + 1)
+        if kind == "scaled":
+            scale = 10.0 ** draw(st.integers(-300, 300))
+            p, q = p * scale, q * scale
+    return OptimalBSTProblem(p.astype(float), q.astype(float))
+
+
+class TestKnuthAxis:
+    @settings(max_examples=60)
+    @given(p=bst_problem())
+    def test_knuth_tables_equal_sequential_bitwise(self, p):
+        kn, seq = solve_knuth(p), solve_sequential(p)
+        np.testing.assert_array_equal(kn.w, seq.w)
+        np.testing.assert_array_equal(kn.split, seq.split)

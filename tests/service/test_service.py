@@ -227,6 +227,32 @@ class TestUnixSocketServer:
         assert not thread.is_alive() and result["served"] == 2
 
 
+class TestRefusals:
+    def test_knuth_on_an_undeclared_family_is_refused_before_any_table(
+        self, monkeypatch
+    ):
+        from repro.problems.base import ParenthesizationProblem
+
+        def refuse(self):
+            raise AssertionError("built the dense f table")
+
+        monkeypatch.setattr(ParenthesizationProblem, "cached_f_table", refuse)
+
+        async def main():
+            service = SolveService(method="sequential", backend="serial")
+            try:
+                return await service.handle_spec(
+                    {"id": 7, "family": "chain", "n": 40, "method": "knuth"}
+                )
+            finally:
+                await service.aclose()
+
+        record = asyncio.run(main())
+        assert record["id"] == 7 and record["ok"] is False
+        assert "InvalidProblemError" in record["error"]
+        assert "quadrangle" in record["error"]
+
+
 class TestConnectionDispatcher:
     """A connection's dispatcher holds only the tasks still in flight:
     a router keeps one connection open for a shard's whole life."""

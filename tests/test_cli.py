@@ -363,25 +363,84 @@ class TestSolveBackendOption:
                 ["solve", "--backend", "process", "--start-method", "greenlet"]
             )
 
-    def test_start_method_not_silently_dropped_for_sequential(self):
+    def test_start_method_not_silently_dropped_for_sequential(self, capsys):
         """Execution flags reach solve() for every method, so a
         start-method without the process backend errors instead of
         being ignored (regression: the CLI forwarded them only for
         iterative methods)."""
-        from repro.errors import InvalidProblemError
+        rc = main(
+            [
+                "solve",
+                "--dims",
+                "2,3,4",
+                "--method",
+                "sequential",
+                "--start-method",
+                "spawn",
+            ]
+        )
+        assert rc == 2 and "process" in capsys.readouterr().err
 
-        with pytest.raises(InvalidProblemError, match="process"):
-            main(
-                [
-                    "solve",
-                    "--dims",
-                    "2,3,4",
-                    "--method",
-                    "sequential",
-                    "--start-method",
-                    "spawn",
-                ]
-            )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--family", "chain", "--method", "knuth"],
+            ["plan", "--family", "chain", "--n", "400", "--method", "huang"],
+        ],
+        ids=["solve-knuth-chain", "plan-over-max-n"],
+    )
+    def test_refused_instance_answers_in_one_line(self, argv, capsys):
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"{argv[0]}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+class TestImportFootprint:
+    def test_serving_loads_no_router_and_no_harness(self):
+        """A fleet shard runs ``repro serve``: importing the CLI and the
+        serve command's own imports must not load the fleet router, its
+        routing policy or the load harness."""
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH", "")) if p
+        )
+        code = (
+            "import sys\n"
+            "import repro.cli\n"
+            "from repro.errors import ReproError\n"
+            "from repro.service import SolveService, serve\n"
+            "unused = ('repro.service.fleet', 'repro.service.routing',"
+            " 'repro.loadgen.harness')\n"
+            "print([m for m in unused if m in sys.modules])\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        ).stdout
+        assert out.strip() == "[]"
+
+    def test_package_names_resolve_on_first_use(self):
+        from repro.loadgen import LoadTestResult, run_loadtest
+        from repro.loadgen import harness
+        from repro.service import FleetRouter, fleet, routing, serve_fleet
+
+        assert FleetRouter is fleet.FleetRouter and serve_fleet is fleet.serve_fleet
+        assert LoadTestResult is harness.LoadTestResult
+        assert run_loadtest is harness.run_loadtest
+        assert routing.BoundedLoadPolicy
+        with pytest.raises(ImportError):
+            from repro.service import NoSuchName  # noqa: F401
 
 
 class TestPlanCommand:
