@@ -37,6 +37,12 @@ request:
   shard is SIGKILLed, and the respawned shard must answer the repeat
   from the shared on-disk L2 tier (``source == "cache"``) without
   re-solving. Gate: the respawn hit happens and values match;
+* **L2 publish growth** — mean CPU of one ``L2DiskCache.put`` of an
+  n=100 chain result into an empty directory, and into one holding
+  3000 entries before the cache opens; each mean spans a full rescan
+  interval of the cache's byte ledger, so its periodic directory scan
+  is counted. Acceptance bar: the 3000-entry figure **≤ 1.5x** the
+  empty one (10-12x when every put scanned the directory);
 * **shutdown hygiene** — after the client closes, the benchmark
   asserts the pool workers are gone and the store left nothing in
   ``/dev/shm``.
@@ -51,10 +57,13 @@ serve`` instead of importing the library.
 from __future__ import annotations
 
 import os
+import shutil
 import signal
 import sys
+import tempfile
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
@@ -66,8 +75,8 @@ from repro.problems.generators import (
     random_matrix_chain,
 )
 from repro.problems.matrix_chain import MatrixChainProblem
-from repro.service import FleetRouter, LocalClient
-from repro.service.cache import ResultCache
+from repro.service import FleetRouter, L2DiskCache, LocalClient
+from repro.service.cache import _RESCAN_EVERY, ResultCache
 from repro.util.bench import load_bars, record
 from repro.util.tables import format_table
 
@@ -83,6 +92,8 @@ DEFAULT_BARS = {
     "delta_speedup_x": 5.0,  # cold re-solve vs delta re-sweep, n=256 suffix edit
     "cold_sequential_ms": 100.0,  # cold sequential solve of an n=256 chain
     "cold_sequential_peak_mib": 4.0,  # its tracemalloc peak
+    # L2 put CPU with 3000 entries on disk vs into an empty directory
+    "l2_put_growth_x": 1.5,
 }
 
 
@@ -428,7 +439,60 @@ def l2_table(n: int = 64, stats: dict | None = None):
             "from the shared on-disk L2 tier "
             f"(respawns={s['respawns']}, values match: {s['values_match']}). "
             "Roundtrip includes respawn detection; the L2 read itself is "
-            "one npz load."
+            "one file read and one digest check."
+        ),
+    )
+
+
+def l2_publish_stats(n: int = 100, entries: int = 3000) -> dict:
+    """E11f: mean CPU of one ``L2DiskCache.put`` of an n-dim chain
+    result, into an empty directory and into a directory that holds
+    ``entries`` entries before the cache opens (one small published
+    entry copied under that many keys, so set-up is fast and small).
+    Each mean covers one full rescan interval of the cache's byte
+    ledger — ``_RESCAN_EVERY`` puts of fresh keys — so the periodic
+    directory scan is counted; a median would hide it."""
+    result = solve(random_matrix_chain(n, seed=43), method="sequential")
+    small = solve(MatrixChainProblem([10, 20, 5, 30]), method="sequential")
+    puts = _RESCAN_EVERY
+    mean_ms = {}
+    for filled in (0, entries):
+        with tempfile.TemporaryDirectory() as directory:
+            if filled:
+                L2DiskCache(directory).put("seed", small)
+                (published,) = [p for p in Path(directory).iterdir() if p.is_file()]
+                for i in range(1, filled):
+                    copy = published.with_name(f"old{i:05d}{published.suffix}")
+                    shutil.copyfile(published, copy)
+            cache = L2DiskCache(directory)
+            t0 = time.process_time()
+            for i in range(puts):
+                cache.put(f"new{i:05d}", result)
+            mean_ms[filled] = (time.process_time() - t0) / puts * 1e3
+            assert cache.stats()["entries"] == filled + puts
+    return {
+        "n": n,
+        "entries": entries,
+        "puts": puts,
+        "empty_ms": mean_ms[0],
+        "full_ms": mean_ms[entries],
+        "growth_x": mean_ms[entries] / mean_ms[0],
+    }
+
+
+def l2_publish_table(n: int = 100, entries: int = 3000, stats: dict | None = None):
+    s = stats if stats is not None else l2_publish_stats(n, entries)
+    return format_table(
+        ["directory", "mean put CPU"],
+        [
+            ("empty", f"{s['empty_ms']:.2f} ms"),
+            (f"{s['entries']} entries", f"{s['full_ms']:.2f} ms"),
+            ("growth", f"{s['growth_x']:.2f}x"),
+        ],
+        title=(
+            f"E11f: L2DiskCache.put of an n={s['n']} chain result, CPU per "
+            f"put over {s['puts']} puts (one rescan interval of the byte "
+            "ledger, whose scan is counted)."
         ),
     )
 
@@ -450,12 +514,14 @@ def smoke_stats(count: int = 32, workers: int = 4, bars: dict | None = None) -> 
     delta = delta_stats()
     cold = cold_sequential_stats()
     l2 = l2_stats()
+    publish = l2_publish_stats()
     return {
         "throughput": t,
         "latency": lat,
         "delta": delta,
         "cold_sequential": cold,
         "l2": l2,
+        "l2_publish": publish,
     }
 
 
@@ -507,6 +573,13 @@ def smoke_failures(stats: dict, bars: dict) -> list[str]:
             )
         if not l2["values_match"]:
             failed.append("L2-served value differs from the original solve")
+    publish = stats.get("l2_publish")
+    if publish is not None and publish["growth_x"] > bars["l2_put_growth_x"]:
+        failed.append(
+            f"L2 put CPU with {publish['entries']} entries on disk is "
+            f"{publish['growth_x']:.2f}x the empty-directory figure (bar "
+            f"{bars['l2_put_growth_x']:.1f}x)"
+        )
     if svc["failures"]:
         failed.append(f"{svc['failures']} requests failed")
     if svc["orphan_workers"]:
@@ -527,6 +600,7 @@ def smoke(count: int = 32, workers: int = 4) -> int:
     stats = smoke_stats(count, workers, bars=bars)
     t, lat = stats["throughput"], stats["latency"]
     delta, cold, l2 = stats["delta"], stats["cold_sequential"], stats["l2"]
+    publish = stats["l2_publish"]
     print(throughput_table(stats=t))
     print()
     print(latency_table(stats=lat))
@@ -536,6 +610,8 @@ def smoke(count: int = 32, workers: int = 4) -> int:
     print(cold_sequential_table(stats=cold))
     print()
     print(l2_table(stats=l2))
+    print()
+    print(l2_publish_table(stats=publish))
     svc = t["service"]
     print(
         f"\nthroughput {t['speedup']:.1f}x (bar "
@@ -547,7 +623,9 @@ def smoke(count: int = 32, workers: int = 4) -> int:
         f"{cold['cold_ms']:.0f} ms, {cold['peak_mib']:.1f} MiB (bars "
         f"{bars['cold_sequential_ms']:.0f} ms, "
         f"{bars['cold_sequential_peak_mib']:.0f} MiB) | L2 respawn hit "
-        f"{l2['respawn_hit']} | failures {svc['failures']} | "
+        f"{l2['respawn_hit']} | L2 put growth {publish['growth_x']:.2f}x at "
+        f"{publish['entries']} entries (bar {bars['l2_put_growth_x']:.1f}x) | "
+        f"failures {svc['failures']} | "
         f"orphans {svc['orphan_workers']} | shm residue {svc['shm_residue']}"
     )
     record(BENCH_NAME, stats, bars=bars)
@@ -595,6 +673,13 @@ def test_e11_l2_survival(report, benchmark):
     )
 
 
+def test_e11_l2_publish(report, benchmark):
+    report(
+        "e11_service",
+        benchmark.pedantic(l2_publish_table, rounds=1, iterations=1),
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if "--smoke" in argv:
@@ -608,6 +693,8 @@ def main(argv: list[str] | None = None) -> int:
     print(cold_sequential_table())
     print()
     print(l2_table())
+    print()
+    print(l2_publish_table())
     return 0
 
 

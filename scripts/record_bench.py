@@ -5,16 +5,18 @@ Each smoke benchmark (E10 backends, E11 service, E12 fleet, E13
 latency, E14 routing) measures, gates itself against the bars stored in its
 ``BENCH_<name>.json`` at the repository root, and records the
 measurement back into that file's bounded history (see
-:mod:`repro.util.bench` for the schema). E11 carries five axes:
+:mod:`repro.util.bench` for the schema). E11 carries six axes:
 coalesced throughput, cache-hit latency, the delta re-solve speedup
 (incremental re-sweep of a suffix edit vs a cold solve, bitwise-gated),
 the time and traced memory peak of a cold sequential solve at n=256,
-and L2 crash survival (a SIGKILLed shard's respawn answering from the
-shared on-disk tier). E13 replays a seeded Zipf+Poisson trace against
-a live fleet and gates the p99 cache-hit latency plus replay
-determinism. E14 gates the load-aware routing tier: the bounded-load
-router must beat the pinned Zipf imbalance baseline (CV 0.6762 /
-peak-to-mean 1.99) live and offline, keep cache hit-rate parity, and
+L2 crash survival (a SIGKILLed shard's respawn answering from the
+shared on-disk tier), and L2 publish growth (mean ``put`` CPU with
+3000 entries on disk against an empty directory). E13 replays a
+seeded Zipf+Poisson trace against a live fleet and gates the p99
+cache-hit latency plus replay determinism. E14 gates the
+load-aware routing tier: the bounded-load router must beat the
+pinned Zipf imbalance baseline (CV 0.6762 / peak-to-mean 1.99) live
+and offline, keep cache hit-rate parity, and
 complete an elastic scale-up/scale-down cycle without dropping a
 request. This script just drives them all in sequence — it is what
 the CI ``bench-trajectory`` job runs before uploading the JSONs as
@@ -83,12 +85,16 @@ def main(argv: list[str] | None = None) -> int:
             )
             delta, l2 = metrics.get("delta"), metrics.get("l2")
             cold = metrics.get("cold_sequential")
-            if delta and l2 and cold:
+            publish = metrics.get("l2_publish")
+            if delta and l2 and cold and publish:
                 print(
                     f"--- delta re-solve {delta['speedup']:.0f}x at "
                     f"n={delta['n']}; cold sequential {cold['cold_ms']:.0f} ms, "
                     f"{cold['peak_mib']:.1f} MiB at n={cold['n']}; "
-                    f"L2 respawn hit: {l2['respawn_hit']}",
+                    f"L2 respawn hit: {l2['respawn_hit']}; L2 put "
+                    f"{publish['empty_ms']:.2f} ms empty, "
+                    f"{publish['full_ms']:.2f} ms at {publish['entries']} "
+                    f"entries ({publish['growth_x']:.2f}x)",
                     flush=True,
                 )
         if name == "e12_fleet":

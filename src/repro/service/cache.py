@@ -6,10 +6,9 @@ digests) and one currency (:class:`~repro.core.api.SolveResult`):
 :class:`ResultCache` (**L1**)
     The in-memory byte-bounded LRU — per process, microsecond hits.
 :class:`L2DiskCache` (**L2**)
-    A directory of atomically-written ``.npz`` entries — shared by
-    every fleet shard pointing at the same ``--cache-dir`` and
-    surviving shard respawn. Consulted on L1 miss, populated
-    write-through.
+    A directory of atomically-written entry files — shared by every
+    fleet shard pointing at the same ``--cache-dir`` and surviving
+    shard respawn. Consulted on L1 miss, populated write-through.
 :class:`TieredResultCache`
     The L1-over-L2 façade the service wires when ``--cache-dir`` is
     set; L2 hits are promoted into L1 on the way out.
@@ -38,16 +37,19 @@ read-only stored result and copy nothing. (``tree`` and ``trace`` are
 shared between hitters: they are built once and never mutated after a
 solve returns.)
 
-L2 details: one entry is one ``<key>.npz`` file written to a unique
+L2 details: one entry is one ``<key>.l2`` file written to a unique
 temporary name, fsynced, then published with :func:`os.replace` — so a
 reader sees either the complete entry or nothing, never a torn write,
 even across a SIGKILL of the writer (the crash-consistency suite kills
-writers mid-stream and asserts exactly this). Each entry carries a
-blake2b checksum of its table bytes, verified on read; any load or
-verification failure is a miss and the offending file is discarded.
-Results carrying a ``tree`` are not written (parse trees do not
-serialise to the array format) and ``trace`` is dropped — L2 serves
+writers mid-stream and asserts exactly this). A blake2b digest in the
+file's header covers everything after it — the meta (``value``
+included), the table and the delta weights — and every read checks it
+before parsing; any failure is a miss and the offending file is
+discarded. Results carrying a ``tree`` are not written (parse trees do
+not serialise to raw arrays) and ``trace`` is dropped — L2 serves
 table-and-value answers, which is what the service layer needs.
+:class:`L2DiskCache` documents the file layout and the byte ledger
+that keeps writes from scanning the directory.
 
 Hit/miss/eviction counters are split **epoch vs lifetime**: ``clear()``
 (and only it) resets the epoch counters, while lifetime counters keep
@@ -62,14 +64,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
+import struct
 import threading
 import time
 import uuid
 from collections import OrderedDict
 from dataclasses import replace
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Collection, Iterator, Optional
 
 import numpy as np
 
@@ -92,10 +96,24 @@ _DELTA_CANDIDATES = 4
 #: (e.g. a SIGKILLed shard); swept on L2 construction
 _STALE_TMP_SECONDS = 300.0
 
-#: published L2 entries only: pathlib's glob matches dotfiles too, and
-#: counting or evicting a writer's ``.tmp-*.npz`` file would make its
-#: publish fail
-_ENTRY_GLOB = "[!.]*.npz"
+#: an L2 entry is ``<key>`` plus this suffix; files named ``<key>.npz``
+#: are the previous layout and are removed when a directory is opened
+_SUFFIX = ".l2"
+_OLD_SUFFIX = ".npz"
+
+#: the first bytes of every L2 entry: magic, then the layout version
+_MAGIC = b"reproL2\x01"
+#: blake2b digest size; the digest follows the magic
+_DIGEST_SIZE = 16
+_DIGEST_END = len(_MAGIC) + _DIGEST_SIZE
+#: the meta's byte length, the first field the digest covers
+_META_LEN = struct.Struct("<Q")
+#: the table's byte layout (float64, little-endian, C order)
+_TABLE_DTYPE = np.dtype("<f8")
+
+#: each L2DiskCache rescans its directory after this many of its own
+#: publishes, so that other processes' writes reach its byte ledger
+_RESCAN_EVERY = 256
 
 
 class ResultCache:
@@ -296,12 +314,37 @@ class ResultCache:
 class L2DiskCache:
     """Directory-backed result store shared across processes (L2).
 
-    One entry is one ``<key>.npz`` holding the table, the serialisable
-    result fields (JSON), a blake2b table checksum, and — when the
-    entry has delta metadata — its weight vector, with an empty marker
-    file under ``by-parent/<parent_key>/`` as the parent index. Writes
-    are atomic (unique temp file + ``os.replace``); reads verify the
-    checksum and treat any failure as a miss, discarding the file.
+    One entry is one ``<key>.l2`` file, and an entry with delta
+    metadata also gets an empty marker file under
+    ``by-parent/<parent_key>/`` as the parent index. The file holds, in
+    order:
+
+    * 8 bytes of magic and layout version;
+    * a 16-byte blake2b digest of every byte after it;
+    * the meta's length (8 bytes) and the JSON meta: method, value,
+      iterations, algebra, parent, the table's shape and the weights'
+      dtype and shape;
+    * the table's bytes (float64, little-endian, C order), then the
+      weights' bytes.
+
+    Writes are atomic (unique temp file, fsync, ``os.replace``). A read
+    takes the file whole into one buffer, checks the magic and the
+    digest before parsing, and checks that the meta's shapes and dtype
+    account for exactly the bytes present; any failure is a miss that
+    discards the file. Nothing is unpickled, and no read allocates more
+    than the file's size.
+
+    Each instance keeps a byte ledger instead of scanning the directory
+    on every write: one scan at open seeds it, each publish adds its
+    size, and a rescan (which resets the total to the directory's real
+    size and evicts oldest-mtime entries down to ``max_bytes``) runs
+    only when the total passes ``max_bytes`` or after every
+    :data:`_RESCAN_EVERY` (K) of this instance's own publishes. Writes
+    by other processes reach the ledger at those rescans, so a
+    directory shared by P processes can run about P × K entries over
+    ``max_bytes`` before one of them evicts. Opening a directory also
+    removes entries of the previous layout (``<key>.npz``, only ever
+    misses now) and temp files older than :data:`_STALE_TMP_SECONDS`.
 
     Parameters
     ----------
@@ -326,27 +369,48 @@ class L2DiskCache:
         self._misses = 0
         self._writes = 0
         self._evictions = 0
-        self._sweep_stale_tmp()
+        self._ledger = sum(size for _, size, _ in self._scan(sweep=True))
+        self._since_scan = 0
 
     # -- paths ----------------------------------------------------------------
 
     def _entry_path(self, key: str) -> Path:
-        return self.directory / f"{key}.npz"
+        return self.directory / f"{key}{_SUFFIX}"
 
     def _marker_path(self, parent_key: str, key: str) -> Path:
         return self._parent_dir / parent_key / key
 
-    def _sweep_stale_tmp(self) -> None:
-        """Remove temp files from writers that died mid-stream. Only
-        files older than :data:`_STALE_TMP_SECONDS` go — a live writer
-        in another shard may own a younger one."""
+    def _scan(self, sweep: bool = False) -> list[tuple[float, int, str]]:
+        """``(mtime, size, path)`` of every published entry, from one
+        ``os.scandir`` pass: dotfiles (writers' temp files) and the
+        ``by-parent/`` index are not entries. With ``sweep`` (at open)
+        the pass also removes previous-layout entries and temp files
+        older than :data:`_STALE_TMP_SECONDS` — a live writer in another
+        shard may own a younger one."""
+        found = []
         cutoff = time.time() - _STALE_TMP_SECONDS
-        for tmp in self.directory.glob(".tmp-*.npz"):
-            try:
-                if tmp.stat().st_mtime < cutoff:
-                    tmp.unlink()
-            except OSError:
-                continue
+        try:
+            with os.scandir(self.directory) as it:
+                for entry in it:
+                    name = entry.name
+                    try:
+                        if name.startswith("."):
+                            if (
+                                sweep
+                                and name.startswith(".tmp-")
+                                and entry.stat().st_mtime < cutoff
+                            ):
+                                os.unlink(entry.path)
+                        elif name.endswith(_SUFFIX):
+                            stat = entry.stat()
+                            found.append((stat.st_mtime, stat.st_size, entry.path))
+                        elif sweep and name.endswith(_OLD_SUFFIX):
+                            os.unlink(entry.path)
+                    except OSError:
+                        continue
+        except OSError:
+            pass
+        return found
 
     # -- the cache protocol ----------------------------------------------------
 
@@ -373,34 +437,14 @@ class L2DiskCache:
     def _load(
         self, path: Path
     ) -> Optional[tuple[SolveResult, Optional[DeltaMeta]]]:
-        """Parse and verify one entry file; any failure is a miss and
+        """Read and verify one entry file; any failure is a miss and
         discards the file (a half-entry must never be served twice)."""
         try:
-            with np.load(path, allow_pickle=False) as archive:
-                meta = json.loads(str(archive["meta"][()]))
-                w = np.array(archive["w"], dtype=np.float64)
-                weights = (
-                    np.array(archive["weights"]) if "weights" in archive else None
-                )
-            checksum = hashlib.blake2b(w.tobytes(), digest_size=16).hexdigest()
-            if meta.get("checksum") != checksum:
-                raise ValueError("table checksum mismatch")
-            result = SolveResult(
-                method=str(meta["method"]),
-                value=float(meta["value"]),
-                w=w,
-                iterations=(
-                    None if meta.get("iterations") is None else int(meta["iterations"])
-                ),
-                algebra=str(meta.get("algebra", "min_plus")),
-            )
-            parent = meta.get("parent")
-            delta = (
-                DeltaMeta(parent_key=str(parent), weights=weights)
-                if parent is not None and weights is not None
-                else None
-            )
-            return result, delta
+            with open(path, "rb") as fh:
+                buf = bytearray(os.fstat(fh.fileno()).st_size)
+                if fh.readinto(buf) != len(buf):
+                    raise ValueError("short read")
+            return _decode(buf)
         except FileNotFoundError:
             return None
         except Exception:
@@ -413,31 +457,21 @@ class L2DiskCache:
     def put(
         self, key: str, result: SolveResult, delta: Optional[DeltaMeta] = None
     ) -> None:
-        """Publish an entry atomically: serialise to a unique temp file,
+        """Publish an entry atomically: write it to a unique temp file,
         fsync, ``os.replace`` into place, then drop the parent-index
         marker. Results carrying a ``tree`` are skipped (module
         docstring); ``trace`` is dropped."""
         if result.tree is not None:
             return
-        w = np.asarray(result.w, dtype=np.float64)
-        meta = {
-            "version": 1,
-            "method": result.method,
-            "value": float(result.value),
-            "iterations": result.iterations,
-            "algebra": result.algebra,
-            "checksum": hashlib.blake2b(w.tobytes(), digest_size=16).hexdigest(),
-            "parent": None if delta is None else delta.parent_key,
-        }
-        arrays = {"w": w, "meta": np.array(json.dumps(meta))}
-        if delta is not None:
-            arrays["weights"] = np.asarray(delta.weights)
-        tmp = self.directory / f".tmp-{key}-{os.getpid()}-{uuid.uuid4().hex}.npz"
+        parts = _encode(result, delta)
+        tmp = self.directory / f".tmp-{key}-{os.getpid()}-{uuid.uuid4().hex}{_SUFFIX}"
         try:
             with open(tmp, "wb") as fh:
-                np.savez(fh, **arrays)
+                for part in parts:
+                    fh.write(part)
                 fh.flush()
                 os.fsync(fh.fileno())
+                size = fh.tell()
             os.replace(tmp, self._entry_path(key))
         except OSError:
             try:
@@ -454,58 +488,70 @@ class L2DiskCache:
                 pass
         with self._lock:
             self._writes += 1
-        self._evict_over_budget()
+            self._ledger += size
+            self._since_scan += 1
+            rescan = (
+                self._ledger > self.max_bytes or self._since_scan >= _RESCAN_EVERY
+            )
+            if rescan:
+                self._since_scan = 0
+        if rescan:
+            self._evict_over_budget()
 
     def _evict_over_budget(self) -> None:
-        """Oldest-mtime eviction down to the byte budget (approximate:
+        """Rescan: reset the ledger to the directory's real size, evicting
+        oldest-mtime entries down to the byte budget (approximate:
         concurrent writers race benignly — everyone converges on the
         same survivors)."""
-        entries = []
-        total = 0
-        for path in self.directory.glob(_ENTRY_GLOB):
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            entries.append((stat.st_mtime, stat.st_size, path))
-            total += stat.st_size
-        if total <= self.max_bytes:
-            return
-        for _, size, path in sorted(entries):
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            total -= size
-            with self._lock:
-                self._evictions += 1
-            if total <= self.max_bytes:
-                break
+        entries = self._scan()
+        total = sum(size for _, size, _ in entries)
+        evicted = 0
+        if total > self.max_bytes:
+            for _, size, path in sorted(entries):
+                try:
+                    os.unlink(path)
+                except OSError:
+                    continue
+                total -= size
+                evicted += 1
+                if total <= self.max_bytes:
+                    break
+        with self._lock:
+            self._ledger = total
+            self._evictions += evicted
 
     # -- the delta-parent index ------------------------------------------------
 
     def delta_entries(
-        self, parent_key: str, limit: int = _DELTA_CANDIDATES
+        self,
+        parent_key: str,
+        limit: int = _DELTA_CANDIDATES,
+        skip: Collection[str] = (),
     ) -> list[tuple[str, np.ndarray, SolveResult]]:
         """Up to ``limit`` entries indexed under ``parent_key``, newest
-        mtime first; markers whose entry is gone are garbage-collected
-        on the way."""
-        marker_dir = self._parent_dir / parent_key
+        marker mtime first, never reading the keys in ``skip`` (ones the
+        caller already holds). Markers whose entry is gone are
+        garbage-collected on the way; a marker that vanishes between
+        listing and ``stat`` (another process collecting it) is passed
+        over."""
+        stamped = []
         try:
-            markers = sorted(
-                marker_dir.iterdir(),
-                key=lambda p: p.stat().st_mtime,
-                reverse=True,
-            )
+            with os.scandir(self._parent_dir / parent_key) as it:
+                for marker in it:
+                    if marker.name in skip:
+                        continue
+                    try:
+                        stamped.append((marker.stat().st_mtime, marker.name))
+                    except OSError:
+                        continue
         except OSError:
             return []
         out: list[tuple[str, np.ndarray, SolveResult]] = []
-        for marker in markers:
-            key = marker.name
+        for _, key in sorted(stamped, reverse=True):
             loaded = self._load(self._entry_path(key))
             if loaded is None or loaded[1] is None:
                 try:
-                    marker.unlink()
+                    self._marker_path(parent_key, key).unlink()
                 except OSError:
                     pass
                 continue
@@ -527,19 +573,12 @@ class L2DiskCache:
         return self._entry_path(key).exists()
 
     def stats(self) -> dict:
-        entries = 0
-        nbytes = 0
-        for path in self.directory.glob(_ENTRY_GLOB):
-            try:
-                nbytes += path.stat().st_size
-            except OSError:
-                continue
-            entries += 1
+        entries = self._scan()
         with self._lock:
             lookups = self._hits + self._misses
             return {
-                "entries": entries,
-                "nbytes": nbytes,
+                "entries": len(entries),
+                "nbytes": sum(size for _, size, _ in entries),
                 "max_bytes": self.max_bytes,
                 "hits": self._hits,
                 "misses": self._misses,
@@ -547,6 +586,87 @@ class L2DiskCache:
                 "writes": self._writes,
                 "evictions": self._evictions,
             }
+
+
+def _encode(result: SolveResult, delta: Optional[DeltaMeta]) -> list:
+    """An entry's byte parts in file order (layout in
+    :class:`L2DiskCache`), the arrays as their own memory."""
+    w = np.ascontiguousarray(result.w, dtype=_TABLE_DTYPE)
+    weights = None if delta is None else np.ascontiguousarray(delta.weights)
+    meta = {
+        "method": result.method,
+        "value": float(result.value),
+        "iterations": result.iterations,
+        "algebra": result.algebra,
+        "parent": None if delta is None else delta.parent_key,
+        "shape": w.shape,
+        "weights_dtype": None if weights is None else weights.dtype.str,
+        "weights_shape": None if weights is None else weights.shape,
+    }
+    text = json.dumps(meta).encode()
+    # pad so the table starts 8-byte aligned (JSON ignores the spaces)
+    text += b" " * (-len(text) % 8)
+    body = [_META_LEN.pack(len(text)) + text, w]
+    if weights is not None:
+        body.append(weights)
+    digest = hashlib.blake2b(digest_size=_DIGEST_SIZE)
+    for part in body:
+        digest.update(part)
+    return [_MAGIC + digest.digest(), *body]
+
+
+def _decode(buf: bytearray) -> tuple[SolveResult, Optional[DeltaMeta]]:
+    """Verify and parse one entry read whole into ``buf``; raises on any
+    inconsistency. The table comes back as a view of ``buf``, which no
+    one else holds; the weights are copied out, so a cached
+    :class:`~repro.core.delta.DeltaMeta` never pins the table's bytes."""
+    if buf[: len(_MAGIC)] != _MAGIC:
+        raise ValueError("not an L2 entry")
+    digest = hashlib.blake2b(memoryview(buf)[_DIGEST_END:], digest_size=_DIGEST_SIZE)
+    if digest.digest() != buf[len(_MAGIC) : _DIGEST_END]:
+        raise ValueError("digest mismatch")
+    (meta_len,) = _META_LEN.unpack_from(buf, _DIGEST_END)
+    table_at = _DIGEST_END + _META_LEN.size + meta_len
+    if table_at > len(buf):
+        raise ValueError("meta runs past the end of the entry")
+    meta = json.loads(buf[_DIGEST_END + _META_LEN.size : table_at])
+    shape = _shape(meta["shape"], ndim=2)
+    weights_at = table_at + math.prod(shape) * _TABLE_DTYPE.itemsize
+    if meta["weights_dtype"] is None:
+        weights_dtype, weights_shape = None, ()
+        end = weights_at
+    else:
+        weights_dtype = np.dtype(meta["weights_dtype"])
+        if weights_dtype.kind not in "biuf":
+            raise ValueError(f"weights dtype {weights_dtype} is not plain numbers")
+        weights_shape = _shape(meta["weights_shape"])
+        end = weights_at + math.prod(weights_shape) * weights_dtype.itemsize
+    if end != len(buf):
+        raise ValueError("meta does not account for the entry's bytes")
+    w = np.frombuffer(buf, _TABLE_DTYPE, math.prod(shape), table_at)
+    result = SolveResult(
+        method=str(meta["method"]),
+        value=float(meta["value"]),
+        w=w.reshape(shape),
+        iterations=None if meta["iterations"] is None else int(meta["iterations"]),
+        algebra=str(meta["algebra"]),
+    )
+    if meta["parent"] is None or weights_dtype is None:
+        return result, None
+    weights = np.frombuffer(buf, weights_dtype, math.prod(weights_shape), weights_at)
+    weights = weights.reshape(weights_shape).copy()
+    return result, DeltaMeta(parent_key=str(meta["parent"]), weights=weights)
+
+
+def _shape(dims: object, ndim: Optional[int] = None) -> tuple[int, ...]:
+    """A JSON shape as a tuple of non-negative ints, or ValueError."""
+    if (
+        not isinstance(dims, list)
+        or (ndim is not None and len(dims) != ndim)
+        or not all(type(d) is int and d >= 0 for d in dims)
+    ):
+        raise ValueError(f"bad shape {dims!r}")
+    return tuple(dims)
 
 
 class TieredResultCache:
@@ -611,13 +731,10 @@ class TieredResultCache:
             yield weights, result
         if len(seen) >= limit:
             return
-        for key, weights, result in self.l2.delta_entries(parent_key, limit):
-            if key in seen:
-                continue
-            seen.add(key)
+        for _, weights, result in self.l2.delta_entries(
+            parent_key, limit - len(seen), skip=seen
+        ):
             yield weights, result
-            if len(seen) >= limit:
-                return
 
     def __len__(self) -> int:
         return len(self.l1)
