@@ -6,8 +6,8 @@ that buys (and costs) on real hardware:
 
 * serial vs thread vs process wall-clock for one full solve, per
   method — threads win where numpy ufunc loops release the GIL long
-  enough to overlap; forked processes pay pool spin-up per super-step
-  but isolate CPU work completely;
+  enough to overlap; processes pay pool spin-up once per solve and
+  task dispatch every super-step, but isolate CPU work completely;
 * tile-count sweep on the thread backend — the marginal value of
   finer partitions;
 * ``solve_many`` batch throughput: the same workload as a stream of
@@ -18,12 +18,13 @@ that buys (and costs) on real hardware:
   min-plus hot path must stay within noise of the pre-algebra engine
   (the acceptance bar is 5%); the other algebras differ only by which
   ufunc the same slab operations dispatch to;
-* plan-vs-legacy dispatch axis — per-sweep dispatch overhead of the
-  compiled-plan path (persistent pool + shared-memory table store:
-  arrays cross the process boundary once per solve) against the legacy
-  fork-per-sweep transport (fresh pool + COW re-publish every sweep).
-  The acceptance bar: the persistent path's per-sweep overhead must be
-  a fraction (< 1.0x) of the legacy path's;
+* dispatch axis — per-sweep dispatch overhead of the compiled-plan
+  path (persistent pool + shared-memory table store: arrays cross the
+  process boundary once per solve) over the serial solve of the same
+  instance. The acceptance bar is absolute: at most 6.0 ms per sweep,
+  below every reading of the fork-per-sweep transport this path
+  replaced (12.8 ms and up) and about 1.8x the highest store reading
+  recorded (3.27 ms);
 * kernel-tier axis — slab vs fused (``kernel_impl=``) cold-solve
   wall-clock per method. The fused tier reduces eq. (2c) candidates as
   cache-blocked semiring matmuls instead of materialising the full
@@ -33,9 +34,9 @@ that buys (and costs) on real hardware:
   banded squares plus fused activate sweeps.
 
 ``--smoke`` runs the three gated axes (dispatch, dense kernel tier,
-banded/activate kernel tier) at small sizes, prints each axis's
-speedup against its slab/serial baseline, and exits non-zero on
-regression — that is what CI invokes.
+banded/activate kernel tier) at small sizes, prints the dispatch
+overhead and each kernel axis's speedup against its slab baseline, and
+exits non-zero on regression — that is what CI invokes.
 
 Correctness is not at stake (every combination commits bitwise-equal
 tables — the test suite pins that); this is the operational record the
@@ -62,9 +63,9 @@ BENCH_NAME = "e10_backends"
 #: fallback gate thresholds; the authoritative copy lives in
 #: BENCH_e10_backends.json at the repo root (see repro.util.bench)
 DEFAULT_BARS = {
-    # compiled-plan per-sweep dispatch overhead as a fraction of the
-    # legacy fork-per-sweep transport's — must stay below this
-    "dispatch_ratio_max": 1.0,
+    # compiled-plan per-sweep dispatch overhead over serial, in ms —
+    # must stay at or below this
+    "dispatch_ms_max": 6.0,
     # fused-tier cold-solve speedup over slab on the dense min-plus
     # gate instance — must stay at or above this (the numpy engine
     # measures ~4.7-5x unloaded; numba higher)
@@ -111,7 +112,7 @@ def backend_comparison_table(n: int = 24, workers: int = 4):
         title=(
             f"E10a: one solve at n={n}, {workers} workers. Thread wins track "
             "how much of each sweep numpy runs GIL-free; process pays pool "
-            "spin-up per super-step (fork + IPC of result slabs)."
+            "spin-up once and task dispatch per super-step."
         ),
     )
 
@@ -186,33 +187,26 @@ def batch_throughput_table(count: int = 12, n: int = 16, workers: int = 4):
 
 
 def _dispatch_overhead_stats(n: int = 20, workers: int = 2, repeats: int = 3) -> dict:
-    """Per-sweep dispatch overhead of each process transport over the
+    """Per-sweep dispatch overhead of the process backend over the
     serial baseline (same kernels, same tables — the difference is pure
-    dispatch: pool lifecycle + array transport + result return)."""
+    dispatch: task shipping over the persistent pool, store attachment
+    and result return)."""
     p = random_matrix_chain(n, seed=3)
     ref = solve(p, method="huang")
     sweeps = ref.iterations * 3  # three kernels per scheduled iteration
     t_serial = _time(lambda: solve(p, method="huang"), repeats)
-
-    def timed(transport: str) -> float:
-        be = ProcessBackend(workers, start_method="fork", transport=transport)
-        try:
-            return _time(lambda: solve(p, method="huang", backend=be), repeats)
-        finally:
-            be.close()
-
-    t_cow = timed("cow")
-    t_shm = timed("shm")
-    per_sweep = lambda t: max(0.0, t - t_serial) / sweeps  # noqa: E731
+    be = ProcessBackend(workers, start_method="fork")
+    try:
+        t_shm = _time(lambda: solve(p, method="huang", backend=be), repeats)
+    finally:
+        be.close()
     return {
         "n": n,
         "workers": workers,
         "sweeps": sweeps,
         "serial_s": t_serial,
-        "cow_s": t_cow,
         "shm_s": t_shm,
-        "cow_per_sweep_ms": per_sweep(t_cow) * 1e3,
-        "shm_per_sweep_ms": per_sweep(t_shm) * 1e3,
+        "shm_per_sweep_ms": max(0.0, t_shm - t_serial) / sweeps * 1e3,
     }
 
 
@@ -220,33 +214,20 @@ def dispatch_overhead_table(
     n: int = 20, workers: int = 2, repeats: int = 3, stats: dict | None = None
 ):
     s = stats if stats is not None else _dispatch_overhead_stats(n, workers, repeats)
-    ratio = (
-        s["shm_per_sweep_ms"] / s["cow_per_sweep_ms"]
-        if s["cow_per_sweep_ms"] > 0
-        else float("nan")
-    )
     rows = [
-        ("serial (baseline)", f"{s['serial_s'] * 1e3:.1f}", "-", "-"),
-        (
-            "legacy fork-per-sweep (cow)",
-            f"{s['cow_s'] * 1e3:.1f}",
-            f"{s['cow_per_sweep_ms']:.2f}",
-            "1.00x",
-        ),
+        ("serial (baseline)", f"{s['serial_s'] * 1e3:.1f}", "-"),
         (
             "compiled plan (persistent+shm)",
             f"{s['shm_s'] * 1e3:.1f}",
             f"{s['shm_per_sweep_ms']:.2f}",
-            f"{ratio:.2f}x",
         ),
     ]
     return format_table(
-        ["path", "solve ms", "dispatch ms/sweep", "vs legacy"],
+        ["path", "solve ms", "dispatch ms/sweep"],
         rows,
         title=(
-            f"E10e: plan-vs-legacy dispatch overhead, huang at n={s['n']}, "
-            f"{s['workers']} workers, {s['sweeps']} sweeps/solve. The legacy "
-            "path forks a pool and re-publishes arrays every sweep; the "
+            f"E10e: dispatch overhead over serial, huang at n={s['n']}, "
+            f"{s['workers']} workers, {s['sweeps']} sweeps/solve. The "
             "compiled plan attaches workers to the shared-memory store once "
             "per solve and ships only (kernel, tile, epoch) tuples."
         ),
@@ -338,11 +319,6 @@ def smoke_stats(
 ) -> dict:
     """The smoke measurement, JSON-ready (what the trajectory records)."""
     s = _dispatch_overhead_stats(n=n, workers=workers, repeats=2)
-    s["dispatch_ratio"] = (
-        s["shm_per_sweep_ms"] / s["cow_per_sweep_ms"]
-        if s["cow_per_sweep_ms"] > 0
-        else 0.0
-    )
     s.update(_fused_speedup_stats(n=fused_n, repeats=2))
     s.update(_banded_fused_speedup_stats(n=banded_n, repeats=2))
     return s
@@ -351,13 +327,11 @@ def smoke_stats(
 def smoke_failures(stats: dict, bars: dict) -> list[str]:
     """Gate violations for one measurement against one bar set."""
     failed = []
-    if stats["shm_per_sweep_ms"] >= stats["cow_per_sweep_ms"] * bars[
-        "dispatch_ratio_max"
-    ]:
+    if stats["shm_per_sweep_ms"] > bars["dispatch_ms_max"]:
         failed.append(
-            "compiled-plan dispatch is not amortised below "
-            f"{bars['dispatch_ratio_max']:.2f}x the legacy path "
-            f"(measured {stats['dispatch_ratio']:.2f}x)"
+            "compiled-plan dispatch overhead is above "
+            f"{bars['dispatch_ms_max']:.1f} ms per sweep "
+            f"(measured {stats['shm_per_sweep_ms']:.2f} ms)"
         )
     if stats["fused_speedup"] < bars["fused_speedup_min"]:
         failed.append(
@@ -380,25 +354,24 @@ def smoke(
     n: int = 14, workers: int = 2, fused_n: int = 24, banded_n: int = 32
 ) -> int:
     """CI guard over the three gated axes: the persistent-pool +
-    shared-memory path must amortise per-sweep dispatch below the
-    legacy fork-per-sweep path, and the fused kernel tier must beat
-    slab cold-solve throughput by the trajectory bars on both the dense
-    and the banded (banded square + fused activate) gate instances.
-    Returns a process exit code (non-zero = regression). The tables and
-    the gates are rendered from one measurement, so the printed numbers
-    are the gated numbers; bars come from BENCH_e10_backends.json and
-    the measurement is recorded back into it (the perf trajectory). The
-    summary prints each axis's speedup over its slab/serial baseline."""
+    shared-memory path must keep its per-sweep dispatch overhead over
+    serial at or below ``dispatch_ms_max``, and the fused kernel tier
+    must beat slab cold-solve throughput by the trajectory bars on both
+    the dense and the banded (banded square + fused activate) gate
+    instances. Returns a process exit code (non-zero = regression). The
+    tables and the gates are rendered from one measurement, so the
+    printed numbers are the gated numbers; bars come from
+    BENCH_e10_backends.json and the measurement is recorded back into
+    it (the perf trajectory). The summary prints the dispatch overhead
+    and each kernel axis's speedup over its slab baseline."""
     bars = load_bars(BENCH_NAME, DEFAULT_BARS)
     s = smoke_stats(n=n, workers=workers, fused_n=fused_n, banded_n=banded_n)
     print(dispatch_overhead_table(stats=s))
     print(
         "\naxis dispatch:    compiled plan at "
-        f"{s['dispatch_ratio']:.2f}x legacy per-sweep overhead — "
-        f"{1.0 / s['dispatch_ratio']:.1f}x faster dispatch than the "
-        f"fork-per-sweep baseline (bar <= {bars['dispatch_ratio_max']:.2f}x)"
-        if s["dispatch_ratio"] > 0
-        else "\naxis dispatch:    compiled plan dispatch unmeasurable (zero overhead)"
+        f"{s['shm_per_sweep_ms']:.2f} ms per-sweep dispatch overhead over "
+        f"serial, huang n={s['n']} on {s['workers']} workers "
+        f"(bar <= {bars['dispatch_ms_max']:.1f} ms)"
     )
     print(
         f"axis kernel_impl: fused[{s['fused_engine']}] at "
@@ -418,7 +391,7 @@ def smoke(
         print(f"FAIL: {reason}")
     if failed:
         return 1
-    print("OK: all axes beat their slab/serial baselines by the trajectory bars")
+    print("OK: all axes meet their trajectory bars")
     return 0
 
 

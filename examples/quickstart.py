@@ -25,8 +25,8 @@ for method in ("sequential", "huang", "huang-banded", "huang-compact", "rytter")
 
 # Every iterative method runs its sweeps through the kernel engine, so
 # the execution backend is one keyword — serial, thread, or process
-# (forked workers; tables inherited copy-on-write). All backends commit
-# bitwise-identical tables.
+# (a worker pool attached to the tables in shared memory). All backends
+# commit bitwise-identical tables.
 for backend in ("serial", "thread", "process"):
     result = solve(problem, method="huang", backend=backend, workers=4)
     print(f"backend={backend:8s} -> {result.value:.0f} ({result.iterations} iterations)")

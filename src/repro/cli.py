@@ -423,15 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p_serve.add_argument(
-        "--delta-max-dirty",
-        type=float,
-        default=None,
-        help=(
-            "decline delta re-solves whose dirty DP fraction exceeds this "
-            "(default: 0.5)"
-        ),
-    )
-    p_serve.add_argument(
         "--max-requests",
         type=_positive_int,
         default=None,
@@ -912,11 +903,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_batch=args.max_batch,
         cache_bytes=int(args.cache_mb * (1 << 20)),
         cache_dir=args.cache_dir,
-        **(
-            {"delta_max_dirty": args.delta_max_dirty}
-            if args.delta_max_dirty is not None
-            else {}
-        ),
     )
     try:
         served = asyncio.run(

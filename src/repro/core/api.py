@@ -363,8 +363,7 @@ def solve(
         Process start method for ``backend="process"``: ``"fork"``
         (default where available) or ``"spawn"``. The persistent pool
         plus shared-memory table transport behave identically under
-        both — spawn is the portability configuration fork-COW could
-        never support.
+        both.
     store:
         A caller-owned :class:`~repro.parallel.shm.TableStore` the
         iterative solver allocates its tables in. Passing the same
@@ -518,10 +517,10 @@ def _solve_batch_item(index: int, *, specs: list[tuple]) -> tuple[str, Any]:
     """Worker shim for one batch element; module-level so the process
     backend can pickle a reference to it. Only the integer index is
     pickled per task — the specs themselves ride the backends' shared
-    keyword channel (fork copy-on-write for the process pool), so
-    problems with unpicklable cost callables batch fine. Never raises:
-    failures come back tagged so one bad problem cannot take down the
-    batch."""
+    keyword channel (one shared-memory blob per batch for the process
+    pool, or the caller's own memory when they cannot be pickled).
+    Never raises: failures come back tagged so one bad problem cannot
+    take down the batch."""
     problem, method, kwargs = specs[index]
     try:
         return ("ok", solve(problem, method=method, **kwargs))
@@ -592,9 +591,10 @@ def solve_many(
         Pool size for a string ``backend``.
     start_method:
         Process start method for ``backend="process"`` (``"fork"`` or
-        ``"spawn"``). Batch specs must be picklable under spawn; under
-        fork, specs that cannot be pickled (closure-based cost
-        functions) automatically ride the copy-on-write channel.
+        ``"spawn"``). A batch whose specs cannot be pickled (closure-based
+        cost functions) runs item by item in the calling process under
+        either start method: such batches get no parallelism on the
+        process backend.
     on_error:
         ``"raise"`` (default) re-raises the first failure after the
         batch completes; ``"return"`` keeps failures *in place* — the

@@ -75,12 +75,10 @@ __all__ = [
 #: it would change what may answer a ``knuth`` request.
 DELTA_METHODS = ("sequential", "huang", "huang-banded", "huang-compact", "rytter")
 
-#: default refusal threshold: if more than this fraction of the DP cells
-#: is dirty, a delta re-sweep approaches cold-solve work — it runs the
-#: same diagonal passes, and a narrow window pays one Python iteration
-#: per diagonal for few cells each — and the probe declines. Caches may
-#: override via a ``delta_max_dirty`` attribute (the ``--delta-max-dirty``
-#: CLI knob).
+#: refusal threshold: if more than this fraction of the DP cells is
+#: dirty, a delta re-sweep approaches cold-solve work — it runs the same
+#: diagonal passes, and a narrow window pays one Python iteration per
+#: diagonal for few cells each — and the probe declines.
 MAX_DIRTY_FRACTION = 0.5
 
 #: probe kwargs a delta re-solve can vouch for; anything else (solver
@@ -185,7 +183,6 @@ def try_delta(
     )
     if parent_key is None:
         return None
-    max_dirty = float(getattr(cache, "delta_max_dirty", MAX_DIRTY_FRACTION))
     for parent_weights, parent_result in candidates_fn(parent_key):
         try:
             result = delta_resolve(
@@ -194,7 +191,6 @@ def try_delta(
                 parent_result,
                 method=method,
                 algebra=algebra,
-                max_dirty=max_dirty,
             )
         except InvalidProblemError:
             continue

@@ -18,7 +18,7 @@ that shape out:
   that min-merges the candidate slabs back into the solver state and
   reports whether anything changed;
 * a :class:`KernelEngine` owns an execution
-  :class:`~repro.parallel.backends.Backend` (serial / thread / fork
+  :class:`~repro.parallel.backends.Backend` (serial / thread /
   process) and runs a kernel as ``tiles -> backend.map -> commit``.
 
 Every compute and commit goes through the solver's
@@ -35,9 +35,9 @@ function evaluates the identical candidate lattice in the identical
 order for a given output cell, the committed tables are **bitwise
 identical** for every tiling and every backend — the CREW discipline
 made executable (see DESIGN.md §"The algebra contract"). Compute functions are module-level and receive their
-array inputs via backend keyword injection, so the fork-based process
-backend inherits multi-hundred-MB tables copy-on-write instead of
-pickling them per tile.
+array inputs via backend keyword injection, so the process backend
+attaches its workers to multi-hundred-MB tables in shared memory once
+per solve instead of pickling them per tile.
 
 Adding an execution strategy is one Backend subclass; adding a paper
 variant is one kernel set — neither requires touching the five solvers.

@@ -121,7 +121,6 @@ class SweepPlan:
         backend = solver.backend
         self.backend = getattr(backend, "name", type(backend).__name__)
         self.start_method = getattr(backend, "start_method", None)
-        self.transport = getattr(backend, "transport", None)
         self.uses_store = bool(getattr(backend, "uses_store", False))
         self.kernel_impl = getattr(solver, "kernel_impl", "slab")
         self.tiles_per_sweep = int(tiles_per_sweep)
@@ -141,7 +140,7 @@ class SweepPlan:
 
         backend = self.backend
         if self.start_method:
-            backend += f"[{self.start_method}/{self.transport}]"
+            backend += f"[{self.start_method}]"
         impl = self.kernel_impl
         if impl == "fused":
             impl += f"[{fused_backend()}]"

@@ -7,15 +7,12 @@ process backend (pickling).
 :class:`ProcessBackend` runs a **persistent** worker pool (created
 lazily on first use, reused across every sweep of a solve and across
 the items of a ``solve_many`` batch) with either the ``fork`` or the
-``spawn`` start method. Array transport is the shared-memory
+``spawn`` start method. Its one array transport is the shared-memory
 :class:`~repro.parallel.shm.TableStore`: workers attach to a table's
-segment once, then each task carries only a tiny picklable tuple. The
-historical fork-only copy-on-write channel (module global ``_SHARED``
-published immediately before a transient pool forks) survives as
-``transport="cow"`` — both the legacy baseline the E10 dispatch
-benchmark compares against and the fallback for payloads that cannot
-be pickled at all (``solve_many`` specs whose cost functions are
-closures).
+segment once, then each task carries only a tiny picklable tuple. A
+payload that cannot be pickled at all (``solve_many`` specs whose cost
+functions are closures) cannot reach a worker under either start
+method, so it runs in the calling process instead.
 """
 
 from __future__ import annotations
@@ -41,7 +38,6 @@ __all__ = [
     "make_backend",
     "BACKEND_NAMES",
     "START_METHODS",
-    "PROCESS_TRANSPORTS",
     "KERNEL_IMPLS",
     "default_start_method",
     "resolve_kernel_impl",
@@ -59,12 +55,9 @@ BACKEND_NAMES = ("serial", "thread", "process")
 #: numpy fallback by availability).
 KERNEL_IMPLS = ("slab", "fused", "auto")
 
-#: the supported process start methods (validated up front; the paper's
-#: fork-COW-only transport locked spawn-start platforms out entirely)
+#: the supported process start methods (validated up front; tables
+#: travel through named shared memory, so neither relies on fork)
 START_METHODS = ("fork", "spawn")
-
-#: process-backend array transports
-PROCESS_TRANSPORTS = ("shm", "cow")
 
 
 def default_start_method() -> str:
@@ -88,35 +81,6 @@ def resolve_kernel_impl(name: str | None) -> str:
             f"unknown kernel_impl {name!r}; valid choices: {', '.join(KERNEL_IMPLS)}"
         )
     return "fused" if name == "auto" else name
-
-
-# Fork-inherited payload for the legacy cow transport: set immediately
-# before the transient pool is created, read by the module-level worker
-# shims. The lock serialises the publish-and-fork window so concurrent
-# solves (e.g. a thread pool of solve() calls each using a process
-# backend) cannot interleave one call's arrays into another call's fork.
-_SHARED: dict[str, Any] = {}
-_SHARED_LOCK = threading.Lock()
-
-
-def _reinit_shared_lock_after_fork() -> None:
-    # A child is forked while the parent holds _SHARED_LOCK (that is the
-    # publish-and-fork window), so the child's copy would be locked
-    # forever. Fresh lock in the child: a nested ProcessBackend then
-    # reaches Pool(), whose "daemonic processes are not allowed to have
-    # children" error is ordinary and catchable, instead of deadlocking.
-    global _SHARED_LOCK
-    _SHARED_LOCK = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):  # not on Windows; neither is fork
-    os.register_at_fork(after_in_child=_reinit_shared_lock_after_fork)
-
-
-def _call_with_shared(item: tuple[Callable, Any]) -> Any:  # pragma: no cover
-    # Runs in worker processes only — invisible to the coverage gate.
-    fn, tile = item
-    return fn(tile, **_SHARED)
 
 
 def _store_call(task: tuple) -> tuple:  # pragma: no cover - worker-side
@@ -278,6 +242,13 @@ class ThreadBackend(Backend):
 class ProcessBackend(Backend):
     """Persistent worker-process pool over a shared-memory table store.
 
+    Arrays cross into workers through a
+    :class:`~repro.parallel.shm.TableStore`: workers attach once per
+    segment and tasks carry only ``(fn, tile, manifest, epoch)``-sized
+    tuples. A :meth:`map_with_arrays` payload that cannot be pickled
+    runs ``fn(tile, **arrays)`` tile by tile on the caller's thread
+    instead, under either start method, and starts no pool.
+
     Parameters
     ----------
     workers:
@@ -290,25 +261,16 @@ class ProcessBackend(Backend):
         spawn). Spawn works because nothing relies on inherited state:
         compute functions pickle by reference, algebras by name, and
         tables travel through named shared-memory segments.
-    transport:
-        ``"shm"`` (default): arrays live in a
-        :class:`~repro.parallel.shm.TableStore`; workers attach once
-        per segment and tasks carry only ``(fn, tile, manifest,
-        epoch)``-sized tuples. ``"cow"``: the legacy fork-only channel —
-        a *transient* pool forked per map call inherits the payload
-        copy-on-write via the module-global ``_SHARED``. The shm
-        transport transparently falls back to cow (fork only) when a
-        non-array payload cannot be pickled.
     """
 
     name = "process"
+    uses_store = True
 
     def __init__(
         self,
         workers: int | None = None,
         *,
         start_method: str | None = None,
-        transport: str | None = None,
     ) -> None:
         super().__init__()
         if workers is not None and workers < 1:
@@ -324,28 +286,11 @@ class ProcessBackend(Backend):
             raise BackendError(
                 f"start method {start_method!r} is unavailable on this platform"
             )
-        if transport is None:
-            transport = "shm"
-        if transport not in PROCESS_TRANSPORTS:
-            raise BackendError(
-                f"unknown transport {transport!r}; valid choices: "
-                f"{', '.join(PROCESS_TRANSPORTS)}"
-            )
-        if transport == "cow" and start_method != "fork":
-            raise BackendError(
-                "the cow transport inherits arrays through fork; use "
-                "transport='shm' with start_method='spawn'"
-            )
         self.workers = workers if workers is not None else min(8, os.cpu_count() or 1)
         self.start_method = start_method
-        self.transport = transport
         self._ctx = mp.get_context(start_method)
         self._pool: Optional[mp.pool.Pool] = None
         self._pool_lock = threading.Lock()
-
-    @property
-    def uses_store(self) -> bool:  # type: ignore[override]
-        return self.transport == "shm"
 
     # -- the persistent pool -------------------------------------------------
 
@@ -379,7 +324,7 @@ class ProcessBackend(Backend):
     def health(self) -> dict:
         """Backend health plus pool state: whether the persistent pool
         is started, how many of its workers are alive, and its start
-        method / transport configuration."""
+        method."""
         info = super().health()
         with self._pool_lock:
             pool = self._pool
@@ -390,7 +335,6 @@ class ProcessBackend(Backend):
             alive=pool is None or alive == len(procs),
             workers_alive=alive,
             start_method=self.start_method,
-            transport=self.transport,
         )
         return info
 
@@ -399,24 +343,16 @@ class ProcessBackend(Backend):
     def map_with_arrays(self, fn, tiles, arrays):
         if not tiles:
             return []
-        if self.transport == "cow":
-            return self._map_cow(fn, tiles, arrays)
         nd = {k: v for k, v in arrays.items() if isinstance(v, np.ndarray)}
         rest = {k: v for k, v in arrays.items() if k not in nd}
         blob: bytes | None = None
         if rest:
             try:
                 blob = pickle.dumps(rest, protocol=pickle.HIGHEST_PROTOCOL)
-            except Exception:
-                if self.start_method == "fork":
-                    # Unpicklable payload (e.g. closure-based problem
-                    # specs): the fork-COW channel still carries it.
-                    return self._map_cow(fn, tiles, arrays)
-                raise BackendError(
-                    "payload is not picklable and the spawn start method "
-                    "cannot inherit it; use start_method='fork' for "
-                    "closure-carrying payloads"
-                ) from None
+            except (pickle.PicklingError, AttributeError, TypeError):
+                # Unpicklable payload (e.g. closure-based problem specs):
+                # no worker can receive it, so run it here.
+                return [fn(tile, **arrays) for tile in tiles]
         # A transient store per call: callers on this generic path pay
         # one segment per array per call — still no fork, no per-task
         # array pickling. Sweep-shaped traffic goes through the planned
@@ -443,37 +379,12 @@ class ProcessBackend(Backend):
         ]
         return self._ensure_pool().map(_store_call, tasks)
 
-    def _map_cow(self, fn, tiles, arrays):
-        if "fork" not in mp.get_all_start_methods():  # pragma: no cover
-            raise BackendError("the cow transport requires the 'fork' start method")
-        ctx = mp.get_context("fork")
-        # Workers fork at Pool construction, so the shared payload only
-        # needs to be in place for that window; restoring the previous
-        # contents afterwards (the children hold copy-on-write
-        # snapshots) lets the actual map run outside the lock — and
-        # guarantees no solve's arrays stay referenced from the module
-        # global once the call returns. Restore rather than clear: when
-        # this runs inside another pool's worker, _SHARED holds that
-        # outer map's fork-inherited payload, which the worker's
-        # remaining tasks still need.
-        with _SHARED_LOCK:
-            saved = dict(_SHARED)
-            _SHARED.update(arrays)
-            try:
-                pool = ctx.Pool(processes=min(self.workers, len(tiles)))
-            finally:
-                _SHARED.clear()
-                _SHARED.update(saved)
-        with pool:
-            return pool.map(_call_with_shared, [(fn, t) for t in tiles])
-
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
         """Stop the persistent pool (a later map revives it). Nothing
-        else to release: the cow channel restores ``_SHARED`` within
-        the map call itself, and shm segments belong to the stores that
-        made them."""
+        else to release: shm segments belong to the stores that made
+        them."""
         with self._pool_lock:
             if self._pool is not None:
                 self._pool.terminate()
@@ -486,7 +397,6 @@ def make_backend(
     workers: int | None = None,
     *,
     start_method: str | None = None,
-    transport: str | None = None,
 ) -> Backend:
     """Factory: ``"serial"``, ``"thread"`` or ``"process"``.
 
@@ -503,9 +413,5 @@ def make_backend(
             raise BackendError(
                 f"start_method applies only to the 'process' backend, not {name!r}"
             )
-        if transport is not None:
-            raise BackendError(
-                f"transport applies only to the 'process' backend, not {name!r}"
-            )
         return SerialBackend() if name == "serial" else ThreadBackend(workers)
-    return ProcessBackend(workers, start_method=start_method, transport=transport)
+    return ProcessBackend(workers, start_method=start_method)

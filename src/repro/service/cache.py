@@ -78,7 +78,7 @@ from typing import Collection, Iterator, Optional
 import numpy as np
 
 from repro.core.api import SolveResult
-from repro.core.delta import MAX_DIRTY_FRACTION, DeltaMeta
+from repro.core.delta import DeltaMeta
 
 __all__ = ["ResultCache", "L2DiskCache", "TieredResultCache"]
 
@@ -114,6 +114,10 @@ _TABLE_DTYPE = np.dtype("<f8")
 #: each L2DiskCache rescans its directory after this many of its own
 #: publishes, so that other processes' writes reach its byte ledger
 _RESCAN_EVERY = 256
+#: a rescan that finds the directory over its budget evicts down to
+#: ``max_bytes - max_bytes // _LOW_WATER_DIVISOR``, so the next publishes
+#: fit under the budget instead of each crossing it and rescanning
+_LOW_WATER_DIVISOR = 8
 
 
 class ResultCache:
@@ -337,14 +341,16 @@ class L2DiskCache:
     Each instance keeps a byte ledger instead of scanning the directory
     on every write: one scan at open seeds it, each publish adds its
     size, and a rescan (which resets the total to the directory's real
-    size and evicts oldest-mtime entries down to ``max_bytes``) runs
-    only when the total passes ``max_bytes`` or after every
-    :data:`_RESCAN_EVERY` (K) of this instance's own publishes. Writes
-    by other processes reach the ledger at those rescans, so a
-    directory shared by P processes can run about P × K entries over
-    ``max_bytes`` before one of them evicts. Opening a directory also
-    removes entries of the previous layout (``<key>.npz``, only ever
-    misses now) and temp files older than :data:`_STALE_TMP_SECONDS`.
+    size and, when that is over ``max_bytes``, evicts oldest-mtime
+    entries down to a low-water mark of 7/8 of ``max_bytes``, see
+    :data:`_LOW_WATER_DIVISOR`) runs only when the total passes
+    ``max_bytes`` or after every :data:`_RESCAN_EVERY` (K) of this
+    instance's own publishes. Writes by other processes reach the
+    ledger at those rescans, so a directory shared by P processes can
+    run about P × K entries over ``max_bytes`` before one of them
+    evicts. Opening a directory also removes entries of the previous
+    layout (``<key>.npz``, only ever misses now) and temp files older
+    than :data:`_STALE_TMP_SECONDS`.
 
     Parameters
     ----------
@@ -499,14 +505,15 @@ class L2DiskCache:
             self._evict_over_budget()
 
     def _evict_over_budget(self) -> None:
-        """Rescan: reset the ledger to the directory's real size, evicting
-        oldest-mtime entries down to the byte budget (approximate:
-        concurrent writers race benignly — everyone converges on the
-        same survivors)."""
+        """Rescan: reset the ledger to the directory's real size and, if
+        that is over the byte budget, evict oldest-mtime entries down to
+        the low-water mark (approximate: concurrent writers race
+        benignly — everyone converges on the same survivors)."""
         entries = self._scan()
         total = sum(size for _, size, _ in entries)
         evicted = 0
         if total > self.max_bytes:
+            low_water = self.max_bytes - self.max_bytes // _LOW_WATER_DIVISOR
             for _, size, path in sorted(entries):
                 try:
                     os.unlink(path)
@@ -514,7 +521,7 @@ class L2DiskCache:
                     continue
                 total -= size
                 evicted += 1
-                if total <= self.max_bytes:
+                if total <= low_water:
                     break
         with self._lock:
             self._ledger = total
@@ -691,15 +698,10 @@ class TieredResultCache:
         self,
         cache_dir: str | Path,
         max_bytes: int = 128 << 20,
-        max_entries: int = 4096,
         l2_max_bytes: int = 1 << 30,
-        delta_max_dirty: float = MAX_DIRTY_FRACTION,
     ) -> None:
-        self.l1 = ResultCache(max_bytes=max_bytes, max_entries=max_entries)
+        self.l1 = ResultCache(max_bytes=max_bytes)
         self.l2 = L2DiskCache(cache_dir, max_bytes=l2_max_bytes)
-        #: consumed by :func:`repro.core.delta.try_delta` as the dirty
-        #: fraction above which delta probes decline
-        self.delta_max_dirty = float(delta_max_dirty)
 
     @property
     def max_bytes(self) -> int:

@@ -46,7 +46,6 @@ from repro.core.api import ITERATIVE_METHODS, solve, solve_many
 from repro.parallel.backends import Backend, make_backend
 from repro.parallel.shm import TableStore
 from repro.problems.specs import batch_item_from_spec, spec_key
-from repro.core.delta import MAX_DIRTY_FRACTION
 from repro.service.cache import ResultCache, TieredResultCache
 from repro.service.scheduler import CoalescingScheduler
 from repro.service.transport import Address, serve_jsonl
@@ -71,17 +70,17 @@ class SolveService:
     max_batch:
         At most this many requests per batch — see
         :class:`~repro.service.scheduler.CoalescingScheduler`.
-    cache_bytes, cache_entries:
-        Result-cache budget; ``cache_bytes=0`` disables caching.
+    cache_bytes:
+        Result-cache byte budget; ``0`` disables caching.
     cache_dir:
         When set (and caching is enabled), the in-memory cache becomes
         the L1 of a :class:`~repro.service.cache.TieredResultCache`
         whose L2 lives in this directory — shared across every process
         pointing at it and surviving restarts (the fleet wires one
         common directory per fleet).
-    delta_max_dirty:
-        Dirty-fraction threshold above which delta re-solve probes
-        decline (see :data:`repro.core.delta.MAX_DIRTY_FRACTION`).
+
+    Delta re-solve probes decline above the dirty fraction
+    :data:`repro.core.delta.MAX_DIRTY_FRACTION`.
     """
 
     def __init__(
@@ -93,9 +92,7 @@ class SolveService:
         start_method: str | None = None,
         max_batch: int = 16,
         cache_bytes: int = 128 << 20,
-        cache_entries: int = 4096,
         cache_dir: str | None = None,
-        delta_max_dirty: float = MAX_DIRTY_FRACTION,
     ) -> None:
         self.default_method = method
         self._owns_backend = isinstance(backend, str)
@@ -108,15 +105,9 @@ class SolveService:
         if cache_bytes <= 0:
             self.cache = None
         elif cache_dir is not None:
-            self.cache = TieredResultCache(
-                cache_dir,
-                max_bytes=cache_bytes,
-                max_entries=cache_entries,
-                delta_max_dirty=delta_max_dirty,
-            )
+            self.cache = TieredResultCache(cache_dir, max_bytes=cache_bytes)
         else:
-            self.cache = ResultCache(max_bytes=cache_bytes, max_entries=cache_entries)
-            self.cache.delta_max_dirty = delta_max_dirty
+            self.cache = ResultCache(max_bytes=cache_bytes)
         self.scheduler = CoalescingScheduler(
             self._execute_batch,
             max_batch=max_batch,

@@ -6,7 +6,9 @@ import pytest
 from repro.core import BatchItem, solve, solve_many
 from repro.core.termination import WStable
 from repro.errors import InvalidProblemError
+from repro.parallel.backends import START_METHODS, ProcessBackend
 from repro.problems import (
+    GenericProblem,
     MatrixChainProblem,
     OptimalBSTProblem,
     PolygonTriangulationProblem,
@@ -157,9 +159,8 @@ class TestErrorIsolation:
 class TestNestedProcessBackend:
     def test_nested_process_backend_errors_cleanly(self):
         """A per-item backend="process" inside a process pool cannot
-        fork again (daemonic workers); it must come back as an error
-        record, not deadlock the batch (regression: the child inherited
-        _SHARED_LOCK in the locked state)."""
+        start a pool of its own (daemonic workers); it must come back as
+        an error record, not deadlock the batch."""
         batch = [
             (
                 MatrixChainProblem([30, 35, 15, 5, 10, 20, 25]),
@@ -171,3 +172,36 @@ class TestNestedProcessBackend:
         results = solve_many(batch, backend="process", on_error="return")
         assert isinstance(results[0], Exception)
         assert results[1].value == 2500.0
+
+
+def _closure_batch():
+    """Problems whose cost callables are closures: no pickle can carry
+    them to a worker process."""
+    scale = 3.0
+    return [
+        GenericProblem(4, lambda i: 0.0, lambda i, k, j: scale * (j - i) + k),
+        (
+            GenericProblem(5, lambda i: float(i), lambda i, k, j: scale * k * (j - i)),
+            "huang",
+        ),
+    ]
+
+
+class TestUnpicklableBatch:
+    @pytest.mark.parametrize("start_method", START_METHODS)
+    def test_closure_batch_on_process_backend(self, start_method):
+        """A closure-carrying batch on backend="process" runs in the
+        calling process under either start method and gives the serial
+        values; it starts no pool."""
+        expected = [r.value for r in solve_many(_closure_batch(), backend="serial")]
+        results = solve_many(
+            _closure_batch(),
+            backend="process",
+            max_workers=2,
+            start_method=start_method,
+        )
+        assert [r.value for r in results] == expected
+        with ProcessBackend(2, start_method=start_method) as be:
+            results = solve_many(_closure_batch(), backend=be)
+            assert be.health()["started"] is False
+        assert [r.value for r in results] == expected

@@ -1,5 +1,7 @@
 """Unit tests for the execution backends."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -47,14 +49,6 @@ class TestFactory:
         with pytest.raises(BackendError, match="process"):
             make_backend("thread", start_method="fork")
 
-    def test_cow_transport_requires_fork(self):
-        with pytest.raises(BackendError, match="fork"):
-            ProcessBackend(workers=1, start_method="spawn", transport="cow")
-
-    def test_unknown_transport(self):
-        with pytest.raises(BackendError, match="shm"):
-            ProcessBackend(workers=1, transport="carrier-pigeon")
-
 
 class TestContextManager:
     @pytest.mark.parametrize("backend_name", ["serial", "thread", "process"])
@@ -91,44 +85,31 @@ class TestMapWithArrays:
             be.close()
 
 
-class TestProcessIsolation:
-    def test_shared_globals_cleared(self):
-        with ProcessBackend(workers=2) as be:
-            data = np.arange(5.0)
-            be.map_with_arrays(_tile_sum, [(0, 5)], {"data": data})
-        from repro.parallel.backends import _SHARED
+class TestUnpicklablePayload:
+    @pytest.mark.parametrize("start_method", START_METHODS)
+    def test_unpicklable_payload_runs_in_caller(self, start_method):
+        """A closure payload cannot be pickled into a store blob; under
+        either start method it runs tile by tile in the calling process
+        and starts no pool."""
+        ran_in = []
 
-        assert _SHARED == {}
+        def hook(x):
+            ran_in.append(os.getpid())
+            return x + 41
 
-    def test_cow_transport_leaves_no_arrays_after_close(self):
-        """Regression: the fork-COW channel must not leave the last
-        map's arrays referenced from the module global once the call —
-        let alone close() — returns."""
-        from repro.parallel.backends import _SHARED
-
-        be = ProcessBackend(workers=2, start_method="fork", transport="cow")
-        data = np.arange(5.0)
-        out = be.map_with_arrays(_tile_sum, [(0, 5)], {"data": data})
-        assert out == [10.0]
-        assert _SHARED == {}
-        be.close()
-        assert _SHARED == {}
-
-    def test_unpicklable_payload_falls_back_to_cow(self):
-        """The shm transport cannot pickle a closure payload; under
-        fork it must transparently ride the COW channel instead."""
-        with ProcessBackend(workers=2, start_method="fork") as be:
-            out = be.map_with_arrays(
-                _call_hook, [0, 1], {"hook": lambda x: x + 41}
-            )
+        with ProcessBackend(workers=2, start_method=start_method) as be:
+            out = be.map_with_arrays(_call_hook, [0, 1], {"hook": hook})
+            assert be.health()["started"] is False
         assert out == [41, 42]
+        assert ran_in == [os.getpid(), os.getpid()]
 
 
 class TestProcessBackendConcurrency:
     def test_concurrent_maps_do_not_cross_arrays(self):
-        """Two threads fanning out process maps with different keyword
-        sets must not interleave payloads through the fork-shared
-        global (regression: _SHARED had no publish-and-fork lock)."""
+        """Threads fanning out process maps with different keyword sets
+        on one backend must each get back their own arrays: every map
+        call owns a separate table store, so concurrent calls cannot
+        interleave payloads."""
         from concurrent.futures import ThreadPoolExecutor
 
         from repro.parallel.backends import ProcessBackend
@@ -162,6 +143,6 @@ def _tile_sum_keyed(tile, **arrays):
 
 
 def _call_hook(tile, *, hook):
-    """Apply an (unpicklable) callable payload — exercises the COW
-    fallback of the shm transport."""
+    """Apply an (unpicklable) callable payload — exercises the
+    in-caller path of the process backend."""
     return hook(tile)

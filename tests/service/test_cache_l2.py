@@ -329,6 +329,40 @@ class TestLedger:
         assert scans == [True, False, False, True, False]
         assert small.stats()["evictions"] == 1
 
+    def test_at_budget_puts_rescan_only_past_the_low_water_mark(
+        self, tmp_path, monkeypatch
+    ):
+        """A directory filled to exactly its budget: a rescan evicts down
+        to 7/8 of it, so the following puts fit again instead of each
+        crossing the budget and rescanning."""
+        monkeypatch.setattr(cache_module, "_RESCAN_EVERY", 1000)
+        L2DiskCache(tmp_path / "probe").put("x", _result(4))
+        size = (tmp_path / "probe" / "x.l2").stat().st_size
+        budget = 64
+        directory = tmp_path / "full"
+        cache = L2DiskCache(directory, max_bytes=budget * size)
+        start = time.time() - 1000
+        keys = [f"k{i:03d}" for i in range(budget + 32)]
+        for i, key in enumerate(keys[:budget]):
+            cache.put(key, _result(4))
+            os.utime(directory / f"{key}.l2", (start + i, start + i))
+        assert cache.stats()["evictions"] == 0
+        scans = []
+        original = L2DiskCache._scan
+
+        def recording(self, sweep=False):
+            scans.append(sweep)
+            return original(self, sweep)
+
+        monkeypatch.setattr(L2DiskCache, "_scan", recording)
+        for i, key in enumerate(keys[budget:], start=budget):
+            cache.put(key, _result(4))
+            os.utime(directory / f"{key}.l2", (start + i, start + i))
+        assert len(scans) == 4  # puts 1, 10, 19 and 28; each evicts 9
+        survivors = sorted(p.stem for p in directory.glob("[!.]*.l2"))
+        assert len(survivors) <= budget
+        assert survivors == keys[len(keys) - len(survivors):]  # the newest
+
 
     def test_ledger_counts_every_concurrent_put(self, tmp_path):
         cache = L2DiskCache(tmp_path)

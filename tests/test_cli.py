@@ -541,10 +541,8 @@ class TestServeRequestCommands:
         assert [r["value"] for r in records] == [2500.0, 42.0]
 
     def test_cache_dir_flags_parse(self):
-        args = build_parser().parse_args(
-            ["serve", "--cache-dir", "/tmp/l2", "--delta-max-dirty", "0.25"]
-        )
-        assert args.cache_dir == "/tmp/l2" and args.delta_max_dirty == 0.25
+        args = build_parser().parse_args(["serve", "--cache-dir", "/tmp/l2"])
+        assert args.cache_dir == "/tmp/l2"
         args = build_parser().parse_args(["fleet", "--cache-dir", "/tmp/l2"])
         assert args.cache_dir == "/tmp/l2"
 
