@@ -17,6 +17,10 @@ Commands
 ``costs``     print the symbolic processor–time comparison table;
 ``average``   evaluate the Section 6 recurrence and a Monte-Carlo check.
 
+Every command answers a refused instance, a bad address, an unreadable
+file or a failed bind with one ``<command>: <message>`` line on stderr
+and exit code 2.
+
 Examples::
 
     python -m repro solve --family chain --n 16 --method huang-banded
@@ -56,7 +60,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from typing import Any, Sequence
 
 # Method and algebra names come from the solver dispatch table and the
 # algebra registry so new entries show up in the CLI automatically.
@@ -81,59 +85,51 @@ def _positive_int(value: str) -> int:
     return n
 
 
-def _add_instance_args(parser: argparse.ArgumentParser) -> None:
-    """The one-instance selectors shared by ``solve`` and ``plan``."""
-    parser.add_argument(
-        "--family",
+#: Every option that two or more commands take, declared once: flag ->
+#: ``add_argument`` keywords. A command overrides a default or a help
+#: text through :func:`_add_options`. Help is %-formatted by argparse,
+#: so ``%(default)s`` shows each command's own default.
+_OPTIONS: dict[str, dict[str, Any]] = {
+    "--family": dict(
         choices=list(FAMILIES),
         default="chain",
         help="random-instance family (ignored if --dims is given)",
-    )
-    parser.add_argument("--n", type=int, default=12, help="instance size")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--dims",
-        type=str,
-        default=None,
-        help="explicit matrix-chain dimensions, comma separated",
-    )
-
-
-def _add_execution_args(parser: argparse.ArgumentParser) -> None:
-    """The execution knobs shared by ``solve`` and ``plan``."""
-    parser.add_argument(
-        "--algebra",
+    ),
+    "--n": dict(type=int, default=12, help="instance size"),
+    "--seed": dict(type=int, default=0, help="random seed"),
+    "--method": dict(
+        choices=list(METHODS),
+        default="sequential",
+        help="default method for specs that do not name one",
+    ),
+    "--algebra": dict(
         choices=list(list_algebras()),
         default=None,
         help=(
-            "selection semiring the recurrence runs over (default: the "
-            "problem family's preferred algebra, min_plus for the "
-            "classical families)"
+            "selection semiring the recurrence runs over; a batch spec may "
+            "name its own (default: the problem family's preferred algebra, "
+            "min_plus for the classical families)"
         ),
-    )
-    parser.add_argument(
-        "--backend",
+    ),
+    "--backend": dict(
         choices=list(BACKEND_NAMES),
-        default="serial",
-        help="execution backend for the iterative methods' sweep kernels",
-    )
-    parser.add_argument(
-        "--start-method",
+        default="process",
+        help="the warm pool batches lease (default: %(default)s)",
+    ),
+    "--start-method": dict(
         choices=list(START_METHODS),
         default=None,
         help=(
             "process start method for --backend process (default: fork "
             "where available, else spawn)"
         ),
-    )
-    parser.add_argument(
-        "--workers",
+    ),
+    "--workers": dict(
         type=_positive_int,
         default=None,
-        help="backend worker count (default: min(8, cpu count))",
-    )
-    parser.add_argument(
-        "--kernel-impl",
+        help="pool size (default: min(8, cpu count))",
+    ),
+    "--kernel-impl": dict(
         choices=list(KERNEL_IMPLS),
         default="auto",
         help=(
@@ -143,6 +139,115 @@ def _add_execution_args(parser: argparse.ArgumentParser) -> None:
             "numpy otherwise) or auto (default: fused) — all tiers "
             "commit bitwise-identical tables"
         ),
+    ),
+    "--socket": dict(
+        default="repro.sock",
+        help="unix socket path to listen on (default: ./%(default)s)",
+    ),
+    "--tcp": dict(
+        default=None,
+        metavar="HOST:PORT",
+        help=(
+            "TCP endpoint instead of the unix socket (same JSONL protocol; "
+            "a server given port 0 picks an ephemeral port and prints it)"
+        ),
+    ),
+    "--max-batch": dict(
+        type=_positive_int,
+        default=16,
+        help="at most this many requests per batch (default: %(default)s)",
+    ),
+    "--cache-mb": dict(
+        type=float,
+        default=128.0,
+        help="result-cache budget in MiB; 0 disables the cache (default: 128)",
+    ),
+    "--cache-dir": dict(
+        default=None,
+        help=(
+            "directory for a disk-backed L2 result cache; results survive "
+            "restarts and are shared by every server pointing at it "
+            "(default: in-memory L1 only)"
+        ),
+    ),
+    "--max-requests": dict(
+        type=_positive_int,
+        default=None,
+        help="exit after serving this many requests (smoke tests/benchmarks)",
+    ),
+    "--shards": dict(
+        type=_positive_int,
+        default=2,
+        help="shard processes in the fleet (default: %(default)s)",
+    ),
+    "--load-factor": dict(
+        type=float,
+        default=float("inf"),
+        help=(
+            "bounded-load routing: spill a request off its ring owner when "
+            "the owner's load exceeds this multiple of the mean shard load; "
+            "'inf' never spills (default: inf, pure consistent hashing)"
+        ),
+    ),
+    "--input": dict(
+        default="-",
+        help="JSONL file of problem specs, or '-' for stdin (default)",
+    ),
+}
+
+#: The execution knobs of ``solve``, ``plan`` and ``batch``.
+_EXECUTION = ("--algebra", "--backend", "--start-method", "--kernel-impl")
+
+#: The options of ``serve``; ``fleet`` takes them for its front end
+#: (``--socket --tcp --max-requests``) and its shards (the rest).
+_SERVICE = (
+    "--socket",
+    "--tcp",
+    "--method",
+    "--backend",
+    "--start-method",
+    "--workers",
+    "--max-batch",
+    "--cache-mb",
+    "--cache-dir",
+    "--max-requests",
+)
+
+
+def _add_options(
+    parser: argparse.ArgumentParser, *flags: str, **changes: dict[str, Any]
+) -> None:
+    """Add the shared ``flags`` from :data:`_OPTIONS`; ``changes`` maps
+    an option's dest to the keywords this command overrides."""
+    for flag in flags:
+        dest = flag[2:].replace("-", "_")
+        parser.add_argument(flag, **{**_OPTIONS[flag], **changes.pop(dest, {})})
+    if changes:
+        raise TypeError(f"no such option among {flags}: {sorted(changes)}")
+
+
+def _add_instance_args(parser: argparse.ArgumentParser, **method: Any) -> None:
+    """The one-instance selectors and execution knobs of ``solve`` and
+    ``plan``; ``method`` overrides keywords of their ``--method``."""
+    _add_options(
+        parser,
+        "--family",
+        "--n",
+        "--seed",
+        "--method",
+        *_EXECUTION,
+        "--workers",
+        method={"default": "huang-banded", **method},
+        backend={
+            "default": "serial",
+            "help": "execution backend for the iterative methods' sweep kernels",
+        },
+    )
+    parser.add_argument(
+        "--dims",
+        type=str,
+        default=None,
+        help="explicit matrix-chain dimensions, comma separated",
     )
 
 
@@ -200,39 +305,30 @@ def _add_trace_args(parser: argparse.ArgumentParser) -> None:
         default=0.25,
         help="burst->quiet switch probability per arrival",
     )
-    parser.add_argument(
+    _add_options(
+        parser,
         "--family",
-        choices=list(FAMILIES),
-        default="chain",
-        help="problem family the pool draws from",
-    )
-    parser.add_argument("--n", type=int, default=24, help="instance size")
-    parser.add_argument(
+        "--n",
         "--method",
-        choices=sorted(METHODS),
-        default=None,
-        help="stamp this solve method onto every spec in the trace",
+        "--seed",
+        family={"help": "problem family the pool draws from"},
+        n={"default": 24},
+        method={
+            "default": None,
+            "help": "stamp this solve method onto every spec in the trace",
+        },
+        seed={"help": "master trace seed"},
     )
-    parser.add_argument("--seed", type=int, default=0, help="master trace seed")
 
 
 def _trace_config_from_args(args: argparse.Namespace):
+    """The trace flags' dests are :class:`TraceConfig`'s field names."""
+    from dataclasses import fields
+
     from repro.loadgen import TraceConfig
 
     return TraceConfig(
-        arrival=args.arrival,
-        rate=args.rate,
-        count=args.count,
-        popularity=args.popularity,
-        pool=args.pool,
-        zipf_s=args.zipf_s,
-        burst_factor=args.burst_factor,
-        burst_enter=args.burst_enter,
-        burst_exit=args.burst_exit,
-        family=args.family,
-        n=args.n,
-        method=args.method,
-        seed=args.seed,
+        **{f.name: getattr(args, f.name) for f in fields(TraceConfig)}
     ).validate()
 
 
@@ -242,7 +338,11 @@ def _problem_from_args(args: argparse.Namespace):
     from repro.problems import MatrixChainProblem
 
     if args.dims:
-        return MatrixChainProblem([int(x) for x in args.dims.split(",")])
+        try:
+            dims = [int(x) for x in args.dims.split(",")]
+        except ValueError:
+            raise ReproError(f"--dims takes integers, got {args.dims!r}") from None
+        return MatrixChainProblem(dims)
     return family_generators()[args.family](args.n, seed=args.seed)
 
 
@@ -257,19 +357,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="solve one instance")
-    _add_instance_args(p_solve)
-    p_solve.add_argument(
-        "--method",
-        choices=list(METHODS),
-        default="huang-banded",
-    )
+    _add_instance_args(p_solve, help="solve method (default: %(default)s)")
     p_solve.add_argument(
         "--policy",
         choices=["paper", "w-stable", "w-pw-stable"],
         default="paper",
         help="termination policy for the iterative methods",
     )
-    _add_execution_args(p_solve)
     p_solve.add_argument("--tree", action="store_true", help="print the optimal tree")
     p_solve.add_argument(
         "--trace", action="store_true", help="print the iteration trace"
@@ -278,49 +372,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch = sub.add_parser(
         "batch", help="solve a JSONL stream of problem specs on a worker pool"
     )
-    p_batch.add_argument(
+    _add_options(
+        p_batch,
         "--input",
-        default="-",
-        help="JSONL file of problem specs, or '-' for stdin (default)",
-    )
-    p_batch.add_argument(
         "--method",
-        choices=list(METHODS),
-        default="sequential",
-        help="default method for specs that do not name one",
-    )
-    p_batch.add_argument(
-        "--algebra",
-        choices=list(list_algebras()),
-        default=None,
-        help=(
-            "default algebra for specs that do not name one (default: "
-            "each problem family's preferred algebra)"
-        ),
-    )
-    p_batch.add_argument(
-        "--backend",
-        choices=list(BACKEND_NAMES),
-        default="thread",
-        help="shared worker pool the batch fans out over",
-    )
-    p_batch.add_argument(
-        "--start-method",
-        choices=list(START_METHODS),
-        default=None,
-        help="process start method for --backend process",
+        *_EXECUTION,
+        backend={
+            "default": "thread",
+            "help": "shared worker pool the batch fans out over",
+        },
     )
     p_batch.add_argument(
         "--max-workers",
         type=_positive_int,
         default=None,
         help="pool size (default: min(8, cpu count))",
-    )
-    p_batch.add_argument(
-        "--kernel-impl",
-        choices=list(KERNEL_IMPLS),
-        default="auto",
-        help="kernel implementation tier for iterative items (default: auto)",
     )
     p_batch.add_argument(
         "--jsonl",
@@ -338,14 +404,11 @@ def build_parser() -> argparse.ArgumentParser:
             "the engine would preallocate."
         ),
     )
-    _add_instance_args(p_plan)
-    p_plan.add_argument(
-        "--method",
+    _add_instance_args(
+        p_plan,
         choices=list(ITERATIVE_METHODS),
-        default="huang-banded",
         help="iterative method to compile (sequential methods have no plan)",
     )
-    _add_execution_args(p_plan)
     p_plan.add_argument(
         "--tiles",
         type=_positive_int,
@@ -363,71 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
             "'repro request'."
         ),
     )
-    p_serve.add_argument(
-        "--socket",
-        default="repro.sock",
-        help="unix socket path to listen on (default: ./repro.sock)",
-    )
-    p_serve.add_argument(
-        "--tcp",
-        default=None,
-        metavar="HOST:PORT",
-        help=(
-            "listen on TCP instead of the unix socket (same JSONL protocol; "
-            "port 0 picks an ephemeral port and prints it)"
-        ),
-    )
-    p_serve.add_argument(
-        "--method",
-        choices=list(METHODS),
-        default="sequential",
-        help="default method for requests that do not name one",
-    )
-    p_serve.add_argument(
-        "--backend",
-        choices=list(BACKEND_NAMES),
-        default="process",
-        help="the warm pool batches lease (default: process)",
-    )
-    p_serve.add_argument(
-        "--start-method",
-        choices=list(START_METHODS),
-        default=None,
-        help="process start method for --backend process",
-    )
-    p_serve.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        help="pool size (default: min(8, cpu count))",
-    )
-    p_serve.add_argument(
-        "--max-batch",
-        type=_positive_int,
-        default=16,
-        help="at most this many requests per batch (default: 16)",
-    )
-    p_serve.add_argument(
-        "--cache-mb",
-        type=float,
-        default=128.0,
-        help="result-cache byte budget in MiB; 0 disables the cache (default: 128)",
-    )
-    p_serve.add_argument(
-        "--cache-dir",
-        default=None,
-        help=(
-            "directory for a disk-backed L2 result cache; results survive "
-            "restarts and are shared by every server pointing at it "
-            "(default: in-memory L1 only)"
-        ),
-    )
-    p_serve.add_argument(
-        "--max-requests",
-        type=_positive_int,
-        default=None,
-        help="exit after serving this many requests (smoke tests/benchmarks)",
-    )
+    _add_options(p_serve, *_SERVICE)
 
     p_fleet = sub.add_parser(
         "fleet",
@@ -438,24 +437,23 @@ def build_parser() -> argparse.ArgumentParser:
             "request to a shard by consistent hash of its instance key, "
             "respawns shards that die, and serves the whole fleet behind "
             "one unix-socket or TCP endpoint speaking the 'repro serve' "
-            "protocol — 'repro request' works against it unchanged."
+            "protocol — 'repro request' works against it unchanged. Every "
+            "shard runs with the --method, --backend, --start-method, "
+            "--workers, --max-batch and --cache-mb given here."
         ),
     )
-    p_fleet.add_argument(
+    _add_options(
+        p_fleet,
         "--shards",
-        type=_positive_int,
-        default=2,
-        help="shard processes to run (default: 2)",
-    )
-    p_fleet.add_argument(
         "--load-factor",
-        type=float,
-        default=float("inf"),
-        help=(
-            "bounded-load routing: spill a request off its ring owner when "
-            "the owner's load exceeds this multiple of the mean shard load; "
-            "'inf' never spills (default: inf, pure consistent hashing)"
-        ),
+        *_SERVICE,
+        socket={"default": "fleet.sock"},
+        cache_dir={
+            "help": (
+                "shared L2 result-cache directory mounted by every shard "
+                "(default: an l2-cache subdirectory of the state dir)"
+            )
+        },
     )
     p_fleet.add_argument(
         "--min-shards",
@@ -476,73 +474,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p_fleet.add_argument(
-        "--socket",
-        default="fleet.sock",
-        help="front-end unix socket path (default: ./fleet.sock)",
-    )
-    p_fleet.add_argument(
-        "--tcp",
-        default=None,
-        metavar="HOST:PORT",
-        help="front-end TCP endpoint instead of the unix socket",
-    )
-    p_fleet.add_argument(
-        "--method",
-        choices=list(METHODS),
-        default="sequential",
-        help="default method for requests that do not name one",
-    )
-    p_fleet.add_argument(
-        "--backend",
-        choices=list(BACKEND_NAMES),
-        default="process",
-        help="each shard's warm-pool backend (default: process)",
-    )
-    p_fleet.add_argument(
-        "--start-method",
-        choices=list(START_METHODS),
-        default=None,
-        help="process start method for --backend process",
-    )
-    p_fleet.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        help="pool size per shard (default: min(8, cpu count))",
-    )
-    p_fleet.add_argument(
-        "--max-batch",
-        type=_positive_int,
-        default=16,
-        help="per shard, at most this many requests per batch (default: 16)",
-    )
-    p_fleet.add_argument(
-        "--cache-mb",
-        type=float,
-        default=128.0,
-        help="per-shard result-cache budget in MiB; 0 disables (default: 128)",
-    )
-    p_fleet.add_argument(
-        "--cache-dir",
-        default=None,
-        help=(
-            "shared L2 result-cache directory mounted by every shard "
-            "(default: an l2-cache subdirectory of the state dir)"
-        ),
-    )
-    p_fleet.add_argument(
         "--state-dir",
         default=None,
         help=(
             "directory for shard sockets and logs (default: a private "
             "temporary directory, removed on shutdown)"
         ),
-    )
-    p_fleet.add_argument(
-        "--max-requests",
-        type=_positive_int,
-        default=None,
-        help="exit after serving this many requests (smoke tests/benchmarks)",
     )
 
     p_request = sub.add_parser(
@@ -556,16 +493,15 @@ def build_parser() -> argparse.ArgumentParser:
             "processes instead of a running server."
         ),
     )
-    p_request.add_argument(
+    _add_options(
+        p_request,
         "--socket",
-        default="repro.sock",
-        help="unix socket path of the server (default: ./repro.sock)",
-    )
-    p_request.add_argument(
         "--tcp",
-        default=None,
-        metavar="HOST:PORT",
-        help="connect to a TCP server instead of the unix socket",
+        "--input",
+        socket={
+            "default": None,
+            "help": "unix socket path of the server (default: ./repro.sock)",
+        },
     )
     p_request.add_argument(
         "--fleet",
@@ -576,11 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
             "spin up an ephemeral fleet of N shards, route the input specs "
             "through it, and tear it down (no running server needed)"
         ),
-    )
-    p_request.add_argument(
-        "--input",
-        default="-",
-        help="JSONL file of problem specs, or '-' for stdin (default)",
     )
     p_request.add_argument(
         "--status",
@@ -623,6 +554,19 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_trace_args(p_load)
+    _add_options(
+        p_load,
+        "--socket",
+        "--tcp",
+        "--shards",
+        "--load-factor",
+        "--backend",
+        "--workers",
+        socket={
+            "default": None,
+            "help": "unix socket of a running 'repro serve'/'repro fleet' to hit",
+        },
+    )
     p_load.add_argument(
         "--trace",
         default=None,
@@ -638,29 +582,6 @@ def build_parser() -> argparse.ArgumentParser:
             "fleet of --shards shard processes (ignored when --socket/--tcp "
             "point at a running server)"
         ),
-    )
-    p_load.add_argument(
-        "--socket",
-        default=None,
-        help="unix socket of a running 'repro serve'/'repro fleet' to hit",
-    )
-    p_load.add_argument(
-        "--tcp",
-        default=None,
-        metavar="HOST:PORT",
-        help="TCP address of a running server to hit",
-    )
-    p_load.add_argument(
-        "--shards",
-        type=_positive_int,
-        default=2,
-        help="fleet width for --target fleet (default: 2)",
-    )
-    p_load.add_argument(
-        "--load-factor",
-        type=float,
-        default=float("inf"),
-        help="bounded-load spill threshold for --target fleet (default: inf)",
     )
     p_load.add_argument(
         "--mode",
@@ -691,18 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="latency SLO threshold for the goodput section of the report",
     )
     p_load.add_argument(
-        "--backend",
-        choices=list(BACKEND_NAMES),
-        default="process",
-        help="backend for ephemeral targets (default: process)",
-    )
-    p_load.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        help="worker count for ephemeral targets",
-    )
-    p_load.add_argument(
         "--records",
         default=None,
         metavar="PATH",
@@ -724,8 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["zigzag", "skewed", "complete", "random"],
         default="zigzag",
     )
-    p_pebble.add_argument("--n", type=int, default=1024)
-    p_pebble.add_argument("--seed", type=int, default=0)
+    _add_options(p_pebble, "--n", "--seed", n={"default": 1024})
     p_pebble.add_argument("--rule", choices=["huang", "rytter"], default="huang")
     p_pebble.add_argument("--trace", action="store_true")
 
@@ -735,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_avg = sub.add_parser("average", help="Section 6 average-case check")
     p_avg.add_argument("--n-max", type=int, default=1024)
     p_avg.add_argument("--samples", type=int, default=30)
-    p_avg.add_argument("--seed", type=int, default=0)
+    _add_options(p_avg, "--seed")
     return parser
 
 
@@ -762,12 +670,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         kwargs["algebra"] = args.algebra
     if args.method in ITERATIVE_METHODS:
         kwargs["policy"] = policy
-    try:
-        problem = _problem_from_args(args)
-        result = solve(problem, method=args.method, reconstruct=args.tree, **kwargs)
-    except ReproError as exc:
-        print(f"solve: {exc}", file=sys.stderr)
-        return 2
+    problem = _problem_from_args(args)
+    result = solve(problem, method=args.method, reconstruct=args.tree, **kwargs)
     print(f"problem : {problem.describe()}")
     print(f"method  : {args.method}")
     if result.algebra != "min_plus":
@@ -784,6 +688,38 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_spec_lines(args: argparse.Namespace) -> list:
+    """The JSONL input of ``batch`` and ``request``: the lines of
+    ``--input`` (or stdin) as ``(lineno, spec dict | parse error)``
+    pairs, so one bad line is answered in its place and the rest still
+    run. An unreadable file raises :class:`OSError`."""
+    import json
+
+    if args.input == "-":
+        # A bare --shutdown should not block waiting on a terminal.
+        if getattr(args, "shutdown", False) and sys.stdin.isatty():
+            lines = []
+        else:
+            lines = sys.stdin.read().splitlines()
+    else:
+        with open(args.input, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    items = []  # (lineno, spec dict) or (lineno, parse error)
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            spec = json.loads(line)
+            if not isinstance(spec, dict):
+                raise ValueError("spec must be a JSON object")
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
+            items.append((lineno, exc))
+        else:
+            items.append((lineno, spec))
+    return items
+
+
 def _cmd_batch(args: argparse.Namespace) -> int:
     import json
 
@@ -791,30 +727,15 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     from repro.problems.specs import batch_item_from_spec
     from repro.util.tables import format_table
 
-    if args.input == "-":
-        lines = sys.stdin.read().splitlines()
-    else:
-        try:
-            with open(args.input, "r", encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
-        except OSError as exc:
-            print(f"batch: cannot read {args.input}: {exc}", file=sys.stderr)
-            return 2
-
-    items = []  # (problem, method, kwargs) or a spec-level parse error
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            spec = json.loads(line)
-            if not isinstance(spec, dict):
-                raise ValueError("spec must be a JSON object")
-            items.append(
-                (lineno, batch_item_from_spec(spec, default_method=args.method))
-            )
-        except Exception as exc:  # noqa: BLE001 - report bad lines, keep going
-            items.append((lineno, exc))
+    items = []  # (lineno, (problem, method, kwargs)) or (lineno, its error)
+    for lineno, spec in _read_spec_lines(args):
+        item = spec
+        if isinstance(spec, dict):
+            try:
+                item = batch_item_from_spec(spec, default_method=args.method)
+            except Exception as exc:  # noqa: BLE001 - report bad lines, keep going
+                item = exc
+        items.append((lineno, item))
 
     batch = [item for _, item in items if not isinstance(item, Exception)]
     results = solve_many(
@@ -877,25 +798,20 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 def _service_address(args: argparse.Namespace):
     """The endpoint a serve/fleet/request command talks on: ``--tcp``
-    wins over the (defaulted) unix ``--socket`` path."""
+    wins over the unix ``--socket`` path. ``request`` leaves
+    ``--socket`` unset so that ``--fleet`` can refuse an explicit one;
+    unset means ``./repro.sock``."""
     from repro.service.transport import Address, parse_address
 
-    if getattr(args, "tcp", None):
+    if args.tcp:
         return parse_address(args.tcp, tcp=True)
-    return Address.unix(args.socket)
+    return Address.unix("repro.sock" if args.socket is None else args.socket)
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from repro.service import SolveService, serve
-
-    try:
-        address = _service_address(args)
-    except ReproError as exc:
-        print(f"serve: {exc}", file=sys.stderr)
-        return 2
-    service = SolveService(
+def _service_kwargs(args: argparse.Namespace) -> dict:
+    """The :class:`~repro.service.SolveService` keywords: ``serve`` runs
+    with them, and ``fleet`` passes them to each shard."""
+    return dict(
         method=args.method,
         backend=args.backend,
         workers=args.workers,
@@ -904,6 +820,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cache_bytes=int(args.cache_mb * (1 << 20)),
         cache_dir=args.cache_dir,
     )
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    import asyncio
+
+    from repro.service import SolveService, serve
+
+    address = _service_address(args)
+    service = SolveService(**_service_kwargs(args))
     try:
         served = asyncio.run(
             serve(
@@ -913,15 +838,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 quiet=False,
             )
         )
-    except KeyboardInterrupt:  # pragma: no cover - interactive stop
+    finally:
+        # serve() releases the service on its way out; close() is
+        # idempotent and covers an interrupt before serve() owns it.
         service.close()
-        return 130
-    except (ReproError, OSError) as exc:
-        # Bind failures (live server on the socket, port in use, ...) —
-        # serve() already released the service on its way out.
-        service.close()
-        print(f"serve: {exc}", file=sys.stderr)
-        return 2
     print(f"repro serve: stopped after {served} requests")
     return 0
 
@@ -931,29 +851,15 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
     from repro.service.fleet import FleetRouter, serve_fleet
 
-    try:
-        address = _service_address(args)
-    except ReproError as exc:
-        print(f"fleet: {exc}", file=sys.stderr)
-        return 2
-    try:
-        router = FleetRouter(
-            args.shards,
-            method=args.method,
-            backend=args.backend,
-            workers=args.workers,
-            start_method=args.start_method,
-            max_batch=args.max_batch,
-            cache_bytes=int(args.cache_mb * (1 << 20)),
-            cache_dir=args.cache_dir,
-            state_dir=args.state_dir,
-            load_factor=args.load_factor,
-            min_shards=args.min_shards,
-            max_shards=args.max_shards,
-        )
-    except ReproError as exc:
-        print(f"fleet: {exc}", file=sys.stderr)
-        return 2
+    address = _service_address(args)
+    router = FleetRouter(
+        args.shards,
+        **_service_kwargs(args),
+        state_dir=args.state_dir,
+        load_factor=args.load_factor,
+        min_shards=args.min_shards,
+        max_shards=args.max_shards,
+    )
     try:
         router.start()
         served = asyncio.run(
@@ -964,50 +870,10 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
                 quiet=False,
             )
         )
-    except KeyboardInterrupt:  # pragma: no cover - interactive stop
-        return 130
-    except (ReproError, OSError) as exc:
-        print(f"fleet: {exc}", file=sys.stderr)
-        return 2
     finally:
         router.close()
     print(f"repro fleet: stopped after {served} requests")
     return 0
-
-
-def _read_spec_lines(args: argparse.Namespace) -> "list | int":
-    """The request commands' shared input parsing: JSONL lines from
-    ``--input`` (or stdin) as ``(lineno, spec dict | parse error)``
-    pairs — or an exit code when the input cannot be read at all."""
-    import json
-
-    if args.input == "-":
-        # A bare --shutdown should not block waiting on a terminal.
-        if getattr(args, "shutdown", False) and sys.stdin.isatty():
-            lines = []
-        else:
-            lines = sys.stdin.read().splitlines()
-    else:
-        try:
-            with open(args.input, "r", encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
-        except OSError as exc:
-            print(f"request: cannot read {args.input}: {exc}", file=sys.stderr)
-            return 2
-    items = []  # (lineno, spec dict) or (lineno, parse error)
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            spec = json.loads(line)
-            if not isinstance(spec, dict):
-                raise ValueError("spec must be a JSON object")
-        except ValueError as exc:  # bad lines report, don't crash the rest
-            items.append((lineno, exc))
-        else:
-            items.append((lineno, spec))
-    return items
 
 
 def _print_records(items: list, records: list) -> int:
@@ -1031,69 +897,42 @@ def _print_records(items: list, records: list) -> int:
     return failures
 
 
-def _cmd_request_fleet(args: argparse.Namespace) -> int:
-    """``repro request --fleet N``: an ephemeral fleet for one batch."""
-    import json
-
-    from repro.service.fleet import FleetRouter
-
-    with FleetRouter(args.fleet) as router:
-        if args.status:
-            print(json.dumps(router.status(), indent=2))
-            return 0
-        items = _read_spec_lines(args)
-        if isinstance(items, int):
-            return items
-        records = router.request_many(
-            [s for _, s in items if isinstance(s, dict)]
-        )
-        failures = _print_records(items, records)
-    return 1 if failures else 0
-
-
 def _cmd_request(args: argparse.Namespace) -> int:
+    """Send the input specs to a running server (a :class:`ServiceClient`)
+    or, with ``--fleet N``, through an ephemeral :class:`FleetRouter`;
+    both answer ``status()`` and ``request_many()``."""
     import json
 
-    from repro.service import ServiceClient
-
+    target: Any
     if args.fleet is not None:
         # An ephemeral fleet ignores any server address; refuse the
         # combination rather than silently solving in the wrong place.
-        if args.tcp or args.socket != "repro.sock":
-            print(
-                "request: --fleet runs an ephemeral local fleet and cannot "
-                "be combined with --socket/--tcp (drop one)",
-                file=sys.stderr,
+        if args.tcp or args.socket is not None:
+            raise ReproError(
+                "--fleet runs an ephemeral local fleet and cannot be "
+                "combined with --socket/--tcp (drop one)"
             )
-            return 2
-        return _cmd_request_fleet(args)
-    try:
-        if args.tcp:
-            client = ServiceClient(tcp=args.tcp)
-        else:
-            client = ServiceClient(args.socket)
-    except ReproError as exc:  # malformed --tcp address
-        print(f"request: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        target = args.tcp or args.socket
-        print(f"request: cannot connect to {target}: {exc}", file=sys.stderr)
-        return 2
-    with client:
+        from repro.service.fleet import FleetRouter
+
+        target = FleetRouter(args.fleet)
+    else:
+        from repro.service import ServiceClient
+
+        address = _service_address(args)
+        try:
+            target = ServiceClient(address)
+        except OSError as exc:
+            raise ReproError(f"cannot connect to {address.describe()}: {exc}") from exc
+    failures = 0
+    with target:
         if args.status:
-            print(json.dumps(client.status(), indent=2))
-            if args.shutdown:
-                client.shutdown()
-            return 0
-        items = _read_spec_lines(args)
-        if isinstance(items, int):
-            return items
-        responses = client.request_many(
-            [s for _, s in items if isinstance(s, dict)]
-        )
-        failures = _print_records(items, responses)
-        if args.shutdown:
-            client.shutdown()
+            print(json.dumps(target.status(), indent=2))
+        else:
+            items = _read_spec_lines(args)
+            records = target.request_many([s for _, s in items if isinstance(s, dict)])
+            failures = _print_records(items, records)
+        if args.shutdown and args.fleet is None:
+            target.shutdown()
     return 1 if failures else 0
 
 
@@ -1165,21 +1004,17 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
 def _cmd_plan(args: argparse.Namespace) -> int:
     from repro.core.api import plan_for
 
-    try:
-        problem = _problem_from_args(args)
-        plan = plan_for(
-            problem,
-            method=args.method,
-            algebra=args.algebra,
-            backend=args.backend,
-            workers=args.workers,
-            tiles=args.tiles,
-            start_method=args.start_method,
-            kernel_impl=args.kernel_impl,
-        )
-    except ReproError as exc:
-        print(f"plan: {exc}", file=sys.stderr)
-        return 2
+    problem = _problem_from_args(args)
+    plan = plan_for(
+        problem,
+        method=args.method,
+        algebra=args.algebra,
+        backend=args.backend,
+        workers=args.workers,
+        tiles=args.tiles,
+        start_method=args.start_method,
+        kernel_impl=args.kernel_impl,
+    )
     print(f"problem : {problem.describe()}")
     print(plan.describe())
     return 0
@@ -1288,7 +1123,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         "costs": _cmd_costs,
         "average": _cmd_average,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except (ReproError, OSError) as exc:
+        # A refused instance or spec, a bad address, an unreadable or
+        # unwritable file, a failed bind or connect: one line, exit 2.
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
+    except KeyboardInterrupt:  # pragma: no cover - interactive stop
+        return 130
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,5 +1,6 @@
 """Unit tests for the command-line interface."""
 
+import argparse
 import json
 import os
 import time
@@ -7,6 +8,71 @@ import time
 import pytest
 
 from repro.cli import build_parser, main
+
+#: Every subcommand's option strings (besides -h/--help). The shared
+#: options are declared once in a table; this pins what each command
+#: takes from it.
+COMMAND_OPTIONS = {
+    "solve": "--family --n --seed --dims --method --policy --algebra --backend "
+    "--start-method --workers --kernel-impl --tree --trace",
+    "batch": "--input --method --algebra --backend --start-method --max-workers "
+    "--kernel-impl --jsonl",
+    "plan": "--family --n --seed --dims --method --algebra --backend "
+    "--start-method --workers --kernel-impl --tiles",
+    "serve": "--socket --tcp --method --backend --start-method --workers "
+    "--max-batch --cache-mb --cache-dir --max-requests",
+    "fleet": "--shards --load-factor --min-shards --max-shards --socket --tcp "
+    "--method --backend --start-method --workers --max-batch --cache-mb "
+    "--cache-dir --state-dir --max-requests",
+    "request": "--socket --tcp --fleet --input --status --shutdown",
+    "trace": "--arrival --rate --count --popularity --pool --zipf-s "
+    "--burst-factor --burst-enter --burst-exit --family --n --method --seed "
+    "--output",
+    "loadtest": "--arrival --rate --count --popularity --pool --zipf-s "
+    "--burst-factor --burst-enter --burst-exit --family --n --method --seed "
+    "--trace --target --socket --tcp --shards --load-factor --mode --speed "
+    "--timeout --slo-ms --backend --workers --records --with-status",
+    "algebras": "",
+    "pebble": "--shape --n --seed --rule --trace",
+    "costs": "--n",
+    "average": "--n-max --samples --seed",
+}
+
+#: The defaults that differ by command. An unset ``request --socket``
+#: means ./repro.sock, so that ``--fleet`` can refuse an explicit one.
+COMMAND_DEFAULTS = {
+    "backend": {
+        "solve": "serial",
+        "plan": "serial",
+        "batch": "thread",
+        "serve": "process",
+        "fleet": "process",
+        "loadtest": "process",
+    },
+    "method": {
+        "solve": "huang-banded",
+        "plan": "huang-banded",
+        "batch": "sequential",
+        "serve": "sequential",
+        "fleet": "sequential",
+        "trace": None,
+        "loadtest": None,
+    },
+    "socket": {
+        "serve": "repro.sock",
+        "fleet": "fleet.sock",
+        "request": None,
+        "loadtest": None,
+    },
+    "n": {
+        "solve": 12,
+        "plan": 12,
+        "trace": 24,
+        "loadtest": 24,
+        "pebble": 1024,
+        "costs": [16, 64, 256],
+    },
+}
 
 
 class TestParser:
@@ -21,6 +87,39 @@ class TestParser:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
+
+    def test_each_command_keeps_its_options(self):
+        parser = build_parser()
+        (commands,) = [
+            a.choices
+            for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]
+        assert set(commands) == set(COMMAND_OPTIONS)
+        for command, sub in commands.items():
+            taken = {
+                flag
+                for action in sub._actions
+                for flag in action.option_strings
+                if flag not in ("-h", "--help")
+            }
+            assert taken == set(COMMAND_OPTIONS[command].split()), command
+        for dest, by_command in COMMAND_DEFAULTS.items():
+            flag = f"--{dest}"
+            takers = {c for c, opts in COMMAND_OPTIONS.items() if flag in opts.split()}
+            assert set(by_command) == takers, flag
+            for command, default in by_command.items():
+                args = parser.parse_args([command])
+                assert getattr(args, dest) == default, (command, flag)
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+    def test_every_command_renders_help(self, command, capsys):
+        """argparse %-formats help only when it renders it, so a stray
+        ``%`` in a shared help text breaks every command taking it."""
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--help"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: repro {command}")
 
 
 class TestSolveCommand:
@@ -386,8 +485,21 @@ class TestSolveBackendOption:
         [
             ["solve", "--family", "chain", "--method", "knuth"],
             ["plan", "--family", "chain", "--n", "400", "--method", "huang"],
+            ["trace", "--count", "3", "--rate", "-5"],
+            ["loadtest", "--trace", "/nonexistent-dir/t.jsonl"],
+            ["trace", "--count", "3", "--output", "/nonexistent-dir/t.jsonl"],
+            ["batch", "--input", "/nonexistent-dir/specs.jsonl"],
+            ["solve", "--dims", "30,x,15"],
         ],
-        ids=["solve-knuth-chain", "plan-over-max-n"],
+        ids=[
+            "solve-knuth-chain",
+            "plan-over-max-n",
+            "trace-negative-rate",
+            "loadtest-missing-trace",
+            "trace-unwritable-output",
+            "batch-missing-input",
+            "solve-malformed-dims",
+        ],
     )
     def test_refused_instance_answers_in_one_line(self, argv, capsys):
         rc = main(argv)
@@ -592,10 +704,9 @@ class TestServeRequestCommands:
 
         socket_path = str(tmp_path / "iso.sock")
         spec_file = tmp_path / "mixed.jsonl"
+        too_deep = "[" * 100000  # json.loads raises RecursionError on it
         spec_file.write_text(
-            "not json at all\n"
-            "[1, 2]\n"
-            '{"dims": [10, 20, 5, 30]}\n'
+            f"not json at all\n[1, 2]\n{too_deep}\n" '{"dims": [10, 20, 5, 30]}\n'
         )
         server = threading.Thread(
             target=main,
@@ -616,11 +727,12 @@ class TestServeRequestCommands:
         out = capsys.readouterr().out
         server.join(timeout=10.0)
         records = [json.loads(line) for line in out.splitlines() if line.startswith("{")]
-        assert rc == 1 and len(records) == 3
-        assert [r["ok"] for r in records] == [False, False, True]
+        assert rc == 1 and len(records) == 4
+        assert [r["ok"] for r in records] == [False, False, False, True]
         assert "line 1" in records[0]["error"]
         assert "JSON object" in records[1]["error"]
-        assert records[2]["value"] == 2500.0
+        assert "line 3: RecursionError" in records[2]["error"]
+        assert records[3]["value"] == 2500.0
 
 
 class TestFleetAndTransportCommands:
@@ -881,10 +993,14 @@ class TestServeStaleSocketFix:
         assert not first.is_alive()
 
     def test_request_fleet_refuses_explicit_server_address(self, capsys):
-        assert main(["request", "--fleet", "2", "--tcp", "h:1"]) == 2
-        assert main(["request", "--fleet", "2", "--socket", "/tmp/other.sock"]) == 2
-        err = capsys.readouterr().err
-        assert "cannot be combined" in err
+        for address in (
+            ["--tcp", "h:1"],
+            ["--socket", "/tmp/other.sock"],
+            ["--socket", "repro.sock"],  # the default, spelled out
+        ):
+            # --status: a missed refusal would start the fleet and exit 0.
+            assert main(["request", "--fleet", "2", *address, "--status"]) == 2
+            assert "cannot be combined" in capsys.readouterr().err
 
 
 class TestTraceLoadtestCommands:
