@@ -101,16 +101,13 @@ class BandedSolver(HuangSolver):
         band: int | None = None,
         size_band: bool = False,
         max_n: int = 64,
-        track_pw_changes: bool = False,
         **engine_kwargs,
     ) -> None:
         self.band = default_band(problem.n) if band is None else int(band)
         if self.band < 0:
             raise InvalidProblemError(f"band must be >= 0, got {self.band}")
         self.size_band = bool(size_band)
-        super().__init__(
-            problem, max_n=max_n, track_pw_changes=track_pw_changes, **engine_kwargs
-        )
+        super().__init__(problem, max_n=max_n, **engine_kwargs)
 
     def reset(self) -> None:
         super().reset()

@@ -15,8 +15,11 @@ This module is that reuse path:
   (:meth:`~repro.problems.base.ParenthesizationProblem.delta_weights`),
   a structural probe payload
   (:meth:`~repro.problems.base.ParenthesizationProblem.delta_parent_payload`)
-  and the dirty window a weight diff induces
-  (:meth:`~repro.problems.base.ParenthesizationProblem.delta_window`);
+  and the dirty window changed weights induce
+  (:meth:`~repro.problems.base.ParenthesizationProblem.dirty_window`),
+  which the base class's
+  :meth:`~repro.problems.base.ParenthesizationProblem.delta_window`
+  applies to a parent's weights;
 - :func:`delta_meta_for` computes the *delta-parent key* — the instance
   key with the weight values replaced by the structural payload — under
   which delta-capable caches index stored results;
@@ -48,7 +51,7 @@ table-and-value answers, which is all the service layer's cache serves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional
+from typing import Any, Optional
 
 import numpy as np
 
@@ -301,13 +304,3 @@ def delta_resolve(
         w=w,
         algebra=alg.name,
     )
-
-
-def candidates_from_entries(
-    entries: Iterable[tuple[DeltaMeta, Any]],
-) -> Iterable[tuple[np.ndarray, Any]]:
-    """Adapter: ``(meta, result)`` pairs → the ``(weights, result)``
-    pairs :func:`try_delta` consumes. Cache tiers share it so their
-    ``delta_candidates`` surfaces stay identical."""
-    for meta, result in entries:
-        yield meta.weights, result

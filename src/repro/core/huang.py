@@ -340,9 +340,6 @@ class HuangSolver(IterativeTableSolver):
     max_n:
         Memory guard on the Θ(n⁴) pw table; raise explicitly if you have
         the RAM (n=80 needs ~0.4 GiB per table and three tables live).
-    track_pw_changes:
-        Record whether pw changed each iteration even when the policy
-        does not need it (costs one n⁴ comparison per iteration).
     algebra:
         Selection semiring the sweeps run over (name or
         :class:`~repro.core.algebra.SelectionSemiring`; ``None``
@@ -371,7 +368,6 @@ class HuangSolver(IterativeTableSolver):
         problem: ParenthesizationProblem,
         *,
         max_n: int = 64,
-        track_pw_changes: bool = False,
         algebra: SelectionSemiring | str | None = None,
         backend: Backend | str = "serial",
         workers: int | None = None,
@@ -388,7 +384,6 @@ class HuangSolver(IterativeTableSolver):
             )
         self.problem = problem
         self.n = problem.n
-        self.track_pw_changes = track_pw_changes
         if algebra is None:
             algebra = getattr(problem, "preferred_algebra", "min_plus")
         self.algebra = get_algebra(algebra)

@@ -59,12 +59,9 @@ class RytterSolver(HuangSolver):
         problem: ParenthesizationProblem,
         *,
         max_n: int = 28,
-        track_pw_changes: bool = False,
         **engine_kwargs,
     ) -> None:
-        super().__init__(
-            problem, max_n=max_n, track_pw_changes=track_pw_changes, **engine_kwargs
-        )
+        super().__init__(problem, max_n=max_n, **engine_kwargs)
 
     def build_kernels(self) -> dict[str, SweepKernel]:
         # Only the square differs from Huang's kernel set: one full

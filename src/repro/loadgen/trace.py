@@ -30,7 +30,7 @@ the version only bumps on incompatible schema changes.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
@@ -263,8 +263,3 @@ def read_trace(path: Union[str, Path]) -> tuple[TraceConfig, list[TraceEvent]]:
             "(truncated file?)"
         )
     return config, events
-
-
-def with_seed(config: TraceConfig, seed: int) -> TraceConfig:
-    """``config`` re-seeded (a convenience for sweeping seeds)."""
-    return replace(config, seed=seed)

@@ -6,16 +6,20 @@ parenthesised), the leaf costs ``init(i)`` for the unit intervals
 interval ``(i, j)`` at ``k``. Everything the solvers need is derived from
 these three.
 
-Vectorised access: solvers work on whole tables, so the base class
-provides :meth:`init_vector` (shape ``(n,)``) and :meth:`f_table`
-(shape ``(n+1, n+1, n+1)``, ``F[i, k, j] = f(i, k, j)`` where
-``0 <= i < k < j <= n`` and ``+inf`` elsewhere). The generic
-implementations loop over :meth:`split_cost`; concrete problems override
-them with closed-form numpy broadcasts. The sequential sweep reads
-``f`` one diagonal segment at a time through
-:meth:`~ParenthesizationProblem.split_cost_segment`, which the concrete
-families compute from the :func:`segment_operands` of their weight
-vectors.
+Each family writes ``f`` twice: :meth:`~ParenthesizationProblem.split_cost`
+is the scalar reference, and
+:meth:`~ParenthesizationProblem.split_cost_segment` is the closed form
+of one diagonal block, computed from the :func:`segment_operands` of
+the family's weight vectors. Every sweep of the recurrence reads the
+blocks, and the base class assembles the dense ``(n+1, n+1, n+1)``
+table :meth:`~ParenthesizationProblem.f_table` (``F[i, k, j] = f(i, k,
+j)`` where ``0 <= i < k < j <= n`` and ``+inf`` elsewhere) from them,
+one diagonal at a time, for the iterative solvers that read it whole.
+A subclass that defines only the scalars gets blocks that evaluate
+:meth:`~ParenthesizationProblem.split_cost` entry by entry. Likewise
+:meth:`~ParenthesizationProblem.delta_window` compares a delta parent's
+weights once for every family and hands the changed positions to the
+family's :meth:`~ParenthesizationProblem.dirty_window` rule.
 """
 
 from __future__ import annotations
@@ -64,6 +68,14 @@ def segment_operands(
     )
 
 
+def _check_split_costs(values: np.ndarray) -> None:
+    """Refuse split costs outside the contract of (*)."""
+    if np.isnan(values).any():
+        raise InvalidProblemError("f(i, k, j) contains NaN")
+    if (values < 0).any():
+        raise InvalidProblemError("f(i, k, j) must be non-negative")
+
+
 class ParenthesizationProblem(abc.ABC):
     """Abstract base for problems of the paper's recurrence form (*)."""
 
@@ -109,15 +121,20 @@ class ParenthesizationProblem(abc.ABC):
         """Dense ``f`` as an ``(n+1, n+1, n+1)`` array.
 
         ``F[i, k, j] = f(i, k, j)`` for valid triples ``i < k < j``;
-        invalid triples hold ``+inf``. Subclasses with closed-form costs
-        override this with a broadcasted construction.
+        invalid triples hold ``+inf``. Each diagonal is written from
+        one :meth:`split_cost_segment` block, so the table holds
+        bitwise the costs every sweep reads.
         """
         n = self.n
         F = np.full((n + 1, n + 1, n + 1), np.inf, dtype=np.float64)
-        for i in range(n - 1):
-            for k in range(i + 1, n):
-                for j in range(k + 1, n + 1):
-                    F[i, k, j] = self.split_cost(i, k, j)
+        s_i, s_k, s_j = F.strides
+        steps = (s_i + s_k + s_j, s_k)  # to the next cell, to the next split
+        for length in range(2, n + 1):
+            cells = n + 1 - length
+            # row c views F[c, c + 1 + t, c + length] for t < length - 1
+            start = s_k + length * s_j
+            view = np.ndarray((cells, length - 1), F.dtype, F, start, steps)
+            view[...] = self.split_cost_segment(length, 0, cells)
         return F
 
     @cached_property
@@ -140,11 +157,7 @@ class ParenthesizationProblem(abc.ABC):
                 f"f table must have shape {(n + 1,) * 3}, got {F.shape}"
             )
         i, k, j = np.ogrid[: n + 1, : n + 1, : n + 1]
-        vals = F[(i < k) & (k < j)]
-        if np.isnan(vals).any():
-            raise InvalidProblemError("f(i, k, j) contains NaN")
-        if (vals < 0).any():
-            raise InvalidProblemError("f(i, k, j) must be non-negative")
+        _check_split_costs(F[(i < k) & (k < j)])
 
     def validate(self) -> None:
         """Validate leaf costs and (for small n) the full split-cost table."""
@@ -211,10 +224,36 @@ class ParenthesizationProblem(abc.ABC):
         such that cell ``(i, j)`` of the DP table is *clean* (bitwise
         equal to the parent's) whenever ``j < lo`` or ``i > hi``, and
         must be recomputed otherwise. Equal weights yield the empty
-        window ``(n + 1, -1)``. ``None`` means the comparison is
-        impossible (shape/dtype mismatch, or the family opted out).
+        window ``(n + 1, -1)``; otherwise the changed positions go to
+        :meth:`dirty_window`. ``None`` means the comparison is
+        impossible (not an array of this instance's weight shape and
+        dtype, or the family opted out).
         """
-        return None
+        mine = self.delta_weights()
+        if (
+            mine is None
+            or not isinstance(parent_weights, np.ndarray)
+            or parent_weights.shape != mine.shape
+            or parent_weights.dtype != mine.dtype
+        ):
+            return None
+        changed = np.flatnonzero(parent_weights != mine)
+        if changed.size == 0:
+            return (self.n + 1, -1)
+        return self.dirty_window(changed)
+
+    def dirty_window(self, changed: np.ndarray) -> tuple[int, int]:
+        """The window ``(lo, hi)`` of :meth:`delta_window` for a change
+        at the flat positions ``changed`` (non-empty, ascending) of
+        :meth:`delta_weights`.
+
+        The default suits weights indexed by boundary, where ``f(i, k,
+        j)`` reads the weights at ``i``, ``k`` and ``j`` only and
+        ``init`` reads none: a change at ``t`` dirties cell ``(i, j)``
+        exactly when ``i <= t <= j``. A family whose costs read its
+        weights otherwise overrides it.
+        """
+        return (int(changed.min()), int(changed.max()))
 
     def split_cost_segment(self, length: int, i0: int, cells: int) -> np.ndarray:
         """``f`` over ``cells`` consecutive cells of one diagonal.
@@ -228,16 +267,24 @@ class ParenthesizationProblem(abc.ABC):
         (:func:`repro.core.sequential.sweep_window` one diagonal at a
         time, :func:`repro.core.sequential.best_split` one cell at a
         time: the sequential DP, delta re-solves, hybrid seeding and
-        tree reconstruction). It must be bitwise-identical to the same
-        entries of :meth:`cached_f_table`, which is what this default
-        gathers, validated. The family overrides compute it in closed
-        form without materialising the dense Θ(n³) table, so a
-        sequential solve runs in O(n²) space and a delta re-sweep costs
-        in proportion to its dirty region. A subclass that redefines
-        ``f`` must redefine this block with it.
+        tree reconstruction), and :meth:`f_table` is assembled from it.
+        This default evaluates :meth:`split_cost` entry by entry and
+        refuses a NaN or negative cost, as :meth:`validate_table` does.
+        The family overrides compute it in closed form without
+        materialising the dense Θ(n³) table, so a sequential solve runs
+        in O(n²) space and a delta re-sweep costs in proportion to its
+        dirty region. A subclass that redefines ``f`` must redefine
+        this block with it.
         """
-        i = np.arange(i0, i0 + cells)[:, None]
-        return self.cached_f_table()[i, i + np.arange(1, length), i + length]
+        block = np.array(
+            [
+                [self.split_cost(i, k, i + length) for k in range(i + 1, i + length)]
+                for i in range(i0, i0 + cells)
+            ],
+            dtype=np.float64,
+        )
+        _check_split_costs(block)
+        return block
 
     # -- conveniences -----------------------------------------------------------
 

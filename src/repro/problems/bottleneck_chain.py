@@ -76,20 +76,6 @@ class BottleneckChainProblem(ParenthesizationProblem):
     def delta_parent_payload(self) -> tuple:
         return ("bottleneck", str(self.n))
 
-    def delta_window(self, parent_weights: np.ndarray) -> tuple[int, int] | None:
-        if (
-            not isinstance(parent_weights, np.ndarray)
-            or parent_weights.shape != self._weights.shape
-            or parent_weights.dtype != self._weights.dtype
-        ):
-            return None
-        # f(i, k, j) reads boundary weights at i, k and j only, so a change
-        # at index t dirties cell (i, j) exactly when i <= t <= j.
-        changed = np.flatnonzero(parent_weights != self._weights)
-        if changed.size == 0:
-            return (self.n + 1, -1)
-        return (int(changed.min()), int(changed.max()))
-
     def split_cost_segment(self, length: int, i0: int, cells: int) -> np.ndarray:
         c_i, c_k, c_j = segment_operands(self._weights, length, i0, cells)
         return (c_i + c_k) + c_j
@@ -107,14 +93,6 @@ class BottleneckChainProblem(ParenthesizationProblem):
 
     def init_vector(self) -> np.ndarray:
         return np.zeros(self.n, dtype=np.float64)
-
-    def f_table(self) -> np.ndarray:
-        n = self.n
-        c = self._weights
-        F = c[:, None, None] + c[None, :, None] + c[None, None, :]
-        i, k, j = np.ogrid[: n + 1, : n + 1, : n + 1]
-        F[~((i < k) & (k < j))] = np.inf
-        return F
 
     def bottleneck_cost(self, tree: "object") -> float:
         """The largest single merge cost of an explicit tree — the

@@ -31,9 +31,10 @@ class GenericProblem(ParenthesizationProblem):
         ``f(i, k, j) -> float`` for ``0 <= i < k < j <= n``.
     f_dense:
         Optional precomputed dense table (shape ``(n+1, n+1, n+1)``);
-        if given, :meth:`f_table` returns a copy of it instead of looping
-        over ``f``. Invalid triples may hold anything — they are forced
-        to ``+inf``.
+        if given, it is the instance's ``f``: :meth:`f_table` returns a
+        copy of it and every sweep gathers from that copy, validated,
+        instead of calling ``f``. Invalid triples may hold anything —
+        they are forced to ``+inf``.
     name:
         Optional label used in ``describe()``.
     """
@@ -101,6 +102,14 @@ class GenericProblem(ParenthesizationProblem):
             F[~((i < k) & (k < j))] = np.inf
             return F
         return super().f_table()
+
+    def split_cost_segment(self, length: int, i0: int, cells: int) -> np.ndarray:
+        # A table-backed instance gathers from its validated table; one
+        # defined by callables evaluates them (the base default).
+        if self._f_dense is None:
+            return super().split_cost_segment(length, i0, cells)
+        i = np.arange(i0, i0 + cells)[:, None]
+        return self.cached_f_table()[i, i + np.arange(1, length), i + length]
 
     def canonical_payload(self) -> tuple | None:
         # Only table-backed instances have a canonical encoding; hash

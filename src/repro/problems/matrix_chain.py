@@ -10,7 +10,7 @@ of the three applications named in the paper's introduction, with
     f(i, k, j) = dims[i] * dims[k] * dims[j].
 
 The paper notes the f-values are computable in O(1) time with O(n^2)
-processors; here :meth:`f_table` is a single outer-product broadcast.
+processors; here each diagonal block of them is one broadcast product.
 """
 
 from __future__ import annotations
@@ -62,20 +62,6 @@ class MatrixChainProblem(ParenthesizationProblem):
     def delta_parent_payload(self) -> tuple:
         return ("chain", str(self.n))
 
-    def delta_window(self, parent_weights: np.ndarray) -> tuple[int, int] | None:
-        if (
-            not isinstance(parent_weights, np.ndarray)
-            or parent_weights.shape != self._dims.shape
-            or parent_weights.dtype != self._dims.dtype
-        ):
-            return None
-        # f(i, k, j) reads dims at i, k and j only, so a change at index t
-        # dirties cell (i, j) exactly when i <= t <= j.
-        changed = np.flatnonzero(parent_weights != self._dims)
-        if changed.size == 0:
-            return (self.n + 1, -1)
-        return (int(changed.min()), int(changed.max()))
-
     def split_cost_segment(self, length: int, i0: int, cells: int) -> np.ndarray:
         d_i, d_k, d_j = segment_operands(self._fdims, length, i0, cells)
         return (d_i * d_k) * d_j
@@ -93,14 +79,6 @@ class MatrixChainProblem(ParenthesizationProblem):
 
     def init_vector(self) -> np.ndarray:
         return np.zeros(self.n, dtype=np.float64)
-
-    def f_table(self) -> np.ndarray:
-        n = self.n
-        d = self._dims.astype(np.float64)
-        F = d[:, None, None] * d[None, :, None] * d[None, None, :]
-        i, k, j = np.ogrid[: n + 1, : n + 1, : n + 1]
-        F[~((i < k) & (k < j))] = np.inf
-        return F
 
     def plan_cost(self, split_tree: "object") -> float:
         """Scalar-multiplication count of an explicit parenthesisation.

@@ -92,17 +92,7 @@ class OptimalBSTProblem(ParenthesizationProblem):
     def delta_parent_payload(self) -> tuple:
         return ("bst", str(self.num_keys))
 
-    def delta_window(self, parent_weights: np.ndarray) -> tuple[int, int] | None:
-        mine = np.concatenate((self._q, self._p))
-        if (
-            not isinstance(parent_weights, np.ndarray)
-            or parent_weights.shape != mine.shape
-            or parent_weights.dtype != mine.dtype
-        ):
-            return None
-        changed = np.flatnonzero(parent_weights != mine)
-        if changed.size == 0:
-            return (self.n + 1, -1)
+    def dirty_window(self, changed: np.ndarray) -> tuple[int, int]:
         # Gap q[d] feeds init(d) and prefix[d:]; key p[t] (1-based, at
         # index m + t) feeds prefix[t:]. f(i, k, j) reads prefix[j - 1]
         # and prefix[i], and an edit changes the rounding of every later
@@ -137,25 +127,6 @@ class OptimalBSTProblem(ParenthesizationProblem):
 
     def init_vector(self) -> np.ndarray:
         return self._q.copy()
-
-    def f_table(self) -> np.ndarray:
-        n = self.n
-        pref = self._prefix  # length n (== m + 1)
-        # W[i, j] = w(i, j-1) = f(i, *, j); rows i >= n-1 have no valid
-        # split (need i < k < j <= n) and stay +inf.
-        W = np.full((n + 1, n + 1), np.inf)
-        jj = np.arange(1, n + 1)
-        ii = np.arange(n)
-        W[:n, 1:] = pref[None, jj - 1] - pref[ii, None] + self._q[ii, None]
-        F = np.broadcast_to(W[:, None, :], (n + 1, n + 1, n + 1)).copy()
-        i, k, j = np.ogrid[: n + 1, : n + 1, : n + 1]
-        F[~((i < k) & (k < j))] = np.inf
-        return F
-
-    def expected_cost(self, normalise: bool = False) -> float:
-        """Total weight (denominator for converting cost to expectation)."""
-        total = float(self._p.sum() + self._q.sum())
-        return total if not normalise else 1.0
 
     def describe(self) -> str:
         return (

@@ -100,33 +100,14 @@ class ReliabilityBSTProblem(ParenthesizationProblem):
     def delta_parent_payload(self) -> tuple:
         return ("reliability", str(self.n))
 
-    def delta_window(self, parent_weights: np.ndarray) -> tuple[int, int] | None:
-        mine = np.concatenate((self._q, self._r))
-        if (
-            not isinstance(parent_weights, np.ndarray)
-            or parent_weights.shape != mine.shape
-            or parent_weights.dtype != mine.dtype
-        ):
-            return None
-        changed = np.flatnonzero(parent_weights != mine)
-        if changed.size == 0:
-            return (self.n + 1, -1)
+    def dirty_window(self, changed: np.ndarray) -> tuple[int, int]:
+        # Leaf q[t] (index t < n) feeds init(t), i.e. cells with
+        # i <= t < j; connector k (index n + k - 1) feeds f(i, k, j),
+        # i.e. cells with i < k < j.
         n = self.n
-        los: list[int] = []
-        his: list[int] = []
-        for d in changed:
-            if d < n:
-                # q[t] feeds init(t), i.e. cells with i <= t < j.
-                t = int(d)
-                los.append(t + 1)
-                his.append(t)
-            else:
-                # r index t is connector k = t + 1, feeding f(i, k, j)
-                # with i < k < j.
-                k = int(d) - n + 1
-                los.append(k + 1)
-                his.append(k - 1)
-        return (min(los), max(his))
+        connector = changed >= n
+        t = np.where(connector, changed - n + 1, changed)
+        return (int(t.min()) + 1, int((t - connector).max()))
 
     def split_cost_segment(self, length: int, i0: int, cells: int) -> np.ndarray:
         # f(i, k, j) = r[k - 1] over k = i+1 .. j-1
@@ -144,17 +125,6 @@ class ReliabilityBSTProblem(ParenthesizationProblem):
 
     def init_vector(self) -> np.ndarray:
         return self._q.copy()
-
-    def f_table(self) -> np.ndarray:
-        n = self.n
-        F = np.full((n + 1, n + 1, n + 1), np.inf, dtype=np.float64)
-        if n >= 2:
-            i, k, j = np.ogrid[: n + 1, : n + 1, : n + 1]
-            valid = (i < k) & (k < j)
-            # f depends only on k; broadcast r over the valid triples.
-            r_by_k = np.concatenate(([np.inf], self._r, [np.inf]))
-            F = np.where(valid, r_by_k[None, :, None], np.inf)
-        return F
 
     def tree_reliability(self, tree: "object") -> float:
         """The weakest component of an explicit tree — the quantity the

@@ -102,22 +102,12 @@ class PolygonTriangulationProblem(ParenthesizationProblem):
     def delta_parent_payload(self) -> tuple:
         return ("polygon", str(self._rule), str(self.n))
 
-    def delta_window(self, parent_weights: np.ndarray) -> tuple[int, int] | None:
-        flat = self._vertices.flatten()
-        if (
-            not isinstance(parent_weights, np.ndarray)
-            or parent_weights.shape != flat.shape
-            or parent_weights.dtype != flat.dtype
-        ):
-            return None
-        # A triangle weight reads vertices i, k and j only, so a change
-        # at vertex t dirties cell (i, j) exactly when i <= t <= j.
-        changed = np.flatnonzero(parent_weights != flat)
-        if changed.size == 0:
-            return (self.n + 1, -1)
+    def dirty_window(self, changed: np.ndarray) -> tuple[int, int]:
+        # A triangle weight reads vertices i, k and j only: the base
+        # rule, once perimeter coordinates map to their vertex.
         if self._rule == "perimeter":
             changed = changed // 2
-        return (int(changed.min()), int(changed.max()))
+        return super().dirty_window(changed)
 
     def split_cost_segment(self, length: int, i0: int, cells: int) -> np.ndarray:
         if self._rule == "product":
@@ -153,19 +143,6 @@ class PolygonTriangulationProblem(ParenthesizationProblem):
 
     def init_vector(self) -> np.ndarray:
         return np.zeros(self.n, dtype=np.float64)
-
-    def f_table(self) -> np.ndarray:
-        n = self.n
-        v = self._vertices
-        if self._rule == "product":
-            F = v[:, None, None] * v[None, :, None] * v[None, None, :]
-        else:
-            diff = v[:, None, :] - v[None, :, :]
-            D = np.hypot(diff[..., 0], diff[..., 1])  # pairwise distances
-            F = D[:, :, None] + D[None, :, :] + D[:, None, :]
-        i, k, j = np.ogrid[: n + 1, : n + 1, : n + 1]
-        F = np.where((i < k) & (k < j), F, np.inf)
-        return F
 
     def describe(self) -> str:
         return (

@@ -111,6 +111,9 @@ _META_LEN = struct.Struct("<Q")
 #: the table's byte layout (float64, little-endian, C order)
 _TABLE_DTYPE = np.dtype("<f8")
 
+#: the L2 directory's default on-disk budget, the one every tiered
+#: cache (and so every fleet shard) mounts with
+_L2_MAX_BYTES = 1 << 30
 #: each L2DiskCache rescans its directory after this many of its own
 #: publishes, so that other processes' writes reach its byte ledger
 _RESCAN_EVERY = 256
@@ -362,7 +365,7 @@ class L2DiskCache:
         oldest-mtime entries.
     """
 
-    def __init__(self, directory: str | Path, max_bytes: int = 1 << 30) -> None:
+    def __init__(self, directory: str | Path, max_bytes: int = _L2_MAX_BYTES) -> None:
         if max_bytes < 0:
             raise ValueError("max_bytes must be >= 0")
         self.directory = Path(directory)
@@ -694,14 +697,9 @@ class TieredResultCache:
 
     supports_delta = True
 
-    def __init__(
-        self,
-        cache_dir: str | Path,
-        max_bytes: int = 128 << 20,
-        l2_max_bytes: int = 1 << 30,
-    ) -> None:
+    def __init__(self, cache_dir: str | Path, max_bytes: int = 128 << 20) -> None:
         self.l1 = ResultCache(max_bytes=max_bytes)
-        self.l2 = L2DiskCache(cache_dir, max_bytes=l2_max_bytes)
+        self.l2 = L2DiskCache(cache_dir)
 
     @property
     def max_bytes(self) -> int:

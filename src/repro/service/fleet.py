@@ -38,7 +38,7 @@ by ``bench_e14_routing.py --smoke``).
 Failure semantics
 -----------------
 Shard death is detected at the transport (connection reset, EOF
-mid-read, or no answer within ``request_timeout`` of a read), or
+mid-read, or no answer to a read within ``_REQUEST_TIMEOUT_S``), or
 before a send when the shard's process has already exited. The router
 then respawns the shard process on the same socket (reclaiming the
 stale socket file) and re-dispatches the requests that were accepted
@@ -107,6 +107,13 @@ _MAX_DISPATCHES = 2
 
 #: EWMA smoothing for the per-shard demand signal the autoscaler tracks
 _SCALE_ALPHA = 0.5
+
+#: seconds a new shard has to accept connections on its socket
+_SPAWN_TIMEOUT_S = 30.0
+
+#: seconds a read from a shard may wait for its next answer before the
+#: shard counts as dead
+_REQUEST_TIMEOUT_S = 120.0
 
 
 @dataclass
@@ -216,11 +223,6 @@ class FleetRouter:
     ``state_dir``
         Where shard sockets and log files live; a private temporary
         directory (removed on close) when not given.
-    ``spawn_timeout``
-        Seconds to wait for a shard's socket to accept connections.
-    ``request_timeout``
-        Seconds a read from a shard may wait for its next answer before
-        the shard counts as dead.
     ``load_factor``
         The routing policy's spill threshold (spill when a shard's load
         exceeds ``load_factor`` times the fleet mean, see
@@ -259,8 +261,6 @@ class FleetRouter:
         cache_bytes: int = 128 << 20,
         cache_dir: Optional[str] = None,
         state_dir: Optional[str] = None,
-        spawn_timeout: float = 30.0,
-        request_timeout: float = 120.0,
         load_factor: float = math.inf,
         min_shards: Optional[int] = None,
         max_shards: Optional[int] = None,
@@ -290,8 +290,6 @@ class FleetRouter:
         self.start_method = start_method
         self.max_batch = int(max_batch)
         self.cache_bytes = int(cache_bytes)
-        self.spawn_timeout = float(spawn_timeout)
-        self.request_timeout = float(request_timeout)
         self._owns_state_dir = state_dir is None
         self.state_dir = Path(
             tempfile.mkdtemp(prefix="repro-fleet-") if state_dir is None else state_dir
@@ -410,7 +408,7 @@ class FleetRouter:
             )
 
     def _await_ready(self, shard: _Shard) -> None:
-        deadline = time.monotonic() + self.spawn_timeout
+        deadline = time.monotonic() + _SPAWN_TIMEOUT_S
         while time.monotonic() < deadline:
             if not shard.alive():
                 raise ReproError(
@@ -429,7 +427,7 @@ class FleetRouter:
             return
         raise ReproError(
             f"shard {shard.index} did not accept connections within "
-            f"{self.spawn_timeout:.0f}s"
+            f"{_SPAWN_TIMEOUT_S:.0f}s"
         )
 
     async def _respawn(self, shard: _Shard) -> None:
@@ -755,7 +753,7 @@ class FleetRouter:
                     lines.append(line)
                 await shard.send(lines)
                 while in_flight:
-                    record = await shard.recv(self.request_timeout)
+                    record = await shard.recv(_REQUEST_TIMEOUT_S)
                     job = in_flight.pop(record.get("id"), None)
                     if job is None:
                         # A response for a request from a previous
@@ -891,7 +889,6 @@ class FleetRouter:
             "delta_hits": 0,
             "batches": 0,
             "queue_depth": 0,
-            "queue_depth_ewma": 0.0,
             "cpu_s": 0.0,
         }
         alive = 0
@@ -921,16 +918,8 @@ class FleetRouter:
             # Read after the await: the shard may have retired meanwhile.
             load = self._loads.get(sid)
             if load is not None:
-                if status is not None:
-                    # Fold the shard scheduler's own backlog gauge
-                    # into the EWMA the routing policy reads.
-                    load.observe_queue(
-                        (status.get("scheduler") or {}).get("queue_depth", 0)
-                    )
                 record["load"] = load.snapshot()
-                totals["queue_depth_ewma"] += load.queue_ewma
             shard_records.append(record)
-        totals["queue_depth_ewma"] = round(totals["queue_depth_ewma"], 3)
         lookups = totals["cache_hits"] + totals["cache_misses"]
         cpu_s = round(time.process_time(), 6)
         totals["cpu_s"] = round(totals["cpu_s"] + cpu_s, 6)
@@ -976,7 +965,7 @@ class FleetRouter:
                 await shard.connect()
                 await shard.send([encode_record({"op": "status"})])
                 while True:
-                    record = await shard.recv(self.request_timeout)
+                    record = await shard.recv(_REQUEST_TIMEOUT_S)
                     if "status" in record:
                         return record["status"]
             except (OSError, ValueError, ReproError, asyncio.TimeoutError):

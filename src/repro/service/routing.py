@@ -28,13 +28,12 @@ any other, and the fleet's dispatch path respawns it under that shard's
 lock before sending, so a killed shard heals on its next request
 whatever the load factor.
 
-The **load signal** blends three components per shard, all maintained
-by the router (:class:`ShardLoad`): cumulative placements (``assigned``
-— the long-run balance the E14 count-CV gate measures), live in-flight
-requests (``inflight`` — accepted but unanswered, the router-side view
-of queue depth), and an EWMA-smoothed copy of the shard scheduler's own
-``queue_depth`` gauge (``queue_ewma`` — PR 9's backlog gauge, folded in
-whenever the router polls shard status).
+The **load signal** blends two components per shard, both maintained
+by the router on its dispatch path (:class:`ShardLoad`): cumulative
+placements (``assigned`` — the long-run balance the E14 count-CV gate
+measures) and live in-flight requests (``inflight`` — accepted but
+unanswered, the router-side view of queue depth). Neither depends on
+whether anyone polls shard status.
 
 Everything here is synchronous, allocation-light and deterministic
 given the request order — :func:`simulate_routing` replays a key
@@ -88,10 +87,7 @@ class HashRing:
     scale events instead of degrading to O(v log v) per lookup.
     """
 
-    def __init__(
-        self, shard_ids: Iterable[int], replicas: int = _RING_REPLICAS
-    ) -> None:
-        self.replicas = int(replicas)
+    def __init__(self, shard_ids: Iterable[int]) -> None:
         self._shards: Set[int] = set()
         #: per-shard vnode points, cached across remove/re-add cycles
         self._point_cache: Dict[int, list] = {}
@@ -119,7 +115,7 @@ class HashRing:
         if sid not in self._point_cache:
             self._point_cache[sid] = [
                 _hash_point(f"shard-{sid}:{replica}".encode())
-                for replica in range(self.replicas)
+                for replica in range(_RING_REPLICAS)
             ]
         self._dirty = True
 
@@ -193,38 +189,22 @@ class ShardLoad:
     ``inflight``
         Accepted-but-unanswered requests — the router-side live queue
         depth, incremented at routing time and decremented when the
-        record lands (so a 400-request batch spreads as it is routed,
-        not after the first status poll).
-    ``queue_ewma``
-        EWMA-smoothed copy of the shard scheduler's own ``queue_depth``
-        gauge (PR 9), folded in via :meth:`observe_queue` whenever the
-        router polls shard status.
+        record lands (so a 400-request batch spreads as it is routed).
     """
 
-    __slots__ = ("assigned", "inflight", "queue_ewma")
-
-    #: smoothing factor for the reported-queue-depth EWMA
-    EWMA_ALPHA = 0.3
+    __slots__ = ("assigned", "inflight")
 
     def __init__(self, assigned: int = 0) -> None:
         self.assigned = int(assigned)
         self.inflight = 0
-        self.queue_ewma = 0.0
-
-    def observe_queue(self, depth: float) -> None:
-        self.queue_ewma += self.EWMA_ALPHA * (float(depth) - self.queue_ewma)
 
     def value(self) -> float:
         """The blended load the policy compares: cumulative placements
-        plus the live pressure terms."""
-        return self.assigned + self.inflight + self.queue_ewma
+        plus the live in-flight requests."""
+        return self.assigned + self.inflight
 
     def snapshot(self) -> dict:
-        return {
-            "assigned": self.assigned,
-            "inflight": self.inflight,
-            "queue_ewma": round(self.queue_ewma, 3),
-        }
+        return {"assigned": self.assigned, "inflight": self.inflight}
 
 
 def _mean_load(loads: Mapping[int, ShardLoad], members: Sequence[int]) -> float:
@@ -252,16 +232,13 @@ class BoundedLoadPolicy:
     any change to the ring (pinned by a property test).
     """
 
-    def __init__(
-        self, load_factor: float = math.inf, affinity_limit: int = _AFFINITY_LIMIT
-    ) -> None:
+    def __init__(self, load_factor: float = math.inf) -> None:
         factor = float(load_factor)
         if not factor >= 1.0:
             raise ReproError(
                 f"load_factor must be >= 1.0 (or inf to disable), got {load_factor}"
             )
         self.load_factor = factor
-        self.affinity_limit = int(affinity_limit)
         self._affinity: "OrderedDict[bytes, int]" = OrderedDict()
 
     @staticmethod
@@ -307,7 +284,7 @@ class BoundedLoadPolicy:
             return owner, "ring"
         self._affinity[key] = chosen
         self._affinity.move_to_end(key)
-        while len(self._affinity) > self.affinity_limit:
+        while len(self._affinity) > _AFFINITY_LIMIT:
             self._affinity.popitem(last=False)
         return chosen, ("affinity" if chosen == hint else "spill")
 
@@ -322,7 +299,7 @@ def simulate_routing(
     offline — no processes, no sockets, deterministic. Loads evolve by
     placement counting (every key increments its chosen shard's
     ``assigned``), which is the long-run component the live router
-    maintains too; the live pressure terms stay zero, so this is the
+    maintains too; ``inflight`` stays zero, so this is the
     policy's steady-state placement. Returns per-shard counts (dense
     over ``shard_ids``) and the route-tag histogram — what the E14
     placement table and the imbalance regression tests are made of.

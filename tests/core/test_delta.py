@@ -82,14 +82,30 @@ def _segment_cases(n):
                 yield length, i0, cells
 
 
+def _scalar_f_table(problem):
+    """The dense ``f`` table from the scalar reference ``split_cost``."""
+    n = problem.n
+    f = np.full((n + 1, n + 1, n + 1), np.inf)
+    for i in range(n - 1):
+        for k in range(i + 1, n):
+            for j in range(k + 1, n + 1):
+                f[i, k, j] = problem.split_cost(i, k, j)
+    return f
+
+
+PERIMETER_POLYGON = [(0.0, 0.0), (2.0, 0.1), (3.0, 1.5), (1.7, 3.0), (0.1, 2.0), (-0.5, 1.0)]
+
+
 class TestSplitCostSegment:
-    """``split_cost_segment`` feeds every sweep of the recurrence, so
-    each family's closed form is pinned bitwise against its dense table
-    on every diagonal segment."""
+    """``split_cost_segment`` feeds every sweep of the recurrence and the
+    dense table is assembled from it, so each family's closed form is
+    pinned bitwise against its dense table and against its scalar
+    ``split_cost`` on every diagonal segment."""
 
     @staticmethod
-    def _assert_pinned(problem):
-        f = problem.cached_f_table()
+    def _assert_pinned(problem, f=None):
+        if f is None:
+            f = problem.cached_f_table()
         for length, i0, cells in _segment_cases(problem.n):
             block = problem.split_cost_segment(length, i0, cells)
             assert block.dtype == np.float64
@@ -102,15 +118,16 @@ class TestSplitCostSegment:
     def test_matches_dense_f_table_bitwise(self, problem):
         self._assert_pinned(problem)
 
-    def test_perimeter_polygon_matches_too(self):
-        self._assert_pinned(
-            PolygonTriangulationProblem(
-                [(0.0, 0.0), (2.0, 0.1), (3.0, 1.5), (1.7, 3.0), (0.1, 2.0), (-0.5, 1.0)],
-                rule="perimeter",
-            )
-        )
+    @pytest.mark.parametrize("problem", _families(), ids=_family_id)
+    def test_matches_scalar_split_cost_bitwise(self, problem):
+        self._assert_pinned(problem, _scalar_f_table(problem))
 
-    def test_base_default_reads_the_dense_table(self):
+    def test_perimeter_polygon_matches_too(self):
+        problem = PolygonTriangulationProblem(PERIMETER_POLYGON, rule="perimeter")
+        self._assert_pinned(problem)
+        self._assert_pinned(problem, _scalar_f_table(problem))
+
+    def test_generic_reads_its_dense_table(self):
         from repro.problems import GenericProblem
 
         rng = np.random.default_rng(4)

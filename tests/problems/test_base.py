@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.core import solve
 from repro.errors import InvalidProblemError
 from repro.problems.base import ParenthesizationProblem
+from repro.problems.specs import FAMILIES, family_generators
 
 
 class TinyProblem(ParenthesizationProblem):
@@ -77,3 +79,35 @@ class TestContract:
 
     def test_repr(self):
         assert "TinyProblem(n=3)" in repr(TinyProblem(3))
+
+
+class TestOneCostDefinition:
+    """Each closed-form family defines ``f`` by its scalar and its
+    diagonal blocks only: the dense table and the delta weight checks
+    come from the base class."""
+
+    @pytest.mark.parametrize("family", [f for f in FAMILIES if f != "generic"])
+    def test_family_inherits_the_table_and_the_delta_checks(self, family):
+        cls = type(family_generators()[family](6, seed=0))
+        assert cls.f_table is ParenthesizationProblem.f_table
+        assert cls.delta_window is ParenthesizationProblem.delta_window
+
+    def test_scalar_only_subclass_solves_from_its_scalars(self):
+        p = TinyProblem(6)
+        F = p.f_table()
+        for i in range(6):
+            for k in range(i + 1, 6):
+                for j in range(k + 1, 7):
+                    assert F[i, k, j] == p.split_cost(i, k, j)
+        assert solve(p, method="sequential").value == solve(p, method="huang").value
+
+    @pytest.mark.parametrize("bad, match", [(float("nan"), "NaN"), (-2.0, "non-negative")])
+    def test_scalar_only_subclass_refuses_a_bad_split_cost(self, bad, match):
+        class Bad(TinyProblem):
+            def split_cost(self, i, k, j):
+                return bad if (i, k, j) == (1, 3, 4) else super().split_cost(i, k, j)
+
+        with pytest.raises(InvalidProblemError, match=match):
+            Bad(5).f_table()
+        with pytest.raises(InvalidProblemError, match=match):
+            solve(Bad(5), method="sequential")

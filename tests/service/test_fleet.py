@@ -470,12 +470,13 @@ class TestRouterLoop:
         assert all("deadlock" in text for text in errors.values())
         assert fleet.request({"dims": [3, 7, 2]})["value"] == 42.0
 
-    def test_stopped_shard_times_out_per_read_and_gives_up(self):
+    def test_stopped_shard_times_out_per_read_and_gives_up(self, monkeypatch):
         """A SIGSTOPped shard answers nothing: each of its requests is
-        re-dispatched once after one ``request_timeout`` and given up
-        after the second, while the other shard's requests are
-        answered, and the round ends in about two timeouts."""
-        with FleetRouter(2, **FLEET_KWARGS, request_timeout=1.0) as router:
+        re-dispatched once after one read timeout and given up after
+        the second, while the other shard's requests are answered, and
+        the round ends in about two timeouts."""
+        monkeypatch.setattr("repro.service.fleet._REQUEST_TIMEOUT_S", 1.0)
+        with FleetRouter(2, **FLEET_KWARGS) as router:
             stalled, live = specs_on(router, 0, 2), specs_on(router, 1, 2)
             pid = router.shard_pids()[0]
             os.kill(pid, signal.SIGSTOP)

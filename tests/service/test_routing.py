@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ReproError
 from repro.loadgen.analyze import imbalance
+from repro.service import routing
 from repro.service.routing import (
     BoundedLoadPolicy,
     HashRing,
@@ -107,24 +108,14 @@ class TestHashRingMemoization:
 
 
 class TestShardLoad:
-    def test_value_blends_all_three_components(self):
+    def test_value_blends_placements_and_inflight(self):
         load = ShardLoad(assigned=10)
         load.inflight = 3
-        load.observe_queue(10.0)
-        # assigned 10 + inflight 3 + one EWMA step of 10 at alpha 0.3
-        assert load.value() == pytest.approx(16.0)
-
-    def test_observe_queue_is_an_ewma(self):
-        load = ShardLoad()
-        for _ in range(50):
-            load.observe_queue(8.0)
-        assert load.queue_ewma == pytest.approx(8.0, abs=1e-3)
-        load.observe_queue(0.0)
-        assert load.queue_ewma < 8.0
+        assert load.value() == 13
 
     def test_snapshot_is_json_shaped(self):
         snap = ShardLoad(assigned=2).snapshot()
-        assert snap == {"assigned": 2, "inflight": 0, "queue_ewma": 0.0}
+        assert snap == {"assigned": 2, "inflight": 0}
 
 
 class TestBoundedDegeneratesToRing:
@@ -143,11 +134,7 @@ class TestBoundedDegeneratesToRing:
             max_size=80,
         ),
         gauges=st.lists(
-            st.tuples(
-                st.integers(0, 1000),
-                st.integers(0, 64),
-                st.floats(0.0, 100.0, allow_nan=False),
-            ),
+            st.tuples(st.integers(0, 1000), st.integers(0, 64)),
             min_size=6,
             max_size=6,
         ),
@@ -156,10 +143,9 @@ class TestBoundedDegeneratesToRing:
     def test_every_placement_is_the_ring_owner(self, events, gauges):
         ring = HashRing(range(2))
         loads = {}
-        for sid, (assigned, inflight, depth) in enumerate(gauges):
+        for sid, (assigned, inflight) in enumerate(gauges):
             loads[sid] = ShardLoad(assigned)
             loads[sid].inflight = inflight
-            loads[sid].observe_queue(depth)
         policy = BoundedLoadPolicy(math.inf)
         for kind, value in events:
             if kind == "add":
@@ -269,8 +255,9 @@ class TestBoundedPolicySemantics:
         assert policy.choose(key, ring, loads) == (owner, "ring")
         assert key not in policy._affinity
 
-    def test_affinity_map_is_bounded(self):
-        policy = BoundedLoadPolicy(load_factor=1.25, affinity_limit=8)
+    def test_affinity_map_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(routing, "_AFFINITY_LIMIT", 8)
+        policy = BoundedLoadPolicy(load_factor=1.25)
         ring = HashRing(range(4))
         # Shards 0-2 are far over capacity, so every key they own
         # spills to shard 3 and records a hint.
