@@ -16,7 +16,9 @@ This benchmark records what sharding buys and what it must not cost:
   12 repeats) driven twice through a 4-shard fleet and through a
   1-shard fleet. Routing by instance key must keep every duplicate on
   the shard that already cached it, so the fleet-wide hit rate stays
-  within **5%** (absolute) of the single service's;
+  within **5%** (absolute) of the single service's. Both fleets answer
+  a repeat of an already-answered instance in the front end, and the
+  hit rate counts those answers as hits;
 * **shard-death recovery** — SIGKILL one shard mid-batch: the router
   must respawn it, re-dispatch the accepted-but-unanswered requests at
   most once, and return one record per request — **zero** silently
@@ -204,7 +206,8 @@ def hit_rate_table(stats: dict | None = None):
             f"E12b: duplicate-heavy stream ({s['uniques']} uniques, "
             f"{s['requests']} requests over two passes). Instance-key "
             "routing pins every duplicate to the shard that already "
-            "cached it, so sharding costs (almost) no hit rate."
+            "cached it, so sharding costs (almost) no hit rate. The hit "
+            "rate counts the repeats the front end answers as hits."
         ),
     )
 

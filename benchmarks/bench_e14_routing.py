@@ -17,12 +17,15 @@ benchmark gates the ROADMAP item 4 answer (``repro.service.routing``):
   open-loop through a real 4-shard fleet at ``load_factor=1.25``;
   the per-shard record counts the analyzer measures must also beat the
   baseline (the live router adds in-flight pressure to the load signal,
-  so this is the end-to-end check, not a re-run of the simulation);
+  so this is the end-to-end check, not a re-run of the simulation).
+  The front end answers a repeat of an instance a shard has already
+  answered, so only the requests bound for shards are placed and
+  counted; the table reports both numbers;
 * **cache hit-rate parity** — the E12 duplicate-heavy stream through a
   bounded 4-shard fleet vs a single shard: spills move keys, but the
   affinity hint keeps repeats together and moved keys re-materialise
-  from the shared L2, so the fleet-wide hit rate stays within the E12
-  delta bar;
+  from the shared L2, so the fleet-wide hit rate (which counts the
+  front end's answers as hits) stays within the E12 delta bar;
 * **scale cycle, zero drops** — an elastic fleet (2..4 shards) driven
   hot until it grows and idle until it shrinks: at least one scale-up
   and one scale-down must happen, and **every** accepted request must
@@ -149,6 +152,7 @@ def live_imbalance_stats(speed: float = 25.0) -> dict:
     )
     summary = result.summary()
     status = result.status or {}
+    imb = summary["imbalance"] or {}
     return {
         "trace": BASELINE_TRACE.to_dict(),
         "shards": SHARDS,
@@ -157,6 +161,8 @@ def live_imbalance_stats(speed: float = 25.0) -> dict:
         "ok": summary["ok"],
         "failed": summary["failed"],
         "dropped": summary["dropped"],
+        "front_answers": (summary["by_route"].get("front") or {}).get("count", 0),
+        "placed": sum(imb.get("counts", [])),
         "imbalance": summary["imbalance"],
         "by_route": {
             route: (stats_ or {}).get("count", 0)
@@ -173,6 +179,7 @@ def live_imbalance_table(stats: dict | None = None):
     imb = s["imbalance"] or {}
     rows = [
         ("requests (ok/failed/dropped)", f"{s['ok']} / {s['failed']} / {s['dropped']}"),
+        ("answered in the front end / placed on shards", f"{s['front_answers']} / {s['placed']}"),
         ("per-shard counts", "/".join(str(c) for c in imb.get("counts", []))),
         ("cv (pinned ring baseline 0.6762)", f"{imb.get('cv', 0.0):.4f}"),
         ("peak-to-mean (baseline 1.99)", f"{imb.get('peak_to_mean', 0.0):.2f}"),
@@ -187,7 +194,9 @@ def live_imbalance_table(stats: dict | None = None):
             f"E14b: the same Zipf-400 trace replayed live ({SHARDS}-shard "
             f"fleet, load_factor={LOAD_FACTOR}, E13 open-loop "
             "harness). The live load signal adds in-flight pressure to "
-            "the placement counts, so this is the end-to-end gate."
+            "the placement counts, so this is the end-to-end gate. The "
+            "front end answers repeats itself, so the CV and peak gates "
+            "count only the requests placed on shards."
         ),
     )
 
@@ -265,7 +274,8 @@ def hit_rate_table(stats: dict | None = None):
             f"{s['requests']} requests over two passes) under bounded-load "
             "routing. The affinity hint keeps a spilled key's repeats "
             "together; keys that do move re-materialise from the shared "
-            "L2 — so spilling costs (almost) no hit rate."
+            "L2 — so spilling costs (almost) no hit rate. The hit rate "
+            "counts the repeats the front end answers as hits."
         ),
     )
 
@@ -275,8 +285,13 @@ def hit_rate_table(stats: dict | None = None):
 
 def scale_cycle_stats(count: int = 24) -> dict:
     """Grow 2 -> 3+ shards under pressure, shrink back when idle; every
-    accepted request must come back ``ok`` across both handoffs."""
-    hot = [{"family": "chain", "n": 24, "seed": 2000 + i} for i in range(count)]
+    accepted request must come back ``ok`` across both handoffs. Each
+    hot pass is new to the fleet: the front end answers repeats, which
+    add no demand."""
+    hot = [
+        [{"family": "chain", "n": 24, "seed": 2000 + count * p + i} for i in range(count)]
+        for p in range(3)
+    ]
     cold = [{"family": "chain", "n": 8, "seed": 0}]
     failures = 0
     widths = []
@@ -289,8 +304,8 @@ def scale_cycle_stats(count: int = 24) -> dict:
         scale_up_depth=6.0,
         scale_down_depth=1.0,
     ) as router:
-        for _ in range(3):  # sustained pressure: the demand EWMA must climb
-            records = router.request_many(hot)
+        for batch in hot:  # sustained pressure: the demand EWMA must climb
+            records = router.request_many(batch)
             failures += sum(1 for r in records if not r.get("ok"))
             widths.append(len(router._shards))
         grown = max(widths)

@@ -822,15 +822,67 @@ def _service_kwargs(args: argparse.Namespace) -> dict:
     )
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
+class _Terminated(Exception):
+    """A SIGTERM stopped ``serve`` or ``fleet``; ``main()`` exits 143."""
 
+
+def _default_sigterm_in_child() -> None:
+    """A forked child (a fork-started pool worker) starts with SIGTERM's
+    default action and no wakeup fd. With the server's handler it could
+    miss the signal inside a blocking lock wait, and the pool's
+    ``terminate()`` would wait for it forever."""
+    import signal
+
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.set_wakeup_fd(-1)
+
+
+def _run_server(coro) -> Any:
+    """``asyncio.run(coro)`` for a long-lived server. A SIGTERM cancels
+    ``coro`` the way Ctrl-C does, so its ``finally`` blocks (listener,
+    socket file) and the caller's (pool, shards, state directory) run
+    before the process exits, and :class:`_Terminated` is raised. The
+    signal's default action would end the process where it stands."""
+    import asyncio
+    import os
+    import signal
+    import threading
+
+    if threading.current_thread() is not threading.main_thread():
+        return asyncio.run(coro)  # only the main thread receives signals
+    terminated = False
+
+    async def _until_sigterm() -> Any:
+        loop = asyncio.get_running_loop()
+        task = asyncio.ensure_future(coro)
+
+        def _stop() -> None:
+            nonlocal terminated
+            terminated = True
+            task.cancel()
+
+        loop.add_signal_handler(signal.SIGTERM, _stop)
+        try:
+            return await task
+        finally:
+            loop.remove_signal_handler(signal.SIGTERM)
+
+    os.register_at_fork(after_in_child=_default_sigterm_in_child)
+    try:
+        return asyncio.run(_until_sigterm())
+    except asyncio.CancelledError:
+        if terminated:
+            raise _Terminated() from None
+        raise
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import SolveService, serve
 
     address = _service_address(args)
     service = SolveService(**_service_kwargs(args))
     try:
-        served = asyncio.run(
+        served = _run_server(
             serve(
                 service,
                 address,
@@ -847,8 +899,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    import asyncio
-
     from repro.service.fleet import FleetRouter, serve_fleet
 
     address = _service_address(args)
@@ -862,7 +912,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     )
     try:
         router.start()
-        served = asyncio.run(
+        served = _run_server(
             serve_fleet(
                 router,
                 address,
@@ -1132,6 +1182,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except KeyboardInterrupt:  # pragma: no cover - interactive stop
         return 130
+    except _Terminated:
+        return 143  # 128 + SIGTERM, as a shell reports it
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -13,12 +13,14 @@ Consumes the per-request records the harness emits
   ``delta`` = the hit tiers), which is what an SLO on cache-hit
   latency gates;
 * **per-route breakdown** — the same split by the fleet router's
-  routing decision (``ring``/``affinity``/``spill``), showing how much
+  routing decision (``ring``/``affinity``/``spill``, or ``front`` for a
+  repeat the router answered from its own table), showing how much
   traffic bounded-load routing actually moved and what the moved
   requests paid (empty for non-fleet targets);
 * **per-shard breakdown + imbalance coefficient** — request counts and
   latencies by shard attribution, summarised as the coefficient of
   variation (std/mean of per-shard counts) and the peak-to-mean ratio.
+  Front answers reach no shard, so only shard-bound requests count.
   ``cv = 0`` is a perfectly even split; the E13 Zipf baseline these
   report is the number ROADMAP item 4's load-aware routing must beat;
 * **goodput under an SLO** — the fraction (and rate) of requests that
@@ -146,9 +148,9 @@ def analyze(
         source: latency_summary(vals) for source, vals in sorted(by_source.items())
     }
 
-    # Routing-decision split (ring/affinity/spill, stamped by the fleet
-    # router): how much traffic each routing mechanism actually moved,
-    # and what it cost.
+    # Routing-decision split (ring/affinity/spill, or front for a repeat
+    # answered in the router, stamped by the fleet router): how much
+    # traffic each routing mechanism actually moved, and what it cost.
     # Absent entirely for non-fleet targets (no record carries a route).
     by_route: dict[str, list[float]] = {}
     for r in ok:

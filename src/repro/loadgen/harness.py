@@ -35,9 +35,11 @@ Each request yields one JSON-able record — scheduled/send/receive
 timestamps, ``ok``, the service's ``source`` attribution
 (cache/coalesced/delta/batch), the answering ``shard`` and routing
 decision ``route`` (ring/affinity/spill, both stamped by the fleet
-router), the server-side ``elapsed_ms`` and the harness-side
-``latency_ms`` — which :func:`repro.loadgen.analyze.analyze` folds into
-the tail-latency/SLO summary.
+router; a repeat the router answers from its own table has ``shard``
+``None`` and ``route`` ``front``), the server-side ``elapsed_ms`` and
+the harness-side ``latency_ms`` — which
+:func:`repro.loadgen.analyze.analyze` folds into the tail-latency/SLO
+summary.
 """
 
 from __future__ import annotations

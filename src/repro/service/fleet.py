@@ -23,17 +23,32 @@ every request goes to its ring owner, the placement above. Every
 response carries the routing decision (``route: ring/affinity/spill``)
 next to the answering ``shard``.
 
+Repeats are **answered in the front end**. A shard's answer is a
+function of the request's instance key alone, and no wire op can
+change it, so the router keeps a bounded table from instance key to
+every ``ok`` answer a shard returned (``method``, ``algebra``,
+``value``, ``iterations``). A spec whose key is in the table is
+answered before placement, with ``source: "cache"``, ``shard: null``
+and ``route: "front"``, and never reaches a shard; errors, refusals
+and specs routed by fingerprint are never stored. The table holds at
+most :data:`~repro.problems.specs.KEY_MEMO_ENTRIES` entries of fixed
+size, least recently used evicted first, and a fleet started with
+``cache_bytes=0`` keeps none. ``status()`` counts the front answers
+(``router.front_answers``, also in ``totals.cache_hits``) and the
+table's size (``router.front_entries``).
+
 The shard set is **elastic** between batches: with ``min_shards`` /
 ``max_shards`` spanning a range, the router grows the fleet when the
-EWMA-smoothed per-shard demand (incoming batch size plus live router-
-side queue depth) exceeds ``scale_up_depth`` and shrinks it when
-demand decays below ``scale_down_depth``. Scale events are ring-
-segment handoffs: a new shard claims exactly the vnode segment its
-index owns (respawning retired indices on the same sockets), and a
-shard is only retired when it holds **zero** accepted-but-unanswered
-requests — together with the at-most-once re-dispatch machinery below,
-no accepted request is ever dropped across a scale cycle (gated in CI
-by ``bench_e14_routing.py --smoke``).
+EWMA-smoothed per-shard demand (the incoming round's shard-bound
+requests plus live router-side queue depth) exceeds ``scale_up_depth``
+and shrinks it when demand decays below ``scale_down_depth``. Scale
+events are ring-segment handoffs: a new shard claims exactly the vnode
+segment its index owns (respawning retired indices on the same
+sockets), and a shard is only retired when it holds **zero**
+accepted-but-unanswered requests — together with the at-most-once
+re-dispatch machinery below, no accepted request is ever dropped
+across a scale cycle (gated in CI by ``bench_e14_routing.py
+--smoke``).
 
 Failure semantics
 -----------------
@@ -83,12 +98,13 @@ import sys
 import tempfile
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
 from repro.errors import ReproError
-from repro.problems.specs import route_key_from_spec
+from repro.problems.specs import KEY_MEMO_ENTRIES, route_key_from_spec, spec_key
 from repro.service.routing import BoundedLoadPolicy, HashRing, ShardLoad
 from repro.service.transport import (
     MAX_LINE_BYTES,
@@ -115,6 +131,11 @@ _SPAWN_TIMEOUT_S = 30.0
 #: shard counts as dead
 _REQUEST_TIMEOUT_S = 120.0
 
+#: most shard answers the front end keeps, least recently used evicted
+#: first: the spec-key memo's bound, so the table can answer every key
+#: the memo names
+_FRONT_ENTRIES = KEY_MEMO_ENTRIES
+
 
 @dataclass
 class _Job:
@@ -122,9 +143,12 @@ class _Job:
 
     index: int
     spec: dict
-    shard: int
+    shard: int = -1  # placed after the round's scale check
     client_id: Any = None  # the caller's own "id", echoed back verbatim
-    route: str = "ring"  # the policy's decision tag (ring/affinity/spill)
+    # the policy's decision tag (ring/affinity/spill); a request answered
+    # from the front end's table is no job and is tagged "front"
+    route: str = "ring"
+    key: Optional[bytes] = None  # instance key an ok answer is stored under
     dispatches: int = 0
     record: Optional[dict] = None
 
@@ -212,7 +236,8 @@ class FleetRouter:
         How many shard processes to run. Each one is a full solve
         service (own process, own warm pool, own store, own cache).
     ``method, backend, workers, start_method, max_batch, cache_bytes``
-        Forwarded to each shard's ``repro serve``.
+        Forwarded to each shard's ``repro serve``. ``cache_bytes=0``
+        also leaves the front end without its answer table.
     ``cache_dir``
         Directory for the shared L2 result cache every shard mounts
         (each shard's in-memory cache becomes the L1 of a
@@ -326,6 +351,12 @@ class FleetRouter:
         self._scale_ups = 0
         self._scale_downs = 0
         self._route_tags: dict[str, int] = {}
+        #: instance key -> (method, algebra, value, iterations) of a
+        #: shard's ok answer, in LRU order; None when caching is off
+        self._answers: Optional[OrderedDict[bytes, tuple]] = (
+            OrderedDict() if self.cache_bytes > 0 else None
+        )
+        self._front_answers = 0
         #: respawn counts of retired shard objects, so the fleet-wide
         #: respawn total survives scale-downs
         self._retired_respawns = 0
@@ -581,10 +612,10 @@ class FleetRouter:
     def status(self) -> dict:
         """Aggregate health: per-shard status records (or ``alive:
         False`` for unreachable shards) plus fleet-wide sums — total
-        requests, combined cache counters and hit rate, respawns, and
-        the router's own dispatch accounting. ``router.cpu_s`` is this
-        process's CPU time; ``totals.cpu_s`` adds every reachable
-        shard's ``cpu_s`` to it."""
+        requests, combined cache counters and hit rate (front answers
+        count as hits), respawns, and the router's own dispatch
+        accounting. ``router.cpu_s`` is this process's CPU time;
+        ``totals.cpu_s`` adds every reachable shard's ``cpu_s`` to it."""
         return self._call(self._status)
 
     # -- routing -------------------------------------------------------------
@@ -622,23 +653,43 @@ class FleetRouter:
 
     async def _request_many(self, specs: Sequence[dict]) -> list[dict]:
         """The one dispatch path: :meth:`request_many` and the front
-        end's rounds both await this on the router's loop."""
+        end's rounds both await this on the router's loop. A spec whose
+        instance key has an answer in the table is answered here; the
+        rest are placed and sent to their shards, and every ``ok``
+        answer they get is stored."""
         if self._closed:
             raise ReproError("fleet is closed")
-        await self._maybe_scale(len(specs))
+        records: list[Optional[dict]] = [None] * len(specs)
         jobs = []
         for index, spec in enumerate(specs):
+            t0 = time.perf_counter()
             body = {k: v for k, v in spec.items() if k != "id"}
-            shard, tag = self._route_spec(body)
-            job = _Job(
-                index=index,
-                spec=body,
-                shard=shard,
-                client_id=spec.get("id", index + 1),
-                route=tag,
-            )
-            jobs.append(job)
-        self._requests += len(jobs)
+            client_id = spec.get("id", index + 1)
+            key, answer = self._lookup(body)
+            if answer is None:
+                jobs.append(_Job(index, body, client_id=client_id, key=key))
+                continue
+            method, algebra, value, iterations = answer
+            records[index] = {
+                "id": client_id,
+                "ok": True,
+                "method": method,
+                "algebra": algebra,
+                "value": value,
+                "iterations": iterations,
+                "source": "cache",
+                "elapsed_ms": round((time.perf_counter() - t0) * 1e3, 3),
+                "shard": None,
+                "route": "front",
+            }
+        self._requests += len(specs)
+        self._front_answers += len(specs) - len(jobs)
+        # Demand counts the shard-bound requests before placement adds
+        # them to the in-flight gauges; a round answered entirely here
+        # still lets the smoothed demand decay.
+        await self._maybe_scale(len(jobs))
+        for job in jobs:
+            job.shard, job.route = self._route_spec(job.spec)
 
         pending = jobs
         # Two passes suffice: requests a dead shard absorbed are
@@ -680,7 +731,41 @@ class FleetRouter:
                 "error": f"shard {job.shard} kept failing; request abandoned",
             }
             self._finish_job(job)
-        return [job.record for job in jobs]
+        for job in jobs:
+            records[job.index] = job.record
+            if job.key is not None and job.record.get("ok") is True:
+                self._remember(job.key, job.record)
+        return records
+
+    # -- answers in the front end ---------------------------------------------
+
+    def _lookup(self, body: dict) -> tuple[Optional[bytes], Optional[tuple]]:
+        """``(instance_key, answer)`` for one spec. The key is ``None``
+        when no answer may be stored for the spec: the fleet keeps no
+        table, the spec is malformed, or it has no instance key."""
+        if self._answers is None:
+            return None, None
+        try:
+            key, _ = spec_key(body, default_method=self.default_method)
+        except Exception:  # noqa: BLE001 - its shard answers with the error
+            return None, None
+        answer = None if key is None else self._answers.get(key)
+        if answer is not None:
+            self._answers.move_to_end(key)
+        return key, answer
+
+    def _remember(self, key: bytes, record: dict) -> None:
+        """Store a shard's ok answer, evicting the least recently used
+        entry past :data:`_FRONT_ENTRIES`."""
+        self._answers[key] = (
+            record["method"],
+            record["algebra"],
+            record["value"],
+            record["iterations"],
+        )
+        self._answers.move_to_end(key)
+        if len(self._answers) > _FRONT_ENTRIES:
+            self._answers.popitem(last=False)
 
     async def _run_round(self, by_shard: dict[int, list[_Job]]) -> list[_Job]:
         """Dispatch one round's per-shard groups; returns the jobs left
@@ -778,10 +863,10 @@ class FleetRouter:
     async def _maybe_scale(self, incoming: int) -> None:
         """Grow or shrink the shard set *between batches*.
 
-        The demand signal is the per-shard work the arriving batch
-        implies (its size plus whatever is still in flight, divided by
-        the current width), EWMA-smoothed so one spike doesn't thrash
-        the fleet. Growth triggers above ``scale_up_depth``; shrink
+        The demand signal is the per-shard work the arriving round
+        implies (its ``incoming`` shard-bound requests plus whatever is
+        still in flight, divided by the current width), EWMA-smoothed
+        so one spike doesn't thrash the fleet. Growth triggers above ``scale_up_depth``; shrink
         needs the smoothed demand to decay below ``scale_down_depth``
         *and* an idle shard to retire — a shard holding accepted
         requests is never touched, which (with the at-most-once
@@ -920,6 +1005,8 @@ class FleetRouter:
             if load is not None:
                 record["load"] = load.snapshot()
             shard_records.append(record)
+        # A front answer is a cache hit the shards never saw.
+        totals["cache_hits"] += self._front_answers
         lookups = totals["cache_hits"] + totals["cache_misses"]
         cpu_s = round(time.process_time(), 6)
         totals["cpu_s"] = round(totals["cpu_s"] + cpu_s, 6)
@@ -946,6 +1033,8 @@ class FleetRouter:
                 "scale_downs": self._scale_downs,
                 "demand_ewma": round(self._demand_ewma, 3),
                 "route_tags": dict(sorted(self._route_tags.items())),
+                "front_answers": self._front_answers,
+                "front_entries": 0 if self._answers is None else len(self._answers),
                 "cpu_s": cpu_s,
             },
             "totals": {

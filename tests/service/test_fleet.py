@@ -8,20 +8,25 @@ not the solvers.
 """
 
 import asyncio
+import json
 import math
 import os
 import signal
+import socket
 import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import solve
 from repro.errors import ReproError
 from repro.problems import MatrixChainProblem
-from repro.problems.specs import batch_item_from_spec, route_key_from_spec
+from repro.problems.specs import batch_item_from_spec, route_key_from_spec, spec_key
 from repro.service import ServiceClient
 from repro.service.fleet import FleetRouter, HashRing, serve_fleet
 from repro.service.transport import Address
@@ -78,8 +83,10 @@ class CountingWriter:
 
 def count_writes(router: FleetRouter, shard: int) -> CountingWriter:
     """Connect ``shard`` and count the writes on its connection from now
-    on (the wrapper stays on that connection; it only counts)."""
-    assert router.request_many(specs_on(router, shard, 1))[0]["ok"]
+    on (the wrapper stays on that connection; it only counts). A status
+    query opens every live shard's connection that is not open yet."""
+    if router._shards[shard]._writer is None:
+        assert router.status()["per_shard"][shard]["alive"]
     counter = CountingWriter(router._shards[shard]._writer)
     router._shards[shard]._writer = counter
     return counter
@@ -203,7 +210,11 @@ class TestFleetRequests:
     def test_status_aggregates_across_shards(self, fleet):
         status = fleet.status()
         assert status["shards"] == 2 and status["alive"] == 2
-        assert status["totals"]["requests"] >= status["router"]["requests"] - 1
+        # Front answers never reach a shard.
+        assert (
+            status["totals"]["requests"] + status["router"]["front_answers"]
+            >= status["router"]["requests"] - 1
+        )
         assert len(status["per_shard"]) == 2
         assert all(s["alive"] for s in status["per_shard"])
         assert 0.0 <= status["totals"]["cache_hit_rate"] <= 1.0
@@ -682,6 +693,269 @@ class TestConnBatcher:
         assert all(not r["ok"] and "fleet is closed" in r["error"] for r in kept)
 
 
+def send_lines(path: str, lines: list) -> list:
+    """Pipeline raw ``lines`` on one connection to the front end at
+    ``path``; returns one record per line, in arrival order."""
+    with socket.socket(socket.AF_UNIX) as sock:
+        sock.settimeout(60.0)
+        sock.connect(path)
+        sock.sendall("".join(line + "\n" for line in lines).encode())
+        with sock.makefile("r") as answers:
+            return [json.loads(answers.readline()) for _ in lines]
+
+
+def front_keys(specs) -> list:
+    """The instance key of each spec, or ``None`` for a malformed one."""
+    keys = []
+    for spec in specs:
+        try:
+            keys.append(spec_key(dict(spec))[0])
+        except Exception:  # noqa: BLE001 - malformed on purpose
+            keys.append(None)
+    return keys
+
+
+class TestFrontAnswers:
+    """The front end's answer table: a repeat of an instance a shard
+    answered ok is answered by the router and never reaches a shard."""
+
+    SHARD_FIELDS = ("value", "method", "algebra", "iterations")
+
+    def _assert_front(self, first: dict, repeat: dict) -> None:
+        assert first["ok"] and first["shard"] in (0, 1)
+        assert repeat["ok"]
+        assert (repeat["route"], repeat["source"], repeat["shard"]) == (
+            "front",
+            "cache",
+            None,
+        )
+        for field in self.SHARD_FIELDS:
+            assert repeat[field] == first[field], field
+        assert repeat["elapsed_ms"] >= 0.0
+
+    def test_repeat_through_request_many_is_answered_at_the_front(self, fleet):
+        spec = {"dims": [11, 3, 17, 5], "method": "huang"}
+        first = fleet.request(dict(spec))
+        fleet.status()  # opens both shard connections
+        counters = [count_writes(fleet, 0), count_writes(fleet, 1)]
+        repeat = fleet.request(dict(spec))
+        self._assert_front(first, repeat)
+        assert [c.writes for c in counters] == [0, 0]
+
+    def test_repeat_through_serve_fleet_is_answered_at_the_front(
+        self, fleet, tmp_path
+    ):
+        path = str(tmp_path / "front.sock")
+        thread, outcome = TestServedFront._serve(fleet, path)
+        spec = {"family": "bst", "n": 9, "seed": 41}
+        with ServiceClient(path) as client:
+            first = client.request(dict(spec))
+            fleet.status()  # opens both shard connections
+            counters = [count_writes(fleet, 0), count_writes(fleet, 1)]
+            repeat = client.request(dict(spec))
+            client.shutdown()
+        thread.join(timeout=30.0)
+        assert not thread.is_alive()
+        assert outcome == {"served": 2}
+        self._assert_front(first, repeat)
+        assert [c.writes for c in counters] == [0, 0]
+
+    def test_another_spelling_of_the_instance_is_answered_at_the_front(
+        self, fleet
+    ):
+        first = fleet.request({"dims": [3, 13, 2, 8]})
+        repeat = fleet.request({"dims": [3.0, 13, 2.0, 8]})
+        self._assert_front(first, repeat)
+
+    def test_the_client_id_is_echoed(self, fleet, tmp_path):
+        spec = {"family": "chain", "n": 7, "seed": 77}
+        assert fleet.request(dict(spec))["ok"]
+        records = fleet.request_many([dict(spec), {**spec, "id": "mine"}])
+        assert [(r["route"], r["id"]) for r in records] == [
+            ("front", 1),
+            ("front", "mine"),
+        ]
+        path = str(tmp_path / "front.sock")
+        thread, _ = TestServedFront._serve(fleet, path)
+        served = send_lines(path, [json.dumps(spec), json.dumps({**spec, "id": [7, "x"]})])
+        with ServiceClient(path) as client:
+            client.shutdown()
+        thread.join(timeout=30.0)
+        assert not thread.is_alive()
+        assert [(r["route"], r["id"]) for r in served] == [
+            ("front", None),
+            ("front", [7, "x"]),
+        ]
+
+    def test_a_malformed_spec_reaches_a_shard_every_time(self, fleet):
+        spec = {"bogus": 11}
+        owner = fleet.route(dict(spec))
+        before = fleet.status()["router"]["front_answers"]
+        for _ in range(2):
+            counter = count_writes(fleet, owner)
+            record = fleet.request(dict(spec))
+            assert not record["ok"] and "spec must contain" in record["error"]
+            assert (record["shard"], record["route"]) == (owner, "ring")
+            assert counter.writes == 1
+        assert fleet.status()["router"]["front_answers"] == before
+
+    def test_oldest_entries_are_evicted_past_the_bound(self, monkeypatch):
+        monkeypatch.setattr("repro.service.fleet._FRONT_ENTRIES", 2)
+        specs = [{"family": "chain", "n": 8, "seed": 300 + i} for i in range(3)]
+        with FleetRouter(2, **FLEET_KWARGS) as router:
+            assert all(r["ok"] for r in router.request_many(specs))
+            assert router.status()["router"]["front_entries"] == 2
+            evicted, kept = router.request_many([specs[0]]), router.request(specs[2])
+            assert evicted[0]["route"] == "ring" and evicted[0]["shard"] is not None
+            assert evicted[0]["source"] == "cache"  # the shard's own L1
+            assert kept["route"] == "front"
+            # the evicted spec was stored again and pushed out specs[1]
+            assert router.request(specs[1])["route"] == "ring"
+            assert router.status()["router"]["front_entries"] == 2
+
+    def test_the_table_is_bounded_in_entries_and_bytes(self, monkeypatch):
+        """Past its bound the table replaces entries instead of growing:
+        every field has a fixed size, so its memory stays near what one
+        full table holds however many answers pass through it."""
+        monkeypatch.setattr("repro.service.fleet._FRONT_ENTRIES", 256)
+        answer = {"method": "sequential", "algebra": "min_plus",
+                  "value": 2500.0, "iterations": None}
+        router = FleetRouter(1, **FLEET_KWARGS)  # never started: no shards
+        try:
+            tracemalloc.start()
+            empty = tracemalloc.get_traced_memory()[0]
+            for i in range(256):
+                router._remember(i.to_bytes(16, "big"), json.loads(json.dumps(answer)))
+            full = tracemalloc.get_traced_memory()[0]
+            for i in range(256, 256 * 9):
+                router._remember(i.to_bytes(16, "big"), json.loads(json.dumps(answer)))
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            router.close()
+        assert len(router._answers) == 256
+        assert list(router._answers)[0] == (256 * 8).to_bytes(16, "big")
+        # eight bounds' worth of new answers grew it less than half a table
+        assert after - full < (full - empty) / 2
+
+    def test_a_fleet_without_cache_answers_nothing_at_the_front(self):
+        spec = {"dims": [3, 7, 2]}
+        with FleetRouter(1, **FLEET_KWARGS, cache_bytes=0) as router:
+            records = [router.request(dict(spec)) for _ in range(3)]
+            assert [r["route"] for r in records] == ["ring"] * 3
+            assert all(r["ok"] and r["value"] == 42.0 for r in records)
+            router_status = router.status()["router"]
+        assert router_status["front_answers"] == 0
+        assert router_status["front_entries"] == 0
+
+    def test_a_round_answered_at_the_front_adds_no_demand(self):
+        specs = [{"family": "chain", "n": 8, "seed": 400 + i} for i in range(6)]
+        with FleetRouter(
+            1, **FLEET_KWARGS, min_shards=1, max_shards=2, scale_up_depth=100.0
+        ) as router:
+            assert all(r["ok"] for r in router.request_many(specs))
+            before = router.status()["router"]["demand_ewma"]
+            assert before > 0
+            records = router.request_many(specs * 5)
+            assert {r["route"] for r in records} == {"front"}
+            after = router.status()["router"]["demand_ewma"]
+        assert after == pytest.approx(before / 2, abs=1e-3)
+
+    def test_status_counts_front_answers_as_cache_hits(self):
+        spec = {"family": "bst", "n": 6, "seed": 3}
+        with FleetRouter(2, **FLEET_KWARGS) as router:
+            router.request(dict(spec))
+            router.request_many([dict(spec)] * 3)
+            status = router.status()
+        shard_caches = [s["status"]["cache"] for s in status["per_shard"]]
+        assert status["router"]["front_answers"] == 3
+        assert status["router"]["front_entries"] == 1
+        assert status["router"]["requests"] == 4
+        assert status["router"]["route_tags"] == {"ring": 1}
+        hits = sum(c["hits"] for c in shard_caches)
+        misses = sum(c["misses"] for c in shard_caches)
+        assert status["totals"]["cache_hits"] == hits + 3
+        assert status["totals"]["cache_hit_rate"] == round(
+            (hits + 3) / (hits + 3 + misses), 4
+        )
+
+
+#: the served property test's spec pool: valid specs (one instance in
+#: two spellings), specs that fail to parse, and lines that are not JSON
+_POOL_SPECS = [
+    {"dims": [3, 7, 2, 9]},
+    {"dims": [3.0, 7.0, 2.0, 9.0]},
+    {"family": "chain", "n": 6, "seed": 901},
+    {"family": "bst", "n": 5, "seed": 902},
+    {"weights": [3, 9, 2, 7], "algebra": "minimax"},
+    {"family": "chain", "n": 7, "seed": 903, "method": "huang"},
+    {"bogus": 1},
+    {"family": "chain", "n": -2},
+    {"dims": [4, 5], "algebra": "no-such-algebra"},
+]
+_POOL_LINES = [json.dumps(s) for s in _POOL_SPECS] + ["not json", "[1, 2]"]
+
+
+@pytest.fixture(scope="module")
+def served_fleet(tmp_path_factory):
+    """A two-shard fleet behind its own front end, with the keys its
+    front end has seen answered ok so far (the table outlives one
+    hypothesis example)."""
+    path = str(tmp_path_factory.mktemp("front") / "front.sock")
+    with FleetRouter(2, **FLEET_KWARGS) as router:
+        thread, _ = TestServedFront._serve(router, path)
+        try:
+            yield path, set()
+        finally:
+            with ServiceClient(path) as client:
+                client.shutdown()
+            thread.join(timeout=30.0)
+
+
+def _sequential_value(spec: dict) -> float:
+    problem, _, kwargs = batch_item_from_spec(dict(spec))
+    kwargs.pop("max_n", None)
+    return solve(problem, method="sequential", **kwargs).value
+
+
+class TestServedFrontProperty:
+    @settings(max_examples=30)
+    @given(picks=st.lists(st.integers(0, len(_POOL_LINES) - 1), min_size=1, max_size=12))
+    def test_every_line_one_record_and_front_answers_only_repeat_ok(
+        self, served_fleet, picks
+    ):
+        path, answered_ok = served_fleet
+        keys = front_keys(_POOL_SPECS)
+        lines = []
+        for i, pick in enumerate(picks):
+            if pick < len(_POOL_SPECS):
+                lines.append(json.dumps({**_POOL_SPECS[pick], "id": i}))
+            else:
+                lines.append(_POOL_LINES[pick])
+        records = send_lines(path, lines)
+        by_id = {}
+        unframed = 0
+        for record in records:  # in arrival order
+            if record.get("id") is None:
+                assert not record["ok"] and record["error"].startswith("bad request")
+                unframed += 1
+                continue
+            assert record["id"] not in by_id, "two records for one line"
+            by_id[record["id"]] = record
+            spec_index = picks[record["id"]]
+            key = keys[spec_index]
+            if record.get("route") == "front":
+                assert key is not None and key in answered_ok
+                assert record["source"] == "cache" and record["shard"] is None
+            if record["ok"]:
+                want = _sequential_value(_POOL_SPECS[spec_index])
+                assert record["value"] == want
+                answered_ok.add(key)
+        spec_lines = [i for i, pick in enumerate(picks) if pick < len(_POOL_SPECS)]
+        assert sorted(by_id) == spec_lines
+        assert unframed == len(lines) - len(spec_lines)
+
+
 class TestShardDeathRecovery:
     """The PR 5 satellite: kill a shard mid-batch; the router must
     respawn it, re-dispatch at most once, and drop nothing."""
@@ -728,7 +1002,8 @@ class TestShardDeathRecovery:
     def test_kill_between_batches_respawns_on_next_use(self, load_factor):
         """A shard killed while idle heals on its next request under
         every load factor: the policy places on the dead shard like any
-        other and the dispatch path respawns it."""
+        other and the dispatch path respawns it. The second batch is
+        new to the fleet, so the front end cannot answer it."""
         with FleetRouter(2, **FLEET_KWARGS, load_factor=load_factor) as router:
             warm = router.request_many(
                 [{"family": "chain", "n": 10, "seed": s} for s in range(6)]
@@ -740,9 +1015,10 @@ class TestShardDeathRecovery:
             while pid_alive(victim) and time.monotonic() < deadline:
                 time.sleep(0.02)
             records = router.request_many(
-                [{"family": "chain", "n": 10, "seed": s} for s in range(6)]
+                [{"family": "chain", "n": 10, "seed": s} for s in range(6, 12)]
             )
             assert all(r["ok"] for r in records)
+            assert 1 in {r["shard"] for r in records}
             assert router.status()["router"]["respawns"] == 1
             new_pid = router.shard_pids()[1]
             assert new_pid != victim and pid_alive(new_pid)
@@ -839,7 +1115,12 @@ class TestDynamicScaling:
     when idle, never drop an accepted request across either handoff."""
 
     def test_scale_up_and_down_cycle_drops_nothing(self):
-        hot = [{"family": "chain", "n": 16, "seed": 100 + i} for i in range(16)]
+        # Each hot pass is new to the fleet: repeats are answered in the
+        # front end and add no demand.
+        hot = [
+            [{"family": "chain", "n": 16, "seed": 100 + 16 * p + i} for i in range(16)]
+            for p in range(2)
+        ]
         cold = [{"family": "chain", "n": 8, "seed": 0}]
         with FleetRouter(
             2,
@@ -851,8 +1132,8 @@ class TestDynamicScaling:
             scale_down_depth=1.0,
         ) as router:
             failures = 0
-            for _ in range(2):
-                records = router.request_many(hot)
+            for batch in hot:
+                records = router.request_many(batch)
                 failures += sum(1 for r in records if not r.get("ok"))
             grown = router.status()
             assert grown["shards"] == 3, "fleet never grew under pressure"
@@ -890,24 +1171,33 @@ class TestDynamicScaling:
             # batch at width 2 holds the demand EWMA at 0.5)
             scale_down_depth=0.75,
         ) as router:
-            hot = [{"family": "chain", "n": 12, "seed": i} for i in range(8)]
-            router.request_many(hot)
+            # Each hot pass is new to the fleet: repeats are answered in
+            # the front end and add no demand.
+            hot = [
+                [{"family": "chain", "n": 12, "seed": 8 * p + i} for i in range(8)]
+                for p in range(3)
+            ]
+            router.request_many(hot[0])
             assert len(router._shards) == 2
             first_socket = router._shards[1].socket_path
             for _ in range(8):
                 router.request_many([{"family": "chain", "n": 8, "seed": 0}])
             assert len(router._shards) == 1
-            router.request_many(hot)
-            router.request_many(hot)
+            router.request_many(hot[1])
+            router.request_many(hot[2])
             assert len(router._shards) == 2
             assert router._shards[1].socket_path == first_socket
 
     def test_default_fleet_places_on_ring_owners_across_a_scale_cycle(self):
         """At the default ``load_factor=inf`` every request lands on its
         ring owner at every width: the new shard takes exactly its ring
-        segment and hands it back on retirement."""
-        hot = [{"family": "chain", "n": 16, "seed": 100 + i} for i in range(16)]
-        cold = [{"family": "chain", "n": 8, "seed": 0}]
+        segment and hands it back on retirement. Every batch is new to
+        the fleet, so every request is placed."""
+        hot = [
+            [{"family": "chain", "n": 16, "seed": 100 + 16 * p + i} for i in range(16)]
+            for p in range(2)
+        ]
+        cold = [[{"family": "chain", "n": 8, "seed": p}] for p in range(8)]
         with FleetRouter(
             2,
             **FLEET_KWARGS,
@@ -917,7 +1207,7 @@ class TestDynamicScaling:
             scale_down_depth=1.0,
         ) as router:
             widths = set()
-            for batch in [hot, hot] + [cold] * 8:
+            for batch in hot + cold:
                 records = router.request_many(batch)
                 widths.add(len(router.ring))
                 assert all(r["ok"] for r in records)
@@ -925,9 +1215,7 @@ class TestDynamicScaling:
                     (router.route(spec), "ring") for spec in batch
                 ]
             assert widths == {2, 3}
-            assert router.status()["router"]["route_tags"] == {
-                "ring": 2 * len(hot) + 8 * len(cold)
-            }
+            assert router.status()["router"]["route_tags"] == {"ring": 2 * 16 + 8}
 
     def test_autoscaling_off_by_default(self):
         with FleetRouter(2, **FLEET_KWARGS) as router:

@@ -821,6 +821,102 @@ class TestFleetAndTransportCommands:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
 
+    @staticmethod
+    def _descendants(pid: int) -> list:
+        """Every live process below ``pid``, read from /proc."""
+        parents = {}
+        for entry in os.listdir("/proc"):
+            if not entry.isdigit():
+                continue
+            try:
+                with open(f"/proc/{entry}/stat") as fh:
+                    stat = fh.read()
+            except OSError:
+                continue
+            # the command name may hold spaces; the ppid follows the ")"
+            parents[int(entry)] = int(stat.rsplit(")", 1)[1].split()[1])
+        found, frontier = [], [pid]
+        while frontier:
+            parent = frontier.pop()
+            children = [p for p, pp in parents.items() if pp == parent]
+            found += children
+            frontier += children
+        return found
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+    @pytest.mark.parametrize(
+        "command, spec",
+        [
+            (
+                ["fleet", "--shards", "2", "--backend", "serial"],
+                {"dims": [3, 7, 2]},
+            ),
+            (
+                ["serve", "--backend", "process", "--workers", "2"],
+                {"dims": [30, 35, 15, 5, 10, 20, 25], "method": "huang"},
+            ),
+        ],
+        ids=["fleet", "serve-process"],
+    )
+    def test_sigterm_stops_the_server_and_cleans_up(self, tmp_path, command, spec):
+        """SIGTERM stops ``repro fleet`` and ``repro serve`` the way Ctrl-C
+        does: no shard or pool worker outlives the server, and its
+        socket, its state directory and its shared memory are gone."""
+        import signal
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from repro.service import ServiceClient
+
+        sock = str(tmp_path / "s.sock")
+        scratch = tmp_path / "tmp"  # the fleet's private state dir goes here
+        scratch.mkdir()
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, TMPDIR=str(scratch))
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH", "")) if p
+        )
+        shm_before = set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", *command, "--socket", sock,
+             "--method", "sequential"],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            env=env,
+        )
+        try:
+            deadline = time.monotonic() + 60.0
+            while not os.path.exists(sock):
+                assert proc.poll() is None, f"repro {command[0]} exited during startup"
+                assert time.monotonic() < deadline, f"repro {command[0]} did not come up"
+                time.sleep(0.02)
+            while True:
+                try:
+                    client = ServiceClient(sock)
+                    break
+                except ConnectionRefusedError:  # bound, not yet listening
+                    assert time.monotonic() < deadline
+                    time.sleep(0.02)
+            with client:
+                assert client.request(spec)["ok"]
+            children = self._descendants(proc.pid)
+            assert children, "no shard or pool worker to check"
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60.0) == 143
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        deadline = time.monotonic() + 10.0
+        while any(os.path.exists(f"/proc/{p}") for p in children):
+            assert time.monotonic() < deadline, "a child outlived the server"
+            time.sleep(0.05)
+        assert not os.path.exists(sock), "socket left behind"
+        assert list(scratch.iterdir()) == [], "state directory left behind"
+        if os.path.isdir("/dev/shm"):
+            assert not set(os.listdir("/dev/shm")) - shm_before, "/dev/shm residue"
+
     def test_serve_tcp_flag_parses(self):
         args = build_parser().parse_args(["serve", "--tcp", "127.0.0.1:7466"])
         assert args.tcp == "127.0.0.1:7466"
@@ -1053,16 +1149,18 @@ class TestTraceLoadtestCommands:
 
     @pytest.mark.parametrize(
         "extra, routes",
-        [([], {"ring"}), (["--load-factor", "1.0"], {"ring", "spill", "affinity"})],
+        [([], {"ring", "front"}), (["--load-factor", "1.0"], {"ring", "spill", "front"})],
         ids=["inf", "1.0"],
     )
     def test_loadtest_fleet_honours_the_load_factor(self, extra, routes, capsys):
-        """One hot key replayed closed over two shards: the default
-        factor keeps it on its owner; 1.0 spills its repeats."""
+        """Eight uniform draws over eight keys replayed closed over two
+        shards: the default factor keeps every key on its owner; 1.0
+        spills some. The two repeats are answered in the front end,
+        which places nothing."""
         rc = main([
-            "loadtest", "--arrival", "closed", "--count", "6", "--pool", "1",
-            "--n", "8", "--backend", "serial", "--target", "fleet",
-            "--shards", "2", *extra,
+            "loadtest", "--arrival", "closed", "--count", "8", "--pool", "8",
+            "--popularity", "uniform", "--n", "8", "--backend", "serial",
+            "--target", "fleet", "--shards", "2", *extra,
         ])
         summary = json.loads(capsys.readouterr().out)
         assert rc == 0 and summary["target"] == "fleet:2"
