@@ -826,17 +826,6 @@ class _Terminated(Exception):
     """A SIGTERM stopped ``serve`` or ``fleet``; ``main()`` exits 143."""
 
 
-def _default_sigterm_in_child() -> None:
-    """A forked child (a fork-started pool worker) starts with SIGTERM's
-    default action and no wakeup fd. With the server's handler it could
-    miss the signal inside a blocking lock wait, and the pool's
-    ``terminate()`` would wait for it forever."""
-    import signal
-
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.set_wakeup_fd(-1)
-
-
 def _run_server(coro) -> Any:
     """``asyncio.run(coro)`` for a long-lived server. A SIGTERM cancels
     ``coro`` the way Ctrl-C does, so its ``finally`` blocks (listener,
@@ -844,7 +833,6 @@ def _run_server(coro) -> Any:
     before the process exits, and :class:`_Terminated` is raised. The
     signal's default action would end the process where it stands."""
     import asyncio
-    import os
     import signal
     import threading
 
@@ -867,7 +855,6 @@ def _run_server(coro) -> Any:
         finally:
             loop.remove_signal_handler(signal.SIGTERM)
 
-    os.register_at_fork(after_in_child=_default_sigterm_in_child)
     try:
         return asyncio.run(_until_sigterm())
     except asyncio.CancelledError:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import pickle
+import signal
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -81,6 +82,18 @@ def resolve_kernel_impl(name: str | None) -> str:
             f"unknown kernel_impl {name!r}; valid choices: {', '.join(KERNEL_IMPLS)}"
         )
     return "fused" if name == "auto" else name
+
+
+def _init_worker() -> None:  # pragma: no cover - worker-side
+    """Pool initializer: each worker starts with SIGTERM's default action
+    and no wakeup fd. A fork-started worker inherits its parent's
+    handlers, so a caller's SIGTERM handler (an asyncio server's, say)
+    would let the worker miss the SIGTERM of ``Pool.terminate()``
+    inside a blocking lock wait, and the pool's join would then wait
+    for it forever; the inherited wakeup fd would hand the signal to
+    the parent's event loop instead."""
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.set_wakeup_fd(-1)
 
 
 def _store_call(task: tuple) -> tuple:  # pragma: no cover - worker-side
@@ -297,7 +310,9 @@ class ProcessBackend(Backend):
     def _ensure_pool(self) -> "mp.pool.Pool":
         with self._pool_lock:
             if self._pool is None:
-                self._pool = self._ctx.Pool(processes=self.workers)
+                self._pool = self._ctx.Pool(
+                    processes=self.workers, initializer=_init_worker
+                )
             return self._pool
 
     def worker_pids(self) -> list[int]:

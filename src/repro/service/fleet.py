@@ -27,15 +27,19 @@ Repeats are **answered in the front end**. A shard's answer is a
 function of the request's instance key alone, and no wire op can
 change it, so the router keeps a bounded table from instance key to
 every ``ok`` answer a shard returned (``method``, ``algebra``,
-``value``, ``iterations``). A spec whose key is in the table is
-answered before placement, with ``source: "cache"``, ``shard: null``
-and ``route: "front"``, and never reaches a shard; errors, refusals
-and specs routed by fingerprint are never stored. The table holds at
-most :data:`~repro.problems.specs.KEY_MEMO_ENTRIES` entries of fixed
-size, least recently used evicted first, and a fleet started with
-``cache_bytes=0`` keeps none. ``status()`` counts the front answers
-(``router.front_answers``, also in ``totals.cache_hits``) and the
-table's size (``router.front_entries``).
+``value``, ``iterations``). A spec whose key is in the table gets a
+*front answer*, with ``source: "cache"``, ``shard: null`` and
+``route: "front"``, and never reaches a shard; errors, refusals and
+specs routed by fingerprint are never stored. A served line gets its
+front answer from the connection's read callback, with no round, so
+it can overtake the misses that arrived before it on its connection:
+records carry their request's ``id`` and may arrive out of request
+order, while ``request_many`` still returns submission order. The
+table holds at most :data:`~repro.problems.specs.KEY_MEMO_ENTRIES`
+entries of fixed size, least recently used evicted first, and a fleet
+started with ``cache_bytes=0`` keeps none. ``status()`` counts the
+front answers (``router.front_answers``, also in
+``totals.cache_hits``) and the table's size (``router.front_entries``).
 
 The shard set is **elastic** between batches: with ``min_shards`` /
 ``max_shards`` spanning a range, the router grows the fleet when the
@@ -73,8 +77,11 @@ that loop, so none of them takes a lock. A round sends each shard its
 group in one write and reads the answers under that shard's
 ``asyncio.Lock``; a round bound for one shard awaits its group
 directly, and a round over several shards gathers its groups.
-:func:`serve_fleet` runs the JSONL front end on the same loop, so a
-served round is routed, written and answered without leaving it. The
+:func:`serve_fleet` runs the JSONL front end on the same loop (one
+``asyncio.Protocol`` per client connection, see
+:func:`~repro.service.transport.serve_jsonl`), so a served round is
+routed, written and answered without leaving it, and a front answer is
+written from the read callback itself. The
 synchronous methods (``request_many``, ``status``, ...) run the same
 coroutines on the loop and wait for them. Only process work leaves the
 loop, for a thread: spawning, respawning, stopping and scaling shards.
@@ -101,7 +108,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Awaitable, Callable, Coroutine, Optional, Sequence
 
 from repro.errors import ReproError
 from repro.problems.specs import KEY_MEMO_ENTRIES, route_key_from_spec, spec_key
@@ -347,6 +354,8 @@ class FleetRouter:
         self._wire_ids = itertools.count(1)
         #: a scale event is under way (they run one at a time)
         self._scaling = False
+        #: scale events that front answers started, until they finish
+        self._scale_tasks: set[asyncio.Task] = set()
         self._demand_ewma = 0.0
         self._scale_ups = 0
         self._scale_downs = 0
@@ -662,28 +671,14 @@ class FleetRouter:
         records: list[Optional[dict]] = [None] * len(specs)
         jobs = []
         for index, spec in enumerate(specs):
-            t0 = time.perf_counter()
             body = {k: v for k, v in spec.items() if k != "id"}
             client_id = spec.get("id", index + 1)
-            key, answer = self._lookup(body)
-            if answer is None:
+            key, record = self._front_record(body, client_id)
+            if record is None:
                 jobs.append(_Job(index, body, client_id=client_id, key=key))
-                continue
-            method, algebra, value, iterations = answer
-            records[index] = {
-                "id": client_id,
-                "ok": True,
-                "method": method,
-                "algebra": algebra,
-                "value": value,
-                "iterations": iterations,
-                "source": "cache",
-                "elapsed_ms": round((time.perf_counter() - t0) * 1e3, 3),
-                "shard": None,
-                "route": "front",
-            }
+            else:
+                records[index] = record
         self._requests += len(specs)
-        self._front_answers += len(specs) - len(jobs)
         # Demand counts the shard-bound requests before placement adds
         # them to the in-flight gauges; a round answered entirely here
         # still lets the smoothed demand decay.
@@ -739,20 +734,70 @@ class FleetRouter:
 
     # -- answers in the front end ---------------------------------------------
 
-    def _lookup(self, body: dict) -> tuple[Optional[bytes], Optional[tuple]]:
-        """``(instance_key, answer)`` for one spec. The key is ``None``
-        when no answer may be stored for the spec: the fleet keeps no
-        table, the spec is malformed, or it has no instance key."""
+    def _front_record(
+        self, body: dict, client_id: Any
+    ) -> tuple[Optional[bytes], Optional[dict]]:
+        """``(instance_key, record)`` for one spec (``body``, without its
+        ``id``). The record is the spec's *front answer* — the table's
+        answer, with no shard and no round — or ``None`` when the spec
+        must go to a shard; a front answer is counted here. The key is
+        ``None`` when no answer may be stored for the spec: the fleet
+        keeps no table, the spec is malformed, or it has no instance
+        key."""
         if self._answers is None:
             return None, None
+        t0 = time.perf_counter()
         try:
             key, _ = spec_key(body, default_method=self.default_method)
         except Exception:  # noqa: BLE001 - its shard answers with the error
             return None, None
         answer = None if key is None else self._answers.get(key)
-        if answer is not None:
-            self._answers.move_to_end(key)
-        return key, answer
+        if answer is None:
+            return key, None
+        self._answers.move_to_end(key)
+        self._front_answers += 1
+        method, algebra, value, iterations = answer
+        return key, {
+            "id": client_id,
+            "ok": True,
+            "method": method,
+            "algebra": algebra,
+            "value": value,
+            "iterations": iterations,
+            "source": "cache",
+            "elapsed_ms": round((time.perf_counter() - t0) * 1e3, 3),
+            "shard": None,
+            "route": "front",
+        }
+
+    def _answer_at_front(self, msg: dict) -> Optional[dict]:
+        """The front answer to one served spec line, or ``None`` when the
+        line needs a round. :class:`_ConnBatcher` calls this from the
+        read callback, so a repeat is answered before any round that is
+        in flight on its connection. It counts like a round of one
+        answered here: one request, one front answer and one demand
+        sample with no shard-bound request, which may start a scale
+        event (so a fleet that serves only repeats still shrinks)."""
+        if self._closed:
+            return None  # the round answers "fleet is closed"
+        body = {k: v for k, v in msg.items() if k != "id"}
+        _, record = self._front_record(body, msg.get("id"))
+        if record is None:
+            return None
+        self._requests += 1
+        scale = self._sample_demand(0)
+        if scale is not None:
+            task = asyncio.ensure_future(scale)
+            self._scale_tasks.add(task)
+            task.add_done_callback(self._scale_done)
+        return record
+
+    def _scale_done(self, task: asyncio.Task) -> None:
+        self._scale_tasks.discard(task)
+        if not task.cancelled():
+            # A failed scale event leaves the shard set as it was and
+            # no request waits on it; the next demand sample retries.
+            task.exception()
 
     def _remember(self, key: bytes, record: dict) -> None:
         """Store a shard's ok answer, evicting the least recently used
@@ -861,7 +906,8 @@ class FleetRouter:
     # -- dynamic scaling -------------------------------------------------------
 
     async def _maybe_scale(self, incoming: int) -> None:
-        """Grow or shrink the shard set *between batches*.
+        """Take one demand sample and run the scale event it calls for.
+        Grows or shrinks the shard set *between batches*.
 
         The demand signal is the per-shard work the arriving round
         implies (its ``incoming`` shard-bound requests plus whatever is
@@ -875,21 +921,31 @@ class FleetRouter:
         a round that arrives while one is under way updates the demand
         signal and goes on without waiting for it.
         """
+        scale = self._sample_demand(incoming)
+        if scale is not None:
+            await scale
+
+    def _sample_demand(self, incoming: int) -> Optional[Coroutine[Any, Any, None]]:
+        """Fold one demand sample into the EWMA; returns the scale event
+        it calls for, as a coroutine to await, or ``None``."""
         if self.min_shards == self.max_shards:
-            return
+            return None
         width = len(self._shards)
         inflight = sum(load.inflight for load in self._loads.values())
         demand = (incoming + inflight) / max(width, 1)
         self._demand_ewma += _SCALE_ALPHA * (demand - self._demand_ewma)
         if self._scaling:
-            return
+            return None
         if self._demand_ewma > self.scale_up_depth and width < self.max_shards:
             event = self._scale_up
         elif self._demand_ewma < self.scale_down_depth and width > self.min_shards:
             event = self._scale_down
         else:
-            return
-        self._scaling = True
+            return None
+        self._scaling = True  # before any await: one event at a time
+        return self._scale(event)
+
+    async def _scale(self, event: Callable[[], Awaitable[None]]) -> None:
         try:
             await event()
         finally:
@@ -1063,13 +1119,16 @@ class FleetRouter:
 
 
 class _ConnBatcher:
-    """Per-connection dispatcher for :func:`serve_fleet`: spec lines
-    that arrive while a round is in flight accumulate, and each round
-    ships the whole accumulation through the router's dispatch
-    coroutine on the router's own loop — so pipelined lines keep their
-    per-shard pipelining (and the shards' schedulers keep coalescing)
-    through the front end, instead of degrading to one blocking
-    round-trip per line."""
+    """Per-connection dispatcher for :func:`serve_fleet`.
+
+    A spec line with a front answer is answered from the read callback,
+    also while a round is in flight on the connection. The other lines
+    accumulate while a round is in flight, and each round ships the
+    whole accumulation through the router's dispatch coroutine on the
+    router's own loop — so pipelined lines keep their per-shard
+    pipelining (and the shards' schedulers keep coalescing) through the
+    front end, instead of degrading to one blocking round-trip per
+    line."""
 
     def __init__(self, router: FleetRouter) -> None:
         self._router = router
@@ -1079,7 +1138,11 @@ class _ConnBatcher:
         self._rounds: set[asyncio.Task] = set()
         self._running = False
 
-    def submit(self, msg: dict, respond) -> None:
+    def submit(self, msg: dict, respond: Callable[[dict], None]) -> None:
+        record = self._router._answer_at_front(msg)
+        if record is not None:
+            respond(record)
+            return
         self._pending.append((msg, respond))
         if not self._running:
             self._start_round()
@@ -1103,7 +1166,7 @@ class _ConnBatcher:
                     records = [{"ok": False, "error": error} for _ in batch]
                 for (msg, respond), record in zip(batch, records):
                     record["id"] = msg.get("id")
-                    await respond(record)
+                    respond(record)
         finally:
             self._running = False
 

@@ -245,9 +245,9 @@ class _TaskPerSpec:
         # shard's whole life, so finished tasks must not pile up here.
         self._tasks: set[asyncio.Task] = set()
 
-    def submit(self, msg: dict, respond) -> None:
+    def submit(self, msg: dict, respond: Callable[[dict], None]) -> None:
         async def _run() -> None:
-            await respond(await self._service.handle_spec(msg))
+            respond(await self._service.handle_spec(msg))
 
         task = asyncio.ensure_future(_run())
         self._tasks.add(task)

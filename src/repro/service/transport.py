@@ -14,7 +14,18 @@ factored out of ``server.py``/``client.py`` so a transport is chosen by
 * :func:`connect` — a synchronous client socket for either address kind;
 * :func:`start_line_server` — the asyncio listener for either kind,
   with stale-unix-socket recovery (a dead server's leftover socket file
-  is probed and unlinked instead of failing the bind).
+  is probed and unlinked instead of failing the bind);
+* :func:`serve_jsonl` — the server loop both servers run: one
+  ``asyncio.Protocol`` per connection that splits lines as they are
+  read and writes each record with ``transport.write``.
+
+A response record carries its request's ``id``. Records on one
+connection may arrive out of request order: a server answers each line
+as soon as its work is done, so a quick answer (the fleet front end's
+answer to a repeat) can overtake earlier, slower ones. A client that
+pipelines matches records to requests by ``id``;
+:meth:`~repro.service.client.ServiceClient.request_many` still returns
+them in submission order.
 
 Unix sockets are the default transport: kernel-local, no ports to
 manage, access controlled by the filesystem. TCP is for crossing
@@ -31,12 +42,13 @@ import json
 import os
 import socket
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Any, Callable, Optional, Union
 
 from repro.errors import ReproError
 
-#: the longest request line a server reads, newline excluded (asyncio's
-#: default stream limit); a longer line is answered "request too large"
+#: the longest request line a server reads, newline excluded (also the
+#: stream limit of the router's shard connections); a longer line is
+#: answered "request too large"
 MAX_LINE_BYTES = 64 * 1024
 
 __all__ = [
@@ -182,21 +194,21 @@ def _reclaim_stale_unix_socket(path: str) -> None:
 
 
 async def start_line_server(
-    handler: Callable, address: Address
+    protocol_factory: Callable[[], asyncio.Protocol], address: Address
 ) -> tuple[asyncio.AbstractServer, Address]:
-    """Bind an asyncio stream server on ``address``.
+    """Bind an asyncio server on ``address`` that gives each connection
+    a protocol from ``protocol_factory``.
 
     Returns ``(server, bound)`` where ``bound`` is the actual endpoint —
     identical to ``address`` for unix sockets, but with the real port
     resolved when TCP port 0 (ephemeral) was requested."""
+    loop = asyncio.get_running_loop()
     if address.kind == "unix":
         assert address.path is not None
         if os.path.exists(address.path):
             _reclaim_stale_unix_socket(address.path)
         try:
-            server = await asyncio.start_unix_server(
-                handler, path=address.path, limit=MAX_LINE_BYTES
-            )
+            server = await loop.create_unix_server(protocol_factory, path=address.path)
         except OSError as exc:  # pragma: no cover - raced with another bind
             if exc.errno == errno.EADDRINUSE:
                 raise ReproError(
@@ -204,8 +216,8 @@ async def start_line_server(
                 ) from exc
             raise
         return server, address
-    server = await asyncio.start_server(
-        handler, host=address.host, port=address.port, limit=MAX_LINE_BYTES
+    server = await loop.create_server(
+        protocol_factory, host=address.host, port=address.port
     )
     bound_port = server.sockets[0].getsockname()[1] if server.sockets else address.port
     return server, Address.tcp(address.host or "127.0.0.1", bound_port)
@@ -216,31 +228,200 @@ async def start_line_server(
 # ---------------------------------------------------------------------------
 
 
-async def _read_request_line(reader: asyncio.StreamReader) -> Optional[bytes]:
-    """The next request line (``b""`` at end of input), or ``None`` for
-    a line over :data:`MAX_LINE_BYTES`, which is then discarded through
-    its newline — also when that newline has not arrived yet, so the
-    line's tail is never read as a request of its own."""
-    try:
-        return await reader.readuntil(b"\n")
-    except asyncio.IncompleteReadError as exc:
-        return exc.partial  # end of input: the unterminated last line
-    except asyncio.LimitOverrunError:
-        pass
-    while True:
+class _Listener:
+    """What the connections of one :func:`serve_jsonl` run share: the
+    injected dispatcher factory and status source, the stop event, the
+    count of spec answers, and the connections still open."""
+
+    def __init__(
+        self,
+        make_dispatcher: Callable[[], Any],
+        status_fn: Callable,
+        max_requests: Optional[int],
+    ) -> None:
+        self.make_dispatcher = make_dispatcher
+        self.status_fn = status_fn
+        self.max_requests = max_requests
+        self.stop = asyncio.Event()
+        self.served = 0
+        #: connections still reading requests
+        self.reading: set["_Connection"] = set()
+        #: connections that stopped reading and are finishing their work
+        self.finishing: set[asyncio.Task] = set()
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection of :func:`serve_jsonl`.
+
+    :meth:`data_received` splits what arrives into lines and answers
+    each line before it returns: a record for a malformed line or an
+    unknown op is written at once, a spec line goes to the connection's
+    dispatcher, and a status op starts a task. Every record is written
+    with ``transport.write``, which sends at once or buffers. Reading
+    never waits for writing, so a client that sends its whole batch
+    before it reads an answer cannot deadlock against the server; the
+    answers wait in the transport's buffer meanwhile.
+
+    Input ends at end of file, at a ``shutdown`` op or when the server
+    stops. The connection then answers the work it accepted and closes.
+    """
+
+    def __init__(self, listener: _Listener) -> None:
+        self._listener = listener
+        self._transport: Any = None
+        self._dispatcher: Any = None
+        #: the start of a line whose newline has not arrived yet
+        self._partial = bytearray()
+        #: inside a line over MAX_LINE_BYTES, discarded through its newline
+        self._skipping = False
+        self._reading = True
+        #: status ops in flight
+        self._ops: set[asyncio.Task] = set()
+
+    # -- the protocol --------------------------------------------------------
+
+    def connection_made(self, transport: Any) -> None:
+        self._transport = transport
+        self._dispatcher = self._listener.make_dispatcher()
+        self._listener.reading.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        partial = self._partial
+        scan_from = 0
+        if partial:
+            # Appending and scanning only the new bytes keeps a line
+            # that arrives in many small reads linear in its length.
+            scan_from = len(partial)
+            partial += data
+            data = partial
+        start = 0
+        end = data.find(b"\n", scan_from)
+        while end >= 0 and self._reading:
+            if self._skipping:
+                self._skipping = False
+            elif end - start > MAX_LINE_BYTES:
+                self._too_large()
+            else:
+                self._line(data[start:end])
+            start = end + 1
+            end = data.find(b"\n", start)
+        if not self._reading or self._skipping:
+            partial.clear()
+        elif len(data) - start > MAX_LINE_BYTES:
+            # Answered now; its newline, when it comes, ends the skip.
+            partial.clear()
+            self._too_large()
+            self._skipping = True
+        elif data is partial:
+            del partial[:start]
+        else:
+            partial += data[start:]
+
+    def eof_received(self) -> bool:
+        if self._reading and self._partial:
+            line = bytes(self._partial)
+            self._partial.clear()
+            self._line(line)  # the unterminated last line
+        self.finish()
+        return True  # keep the transport open for the answers
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.finish()
+
+    # -- requests ------------------------------------------------------------
+
+    def _line(self, line: bytes) -> None:
+        line = line.strip()
+        if not line:
+            return
         try:
-            await reader.readuntil(b"\n")
-            return None
-        except asyncio.LimitOverrunError as exc:
-            await reader.readexactly(exc.consumed)  # bytes before any newline
-        except asyncio.IncompleteReadError:
-            return None
+            msg = decode_record(line)
+        except ValueError as exc:
+            self._write({"ok": False, "error": f"bad request: {exc}"})
+            return
+        op = msg.get("op")
+        if op is None:
+            self._dispatcher.submit(msg, self._respond)
+        elif op == "status":
+            task = asyncio.ensure_future(self._answer_status(msg.get("id")))
+            self._ops.add(task)
+            task.add_done_callback(self._ops.discard)
+        elif op == "shutdown":
+            self._write({"id": msg.get("id"), "ok": True})
+            self._listener.stop.set()
+            self.finish()
+        else:
+            self._write(
+                {"id": msg.get("id"), "ok": False, "error": f"unknown op {op!r}"}
+            )
+
+    def _too_large(self) -> None:
+        self._write(
+            {
+                "ok": False,
+                "error": (
+                    "request too large: a request line may hold "
+                    f"at most {MAX_LINE_BYTES} bytes"
+                ),
+            }
+        )
+
+    async def _answer_status(self, request_id: Any) -> None:
+        try:
+            record = {
+                "id": request_id,
+                "ok": True,
+                "status": await self._listener.status_fn(),
+            }
+        except Exception as exc:  # noqa: BLE001 - errors go on the wire
+            record = {
+                "id": request_id,
+                "ok": False,
+                "error": f"{type(exc).__name__}: {exc}",
+            }
+        self._write(record)
+
+    def _respond(self, record: dict) -> None:
+        """The dispatcher's answer to one spec line."""
+        listener = self._listener
+        listener.served += 1
+        self._write(record)
+        limit = listener.max_requests
+        if limit is not None and listener.served >= limit:
+            listener.stop.set()
+
+    def _write(self, record: dict) -> None:
+        if not self._transport.is_closing():  # the peer may be gone
+            self._transport.write(encode_record(record))
+
+    # -- the end of the connection ---------------------------------------------
+
+    def finish(self) -> None:
+        """Stop reading; close the connection once the work it accepted
+        is answered. Idempotent."""
+        if not self._reading:
+            return
+        self._reading = False
+        if not self._transport.is_closing():
+            self._transport.pause_reading()
+        self._listener.reading.discard(self)
+        task = asyncio.ensure_future(self._close_when_answered())
+        self._listener.finishing.add(task)
+        task.add_done_callback(self._listener.finishing.discard)
+
+    async def _close_when_answered(self) -> None:
+        try:
+            await self._dispatcher.drain()
+            while self._ops:
+                await asyncio.gather(*list(self._ops), return_exceptions=True)
+        finally:
+            self._transport.close()
 
 
 async def serve_jsonl(
     address: Address,
     *,
-    make_dispatcher: Callable[[], "object"],
+    make_dispatcher: Callable[[], Any],
     status_fn: Callable,
     banner: Optional[Callable[[Address], str]] = None,
     cleanup: Optional[Callable] = None,
@@ -252,18 +433,20 @@ async def serve_jsonl(
     """The one JSONL front-end loop behind ``repro serve`` *and*
     ``repro fleet``: bind, accept pipelined connections, dispatch spec
     lines, answer ``status``/``shutdown`` ops, and tear everything down
-    on every exit path.
+    on every exit path. Each connection is one :class:`_Connection`
+    protocol.
 
     What varies between servers is injected:
 
     ``make_dispatcher()``
         Called once per connection; returns an object with
-        ``submit(msg, respond)`` (called for each spec line, where
-        ``respond`` is an async ``record -> None``; must not block the
-        read loop) and ``async drain()`` (awaited when the connection's
-        read loop ends — outstanding work must finish before the
-        connection deregisters, so requests accepted before a shutdown
-        still complete).
+        ``submit(msg, respond)`` and ``async drain()``. ``submit`` is
+        called from the read callback for each spec line and must not
+        block; ``respond`` is a plain ``record -> None`` that writes the
+        line's one record, from ``submit`` itself or later. ``drain()``
+        is awaited when the connection's input ends: outstanding work
+        must finish before the connection closes, so requests accepted
+        before a shutdown still complete.
     ``status_fn()``
         Async; the dict served under ``{"op": "status"}``.
     ``banner(bound)``
@@ -275,102 +458,21 @@ async def serve_jsonl(
 
     Every request line gets exactly one record: a line that is not a
     JSON object is answered "bad request", and a line longer than
-    :data:`MAX_LINE_BYTES` "request too large"; the connection stays up.
+    :data:`MAX_LINE_BYTES` "request too large", once, with the rest of
+    the line discarded through its newline, however many reads it
+    spans; the connection stays up. A blank line gets none, and an
+    unterminated last line is answered at end of file. A record carries
+    its request's ``id``; records on one connection may arrive out of
+    request order (a dispatcher answers as the work finishes).
     Runs until a shutdown op or ``max_requests`` spec responses.
     Every exit after a successful bind — including failures in the
     ``ready``/``on_bound`` notifications themselves — closes the
-    listener, drains connections, runs ``cleanup`` and (for unix
-    addresses) unlinks the socket file. Returns the number of spec
-    requests served.
+    listener, lets every connection answer what it accepted, runs
+    ``cleanup`` and (for unix addresses) unlinks the socket file.
+    Returns the number of spec requests served.
     """
-    stop = asyncio.Event()
-    served = 0
-    conn_writers: set[asyncio.StreamWriter] = set()
-    conn_tasks: set[asyncio.Task] = set()
-
-    async def _respond(writer, lock: asyncio.Lock, record: dict) -> None:
-        async with lock:
-            writer.write(encode_record(record))
-            await writer.drain()
-
-    async def _handle_conn(reader, writer) -> None:
-        lock = asyncio.Lock()
-        dispatcher = make_dispatcher()
-        conn_writers.add(writer)
-        conn_tasks.add(asyncio.current_task())
-
-        async def _respond_spec(record: dict) -> None:
-            nonlocal served
-            served += 1
-            await _respond(writer, lock, record)
-            if max_requests is not None and served >= max_requests:
-                stop.set()
-
-        try:
-            while True:
-                line = await _read_request_line(reader)
-                if line is None:
-                    await _respond(
-                        writer,
-                        lock,
-                        {
-                            "ok": False,
-                            "error": (
-                                "request too large: a request line may hold "
-                                f"at most {MAX_LINE_BYTES} bytes"
-                            ),
-                        },
-                    )
-                    continue
-                if not line:
-                    break
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    msg = decode_record(line)
-                except ValueError as exc:
-                    await _respond(
-                        writer, lock, {"ok": False, "error": f"bad request: {exc}"}
-                    )
-                    continue
-                op = msg.get("op")
-                if op == "status":
-                    await _respond(
-                        writer,
-                        lock,
-                        {"id": msg.get("id"), "ok": True, "status": await status_fn()},
-                    )
-                elif op == "shutdown":
-                    await _respond(writer, lock, {"id": msg.get("id"), "ok": True})
-                    stop.set()
-                    break
-                elif op is not None:
-                    await _respond(
-                        writer,
-                        lock,
-                        {
-                            "id": msg.get("id"),
-                            "ok": False,
-                            "error": f"unknown op {op!r}",
-                        },
-                    )
-                else:
-                    dispatcher.submit(msg, _respond_spec)
-        finally:
-            conn_writers.discard(writer)
-            await dispatcher.drain()
-            # Deregister only after the dispatcher drained: the
-            # shutdown path awaits conn_tasks before cleanup, so
-            # requests accepted before shutdown still complete.
-            conn_tasks.discard(asyncio.current_task())
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, BrokenPipeError):  # pragma: no cover
-                pass
-
-    server, bound = await start_line_server(_handle_conn, address)
+    listener = _Listener(make_dispatcher, status_fn, max_requests)
+    server, bound = await start_line_server(lambda: _Connection(listener), address)
     # From here on, *every* exit — including a failure in the
     # ready/on_bound notifications or the listening banner — must tear
     # down the listener, run the cleanup and unlink the socket file.
@@ -383,17 +485,16 @@ async def serve_jsonl(
             on_bound(bound)
         if ready is not None:
             ready.set()
-        await stop.wait()
+        await listener.stop.wait()
     finally:
         server.close()
+        for conn in list(listener.reading):
+            conn.finish()
+        while listener.finishing:
+            await asyncio.gather(*list(listener.finishing), return_exceptions=True)
+        # Every connection is closing now; the server is closed once
+        # each has flushed its answers.
         await server.wait_closed()
-        # Connections still parked in a read get an orderly EOF
-        # (closing the transport feeds it) instead of a loop-teardown
-        # cancellation traceback.
-        for writer in list(conn_writers):
-            writer.close()
-        if conn_tasks:
-            await asyncio.gather(*list(conn_tasks), return_exceptions=True)
         if cleanup is not None:
             await cleanup()
         if address.kind == "unix":
@@ -401,4 +502,4 @@ async def serve_jsonl(
                 os.unlink(address.path)
             except OSError:
                 pass
-    return served
+    return listener.served

@@ -1,6 +1,8 @@
 """Unit tests for the execution backends."""
 
 import os
+import signal
+import socket
 
 import numpy as np
 import pytest
@@ -146,3 +148,37 @@ def _call_hook(tile, *, hook):
     """Apply an (unpicklable) callable payload — exercises the
     in-caller path of the process backend."""
     return hook(tile)
+
+
+def _ignore_sigterm(signum, frame):
+    """A caller's own SIGTERM handler (module-level so a worker can
+    pickle a reference to it back)."""
+
+
+def _sigterm_state(tile):
+    """The SIGTERM action and wakeup fd the worker found, both reset to
+    the defaults afterwards, so the pool can be terminated either way."""
+    action = signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    return action, signal.set_wakeup_fd(-1)
+
+
+class TestWorkerSignals:
+    @pytest.mark.skipif("fork" not in START_METHODS, reason="needs fork")
+    def test_fork_workers_start_with_default_sigterm(self):
+        """A caller's SIGTERM handler and wakeup fd do not reach a
+        fork-started worker: with them, a worker could miss the SIGTERM
+        of ``Pool.terminate()`` and ``close()`` would wait forever."""
+        reader, writer = socket.socketpair()
+        writer.setblocking(False)
+        previous = signal.signal(signal.SIGTERM, _ignore_sigterm)
+        previous_fd = signal.set_wakeup_fd(writer.fileno())
+        try:
+            with ProcessBackend(workers=1, start_method="fork") as be:
+                [(action, wakeup_fd)] = be.map_with_arrays(_sigterm_state, [0], {})
+        finally:
+            signal.set_wakeup_fd(previous_fd)
+            signal.signal(signal.SIGTERM, previous)
+            reader.close()
+            writer.close()
+        assert action == signal.SIG_DFL
+        assert wakeup_fd == -1

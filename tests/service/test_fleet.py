@@ -513,22 +513,27 @@ class TestServedFront:
 
     @staticmethod
     def _serve(router, path, **kwargs):
+        """Run a front end on ``path`` on its own thread; returns once it
+        listens (the socket file appears at the bind, before that)."""
         outcome: dict = {}
+        listening = threading.Event()
 
         def _run():
             try:
                 outcome["served"] = asyncio.run(
-                    serve_fleet(router, Address.unix(path), **kwargs)
+                    serve_fleet(
+                        router,
+                        Address.unix(path),
+                        on_bound=lambda _: listening.set(),
+                        **kwargs,
+                    )
                 )
             except BaseException as exc:  # noqa: BLE001 - checked by the test
                 outcome["error"] = exc
 
         thread = threading.Thread(target=_run)
         thread.start()
-        deadline = time.monotonic() + 10.0
-        while not os.path.exists(path):
-            assert time.monotonic() < deadline, "front end did not come up"
-            time.sleep(0.01)
+        assert listening.wait(10.0), "front end did not come up"
         return thread, outcome
 
     def test_served_hit_rounds_leave_the_loop_for_no_thread(
@@ -607,12 +612,21 @@ class TestServedFront:
 
 class TestConnBatcher:
     """The front end's per-connection batcher holds only the rounds
-    still in flight: a client connection can live as long as the fleet."""
+    still in flight: a client connection can live as long as the fleet.
+    A line with a front answer is answered inside ``submit``."""
 
     class _Router:
+        """Answers specs with ``"front": True`` at the front; rounds
+        wait for ``gate``."""
+
         def __init__(self):
             self.gate = asyncio.Event()
             self.gate.set()
+
+        def _answer_at_front(self, msg):
+            if msg.get("front"):
+                return {"id": msg["id"], "ok": True, "route": "front"}
+            return None
 
         async def _request_many(self, specs):
             await asyncio.wait_for(self.gate.wait(), 30)
@@ -625,7 +639,7 @@ class TestConnBatcher:
             batcher = _ConnBatcher(self._Router())
             answered = []
 
-            async def respond(record):
+            def respond(record):
                 answered.append(record)
 
             for i in range(200):
@@ -651,7 +665,7 @@ class TestConnBatcher:
             batcher = _ConnBatcher(router)
             answered = []
 
-            async def respond(record):
+            def respond(record):
                 answered.append(record["id"])
 
             for i in range(3):
@@ -666,6 +680,27 @@ class TestConnBatcher:
         answered, held = asyncio.run(main())
         assert sorted(answered) == [0, 1, 2] and held == 0
 
+    def test_a_front_answer_is_written_while_a_round_is_in_flight(self):
+        from repro.service.fleet import _ConnBatcher
+
+        async def main():
+            router = self._Router()
+            router.gate.clear()
+            batcher = _ConnBatcher(router)
+            answered = []
+            batcher.submit({"id": 0, "n": 0}, answered.append)
+            await asyncio.sleep(0.01)  # the round is in flight, at the gate
+            batcher.submit({"id": 1, "n": 1, "front": True}, answered.append)
+            batcher.submit({"id": 2, "n": 2}, answered.append)
+            front_first = [r["id"] for r in answered]
+            router.gate.set()
+            await asyncio.wait_for(batcher.drain(), timeout=30)
+            return front_first, [r["id"] for r in answered]
+
+        front_first, order = asyncio.run(main())
+        assert front_first == [1]
+        assert order == [1, 0, 2]
+
     def test_failed_round_answers_each_request_with_its_own_record(self):
         """A round that raises answers every request with an error
         record of its own, so a ``respond`` that keeps the records sees
@@ -673,6 +708,9 @@ class TestConnBatcher:
         from repro.service.fleet import _ConnBatcher
 
         class _Failing:
+            def _answer_at_front(self, msg):
+                return None
+
             async def _request_many(self, specs):
                 raise ReproError("fleet is closed")
 
@@ -680,7 +718,7 @@ class TestConnBatcher:
             batcher = _ConnBatcher(_Failing())
             kept = []
 
-            async def respond(record):
+            def respond(record):
                 kept.append(record)
 
             for i in range(3):
@@ -878,6 +916,110 @@ class TestFrontAnswers:
         assert status["totals"]["cache_hit_rate"] == round(
             (hits + 3) / (hits + 3 + misses), 4
         )
+
+
+class TestServedFrontAnswers:
+    """A served repeat is answered from the front end's read callback:
+    without a round, before the misses that arrived ahead of it on its
+    connection, and still counted."""
+
+    def test_a_repeat_overtakes_a_slow_miss_on_its_connection(self, fleet, tmp_path):
+        repeat = {"family": "chain", "n": 8, "seed": 621}
+        slow = {"family": "chain", "n": 500, "seed": 622}  # about 0.2 s to solve
+        path = str(tmp_path / "front.sock")
+        thread, outcome = TestServedFront._serve(fleet, path)
+        try:
+            assert fleet.request(dict(repeat))["ok"]
+            records = send_lines(
+                path, [json.dumps({**slow, "id": "slow"}), json.dumps({**repeat, "id": "repeat"})]
+            )
+        finally:
+            with ServiceClient(path) as client:
+                client.shutdown()
+            thread.join(timeout=30.0)
+        assert not thread.is_alive()
+        assert [(r["id"], r["route"]) for r in records] == [
+            ("repeat", "front"),
+            ("slow", "ring"),
+        ]
+        assert all(r["ok"] for r in records)
+
+    def test_a_repeat_is_answered_without_a_round(self, fleet, tmp_path, monkeypatch):
+        spec = {"family": "bst", "n": 7, "seed": 623}
+        assert fleet.request(dict(spec))["ok"]
+        before = fleet.status()
+
+        async def no_rounds(specs):
+            raise AssertionError("a round ran")
+
+        monkeypatch.setattr(fleet, "_request_many", no_rounds)
+        path = str(tmp_path / "front.sock")
+        thread, outcome = TestServedFront._serve(fleet, path)
+        with ServiceClient(path) as client:
+            records = client.request_many([dict(spec)] * 3)
+            client.shutdown()
+        thread.join(timeout=30.0)
+        monkeypatch.undo()
+        after = fleet.status()
+        assert not thread.is_alive() and outcome == {"served": 3}
+        assert [(r["ok"], r["route"]) for r in records] == [(True, "front")] * 3
+        grew = {
+            name: after["router"][name] - before["router"][name]
+            for name in ("requests", "front_answers")
+        }
+        assert grew == {"requests": 3, "front_answers": 3}
+        shard_hits = [
+            (a["status"]["cache"]["hits"], b["status"]["cache"]["hits"])
+            for a, b in zip(after["per_shard"], before["per_shard"])
+        ]
+        assert all(a == b for a, b in shard_hits), "a repeat reached a shard"
+        assert after["totals"]["cache_hits"] - before["totals"]["cache_hits"] == 3
+
+    def test_twenty_thousand_repeats_on_one_connection(self, fleet, tmp_path):
+        """The client writes every line before it reads an answer, so
+        the answers pile up in the server's write buffer meanwhile: the
+        server must keep reading."""
+        spec = {"dims": [4, 9, 2, 6]}
+        assert fleet.request(dict(spec))["ok"]
+        path = str(tmp_path / "front.sock")
+        thread, outcome = TestServedFront._serve(fleet, path)
+        with ServiceClient(path, timeout=120.0) as client:
+            records = client.request_many([dict(spec)] * 20000)
+            client.shutdown()
+        thread.join(timeout=30.0)
+        assert not thread.is_alive() and outcome == {"served": 20000}
+        assert len(records) == 20000
+        assert all(r["route"] == "front" and r["value"] == 120.0 for r in records)
+
+    def test_a_fleet_serving_only_repeats_still_shrinks(self, tmp_path):
+        specs = [{"family": "chain", "n": 8, "seed": 630 + i} for i in range(8)]
+        with FleetRouter(
+            2,
+            **FLEET_KWARGS,
+            min_shards=1,
+            max_shards=2,
+            scale_up_depth=100.0,
+            scale_down_depth=1.0,
+        ) as router:
+            # one round of 8 over 2 shards: demand 4, smoothed to 2.0
+            assert all(r["ok"] for r in router.request_many(specs))
+            assert router.status()["shards"] == 2
+            path = str(tmp_path / "front.sock")
+            thread, outcome = TestServedFront._serve(router, path)
+            with ServiceClient(path) as client:
+                # each front answer halves the smoothed demand: 1.0, 0.5
+                records = [client.request(dict(spec)) for spec in specs[:3]]
+                client.shutdown()
+            thread.join(timeout=30.0)
+            deadline = time.monotonic() + 30.0
+            while router.status()["shards"] != 1:
+                assert time.monotonic() < deadline, "the fleet did not shrink"
+                time.sleep(0.05)
+            status = router.status()
+        assert not thread.is_alive() and outcome == {"served": 3}
+        assert {r["route"] for r in records} == {"front"}
+        assert status["router"]["scale_downs"] == 1
+        assert status["router"]["demand_ewma"] < 1.0
 
 
 #: the served property test's spec pool: valid specs (one instance in

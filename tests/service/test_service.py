@@ -265,7 +265,7 @@ class TestConnectionDispatcher:
             dispatcher = _TaskPerSpec(service)
             answered = []
 
-            async def respond(record):
+            def respond(record):
                 answered.append(record)
 
             try:
@@ -302,7 +302,7 @@ class TestConnectionDispatcher:
             dispatcher = _TaskPerSpec(service)
             answered = []
 
-            async def respond(record):
+            def respond(record):
                 answered.append(record["id"])
 
             for i in range(5):

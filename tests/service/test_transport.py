@@ -4,10 +4,13 @@ the unlink-on-every-exit-path guarantees of serve()."""
 import asyncio
 import json
 import os
+import socket
 import threading
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ReproError
 from repro.service import ServiceClient, SolveService, serve, serve_tcp
@@ -69,37 +72,134 @@ class TestFraming:
             decode_record(b"[" * 20000 + b"]" * 20000)
 
 
-@pytest.fixture(params=["serve", "serve_fleet"])
-def jsonl_server(request, tmp_path):
-    """A live ``repro serve`` or ``repro fleet`` front end on a unix
-    socket; yields its path and shuts it down afterwards."""
-    path = str(tmp_path / "front.sock")
-    router = None
-    if request.param == "serve":
-        service = SolveService(method="sequential", backend="serial")
-        main = serve(service, Address.unix(path))
-    else:
-        router = FleetRouter(1, backend="serial", method="sequential").start()
-        main = serve_fleet(router, Address.unix(path))
-    thread = threading.Thread(target=asyncio.run, args=(main,), daemon=True)
-    thread.start()
+#: the servers and transports every framing rule is checked on
+SERVERS = [
+    ("serve", "unix"),
+    ("serve", "tcp"),
+    ("serve_fleet", "unix"),
+    ("serve_fleet", "tcp"),
+]
+SERVER_IDS = [f"{kind}-{transport}" for kind, transport in SERVERS]
+
+
+class LiveServer:
+    """A ``repro serve`` (``kind="serve"``, over a fresh serial
+    service) or a fleet front end (``kind="serve_fleet"``, over
+    ``router``) on a unix socket in ``directory`` or an ephemeral TCP
+    port, run on its own thread and event loop."""
+
+    def __init__(self, kind, transport, directory, router=None, **kwargs):
+        if transport == "unix":
+            address = Address.unix(str(directory / f"{kind}.sock"))
+        else:
+            address = Address.tcp("127.0.0.1", 0)
+        bound = threading.Event()
+        self.outcome: dict = {}
+        self.service = None
+
+        def _on_bound(at):
+            self.address = at
+            bound.set()
+
+        if kind == "serve":
+            self.service = SolveService(method="sequential", backend="serial")
+            main = serve(self.service, address, on_bound=_on_bound, **kwargs)
+        else:
+            main = serve_fleet(router, address, on_bound=_on_bound, **kwargs)
+
+        async def _main():
+            self._loop = asyncio.get_running_loop()
+            self._task = asyncio.ensure_future(main)
+            return await self._task
+
+        def _run():
+            try:
+                self.outcome["served"] = asyncio.run(_main())
+            except BaseException as exc:  # noqa: BLE001 - checked by the test
+                self.outcome["error"] = exc
+
+        self.thread = threading.Thread(target=_run, daemon=True)
+        self.thread.start()
+        assert bound.wait(30.0), "server did not come up"
+
+    def connect(self):
+        return connect(self.address, timeout=60.0)
+
+    def idle_client(self):
+        """A connection the server has accepted (it answered a status op
+        on it) and that then stays idle."""
+        sock = self.connect()
+        sock.sendall(encode_record({"op": "status"}))
+        with sock.makefile("rb") as answers:
+            assert json.loads(answers.readline())["ok"]
+        return sock
+
+    def cancel(self):
+        self._loop.call_soon_threadsafe(self._task.cancel)
+
+    def join(self):
+        self.thread.join(timeout=60.0)
+        assert not self.thread.is_alive(), "server did not exit"
+
+    def stop(self):
+        if self.thread.is_alive():
+            with ServiceClient(self.address) as client:
+                client.shutdown()
+        self.join()
+
+    def gone(self) -> bool:
+        """The listener is closed, and a unix socket file unlinked."""
+        if self.address.kind == "unix":
+            return not os.path.exists(self.address.path)
+        try:
+            connect(self.address, timeout=5.0).close()
+        except ConnectionRefusedError:
+            return True
+        return False
+
+
+@pytest.fixture(scope="module")
+def fleet_router():
+    """One single-shard fleet for every fleet front end in this module."""
+    with FleetRouter(1, backend="serial", method="sequential") as router:
+        yield router
+
+
+def start_server(request, kind, transport, directory, **kwargs) -> LiveServer:
+    router = request.getfixturevalue("fleet_router") if kind == "serve_fleet" else None
+    return LiveServer(kind, transport, directory, router, **kwargs)
+
+
+@pytest.fixture(scope="module", params=SERVERS, ids=SERVER_IDS)
+def line_server(request, tmp_path_factory):
+    """A live server shared by the framing tests of one server kind and
+    transport; shut down with a ``shutdown`` op afterwards."""
+    kind, transport = request.param
+    server = start_server(request, kind, transport, tmp_path_factory.mktemp(kind))
+    yield server
+    server.stop()
+    assert server.gone()
+
+
+def exchange(server: LiveServer, chunks, pause: float = 0.0) -> list:
+    """Send ``chunks`` of bytes on one connection (``pause`` seconds
+    apart), end the input, and read records until the server closes
+    the connection; returns them in arrival order."""
+    sock = server.connect()
     try:
-        deadline = time.monotonic() + 10.0
-        while not os.path.exists(path):
-            assert time.monotonic() < deadline, "server did not come up"
-            time.sleep(0.02)
-        yield path
-        with ServiceClient(path) as client:
-            client.shutdown()
-        thread.join(timeout=30.0)
-        assert not thread.is_alive()
+        for chunk in chunks:
+            sock.sendall(chunk)
+            if pause:
+                time.sleep(pause)
+        sock.shutdown(socket.SHUT_WR)
+        with sock.makefile("rb") as answers:
+            return [json.loads(line) for line in answers]
     finally:
-        if router is not None:
-            router.close()
+        sock.close()
 
 
 class TestHostileLines:
-    def test_every_line_gets_one_record_in_order(self, jsonl_server):
+    def test_every_line_gets_one_record_in_order(self, line_server):
         """An over-limit line and a too-deeply nested line each get one
         error record, and the connection keeps serving the line after
         them."""
@@ -107,7 +207,7 @@ class TestHostileLines:
         assert len(oversized) > MAX_LINE_BYTES + 1
         nested = b"[" * 20000 + b"]" * 20000 + b"\n"
         valid = encode_record({"dims": [10, 20, 5, 30], "id": 3})
-        sock = connect(Address.unix(jsonl_server), timeout=30.0)
+        sock = line_server.connect()
         try:
             rfile = sock.makefile("r")
             # The oversized line's newline arrives after the server has
@@ -127,6 +227,202 @@ class TestHostileLines:
         assert records[2]["ok"] and records[2]["id"] == 3
         assert records[2]["value"] == 2500.0
         assert after["id"] == "after" and after["ok"], "a fourth record arrived"
+
+
+class TestFramingRules:
+    """The line protocol's rules, on both servers and both transports."""
+
+    def test_every_request_line_gets_one_record(self, line_server):
+        """Specs (one with a CRLF ending), text that is not JSON, JSON
+        that is not an object and an unknown op each get one record; a
+        blank line gets none."""
+        stream = b"".join(
+            [
+                encode_record({"dims": [10, 20, 5, 30], "id": 1}),
+                b"not json\n",
+                b"\n",
+                b"   \r\n",
+                b'{"op": "no-such-op", "id": 2}\n',
+                b"[1, 2]\n",
+                b'{"dims": [3, 7, 2], "id": 3}\r\n',
+            ]
+        )
+        records = exchange(line_server, [stream])
+        assert len(records) == 5
+        by_id = {r.get("id"): r for r in records}
+        assert by_id[1]["value"] == 2500.0 and by_id[3]["value"] == 42.0
+        assert by_id[2] == {"id": 2, "ok": False, "error": "unknown op 'no-such-op'"}
+        unframed = sorted(r["error"] for r in records if r.get("id") is None)
+        assert unframed[0].startswith("bad request: Expecting value")
+        assert unframed[1] == "bad request: request must be a JSON object"
+
+    def test_an_oversized_line_is_answered_once_however_it_is_cut(
+        self, line_server
+    ):
+        """Its tail is a valid request on its own, and is never answered:
+        not when the line arrives in many reads, and not when it is the
+        unterminated last line."""
+        line = b" " * (MAX_LINE_BYTES + 1) + encode_record({"dims": [3, 7, 2], "id": 9})
+        after = encode_record({"dims": [3, 7, 2], "id": "after"})
+        chunks = [line[i : i + 9000] for i in range(0, len(line), 9000)] + [after]
+        records = exchange(line_server, chunks, pause=0.002)
+        assert [r.get("id") for r in records] == [None, "after"]
+        assert records[0]["error"].startswith("request too large")
+        records = exchange(line_server, [line[:-1]])
+        assert len(records) == 1 and records[0]["error"].startswith("request too large")
+
+    def test_an_unterminated_last_line_is_answered_at_end_of_input(
+        self, line_server
+    ):
+        records = exchange(line_server, [b'{"dims": [10, 20, 5, 30], "id": "last"}'])
+        assert [(r["id"], r["value"]) for r in records] == [("last", 2500.0)]
+        records = exchange(line_server, [b'{"dims": [1'])
+        assert len(records) == 1 and records[0]["error"].startswith("bad request")
+
+
+class TestServerExits:
+    """``status``, ``shutdown`` and ``max_requests``, and the teardown
+    of every exit: the listener closed, a unix socket unlinked."""
+
+    pytestmark = pytest.mark.parametrize("kind, transport", SERVERS, ids=SERVER_IDS)
+
+    def test_status_then_shutdown(self, request, tmp_path, kind, transport):
+        server = start_server(request, kind, transport, tmp_path)
+        idle = server.idle_client()  # it must not hold the exit up
+        try:
+            with ServiceClient(server.address) as client:
+                assert client.request({"dims": [3, 7, 2]})["value"] == 42.0
+                status = client.status()
+                client.shutdown()
+            server.join()
+        finally:
+            idle.close()
+        assert ("router" in status) == (kind == "serve_fleet")
+        assert server.outcome == {"served": 1}
+        assert server.gone()
+
+    def test_max_requests_stops_after_that_many_answers(
+        self, request, tmp_path, kind, transport
+    ):
+        server = start_server(request, kind, transport, tmp_path, max_requests=2)
+        with ServiceClient(server.address) as client:
+            records = client.request_many([{"dims": [3, 7, 2]}, {"dims": [7, 3, 2]}])
+        server.join()
+        assert [r["value"] for r in records] == [42.0, 42.0]
+        assert server.outcome == {"served": 2}
+        assert server.gone()
+
+    def test_work_accepted_before_a_shutdown_completes(
+        self, request, tmp_path, kind, transport
+    ):
+        server = start_server(request, kind, transport, tmp_path)
+        # a miss on every server: a seed no other test uses
+        seed = 700 + SERVERS.index((kind, transport))
+        spec = {"family": "chain", "n": 200, "seed": seed, "id": "work"}
+        records = exchange(
+            server, [encode_record(spec) + encode_record({"op": "shutdown", "id": "stop"})]
+        )
+        server.join()
+        by_id = {r["id"]: r for r in records}
+        assert sorted(by_id) == ["stop", "work"]
+        assert by_id["work"]["ok"] and by_id["stop"] == {"id": "stop", "ok": True}
+        assert server.outcome == {"served": 1}
+        assert server.gone()
+
+    def test_cancelling_the_server(self, request, tmp_path, kind, transport):
+        server = start_server(request, kind, transport, tmp_path)
+        idle = server.idle_client()
+        try:
+            server.cancel()
+            server.join()
+        finally:
+            idle.close()
+        assert isinstance(server.outcome.get("error"), asyncio.CancelledError)
+        assert server.gone()
+
+    def test_a_failing_start_up_notification(self, request, tmp_path, kind, transport):
+        class ExplodingReady:
+            def set(self):
+                raise RuntimeError("startup interrupted")
+
+        server = start_server(request, kind, transport, tmp_path, ready=ExplodingReady())
+        server.join()
+        assert isinstance(server.outcome.get("error"), RuntimeError)
+        assert server.gone()
+        if server.service is not None:
+            assert server.service._closed
+
+
+#: what the property test's streams are made of: specs (one instance
+#: in two spellings, a spec the parser rejects), lines that are no
+#: request, blank lines, and an over-limit line whose tail is a valid
+#: request on its own
+_STREAM_SPECS = [
+    {"dims": [3, 7, 2, 9]},
+    {"dims": [3.0, 7.0, 2.0, 9.0]},
+    {"family": "bst", "n": 5, "seed": 902},
+    {"family": "chain", "n": -2},
+    {"bogus": 1},
+]
+_NOT_REQUESTS = [b"not json", b"[1, 2]", b'{"op": "no-such-op"}', b'{"dims": [1']
+_BLANKS = [b"", b"   ", b"\r"]
+_OVERSIZED = b" " * (MAX_LINE_BYTES + 1) + b'{"dims": [3, 7, 2], "id": "tail"}'
+
+
+@st.composite
+def line_streams(draw):
+    """``(stream, request_lines, chunks)``: one byte stream and a random
+    cut of it into chunks."""
+    items = draw(
+        st.lists(
+            st.one_of(
+                st.builds(lambda k: ("spec", k), st.integers(0, len(_STREAM_SPECS) - 1)),
+                st.sampled_from([("other", line) for line in _NOT_REQUESTS]),
+                st.sampled_from([("blank", line) for line in _BLANKS]),
+                st.just(("oversized", _OVERSIZED)),
+            ),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    lines = []
+    for i, (what, value) in enumerate(items):
+        if what == "spec":
+            value = json.dumps({**_STREAM_SPECS[value], "id": i}).encode()
+        lines.append(value + draw(st.sampled_from([b"\n", b"\r\n"])))
+    if draw(st.booleans()):  # an unterminated last line
+        lines[-1] = lines[-1].rstrip(b"\r\n")
+    stream = b"".join(lines)
+    requests = sum(1 for what, _ in items if what != "blank")
+    cuts = draw(st.lists(st.integers(1, max(1, len(stream) - 1)), max_size=8, unique=True))
+    bounds = [0, *sorted(cuts), len(stream)]
+    return stream, requests, [stream[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _by_id(records) -> tuple:
+    """What must not depend on how the stream was cut: each record's
+    outcome by ``id``, and the outcomes of the records without one."""
+    by_id, unframed = {}, []
+    for record in records:
+        outcome = (record["ok"], record.get("value"), record.get("error"))
+        if record.get("id") is None:
+            unframed.append(outcome)
+        else:
+            assert record["id"] not in by_id, "two records for one line"
+            by_id[record["id"]] = outcome
+    return by_id, sorted(unframed, key=repr)
+
+
+class TestChunkedStreams:
+    @given(drawn=line_streams())
+    def test_any_cut_of_a_stream_gets_the_same_records(self, line_server, drawn):
+        stream, requests, chunks = drawn
+        whole = exchange(line_server, [stream])
+        cut = exchange(line_server, chunks, pause=0.001)
+        for records in (whole, cut):
+            assert len(records) == requests
+            assert all(r.get("id") != "tail" for r in records)
+        assert _by_id(cut) == _by_id(whole)
 
 
 class TestStaleUnixSocket:

@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import socket
 import time
 
 import pytest
@@ -73,6 +74,29 @@ COMMAND_DEFAULTS = {
         "costs": [16, 64, 256],
     },
 }
+
+
+def wait_until_listening(path: str, deadline: float, proc=None) -> None:
+    """Wait until a server accepts connections on the unix socket
+    ``path``, up to ``deadline`` (a ``time.monotonic()`` value). The
+    socket file appears when the server binds, before it listens, so a
+    connect in between is refused: it is retried. ``proc``, when given,
+    is the server's process, which must not exit meanwhile."""
+    while True:
+        if proc is not None:
+            assert proc.poll() is None, "the server exited during startup"
+        if os.path.exists(path):
+            probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            try:
+                probe.connect(path)
+                return
+            except (ConnectionRefusedError, FileNotFoundError):
+                pass  # bound, not yet listening (or just reclaimed)
+            finally:
+                probe.close()
+        assert time.monotonic() < deadline, f"no server listening on {path}"
+        time.sleep(0.02)
+
 
 
 class TestParser:
@@ -641,10 +665,7 @@ class TestServeRequestCommands:
             daemon=True,
         )
         server.start()
-        deadline = time.monotonic() + 10.0
-        while not os.path.exists(socket_path):
-            assert time.monotonic() < deadline, "serve did not come up"
-            time.sleep(0.02)
+        wait_until_listening(socket_path, time.monotonic() + 10.0)
         rc = main(["request", "--socket", socket_path, "--input", str(spec_file)])
         out = capsys.readouterr().out
         server.join(timeout=10.0)
@@ -683,10 +704,7 @@ class TestServeRequestCommands:
                 daemon=True,
             )
             server.start()
-            deadline = time.monotonic() + 10.0
-            while not os.path.exists(socket_path):
-                assert time.monotonic() < deadline, "serve did not come up"
-                time.sleep(0.02)
+            wait_until_listening(socket_path, time.monotonic() + 10.0)
             rc = main(["request", "--socket", socket_path, "--input", str(spec_file)])
             out = capsys.readouterr().out
             server.join(timeout=10.0)
@@ -719,10 +737,7 @@ class TestServeRequestCommands:
             daemon=True,
         )
         server.start()
-        deadline = time.monotonic() + 10.0
-        while not os.path.exists(socket_path):
-            assert time.monotonic() < deadline, "serve did not come up"
-            time.sleep(0.02)
+        wait_until_listening(socket_path, time.monotonic() + 10.0)
         rc = main(["request", "--socket", socket_path, "--input", str(spec_file)])
         out = capsys.readouterr().out
         server.join(timeout=10.0)
@@ -802,11 +817,7 @@ class TestFleetAndTransportCommands:
             env=env,
         )
         try:
-            deadline = time.monotonic() + 60.0
-            while not os.path.exists(sock):
-                assert proc.poll() is None, "repro fleet exited during startup"
-                assert time.monotonic() < deadline, "repro fleet did not come up"
-                time.sleep(0.02)
+            wait_until_listening(sock, time.monotonic() + 60.0, proc)
             with ServiceClient(sock) as client:
                 assert client.request({"dims": [3, 7, 2]})["value"] == 42.0
                 pids = [s["pid"] for s in client.status()["per_shard"]]
@@ -886,19 +897,8 @@ class TestFleetAndTransportCommands:
             env=env,
         )
         try:
-            deadline = time.monotonic() + 60.0
-            while not os.path.exists(sock):
-                assert proc.poll() is None, f"repro {command[0]} exited during startup"
-                assert time.monotonic() < deadline, f"repro {command[0]} did not come up"
-                time.sleep(0.02)
-            while True:
-                try:
-                    client = ServiceClient(sock)
-                    break
-                except ConnectionRefusedError:  # bound, not yet listening
-                    assert time.monotonic() < deadline
-                    time.sleep(0.02)
-            with client:
+            wait_until_listening(sock, time.monotonic() + 60.0, proc)
+            with ServiceClient(sock) as client:
                 assert client.request(spec)["ok"]
             children = self._descendants(proc.pid)
             assert children, "no shard or pool worker to check"
@@ -1069,10 +1069,7 @@ class TestServeStaleSocketFix:
             daemon=True,
         )
         first.start()
-        deadline = time.monotonic() + 10.0
-        while not os.path.exists(socket_path):
-            assert time.monotonic() < deadline
-            time.sleep(0.02)
+        wait_until_listening(socket_path, time.monotonic() + 10.0)
         # Second serve on the same live socket: clean exit 2, no traceback,
         # and the live server's socket file is left alone.
         rc = main([
