@@ -4,10 +4,10 @@ The sweep-kernel refactor routes every iterative solver's operations
 through :mod:`repro.parallel.backends`. This benchmark measures what
 that buys (and costs) on real hardware:
 
-* serial vs thread vs process wall-clock for one full solve, per
-  method — threads win where numpy ufunc loops release the GIL long
-  enough to overlap; processes pay pool spin-up once per solve and
-  task dispatch every super-step, but isolate CPU work completely;
+* serial vs thread wall-clock for one full solve, per method — threads
+  win where numpy ufunc loops release the GIL long enough to overlap
+  (sweep tiles run on these two only; a process pool runs whole
+  problems, in ``solve_many``);
 * tile-count sweep on the thread backend — the marginal value of
   finer partitions;
 * ``solve_many`` batch throughput: the same workload as a stream of
@@ -18,13 +18,12 @@ that buys (and costs) on real hardware:
   min-plus hot path must stay within noise of the pre-algebra engine
   (the acceptance bar is 5%); the other algebras differ only by which
   ufunc the same slab operations dispatch to;
-* dispatch axis — per-sweep dispatch overhead of the compiled-plan
-  path (persistent pool + shared-memory table store: arrays cross the
-  process boundary once per solve) over the serial solve of the same
-  instance. The acceptance bar is absolute: at most 6.0 ms per sweep,
-  below every reading of the fork-per-sweep transport this path
-  replaced (12.8 ms and up) and about 1.8x the highest store reading
-  recorded (3.27 ms);
+* thread-tile axis — one huang solve at n=32 on two worker threads
+  against the serial solve, alternating. The bar (at least 1.15x) is
+  gated only on the blocked numpy fused engine, whose large ufunc and
+  matmul loops release the GIL; the numba engine's ``njit`` kernels
+  hold it (no ``nogil``), so under it threads cannot overlap tile
+  compute and the axis is only recorded;
 * kernel-tier axis — slab vs fused (``kernel_impl=``) cold-solve
   wall-clock per method. The fused tier reduces eq. (2c) candidates as
   cache-blocked semiring matmuls instead of materialising the full
@@ -33,10 +32,10 @@ that buys (and costs) on real hardware:
   lower too — fused ≥ 2x slab on the banded method, whose solve is
   banded squares plus fused activate sweeps.
 
-``--smoke`` runs the three gated axes (dispatch, dense kernel tier,
-banded/activate kernel tier) at small sizes, prints the dispatch
-overhead and each kernel axis's speedup against its slab baseline, and
-exits non-zero on regression — that is what CI invokes.
+``--smoke`` runs the three gated axes (thread tiles, dense kernel
+tier, banded/activate kernel tier), prints each axis's speedup against
+its baseline, and exits non-zero on regression — that is what CI
+invokes.
 
 Correctness is not at stake (every combination commits bitwise-equal
 tables — the test suite pins that); this is the operational record the
@@ -49,13 +48,13 @@ import sys
 import time
 
 from repro.core import list_algebras, solve, solve_many
-from repro.parallel.backends import ProcessBackend
 from repro.problems.generators import random_matrix_chain
 from repro.util.bench import load_bars, record
 from repro.util.tables import format_table
 
 METHODS = ("huang", "huang-banded", "huang-compact")
-BACKENDS = ("serial", "thread", "process")
+TILE_BACKENDS = ("serial", "thread")
+BATCH_BACKENDS = ("serial", "thread", "process")
 ALGEBRAS = tuple(list_algebras())
 
 BENCH_NAME = "e10_backends"
@@ -63,9 +62,12 @@ BENCH_NAME = "e10_backends"
 #: fallback gate thresholds; the authoritative copy lives in
 #: BENCH_e10_backends.json at the repo root (see repro.util.bench)
 DEFAULT_BARS = {
-    # compiled-plan per-sweep dispatch overhead over serial, in ms —
-    # must stay at or below this
-    "dispatch_ms_max": 6.0,
+    # thread-tile cold-solve speedup over serial, huang n=32 on two
+    # worker threads — must stay at or above this; gated on the numpy
+    # fused engine only (numba's njit kernels hold the GIL). Six
+    # smokes on 2 vCPUs read 1.27-1.54x; threads that stopped
+    # overlapping would read about 1.0x
+    "thread_speedup_min": 1.15,
     # fused-tier cold-solve speedup over slab on the dense min-plus
     # gate instance — must stay at or above this (the numpy engine
     # measures ~4.7-5x unloaded; numba higher)
@@ -103,7 +105,7 @@ def backend_comparison_table(n: int = 24, workers: int = 4):
     rows = []
     for method in METHODS:
         timings = {}
-        for backend in BACKENDS:
+        for backend in TILE_BACKENDS:
             timings[backend] = _time(
                 lambda: solve(p, method=method, backend=backend, workers=workers)
             )
@@ -112,18 +114,15 @@ def backend_comparison_table(n: int = 24, workers: int = 4):
                 method,
                 f"{timings['serial'] * 1e3:.1f}",
                 f"{timings['thread'] * 1e3:.1f}",
-                f"{timings['process'] * 1e3:.1f}",
                 f"{timings['serial'] / timings['thread']:.2f}x",
-                f"{timings['serial'] / timings['process']:.2f}x",
             )
         )
     return format_table(
-        ["method", "serial ms", "thread ms", "process ms", "thr speedup", "proc speedup"],
+        ["method", "serial ms", "thread ms", "thr speedup"],
         rows,
         title=(
             f"E10a: one solve at n={n}, {workers} workers. Thread wins track "
-            "how much of each sweep numpy runs GIL-free; process pays pool "
-            "spin-up once and task dispatch per super-step."
+            "how much of each sweep numpy runs GIL-free."
         ),
     )
 
@@ -178,7 +177,7 @@ def algebra_sweep_table(n: int = 24):
 def batch_throughput_table(count: int = 12, n: int = 16, workers: int = 4):
     problems = [random_matrix_chain(n, seed=s) for s in range(count)]
     rows = []
-    for backend in BACKENDS:
+    for backend in BATCH_BACKENDS:
         t = _time(
             lambda: solve_many(
                 problems, method="huang-banded", backend=backend, max_workers=workers
@@ -197,50 +196,48 @@ def batch_throughput_table(count: int = 12, n: int = 16, workers: int = 4):
     )
 
 
-def _dispatch_overhead_stats(n: int = 20, workers: int = 2, repeats: int = 3) -> dict:
-    """Per-sweep dispatch overhead of the process backend over the
-    serial baseline (same kernels, same tables — the difference is pure
-    dispatch: task shipping over the persistent pool, store attachment
-    and result return)."""
+def _thread_speedup_stats(n: int = 32, workers: int = 2, repeats: int = 5) -> dict:
+    """Cold huang solve, serial against ``workers`` thread tiles, timed
+    in turns (the same kernels and tables: the difference is how much
+    tile compute the threads overlap)."""
+    from repro.core.kernels_fused import fused_backend
+
     p = random_matrix_chain(n, seed=3)
-    ref = solve(p, method="huang")
-    sweeps = ref.iterations * 3  # three kernels per scheduled iteration
-    t_serial = _time(lambda: solve(p, method="huang"), repeats)
-    be = ProcessBackend(workers, start_method="fork")
-    try:
-        t_shm = _time(lambda: solve(p, method="huang", backend=be), repeats)
-    finally:
-        be.close()
+    t_serial, t_thread = _time_alternating(
+        lambda: solve(p, method="huang"),
+        lambda: solve(p, method="huang", backend="thread", workers=workers),
+        repeats,
+    )
     return {
-        "n": n,
-        "workers": workers,
-        "sweeps": sweeps,
-        "serial_s": t_serial,
-        "shm_s": t_shm,
-        "shm_per_sweep_ms": max(0.0, t_shm - t_serial) / sweeps * 1e3,
+        "thread_n": n,
+        "thread_workers": workers,
+        "thread_engine": fused_backend(),
+        "serial_solve_s": t_serial,
+        "thread_solve_s": t_thread,
+        "thread_speedup": t_serial / t_thread if t_thread > 0 else float("inf"),
     }
 
 
-def dispatch_overhead_table(
-    n: int = 20, workers: int = 2, repeats: int = 3, stats: dict | None = None
+def thread_speedup_table(
+    n: int = 32, workers: int = 2, repeats: int = 5, stats: dict | None = None
 ):
-    s = stats if stats is not None else _dispatch_overhead_stats(n, workers, repeats)
+    s = stats if stats is not None else _thread_speedup_stats(n, workers, repeats)
     rows = [
-        ("serial (baseline)", f"{s['serial_s'] * 1e3:.1f}", "-"),
+        ("serial", f"{s['serial_solve_s'] * 1e3:.1f}", "1.00x"),
         (
-            "compiled plan (persistent+shm)",
-            f"{s['shm_s'] * 1e3:.1f}",
-            f"{s['shm_per_sweep_ms']:.2f}",
+            f"thread x{s['thread_workers']}",
+            f"{s['thread_solve_s'] * 1e3:.1f}",
+            f"{s['thread_speedup']:.2f}x",
         ),
     ]
     return format_table(
-        ["path", "solve ms", "dispatch ms/sweep"],
+        ["tiles on", "solve ms", "speedup"],
         rows,
         title=(
-            f"E10e: dispatch overhead over serial, huang at n={s['n']}, "
-            f"{s['workers']} workers, {s['sweeps']} sweeps/solve. The "
-            "compiled plan attaches workers to the shared-memory store once "
-            "per solve and ships only (kernel, tile, epoch) tuples."
+            f"E10e: thread tiles over serial, huang at n={s['thread_n']}, "
+            f"fused engine = {s['thread_engine']}. The threads share the "
+            "solver's tables; they overlap only where the kernels release "
+            "the GIL."
         ),
     )
 
@@ -328,10 +325,10 @@ def kernel_impl_table(n: int = 24, repeats: int = 3):
 
 
 def smoke_stats(
-    n: int = 14, workers: int = 2, fused_n: int = 24, banded_n: int = 32
+    thread_n: int = 32, workers: int = 2, fused_n: int = 24, banded_n: int = 32
 ) -> dict:
     """The smoke measurement, JSON-ready (what the trajectory records)."""
-    s = _dispatch_overhead_stats(n=n, workers=workers, repeats=2)
+    s = _thread_speedup_stats(n=thread_n, workers=workers)
     s.update(_fused_speedup_stats(n=fused_n))
     s.update(_banded_fused_speedup_stats(n=banded_n))
     return s
@@ -340,11 +337,16 @@ def smoke_stats(
 def smoke_failures(stats: dict, bars: dict) -> list[str]:
     """Gate violations for one measurement against one bar set."""
     failed = []
-    if stats["shm_per_sweep_ms"] > bars["dispatch_ms_max"]:
+    # numba's njit kernels hold the GIL, so only the numpy engine's
+    # thread tiles can overlap.
+    if (
+        stats["thread_engine"] == "numpy"
+        and stats["thread_speedup"] < bars["thread_speedup_min"]
+    ):
         failed.append(
-            "compiled-plan dispatch overhead is above "
-            f"{bars['dispatch_ms_max']:.1f} ms per sweep "
-            f"(measured {stats['shm_per_sweep_ms']:.2f} ms)"
+            "thread tiles are below "
+            f"{bars['thread_speedup_min']:.2f}x serial cold-solve throughput "
+            f"(measured {stats['thread_speedup']:.2f}x)"
         )
     if stats["fused_speedup"] < bars["fused_speedup_min"]:
         failed.append(
@@ -364,27 +366,32 @@ def smoke_failures(stats: dict, bars: dict) -> list[str]:
 
 
 def smoke(
-    n: int = 14, workers: int = 2, fused_n: int = 24, banded_n: int = 32
+    thread_n: int = 32, workers: int = 2, fused_n: int = 24, banded_n: int = 32
 ) -> int:
-    """CI guard over the three gated axes: the persistent-pool +
-    shared-memory path must keep its per-sweep dispatch overhead over
-    serial at or below ``dispatch_ms_max``, and the fused kernel tier
-    must beat slab cold-solve throughput by the trajectory bars on both
-    the dense and the banded (banded square + fused activate) gate
-    instances. Returns a process exit code (non-zero = regression). The
-    tables and the gates are rendered from one measurement, so the
-    printed numbers are the gated numbers; bars come from
-    BENCH_e10_backends.json and the measurement is recorded back into
-    it (the perf trajectory). The summary prints the dispatch overhead
-    and each kernel axis's speedup over its slab baseline."""
+    """CI guard over the three gated axes: thread tiles must beat the
+    serial solve by ``thread_speedup_min`` (on the numpy fused engine),
+    and the fused kernel tier must beat slab cold-solve throughput by
+    the trajectory bars on both the dense and the banded (banded square
+    + fused activate) gate instances. Returns a process exit code
+    (non-zero = regression). The tables and the gates are rendered from
+    one measurement, so the printed numbers are the gated numbers; bars
+    come from BENCH_e10_backends.json and the measurement is recorded
+    back into it (the perf trajectory). The summary prints each axis's
+    speedup over its baseline."""
     bars = load_bars(BENCH_NAME, DEFAULT_BARS)
-    s = smoke_stats(n=n, workers=workers, fused_n=fused_n, banded_n=banded_n)
-    print(dispatch_overhead_table(stats=s))
+    s = smoke_stats(
+        thread_n=thread_n, workers=workers, fused_n=fused_n, banded_n=banded_n
+    )
+    print(thread_speedup_table(stats=s))
+    gate = (
+        f"bar >= {bars['thread_speedup_min']:.2f}x"
+        if s["thread_engine"] == "numpy"
+        else "recorded, not gated: the numba kernels hold the GIL"
+    )
     print(
-        "\naxis dispatch:    compiled plan at "
-        f"{s['shm_per_sweep_ms']:.2f} ms per-sweep dispatch overhead over "
-        f"serial, huang n={s['n']} on {s['workers']} workers "
-        f"(bar <= {bars['dispatch_ms_max']:.1f} ms)"
+        f"\naxis thread:      {s['thread_workers']} thread tiles at "
+        f"{s['thread_speedup']:.2f}x serial cold-solve throughput, "
+        f"huang n={s['thread_n']} fused[{s['thread_engine']}] ({gate})"
     )
     print(
         f"axis kernel_impl: fused[{s['fused_engine']}] at "
@@ -433,10 +440,10 @@ def test_e10_algebra_sweep(report, benchmark):
     )
 
 
-def test_e10_dispatch_overhead(report, benchmark):
+def test_e10_thread_speedup(report, benchmark):
     report(
         "e10_backends",
-        benchmark.pedantic(dispatch_overhead_table, rounds=1, iterations=1),
+        benchmark.pedantic(thread_speedup_table, rounds=1, iterations=1),
     )
 
 
@@ -468,7 +475,7 @@ def main(argv: list[str] | None = None) -> int:
     print()
     print(algebra_sweep_table())
     print()
-    print(dispatch_overhead_table())
+    print(thread_speedup_table())
     print()
     print(kernel_impl_table())
     return 0

@@ -24,10 +24,9 @@ for method in ("sequential", "huang", "huang-banded", "huang-compact", "rytter")
     print(f"{method:13s} -> optimal cost {result.value:.0f}{iters}")
 
 # Every iterative method runs its sweeps through the kernel engine, so
-# the execution backend is one keyword — serial, thread, or process
-# (a worker pool attached to the tables in shared memory). All backends
-# commit bitwise-identical tables.
-for backend in ("serial", "thread", "process"):
+# the tile backend is one keyword — serial or thread. Both commit
+# bitwise-identical tables.
+for backend in ("serial", "thread"):
     result = solve(problem, method="huang", backend=backend, workers=4)
     print(f"backend={backend:8s} -> {result.value:.0f} ({result.iterations} iterations)")
 

@@ -48,7 +48,6 @@ with LocalClient(backend="thread", workers=4, method="huang",
     print(f"cache    : {stats['cache']['entries']} entries, "
           f"{stats['cache']['hits']} hits, {stats['cache']['nbytes']} bytes")
 
-# Closing the client drained the scheduler, stopped the pool and
-# unlinked every shared-memory segment — `repro serve` does the same
-# on shutdown, which is what keeps /dev/shm clean across restarts.
-print("\nservice closed: no worker processes, no /dev/shm residue")
+# Closing the client drained the scheduler and stopped the pool —
+# `repro serve` does the same on shutdown.
+print("\nservice closed: no worker threads or processes left")

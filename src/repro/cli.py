@@ -24,10 +24,10 @@ and exit code 2.
 Examples::
 
     python -m repro solve --family chain --n 16 --method huang-banded
-    python -m repro solve --dims 30,35,15,5,10,20,25 --method huang --backend process
-    python -m repro solve --family chain --n 16 --backend process --start-method spawn
+    python -m repro solve --dims 30,35,15,5,10,20,25 --method huang --backend thread
     python -m repro solve --family bottleneck --n 14 --algebra minimax
     python -m repro batch --input problems.jsonl --backend process --max-workers 4
+    python -m repro batch --input problems.jsonl --backend process --start-method spawn
     python -m repro serve --socket /tmp/repro.sock --backend process --workers 4
     python -m repro serve --tcp 0.0.0.0:7466
     python -m repro fleet --shards 4 --socket /tmp/fleet.sock
@@ -40,7 +40,7 @@ Examples::
     python -m repro trace --arrival poisson --rate 100 --count 500 --output t.jsonl
     python -m repro loadtest --trace t.jsonl --target fleet --shards 4 --slo-ms 50
     python -m repro loadtest --count 200 --popularity zipf --socket /tmp/repro.sock
-    python -m repro plan --family chain --n 24 --method huang-banded --backend process
+    python -m repro plan --family chain --n 24 --method huang-banded --backend thread
     python -m repro algebras
     python -m repro pebble --shape zigzag --n 4096 --rule huang
     python -m repro costs --n 16 64 256
@@ -71,7 +71,12 @@ from repro.core.api import ITERATIVE_METHODS, METHODS
 from repro.errors import ReproError
 from repro.loadgen.arrivals import ARRIVALS
 from repro.loadgen.popularity import POPULARITIES
-from repro.parallel.backends import BACKEND_NAMES, KERNEL_IMPLS, START_METHODS
+from repro.parallel.backends import (
+    BACKEND_NAMES,
+    KERNEL_IMPLS,
+    START_METHODS,
+    TILE_BACKENDS,
+)
 
 from repro.problems.specs import FAMILIES, family_generators
 
@@ -196,7 +201,7 @@ _OPTIONS: dict[str, dict[str, Any]] = {
 }
 
 #: The execution knobs of ``solve``, ``plan`` and ``batch``.
-_EXECUTION = ("--algebra", "--backend", "--start-method", "--kernel-impl")
+_EXECUTION = ("--algebra", "--backend", "--kernel-impl")
 
 #: The options of ``serve``; ``fleet`` takes them for its front end
 #: (``--socket --tcp --max-requests``) and its shards (the rest).
@@ -239,8 +244,9 @@ def _add_instance_args(parser: argparse.ArgumentParser, **method: Any) -> None:
         "--workers",
         method={"default": "huang-banded", **method},
         backend={
+            "choices": list(TILE_BACKENDS),
             "default": "serial",
-            "help": "execution backend for the iterative methods' sweep kernels",
+            "help": "execution backend for the iterative methods' sweep tiles",
         },
     )
     parser.add_argument(
@@ -377,6 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--input",
         "--method",
         *_EXECUTION,
+        "--start-method",
         backend={
             "default": "thread",
             "help": "shared worker pool the batch fans out over",
@@ -399,9 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the compiled sweep plan a solve would execute",
         description=(
             "Compile (without running) the sweep plan of an iterative "
-            "solve: the resolved kernel schedule, the frozen tile "
-            "partition per kernel, and the shared-memory commit buffers "
-            "the engine would preallocate."
+            "solve: the resolved kernel schedule and the frozen tile "
+            "partition and compute tier per kernel."
         ),
     )
     _add_instance_args(
@@ -420,10 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the solve service on a unix socket or TCP endpoint",
         description=(
-            "Long-lived solve server: owns a warm worker pool and a shared "
-            "table store, coalesces concurrent JSONL requests into batches, "
-            "and caches results by canonical instance hash. Send specs with "
-            "'repro request'."
+            "Long-lived solve server: owns a warm worker pool, coalesces "
+            "concurrent JSONL requests into batches, and caches results by "
+            "canonical instance hash. Send specs with 'repro request'."
         ),
     )
     _add_options(p_serve, *_SERVICE)
@@ -433,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a sharded solve fleet behind one routing front end",
         description=(
             "Spawns N shard processes (each a full solve service with its "
-            "own warm pool, table store and result cache), routes every "
+            "own warm pool and result cache), routes every "
             "request to a shard by consistent hash of its instance key, "
             "respawns shards that die, and serves the whole fleet behind "
             "one unix-socket or TCP endpoint speaking the 'repro serve' "
@@ -663,7 +668,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         # backend, as documented) — the CLI must not silently drop flags.
         "backend": args.backend,
         "workers": args.workers,
-        "start_method": args.start_method,
         "kernel_impl": args.kernel_impl,
     }
     if args.algebra is not None:
@@ -1049,7 +1053,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         backend=args.backend,
         workers=args.workers,
         tiles=args.tiles,
-        start_method=args.start_method,
         kernel_impl=args.kernel_impl,
     )
     print(f"problem : {problem.describe()}")

@@ -14,14 +14,15 @@ backend:
     >>> result.value
     2500.0
     >>> solve(MatrixChainProblem([10, 20, 5, 30]), method="huang",
-    ...       backend="process", workers=4).value
+    ...       backend="thread", workers=4).value
     2500.0
 
 :func:`solve_many` is the batched service layer on top: it executes a
 stream of heterogeneous problems (matrix chains, optimal BSTs, polygon
 triangulations, generic instances — optionally each with its own
-method) on a shared worker pool and returns the :class:`SolveResult`\\ s
-in submission order. The ``repro batch`` CLI subcommand exposes it over
+method) on a shared worker pool — threads or processes, whole problems
+per worker — and returns the :class:`SolveResult`\\ s in submission
+order. The ``repro batch`` CLI subcommand exposes it over
 JSONL problem specs.
 """
 
@@ -48,10 +49,11 @@ from repro.parallel.backends import (
     BACKEND_NAMES,
     KERNEL_IMPLS,
     START_METHODS,
+    TILE_BACKENDS,
     Backend,
+    check_tile_backend,
     make_backend,
 )
-from repro.parallel.shm import TableStore
 from repro.problems.base import ParenthesizationProblem
 from repro.trees.parse_tree import ParseTree
 
@@ -81,15 +83,18 @@ ITERATIVE_METHODS = tuple(_SOLVER_CLASSES)
 METHODS = ("sequential", "knuth") + ITERATIVE_METHODS
 
 
-def _validate_execution(backend, start_method, kernel_impl="auto") -> None:
-    """Reject unknown backend / start-method / kernel-impl names
-    *before* any solver, pool or table is constructed — with the valid
-    choices in the error. (Historically an unknown name surfaced only
-    when the engine first asked for a pool, mid-solve.)"""
-    if isinstance(backend, str) and backend not in BACKEND_NAMES:
-        raise InvalidProblemError(
-            f"unknown backend {backend!r}; choose from {BACKEND_NAMES}"
-        )
+def _validate_execution(
+    backend, kernel_impl, *, start_method=None, runs_tiles: bool = True
+) -> None:
+    """Reject unknown backend / start-method / kernel-impl names — and,
+    where the backend runs sweep tiles (``runs_tiles``), a process pool
+    — *before* any solver, pool or table is constructed, with the valid
+    choices in the error."""
+    if runs_tiles:
+        check_tile_backend(backend)
+    names = TILE_BACKENDS if runs_tiles else BACKEND_NAMES
+    if isinstance(backend, str) and backend not in names:
+        raise InvalidProblemError(f"unknown backend {backend!r}; choose from {names}")
     if kernel_impl is not None and kernel_impl not in KERNEL_IMPLS:
         raise InvalidProblemError(
             f"unknown kernel_impl {kernel_impl!r}; choose from {KERNEL_IMPLS}"
@@ -117,16 +122,16 @@ def _validate_execution(backend, start_method, kernel_impl="auto") -> None:
 # Canonical instance hashing.
 # ---------------------------------------------------------------------------
 
-#: solve() keywords that select *how* a result is computed, never *what*
-#: it is: every (backend, workers, tiles, start_method, store,
-#: kernel_impl) combination commits bitwise-identical tables (DESIGN.md
-#: §3/§9). None of
+#: solve() and solve_many() keywords that select *how* a result is
+#: computed, never *what* it is: every (backend, workers, tiles,
+#: start_method, kernel_impl) combination commits bitwise-identical
+#: tables (DESIGN.md §3/§9). None of
 #: these enter the instance hash — a result computed on one execution
 #: configuration answers for all. ``max_n`` is *not* here: it only
 #: guards memory, but a guard that can reject a request changes the
 #: request's outcome, so it must partition the key.
 _EXECUTION_ONLY_KWARGS = frozenset(
-    {"backend", "workers", "tiles", "start_method", "store", "cache", "kernel_impl"}
+    {"backend", "workers", "tiles", "start_method", "cache", "kernel_impl"}
 )
 
 
@@ -224,7 +229,7 @@ def instance_key(
     (:meth:`~repro.problems.base.ParenthesizationProblem.canonical_payload`),
     the method, the resolved algebra name, and every result-determining
     keyword; execution-only knobs (``backend``, ``workers``, ``tiles``,
-    ``start_method``, ``store``) are deliberately excluded because
+    ``start_method``, ``kernel_impl``) are deliberately excluded because
     every execution configuration commits identical tables. ``max_n``
     *is* part of the key — it can reject a request outright, and a
     rejection must never be coalesced with (or cached for) a request
@@ -303,8 +308,6 @@ def solve(
     backend: Backend | str = "serial",
     workers: int | None = None,
     tiles: int | None = None,
-    start_method: str | None = None,
-    store: TableStore | None = None,
     cache: Any = None,
     kernel_impl: str | None = "auto",
     **solver_kwargs,
@@ -350,27 +353,19 @@ def solve(
     max_n:
         Override the iterative solvers' memory guard.
     backend:
-        Execution backend for the iterative methods' sweep kernels:
-        ``"serial"`` (default), ``"thread"``, ``"process"``, or a
-        :class:`~repro.parallel.backends.Backend` instance. Every
-        backend commits bitwise-identical tables; a string-created
-        backend is closed before returning. Ignored by the sequential
-        methods.
+        Execution backend for the iterative methods' sweep tiles:
+        ``"serial"`` (default), ``"thread"``, or such a
+        :class:`~repro.parallel.backends.Backend` instance, which stays
+        open for the caller's next solve. Every backend commits
+        bitwise-identical tables; a string-created backend is closed
+        before returning. Ignored by the sequential methods. A process
+        pool (``"process"`` or a
+        :class:`~repro.parallel.backends.ProcessBackend`) is refused
+        for every method before any pool or table exists: it runs
+        whole problems, through :func:`solve_many`.
     workers, tiles:
         Worker count for a string ``backend`` and tiles per sweep
         (default: one tile per worker).
-    start_method:
-        Process start method for ``backend="process"``: ``"fork"``
-        (default where available) or ``"spawn"``. The persistent pool
-        plus shared-memory table transport behave identically under
-        both.
-    store:
-        A caller-owned :class:`~repro.parallel.shm.TableStore` the
-        iterative solver allocates its tables in. Passing the same
-        store (and a live ``Backend`` instance) across ``solve`` calls
-        keeps both the worker pool and the table segments warm;
-        the caller closes the store when done. Default: the engine
-        creates one per solve and disposes of it before returning.
     cache:
         A result cache — anything with ``get(key) -> SolveResult | None``
         and ``put(key, result)``, e.g. a
@@ -394,7 +389,7 @@ def solve(
     """
     if method not in METHODS:
         raise InvalidProblemError(f"unknown method {method!r}; choose from {METHODS}")
-    _validate_execution(backend, start_method, kernel_impl)
+    _validate_execution(backend, kernel_impl)
     if algebra is None:
         algebra = getattr(problem, "preferred_algebra", "min_plus")
     alg = get_algebra(algebra)
@@ -464,8 +459,6 @@ def solve(
         backend=backend,
         workers=workers,
         tiles=tiles,
-        start_method=start_method,
-        store=store,
         kernel_impl=kernel_impl,
         **solver_kwargs,
     )
@@ -474,10 +467,6 @@ def solve(
     finally:
         if isinstance(backend, str):
             solver.close()
-        else:
-            # Caller-owned backend instance: keep its pool warm, but an
-            # engine-owned table store must still be unlinked.
-            solver.release_store()
     tree = reconstruct_tree(problem, out.w, algebra=alg) if reconstruct else None
     return _done(SolveResult(
         method=method,
@@ -513,15 +502,12 @@ class BatchItem:
 BatchInput = Union[ParenthesizationProblem, BatchItem, tuple]
 
 
-def _solve_batch_item(index: int, *, specs: list[tuple]) -> tuple[str, Any]:
-    """Worker shim for one batch element; module-level so the process
-    backend can pickle a reference to it. Only the integer index is
-    pickled per task — the specs themselves ride the backends' shared
-    keyword channel (one shared-memory blob per batch for the process
-    pool, or the caller's own memory when they cannot be pickled).
-    Never raises: failures come back tagged so one bad problem cannot
-    take down the batch."""
-    problem, method, kwargs = specs[index]
+def _solve_batch_item(spec: tuple) -> tuple[str, Any]:
+    """Worker shim for one normalised ``(problem, method, kwargs)``
+    batch element; module-level so the process backend can pickle a
+    reference to it. Never raises: failures come back tagged so one bad
+    problem cannot take down the batch."""
+    problem, method, kwargs = spec
     try:
         return ("ok", solve(problem, method=method, **kwargs))
     except Exception as exc:  # noqa: BLE001 - error isolation is the contract
@@ -581,9 +567,8 @@ def solve_many(
     backend:
         The shared pool the batch fans out over: ``"serial"``,
         ``"thread"`` (default) or ``"process"`` (a persistent pool;
-        picklable specs cross once per batch as a shared-memory blob,
-        and each worker solves whole problems, so per-item tables are
-        never shared) — or a
+        each item is pickled once, and each worker solves whole
+        problems, so per-item tables are never shared) — or a
         :class:`~repro.parallel.backends.Backend` instance, which
         keeps the pool warm across batches. Each item's own sweeps run
         serially inside its worker; pools are not nested.
@@ -626,7 +611,9 @@ def solve_many(
         raise InvalidProblemError(
             f"on_error must be 'raise' or 'return', got {on_error!r}"
         )
-    _validate_execution(backend, start_method, kernel_impl)
+    _validate_execution(
+        backend, kernel_impl, start_method=start_method, runs_tiles=False
+    )
     solve_kwargs["kernel_impl"] = kernel_impl
     specs = _normalize_batch(problems, method)
     for _, m, kw in specs:
@@ -641,9 +628,7 @@ def solve_many(
         else backend
     )
     try:
-        tagged = pool.map_with_arrays(
-            _solve_batch_item, range(len(specs)), {"specs": specs}
-        )
+        tagged = pool.map(_solve_batch_item, specs)
     finally:
         if isinstance(backend, str):
             pool.close()
@@ -665,23 +650,6 @@ def solve_many(
 # ---------------------------------------------------------------------------
 
 
-class _PlanOnlyStore:
-    """Table-allocation shim for :func:`plan_for`: satisfies the
-    solver's ``_alloc_table``/``_adopt_table`` hooks with plain numpy
-    arrays, so compiling a plan to *print* never creates (and memsets)
-    shared-memory segments that would be unlinked moments later. The
-    engine treats it as caller-owned, so nothing tries to close it."""
-
-    def full(self, name, shape, fill, dtype=np.float64):
-        return np.full(shape, fill, dtype=dtype)
-
-    def put(self, name, values):
-        return np.asarray(values)
-
-    def meta_for(self, array):  # pragma: no cover - plans never execute
-        return None
-
-
 def plan_for(
     problem: ParenthesizationProblem,
     *,
@@ -690,16 +658,14 @@ def plan_for(
     backend: Backend | str = "serial",
     workers: int | None = None,
     tiles: int | None = None,
-    start_method: str | None = None,
     max_n: int | None = None,
     kernel_impl: str | None = "auto",
     **solver_kwargs,
 ) -> SweepPlan:
     """Compile (without running) the :class:`~repro.core.plan.SweepPlan`
     a solve of ``problem`` would execute — the resolved kernel
-    schedule, the frozen tile partition per kernel, and the commit
-    buffers the engine would preallocate. This is what the ``repro
-    plan`` CLI subcommand prints.
+    schedule, the frozen tile partition and the compute tier per
+    kernel. This is what the ``repro plan`` CLI subcommand prints.
 
     Only the iterative methods compile to sweep plans; the sequential
     baselines have no super-step schedule to freeze.
@@ -714,7 +680,7 @@ def plan_for(
             f"method {method!r} has no sweep plan; iterative methods: "
             f"{ITERATIVE_METHODS}"
         )
-    _validate_execution(backend, start_method, kernel_impl)
+    _validate_execution(backend, kernel_impl)
     if max_n is not None:
         solver_kwargs["max_n"] = max_n
     solver = _SOLVER_CLASSES[method](
@@ -723,8 +689,6 @@ def plan_for(
         backend=backend,
         workers=workers,
         tiles=tiles,
-        start_method=start_method,
-        store=_PlanOnlyStore(),
         kernel_impl=kernel_impl,
         **solver_kwargs,
     )
@@ -733,5 +697,3 @@ def plan_for(
     finally:
         if isinstance(backend, str):
             solver.close()
-        else:
-            solver.release_store()

@@ -56,7 +56,6 @@ from repro.core.kernels import (
 )
 from repro.errors import InvalidProblemError
 from repro.parallel.backends import Backend
-from repro.parallel.shm import TableStore
 from repro.problems.base import ParenthesizationProblem
 
 __all__ = ["CompactBandedSolver"]
@@ -84,8 +83,6 @@ class CompactBandedSolver(IterativeTableSolver):
         backend: Backend | str = "serial",
         workers: int | None = None,
         tiles: int | None = None,
-        start_method: str | None = None,
-        store: "TableStore | None" = None,
         kernel_impl: str | None = "auto",
     ) -> None:
         if problem.n > max_n:
@@ -102,10 +99,8 @@ class CompactBandedSolver(IterativeTableSolver):
         if algebra is None:
             algebra = getattr(problem, "preferred_algebra", "min_plus")
         self.algebra = get_algebra(algebra)
-        self._init_engine(backend, workers, tiles, start_method, store, kernel_impl)
-        self._F = self._adopt_table(
-            "F", self.algebra.encode_f(problem.cached_f_table())
-        )
+        self._init_engine(backend, workers, tiles, kernel_impl)
+        self._F = self.algebra.encode_f(problem.cached_f_table())
         self._init = self.algebra.encode_init(problem.init_vector())
         self.reset()
 
@@ -124,15 +119,15 @@ class CompactBandedSolver(IterativeTableSolver):
         N = self.n + 1
         B = self.band
         alg = self.algebra
-        self.w = self._alloc_table("w", (N, N))
+        self.w = alg.full((N, N))
         idx = np.arange(self.n)
         self.w[idx, idx + 1] = self._init
         # PB[i, j, o, d]; invalid combinations simply stay unreached.
-        self.PB = self._alloc_table("PB", (N, N, B + 1, B + 1))
+        self.PB = alg.full((N, N, B + 1, B + 1))
         ii, jj = np.triu_indices(N, k=1)
         self.PB[ii, jj, 0, 0] = alg.one  # pw(i, j, i, j) = empty composition
-        self.A1 = self._alloc_table("A1", (N, N, N))  # pw'(i, j, i, k)
-        self.A2 = self._alloc_table("A2", (N, N, N))  # pw'(i, j, k, j)
+        self.A1 = alg.full((N, N, N))  # pw'(i, j, i, k)
+        self.A2 = alg.full((N, N, N))  # pw'(i, j, k, j)
         # Valid slots: 0 <= i < j <= n, o <= d < j - i. Invalid slots must
         # stay unreached or shifted-slice compositions could read garbage.
         i_g, j_g, o_g, d_g = np.ogrid[:N, :N, : B + 1, : B + 1]

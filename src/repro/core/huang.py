@@ -27,12 +27,12 @@ The operations are implemented as *sweep kernels*
 (:mod:`repro.core.kernels`): each kernel declares the index tiles it
 sweeps and a pure tile-compute, and the shared
 :class:`~repro.core.kernels.KernelEngine` runs tiles on an execution
-backend (serial, thread pool, or forked processes — see
-:mod:`repro.parallel.backends`) and commits the min-merge. One sweep
-performs the identical operation lattice a PRAM super-step would, so
-iteration counts and all intermediate values match the paper's machine
-exactly — bitwise identically for every backend and tiling (see
-DESIGN.md on the SIMD-analogue substitution). Work per iteration is
+backend (serial or a thread pool — see :mod:`repro.parallel.backends`)
+and commits the min-merge. One sweep performs the identical operation
+lattice a PRAM super-step would, so iteration counts and all
+intermediate values match the paper's machine exactly — bitwise
+identically for every backend and tiling (see DESIGN.md on the
+SIMD-analogue substitution). Work per iteration is
 Θ(n⁵) — the count the paper charges to O(n⁵/log n) processors ×
 O(log n) time.
 
@@ -64,7 +64,6 @@ from repro.core.termination import (
 )
 from repro.errors import ConvergenceError, InvalidProblemError
 from repro.parallel.backends import Backend, resolve_kernel_impl
-from repro.parallel.shm import TableStore
 from repro.problems.base import ParenthesizationProblem
 
 __all__ = [
@@ -129,10 +128,11 @@ class IterativeTableSolver:
     :class:`~repro.core.rytter.RytterSolver`,
     :class:`~repro.core.compact.CompactBandedSolver` (Θ(n³) storage).
 
-    All of them accept ``backend=`` (``"serial"``, ``"thread"``,
-    ``"process"`` or a :class:`~repro.parallel.backends.Backend`
-    instance), ``workers=`` and ``tiles=``; every combination commits
-    bitwise-identical tables (the integration suite verifies this).
+    All of them accept ``backend=`` (``"serial"``, ``"thread"`` or such
+    a :class:`~repro.parallel.backends.Backend` instance; a process
+    pool is refused before any table exists), ``workers=`` and
+    ``tiles=``; every combination commits bitwise-identical tables (the
+    integration suite verifies this).
 
     All of them also accept ``algebra=`` — a registered
     :class:`~repro.core.algebra.SelectionSemiring` name or instance
@@ -159,21 +159,14 @@ class IterativeTableSolver:
         backend: Backend | str = "serial",
         workers: int | None = None,
         tiles: int | None = None,
-        start_method: str | None = None,
-        store: "TableStore | None" = None,
         kernel_impl: str | None = "auto",
     ) -> None:
         """Create the kernel engine and instantiate this solver's kernel
-        set; concrete ``__init__`` methods call this before :meth:`reset`
-        (and before encoding any table the workers will read, so the
-        encoded copies can be adopted into the shared-memory store)."""
-        self._engine = KernelEngine(
-            backend, workers=workers, tiles=tiles, start_method=start_method,
-            store=store,
-        )
+        set; concrete ``__init__`` methods call this before building any
+        table, so a refused backend costs no allocation."""
+        self._engine = KernelEngine(backend, workers=workers, tiles=tiles)
         self.backend = self._engine.backend
         self.tiles = self._engine.tiles
-        self._store = self._engine.store
         #: resolved kernel tier ("slab" or "fused"); plan compilation
         #: freezes each step's compute function from it
         self.kernel_impl = resolve_kernel_impl(kernel_impl)
@@ -190,33 +183,11 @@ class IterativeTableSolver:
     @property
     def plan(self) -> SweepPlan:
         """The compiled :class:`~repro.core.plan.SweepPlan` — resolved
-        schedule, frozen tile partitions, commit-buffer shapes —
-        compiled lazily once per solver and executed by every sweep."""
+        schedule, frozen tile partitions, compute tier — compiled
+        lazily once per solver and executed by every sweep."""
         if self._plan is None:
             self._plan = compile_plan(self)
         return self._plan
-
-    # -- table placement -----------------------------------------------------
-    #
-    # When the engine runs over a shared-memory table store (persistent
-    # process pools), solver tables are allocated *inside* it: workers
-    # attach to each table once per solve and every commit the parent
-    # makes is immediately visible to the next sweep — the arrays cross
-    # the process boundary never, only tile tuples and digests do.
-
-    def _alloc_table(self, name: str, shape: tuple) -> np.ndarray:
-        """A fresh unreached table, placed in the store when one exists
-        (reusing the segment across :meth:`reset` calls)."""
-        if self._store is not None:
-            return self._store.full(name, shape, self.algebra.zero)
-        return self.algebra.full(shape)
-
-    def _adopt_table(self, name: str, values: np.ndarray) -> np.ndarray:
-        """Copy a read-only input table (e.g. the encoded ``f``) into
-        the store when one exists; identity otherwise."""
-        if self._store is not None:
-            return self._store.put(name, values)
-        return values
 
     # -- the three operations ------------------------------------------------
     #
@@ -305,16 +276,8 @@ class IterativeTableSolver:
         )
 
     def close(self) -> None:
-        """Release the engine's backend workers and any engine-owned
-        shared-memory store."""
+        """Release the engine's backend workers."""
         self._engine.close()
-
-    def release_store(self) -> None:
-        """Release only the engine-owned store, keeping the backend (a
-        caller-owned instance being reused across solves) warm — what
-        :func:`repro.core.api.solve` calls when it did not create the
-        backend."""
-        self._engine.release(close_backend=False)
 
     def __enter__(self) -> "IterativeTableSolver":
         return self
@@ -349,11 +312,6 @@ class HuangSolver(IterativeTableSolver):
         Execution backend for the sweep kernels (default serial,
         single-tile — the reference path); see
         :class:`IterativeTableSolver`.
-    start_method, store:
-        Process start method (``"fork"``/``"spawn"``) and an optional
-        caller-owned shared-memory
-        :class:`~repro.parallel.shm.TableStore` to allocate the tables
-        in; both apply only with ``backend="process"``.
     kernel_impl:
         Kernel implementation tier: ``"slab"`` (the reference
         full-lattice kernels), ``"fused"`` (cache-blocked
@@ -372,8 +330,6 @@ class HuangSolver(IterativeTableSolver):
         backend: Backend | str = "serial",
         workers: int | None = None,
         tiles: int | None = None,
-        start_method: str | None = None,
-        store: TableStore | None = None,
         kernel_impl: str | None = "auto",
     ) -> None:
         if problem.n > max_n:
@@ -387,10 +343,8 @@ class HuangSolver(IterativeTableSolver):
         if algebra is None:
             algebra = getattr(problem, "preferred_algebra", "min_plus")
         self.algebra = get_algebra(algebra)
-        self._init_engine(backend, workers, tiles, start_method, store, kernel_impl)
-        self._F = self._adopt_table(
-            "F", self.algebra.encode_f(problem.cached_f_table())
-        )
+        self._init_engine(backend, workers, tiles, kernel_impl)
+        self._F = self.algebra.encode_f(problem.cached_f_table())
         self._init = self.algebra.encode_init(problem.init_vector())
         self.reset()
 
@@ -410,10 +364,10 @@ class HuangSolver(IterativeTableSolver):
         (``zero`` everywhere, leaf costs on the unit intervals, the
         extend-identity ``one`` on the trivial gaps)."""
         N = self.n + 1
-        self.w = self._alloc_table("w", (N, N))
+        self.w = self.algebra.full((N, N))
         idx = np.arange(self.n)
         self.w[idx, idx + 1] = self._init
-        self.pw = self._alloc_table("pw", (N, N, N, N))
+        self.pw = self.algebra.full((N, N, N, N))
         ii, jj = np.triu_indices(N, k=1)
         self.pw[ii, jj, ii, jj] = self.algebra.one
         self.iterations_run = 0

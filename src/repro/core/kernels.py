@@ -18,8 +18,8 @@ that shape out:
   that min-merges the candidate slabs back into the solver state and
   reports whether anything changed;
 * a :class:`KernelEngine` owns an execution
-  :class:`~repro.parallel.backends.Backend` (serial / thread /
-  process) and runs a kernel as ``tiles -> backend.map -> commit``.
+  :class:`~repro.parallel.backends.Backend` (serial or thread) and runs
+  a kernel as ``tiles -> backend.map -> commit``.
 
 Every compute and commit goes through the solver's
 :class:`~repro.core.algebra.SelectionSemiring` (the engine injects it
@@ -34,23 +34,24 @@ Because every update is a monotone *idempotent* merge and every compute
 function evaluates the identical candidate lattice in the identical
 order for a given output cell, the committed tables are **bitwise
 identical** for every tiling and every backend — the CREW discipline
-made executable (see DESIGN.md §"The algebra contract"). Compute functions are module-level and receive their
-array inputs via backend keyword injection, so the process backend
-attaches its workers to multi-hundred-MB tables in shared memory once
-per solve instead of pickling them per tile.
+made executable (see DESIGN.md §"The algebra contract"). Compute
+functions are module-level and receive their array inputs by keyword:
+the engine binds each sweep's snapshot arrays once and maps the bound
+function over the tiles, so every thread reads the same tables.
 
 Adding an execution strategy is one Backend subclass; adding a paper
 variant is one kernel set — neither requires touching the five solvers.
 
 Scratch slabs are allocated per tile inside the compute functions (a
 deliberate tradeoff versus the pre-refactor persistent ``_acc``/``_tmp``
-buffers): tiles must own their memory to run on any worker in any
-process, and the allocation cost is a small constant against the Θ(n⁵)
-sweep work it serves.
+buffers): tiles must own their memory to run on any worker thread, and
+the allocation cost is a small constant against the Θ(n⁵) sweep work
+it serves.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -64,10 +65,8 @@ from repro.core.kernels_fused import (
     fused_dense_square_tile,
     fused_rytter_square_tile,
 )
-from repro.errors import BackendError
-from repro.parallel.backends import Backend, make_backend
+from repro.parallel.backends import Backend, check_tile_backend, make_backend
 from repro.parallel.partition import split_range
-from repro.parallel.shm import TableStore
 
 __all__ = [
     "SweepKernel",
@@ -88,11 +87,10 @@ __all__ = [
 # Tile compute functions.
 #
 # All of these are pure: they read the pre-step snapshot arrays passed by
-# keyword and return a candidate slab for their tile. They must stay
-# module-level so the process backend can pickle a reference to them.
-# The ``algebra`` keyword is injected by the engine (the solver's
-# selection semiring); ``algebra.extend``/``combine`` are the np.add /
-# np.minimum of the historical min-plus kernels.
+# keyword and return a candidate slab for their tile. The ``algebra``
+# keyword is injected by the engine (the solver's selection semiring);
+# ``algebra.extend``/``combine`` are the np.add / np.minimum of the
+# historical min-plus kernels.
 # ---------------------------------------------------------------------------
 
 
@@ -359,7 +357,7 @@ class SweepKernel:
 
     name: str = "abstract"
     updates: str = "pw"
-    #: module-level compute function (picklable for the process backend)
+    #: module-level compute function: ``compute_fn(tile, **arrays)``
     compute_fn: Callable[..., Any]
     #: fused-tier compute (same signature/result contract as
     #: :attr:`compute_fn`, bitwise-identical tables); ``None`` means the
@@ -392,14 +390,6 @@ class SweepKernel:
         idempotent monotone combine); True if changed."""
         raise NotImplementedError
 
-    def result_shape(self, solver, tile) -> tuple | None:
-        """Shape of the candidate slab :attr:`compute_fn` returns for
-        ``tile``, or ``None`` when the result is not one dense float64
-        slab. Known shapes let the plan preallocate shared-memory
-        commit buffers so process workers return digests instead of
-        pickled slabs; ``None`` tiles fall back to pickling."""
-        return None
-
     @staticmethod
     def _row_tiles(total: int, parts: int) -> list[tuple[int, int]]:
         return split_range(total, max(1, parts))
@@ -422,11 +412,6 @@ class DenseActivateKernel(SweepKernel):
 
     def arrays(self, solver):
         return {"F": solver._F, "w": solver.w}
-
-    def result_shape(self, solver, tile):
-        _side, lo, hi = tile
-        N = solver.n + 1
-        return (hi - lo, N, N)
 
     def commit(self, solver, tiles, results):
         changed = False
@@ -454,11 +439,6 @@ class DenseSquareKernel(SweepKernel):
     def arrays(self, solver):
         return {"pw": solver.pw}
 
-    def result_shape(self, solver, tile):
-        lo, hi = tile
-        N = solver.n + 1
-        return (hi - lo, N, N, N)
-
     def commit(self, solver, tiles, results):
         changed = False
         pw = solver.pw
@@ -482,10 +462,6 @@ class DensePebbleKernel(SweepKernel):
 
     def arrays(self, solver):
         return {"pw": solver.pw, "w": solver.w}
-
-    def result_shape(self, solver, tile):
-        lo, hi = tile
-        return (hi - lo, solver.n + 1)
 
     def commit(self, solver, tiles, results):
         changed = False
@@ -544,10 +520,6 @@ class RytterSquareKernel(SweepKernel):
     def tiles(self, solver, parts):
         return self._row_tiles((solver.n + 1) ** 2, parts)
 
-    def result_shape(self, solver, tile):
-        lo, hi = tile
-        return (hi - lo, (solver.n + 1) ** 2)
-
     def arrays(self, solver):
         N = solver.n + 1
         M = solver.pw.reshape(N * N, N * N)
@@ -568,11 +540,7 @@ class RytterSquareKernel(SweepKernel):
 
 
 class CompactActivateKernel(SweepKernel):
-    """a-activate into the compact A1/A2 arrays, mirrored into PB.
-
-    ``result_shape`` stays ``None``: the compute returns a ``(U1, U2)``
-    pair, not one slab, so its tiles use the pickle return path.
-    """
+    """a-activate into the compact A1/A2 arrays, mirrored into PB."""
 
     name = "activate"
     updates = "pw"
@@ -621,12 +589,6 @@ class CompactSquareKernel(SweepKernel):
     def tiles(self, solver, parts):
         return self._row_tiles(solver.n + 1, parts)
 
-    def result_shape(self, solver, tile):
-        lo, hi = tile
-        N = solver.n + 1
-        B = solver.band
-        return (hi - lo, N, B + 1, B + 1)
-
     def arrays(self, solver):
         return {"PB": solver.PB, "band": solver.band}
 
@@ -651,10 +613,6 @@ class CompactPebbleKernel(SweepKernel):
 
     def tiles(self, solver, parts):
         return self._row_tiles(solver.n + 1, parts)
-
-    def result_shape(self, solver, tile):
-        lo, hi = tile
-        return (hi - lo, solver.n + 1)
 
     def arrays(self, solver):
         return {
@@ -689,35 +647,20 @@ class KernelEngine:
     other (backend, tiles) combination commits bitwise-identical
     tables.
 
-    For backends with ``uses_store`` (the persistent process pool) the
-    engine also owns a shared-memory
-    :class:`~repro.parallel.shm.TableStore` — unless the caller passes
-    one in, in which case the caller keeps its lifecycle (warm reuse
-    across solves). Solver tables are allocated inside the store, plan
-    steps preallocate their commit buffers there, and each sweep ships
-    only ``(kernel, tile, manifest, epoch)`` tuples: workers attach to
-    every table once per solve and return slab digests.
-
     Parameters
     ----------
     backend:
-        Backend name (``"serial"``, ``"thread"``, ``"process"``) or a
-        :class:`~repro.parallel.backends.Backend` instance. The engine
-        closes the backend in :meth:`close` either way (solvers own
-        their engine; share a backend across solvers by closing only
-        after the last one, or use :meth:`release` to keep it open).
+        Backend name (``"serial"`` or ``"thread"``) or such a
+        :class:`~repro.parallel.backends.Backend` instance; a process
+        pool is refused here, before any pool or table exists. The
+        engine closes the backend in :meth:`close` either way (solvers
+        own their engine; share a backend across solvers by closing
+        only after the last one).
     workers:
         Worker count when ``backend`` is a name.
     tiles:
         Tiles per sweep (default: the backend's worker count, 1 for
         serial).
-    start_method:
-        Process start method (``"fork"``/``"spawn"``) when ``backend``
-        is the name ``"process"``; rejected otherwise.
-    store:
-        A caller-owned :class:`~repro.parallel.shm.TableStore` to
-        allocate tables in (the caller closes it); default: the engine
-        creates and owns one when the backend wants it.
     """
 
     def __init__(
@@ -726,52 +669,31 @@ class KernelEngine:
         *,
         workers: int | None = None,
         tiles: int | None = None,
-        start_method: str | None = None,
-        store: "TableStore | None" = None,
     ) -> None:
-        if isinstance(backend, str):
-            self.backend = make_backend(backend, workers, start_method=start_method)
-        else:
-            if start_method is not None:
-                raise BackendError(
-                    "start_method is a construction parameter; pass a backend "
-                    "name, or construct the ProcessBackend with it yourself"
-                )
-            self.backend = backend
+        check_tile_backend(backend)
+        self.backend = (
+            make_backend(backend, workers) if isinstance(backend, str) else backend
+        )
         if tiles is None:
             tiles = max(1, getattr(self.backend, "workers", 1))
         if tiles < 1:
             raise ValueError("tiles must be >= 1")
         self.tiles = int(tiles)
-        self._owns_store = False
-        if store is not None:
-            self.store = store
-        elif getattr(self.backend, "uses_store", False):
-            self.store = TableStore()
-            self._owns_store = True
-        else:
-            self.store = None
-        #: sweep counter; every store-dispatched task is tagged with it
-        self.epoch = 0
 
     def execute(self, kernel: SweepKernel, solver) -> bool:
         """Run one synchronous super-step of ``kernel`` on ``solver``.
 
         One-off entry for ad-hoc kernels (anything scheduled goes
         through :meth:`execute_step` and the solver's compiled plan):
-        tiles are derived fresh and results return by value — no commit
-        buffers are allocated in the store, since a transient step would
-        re-create them every call.
+        tiles are derived fresh for this call.
         """
         from repro.core.plan import PlanStep
 
-        tiles = tuple(kernel.tiles(solver, self.tiles))
         step = PlanStep(
             name=kernel.name,
             kernel=kernel,
-            tiles=tiles,
+            tiles=tuple(kernel.tiles(solver, self.tiles)),
             updates=kernel.updates,
-            result_shapes=(None,) * len(tiles),
             compute_fn=kernel.compute_for(getattr(solver, "kernel_impl", "slab")),
         )
         return self.execute_step(step, solver)
@@ -784,15 +706,7 @@ class KernelEngine:
         commit merges all slabs with the solver's algebra — exactly the
         CREW semantics the scratch-array loops used to implement five
         separate times. The solver's selection semiring rides the same
-        keyword channel as the snapshot arrays (it pickles by name, so
-        the process backend ships it for free).
-
-        With a table store, inputs that live in the store travel as
-        manifest entries (attach-once named views), everything else —
-        the algebra, band scalars, Rytter's per-sweep ``useful`` list —
-        is pickled inline per task, and tiles with planned commit
-        buffers come back as ``("region", segment, epoch)`` digests
-        read out of shared memory instead of pickled slabs.
+        keyword channel as the snapshot arrays.
         """
         kernel = step.kernel
         # The plan froze the tier's compute function at compile time
@@ -802,49 +716,9 @@ class KernelEngine:
         )
         arrays = dict(kernel.arrays(solver))
         arrays.setdefault("algebra", getattr(solver, "algebra", MIN_PLUS))
-        self.epoch += 1
-        if self.store is not None and getattr(self.backend, "uses_store", False):
-            manifest: dict[str, Any] = {}
-            inline: dict[str, Any] = {}
-            for key, value in arrays.items():
-                meta = (
-                    self.store.meta_for(value)
-                    if isinstance(value, np.ndarray)
-                    else None
-                )
-                if meta is not None:
-                    manifest[key] = meta
-                else:
-                    inline[key] = value
-            result_metas = step.ensure_result_buffers(self.store)
-            # Tasks carry the sweep epoch and workers echo it in their
-            # digests — a protocol/debugging tag, not a checked
-            # invariant: pool.map's request/response pairing already
-            # guarantees each digest answers the task that carried it.
-            tagged = self.backend.map_store_tasks(
-                compute_fn,
-                step.tiles,
-                manifest,
-                inline,
-                result_metas,
-                self.epoch,
-            )
-            results = [
-                step.result_array(k) if tag == "region" else payload
-                for k, (tag, payload, _epoch) in enumerate(tagged)
-            ]
-        else:
-            results = self.backend.map_with_arrays(compute_fn, step.tiles, arrays)
+        results = self.backend.map(functools.partial(compute_fn, **arrays), step.tiles)
         return kernel.commit(solver, step.tiles, results)
 
-    def release(self, *, close_backend: bool = True) -> None:
-        """Release owned resources; with ``close_backend=False`` the
-        backend (a caller-owned instance being kept warm) survives."""
-        if close_backend:
-            self.backend.close()
-        if self._owns_store and self.store is not None:
-            self.store.close()
-
     def close(self) -> None:
-        """Release backend workers and the engine-owned store."""
-        self.release(close_backend=True)
+        """Release the backend's workers."""
+        self.backend.close()

@@ -12,11 +12,7 @@ that cannot change between super-steps:
 * the **tile partition** of each kernel's output index space (tiles
   depend only on static solver shape — ``n``, band, tile count — never
   on table contents, which is what makes freezing them sound);
-* the **result-slab shapes** per tile, from which the engine
-  preallocates shared-memory commit buffers exactly once: workers write
-  candidate slabs straight into their region and return only a digest,
-  so after the first sweep *nothing* table-sized crosses a process
-  boundary in either direction.
+* the kernel tier's **compute function** per step (slab or fused).
 
 The engine (:class:`repro.core.kernels.KernelEngine`) executes plan
 steps; ``solver.plan`` compiles lazily on first use and is also what
@@ -29,80 +25,35 @@ its data, so the §2 bitwise invariant is untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Sequence
 
 __all__ = ["PlanStep", "SweepPlan", "compile_plan"]
 
 
 @dataclass
 class PlanStep:
-    """One scheduled operation: kernel + frozen tiles + result shapes."""
+    """One scheduled operation: kernel + frozen tiles + compute tier."""
 
     name: str
     kernel: Any
     tiles: tuple
     updates: str
-    #: per-tile candidate-slab shape, ``None`` where the kernel's result
-    #: is not a single dense slab (those tiles return by pickle)
-    result_shapes: tuple
     #: the tier-resolved compute function (slab vs fused), frozen at
     #: compile time; ``None`` falls back to the kernel's slab compute
     compute_fn: Any = None
-    _result_metas: Optional[list] = field(default=None, repr=False)
-    _result_arrays: Optional[list] = field(default=None, repr=False)
 
     @classmethod
     def for_kernel(
         cls, name: str, kernel, solver, parts: int, impl: str = "slab"
     ) -> "PlanStep":
-        tiles = tuple(kernel.tiles(solver, parts))
-        shapes = tuple(kernel.result_shape(solver, tile) for tile in tiles)
         return cls(
             name=name,
             kernel=kernel,
-            tiles=tiles,
+            tiles=tuple(kernel.tiles(solver, parts)),
             updates=kernel.updates,
-            result_shapes=shapes,
             compute_fn=kernel.compute_for(impl),
         )
-
-    def ensure_result_buffers(self, store) -> list:
-        """Allocate (once) this step's commit buffers in ``store``;
-        returns the per-tile metas (``None`` entries for pickle-path
-        tiles). Buffers are reused by every subsequent sweep of the
-        step — they are fully overwritten by each tile compute."""
-        if self._result_metas is None:
-            metas: list = []
-            arrays: list = []
-            for k, shape in enumerate(self.result_shapes):
-                if shape is None:
-                    metas.append(None)
-                    arrays.append(None)
-                else:
-                    buf_name = f"res.{self.name}.{k}"
-                    arrays.append(store.full(buf_name, shape, 0.0))
-                    metas.append(store.meta(buf_name))
-            self._result_metas = metas
-            self._result_arrays = arrays
-        return self._result_metas
-
-    def result_array(self, k: int):
-        """Parent-side view of tile ``k``'s commit buffer."""
-        return self._result_arrays[k]
-
-    @property
-    def result_nbytes(self) -> int:
-        return sum(
-            8 * _prod(shape) for shape in self.result_shapes if shape is not None
-        )
-
-
-def _prod(shape: Sequence[int]) -> int:
-    out = 1
-    for s in shape:
-        out *= int(s)
-    return out
 
 
 class SweepPlan:
@@ -120,8 +71,6 @@ class SweepPlan:
         self.algebra = getattr(solver.algebra, "name", str(solver.algebra))
         backend = solver.backend
         self.backend = getattr(backend, "name", type(backend).__name__)
-        self.start_method = getattr(backend, "start_method", None)
-        self.uses_store = bool(getattr(backend, "uses_store", False))
         self.kernel_impl = getattr(solver, "kernel_impl", "slab")
         self.tiles_per_sweep = int(tiles_per_sweep)
         self.schedule = tuple(step.name for step in steps)
@@ -138,42 +87,23 @@ class SweepPlan:
         """Human-readable plan: one line per scheduled step."""
         from repro.core.kernels_fused import fused_backend
 
-        backend = self.backend
-        if self.start_method:
-            backend += f"[{self.start_method}]"
         impl = self.kernel_impl
         if impl == "fused":
             impl += f"[{fused_backend()}]"
         lines = [
             f"plan: {self.method} n={self.n} algebra={self.algebra} "
-            f"backend={backend} kernel_impl={impl} "
-            f"tiles/sweep={self.tiles_per_sweep} "
-            f"transport={'shared-memory store' if self.uses_store else 'in-process'}"
+            f"backend={self.backend} kernel_impl={impl} "
+            f"tiles/sweep={self.tiles_per_sweep}"
         ]
         for idx, step in enumerate(self.steps, start=1):
-            slabs = step.result_nbytes
-            slab_note = (
-                f"commit buffers {_fmt_bytes(slabs)}"
-                if slabs and self.uses_store
-                else "commit by value"
-            )
             fused = step.kernel.fused_compute_fn is not None
             tier = "fused" if (self.kernel_impl == "fused" and fused) else "slab"
             lines.append(
                 f"  {idx}. {step.name:<9} {type(step.kernel).__name__:<22} "
                 f"impl={tier:<5s} tiles={len(step.tiles):<3d} "
-                f"updates={step.updates:<2s} {slab_note}"
+                f"updates={step.updates}"
             )
         return "\n".join(lines)
-
-
-def _fmt_bytes(n: int) -> str:
-    size = float(n)
-    for unit in ("B", "KiB", "MiB"):
-        if size < 1024:
-            return f"{size:.0f}{unit}" if unit == "B" else f"{size:.1f}{unit}"
-        size /= 1024
-    return f"{size:.1f}GiB"
 
 
 def compile_plan(solver) -> SweepPlan:

@@ -1,18 +1,19 @@
 """Execution backends: serial, thread pool, persistent process pool.
 
-A backend executes ``fn(tile)`` for a list of tiles and returns the
-results in tile order. ``fn`` must be a module-level function for the
-process backend (pickling).
+A backend maps a function over a list of items and returns the results
+in item order. The kernel engine maps each sweep's tile compute over
+its tiles on :data:`TILE_BACKENDS` (``serial`` or ``thread``: threads
+share the solver's tables); :func:`repro.core.api.solve_many` maps
+whole problems over any of the three.
 
 :class:`ProcessBackend` runs a **persistent** worker pool (created
-lazily on first use, reused across every sweep of a solve and across
-the items of a ``solve_many`` batch) with either the ``fork`` or the
-``spawn`` start method. Its one array transport is the shared-memory
-:class:`~repro.parallel.shm.TableStore`: workers attach to a table's
-segment once, then each task carries only a tiny picklable tuple. A
-payload that cannot be pickled at all (``solve_many`` specs whose cost
-functions are closures) cannot reach a worker under either start
-method, so it runs in the calling process instead.
+lazily on first use, reused across batches when the caller owns the
+instance) with either the ``fork`` or the ``spawn`` start method. Its
+one transport is pickling: each item is pickled once and the batch
+goes to the workers in one ``pool.map``. A batch with an item that
+cannot be pickled at all (``solve_many`` specs whose cost functions
+are closures) cannot reach a worker under either start method, so it
+runs in the calling process instead.
 """
 
 from __future__ import annotations
@@ -26,10 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator, Optional, Sequence
 
-import numpy as np
-
 from repro.errors import BackendError
-from repro.parallel.shm import TableStore, attach_blob, attach_view, evict_except
 
 __all__ = [
     "Backend",
@@ -38,14 +36,20 @@ __all__ = [
     "ProcessBackend",
     "make_backend",
     "BACKEND_NAMES",
+    "TILE_BACKENDS",
     "START_METHODS",
     "KERNEL_IMPLS",
+    "check_tile_backend",
     "default_start_method",
     "resolve_kernel_impl",
 ]
 
 #: the valid ``backend=`` names, single source for every validation site
 BACKEND_NAMES = ("serial", "thread", "process")
+
+#: the backends a sweep's tiles run on: a process pool runs whole
+#: problems (``solve_many``) only
+TILE_BACKENDS = ("serial", "thread")
 
 #: the valid ``kernel_impl=`` names — the kernel *implementation* tier is
 #: selected exactly like backends are: one validated name, single-sourced
@@ -56,8 +60,8 @@ BACKEND_NAMES = ("serial", "thread", "process")
 #: numpy fallback by availability).
 KERNEL_IMPLS = ("slab", "fused", "auto")
 
-#: the supported process start methods (validated up front; tables
-#: travel through named shared memory, so neither relies on fork)
+#: the supported process start methods (validated up front; work
+#: travels pickled, so neither relies on fork)
 START_METHODS = ("fork", "spawn")
 
 
@@ -96,46 +100,22 @@ def _init_worker() -> None:  # pragma: no cover - worker-side
     signal.set_wakeup_fd(-1)
 
 
-def _store_call(task: tuple) -> tuple:  # pragma: no cover - worker-side
-    """Worker shim for one shared-memory task.
-
-    ``task = (fn, tile, manifest, inline, blob_meta, result_meta,
-    epoch)``: attach (cached, once per segment) every manifest view,
-    merge the inline and blob keywords, run the compute, and either
-    write the slab into its preallocated result region — returning only
-    a ``("region", segment, epoch)`` digest — or return the slab itself
-    when no region was planned for it."""
-    fn, tile, manifest, inline, blob_meta, result_meta, epoch = task
-    keep = [meta[1] for meta in manifest.values()]
-    if blob_meta is not None:
-        keep.append(blob_meta[1])
-    if result_meta is not None:
-        keep.append(result_meta[1])
-    evict_except(keep)
-    kwargs = {key: attach_view(meta) for key, meta in manifest.items()}
-    if blob_meta is not None:
-        kwargs.update(attach_blob(blob_meta))
-    kwargs.update(inline)
-    out = fn(tile, **kwargs)
-    if result_meta is not None:
-        np.copyto(attach_view(result_meta), out)
-        return ("region", result_meta[1], epoch)
-    return ("slab", out, epoch)
+def _call_pickled(task: tuple[bytes, bytes]) -> Any:  # pragma: no cover - worker-side
+    """Worker shim for one :meth:`ProcessBackend.map` item: the function
+    and the item arrive pickled by the parent, each item once."""
+    fn, item = task
+    return pickle.loads(fn)(pickle.loads(item))
 
 
 class Backend:
-    """Interface: map a function over tiles, preserving order.
+    """Interface: map a function over items, preserving order.
 
     Backends are context managers — ``with make_backend(...) as be:``
-    guarantees :meth:`close` runs, which is how worker pools and any
-    transport state are released deterministically.
+    guarantees :meth:`close` runs, which is how worker pools are
+    released deterministically.
     """
 
     name = "abstract"
-    #: True if the kernel engine should allocate solver tables in a
-    #: shared-memory :class:`~repro.parallel.shm.TableStore` and
-    #: dispatch sweeps through :meth:`map_store_tasks`
-    uses_store = False
 
     def __init__(self) -> None:
         self._lease_lock = threading.Lock()
@@ -183,26 +163,8 @@ class Backend:
             "leases": self.active_leases,
         }
 
-    def map_with_arrays(
-        self,
-        fn: Callable[..., Any],
-        tiles: Sequence[Any],
-        arrays: dict[str, Any],
-    ) -> list[Any]:
-        """Run ``fn(tile, **arrays)`` for each tile; results in order."""
-        raise NotImplementedError
-
-    def map_store_tasks(
-        self,
-        fn: Callable[..., Any],
-        tiles: Sequence[Any],
-        manifest: dict[str, Any],
-        inline: dict[str, Any],
-        result_metas: Sequence[Any],
-        epoch: int,
-    ) -> list[tuple]:
-        """Run one sweep against an attached table store; only backends
-        with ``uses_store`` implement it."""
+    def map(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> list[Any]:
+        """Run ``fn(item)`` for each item; results in item order."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -216,13 +178,13 @@ class Backend:
 
 
 class SerialBackend(Backend):
-    """Run tiles one after another in the calling thread."""
+    """Run items one after another in the calling thread."""
 
     name = "serial"
     workers = 1
 
-    def map_with_arrays(self, fn, tiles, arrays):
-        return [fn(tile, **arrays) for tile in tiles]
+    def map(self, fn, items):
+        return [fn(item) for item in items]
 
 
 class ThreadBackend(Backend):
@@ -238,9 +200,8 @@ class ThreadBackend(Backend):
         self.workers = workers if workers is not None else min(8, os.cpu_count() or 1)
         self._pool = ThreadPoolExecutor(max_workers=self.workers)
 
-    def map_with_arrays(self, fn, tiles, arrays):
-        futures = [self._pool.submit(fn, tile, **arrays) for tile in tiles]
-        return [f.result() for f in futures]
+    def map(self, fn, items):
+        return list(self._pool.map(fn, items))
 
     def ensure_alive(self) -> None:
         # A lease taken after close() gets a fresh executor; a bare map
@@ -253,31 +214,29 @@ class ThreadBackend(Backend):
 
 
 class ProcessBackend(Backend):
-    """Persistent worker-process pool over a shared-memory table store.
+    """Persistent worker-process pool for whole-problem batches.
 
-    Arrays cross into workers through a
-    :class:`~repro.parallel.shm.TableStore`: workers attach once per
-    segment and tasks carry only ``(fn, tile, manifest, epoch)``-sized
-    tuples. A :meth:`map_with_arrays` payload that cannot be pickled
-    runs ``fn(tile, **arrays)`` tile by tile on the caller's thread
-    instead, under either start method, and starts no pool.
+    :meth:`map` pickles each item once and hands the batch to the pool
+    in one ``pool.map``. A batch with an item (or a function) that
+    cannot be pickled runs ``fn(item)`` item by item on the caller's
+    thread instead, under either start method, and starts no pool.
+    Sweep tiles never run here (:data:`TILE_BACKENDS`).
 
     Parameters
     ----------
     workers:
         Pool size (default ``min(8, cpu count)``). Workers are started
-        lazily on the first map and then **reused**: across all sweeps
-        of a solve, across the items of a ``solve_many`` batch, and —
-        when the caller owns the backend instance — across solves.
+        lazily on the first map and then **reused**: across the items
+        of a ``solve_many`` batch and — when the caller owns the
+        backend instance — across batches.
     start_method:
         ``"fork"`` or ``"spawn"`` (default: fork where available, else
         spawn). Spawn works because nothing relies on inherited state:
-        compute functions pickle by reference, algebras by name, and
-        tables travel through named shared-memory segments.
+        functions pickle by reference, algebras by name, and problems
+        by value.
     """
 
     name = "process"
-    uses_store = True
 
     def __init__(
         self,
@@ -317,7 +276,7 @@ class ProcessBackend(Backend):
 
     def worker_pids(self) -> list[int]:
         """PIDs of the live pool (starting it if needed) — the
-        persistence tests assert these stay constant across sweeps."""
+        persistence tests assert these stay constant across batches."""
         pool = self._ensure_pool()
         return sorted(p.pid for p in pool._pool)  # noqa: SLF001 - test hook
 
@@ -355,56 +314,41 @@ class ProcessBackend(Backend):
 
     # -- mapping -------------------------------------------------------------
 
-    def map_with_arrays(self, fn, tiles, arrays):
-        if not tiles:
+    def map(self, fn, items):
+        if not items:
             return []
-        nd = {k: v for k, v in arrays.items() if isinstance(v, np.ndarray)}
-        rest = {k: v for k, v in arrays.items() if k not in nd}
-        blob: bytes | None = None
-        if rest:
-            try:
-                blob = pickle.dumps(rest, protocol=pickle.HIGHEST_PROTOCOL)
-            except (pickle.PicklingError, AttributeError, TypeError):
-                # Unpicklable payload (e.g. closure-based problem specs):
-                # no worker can receive it, so run it here.
-                return [fn(tile, **arrays) for tile in tiles]
-        # A transient store per call: callers on this generic path pay
-        # one segment per array per call — still no fork, no per-task
-        # array pickling. Sweep-shaped traffic goes through the planned
-        # map_store_tasks path instead, where the store is persistent.
-        with TableStore() as store:
-            manifest = {}
-            for k, v in nd.items():
-                store.put(k, v)
-                manifest[k] = store.meta(k)
-            blob_meta = store.put_blob("payload", blob) if blob is not None else None
+        try:
+            blob = pickle.dumps(fn, protocol=pickle.HIGHEST_PROTOCOL)
             tasks = [
-                (fn, tile, manifest, {}, blob_meta, None, store.epoch)
-                for tile in tiles
+                (blob, pickle.dumps(item, protocol=pickle.HIGHEST_PROTOCOL))
+                for item in items
             ]
-            tagged = self._ensure_pool().map(_store_call, tasks)
-            return [payload for _tag, payload, _epoch in tagged]
-
-    def map_store_tasks(self, fn, tiles, manifest, inline, result_metas, epoch):
-        if not tiles:
-            return []
-        tasks = [
-            (fn, tile, manifest, inline, None, meta, epoch)
-            for tile, meta in zip(tiles, result_metas)
-        ]
-        return self._ensure_pool().map(_store_call, tasks)
+        except (pickle.PicklingError, AttributeError, TypeError):
+            # An unpicklable payload (e.g. closure-based problem specs):
+            # no worker can receive it, so run it here.
+            return [fn(item) for item in items]
+        return self._ensure_pool().map(_call_pickled, tasks)
 
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Stop the persistent pool (a later map revives it). Nothing
-        else to release: shm segments belong to the stores that made
-        them."""
+        """Stop the persistent pool (a later map revives it)."""
         with self._pool_lock:
             if self._pool is not None:
                 self._pool.terminate()
                 self._pool.join()
                 self._pool = None
+
+
+def check_tile_backend(backend: Backend | str) -> None:
+    """Refuse a process pool, by name or instance, as a sweep's tile
+    backend — before any pool or table exists. Tiles run on
+    :data:`TILE_BACKENDS`; a process pool runs whole problems."""
+    if backend == "process" or isinstance(backend, ProcessBackend):
+        raise BackendError(
+            "sweep tiles run on 'serial' or 'thread', not on a process pool; "
+            "solve_many runs whole problems on one"
+        )
 
 
 def make_backend(

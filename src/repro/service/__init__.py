@@ -1,8 +1,8 @@
 """The solve service: a long-lived server over the batched solve layer.
 
 Everything below this package exists so that *no request pays cold-start
-costs twice*: a :class:`SolveService` owns a warm worker-pool backend
-and a shared table store, coalesces concurrent requests into
+costs twice*: a :class:`SolveService` owns a warm worker-pool backend,
+coalesces concurrent requests into
 :func:`repro.core.solve_many` batches under a group-commit scheduler
 (requests that arrive while one batch runs form the next), and fronts
 the whole pipeline with an instance-hash result cache whose hit path
@@ -18,7 +18,7 @@ Layers (each usable on its own):
   restarts and are shared by every process mounting the directory;
 * :class:`CoalescingScheduler` — asyncio request coalescing (duplicate
   requests join the in-flight entry; distinct requests batch);
-* :class:`SolveService` — owns backend + store + cache + scheduler;
+* :class:`SolveService` — owns backend + cache + scheduler;
 * :func:`serve` / :func:`serve_unix` / :func:`serve_tcp` — the JSONL
   front end on either transport (``repro serve``), over the shared
   framing in :mod:`repro.service.transport`;

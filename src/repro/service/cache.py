@@ -28,8 +28,8 @@ re-sweep incrementally instead of solving cold.
 L1 details: entries are charged for their table bytes (``w``
 dominates), and inserts evict from the cold end until the budget holds.
 Stored results are defensively rebound to private, read-only copies of
-their tables — a result computed in a shared-memory segment must not
-keep that segment pinned (or writable) from the cache. A hit is handed
+their tables, so no caller can mutate a cached table through the array
+it put or got. A hit is handed
 back with a fresh writable copy, indistinguishable from a cold solve's
 table, unless the caller passes ``copy=False``: the solve server's wire
 answers read only the stored result's scalars, so they take the

@@ -40,8 +40,7 @@ class LocalClient:
     :class:`~repro.service.server.SolveService` on it; every keyword is
     forwarded to the service (``backend=``, ``workers=``,
     ``max_batch=``, ``cache_bytes=``, ...). Use as a context manager —
-    closing drains the scheduler, stops the pool and unlinks every
-    shared-memory segment.
+    closing drains the scheduler and stops the pool.
 
     ``solve()`` blocks for one result; ``solve_batch()`` submits a
     whole sequence *concurrently*, which is what lets the scheduler

@@ -3,11 +3,10 @@
 A single :class:`~repro.service.server.SolveService` tops out on one
 event loop, one worker pool and one cache. The fleet layer partitions
 the *request space* instead: a :class:`FleetRouter` spawns ``shards``
-shard processes — each a full ``repro serve`` with its own warm
-:class:`~repro.parallel.shm.TableStore`-backed pool, its own
-:class:`~repro.service.cache.ResultCache` and its own coalescing
-scheduler — and routes every request by **consistent hash of its
-instance key** (:func:`repro.core.api.instance_key_bytes`, which is
+shard processes — each a full ``repro serve`` with its own warm pool,
+its own :class:`~repro.service.cache.ResultCache` and its own
+coalescing scheduler — and routes every request by **consistent hash
+of its instance key** (:func:`repro.core.api.instance_key_bytes`, which is
 shard-stable by construction). Equal requests therefore always land on
 the same shard, so duplicate-heavy traffic keeps hitting that shard's
 cache and coalescer exactly as it would a single service's; distinct
@@ -241,7 +240,7 @@ class FleetRouter:
 
     ``shards``
         How many shard processes to run. Each one is a full solve
-        service (own process, own warm pool, own store, own cache).
+        service (own process, own warm pool, own cache).
     ``method, backend, workers, start_method, max_batch, cache_bytes``
         Forwarded to each shard's ``repro serve``. ``cache_bytes=0``
         also leaves the front end without its answer table.

@@ -35,7 +35,7 @@ probed via :func:`repro.core.delta.try_delta` for an already-solved
 sibling to re-sweep incrementally — delta candidates resolve like hits
 but ride a batch — and only the remainder goes to the cold runner.
 Batches execute one at a time on one drain task, so the warm backend
-and the shared table store are never used from two threads at once.
+is never used from two threads at once.
 """
 
 from __future__ import annotations
@@ -307,7 +307,7 @@ class CoalescingScheduler:
                 # close() running on a different loop than the drain
                 # task (a synchronous owner after its loop died): the
                 # task can never complete, so don't wedge — the owner's
-                # finally still releases pools and segments.
+                # finally still releases the pool.
                 pass
 
     def stats(self) -> dict:

@@ -1,12 +1,11 @@
-"""The solve server: warm pools + shared store behind a JSONL socket.
+"""The solve server: a warm pool behind a JSONL socket.
 
 :class:`SolveService` is the long-lived object the ``repro serve``
 subcommand (and the in-process :class:`~repro.service.client.LocalClient`)
 runs: it owns a worker-pool :class:`~repro.parallel.backends.Backend`
-(leased per batch, revived if workers die), a shared
-:class:`~repro.parallel.shm.TableStore` whose segments stay warm across
-single-request solves, a :class:`~repro.service.cache.ResultCache`, and
-the :class:`~repro.service.scheduler.CoalescingScheduler` that feeds
+(leased per batch, revived if workers die), a
+:class:`~repro.service.cache.ResultCache`, and the
+:class:`~repro.service.scheduler.CoalescingScheduler` that feeds
 :func:`repro.core.solve_many`.
 
 Wire protocol (``repro serve`` / ``repro request``): one JSON object
@@ -43,8 +42,7 @@ import time
 from typing import Callable, Optional
 
 from repro.core.api import ITERATIVE_METHODS, solve, solve_many
-from repro.parallel.backends import Backend, make_backend
-from repro.parallel.shm import TableStore
+from repro.parallel.backends import TILE_BACKENDS, Backend, make_backend
 from repro.problems.specs import batch_item_from_spec, spec_key
 from repro.service.cache import ResultCache, TieredResultCache
 from repro.service.scheduler import CoalescingScheduler
@@ -101,7 +99,6 @@ class SolveService:
             if isinstance(backend, str)
             else backend
         )
-        self.store = TableStore()
         if cache_bytes <= 0:
             self.cache = None
         elif cache_dir is not None:
@@ -123,17 +120,23 @@ class SolveService:
     def _execute_batch(self, items: list) -> list:
         """Run one coalesced batch on the leased warm backend.
 
-        A singleton batch takes the warm-store fast path — ``solve``
-        with the service's backend *and* table store, so plan commit
-        buffers land in segments that persist across requests. Larger
-        batches fan out through ``solve_many`` (whole problems per
-        worker; per-item failures stay in place)."""
+        A singleton batch runs ``solve`` in this thread; an iterative
+        one tiles its sweeps over the service's backend when that is a
+        tile backend (serial or threads). On a process pool, whose
+        workers run whole problems, an iterative singleton goes through
+        ``solve_many`` and runs on one pool worker. Larger batches fan
+        out through ``solve_many`` (whole problems per worker; per-item
+        failures stay in place)."""
         with self.backend.lease():
             if len(items) == 1:
                 problem, method, kwargs = items[0]
                 run_kwargs = dict(kwargs)
                 if method in ITERATIVE_METHODS:
-                    run_kwargs.update(backend=self.backend, store=self.store)
+                    if self.backend.name not in TILE_BACKENDS:
+                        return solve_many(
+                            items, backend=self.backend, on_error="return"
+                        )
+                    run_kwargs["backend"] = self.backend
                 try:
                     return [solve(problem, method=method, **run_kwargs)]
                 except Exception as exc:  # noqa: BLE001 - isolate like solve_many
@@ -195,17 +198,16 @@ class SolveService:
         }
 
     def status(self) -> dict:
-        """Health + counters: backend pool state, store occupancy,
-        cache and scheduler statistics, and ``cpu_s``, the CPU time
-        (user + system) this process has used. ``cpu_s`` does not
-        include the worker processes of a process backend."""
+        """Health + counters: backend pool state, cache and scheduler
+        statistics, and ``cpu_s``, the CPU time (user + system) this
+        process has used. ``cpu_s`` does not include the worker
+        processes of a process backend."""
         return {
             "uptime_s": round(time.monotonic() - self._started, 3),
             "cpu_s": round(time.process_time(), 6),
             "requests": self._requests,
             "default_method": self.default_method,
             "backend": self.backend.health(),
-            "store": self.store.stats(),
             "cache": self.cache.stats() if self.cache is not None else None,
             "scheduler": self.scheduler.stats(),
         }
@@ -213,10 +215,9 @@ class SolveService:
     # -- lifecycle -----------------------------------------------------------
 
     async def aclose(self) -> None:
-        """Drain the scheduler, then release pools and unlink every
-        shared-memory segment — after this, no worker processes and no
-        ``/dev/shm`` residue remain. Pool and store cleanup run even if
-        the drain fails: hygiene is unconditional."""
+        """Drain the scheduler, then release the pool — after this, no
+        worker processes remain. Pool cleanup runs even if the drain
+        fails: hygiene is unconditional."""
         if self._closed:
             return
         self._closed = True
@@ -225,7 +226,6 @@ class SolveService:
         finally:
             if self._owns_backend:
                 self.backend.close()
-            self.store.close()
 
     def close(self) -> None:
         """Synchronous :meth:`aclose` for non-async owners."""
@@ -271,18 +271,17 @@ async def serve(
 
     Runs until a ``{"op": "shutdown"}`` request arrives or
     ``max_requests`` spec requests have been answered (the smoke-test
-    and benchmark hook). Closes the service (pools stopped, segments
-    unlinked) and — for unix addresses — removes the socket file before
-    returning the number of spec requests served.
+    and benchmark hook). Closes the service (pools stopped) and — for
+    unix addresses — removes the socket file before returning the
+    number of spec requests served.
 
     ``on_bound`` is called with the actual bound endpoint once the
     listener is up (the way callers learn an ephemeral TCP port).
     Every exit path after the bind, including failures in ``on_bound``
     or ``ready`` themselves, still runs the full cleanup: no stale
-    socket file, no leaked pool, no ``/dev/shm`` residue (the loop
-    itself — framing, ops, teardown — is
-    :func:`repro.service.transport.serve_jsonl`, shared with the fleet
-    front end).
+    socket file, no leaked pool (the loop itself — framing, ops,
+    teardown — is :func:`repro.service.transport.serve_jsonl`, shared
+    with the fleet front end).
     """
 
     async def _status() -> dict:

@@ -244,6 +244,8 @@ class _Listener:
         self.max_requests = max_requests
         self.stop = asyncio.Event()
         self.served = 0
+        #: connections accepted whose ``connection_made`` has not run
+        self.attaching = 0
         #: connections still reading requests
         self.reading: set["_Connection"] = set()
         #: connections that stopped reading and are finishing their work
@@ -268,6 +270,7 @@ class _Connection(asyncio.Protocol):
 
     def __init__(self, listener: _Listener) -> None:
         self._listener = listener
+        listener.attaching += 1
         self._transport: Any = None
         self._dispatcher: Any = None
         #: the start of a line whose newline has not arrived yet
@@ -281,6 +284,7 @@ class _Connection(asyncio.Protocol):
     # -- the protocol --------------------------------------------------------
 
     def connection_made(self, transport: Any) -> None:
+        self._listener.attaching -= 1
         self._transport = transport
         self._dispatcher = self._listener.make_dispatcher()
         self._listener.reading.add(self)
@@ -418,6 +422,24 @@ class _Connection(asyncio.Protocol):
             self._transport.close()
 
 
+async def _stop_accepting(server: asyncio.AbstractServer, listener: _Listener) -> None:
+    """Stop accepting, then wait until every connection already accepted
+    has attached to ``server`` and run ``connection_made``. An accept
+    builds its transport one loop iteration later; one built after
+    ``server.close()`` fails to attach, and its socket is never closed."""
+    loop = asyncio.get_running_loop()
+    for sock in server.sockets:
+        loop.remove_reader(sock.fileno())
+    # One pass lets every accept already under way build its protocol;
+    # then each attached connection reaches connection_made a pass
+    # later. A transport that fails to build never gets there, so the
+    # wait is bounded.
+    for _ in range(8):
+        await asyncio.sleep(0)
+        if not listener.attaching:
+            return
+
+
 async def serve_jsonl(
     address: Address,
     *,
@@ -487,6 +509,7 @@ async def serve_jsonl(
             ready.set()
         await listener.stop.wait()
     finally:
+        await _stop_accepting(server, listener)
         server.close()
         for conn in list(listener.reading):
             conn.finish()

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import socket
+import time
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -49,3 +53,32 @@ def square_polygon():
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def _wait_until_listening(path: str, deadline: float, proc=None) -> None:
+    """Wait until a server accepts connections on the unix socket
+    ``path``, up to ``deadline`` (a ``time.monotonic()`` value). The
+    socket file appears when the server binds, before it listens, so a
+    connect in between is refused: it is retried. ``proc``, when given,
+    is the server's process, which must not exit meanwhile."""
+    while True:
+        if proc is not None:
+            assert proc.poll() is None, "the server exited during startup"
+        if os.path.exists(path):
+            probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            try:
+                probe.connect(path)
+                return
+            except (ConnectionRefusedError, FileNotFoundError):
+                pass  # bound, not yet listening (or just reclaimed)
+            finally:
+                probe.close()
+        assert time.monotonic() < deadline, f"no server listening on {path}"
+        time.sleep(0.02)
+
+
+@pytest.fixture
+def wait_until_listening():
+    """``wait_until_listening(path, deadline, proc=None)``: return once
+    a server accepts connections on the unix socket ``path``."""
+    return _wait_until_listening

@@ -22,7 +22,7 @@ from repro.core.sequential import solve_sequential
 from repro.parallel.backends import SerialBackend
 from repro.problems.generators import random_generic, random_matrix_chain
 
-BACKENDS = ["serial", "thread", "process"]
+BACKENDS = ["serial", "thread"]
 
 # (method, solver class, problem size) — sizes chosen so the full
 # matrix of methods × backends × tilings stays fast while still
@@ -75,7 +75,7 @@ class TestMethodBackendEquivalence:
     def test_size_band_window_through_engine(self):
         p = random_generic(12, seed=9)
         ref = BandedSolver(p, size_band=True).run()
-        with BandedSolver(p, size_band=True, backend="process", tiles=3) as s:
+        with BandedSolver(p, size_band=True, backend="thread", tiles=3) as s:
             out = s.run()
         assert np.array_equal(_canon(out.w), _canon(ref.w))
         assert out.iterations == ref.iterations

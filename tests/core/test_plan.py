@@ -1,23 +1,28 @@
 """Sweep-plan compilation: the one-time half of the plan/execute split.
 
-The plan freezes schedule + tiles + commit-buffer shapes once per
-solve; these tests pin that compilation is lazy and cached, that the
-frozen tiles are exactly what the kernels would re-derive, that
-``plan_for`` validates its inputs up front, and that executing through
-a compiled plan is what ``iterate()`` actually does.
+The plan freezes schedule + tiles + compute tier once per solve; these
+tests pin that compilation is lazy and cached, that the frozen tiles
+are exactly what the kernels would re-derive, that ``plan_for`` and
+``solve`` validate their inputs up front (a process pool runs no
+tiles), and that executing through a compiled plan is what
+``iterate()`` actually does.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import plan_for, solve
+from repro.core.api import ITERATIVE_METHODS, METHODS
 from repro.core.banded import BandedSolver
+from repro.core.compact import CompactBandedSolver
 from repro.core.huang import HuangSolver
+from repro.core.hybrid import HybridSolver
+from repro.core.kernels import KernelEngine
 from repro.core.plan import SweepPlan
 from repro.core.rytter import RytterSolver
-from repro.errors import InvalidProblemError
+from repro.errors import BackendError, InvalidProblemError
 from repro.parallel.backends import ProcessBackend
-from repro.parallel.shm import TableStore
+from repro.problems.base import ParenthesizationProblem
 from repro.problems.generators import random_generic, random_matrix_chain
 
 
@@ -44,16 +49,6 @@ class TestCompilation:
                     kernel.tiles(solver, solver.tiles)
                 )
 
-    def test_result_shapes_cover_single_slab_kernels(self):
-        with HuangSolver(random_generic(7, seed=3), tiles=2) as solver:
-            N = solver.n + 1
-            square = solver.plan.step("square")
-            for (lo, hi), shape in zip(square.tiles, square.result_shapes):
-                assert shape == (hi - lo, N, N, N)
-            pebble = solver.plan.step("pebble")
-            for (lo, hi), shape in zip(pebble.tiles, pebble.result_shapes):
-                assert shape == (hi - lo, N)
-
     def test_rytter_tiles_cover_matrix_rows(self):
         with RytterSolver(random_generic(6, seed=4), tiles=4) as solver:
             step = solver.plan.step("square")
@@ -67,26 +62,14 @@ class TestCompilation:
         assert "DenseSquareKernel" in text
         assert "tiles=" in text and "plan:" in text
 
-    def test_result_buffers_allocated_once(self):
-        store = TableStore()
-        try:
-            with HuangSolver(random_generic(5, seed=6), tiles=2) as solver:
-                step = solver.plan.step("pebble")
-                metas = step.ensure_result_buffers(store)
-                assert metas == step.ensure_result_buffers(store)
-                assert step.result_array(0) is not None
-        finally:
-            store.close()
-
 
 class TestOneOffExecute:
     def test_engine_execute_matches_plan_path(self):
-        """KernelEngine.execute (the ad-hoc entry: fresh tiles, results
-        by value, no store buffers) must commit the same tables the
-        compiled plan path does — on the serial reference and on the
-        store-backed process backend."""
+        """KernelEngine.execute (the ad-hoc entry: fresh tiles) must
+        commit the same tables the compiled plan path does — on the
+        serial reference and on tiled threads."""
         p = random_generic(6, seed=9)
-        for backend_kwargs in ({}, {"backend": "process", "workers": 1, "tiles": 2}):
+        for backend_kwargs in ({}, {"backend": "thread", "workers": 2, "tiles": 2}):
             with HuangSolver(p, **backend_kwargs) as planned, HuangSolver(
                 p, **backend_kwargs
             ) as adhoc:
@@ -113,56 +96,11 @@ class TestPlanFor:
         with pytest.raises(InvalidProblemError, match="no sweep plan"):
             plan_for(random_matrix_chain(6, seed=0), method="sequential")
 
-    def test_process_backend_plan_reports_store(self):
-        plan = plan_for(
-            random_matrix_chain(8, seed=0),
-            method="huang",
-            backend="process",
-            workers=2,
-        )
-        assert plan.uses_store
-        assert plan.start_method in ("fork", "spawn")
-        assert "shared-memory store" in plan.describe()
-
 
 class TestUpFrontValidation:
     def test_solve_rejects_unknown_backend_with_choices(self):
         with pytest.raises(InvalidProblemError, match="serial"):
             solve(random_matrix_chain(6, seed=0), method="huang", backend="gpu")
-
-    def test_solve_rejects_unknown_start_method(self):
-        with pytest.raises(InvalidProblemError, match="fork"):
-            solve(
-                random_matrix_chain(6, seed=0),
-                method="huang",
-                backend="process",
-                start_method="threads",
-            )
-
-    def test_solve_rejects_start_method_without_process_backend(self):
-        with pytest.raises(InvalidProblemError, match="process"):
-            solve(
-                random_matrix_chain(6, seed=0),
-                method="huang",
-                backend="serial",
-                start_method="fork",
-            )
-
-    def test_solve_rejects_start_method_with_backend_instance(self):
-        """A Backend instance already carries its start method; the
-        error must say so instead of claiming the backend is not
-        'process'."""
-        be = ProcessBackend(workers=1, start_method="fork")
-        try:
-            with pytest.raises(InvalidProblemError, match="by name"):
-                solve(
-                    random_matrix_chain(6, seed=0),
-                    method="huang",
-                    backend=be,
-                    start_method="fork",
-                )
-        finally:
-            be.close()
 
     def test_solve_many_rejects_unknown_backend(self):
         from repro.core import solve_many
@@ -170,31 +108,105 @@ class TestUpFrontValidation:
         with pytest.raises(InvalidProblemError, match="thread"):
             solve_many([random_matrix_chain(4, seed=0)], backend="gpu")
 
+    def test_solve_many_rejects_unknown_start_method(self):
+        from repro.core import solve_many
+
+        with pytest.raises(InvalidProblemError, match="fork"):
+            solve_many(
+                [random_matrix_chain(4, seed=0)],
+                backend="process",
+                start_method="threads",
+            )
+
+    def test_solve_many_rejects_start_method_without_process_backend(self):
+        from repro.core import solve_many
+
+        with pytest.raises(InvalidProblemError, match="process"):
+            solve_many(
+                [random_matrix_chain(4, seed=0)], backend="thread", start_method="fork"
+            )
+
+    def test_solve_many_rejects_start_method_with_backend_instance(self):
+        """A Backend instance already carries its start method; the
+        error must say so instead of claiming the backend is not
+        'process'."""
+        from repro.core import solve_many
+
+        with ProcessBackend(workers=1, start_method="fork") as be:
+            with pytest.raises(InvalidProblemError, match="by name"):
+                solve_many(
+                    [random_matrix_chain(4, seed=0)], backend=be, start_method="fork"
+                )
+            assert be.health()["started"] is False
+
     def test_plan_for_validates_backend(self):
         with pytest.raises(InvalidProblemError, match="serial"):
             plan_for(random_matrix_chain(6, seed=0), method="huang", backend="gpu")
 
 
-class TestWarmReuse:
-    def test_store_and_backend_reused_across_solves(self):
-        """solve(store=..., backend=<instance>): same pool, same table
-        segments, results still bitwise-equal to serial."""
-        p = random_matrix_chain(9, seed=7)
-        ref = solve(p, method="huang")
-        store = TableStore()
-        be = ProcessBackend(workers=2)
-        try:
-            first = solve(p, method="huang", backend=be, store=store)
-            pids = be.worker_pids()
-            segments = store.segment_names()
-            second = solve(p, method="huang", backend=be, store=store)
-            assert be.worker_pids() == pids  # pool stayed warm
-            assert store.segment_names() == segments  # tables reused in place
-            for out in (first, second):
-                assert np.array_equal(
-                    np.nan_to_num(out.w, posinf=-1.0),
-                    np.nan_to_num(ref.w, posinf=-1.0),
-                )
-        finally:
-            be.close()
-            store.close()
+@pytest.fixture
+def no_pool_no_table(monkeypatch):
+    """Fail the test if a process pool starts or a solver builds its
+    first table (the dense f table every iterative solver reads)."""
+
+    def no_pool(self):
+        raise AssertionError("started a process pool")
+
+    def no_table(self):
+        raise AssertionError("built a table")
+
+    monkeypatch.setattr(ProcessBackend, "_ensure_pool", no_pool)
+    monkeypatch.setattr(ParenthesizationProblem, "cached_f_table", no_table)
+
+
+def _process_pool(form):
+    return "process" if form == "name" else ProcessBackend(workers=2)
+
+
+def _refused(call, backend):
+    """``call(backend)`` must raise naming both tile backends, before a
+    pool or a table exists."""
+    try:
+        with pytest.raises(BackendError) as err:
+            call(backend)
+        assert "'serial'" in str(err.value) and "'thread'" in str(err.value)
+        if isinstance(backend, ProcessBackend):
+            assert backend.health()["started"] is False
+    finally:
+        if isinstance(backend, ProcessBackend):
+            backend.close()
+
+
+FORMS = ["name", "instance"]
+
+
+@pytest.mark.usefixtures("no_pool_no_table")
+class TestProcessTilesRefused:
+    """Sweep tiles run on serial or thread only: a process pool, by
+    name or instance, is refused up front."""
+
+    @pytest.mark.parametrize("form", FORMS)
+    @pytest.mark.parametrize("method", METHODS)
+    def test_solve(self, method, form):
+        p = random_matrix_chain(6, seed=0)
+        _refused(lambda be: solve(p, method=method, backend=be), _process_pool(form))
+
+    @pytest.mark.parametrize("form", FORMS)
+    @pytest.mark.parametrize("method", ITERATIVE_METHODS)
+    def test_plan_for(self, method, form):
+        p = random_matrix_chain(6, seed=0)
+        _refused(lambda be: plan_for(p, method=method, backend=be), _process_pool(form))
+
+    @pytest.mark.parametrize("form", FORMS)
+    @pytest.mark.parametrize(
+        "cls",
+        [HuangSolver, BandedSolver, CompactBandedSolver, RytterSolver, HybridSolver],
+        ids=lambda cls: cls.__name__,
+    )
+    def test_solver(self, cls, form):
+        p = random_matrix_chain(6, seed=0)
+        _refused(lambda be: cls(p, backend=be), _process_pool(form))
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_engine(self, form):
+        _refused(lambda be: KernelEngine(be), _process_pool(form))

@@ -1,11 +1,16 @@
 """The batched solve_many service layer: ordering, heterogeneity,
 per-item overrides, and error isolation on every pool backend."""
 
+import os
+import subprocess
+import sys
+
+import numpy as np
 import pytest
 
 from repro.core import BatchItem, solve, solve_many
 from repro.core.termination import WStable
-from repro.errors import InvalidProblemError
+from repro.errors import BackendError, InvalidProblemError
 from repro.parallel.backends import START_METHODS, ProcessBackend
 from repro.problems import (
     GenericProblem,
@@ -158,9 +163,9 @@ class TestErrorIsolation:
 
 class TestNestedProcessBackend:
     def test_nested_process_backend_errors_cleanly(self):
-        """A per-item backend="process" inside a process pool cannot
-        start a pool of its own (daemonic workers); it must come back as
-        an error record, not deadlock the batch."""
+        """A per-item backend="process" inside a process pool is refused
+        (sweep tiles run on serial or thread); it must come back as an
+        error record, not deadlock the batch."""
         batch = [
             (
                 MatrixChainProblem([30, 35, 15, 5, 10, 20, 25]),
@@ -170,7 +175,7 @@ class TestNestedProcessBackend:
             MatrixChainProblem([10, 20, 5, 30]),
         ]
         results = solve_many(batch, backend="process", on_error="return")
-        assert isinstance(results[0], Exception)
+        assert isinstance(results[0], BackendError)
         assert results[1].value == 2500.0
 
 
@@ -205,3 +210,67 @@ class TestUnpicklableBatch:
             results = solve_many(_closure_batch(), backend=be)
             assert be.health()["started"] is False
         assert [r.value for r in results] == expected
+
+
+#: (method, n) per iterative method and the sequential baseline; small
+#: enough that rytter's Θ(n⁶) squares stay quick
+_POOL_CASES = [
+    ("sequential", 12),
+    ("huang", 8),
+    ("huang-banded", 9),
+    ("huang-compact", 10),
+    ("rytter", 7),
+]
+
+
+@pytest.fixture(scope="module", params=START_METHODS)
+def warm_pool(request):
+    """One warm two-worker process pool per start method."""
+    with ProcessBackend(2, start_method=request.param) as be:
+        yield be
+
+
+class TestProcessPoolBatches:
+    @pytest.mark.parametrize("method,n", _POOL_CASES, ids=[c[0] for c in _POOL_CASES])
+    def test_bitwise_equal_to_serial(self, warm_pool, method, n):
+        """Whole problems on pool workers, each pickled once, commit
+        the serial tables bit for bit under fork and under spawn."""
+        batch = [random_matrix_chain(n, seed=s) for s in range(3)]
+        serial = solve_many(batch, method=method, backend="serial")
+        pooled = solve_many(batch, method=method, backend=warm_pool)
+        assert warm_pool.health()["started"]
+        for want, got in zip(serial, pooled):
+            assert np.array_equal(
+                np.nan_to_num(got.w, posinf=-1.0), np.nan_to_num(want.w, posinf=-1.0)
+            )
+            assert got.iterations == want.iterations and got.value == want.value
+
+    def test_pool_stays_warm_across_batches(self, warm_pool):
+        batch = [random_matrix_chain(6, seed=s) for s in range(4)]
+        solve_many(batch, backend=warm_pool)
+        pids = warm_pool.worker_pids()
+        solve_many(batch, method="huang", backend=warm_pool)
+        assert warm_pool.worker_pids() == pids
+
+    def test_fresh_interpreter_batch_exits_clean(self):
+        """A process batch in a fresh interpreter exits 0 with nothing
+        on stderr: no resource-tracker warnings, no tracebacks."""
+        code = (
+            "from repro.core import solve_many\n"
+            "from repro.problems.generators import random_matrix_chain\n"
+            "if __name__ == '__main__':\n"
+            "    batch = [random_matrix_chain(8, seed=s) for s in range(4)]\n"
+            "    rs = solve_many(batch, method='huang', backend='process',\n"
+            "                    max_workers=2, start_method='spawn')\n"
+            "    print(sum(r.value for r in rs))\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+            timeout=180,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""

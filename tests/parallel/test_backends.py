@@ -3,6 +3,10 @@
 import os
 import signal
 import socket
+import subprocess
+import sys
+import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -57,24 +61,24 @@ class TestContextManager:
     def test_with_block_closes(self, backend_name):
         data = np.arange(6.0)
         with make_backend(backend_name, workers=2) as be:
-            out = be.map_with_arrays(_tile_sum, [(0, 6)], {"data": data})
+            out = be.map(partial(_tile_sum, data=data), [(0, 6)])
         assert out == [15.0]
 
     def test_thread_pool_released_on_exit(self):
         with make_backend("thread", workers=1) as be:
             pass
         with pytest.raises(RuntimeError):
-            be.map_with_arrays(_tile_sum, [(0, 1)], {"data": np.zeros(1)})
+            be.map(partial(_tile_sum, data=np.zeros(1)), [(0, 1)])
 
 
 @pytest.mark.parametrize("backend_name", ["serial", "thread", "process"])
-class TestMapWithArrays:
+class TestMap:
     def test_results_in_order(self, backend_name):
         be = make_backend(backend_name, workers=2)
         data = np.arange(10.0)
         tiles = [(0, 3), (3, 7), (7, 10)]
         try:
-            out = be.map_with_arrays(_tile_sum, tiles, {"data": data})
+            out = be.map(partial(_tile_sum, data=data), tiles)
         finally:
             be.close()
         assert out == [3.0, 18.0, 24.0]
@@ -82,7 +86,7 @@ class TestMapWithArrays:
     def test_empty_tiles(self, backend_name):
         be = make_backend(backend_name, workers=2)
         try:
-            assert be.map_with_arrays(_tile_sum, [], {"data": np.zeros(1)}) == []
+            assert be.map(partial(_tile_sum, data=np.zeros(1)), []) == []
         finally:
             be.close()
 
@@ -90,8 +94,8 @@ class TestMapWithArrays:
 class TestUnpicklablePayload:
     @pytest.mark.parametrize("start_method", START_METHODS)
     def test_unpicklable_payload_runs_in_caller(self, start_method):
-        """A closure payload cannot be pickled into a store blob; under
-        either start method it runs tile by tile in the calling process
+        """A closure payload cannot be pickled; under either start
+        method the whole batch runs item by item in the calling process
         and starts no pool."""
         ran_in = []
 
@@ -100,48 +104,155 @@ class TestUnpicklablePayload:
             return x + 41
 
         with ProcessBackend(workers=2, start_method=start_method) as be:
-            out = be.map_with_arrays(_call_hook, [0, 1], {"hook": hook})
+            out = be.map(partial(_call_hook, hook=hook), [0, 1])
             assert be.health()["started"] is False
         assert out == [41, 42]
         assert ran_in == [os.getpid(), os.getpid()]
 
+    @pytest.mark.parametrize("start_method", START_METHODS)
+    def test_one_unpicklable_item_keeps_the_batch_in_the_caller(self, start_method):
+        """One item that will not pickle keeps every item of the batch
+        in the caller, under either start method."""
+        with ProcessBackend(workers=2, start_method=start_method) as be:
+            out = be.map(_call_item, [lambda: os.getpid(), 7])
+            assert be.health()["started"] is False
+        assert out == [os.getpid(), 7]
+
+
+class TestPickledItems:
+    def test_each_item_is_pickled_once(self, monkeypatch):
+        """``map`` pickles each item once, in the caller, and sends the
+        bytes: the pool pickles only a pair of byte strings per item."""
+        import pickle
+
+        import repro.parallel.backends as backends
+
+        counted = []
+        dumps = pickle.dumps
+
+        def counting_dumps(obj, *args, **kwargs):
+            if isinstance(obj, _Counted):
+                counted.append(obj.value)
+            return dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(backends.pickle, "dumps", counting_dumps)
+        with ProcessBackend(workers=2, start_method="fork") as be:
+            out = be.map(_counted_value, [_Counted(v) for v in range(5)])
+        assert out == [0, 1, 2, 3, 4]
+        assert sorted(counted) == [0, 1, 2, 3, 4]
+
+    def test_items_run_in_the_workers(self):
+        with ProcessBackend(workers=2, start_method="fork") as be:
+            pids = set(be.map(_worker_pid, range(8)))
+            assert pids <= set(be.worker_pids())
+        assert os.getpid() not in pids
+
+
+class TestOneTransport:
+    @pytest.mark.parametrize(
+        "module", ["repro.service.server", "repro.cli", "repro.core", "repro.parallel"]
+    )
+    def test_import_leaves_shared_memory_out(self, module):
+        """Work crosses into pool workers pickled, so no module imports
+        ``multiprocessing.shared_memory`` (checked in a fresh
+        interpreter)."""
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        code = f"import sys, {module}; print('multiprocessing.shared_memory' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+            timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
+
 
 class TestProcessBackendConcurrency:
     def test_concurrent_maps_do_not_cross_arrays(self):
-        """Threads fanning out process maps with different keyword sets
-        on one backend must each get back their own arrays: every map
-        call owns a separate table store, so concurrent calls cannot
-        interleave payloads."""
+        """Threads fanning out maps with different payloads over one
+        pool each get back their own results."""
         from concurrent.futures import ThreadPoolExecutor
 
-        from repro.parallel.backends import ProcessBackend
-
-        be = ProcessBackend(workers=2)
         a = np.arange(10.0)
         b = np.arange(10.0) * 2
 
-        def run(arrays, key):
-            return be.map_with_arrays(
-                _tile_sum_keyed, [(0, 5), (5, 10)], {key: arrays}
-            )
+        with ProcessBackend(workers=2) as be:
 
-        with ThreadPoolExecutor(4) as ex:
-            futures = [
-                ex.submit(run, a, "alpha") if i % 2 == 0 else ex.submit(run, b, "beta")
-                for i in range(8)
-            ]
-            results = [f.result() for f in futures]
+            def run(data):
+                return be.map(partial(_tile_sum, data=data), [(0, 5), (5, 10)])
+
+            with ThreadPoolExecutor(4) as ex:
+                futures = [ex.submit(run, a if i % 2 == 0 else b) for i in range(8)]
+                results = [f.result() for f in futures]
         for i, res in enumerate(results):
-            expected = [a[:5].sum(), a[5:].sum()] if i % 2 == 0 else [b[:5].sum(), b[5:].sum()]
-            assert res == pytest.approx(expected)
+            data = a if i % 2 == 0 else b
+            assert res == pytest.approx([data[:5].sum(), data[5:].sum()])
 
 
-def _tile_sum_keyed(tile, **arrays):
-    """Sum over whichever single keyword array arrives (module-level so
-    the process backend can pickle a reference)."""
-    ((_, data),) = arrays.items()
-    lo, hi = tile
-    return float(data[lo:hi].sum())
+def _waiting_on_the_task_lock(pid: int) -> bool:
+    """An idle pool worker either reads the task pipe, holding the
+    queue's read lock, or waits for that lock: True for the waiter."""
+    with open(f"/proc/{pid}/wchan") as fh:
+        return "pipe" not in fh.read()
+
+
+class TestWorkerReplacement:
+    @pytest.mark.skipif(
+        not os.path.exists(f"/proc/{os.getpid()}/wchan"), reason="needs /proc wchan"
+    )
+    def test_a_dead_worker_is_replaced_on_the_next_lease(self):
+        """A killed worker (one not holding the task queue's read lock:
+        a worker killed while it holds it wedges the pool) is replaced
+        on the next lease, and the pool runs batches again."""
+        with ProcessBackend(workers=2, start_method="fork") as be:
+            pids = be.worker_pids()
+            deadline = time.monotonic() + 10.0
+            while not any(map(_waiting_on_the_task_lock, pids)):
+                assert time.monotonic() < deadline, "no worker waits for the lock"
+                time.sleep(0.02)
+            victim = next(p for p in pids if _waiting_on_the_task_lock(p))
+            os.kill(victim, signal.SIGKILL)
+            while be.health()["alive"] and victim in be.worker_pids():
+                assert time.monotonic() < deadline, "the killed worker lives on"
+                time.sleep(0.02)
+            with be.lease():
+                assert be.health()["alive"] is True
+                assert sorted(be.map(_square, range(6))) == [0, 1, 4, 9, 16, 25]
+                assert victim not in be.worker_pids()
+
+    def test_pool_revives_after_close(self):
+        with ProcessBackend(workers=1) as be:
+            first = be.map(_worker_pid, [0])
+            be.close()
+            assert be.health()["started"] is False
+            second = be.map(_worker_pid, [0])
+        assert os.getpid() not in first + second and first != second
+
+
+class _Counted:
+    """A picklable item whose pickling ``map`` can count."""
+
+    def __init__(self, value):
+        self.value = value
+
+
+def _counted_value(item):
+    return item.value
+
+
+def _worker_pid(_item):
+    return os.getpid()
+
+
+def _square(x):
+    return x * x
+
+
+def _call_item(item):
+    """Call the item when it is callable (a closure), else return it."""
+    return item() if callable(item) else item
 
 
 def _call_hook(tile, *, hook):
@@ -174,7 +285,7 @@ class TestWorkerSignals:
         previous_fd = signal.set_wakeup_fd(writer.fileno())
         try:
             with ProcessBackend(workers=1, start_method="fork") as be:
-                [(action, wakeup_fd)] = be.map_with_arrays(_sigterm_state, [0], {})
+                [(action, wakeup_fd)] = be.map(_sigterm_state, [0])
         finally:
             signal.set_wakeup_fd(previous_fd)
             signal.signal(signal.SIGTERM, previous)

@@ -9,7 +9,7 @@ from repro.problems.generators import random_generic, random_matrix_chain
 
 
 class TestParallelSolver:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
     def test_matches_serial_bitwise(self, backend):
         p = random_generic(10, seed=6)
         serial = HuangSolver(p)

@@ -112,23 +112,83 @@ class TestLocalClient:
             assert client.status()["cache"]["entries"] == 0
 
 
+class TestSingletonExecution:
+    """A lone request tiles its sweeps on a serial or thread service
+    backend, and runs whole on one pool worker on a process pool."""
+
+    @staticmethod
+    def _record_calls(monkeypatch):
+        import repro.service.server as server
+
+        calls = []
+        solve_, solve_many_ = server.solve, server.solve_many
+
+        def recorded_solve(*args, **kwargs):
+            calls.append(("solve", kwargs))
+            return solve_(*args, **kwargs)
+
+        def recorded_solve_many(items, **kwargs):
+            calls.append(("solve_many", kwargs))
+            return solve_many_(items, **kwargs)
+
+        monkeypatch.setattr(server, "solve", recorded_solve)
+        monkeypatch.setattr(server, "solve_many", recorded_solve_many)
+        return calls
+
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    def test_iterative_singleton_tiles_on_the_service_backend(
+        self, monkeypatch, backend
+    ):
+        calls = self._record_calls(monkeypatch)
+        with LocalClient(backend=backend, workers=2, method="huang") as client:
+            got = client.solve(MatrixChainProblem(DIMS))
+            [(name, kwargs)] = calls
+            assert name == "solve" and kwargs["backend"] is client.service.backend
+        assert got.value == 15125.0
+
+    def test_iterative_singleton_on_a_process_pool_runs_on_a_worker(self, monkeypatch):
+        calls = self._record_calls(monkeypatch)
+        with LocalClient(backend="process", workers=2, method="huang") as client:
+            got = client.solve(MatrixChainProblem(DIMS))
+            [(name, kwargs)] = calls
+            assert name == "solve_many" and kwargs["backend"] is client.service.backend
+            assert client.status()["backend"]["started"]
+        want = solve(MatrixChainProblem(DIMS), method="huang")
+        assert got.value == want.value and np.array_equal(got.w, want.w)
+
+    def test_sequential_singleton_on_a_process_pool_runs_in_the_service(
+        self, monkeypatch
+    ):
+        calls = self._record_calls(monkeypatch)
+        with LocalClient(backend="process", workers=2, method="sequential") as client:
+            assert client.solve(MatrixChainProblem(DIMS)).value == 15125.0
+            [(name, kwargs)] = calls
+            assert name == "solve" and "backend" not in kwargs
+            assert client.status()["backend"]["started"] is False
+
+
 class TestShutdownHygiene:
     def test_process_backend_workers_die_and_shm_is_clean(self):
+        """A lone huang request on a process-backed service runs whole
+        on one pool worker and equals a direct solve; closing stops
+        every worker and leaves no new /dev/shm entry."""
+        shm_before = set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
         client = LocalClient(backend="process", workers=2, method="huang")
         try:
-            client.solve(MatrixChainProblem(DIMS))
+            got = client.solve(MatrixChainProblem(DIMS))
             pids = client.service.backend.worker_pids()
             assert pids and all(pid_alive(p) for p in pids)
-            segments = client.service.store.segment_names()
+            assert client.status()["backend"]["started"]
         finally:
             client.close()
+        want = solve(MatrixChainProblem(DIMS), method="huang")
+        assert got.value == want.value and np.array_equal(got.w, want.w)
         deadline = time.monotonic() + 5.0
         while any(pid_alive(p) for p in pids) and time.monotonic() < deadline:
             time.sleep(0.05)
         assert not any(pid_alive(p) for p in pids), "orphan pool workers"
-        for name in segments:
-            assert not os.path.exists(f"/dev/shm/{name}"), f"shm residue {name}"
-        assert client.service.store.stats()["closed"]
+        if os.path.isdir("/dev/shm"):
+            assert not set(os.listdir("/dev/shm")) - shm_before, "/dev/shm residue"
 
     def test_close_is_idempotent(self):
         client = LocalClient(backend="serial")
@@ -138,7 +198,7 @@ class TestShutdownHygiene:
 
 class TestUnixSocketServer:
     @pytest.fixture()
-    def server(self, tmp_path):
+    def server(self, tmp_path, wait_until_listening):
         socket_path = str(tmp_path / "repro.sock")
         service = SolveService(method="huang", backend="thread", workers=2)
         done = {}
@@ -148,10 +208,7 @@ class TestUnixSocketServer:
 
         thread = threading.Thread(target=_run, daemon=True)
         thread.start()
-        deadline = time.monotonic() + 10.0
-        while not os.path.exists(socket_path):
-            assert time.monotonic() < deadline, "server did not come up"
-            time.sleep(0.02)
+        wait_until_listening(socket_path, time.monotonic() + 10.0)
         yield socket_path, service
         if thread.is_alive():
             try:
@@ -185,7 +242,7 @@ class TestUnixSocketServer:
         while os.path.exists(socket_path) and time.monotonic() < deadline:
             time.sleep(0.02)
         assert not os.path.exists(socket_path), "socket not unlinked on shutdown"
-        assert service.store.stats()["closed"]
+        assert service._closed
 
     def test_request_many_is_one_batch(self, server):
         """k <= max_batch distinct specs pipelined by one request_many
@@ -205,7 +262,7 @@ class TestUnixSocketServer:
                 assert sched["batches"] == repeat + 1
                 assert sched["largest_batch"] == k
 
-    def test_max_requests_stops_server(self, tmp_path):
+    def test_max_requests_stops_server(self, tmp_path, wait_until_listening):
         socket_path = str(tmp_path / "capped.sock")
         service = SolveService(method="sequential", backend="serial")
         result = {}
@@ -217,8 +274,7 @@ class TestUnixSocketServer:
 
         thread = threading.Thread(target=_run, daemon=True)
         thread.start()
-        while not os.path.exists(socket_path):
-            time.sleep(0.02)
+        wait_until_listening(socket_path, time.monotonic() + 10.0)
         with ServiceClient(socket_path) as client:
             records = client.request_many([{"dims": [10, 20, 5, 30]},
                                            {"dims": [3, 7, 2]}])

@@ -2,11 +2,14 @@
 the unlink-on-every-exit-path guarantees of serve()."""
 
 import asyncio
+import gc
 import json
 import os
 import socket
+import sys
 import threading
 import time
+import warnings
 
 import pytest
 from hypothesis import given
@@ -22,6 +25,7 @@ from repro.service.transport import (
     decode_record,
     encode_record,
     parse_address,
+    serve_jsonl,
     start_line_server,
 )
 
@@ -423,6 +427,78 @@ class TestChunkedStreams:
             assert len(records) == requests
             assert all(r.get("id") != "tail" for r in records)
         assert _by_id(cut) == _by_id(whole)
+
+
+class _Echo:
+    """A dispatcher that answers every spec line at once."""
+
+    def submit(self, msg, respond):
+        respond({"id": msg.get("id"), "ok": True})
+
+    async def drain(self):
+        pass
+
+
+async def _no_status():
+    return {}
+
+
+async def _shutdown_racing_connects(address: Address, burst: int = 8) -> None:
+    """Serve on ``address``; from a thread, send a shutdown op and at
+    once open a burst of connections, so the server accepts some of
+    them in the loop iterations around its teardown."""
+    loop = asyncio.get_running_loop()
+    bound = loop.create_future()
+    server = asyncio.ensure_future(
+        serve_jsonl(
+            address,
+            make_dispatcher=_Echo,
+            status_fn=_no_status,
+            on_bound=bound.set_result,
+        )
+    )
+    at = await bound
+
+    def _clients():
+        socks = [connect(at, timeout=10.0)]
+        try:
+            socks[0].sendall(encode_record({"op": "shutdown"}))
+            for _ in range(burst):
+                try:
+                    socks.append(connect(at, timeout=10.0))
+                except OSError:
+                    break  # the listener is gone
+        finally:
+            for sock in socks:
+                sock.close()
+
+    await asyncio.gather(server, asyncio.to_thread(_clients))
+
+
+class TestShutdownRacingConnects:
+    @pytest.mark.parametrize("transport", ["unix", "tcp"])
+    def test_connects_racing_a_shutdown_leak_nothing(self, tmp_path, transport):
+        """A connection accepted just before the teardown closes the
+        server still attaches and is closed: 50 rounds of connects
+        racing a shutdown op leave no unclosed transport or socket."""
+        if transport == "unix":
+            address = Address.unix(str(tmp_path / "race.sock"))
+        else:
+            address = Address.tcp("127.0.0.1", 0)
+        unraisable = []
+        previous_hook = sys.unraisablehook
+        sys.unraisablehook = unraisable.append
+        try:
+            with warnings.catch_warnings(record=True) as warned:
+                warnings.simplefilter("always", ResourceWarning)
+                for _ in range(50):
+                    asyncio.run(_shutdown_racing_connects(address))
+                    gc.collect()
+        finally:
+            sys.unraisablehook = previous_hook
+        leaks = [str(w.message) for w in warned if w.category is ResourceWarning]
+        assert not leaks, leaks[:3]
+        assert not unraisable, [str(u.exc_value) for u in unraisable[:3]]
 
 
 class TestStaleUnixSocket:

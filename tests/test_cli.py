@@ -3,7 +3,6 @@
 import argparse
 import json
 import os
-import socket
 import time
 
 import pytest
@@ -15,11 +14,11 @@ from repro.cli import build_parser, main
 #: takes from it.
 COMMAND_OPTIONS = {
     "solve": "--family --n --seed --dims --method --policy --algebra --backend "
-    "--start-method --workers --kernel-impl --tree --trace",
+    "--workers --kernel-impl --tree --trace",
     "batch": "--input --method --algebra --backend --start-method --max-workers "
     "--kernel-impl --jsonl",
     "plan": "--family --n --seed --dims --method --algebra --backend "
-    "--start-method --workers --kernel-impl --tiles",
+    "--workers --kernel-impl --tiles",
     "serve": "--socket --tcp --method --backend --start-method --workers "
     "--max-batch --cache-mb --cache-dir --max-requests",
     "fleet": "--shards --load-factor --min-shards --max-shards --socket --tcp "
@@ -74,29 +73,6 @@ COMMAND_DEFAULTS = {
         "costs": [16, 64, 256],
     },
 }
-
-
-def wait_until_listening(path: str, deadline: float, proc=None) -> None:
-    """Wait until a server accepts connections on the unix socket
-    ``path``, up to ``deadline`` (a ``time.monotonic()`` value). The
-    socket file appears when the server binds, before it listens, so a
-    connect in between is refused: it is retried. ``proc``, when given,
-    is the server's process, which must not exit meanwhile."""
-    while True:
-        if proc is not None:
-            assert proc.poll() is None, "the server exited during startup"
-        if os.path.exists(path):
-            probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            try:
-                probe.connect(path)
-                return
-            except (ConnectionRefusedError, FileNotFoundError):
-                pass  # bound, not yet listening (or just reclaimed)
-            finally:
-                probe.close()
-        assert time.monotonic() < deadline, f"no server listening on {path}"
-        time.sleep(0.02)
-
 
 
 class TestParser:
@@ -434,7 +410,7 @@ class TestAlgebrasCommand:
 
 
 class TestSolveBackendOption:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
     def test_backend_matches_serial(self, backend, capsys):
         rc = main(
             [
@@ -462,17 +438,35 @@ class TestSolveBackendOption:
                 ["solve", "--dims", "2,3,4", "--workers", "0"]
             )
 
-    def test_start_method_solve(self, capsys):
+    @pytest.mark.parametrize("command", ["solve", "plan"])
+    @pytest.mark.parametrize(
+        "flags",
+        [["--backend", "process"], ["--start-method", "fork"]],
+        ids=["backend-process", "start-method"],
+    )
+    def test_process_tiles_exit_2(self, command, flags, capsys):
+        """Sweep tiles run on serial or thread: ``solve`` and ``plan``
+        refuse a process pool and its start method at the parser,
+        exit 2, before any solve starts."""
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--dims", "30,35,15,5,10,20,25", "--method", "huang", *flags])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro")
+        if flags[0] == "--backend":
+            assert "'serial'" in err and "'thread'" in err
+
+    def test_start_method_batch(self, tmp_path, capsys):
+        path = tmp_path / "specs.jsonl"
+        path.write_text('{"dims": [30, 35, 15, 5, 10, 20, 25], "method": "huang"}\n')
         rc = main(
             [
-                "solve",
-                "--dims",
-                "30,35,15,5,10,20,25",
-                "--method",
-                "huang",
+                "batch",
+                "--input",
+                str(path),
                 "--backend",
                 "process",
-                "--workers",
+                "--max-workers",
                 "2",
                 "--start-method",
                 "fork",
@@ -483,21 +477,23 @@ class TestSolveBackendOption:
     def test_unknown_start_method_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
-                ["solve", "--backend", "process", "--start-method", "greenlet"]
+                ["batch", "--backend", "process", "--start-method", "greenlet"]
             )
 
-    def test_start_method_not_silently_dropped_for_sequential(self, capsys):
-        """Execution flags reach solve() for every method, so a
-        start-method without the process backend errors instead of
-        being ignored (regression: the CLI forwarded them only for
-        iterative methods)."""
+    def test_start_method_not_silently_dropped_without_a_process_pool(
+        self, tmp_path, capsys
+    ):
+        """A start method without the process backend errors instead of
+        being ignored."""
+        path = tmp_path / "specs.jsonl"
+        path.write_text('{"dims": [2, 3, 4]}\n')
         rc = main(
             [
-                "solve",
-                "--dims",
-                "2,3,4",
-                "--method",
-                "sequential",
+                "batch",
+                "--input",
+                str(path),
+                "--backend",
+                "thread",
                 "--start-method",
                 "spawn",
             ]
@@ -588,27 +584,6 @@ class TestPlanCommand:
         assert "activate" in out and "square" in out and "pebble" in out
         assert "DenseSquareKernel" in out
 
-    def test_process_backend_plan_reports_store(self, capsys):
-        rc = main(
-            [
-                "plan",
-                "--dims",
-                "10,20,5,30",
-                "--method",
-                "huang-banded",
-                "--backend",
-                "process",
-                "--workers",
-                "2",
-                "--tiles",
-                "3",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "shared-memory store" in out
-        assert "commit buffers" in out
-
     def test_sequential_method_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["plan", "--method", "sequential"])
@@ -644,7 +619,7 @@ class TestServeRequestCommands:
         assert rc == 2
         assert "cannot connect" in err
 
-    def test_serve_then_request_roundtrip(self, tmp_path, capsys):
+    def test_serve_then_request_roundtrip(self, tmp_path, capsys, wait_until_listening):
         import json
         import threading
 
@@ -679,7 +654,7 @@ class TestServeRequestCommands:
         args = build_parser().parse_args(["fleet", "--cache-dir", "/tmp/l2"])
         assert args.cache_dir == "/tmp/l2"
 
-    def test_serve_cache_dir_survives_server_restart(self, tmp_path, capsys):
+    def test_serve_cache_dir_survives_server_restart(self, tmp_path, capsys, wait_until_listening):
         """Two separate `repro serve` lifetimes on one --cache-dir: the
         second serves the first's solve from the L2 tier (source=cache)
         without re-solving."""
@@ -716,7 +691,7 @@ class TestServeRequestCommands:
             sources.append(record["source"])
         assert sources == ["batch", "cache"]
 
-    def test_request_isolates_bad_input_lines(self, tmp_path, capsys):
+    def test_request_isolates_bad_input_lines(self, tmp_path, capsys, wait_until_listening):
         import json
         import threading
 
@@ -790,7 +765,7 @@ class TestFleetAndTransportCommands:
         assert "load_factor" in capsys.readouterr().err
         assert not os.path.exists(sock)
 
-    def test_sigint_stops_the_fleet_and_unlinks_its_socket(self, tmp_path):
+    def test_sigint_stops_the_fleet_and_unlinks_its_socket(self, tmp_path, wait_until_listening):
         """Ctrl-C on ``repro fleet``: the front end, which runs on the
         router's own loop, closes its listener and unlinks its socket,
         the shards stop, and the exit code is 130."""
@@ -869,7 +844,7 @@ class TestFleetAndTransportCommands:
         ],
         ids=["fleet", "serve-process"],
     )
-    def test_sigterm_stops_the_server_and_cleans_up(self, tmp_path, command, spec):
+    def test_sigterm_stops_the_server_and_cleans_up(self, tmp_path, command, spec, wait_until_listening):
         """SIGTERM stops ``repro fleet`` and ``repro serve`` the way Ctrl-C
         does: no shard or pool worker outlives the server, and its
         socket, its state directory and its shared memory are gone."""
@@ -1054,7 +1029,7 @@ class TestServeStaleSocketFix:
         assert "malformed TCP address" in err
         assert "Traceback" not in err
 
-    def test_serve_refuses_socket_with_live_server(self, tmp_path, capsys):
+    def test_serve_refuses_socket_with_live_server(self, tmp_path, capsys, wait_until_listening):
         import threading
 
         socket_path = str(tmp_path / "busy.sock")
