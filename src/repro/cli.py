@@ -71,12 +71,7 @@ from repro.core.api import ITERATIVE_METHODS, METHODS
 from repro.errors import ReproError
 from repro.loadgen.arrivals import ARRIVALS
 from repro.loadgen.popularity import POPULARITIES
-from repro.parallel.backends import (
-    BACKEND_NAMES,
-    KERNEL_IMPLS,
-    START_METHODS,
-    TILE_BACKENDS,
-)
+from repro.parallel.backends import BACKEND_NAMES, START_METHODS, TILE_BACKENDS
 
 from repro.problems.specs import FAMILIES, family_generators
 
@@ -134,17 +129,6 @@ _OPTIONS: dict[str, dict[str, Any]] = {
         default=None,
         help="pool size (default: min(8, cpu count))",
     ),
-    "--kernel-impl": dict(
-        choices=list(KERNEL_IMPLS),
-        default="auto",
-        help=(
-            "kernel implementation tier for the iterative methods: slab "
-            "(reference full-lattice kernels), fused (cache-blocked "
-            "reduce-compose; numba JIT with the [perf] extra, blocked "
-            "numpy otherwise) or auto (default: fused) — all tiers "
-            "commit bitwise-identical tables"
-        ),
-    ),
     "--socket": dict(
         default="repro.sock",
         help="unix socket path to listen on (default: ./%(default)s)",
@@ -201,7 +185,7 @@ _OPTIONS: dict[str, dict[str, Any]] = {
 }
 
 #: The execution knobs of ``solve``, ``plan`` and ``batch``.
-_EXECUTION = ("--algebra", "--backend", "--kernel-impl")
+_EXECUTION = ("--algebra", "--backend")
 
 #: The options of ``serve``; ``fleet`` takes them for its front end
 #: (``--socket --tcp --max-requests``) and its shards (the rest).
@@ -245,8 +229,12 @@ def _add_instance_args(parser: argparse.ArgumentParser, **method: Any) -> None:
         method={"default": "huang-banded", **method},
         backend={
             "choices": list(TILE_BACKENDS),
-            "default": "serial",
-            "help": "execution backend for the iterative methods' sweep tiles",
+            "default": None,
+            "help": (
+                "where the iterative methods' sweep tiles run (default: the "
+                "code picks serial or thread by method and n; it also picks "
+                "the kernel tier)"
+            ),
         },
     )
     parser.add_argument(
@@ -385,8 +373,12 @@ def build_parser() -> argparse.ArgumentParser:
         *_EXECUTION,
         "--start-method",
         backend={
-            "default": "thread",
-            "help": "shared worker pool the batch fans out over",
+            "default": None,
+            "help": (
+                "shared worker pool the batch fans out over (default: the "
+                "code picks serial, or a process pool when the batch's "
+                "predicted serial time pays for one)"
+            ),
         },
     )
     p_batch.add_argument(
@@ -668,7 +660,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         # backend, as documented) — the CLI must not silently drop flags.
         "backend": args.backend,
         "workers": args.workers,
-        "kernel_impl": args.kernel_impl,
     }
     if args.algebra is not None:
         kwargs["algebra"] = args.algebra
@@ -749,7 +740,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         backend=args.backend,
         max_workers=args.max_workers,
         start_method=args.start_method,
-        kernel_impl=args.kernel_impl,
         on_error="return",
     )
     results_iter = iter(results)
@@ -793,8 +783,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                     )
                     for r in rows
                 ],
-                title=f"batch: {len(rows)} problems, {failures} failed "
-                f"({args.backend} backend)",
+                title=f"batch: {len(rows)} problems, {failures} failed"
+                + (f" ({args.backend} backend)" if args.backend else ""),
             )
         )
     return 1 if failures else 0
@@ -1053,7 +1043,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         backend=args.backend,
         workers=args.workers,
         tiles=args.tiles,
-        kernel_impl=args.kernel_impl,
     )
     print(f"problem : {problem.describe()}")
     print(plan.describe())

@@ -5,8 +5,9 @@ recurrence-(*) problem and returns a uniform :class:`SolveResult`:
 the optimal value, the cost table, an optimal tree, and (for the
 iterative parallel algorithms) the iteration count and trace. The
 iterative methods execute their sweeps through the kernel engine
-(:mod:`repro.core.kernels`), so a single keyword selects the execution
-backend:
+(:mod:`repro.core.kernels`). The execution table
+(:mod:`repro.core.plan`) picks the kernel tier and, unless the caller
+names one, the backend the sweep tiles run on:
 
     >>> from repro.problems import MatrixChainProblem
     >>> from repro.core import solve
@@ -23,7 +24,9 @@ triangulations, generic instances — optionally each with its own
 method) on a shared worker pool — threads or processes, whole problems
 per worker — and returns the :class:`SolveResult`\\ s in submission
 order. The ``repro batch`` CLI subcommand exposes it over
-JSONL problem specs.
+JSONL problem specs. A batch whose caller names no pool runs serially
+or on a process pool, whichever the execution table predicts is
+faster.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from repro.core.banded import BandedSolver
 from repro.core.compact import CompactBandedSolver
 from repro.core.delta import delta_meta_for, try_delta
 from repro.core.huang import HuangSolver, IterationTrace
-from repro.core.plan import SweepPlan
+from repro.core.plan import SweepPlan, choose_batch_pool, choose_tile_backend
 from repro.core.reconstruct import reconstruct_tree
 from repro.core.rytter import RytterSolver
 from repro.core.sequential import solve_knuth, solve_sequential
@@ -47,7 +50,6 @@ from repro.core.termination import TerminationPolicy
 from repro.errors import InvalidProblemError
 from repro.parallel.backends import (
     BACKEND_NAMES,
-    KERNEL_IMPLS,
     START_METHODS,
     TILE_BACKENDS,
     Backend,
@@ -82,30 +84,47 @@ ITERATIVE_METHODS = tuple(_SOLVER_CLASSES)
 
 METHODS = ("sequential", "knuth") + ITERATIVE_METHODS
 
+#: the keywords each method takes beyond solve()'s own; anything else
+#: is refused before a table is built or a cache key is computed
+_METHOD_KWARGS: dict[str, frozenset[str]] = {
+    "sequential": frozenset(),
+    "knuth": frozenset(),
+    "huang": frozenset(),
+    "huang-banded": frozenset({"band", "size_band"}),
+    "huang-compact": frozenset({"band"}),
+    "rytter": frozenset(),
+}
 
-def _validate_execution(
-    backend, kernel_impl, *, start_method=None, runs_tiles: bool = True
-) -> None:
-    """Reject unknown backend / start-method / kernel-impl names — and,
-    where the backend runs sweep tiles (``runs_tiles``), a process pool
-    — *before* any solver, pool or table is constructed, with the valid
-    choices in the error."""
+
+def _check_method_kwargs(method: str, kwargs: dict) -> None:
+    """Refuse keywords ``method`` does not take, with the ones it does."""
+    unknown = sorted(set(kwargs) - _METHOD_KWARGS[method])
+    if unknown:
+        takes = sorted(_METHOD_KWARGS[method])
+        raise InvalidProblemError(
+            f"method {method!r} takes no keyword {', '.join(unknown)}"
+            + (f"; it takes {', '.join(takes)}" if takes else "")
+        )
+
+
+def _validate_execution(backend, *, start_method=None, runs_tiles: bool = True) -> None:
+    """Reject unknown backend / start-method names — and, where the
+    backend runs sweep tiles (``runs_tiles``), a process pool — *before*
+    any solver, pool or table is constructed, with the valid choices in
+    the error. ``backend=None`` leaves the choice to the execution
+    table."""
     if runs_tiles:
         check_tile_backend(backend)
     names = TILE_BACKENDS if runs_tiles else BACKEND_NAMES
     if isinstance(backend, str) and backend not in names:
         raise InvalidProblemError(f"unknown backend {backend!r}; choose from {names}")
-    if kernel_impl is not None and kernel_impl not in KERNEL_IMPLS:
-        raise InvalidProblemError(
-            f"unknown kernel_impl {kernel_impl!r}; choose from {KERNEL_IMPLS}"
-        )
     if start_method is not None:
         if start_method not in START_METHODS:
             raise InvalidProblemError(
                 f"unknown start method {start_method!r}; choose from "
                 f"{START_METHODS}"
             )
-        if not isinstance(backend, str):
+        if isinstance(backend, Backend):
             raise InvalidProblemError(
                 "start_method applies only when the backend is given by "
                 "name; a Backend instance was already constructed with "
@@ -124,14 +143,14 @@ def _validate_execution(
 
 #: solve() and solve_many() keywords that select *how* a result is
 #: computed, never *what* it is: every (backend, workers, tiles,
-#: start_method, kernel_impl) combination commits bitwise-identical
-#: tables (DESIGN.md §3/§9). None of
+#: start_method) combination, and either kernel tier, commits
+#: bitwise-identical tables (DESIGN.md §3/§9). None of
 #: these enter the instance hash — a result computed on one execution
 #: configuration answers for all. ``max_n`` is *not* here: it only
 #: guards memory, but a guard that can reject a request changes the
 #: request's outcome, so it must partition the key.
 _EXECUTION_ONLY_KWARGS = frozenset(
-    {"backend", "workers", "tiles", "start_method", "cache", "kernel_impl"}
+    {"backend", "workers", "tiles", "start_method", "cache"}
 )
 
 
@@ -229,8 +248,8 @@ def instance_key(
     (:meth:`~repro.problems.base.ParenthesizationProblem.canonical_payload`),
     the method, the resolved algebra name, and every result-determining
     keyword; execution-only knobs (``backend``, ``workers``, ``tiles``,
-    ``start_method``, ``kernel_impl``) are deliberately excluded because
-    every execution configuration commits identical tables. ``max_n``
+    ``start_method``) are deliberately excluded because every execution
+    configuration commits identical tables. ``max_n``
     *is* part of the key — it can reject a request outright, and a
     rejection must never be coalesced with (or cached for) a request
     that would succeed.
@@ -305,11 +324,10 @@ def solve(
     policy: TerminationPolicy | None = None,
     reconstruct: bool = False,
     max_n: int | None = None,
-    backend: Backend | str = "serial",
+    backend: Backend | str | None = None,
     workers: int | None = None,
     tiles: int | None = None,
     cache: Any = None,
-    kernel_impl: str | None = "auto",
     **solver_kwargs,
 ) -> SolveResult:
     """Solve ``problem`` with the chosen algorithm.
@@ -354,12 +372,14 @@ def solve(
         Override the iterative solvers' memory guard.
     backend:
         Execution backend for the iterative methods' sweep tiles:
-        ``"serial"`` (default), ``"thread"``, or such a
+        ``"serial"``, ``"thread"``, or such a
         :class:`~repro.parallel.backends.Backend` instance, which stays
-        open for the caller's next solve. Every backend commits
-        bitwise-identical tables; a string-created backend is closed
-        before returning. Ignored by the sequential methods. A process
-        pool (``"process"`` or a
+        open for the caller's next solve. ``None`` (the default) takes
+        the execution table's choice for the method and ``n``
+        (:func:`repro.core.plan.choose_tile_backend`). Every backend
+        commits bitwise-identical tables; a string-created backend is
+        closed before returning. The sequential methods construct no
+        backend. A process pool (``"process"`` or a
         :class:`~repro.parallel.backends.ProcessBackend`) is refused
         for every method before any pool or table exists: it runs
         whole problems, through :func:`solve_many`.
@@ -374,22 +394,17 @@ def solve(
         compiling a plan or touching a backend, a miss populates the
         cache on the way out. Uncacheable requests (``instance_key``
         returns ``None``) bypass the cache entirely.
-    kernel_impl:
-        Kernel implementation tier for the iterative methods:
-        ``"slab"`` (reference full-lattice kernels), ``"fused"``
-        (cache-blocked reduce-compose,
-        :mod:`repro.core.kernels_fused` — numba-JIT when the ``[perf]``
-        extra is installed, blocked numpy otherwise) or ``"auto"``
-        (default: fused). Execution-only: every tier commits
-        bitwise-identical tables, so it never enters the instance key.
-        Ignored by the sequential methods.
     solver_kwargs:
-        Extra keyword arguments forwarded to the solver class
-        (e.g. ``band=...``, ``size_band=True`` for ``huang-banded``).
+        The method's own keywords: ``band=`` for ``huang-banded`` and
+        ``huang-compact``, ``size_band=`` for ``huang-banded``. Any
+        other keyword raises
+        :class:`~repro.errors.InvalidProblemError` before a table is
+        built.
     """
     if method not in METHODS:
         raise InvalidProblemError(f"unknown method {method!r}; choose from {METHODS}")
-    _validate_execution(backend, kernel_impl)
+    _check_method_kwargs(method, solver_kwargs)
+    _validate_execution(backend)
     if algebra is None:
         algebra = getattr(problem, "preferred_algebra", "min_plus")
     alg = get_algebra(algebra)
@@ -440,7 +455,7 @@ def solve(
                 f"it); got {alg.name!r}"
             )
         else:
-            seq = solve_knuth(problem, **solver_kwargs)
+            seq = solve_knuth(problem)
         tree = ParseTree.from_split_table(seq.split) if reconstruct else None
         return _done(SolveResult(
             method=method,
@@ -453,13 +468,14 @@ def solve(
     solver_cls = _SOLVER_CLASSES[method]
     if max_n is not None:
         solver_kwargs["max_n"] = max_n
+    if backend is None:
+        backend = choose_tile_backend(method, problem.n, workers)
     solver = solver_cls(
         problem,
         algebra=alg,
         backend=backend,
         workers=workers,
         tiles=tiles,
-        kernel_impl=kernel_impl,
         **solver_kwargs,
     )
     try:
@@ -544,11 +560,10 @@ def solve_many(
     problems: Sequence[BatchInput],
     *,
     method: str = "sequential",
-    backend: Backend | str = "thread",
+    backend: Backend | str | None = None,
     max_workers: int | None = None,
     start_method: str | None = None,
     on_error: str = "raise",
-    kernel_impl: str | None = "auto",
     **solve_kwargs,
 ) -> list[SolveResult | Exception]:
     """Solve a batch of heterogeneous problems on a shared worker pool.
@@ -566,12 +581,16 @@ def solve_many(
         Default method for items that do not name their own.
     backend:
         The shared pool the batch fans out over: ``"serial"``,
-        ``"thread"`` (default) or ``"process"`` (a persistent pool;
-        each item is pickled once, and each worker solves whole
-        problems, so per-item tables are never shared) — or a
+        ``"thread"`` or ``"process"`` (a persistent pool; each item is
+        pickled once, and each worker solves whole problems, so
+        per-item tables are never shared) — or a
         :class:`~repro.parallel.backends.Backend` instance, which
-        keeps the pool warm across batches. Each item's own sweeps run
-        serially inside its worker; pools are not nested.
+        keeps the pool warm across batches. ``None`` (the default)
+        runs the batch serially, or on a fresh process pool when the
+        batch's predicted serial time pays for one
+        (:func:`repro.core.plan.choose_batch_pool`). Each item's own
+        sweeps run on serial tiles inside its worker, unless the item
+        names its own backend; pools are not nested.
     max_workers:
         Pool size for a string ``backend``.
     start_method:
@@ -585,16 +604,14 @@ def solve_many(
         batch completes; ``"return"`` keeps failures *in place* — the
         returned list holds the exception object at the failing index
         so one bad problem cannot take down the batch.
-    kernel_impl:
-        Batch-wide kernel implementation tier (``"slab"``, ``"fused"``
-        or ``"auto"``; see :func:`solve`), validated up front and
-        overridable per item.
     solve_kwargs:
         Batch-wide defaults forwarded to :func:`solve` (``policy=...``,
         ``reconstruct=...``, ``max_n=...``, ``algebra=...``). Per-item
         ``algebra`` overrides (via :class:`BatchItem` or spec tuples)
         are validated *inside* the worker, so a bad algebra name on one
-        item is isolated exactly like any other per-item failure.
+        item is isolated exactly like any other per-item failure; so is
+        a keyword an item's method does not take (a batch-wide
+        ``band=`` fails the batch's sequential items, in place).
 
     Examples
     --------
@@ -611,10 +628,8 @@ def solve_many(
         raise InvalidProblemError(
             f"on_error must be 'raise' or 'return', got {on_error!r}"
         )
-    _validate_execution(
-        backend, kernel_impl, start_method=start_method, runs_tiles=False
-    )
-    solve_kwargs["kernel_impl"] = kernel_impl
+    _validate_execution(backend, start_method=start_method, runs_tiles=False)
+    solve_kwargs.setdefault("backend", "serial")
     specs = _normalize_batch(problems, method)
     for _, m, kw in specs:
         if m not in METHODS:
@@ -622,6 +637,8 @@ def solve_many(
                 f"unknown method {m!r}; choose from {METHODS}"
             )
         kw.update({k: v for k, v in solve_kwargs.items() if k not in kw})
+    if backend is None:
+        backend = choose_batch_pool(specs, max_workers)
     pool = (
         make_backend(backend, max_workers, start_method=start_method)
         if isinstance(backend, str)
@@ -655,17 +672,17 @@ def plan_for(
     *,
     method: str = "huang",
     algebra: SelectionSemiring | str | None = None,
-    backend: Backend | str = "serial",
+    backend: Backend | str | None = None,
     workers: int | None = None,
     tiles: int | None = None,
     max_n: int | None = None,
-    kernel_impl: str | None = "auto",
     **solver_kwargs,
 ) -> SweepPlan:
     """Compile (without running) the :class:`~repro.core.plan.SweepPlan`
     a solve of ``problem`` would execute — the resolved kernel
     schedule, the frozen tile partition and the compute tier per
-    kernel. This is what the ``repro plan`` CLI subcommand prints.
+    kernel, on the backend :func:`solve` would pick when ``backend``
+    is ``None``. This is what the ``repro plan`` CLI subcommand prints.
 
     Only the iterative methods compile to sweep plans; the sequential
     baselines have no super-step schedule to freeze.
@@ -680,16 +697,18 @@ def plan_for(
             f"method {method!r} has no sweep plan; iterative methods: "
             f"{ITERATIVE_METHODS}"
         )
-    _validate_execution(backend, kernel_impl)
+    _check_method_kwargs(method, solver_kwargs)
+    _validate_execution(backend)
     if max_n is not None:
         solver_kwargs["max_n"] = max_n
+    if backend is None:
+        backend = choose_tile_backend(method, problem.n, workers)
     solver = _SOLVER_CLASSES[method](
         problem,
         algebra=algebra,
         backend=backend,
         workers=workers,
         tiles=tiles,
-        kernel_impl=kernel_impl,
         **solver_kwargs,
     )
     try:

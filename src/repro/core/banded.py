@@ -94,6 +94,8 @@ class BandedSolver(HuangSolver):
     runs through the same banded kernels.
     """
 
+    METHOD = "huang-banded"
+
     def __init__(
         self,
         problem: ParenthesizationProblem,

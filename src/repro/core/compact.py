@@ -73,6 +73,8 @@ class CompactBandedSolver(IterativeTableSolver):
         (n=200 ≈ 0.6 GiB with the default band).
     """
 
+    METHOD = "huang-compact"
+
     def __init__(
         self,
         problem: ParenthesizationProblem,
@@ -83,7 +85,6 @@ class CompactBandedSolver(IterativeTableSolver):
         backend: Backend | str = "serial",
         workers: int | None = None,
         tiles: int | None = None,
-        kernel_impl: str | None = "auto",
     ) -> None:
         if problem.n > max_n:
             raise InvalidProblemError(
@@ -99,7 +100,7 @@ class CompactBandedSolver(IterativeTableSolver):
         if algebra is None:
             algebra = getattr(problem, "preferred_algebra", "min_plus")
         self.algebra = get_algebra(algebra)
-        self._init_engine(backend, workers, tiles, kernel_impl)
+        self._init_engine(backend, workers, tiles)
         self._F = self.algebra.encode_f(problem.cached_f_table())
         self._init = self.algebra.encode_init(problem.init_vector())
         self.reset()

@@ -55,7 +55,7 @@ from repro.core.kernels import (
     KernelEngine,
     SweepKernel,
 )
-from repro.core.plan import SweepPlan, compile_plan
+from repro.core.plan import SweepPlan, choose_tier, compile_plan
 from repro.core.termination import (
     FixedIterations,
     IterationState,
@@ -63,7 +63,7 @@ from repro.core.termination import (
     default_schedule_length,
 )
 from repro.errors import ConvergenceError, InvalidProblemError
-from repro.parallel.backends import Backend, resolve_kernel_impl
+from repro.parallel.backends import Backend
 from repro.problems.base import ParenthesizationProblem
 
 __all__ = [
@@ -132,7 +132,9 @@ class IterativeTableSolver:
     a :class:`~repro.parallel.backends.Backend` instance; a process
     pool is refused before any table exists), ``workers=`` and
     ``tiles=``; every combination commits bitwise-identical tables (the
-    integration suite verifies this).
+    integration suite verifies this). The kernel tier is the execution
+    table's choice for the solver's :attr:`METHOD` and ``n``
+    (:func:`repro.core.plan.choose_tier`), made once at construction.
 
     All of them also accept ``algebra=`` — a registered
     :class:`~repro.core.algebra.SelectionSemiring` name or instance
@@ -146,6 +148,8 @@ class IterativeTableSolver:
 
     #: operation schedule of one iteration, in kernel order
     SCHEDULE: tuple[str, ...] = ("activate", "square", "pebble")
+    #: the ``solve()`` method name the execution table knows this solver by
+    METHOD: str
 
     problem: ParenthesizationProblem
     n: int
@@ -159,7 +163,6 @@ class IterativeTableSolver:
         backend: Backend | str = "serial",
         workers: int | None = None,
         tiles: int | None = None,
-        kernel_impl: str | None = "auto",
     ) -> None:
         """Create the kernel engine and instantiate this solver's kernel
         set; concrete ``__init__`` methods call this before building any
@@ -167,9 +170,9 @@ class IterativeTableSolver:
         self._engine = KernelEngine(backend, workers=workers, tiles=tiles)
         self.backend = self._engine.backend
         self.tiles = self._engine.tiles
-        #: resolved kernel tier ("slab" or "fused"); plan compilation
-        #: freezes each step's compute function from it
-        self.kernel_impl = resolve_kernel_impl(kernel_impl)
+        #: kernel tier ("slab" or "fused"); plan compilation freezes
+        #: each step's compute function from it
+        self.tier = choose_tier(self.METHOD, self.n)
         self._kernels = self.build_kernels()
         self._plan: SweepPlan | None = None
 
@@ -312,14 +315,9 @@ class HuangSolver(IterativeTableSolver):
         Execution backend for the sweep kernels (default serial,
         single-tile — the reference path); see
         :class:`IterativeTableSolver`.
-    kernel_impl:
-        Kernel implementation tier: ``"slab"`` (the reference
-        full-lattice kernels), ``"fused"`` (cache-blocked
-        reduce-compose, :mod:`repro.core.kernels_fused`) or ``"auto"``
-        (default — fused, which itself resolves to numba when installed
-        or the blocked numpy fallback otherwise). Both tiers commit
-        bitwise-identical tables.
     """
+
+    METHOD = "huang"
 
     def __init__(
         self,
@@ -330,7 +328,6 @@ class HuangSolver(IterativeTableSolver):
         backend: Backend | str = "serial",
         workers: int | None = None,
         tiles: int | None = None,
-        kernel_impl: str | None = "auto",
     ) -> None:
         if problem.n > max_n:
             raise InvalidProblemError(
@@ -343,7 +340,7 @@ class HuangSolver(IterativeTableSolver):
         if algebra is None:
             algebra = getattr(problem, "preferred_algebra", "min_plus")
         self.algebra = get_algebra(algebra)
-        self._init_engine(backend, workers, tiles, kernel_impl)
+        self._init_engine(backend, workers, tiles)
         self._F = self.algebra.encode_f(problem.cached_f_table())
         self._init = self.algebra.encode_init(problem.init_vector())
         self.reset()

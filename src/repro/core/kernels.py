@@ -365,10 +365,10 @@ class SweepKernel:
     #: in-band slice-shift sweeps are already reduce-as-you-compose).
     fused_compute_fn: Callable[..., Any] | None = None
 
-    def compute_for(self, impl: str) -> Callable[..., Any]:
-        """The compute function for a kernel implementation tier
-        (``"slab"`` or a resolved ``"fused"``)."""
-        if impl == "fused" and self.fused_compute_fn is not None:
+    def compute_for(self, tier: str) -> Callable[..., Any]:
+        """The compute function for a kernel tier (``"slab"`` or
+        ``"fused"``)."""
+        if tier == "fused" and self.fused_compute_fn is not None:
             return self.fused_compute_fn
         return self.compute_fn
 
@@ -694,7 +694,7 @@ class KernelEngine:
             kernel=kernel,
             tiles=tuple(kernel.tiles(solver, self.tiles)),
             updates=kernel.updates,
-            compute_fn=kernel.compute_for(getattr(solver, "kernel_impl", "slab")),
+            compute_fn=kernel.compute_for(getattr(solver, "tier", "slab")),
         )
         return self.execute_step(step, solver)
 

@@ -5,9 +5,12 @@ materialising the full ``(hi - lo, N, N, N)`` candidate lattice twice
 (``acc`` plus ``tmp``) and making ``2N`` whole-lattice ``ext``/``comb``
 passes per a-square step — Θ(N⁴) memory traffic per anchor, which is
 what bounds cold-solve throughput across the whole stack (service,
-fleet, CI trajectory alike). This module is the ``kernel_impl="fused"``
+fleet, CI trajectory alike). This module is the ``"fused"`` kernel
 tier: the same candidate lattices, reformulated so they are *reduced as
-they are composed* and never materialised.
+they are composed* and never materialised. Which tier a solve runs is
+the execution table's choice (:func:`repro.core.plan.choose_tier`): on
+the numpy engine the slab tier still wins the smallest dense and banded
+solves, and Rytter's solves from n=8 up.
 
 The reformulation
 -----------------
@@ -50,7 +53,8 @@ only writes where the encoded ``f`` table is non-zero, and zero is
 extend-absorbing — so triangular output slicing and reachable-row
 sub-selection remove exact no-ops and nothing else. Hence
 ``fused ≡ slab`` bit-for-bit, for every registered algebra; the golden
-and property suites enforce it along a ``kernel_impl`` axis.
+and property suites enforce it along a tier axis, forced through the
+private :func:`repro.core.plan._force_tier` hook.
 
 Execution engines
 -----------------
@@ -76,9 +80,9 @@ cost and split channels separately, lexicographic min, repack), and
 raises :class:`~repro.errors.InvalidProblemError` only if the exact
 *result* itself cannot be packed.
 
-All compute functions are module-level and picklable, so the fused
-tier rides the process backend's fork/pickle channels exactly like the
-slab tier.
+All compute functions are module-level, so the engine binds each
+sweep's snapshot arrays to them once and maps the bound function over
+the tiles on serial or thread backends exactly like the slab tier.
 """
 
 from __future__ import annotations

@@ -21,14 +21,153 @@ table snapshots, the banded pebble window, Rytter's ``useful`` index
 list — stay exactly where they were: in ``kernel.arrays(solver)``,
 re-read every sweep. The plan freezes the *shape* of a super-step, not
 its data, so the §2 bitwise invariant is untouched.
+
+The execution table
+-------------------
+How a solve runs is the code's choice, not a caller's knob. Every tier
+and backend commits bitwise-identical tables, but each wins somewhere,
+so one measured table (:data:`EXECUTION`) picks, by method and ``n``,
+the kernel tier every solver runs (:func:`choose_tier`) and the tile
+backend :func:`~repro.core.api.solve` and
+:func:`~repro.core.api.plan_for` use when the caller names none
+(:func:`choose_tile_backend`). :func:`choose_batch_pool` picks the pool
+of a :func:`~repro.core.api.solve_many` batch whose caller names none,
+from the batch's total predicted serial time (:func:`predict_serial_s`).
+A backend or pool the caller names always wins. Tests force a tier
+through the private :func:`_force_tier` hook; nothing public reaches
+it.
 """
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
-__all__ = ["PlanStep", "SweepPlan", "compile_plan"]
+from repro.core.kernels_fused import fused_backend
+
+__all__ = [
+    "PlanStep",
+    "SweepPlan",
+    "compile_plan",
+    "TIERS",
+    "EXECUTION",
+    "choose_tier",
+    "choose_tile_backend",
+    "choose_batch_pool",
+    "predict_serial_s",
+]
+
+#: the kernel tiers: ``"slab"`` materialises each step's candidate
+#: lattice (the reference kernels of :mod:`repro.core.kernels`),
+#: ``"fused"`` reduces candidates as it composes them
+#: (:mod:`repro.core.kernels_fused`); both commit identical tables
+TIERS = ("slab", "fused")
+
+#: Per iterative method, ``(from n, kernel tier, tile backend)`` rows in
+#: ascending ``n``; a solve of size ``n`` takes the last row whose
+#: ``from n`` it reaches. Measured on 2 vCPUs with the numpy fused
+#: engine, alternating best-of-5 solves of every (tier, serial|thread)
+#: pair; E10's ``auto_regret`` axis times a cell on each side of every
+#: switch against all four.
+EXECUTION: dict[str, tuple[tuple[int, str, str], ...]] = {
+    "huang": ((1, "slab", "serial"), (10, "fused", "serial"), (24, "fused", "thread")),
+    "huang-banded": (
+        (1, "slab", "serial"),
+        (16, "fused", "serial"),
+        (36, "fused", "thread"),
+    ),
+    "huang-compact": ((1, "fused", "serial"), (60, "fused", "thread")),
+    "rytter": ((1, "slab", "serial"), (14, "slab", "thread")),
+}
+
+#: Per method, ``(seconds, exponent)`` of the least-squares fit
+#: ``seconds * n ** exponent`` to one solve on serial tiles at the
+#: table's tier (numpy engine, 2 vCPUs; sequential at n=64-384, the
+#: iterative methods up to n=32-64). The paper's shapes do not fit these
+#: sizes: the vectorised sweeps are far from their asymptotes (doubling
+#: n costs a sequential chain about 4x, where n³ says 8). The fits are
+#: within 2x of every measured point, which is all a pool choice needs.
+SERIAL_FIT: dict[str, tuple[float, float]] = {
+    "sequential": (3.7e-7, 2.0),
+    "knuth": (1.8e-5, 1.2),
+    "huang": (3.2e-6, 3.4),
+    "huang-banded": (1.9e-6, 3.6),
+    "huang-compact": (3.3e-5, 2.6),
+    "rytter": (2.8e-7, 4.7),
+}
+
+#: What a fresh process pool costs a batch beyond its share of the
+#: work: starting and stopping the workers, and pickling the problems
+#: out and the results back. Fork, 2 workers: 17-28 ms for 2-32 tiny
+#: items, 20-30 ms over most probed batches (more for large tables).
+POOL_OVERHEAD_S = 0.03
+
+_FORCED_TIER: ContextVar[str | None] = ContextVar("forced_tier", default=None)
+
+
+@contextmanager
+def _force_tier(tier: str) -> Iterator[None]:
+    """Test hook: every solver built inside the block runs ``tier``,
+    whatever the table says. The golden, property and fused-kernel
+    suites use it to compare both tiers bit for bit."""
+    if tier not in TIERS:
+        raise ValueError(f"unknown tier {tier!r}; choose from {TIERS}")
+    token = _FORCED_TIER.set(tier)
+    try:
+        yield
+    finally:
+        _FORCED_TIER.reset(token)
+
+
+def _row(method: str, n: int) -> tuple[int, str, str]:
+    return next(row for row in reversed(EXECUTION[method]) if n >= row[0])
+
+
+def choose_tier(method: str, n: int) -> str:
+    """The kernel tier a solver of ``method`` at size ``n`` runs. Under
+    the numba engine, which the table was not measured on, every solve
+    runs fused."""
+    tier = "fused" if fused_backend() == "numba" else _row(method, n)[1]
+    return _FORCED_TIER.get() or tier
+
+
+def _pool_size(workers: int | None) -> int:
+    return workers if workers is not None else min(8, os.cpu_count() or 1)
+
+
+def choose_tile_backend(method: str, n: int, workers: int | None = None) -> str:
+    """``"serial"`` or ``"thread"``: where a solve's tiles run when its
+    caller names no backend. Threads need two workers to overlap, and
+    numba's kernels hold the GIL, so under numba tiles run serially."""
+    backend = _row(method, n)[2]
+    if fused_backend() == "numba" or _pool_size(workers) < 2:
+        return "serial"
+    return backend
+
+
+def predict_serial_s(method: str, n: int) -> float:
+    """Predicted seconds of one solve on serial tiles (:data:`SERIAL_FIT`)."""
+    seconds, exponent = SERIAL_FIT[method]
+    return seconds * n**exponent
+
+
+def choose_batch_pool(items: Sequence[tuple], workers: int | None = None) -> str:
+    """``"serial"`` or ``"process"``: the pool a ``solve_many`` batch of
+    normalised ``(problem, method, kwargs)`` items runs on when its
+    caller names none. A pool of ``workers`` finishes no sooner than its
+    largest item or an even share of the total, and costs
+    :data:`POOL_OVERHEAD_S` on top; it runs when that beats running the
+    items one after another. Threads run a batch only when named."""
+    parts = min(_pool_size(workers), len(items))
+    if parts < 2:
+        return "serial"
+    times = [predict_serial_s(method, problem.n) for problem, method, _ in items]
+    total = sum(times)
+    pooled = max(total / parts, max(times)) + POOL_OVERHEAD_S
+    return "process" if pooled < total else "serial"
 
 
 @dataclass
@@ -45,14 +184,14 @@ class PlanStep:
 
     @classmethod
     def for_kernel(
-        cls, name: str, kernel, solver, parts: int, impl: str = "slab"
+        cls, name: str, kernel, solver, parts: int, tier: str = "slab"
     ) -> "PlanStep":
         return cls(
             name=name,
             kernel=kernel,
             tiles=tuple(kernel.tiles(solver, parts)),
             updates=kernel.updates,
-            compute_fn=kernel.compute_for(impl),
+            compute_fn=kernel.compute_for(tier),
         )
 
 
@@ -71,7 +210,7 @@ class SweepPlan:
         self.algebra = getattr(solver.algebra, "name", str(solver.algebra))
         backend = solver.backend
         self.backend = getattr(backend, "name", type(backend).__name__)
-        self.kernel_impl = getattr(solver, "kernel_impl", "slab")
+        self.tier = solver.tier
         self.tiles_per_sweep = int(tiles_per_sweep)
         self.schedule = tuple(step.name for step in steps)
         self.steps = tuple(steps)
@@ -85,22 +224,20 @@ class SweepPlan:
 
     def describe(self) -> str:
         """Human-readable plan: one line per scheduled step."""
-        from repro.core.kernels_fused import fused_backend
-
-        impl = self.kernel_impl
-        if impl == "fused":
-            impl += f"[{fused_backend()}]"
+        tier = self.tier
+        if tier == "fused":
+            tier += f"[{fused_backend()}]"
         lines = [
             f"plan: {self.method} n={self.n} algebra={self.algebra} "
-            f"backend={self.backend} kernel_impl={impl} "
+            f"backend={self.backend} tier={tier} "
             f"tiles/sweep={self.tiles_per_sweep}"
         ]
         for idx, step in enumerate(self.steps, start=1):
             fused = step.kernel.fused_compute_fn is not None
-            tier = "fused" if (self.kernel_impl == "fused" and fused) else "slab"
+            impl = "fused" if (self.tier == "fused" and fused) else "slab"
             lines.append(
                 f"  {idx}. {step.name:<9} {type(step.kernel).__name__:<22} "
-                f"impl={tier:<5s} tiles={len(step.tiles):<3d} "
+                f"impl={impl:<5s} tiles={len(step.tiles):<3d} "
                 f"updates={step.updates}"
             )
         return "\n".join(lines)
@@ -114,9 +251,8 @@ def compile_plan(solver) -> SweepPlan:
     ``__init__`` guarantees before ``reset()``.
     """
     parts = solver._engine.tiles
-    impl = getattr(solver, "kernel_impl", "slab")
     steps = [
-        PlanStep.for_kernel(name, solver._kernels[name], solver, parts, impl)
+        PlanStep.for_kernel(name, solver._kernels[name], solver, parts, solver.tier)
         for name in solver.SCHEDULE
     ]
     return SweepPlan(solver, steps, parts)

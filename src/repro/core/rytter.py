@@ -54,6 +54,8 @@ class RytterSolver(HuangSolver):
     compared are *counted*, not timed.
     """
 
+    METHOD = "rytter"
+
     def __init__(
         self,
         problem: ParenthesizationProblem,

@@ -4,16 +4,22 @@ A backend maps a function over a list of items and returns the results
 in item order. The kernel engine maps each sweep's tile compute over
 its tiles on :data:`TILE_BACKENDS` (``serial`` or ``thread``: threads
 share the solver's tables); :func:`repro.core.api.solve_many` maps
-whole problems over any of the three.
+whole problems over any of the three. Which one runs when the caller
+names none is the execution table's choice
+(:mod:`repro.core.plan`), never a default of this module.
 
 :class:`ProcessBackend` runs a **persistent** worker pool (created
 lazily on first use, reused across batches when the caller owns the
-instance) with either the ``fork`` or the ``spawn`` start method. Its
-one transport is pickling: each item is pickled once and the batch
-goes to the workers in one ``pool.map``. A batch with an item that
-cannot be pickled at all (``solve_many`` specs whose cost functions
-are closures) cannot reach a worker under either start method, so it
-runs in the calling process instead.
+instance) with either the ``fork`` or the ``spawn`` start method, on a
+:class:`concurrent.futures.ProcessPoolExecutor`: a worker that dies
+(an OOM kill, say) breaks the executor, so the map in flight raises
+:class:`~repro.errors.BackendError` instead of waiting forever, and
+the next lease starts a fresh pool. Its one transport is pickling:
+each item is pickled once and the batch goes to the workers in one
+``map``. A batch with an item that cannot be pickled at all
+(``solve_many`` specs whose cost functions are closures) cannot reach
+a worker under either start method, so it runs in the calling process
+instead.
 """
 
 from __future__ import annotations
@@ -23,7 +29,8 @@ import os
 import pickle
 import signal
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator, Optional, Sequence
 
@@ -38,10 +45,8 @@ __all__ = [
     "BACKEND_NAMES",
     "TILE_BACKENDS",
     "START_METHODS",
-    "KERNEL_IMPLS",
     "check_tile_backend",
     "default_start_method",
-    "resolve_kernel_impl",
 ]
 
 #: the valid ``backend=`` names, single source for every validation site
@@ -50,15 +55,6 @@ BACKEND_NAMES = ("serial", "thread", "process")
 #: the backends a sweep's tiles run on: a process pool runs whole
 #: problems (``solve_many``) only
 TILE_BACKENDS = ("serial", "thread")
-
-#: the valid ``kernel_impl=`` names — the kernel *implementation* tier is
-#: selected exactly like backends are: one validated name, single-sourced
-#: here for every entry point (solve, solve_many, plan_for, CLI).
-#: ``"slab"`` is the reference full-lattice path, ``"fused"`` the
-#: cache-blocked reduce-compose tier (:mod:`repro.core.kernels_fused`),
-#: ``"auto"`` resolves to fused (which itself picks numba or the blocked
-#: numpy fallback by availability).
-KERNEL_IMPLS = ("slab", "fused", "auto")
 
 #: the supported process start methods (validated up front; work
 #: travels pickled, so neither relies on fork)
@@ -70,32 +66,14 @@ def default_start_method() -> str:
     return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
 
 
-def resolve_kernel_impl(name: str | None) -> str:
-    """Validate a ``kernel_impl`` name and resolve ``"auto"``.
-
-    Returns ``"slab"`` or ``"fused"``; ``None``/``"auto"`` resolve to
-    ``"fused"`` (kernels without a fused lowering keep their slab
-    compute, and the fused tier picks numba vs the blocked numpy
-    fallback internally). Unknown names fail here, up front, with the
-    valid choices in the error — the same shape as unknown backends.
-    """
-    if name is None:
-        name = "auto"
-    if name not in KERNEL_IMPLS:
-        raise BackendError(
-            f"unknown kernel_impl {name!r}; valid choices: {', '.join(KERNEL_IMPLS)}"
-        )
-    return "fused" if name == "auto" else name
-
-
 def _init_worker() -> None:  # pragma: no cover - worker-side
     """Pool initializer: each worker starts with SIGTERM's default action
     and no wakeup fd. A fork-started worker inherits its parent's
     handlers, so a caller's SIGTERM handler (an asyncio server's, say)
-    would let the worker miss the SIGTERM of ``Pool.terminate()``
-    inside a blocking lock wait, and the pool's join would then wait
-    for it forever; the inherited wakeup fd would hand the signal to
-    the parent's event loop instead."""
+    would let the worker miss the SIGTERM of :meth:`ProcessBackend.close`
+    inside a blocking lock wait, and the close would then wait for it
+    forever; the inherited wakeup fd would hand the signal to the
+    parent's event loop instead."""
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.set_wakeup_fd(-1)
 
@@ -217,10 +195,14 @@ class ProcessBackend(Backend):
     """Persistent worker-process pool for whole-problem batches.
 
     :meth:`map` pickles each item once and hands the batch to the pool
-    in one ``pool.map``. A batch with an item (or a function) that
-    cannot be pickled runs ``fn(item)`` item by item on the caller's
-    thread instead, under either start method, and starts no pool.
-    Sweep tiles never run here (:data:`TILE_BACKENDS`).
+    in one ``map``. A batch with an item (or a function) that cannot be
+    pickled runs ``fn(item)`` item by item on the caller's thread
+    instead, under either start method, and starts no pool. Sweep
+    tiles never run here (:data:`TILE_BACKENDS`).
+
+    A worker that dies, idle or mid-task, breaks the pool: the map in
+    flight raises :class:`~repro.errors.BackendError` and the next
+    lease (:meth:`ensure_alive`) starts a fresh one.
 
     Parameters
     ----------
@@ -261,24 +243,57 @@ class ProcessBackend(Backend):
         self.workers = workers if workers is not None else min(8, os.cpu_count() or 1)
         self.start_method = start_method
         self._ctx = mp.get_context(start_method)
-        self._pool: Optional[mp.pool.Pool] = None
+        self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_lock = threading.Lock()
 
     # -- the persistent pool -------------------------------------------------
 
-    def _ensure_pool(self) -> "mp.pool.Pool":
+    def _ensure_pool(self) -> ProcessPoolExecutor:
         with self._pool_lock:
             if self._pool is None:
-                self._pool = self._ctx.Pool(
-                    processes=self.workers, initializer=_init_worker
+                pool = ProcessPoolExecutor(
+                    self.workers, mp_context=self._ctx, initializer=_init_worker
                 )
+                # The executor forks its workers at the first submit and
+                # (Python 3.11+) spawns them one per submit; start them
+                # all now, so that the pool is warm and worker_pids()
+                # names it from the start.
+                launch = getattr(pool, "_launch_processes", None)
+                if launch is not None:
+                    launch()
+                else:  # pragma: no cover - Python 3.10
+                    for _ in range(self.workers):
+                        pool._adjust_process_count()  # noqa: SLF001
+                self._pool = pool
             return self._pool
+
+    @staticmethod
+    def _processes(pool: ProcessPoolExecutor) -> list:
+        return list((pool._processes or {}).values())  # noqa: SLF001 - no public probe
+
+    @classmethod
+    def _stop(cls, pool: ProcessPoolExecutor) -> None:
+        """Stop ``pool`` without waiting for a running task. Workers are
+        terminated and reaped first: the executor's manager thread then
+        sees them dead, fails what was pending and exits, so the
+        shutdown takes no lock a killed worker may hold."""
+        procs = cls._processes(pool)
+        for proc in procs:
+            proc.terminate()
+        for proc in procs:
+            proc.join()
+        pool.shutdown(wait=True, cancel_futures=True)
+
+    @classmethod
+    def _healthy(cls, pool: ProcessPoolExecutor) -> bool:
+        return not pool._broken and all(  # noqa: SLF001 - no public probe
+            proc.is_alive() for proc in cls._processes(pool)
+        )
 
     def worker_pids(self) -> list[int]:
         """PIDs of the live pool (starting it if needed) — the
         persistence tests assert these stay constant across batches."""
-        pool = self._ensure_pool()
-        return sorted(p.pid for p in pool._pool)  # noqa: SLF001 - test hook
+        return sorted(proc.pid for proc in self._processes(self._ensure_pool()))
 
     def ensure_alive(self) -> None:
         """Discard the pool if any worker has died (OOM-kill, crash);
@@ -287,13 +302,11 @@ class ProcessBackend(Backend):
         backend gets a working pool on every lease, and pays a restart
         only after an actual death."""
         with self._pool_lock:
-            if self._pool is None:
+            pool = self._pool
+            if pool is None or self._healthy(pool):
                 return
-            if all(p.is_alive() for p in self._pool._pool):  # noqa: SLF001
-                return
-            self._pool.terminate()
-            self._pool.join()
             self._pool = None
+        self._stop(pool)
 
     def health(self) -> dict:
         """Backend health plus pool state: whether the persistent pool
@@ -302,11 +315,11 @@ class ProcessBackend(Backend):
         info = super().health()
         with self._pool_lock:
             pool = self._pool
-            procs = list(pool._pool) if pool is not None else []  # noqa: SLF001
-        alive = sum(1 for p in procs if p.is_alive())
+        procs = self._processes(pool) if pool is not None else []
+        alive = sum(1 for proc in procs if proc.is_alive())
         info.update(
             started=pool is not None,
-            alive=pool is None or alive == len(procs),
+            alive=pool is None or self._healthy(pool),
             workers_alive=alive,
             start_method=self.start_method,
         )
@@ -327,17 +340,22 @@ class ProcessBackend(Backend):
             # An unpicklable payload (e.g. closure-based problem specs):
             # no worker can receive it, so run it here.
             return [fn(item) for item in items]
-        return self._ensure_pool().map(_call_pickled, tasks)
+        try:
+            return list(self._ensure_pool().map(_call_pickled, tasks))
+        except BrokenProcessPool as exc:
+            raise BackendError(
+                "a process-pool worker died before the batch finished; the "
+                "next lease starts a fresh pool"
+            ) from exc
 
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
         """Stop the persistent pool (a later map revives it)."""
         with self._pool_lock:
-            if self._pool is not None:
-                self._pool.terminate()
-                self._pool.join()
-                self._pool = None
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            self._stop(pool)
 
 
 def check_tile_backend(backend: Backend | str) -> None:

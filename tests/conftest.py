@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import socket
+import threading
 import time
 
 import numpy as np
@@ -82,3 +83,30 @@ def wait_until_listening():
     """``wait_until_listening(path, deadline, proc=None)``: return once
     a server accepts connections on the unix socket ``path``."""
     return _wait_until_listening
+
+
+def _within(seconds: float, fn):
+    """``fn()`` on a daemon thread: its result, or a test failure when it
+    has not returned in ``seconds``, so a wedged pool fails a test
+    instead of hanging it."""
+    box = {}
+
+    def target():
+        try:
+            box["value"] = fn()
+        except BaseException as exc:  # noqa: BLE001 - re-raised below
+            box["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"did not return within {seconds} s"
+    if "error" in box:
+        raise box["error"]
+    return box.get("value")
+
+
+@pytest.fixture
+def within():
+    """:func:`_within`: run a call that might hang under a time bound."""
+    return _within

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.core import solve
+from repro.core import plan_for, solve, solve_many
 from repro.core.termination import UntilValue, WStable
 from repro.errors import InvalidProblemError
 from repro.problems.generators import random_bst, random_generic
+from repro.service import ResultCache
 
 
 class TestMethods:
@@ -112,3 +113,49 @@ class TestAlgebraOption:
         assert solve(reliability).algebra == "maxmin"
         # Explicit algebra always overrides the family preference.
         assert solve(bottleneck, algebra="min_plus").algebra == "min_plus"
+
+
+class TestMethodKeywords:
+    """Every method refuses a keyword it does not take, with one error
+    type, before a table is built or a cache key is computed."""
+
+    @pytest.mark.parametrize(
+        "method,kwargs",
+        [
+            ("sequential", {"band": 3, "bogus": 1}),
+            ("knuth", {"band": 3}),
+            ("huang", {"band": 3}),
+            ("huang-banded", {"bogus": 1}),
+            ("huang-compact", {"size_band": True}),
+            ("rytter", {"kernel_impl": "fused"}),
+        ],
+    )
+    def test_unknown_keyword_refused(self, method, kwargs):
+        p = random_bst(6, seed=0)
+        with pytest.raises(InvalidProblemError, match="takes no keyword"):
+            solve(p, method=method, **kwargs)
+
+    def test_refused_before_the_cache_sees_the_request(self):
+        cache = ResultCache(max_bytes=1 << 20)
+        with pytest.raises(InvalidProblemError, match="takes no keyword bogus"):
+            solve(random_generic(5, seed=0), method="sequential", cache=cache, bogus=1)
+        assert cache.stats()["entries"] == 0
+
+    def test_the_error_names_what_the_method_takes(self):
+        with pytest.raises(InvalidProblemError, match="it takes band, size_band"):
+            solve(random_generic(5, seed=0), method="huang-banded", bogus=1)
+
+    def test_plan_for_refuses_too(self):
+        with pytest.raises(InvalidProblemError, match="takes no keyword band"):
+            plan_for(random_generic(5, seed=0), method="rytter", band=2)
+
+    def test_a_batchwide_keyword_fails_only_the_items_that_refuse_it(self):
+        p = random_generic(6, seed=2)
+        results = solve_many(
+            [(p, "sequential"), (p, "huang-banded")],
+            backend="serial",
+            on_error="return",
+            band=3,
+        )
+        assert isinstance(results[0], InvalidProblemError)
+        assert results[1].value == pytest.approx(solve(p, method="sequential").value)

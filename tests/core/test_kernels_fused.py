@@ -1,14 +1,15 @@
 """The fused kernel tier: bitwise identity with the slab kernels, the
 scalar lowerings behind the optional numba engine, the ``fast_vdf``-style
-packed range check with its exact two-channel fallback, and the
-``kernel_impl`` axis on the public surface.
+packed range check with its exact two-channel fallback, and the tier
+that the execution table picks on the public surface.
 
 The heavy equivalence coverage (golden tables, hypothesis property
-harness) carries a ``kernel_impl`` axis of its own; this file pins the
-tier's own machinery — including the guarantee that a numba-less
-environment resolves ``kernel_impl="auto"`` to the numpy engine and
-still solves bitwise-identically (exercised in a subprocess with numba
-imports blocked, so it holds even where numba *is* installed).
+harness) carries a tier axis of its own, forced through the private
+``_force_tier`` hook; this file pins the tier's own machinery —
+including the guarantee that a numba-less environment resolves the
+fused tier to the numpy engine and still solves bitwise-identically
+(exercised in a subprocess with numba imports blocked, so it holds even
+where numba *is* installed).
 """
 
 import os
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import plan_for, solve, solve_many
+from repro.core import plan_for, solve
 from repro.core.algebra import (
     FLOAT_EXACT_INT_MAX,
     get_algebra,
@@ -53,12 +54,8 @@ from repro.core.kernels_fused import (
     fused_compact_activate_tile,
     fused_dense_activate_tile,
 )
+from repro.core.plan import _force_tier, choose_tier
 from repro.errors import InvalidProblemError
-from repro.parallel.backends import (
-    KERNEL_IMPLS,
-    BackendError,
-    resolve_kernel_impl,
-)
 from repro.problems.generators import random_generic, random_matrix_chain
 
 _SRC_PATH = str(Path(__file__).resolve().parents[2] / "src")
@@ -71,14 +68,19 @@ def _canon(w: np.ndarray) -> np.ndarray:
     return np.nan_to_num(w, posinf=-1.0)
 
 
+def _solve_on(tier: str, problem, **kwargs):
+    with _force_tier(tier):
+        return solve(problem, **kwargs)
+
+
 class TestFusedMatchesSlab:
     """fused ≡ slab bit-for-bit, per method, algebra and backend."""
 
     @pytest.mark.parametrize("method", METHODS)
     def test_methods_bitwise_equal(self, method):
         p = random_generic(12, seed=11)
-        slab = solve(p, method=method, kernel_impl="slab")
-        fused = solve(p, method=method, kernel_impl="fused")
+        slab = _solve_on("slab", p, method=method)
+        fused = _solve_on("fused", p, method=method)
         assert np.array_equal(_canon(slab.w), _canon(fused.w))
         assert slab.iterations == fused.iterations
         assert slab.value == fused.value
@@ -86,24 +88,28 @@ class TestFusedMatchesSlab:
     @pytest.mark.parametrize("algebra", list_algebras())
     def test_algebras_bitwise_equal(self, algebra):
         p = random_matrix_chain(12, seed=5)
-        slab = solve(p, method="huang", algebra=algebra, kernel_impl="slab")
-        fused = solve(p, method="huang", algebra=algebra, kernel_impl="fused")
+        slab = _solve_on("slab", p, method="huang", algebra=algebra)
+        fused = _solve_on("fused", p, method="huang", algebra=algebra)
         assert np.array_equal(_canon(slab.w), _canon(fused.w))
         assert slab.value == fused.value
 
     @pytest.mark.parametrize("backend", ["thread"])
     def test_backends_bitwise_equal(self, backend):
         p = random_generic(10, seed=3)
-        ref = solve(p, method="huang", kernel_impl="slab")
-        out = solve(p, method="huang", kernel_impl="fused", backend=backend, tiles=3)
+        ref = _solve_on("slab", p, method="huang", backend="serial")
+        out = _solve_on("fused", p, method="huang", backend=backend, tiles=3)
         assert np.array_equal(_canon(ref.w), _canon(out.w))
         assert ref.iterations == out.iterations
 
-    def test_auto_resolves_to_fused(self):
-        p = random_matrix_chain(8, seed=1)
-        auto = solve(p, method="huang", kernel_impl="auto")
-        fused = solve(p, method="huang", kernel_impl="fused")
-        assert np.array_equal(_canon(auto.w), _canon(fused.w))
+    def test_the_tables_choice_matches_both_forced_tiers(self):
+        """A solve left to the execution table commits the table of
+        either forced tier."""
+        for n in (6, 16):
+            p = random_matrix_chain(n, seed=1)
+            chosen = solve(p, method="huang")
+            for tier in ("slab", "fused"):
+                forced = _solve_on(tier, p, method="huang")
+                assert np.array_equal(_canon(chosen.w), _canon(forced.w))
 
     @pytest.mark.parametrize("algebra", list_algebras())
     def test_activate_tiles_bitwise_equal_slab(self, algebra):
@@ -445,66 +451,55 @@ class TestLexFastVdf:
         assert out[0, 0] == lex_pack(3.0, 2)
 
 
-class TestKernelImplSurface:
-    """``kernel_impl`` validates everywhere a backend name does, with
-    the same error-message shape."""
+class TestTierSurface:
+    """No public surface names a tier: the execution table picks it, and
+    only the private hook forces one."""
 
-    def test_resolve_defaults_and_validates(self):
-        assert resolve_kernel_impl(None) == "fused"
-        assert resolve_kernel_impl("auto") == "fused"
-        assert resolve_kernel_impl("slab") == "slab"
-        assert resolve_kernel_impl("fused") == "fused"
-        with pytest.raises(BackendError, match="unknown kernel_impl 'jit'"):
-            resolve_kernel_impl("jit")
+    def test_the_hook_refuses_an_unknown_tier(self):
+        with pytest.raises(ValueError, match="unknown tier 'jit'"):
+            with _force_tier("jit"):
+                pass
 
-    def test_solve_rejects_unknown(self):
+    def test_solve_refuses_the_deleted_keyword(self):
         p = random_matrix_chain(5, seed=0)
-        with pytest.raises(InvalidProblemError, match="unknown kernel_impl"):
-            solve(p, method="huang", kernel_impl="vectorised")
+        with pytest.raises(InvalidProblemError, match="takes no keyword kernel_impl"):
+            solve(p, method="huang", kernel_impl="fused")
 
-    def test_solve_many_rejects_unknown(self):
+    def test_plan_for_refuses_the_deleted_keyword(self):
         p = random_matrix_chain(5, seed=0)
-        with pytest.raises(InvalidProblemError, match="unknown kernel_impl"):
-            solve_many([p], kernel_impl="vectorised")
+        with pytest.raises(InvalidProblemError, match="takes no keyword kernel_impl"):
+            plan_for(p, method="huang", kernel_impl="fused")
 
-    def test_plan_for_rejects_unknown(self):
-        p = random_matrix_chain(5, seed=0)
-        with pytest.raises(InvalidProblemError, match="unknown kernel_impl"):
-            plan_for(p, method="huang", kernel_impl="vectorised")
-
-    def test_kernel_impls_is_single_sourced(self):
-        assert KERNEL_IMPLS == ("slab", "fused", "auto")
-
-    def test_solve_many_threads_kernel_impl_through(self):
-        ps = [random_matrix_chain(6, seed=s) for s in range(3)]
-        slab = solve_many(ps, method="huang", kernel_impl="slab")
-        fused = solve_many(ps, method="huang", kernel_impl="fused")
-        for a, b in zip(slab, fused):
-            assert a.value == b.value
-            assert np.array_equal(_canon(a.w), _canon(b.w))
+    def test_the_hook_is_scoped_to_its_block(self):
+        p = random_matrix_chain(8, seed=0)
+        with _force_tier("fused"):
+            assert plan_for(p, method="rytter").tier == "fused"
+        assert plan_for(p, method="rytter").tier == choose_tier("rytter", 8)
 
     def test_plan_describe_shows_tiers(self):
         p = random_matrix_chain(8, seed=0)
-        fused = plan_for(p, method="huang", kernel_impl="fused").describe()
-        assert f"kernel_impl=fused[{fused_backend()}]" in fused
+        with _force_tier("fused"):
+            fused = plan_for(p, method="huang").describe()
+            banded = plan_for(p, method="huang-banded").describe()
+            compact = plan_for(p, method="huang-compact").describe()
+        assert f"tier=fused[{fused_backend()}]" in fused
         assert "impl=fused" in fused
         assert "impl=slab" not in fused  # every dense step now lowers
-        banded = plan_for(p, method="huang-banded", kernel_impl="fused").describe()
         assert "impl=fused" in banded  # banded square + activate lower
         assert "impl=slab" not in banded
-        compact = plan_for(p, method="huang-compact", kernel_impl="fused").describe()
         assert "impl=fused" in compact  # the compact activate lowers
         assert "impl=slab" in compact  # compact square/pebble serve both tiers
-        slab = plan_for(p, method="huang", kernel_impl="slab").describe()
-        assert "kernel_impl=slab" in slab
+        with _force_tier("slab"):
+            slab = plan_for(p, method="huang").describe()
+        assert "tier=slab" in slab
         assert "impl=fused" not in slab
 
 
 class TestNumpyFallbackIsolation:
-    def test_auto_without_numba_resolves_numpy_and_matches(self):
+    def test_fused_without_numba_resolves_numpy_and_matches(self):
         """In a fresh interpreter with numba imports *blocked* (not just
-        absent), ``kernel_impl="auto"`` must resolve to the numpy fused
-        engine and solve bitwise-identically to the slab tier."""
+        absent), the fused tier must resolve to the numpy engine and
+        solve bitwise-identically to the slab tier."""
         code = (
             "import sys\n"
             "sys.modules['numba'] = None  # block the import outright\n"
@@ -513,10 +508,13 @@ class TestNumpyFallbackIsolation:
             "assert fused_backend() == 'numpy'\n"
             "import numpy as np\n"
             "from repro.core import solve\n"
+            "from repro.core.plan import _force_tier\n"
             "from repro.problems.generators import random_matrix_chain\n"
             "p = random_matrix_chain(10, seed=3)\n"
-            "slab = solve(p, method='huang', kernel_impl='slab')\n"
-            "auto = solve(p, method='huang', kernel_impl='auto')\n"
+            "with _force_tier('slab'):\n"
+            "    slab = solve(p, method='huang')\n"
+            "with _force_tier('fused'):\n"
+            "    auto = solve(p, method='huang')\n"
             "assert auto.value == slab.value\n"
             "assert auto.iterations == slab.iterations\n"
             "ws = np.nan_to_num(slab.w, posinf=-1.0)\n"
@@ -551,7 +549,7 @@ class TestNumbaEngine:
     def test_jit_solve_matches_slab(self, method, algebra):
         assert fused_backend() == "numba"
         p = random_matrix_chain(12, seed=9)
-        slab = solve(p, method=method, algebra=algebra, kernel_impl="slab")
-        fused = solve(p, method=method, algebra=algebra, kernel_impl="fused")
+        slab = _solve_on("slab", p, method=method, algebra=algebra)
+        fused = _solve_on("fused", p, method=method, algebra=algebra)
         assert np.array_equal(_canon(slab.w), _canon(fused.w))
         assert slab.value == fused.value

@@ -210,3 +210,132 @@ class TestProcessTilesRefused:
     @pytest.mark.parametrize("form", FORMS)
     def test_engine(self, form):
         _refused(lambda be: KernelEngine(be), _process_pool(form))
+
+
+class TestExecutionTable:
+    """One table picks the tier, the tile backend and the batch pool;
+    a backend the caller names always wins."""
+
+    def test_every_iterative_method_and_n_gets_a_choice(self):
+        """From n=1 to each solver's default memory guard ``max_n``."""
+        import inspect
+
+        from repro.core.api import _SOLVER_CLASSES
+        from repro.core.plan import (
+            EXECUTION,
+            TIERS,
+            choose_tier,
+            choose_tile_backend,
+        )
+        from repro.parallel.backends import TILE_BACKENDS
+
+        assert set(EXECUTION) == set(ITERATIVE_METHODS)
+        for method, cls in _SOLVER_CLASSES.items():
+            max_n = inspect.signature(cls).parameters["max_n"].default
+            assert max_n >= 28, (method, max_n)
+            for n in range(1, max_n + 1):
+                assert choose_tier(method, n) in TIERS, (method, n)
+                assert choose_tile_backend(method, n) in TILE_BACKENDS, (method, n)
+        for method in set(METHODS) - set(ITERATIVE_METHODS):
+            with pytest.raises(KeyError):
+                choose_tier(method, 8)
+            with pytest.raises(KeyError):
+                choose_tile_backend(method, 8, workers=2)
+
+    @pytest.mark.parametrize("method", ITERATIVE_METHODS)
+    @pytest.mark.parametrize("n", [4, 16, 24])
+    def test_solvers_and_plans_follow_the_table(self, method, n):
+        from repro.core.plan import choose_tier, choose_tile_backend
+
+        plan = plan_for(random_matrix_chain(n, seed=0), method=method)
+        assert plan.tier == choose_tier(method, n)
+        assert plan.backend == choose_tile_backend(method, n)
+
+    def test_one_worker_never_picks_threads(self):
+        from repro.core.plan import EXECUTION, choose_tile_backend
+
+        for method, rows in EXECUTION.items():
+            for n, _, _ in rows:
+                assert choose_tile_backend(method, n, workers=1) == "serial"
+
+    def test_a_named_backend_wins(self, monkeypatch):
+        """By string or instance, the caller's backend runs the tiles
+        even where the table picks another."""
+        from repro.core.plan import choose_tile_backend
+        from repro.parallel.backends import SerialBackend, ThreadBackend
+
+        p = random_matrix_chain(24, seed=0)
+        table = choose_tile_backend("huang", 24, workers=2)
+        named = "serial" if table == "thread" else "thread"
+        assert plan_for(p, method="huang", workers=2, backend=named).backend == named
+        assert plan_for(p, method="huang", workers=2).backend == table
+        built = []
+        init = ThreadBackend.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ThreadBackend, "__init__", counting_init)
+        with SerialBackend() as serial:
+            out = solve(p, method="huang", backend=serial, workers=2)
+        assert built == []
+        assert out.value == solve(p, method="sequential").value
+
+    @pytest.mark.parametrize("method", ["sequential", "knuth"])
+    def test_sequential_methods_construct_no_backend(self, method, monkeypatch):
+        from repro.parallel.backends import Backend
+
+        built = []
+        init = Backend.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Backend, "__init__", counting_init)
+        from repro.problems.generators import random_bst
+
+        solve(random_bst(40, seed=1), method=method)
+        assert built == []
+
+    def test_the_tier_hook_forces_every_solver(self):
+        from repro.core.plan import _force_tier
+
+        p = random_matrix_chain(8, seed=0)
+        for tier in ("slab", "fused"):
+            with _force_tier(tier):
+                for method in ITERATIVE_METHODS:
+                    assert plan_for(p, method=method).tier == tier
+
+
+class TestBatchPoolChoice:
+    @staticmethod
+    def _items(method, n, count):
+        return [(random_matrix_chain(n, seed=s), method, {}) for s in range(count)]
+
+    def test_a_one_item_batch_runs_serially(self):
+        from repro.core.plan import choose_batch_pool
+
+        assert choose_batch_pool(self._items("huang", 40, 1), workers=8) == "serial"
+
+    def test_one_worker_runs_serially(self):
+        from repro.core.plan import choose_batch_pool
+
+        assert choose_batch_pool(self._items("huang", 24, 8), workers=1) == "serial"
+
+    def test_the_choice_sums_the_items_work(self):
+        """Few small chains stay serial; many larger ones pay for a
+        fresh process pool."""
+        from repro.core.plan import choose_batch_pool
+
+        assert choose_batch_pool(self._items("sequential", 64, 8), workers=2) == "serial"
+        assert choose_batch_pool(self._items("sequential", 128, 32), workers=2) == "process"
+        assert choose_batch_pool(self._items("huang", 8, 8), workers=2) == "serial"
+        assert choose_batch_pool(self._items("huang", 24, 8), workers=2) == "process"
+
+    def test_one_dominant_item_keeps_the_batch_serial(self):
+        from repro.core.plan import choose_batch_pool
+
+        items = self._items("huang", 32, 1) + self._items("sequential", 8, 3)
+        assert choose_batch_pool(items, workers=2) == "serial"

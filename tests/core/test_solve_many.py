@@ -274,3 +274,87 @@ class TestProcessPoolBatches:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
+
+
+class TestPoolsNeverNest:
+    @pytest.mark.skipif("fork" not in START_METHODS, reason="needs fork")
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_items_sweep_on_serial_tiles(self, backend, monkeypatch):
+        """Where a lone solve would tile over threads (huang at n=24),
+        a batch item sweeps serially on whatever pool runs it: the
+        only thread pool built is the batch's own."""
+        from repro.core.plan import choose_tile_backend
+        from repro.parallel.backends import ThreadBackend
+
+        if choose_tile_backend("huang", 24, workers=2) != "thread":
+            pytest.skip("the table tiles huang n=24 serially under numba")
+        parent = os.getpid()
+        built = []
+        init = ThreadBackend.__init__
+
+        def counting_init(self, *args, **kwargs):
+            if os.getpid() != parent:
+                raise AssertionError("a batch item built a thread pool")
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ThreadBackend, "__init__", counting_init)
+        batch = [random_matrix_chain(24, seed=s) for s in range(2)]
+        extra = {"start_method": "fork"} if backend == "process" else {}
+        results = solve_many(
+            batch, method="huang", backend=backend, max_workers=2, **extra
+        )
+        assert len(built) == (1 if backend == "thread" else 0)
+        for problem, result in zip(batch, results):
+            assert result.value == solve(problem, method="sequential").value
+
+
+class TestTheTablePicksThePool:
+    @staticmethod
+    def _record_pools(monkeypatch):
+        import repro.core.api as api
+
+        names = []
+        make = api.make_backend
+
+        def recording_make(name, *args, **kwargs):
+            names.append(name)
+            return make(name, *args, **kwargs)
+
+        monkeypatch.setattr(api, "make_backend", recording_make)
+        return names
+
+    def test_unnamed_pool_follows_the_table(self, monkeypatch):
+        from repro.core.plan import choose_batch_pool
+
+        names = self._record_pools(monkeypatch)
+        small = [random_matrix_chain(6, seed=s) for s in range(3)]
+        large = [random_matrix_chain(128, seed=s) for s in range(32)]
+        solve_many(small, max_workers=2)
+        solve_many(large, max_workers=2)
+        assert names == [
+            choose_batch_pool([(p, "sequential", {}) for p in small], 2),
+            choose_batch_pool([(p, "sequential", {}) for p in large], 2),
+        ]
+        assert names == ["serial", "process"]
+
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    def test_a_named_pool_wins(self, backend, monkeypatch):
+        names = self._record_pools(monkeypatch)
+        large = [random_matrix_chain(128, seed=s) for s in range(32)]
+        solve_many(large, backend=backend, max_workers=2)
+        assert names == [backend]
+
+    def test_a_pool_instance_wins(self, monkeypatch):
+        names = self._record_pools(monkeypatch)
+        with ProcessBackend(2) as be:
+            (result,) = solve_many([MatrixChainProblem([10, 20, 5, 30])], backend=be)
+            assert be.health()["started"]
+        assert names == [] and result.value == 2500.0
+
+    @pytest.mark.parametrize("backend", [None, "serial", "thread"])
+    def test_start_method_without_a_process_pool_raises(self, backend):
+        with pytest.raises(InvalidProblemError, match="start_method applies only"):
+            solve_many(
+                [MatrixChainProblem([2, 3, 4])], backend=backend, start_method="fork"
+            )

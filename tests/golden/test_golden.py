@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core import solve
+from repro.core.plan import _force_tier
 
 GOLDEN_FILE = Path(__file__).parent / "golden_tables.json"
 
@@ -50,20 +51,16 @@ def test_knuth_pins_the_sequential_table():
     assert bst["knuth"]["value"] == bst["sequential"]["value"]
 
 
-@pytest.mark.parametrize("kernel_impl", ["slab", "fused"])
+@pytest.mark.parametrize("tier", ["slab", "fused"])
 @pytest.mark.parametrize(
     "entry",
     _entries(),
     ids=lambda e: f"{e['case']}-{e['method']}-{e['algebra']}",
 )
-def test_no_bitwise_drift(entry, kernel_impl):
+def test_no_bitwise_drift(entry, tier):
     problem = _problem_from_spec(entry["problem"])
-    result = solve(
-        problem,
-        method=entry["method"],
-        algebra=entry["algebra"],
-        kernel_impl=kernel_impl,
-    )
+    with _force_tier(tier):
+        result = solve(problem, method=entry["method"], algebra=entry["algebra"])
     assert result.value == entry["value"]
     assert result.iterations == entry["iterations"]
     golden_w = np.asarray(entry["w"], dtype=np.float64)

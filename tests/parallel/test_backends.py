@@ -5,6 +5,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 from functools import partial
 
@@ -229,6 +230,80 @@ class TestWorkerReplacement:
             assert be.health()["started"] is False
             second = be.map(_worker_pid, [0])
         assert os.getpid() not in first + second and first != second
+
+
+def _mark_and_sleep(path):
+    """Name this worker in ``path`` (atomically), then stay busy."""
+    with open(path + ".tmp", "w") as fh:
+        fh.write(str(os.getpid()))
+    os.replace(path + ".tmp", path)
+    time.sleep(30)
+
+
+class TestWorkerDeath:
+    """A dead worker breaks the pool instead of wedging it: the map in
+    flight raises, ``close()`` returns, and the next lease answers."""
+
+    @pytest.mark.skipif(
+        not os.path.exists(f"/proc/{os.getpid()}/wchan"), reason="needs /proc wchan"
+    )
+    def test_a_killed_task_pipe_reader_does_not_wedge_the_pool(self, within):
+        """The idle worker reading the task pipe holds the queue's read
+        lock; killing it must not block the next lease or close()."""
+        be = ProcessBackend(workers=2, start_method="fork")
+        try:
+            pids = be.worker_pids()
+            deadline = time.monotonic() + 10.0
+            while all(map(_waiting_on_the_task_lock, pids)):
+                assert time.monotonic() < deadline, "no worker reads the task pipe"
+                time.sleep(0.02)
+            reader = next(p for p in pids if not _waiting_on_the_task_lock(p))
+            os.kill(reader, signal.SIGKILL)
+            while be.health()["alive"]:
+                assert time.monotonic() < deadline, "the killed worker lives on"
+                time.sleep(0.02)
+
+            def next_lease():
+                with be.lease():
+                    return sorted(be.map(_square, range(6)))
+
+            assert within(10, next_lease) == [0, 1, 4, 9, 16, 25]
+            assert reader not in be.worker_pids()
+        finally:
+            within(10, be.close)
+
+    def test_a_worker_killed_mid_map_fails_the_map(self, tmp_path, within):
+        be = ProcessBackend(workers=2, start_method="fork")
+        try:
+            marks = [str(tmp_path / "a"), str(tmp_path / "b")]
+            failure = {}
+
+            def run():
+                try:
+                    be.map(_mark_and_sleep, marks)
+                except BackendError as exc:
+                    failure["error"] = exc
+
+            mapper = threading.Thread(target=run, daemon=True)
+            mapper.start()
+            deadline = time.monotonic() + 10.0
+            while not any(os.path.exists(m) for m in marks):
+                assert time.monotonic() < deadline, "no task started"
+                time.sleep(0.02)
+            busy = next(m for m in marks if os.path.exists(m))
+            with open(busy) as fh:
+                os.kill(int(fh.read()), signal.SIGKILL)
+            mapper.join(10)
+            assert not mapper.is_alive(), "the map waited on a dead worker"
+            assert isinstance(failure.get("error"), BackendError)
+
+            def next_lease():
+                with be.lease():
+                    return be.map(_square, [3, 4])
+
+            assert within(10, next_lease) == [9, 16]
+        finally:
+            within(10, be.close)
 
 
 class _Counted:

@@ -29,6 +29,7 @@ from repro.core.delta import DELTA_METHODS, delta_resolve
 from repro.core.banded import BandedSolver
 from repro.core.compact import CompactBandedSolver
 from repro.core.huang import HuangSolver
+from repro.core.plan import _force_tier
 from repro.core.rytter import RytterSolver
 from repro.core.sequential import solve_sequential
 from repro.problems import (
@@ -162,21 +163,17 @@ class TestEngineMatchesReferenceDP:
         method=st.sampled_from([name for name, _ in ITERATIVE]),
         backend=st.sampled_from(["serial", "thread"]),
         tiles=st.integers(1, 5),
-        kernel_impl=st.sampled_from(["slab", "fused"]),
+        tier=st.sampled_from(["slab", "fused"]),
     )
     def test_iterative_bitwise_equals_reference(
-        self, case, method, backend, tiles, kernel_impl
+        self, case, method, backend, tiles, tier
     ):
         problem, algebra = case
         ref = reference_dp(problem, algebra)
-        out = solve(
-            problem,
-            method=method,
-            algebra=algebra,
-            backend=backend,
-            tiles=tiles,
-            kernel_impl=kernel_impl,
-        )
+        with _force_tier(tier):
+            out = solve(
+                problem, method=method, algebra=algebra, backend=backend, tiles=tiles
+            )
         assert np.array_equal(out.w, ref)
         assert out.algebra == algebra
 
@@ -344,13 +341,11 @@ class TestObjectiveSemantics:
 PINNED = MatrixChainProblem([8, 3, 11, 5, 2, 9, 7, 4])  # n = 7, integer costs
 
 
-def _lockstep_host(problem, algebra, backend, tiles, kernel_impl):
+def _lockstep_host(problem, algebra, backend, tiles):
     """The fifth iterative host: a solver driven one kernel super-step
     at a time (the lockstep validator's usage pattern), rather than
     through ``run()``."""
-    with HuangSolver(
-        problem, algebra=algebra, backend=backend, tiles=tiles, kernel_impl=kernel_impl
-    ) as s:
+    with HuangSolver(problem, algebra=algebra, backend=backend, tiles=tiles) as s:
         for _ in range(s.paper_schedule_length()):
             s.a_activate()
             s.a_square()
@@ -361,21 +356,16 @@ def _lockstep_host(problem, algebra, backend, tiles, kernel_impl):
 
 @pytest.mark.slow
 class TestPinnedMatrix:
-    @pytest.mark.parametrize("kernel_impl", ["slab", "fused"])
+    @pytest.mark.parametrize("tier", ["slab", "fused"])
     @pytest.mark.parametrize("algebra", ALGEBRAS)
     @pytest.mark.parametrize("backend", ["serial", "thread"])
-    def test_all_methods_bitwise_equal_reference(self, algebra, backend, kernel_impl):
+    def test_all_methods_bitwise_equal_reference(self, algebra, backend, tier):
         ref = reference_dp(PINNED, algebra)
-        for method, cls in ITERATIVE:
-            with cls(
-                PINNED,
-                algebra=algebra,
-                backend=backend,
-                tiles=3,
-                kernel_impl=kernel_impl,
-            ) as solver:
-                out = solver.run()
-            assert np.array_equal(out.w, ref), (method, backend, algebra, kernel_impl)
-        assert np.array_equal(
-            _lockstep_host(PINNED, algebra, backend, 3, kernel_impl), ref
-        ), ("lockstep", backend, algebra, kernel_impl)
+        with _force_tier(tier):
+            for method, cls in ITERATIVE:
+                with cls(PINNED, algebra=algebra, backend=backend, tiles=3) as solver:
+                    assert solver.tier == tier
+                    out = solver.run()
+                assert np.array_equal(out.w, ref), (method, backend, algebra, tier)
+            lockstep = _lockstep_host(PINNED, algebra, backend, 3)
+        assert np.array_equal(lockstep, ref), ("lockstep", backend, algebra, tier)

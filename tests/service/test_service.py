@@ -12,6 +12,7 @@ import pytest
 from repro.core import solve
 from repro.errors import ReproError
 from repro.problems import BottleneckChainProblem, MatrixChainProblem
+from repro.problems.generators import random_matrix_chain
 from repro.service import LocalClient, ServiceClient, SolveService, serve_unix
 
 DIMS = [30, 35, 15, 5, 10, 20, 25]
@@ -194,6 +195,53 @@ class TestShutdownHygiene:
         client = LocalClient(backend="serial")
         client.close()
         client.close()
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is on a CPU (state R): a pool worker mid-task."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "R"
+    except OSError:
+        return False
+
+
+class TestWorkerDeath:
+    @pytest.mark.skipif(
+        not os.path.exists(f"/proc/{os.getpid()}/stat"), reason="needs /proc"
+    )
+    def test_a_worker_killed_mid_batch_fails_that_batch_only(self, within):
+        """Each request of the batch a dead worker broke gets one error,
+        and the next request is answered on a fresh pool."""
+        client = LocalClient(backend="process", workers=2, method="huang")
+        be = client.service.backend
+
+        def scenario():
+            batch = [random_matrix_chain(32, seed=s) for s in range(2)]
+            outcome = {}
+            submitter = threading.Thread(
+                target=lambda: outcome.update(out=client.solve_batch(batch)),
+                daemon=True,
+            )
+            submitter.start()
+            deadline = time.monotonic() + 10.0
+            victim = None
+            while victim is None:
+                assert time.monotonic() < deadline, "no worker ran the batch"
+                if be.health()["started"]:
+                    victim = next(filter(_running, be.worker_pids()), None)
+                time.sleep(0.005)
+            os.kill(victim, 9)
+            submitter.join(10)
+            assert not submitter.is_alive(), "the batch waited on a dead worker"
+            assert [type(r).__name__ for r in outcome["out"]] == ["BackendError"] * 2
+            assert client.solve(MatrixChainProblem(DIMS)).value == 15125.0
+            assert victim not in be.worker_pids()
+
+        try:
+            within(60, scenario)
+        finally:
+            within(10, client.close)
 
 
 class TestUnixSocketServer:

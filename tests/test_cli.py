@@ -14,11 +14,11 @@ from repro.cli import build_parser, main
 #: takes from it.
 COMMAND_OPTIONS = {
     "solve": "--family --n --seed --dims --method --policy --algebra --backend "
-    "--workers --kernel-impl --tree --trace",
+    "--workers --tree --trace",
     "batch": "--input --method --algebra --backend --start-method --max-workers "
-    "--kernel-impl --jsonl",
+    "--jsonl",
     "plan": "--family --n --seed --dims --method --algebra --backend "
-    "--workers --kernel-impl --tiles",
+    "--workers --tiles",
     "serve": "--socket --tcp --method --backend --start-method --workers "
     "--max-batch --cache-mb --cache-dir --max-requests",
     "fleet": "--shards --load-factor --min-shards --max-shards --socket --tcp "
@@ -39,12 +39,13 @@ COMMAND_OPTIONS = {
 }
 
 #: The defaults that differ by command. An unset ``request --socket``
-#: means ./repro.sock, so that ``--fleet`` can refuse an explicit one.
+#: means ./repro.sock, so that ``--fleet`` can refuse an explicit one;
+#: an unset ``--backend`` leaves the choice to the execution table.
 COMMAND_DEFAULTS = {
     "backend": {
-        "solve": "serial",
-        "plan": "serial",
-        "batch": "thread",
+        "solve": None,
+        "plan": None,
+        "batch": None,
         "serve": "process",
         "fleet": "process",
         "loadtest": "process",
@@ -437,6 +438,26 @@ class TestSolveBackendOption:
             build_parser().parse_args(
                 ["solve", "--dims", "2,3,4", "--workers", "0"]
             )
+
+    @pytest.mark.parametrize("command", ["solve", "plan", "batch"])
+    def test_the_deleted_kernel_impl_flag_exits_2(self, command, capsys):
+        """The code picks the kernel tier: no command takes a flag for it."""
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--kernel-impl", "fused"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --kernel-impl" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method,n", [("huang", 24), ("rytter", 16), ("rytter", 8)])
+    def test_plan_prints_the_tables_choice(self, method, n, capsys):
+        """With no --backend, ``repro plan`` compiles what the execution
+        table picks for the method and n."""
+        from repro.core.plan import choose_tier, choose_tile_backend
+
+        rc = main(["plan", "--method", method, "--n", str(n)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        chosen = f"backend={choose_tile_backend(method, n)} tier={choose_tier(method, n)}"
+        assert chosen in out
 
     @pytest.mark.parametrize("command", ["solve", "plan"])
     @pytest.mark.parametrize(
