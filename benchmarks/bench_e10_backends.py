@@ -169,15 +169,21 @@ def _time(fn, repeats: int = 3) -> float:
     return best
 
 
-def _time_alternating(fn_a, fn_b, repeats: int = 5) -> tuple[float, float]:
-    """Best-of-``repeats`` times of two functions run in turns, so a
-    slow spell on a shared host lands on both sides of their ratio
-    instead of on one."""
-    best_a = best_b = float("inf")
-    for _ in range(repeats):
-        best_a = min(best_a, _time(fn_a, 1))
-        best_b = min(best_b, _time(fn_b, 1))
-    return best_a, best_b
+def _best_alternating(runs: dict, repeats: int, budget_s: float = 8.0) -> dict:
+    """Best seconds per named run, the runs taken in turns: at least
+    ``repeats`` rounds, and more (up to 4x) while the rounds so far took
+    under ``budget_s``. On a shared 2-vCPU host the memory-bound solves
+    (huang-compact at n=24-48) time bimodally, about 140 or 220 ms at
+    n=32 for either tier, so five rounds can miss the fast mode of one
+    configuration and read two tying tiers 1.3-1.5x apart."""
+    best = dict.fromkeys(runs, float("inf"))
+    start = time.perf_counter()
+    for rounds in range(1, 4 * repeats + 1):
+        for name, fn in runs.items():
+            best[name] = min(best[name], _time(fn, 1))
+        if rounds >= repeats and time.perf_counter() - start > budget_s:
+            break
+    return best
 
 
 def backend_comparison_table(n: int = 24, workers: int = 4):
@@ -283,11 +289,16 @@ def _thread_speedup_stats(n: int = 32, workers: int = 2, repeats: int = 5) -> di
     from repro.core.kernels_fused import fused_backend
 
     p = random_matrix_chain(n, seed=3)
-    t_serial, t_thread = _time_alternating(
-        lambda: solve(p, method="huang", backend="serial"),
-        lambda: solve(p, method="huang", backend="thread", workers=workers),
+    best = _best_alternating(
+        {
+            "serial": lambda: solve(p, method="huang", backend="serial"),
+            "thread": lambda: solve(
+                p, method="huang", backend="thread", workers=workers
+            ),
+        },
         repeats,
     )
+    t_serial, t_thread = best["serial"], best["thread"]
     return {
         "thread_n": n,
         "thread_workers": workers,
@@ -331,11 +342,14 @@ def _fused_speedup_stats(n: int = 24, repeats: int = 5) -> dict:
     from repro.core.kernels_fused import fused_backend
 
     p = random_matrix_chain(n, seed=4)
-    t_slab, t_fused = _time_alternating(
-        lambda: _solve_on("slab", p, method="huang", backend="serial"),
-        lambda: _solve_on("fused", p, method="huang", backend="serial"),
+    best = _best_alternating(
+        {
+            tier: lambda tier=tier: _solve_on(tier, p, method="huang", backend="serial")
+            for tier in ("slab", "fused")
+        },
         repeats,
     )
+    t_slab, t_fused = best["slab"], best["fused"]
     return {
         "fused_n": n,
         "fused_engine": fused_backend(),
@@ -354,11 +368,16 @@ def _banded_fused_speedup_stats(n: int = 32, repeats: int = 5) -> dict:
     the banded square amortises with n, so a smaller instance
     under-reads the win."""
     p = random_matrix_chain(n, seed=4)
-    t_slab, t_fused = _time_alternating(
-        lambda: _solve_on("slab", p, method="huang-banded", backend="serial"),
-        lambda: _solve_on("fused", p, method="huang-banded", backend="serial"),
+    best = _best_alternating(
+        {
+            tier: lambda tier=tier: _solve_on(
+                tier, p, method="huang-banded", backend="serial"
+            )
+            for tier in ("slab", "fused")
+        },
         repeats,
     )
+    t_slab, t_fused = best["slab"], best["fused"]
     return {
         "banded_fused_n": n,
         "banded_slab_solve_s": t_slab,
@@ -402,23 +421,6 @@ def kernel_tier_table(n: int = 24, repeats: int = 3):
             "activate step covers."
         ),
     )
-
-
-def _best_alternating(runs: dict, repeats: int, budget_s: float = 8.0) -> dict:
-    """Best seconds per named run, the runs taken in turns: at least
-    ``repeats`` rounds, and more (up to 4x) while the rounds so far took
-    under ``budget_s``. On a shared 2-vCPU host the memory-bound solves
-    (huang-compact at n=24-48) time bimodally, about 140 or 220 ms at
-    n=32 for either tier, so five rounds can miss the fast mode of one
-    configuration and read two tying tiers 1.3-1.5x apart."""
-    best = dict.fromkeys(runs, float("inf"))
-    start = time.perf_counter()
-    for rounds in range(1, 4 * repeats + 1):
-        for name, fn in runs.items():
-            best[name] = min(best[name], _time(fn, 1))
-        if rounds >= repeats and time.perf_counter() - start > budget_s:
-            break
-    return best
 
 
 def _regret_cell(label: str, choice: str, best: dict) -> dict:

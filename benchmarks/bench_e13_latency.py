@@ -23,9 +23,9 @@ gates the **latency distribution**:
   still in flight, so the determinism gate replays the race-free
   discipline. Violations fail unconditionally — no bar to loosen;
 * **shard balance under Zipf** (reported, not gated) — the per-shard
-  request counts and imbalance coefficient the replay throws off; the
-  measured CV is the consistent-hashing baseline ROADMAP item 4's
-  load-aware routing must beat (pinned in
+  request counts and imbalance coefficient the replay throws off, over
+  the requests the front end sent to shards (the ring's placement of a
+  whole Zipf trace is pinned in
   ``tests/loadgen/test_hashring_imbalance.py``).
 
 ``--smoke`` runs both gated axes (thresholds read from
@@ -152,8 +152,8 @@ def latency_table(stats: dict | None = None):
             f"open-loop at {OPEN_TRACE.rate:.0f} req/s against a live "
             f"{s['shards']}-shard fleet. Latency from *scheduled* arrival "
             "(coordinated omission corrected); per-source split shows what "
-            "the cache tiers buy the tail. The shard-count row is the "
-            "consistent-hashing imbalance ROADMAP item 4 must beat."
+            "the cache tiers buy the tail. The shard-count row counts "
+            "the requests the front end sent to their ring owners."
         ),
     )
 

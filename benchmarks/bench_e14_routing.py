@@ -1,52 +1,42 @@
-"""E14 — load-aware routing: bounded-load hashing vs the Zipf baseline.
+"""E14 — ring routing: every shard-bound request on its ring owner.
 
-E13 pinned what pure consistent hashing costs under a Zipf-popular
-workload: per-shard counts ``[8, 199, 97, 96]`` on the canonical
-400-request trace — CV 0.6762, peak-to-mean 1.99, one shard absorbing
-2x its fair share (``tests/loadgen/test_hashring_imbalance.py``). This
-benchmark gates the ROADMAP item 4 answer (``repro.service.routing``):
+The fleet places every request the front end cannot answer on the ring
+owner of its instance key (:class:`~repro.service.routing.HashRing`),
+and answers every repeat of an answered instance from its own table.
+Under a Zipf-popular workload the ring alone is uneven — it would place
+the canonical 400-request trace ``[8, 199, 97, 96]`` on 4 shards, CV
+0.6762 (``tests/loadgen/test_hashring_imbalance.py``) — but the front
+end answers most of those requests itself. This benchmark gates what the
+ring guarantees:
 
-* **load-factor sweep (offline)** — the exact deterministic placements
-  of bounded-load routing at ``load_factor`` 1.25 and ``inf`` over the
-  pinned Zipf-400 trace via
-  :func:`repro.service.routing.simulate_routing`: 1.25 must land
-  **strictly below** the pinned CV/peak baseline, and ``inf`` (the
-  default, and so the baseline row) must reproduce a direct
-  :class:`~repro.service.routing.HashRing` tally exactly;
-* **live imbalance (the E13 harness)** — the same trace replayed
-  open-loop through a real 4-shard fleet at ``load_factor=1.25``;
-  the per-shard record counts the analyzer measures must also beat the
-  baseline (the live router adds in-flight pressure to the load signal,
-  so this is the end-to-end check, not a re-run of the simulation).
-  The front end answers a repeat of an instance a shard has already
-  answered, so only the requests bound for shards are placed and
-  counted; the table reports both numbers;
+* **live placement (the E13 harness)** — the pinned trace replayed
+  open-loop through a real 4-shard fleet: no instance key may be
+  answered by two shards. The table reports the front end's share, the
+  per-shard counts of the requests placed on shards and their CV, and
+  p50/p99 latency. The counts are reported, not gated: repeats that
+  arrive while their key's first solve is in flight coalesce onto its
+  owner, so the CV follows the arrival timing, not the placement;
 * **cache hit-rate parity** — the E12 duplicate-heavy stream through a
-  bounded 4-shard fleet vs a single shard: spills move keys, but the
-  affinity hint keeps repeats together and moved keys re-materialise
-  from the shared L2, so the fleet-wide hit rate (which counts the
-  front end's answers as hits) stays within the E12 delta bar;
+  4-shard fleet vs a single shard: the fleet-wide hit rate (which
+  counts the front end's answers as hits) stays within the E12 delta
+  bar;
 * **scale cycle, zero drops** — an elastic fleet (2..4 shards) driven
   hot until it grows and idle until it shrinks: at least one scale-up
   and one scale-down must happen, and **every** accepted request must
   come back ``ok`` — no drops, no give-ups, across both handoffs.
 
-``--smoke`` runs all four with the acceptance gates (thresholds read
+``--smoke`` runs all three with the acceptance gates (thresholds read
 from ``BENCH_e14_routing.json``, measurement recorded back into it)
 and exits non-zero on violation — the CI hook.
 """
 
 from __future__ import annotations
 
-import math
 import sys
-from collections import Counter
 
 from repro.loadgen import TraceConfig, generate_trace, run_loadtest
-from repro.loadgen.analyze import imbalance
 from repro.problems.specs import route_key_from_spec
 from repro.service.fleet import FleetRouter
-from repro.service.routing import HashRing, simulate_routing
 from repro.util.bench import load_bars, record
 from repro.util.tables import format_table
 
@@ -54,12 +44,9 @@ BENCH_NAME = "e14_routing"
 
 #: fallback gate thresholds; the authoritative copy lives in
 #: BENCH_e14_routing.json at the repo root (see repro.util.bench).
-#: max_cv / max_peak_to_mean ARE the pinned ring baseline — the bounded
-#: router passes by beating them strictly.
 DEFAULT_BARS = {
-    "max_cv": 0.6762,  # pinned Zipf-400 ring CV the bounded router must beat
-    "max_peak_to_mean": 1.99,  # pinned ring peak-to-mean, same trace
-    "hit_rate_delta": 0.05,  # E12 parity bar: |bounded fleet - single| hit rate
+    "max_split_keys": 0,  # instance keys answered by more than one shard
+    "hit_rate_delta": 0.05,  # E12 parity bar: |fleet - single| hit rate
     "max_dropped": 0,  # accepted requests lost across the scale cycle
 }
 
@@ -69,90 +56,38 @@ BASELINE_TRACE = TraceConfig(
     family="chain", n=24, seed=7,
 )
 SHARDS = 4
-LOAD_FACTOR = 1.25
 
 #: per-shard configuration shared by every live axis: serial in-shard
 #: execution so measured effects are attributable to routing, not pools
 SHARD_KWARGS = dict(backend="serial", method="sequential")
 
 
-def _trace_keys(config: TraceConfig = BASELINE_TRACE) -> list[bytes]:
-    """The pinned trace's route keys, in arrival order."""
-    return [route_key_from_spec(ev.spec) for ev in generate_trace(config)]
+# -- axis B: live placement under the E13 harness -----------------------------
 
 
-# -- axis A: offline load-factor sweep -----------------------------------------
-
-
-def policy_sweep_stats() -> dict:
-    """Deterministic placements over the pinned trace at the default
-    factor (``inf``, the ring baseline) and at :data:`LOAD_FACTOR`."""
-    keys = _trace_keys()
-    runs = []
-    for factor in (math.inf, LOAD_FACTOR):
-        sim = simulate_routing(keys, range(SHARDS), load_factor=factor)
-        sim.update(imbalance(sim["counts"]))
-        runs.append(sim)
-    ring, bounded = runs
-    owners = Counter(HashRing(range(SHARDS)).route(key) for key in keys)
-    return {
-        "trace": BASELINE_TRACE.to_dict(),
-        "shards": SHARDS,
-        "ring": ring,
-        "bounded": bounded,
-        "inf_degenerates_to_ring": (
-            ring["counts"] == [owners.get(s, 0) for s in range(SHARDS)]
-            and ring["tags"] == {"ring": len(keys)}
-        ),
-    }
-
-
-def policy_sweep_table(stats: dict | None = None):
-    s = stats if stats is not None else policy_sweep_stats()
-    rows = []
-    for label, key in (
-        ("c=inf (ring baseline)", "ring"),
-        (f"c={LOAD_FACTOR}", "bounded"),
-    ):
-        run = s[key]
-        rows.append(
-            (
-                label,
-                "/".join(str(c) for c in run["counts"]),
-                f"{run['cv']:.4f}",
-                f"{run['peak_to_mean']:.2f}",
-                ", ".join(f"{t}:{n}" for t, n in run["tags"].items()),
-            )
-        )
-    return format_table(
-        ["load factor", "per-shard counts", "cv", "peak/mean", "route tags"],
-        rows,
-        title=(
-            f"E14a: bounded-load routing over the pinned Zipf-400 trace, "
-            f"{SHARDS} shards (offline simulation — deterministic). The "
-            "c=inf row IS the pinned ring baseline; c=1.25 must beat it."
-        ),
-    )
-
-
-# -- axis B: live imbalance under the E13 harness ------------------------------
-
-
-def live_imbalance_stats(speed: float = 25.0) -> dict:
-    """The pinned trace replayed open-loop through a real bounded-load
-    fleet; imbalance measured from the answering-shard attribution of
-    the records that came back."""
+def live_placement_stats(speed: float = 25.0) -> dict:
+    """The pinned trace replayed open-loop through a real 4-shard
+    fleet. Each shard-answered record's ``shard`` is grouped by its
+    instance key: a key answered by two shards is a split key."""
+    events = generate_trace(BASELINE_TRACE)
     result = run_loadtest(
         BASELINE_TRACE,
+        events=events,
         target="fleet",
         shards=SHARDS,
         speed=speed,
-        target_kwargs={**SHARD_KWARGS, "load_factor": LOAD_FACTOR},
+        target_kwargs=SHARD_KWARGS,
         with_status=True,
     )
     summary = result.summary()
     status = result.status or {}
+    shards_of: dict[bytes, set] = {}
+    for r in result.records:
+        if r["shard"] is not None:
+            key = route_key_from_spec(events[r["i"]].spec)
+            shards_of.setdefault(key, set()).add(r["shard"])
     imb = summary["imbalance"] or {}
+    latency = summary["latency_ms"] or {}
     return {
         "trace": BASELINE_TRACE.to_dict(),
         "shards": SHARDS,
@@ -164,26 +99,27 @@ def live_imbalance_stats(speed: float = 25.0) -> dict:
         "front_answers": (summary["by_route"].get("front") or {}).get("count", 0),
         "placed": sum(imb.get("counts", [])),
         "imbalance": summary["imbalance"],
-        "by_route": {
-            route: (stats_ or {}).get("count", 0)
-            for route, stats_ in (summary.get("by_route") or {}).items()
-        },
-        "route_tags": (status.get("router") or {}).get("route_tags"),
+        "keys": len(shards_of),
+        "split_keys": sum(1 for owners in shards_of.values() if len(owners) > 1),
+        "solves": (summary["by_source"].get("batch") or {}).get("count", 0),
+        "p50_ms": latency.get("p50_ms"),
+        "p99_ms": latency.get("p99_ms"),
         "cache_hit_rate": (status.get("totals") or {}).get("cache_hit_rate"),
         "wall_s": summary["wall_s"],
     }
 
 
-def live_imbalance_table(stats: dict | None = None):
-    s = stats if stats is not None else live_imbalance_stats()
+def live_placement_table(stats: dict | None = None):
+    s = stats if stats is not None else live_placement_stats()
     imb = s["imbalance"] or {}
     rows = [
         ("requests (ok/failed/dropped)", f"{s['ok']} / {s['failed']} / {s['dropped']}"),
         ("answered in the front end / placed on shards", f"{s['front_answers']} / {s['placed']}"),
+        ("keys placed / answered by two shards", f"{s['keys']} / {s['split_keys']}"),
+        ("cold solves", s["solves"]),
         ("per-shard counts", "/".join(str(c) for c in imb.get("counts", []))),
-        ("cv (pinned ring baseline 0.6762)", f"{imb.get('cv', 0.0):.4f}"),
-        ("peak-to-mean (baseline 1.99)", f"{imb.get('peak_to_mean', 0.0):.2f}"),
-        ("route decisions", ", ".join(f"{t}:{n}" for t, n in (s["by_route"] or {}).items())),
+        ("cv / peak-to-mean", f"{imb.get('cv', 0.0):.4f} / {imb.get('peak_to_mean', 0.0):.2f}"),
+        ("latency p50 / p99 ms", f"{s['p50_ms']} / {s['p99_ms']}"),
         ("fleet cache hit rate", s["cache_hit_rate"]),
         ("wall s", f"{s['wall_s']:.2f}"),
     ]
@@ -191,17 +127,16 @@ def live_imbalance_table(stats: dict | None = None):
         ["fact", "value"],
         rows,
         title=(
-            f"E14b: the same Zipf-400 trace replayed live ({SHARDS}-shard "
-            f"fleet, load_factor={LOAD_FACTOR}, E13 open-loop "
-            "harness). The live load signal adds in-flight pressure to "
-            "the placement counts, so this is the end-to-end gate. The "
-            "front end answers repeats itself, so the CV and peak gates "
-            "count only the requests placed on shards."
+            f"E14b: the pinned Zipf-400 trace replayed live ({SHARDS}-shard "
+            "fleet, E13 open-loop harness). The front end answers repeats "
+            "itself; every other request goes to its ring owner, so no key "
+            "is answered by two shards. The per-shard counts are the "
+            "requests placed on shards, reported, not gated."
         ),
     )
 
 
-# -- axis C: cache hit-rate parity under spills --------------------------------
+# -- axis C: cache hit-rate parity --------------------------------------------
 
 
 def _duplicate_workload(uniques: int = 8, repeats: int = 12) -> list[dict]:
@@ -235,16 +170,15 @@ def _run_fleet(shards: int, specs: list[dict], passes: int = 1, **kwargs) -> dic
         "requests": len(specs) * passes,
         "failures": failures,
         "cache_hit_rate": status["totals"]["cache_hit_rate"],
-        "route_tags": status["router"]["route_tags"],
     }
 
 
 def hit_rate_stats(uniques: int = 8, repeats: int = 12) -> dict:
-    """Bounded-fleet hit rate vs the single service on the duplicate
-    stream (two passes; the second is where the caches answer)."""
+    """Fleet hit rate vs the single service on the duplicate stream
+    (two passes; the second is where the caches answer)."""
     specs = _duplicate_workload(uniques, repeats)
     single = _run_fleet(1, specs, passes=2)
-    fleet = _run_fleet(SHARDS, specs, passes=2, load_factor=LOAD_FACTOR)
+    fleet = _run_fleet(SHARDS, specs, passes=2)
     return {
         "uniques": uniques,
         "requests": len(specs) * 2,
@@ -261,7 +195,7 @@ def hit_rate_table(stats: dict | None = None):
     rows = [
         ("single service (1 shard)", f"{s['single_hit_rate']:.3f}", "-"),
         (
-            f"bounded fleet ({SHARDS} shards)",
+            f"fleet ({SHARDS} shards)",
             f"{s['fleet_hit_rate']:.3f}",
             f"{s['delta']:.3f}",
         ),
@@ -271,11 +205,10 @@ def hit_rate_table(stats: dict | None = None):
         rows,
         title=(
             f"E14c: duplicate-heavy stream ({s['uniques']} uniques, "
-            f"{s['requests']} requests over two passes) under bounded-load "
-            "routing. The affinity hint keeps a spilled key's repeats "
-            "together; keys that do move re-materialise from the shared "
-            "L2 — so spilling costs (almost) no hit rate. The hit rate "
-            "counts the repeats the front end answers as hits."
+            f"{s['requests']} requests over two passes) over the ring. "
+            "Every repeat meets its key's owner or the front end's table, "
+            "so the fleet keeps the single service's hit rate. The hit "
+            "rate counts the repeats the front end answers as hits."
         ),
     )
 
@@ -298,7 +231,6 @@ def scale_cycle_stats(count: int = 24) -> dict:
     with FleetRouter(
         2,
         **SHARD_KWARGS,
-        load_factor=LOAD_FACTOR,
         min_shards=2,
         max_shards=SHARDS,
         scale_up_depth=6.0,
@@ -354,8 +286,7 @@ def scale_cycle_table(stats: dict | None = None):
 def smoke_stats(bars: dict | None = None) -> dict:
     """The smoke measurement, JSON-ready (what the trajectory records)."""
     return {
-        "sweep": policy_sweep_stats(),
-        "live": live_imbalance_stats(),
+        "live": live_placement_stats(),
         "hit_rate": hit_rate_stats(),
         "scale": scale_cycle_stats(),
     }
@@ -364,21 +295,12 @@ def smoke_stats(bars: dict | None = None) -> dict:
 def smoke_failures(stats: dict, bars: dict) -> list[str]:
     """Gate violations for one measurement against one bar set."""
     failed = []
-    sweep, live = stats["sweep"], stats["live"]
-    hr, scale = stats["hit_rate"], stats["scale"]
-    for label, run in (("offline", sweep["bounded"]), ("live", live["imbalance"])):
-        if run["cv"] >= bars["max_cv"]:
-            failed.append(
-                f"{label} bounded-router CV {run['cv']:.4f} does not beat the "
-                f"pinned ring baseline {bars['max_cv']}"
-            )
-        if run["peak_to_mean"] >= bars["max_peak_to_mean"]:
-            failed.append(
-                f"{label} bounded-router peak-to-mean {run['peak_to_mean']:.2f} "
-                f"does not beat the pinned ring baseline {bars['max_peak_to_mean']}"
-            )
-    if not sweep["inf_degenerates_to_ring"]:
-        failed.append("bounded with load_factor=inf diverged from pure ring routing")
+    live, hr, scale = stats["live"], stats["hit_rate"], stats["scale"]
+    if live["split_keys"] > bars["max_split_keys"]:
+        failed.append(
+            f"{live['split_keys']} of {live['keys']} instance keys were answered "
+            f"by more than one shard (bar {bars['max_split_keys']})"
+        )
     if live["failed"] or live["dropped"] > bars["max_dropped"]:
         failed.append(
             f"live replay lost requests: {live['failed']} failed, "
@@ -386,7 +308,7 @@ def smoke_failures(stats: dict, bars: dict) -> list[str]:
         )
     if hr["delta"] > bars["hit_rate_delta"]:
         failed.append(
-            f"bounded fleet cache hit rate {hr['fleet_hit_rate']:.3f} drifted "
+            f"fleet cache hit rate {hr['fleet_hit_rate']:.3f} drifted "
             f"{hr['delta']:.3f} from the single service's "
             f"{hr['single_hit_rate']:.3f} (bar {bars['hit_rate_delta']:.2f})"
         )
@@ -403,24 +325,21 @@ def smoke_failures(stats: dict, bars: dict) -> list[str]:
 
 
 def smoke() -> int:
-    """CI guard for the ISSUE 10 acceptance bars. Bars come from
+    """CI guard for the routing acceptance bars. Bars come from
     BENCH_e14_routing.json; the measurement is recorded back into it
     (the perf trajectory CI uploads)."""
     bars = load_bars(BENCH_NAME, DEFAULT_BARS)
     stats = smoke_stats(bars)
-    print(policy_sweep_table(stats=stats["sweep"]))
-    print()
-    print(live_imbalance_table(stats=stats["live"]))
+    print(live_placement_table(stats=stats["live"]))
     print()
     print(hit_rate_table(stats=stats["hit_rate"]))
     print()
     print(scale_cycle_table(stats=stats["scale"]))
-    live_imb = stats["live"]["imbalance"]
+    live = stats["live"]
     print(
-        f"\noffline bounded cv {stats['sweep']['bounded']['cv']:.4f} / live cv "
-        f"{live_imb['cv']:.4f} (bar < {bars['max_cv']}) | peak "
-        f"{live_imb['peak_to_mean']:.2f} (bar < {bars['max_peak_to_mean']}) | "
-        f"hit-rate delta {stats['hit_rate']['delta']:.3f} (bar "
+        f"\nsplit keys {live['split_keys']}/{live['keys']} (bar <= "
+        f"{bars['max_split_keys']}) | live cv {live['imbalance']['cv']:.4f} "
+        f"(reported) | hit-rate delta {stats['hit_rate']['delta']:.3f} (bar "
         f"{bars['hit_rate_delta']:.2f}) | scale ups/downs "
         f"{stats['scale']['scale_ups']}/{stats['scale']['scale_downs']} | lost "
         f"{stats['scale']['failures'] + stats['scale']['gave_up']} (bar "
@@ -436,12 +355,8 @@ def smoke() -> int:
     return 0
 
 
-def test_e14_policy_sweep(report, benchmark):
-    report("e14_routing", benchmark.pedantic(policy_sweep_table, rounds=1, iterations=1))
-
-
-def test_e14_live_imbalance(report, benchmark):
-    report("e14_routing", benchmark.pedantic(live_imbalance_table, rounds=1, iterations=1))
+def test_e14_live_placement(report, benchmark):
+    report("e14_routing", benchmark.pedantic(live_placement_table, rounds=1, iterations=1))
 
 
 def test_e14_hit_rate(report, benchmark):
@@ -456,9 +371,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if "--smoke" in argv:
         return smoke()
-    print(policy_sweep_table())
-    print()
-    print(live_imbalance_table())
+    print(live_placement_table())
     print()
     print(hit_rate_table())
     print()

@@ -13,12 +13,10 @@ L2 crash survival (a SIGKILLed shard's respawn answering from the
 shared on-disk tier), and L2 publish growth (mean ``put`` CPU with
 3000 entries on disk against an empty directory). E13 replays a
 seeded Zipf+Poisson trace against a live fleet and gates the p99
-cache-hit latency plus replay determinism. E14 gates the
-load-aware routing tier: the bounded-load router must beat the
-pinned Zipf imbalance baseline (CV 0.6762 / peak-to-mean 1.99) live
-and offline, keep cache hit-rate parity, and
-complete an elastic scale-up/scale-down cycle without dropping a
-request. This script just drives them all in sequence — it is what
+cache-hit latency plus replay determinism. E14 gates ring routing:
+no instance answered by two shards on a live Zipf replay, cache
+hit-rate parity, and an elastic scale-up/scale-down cycle that drops
+no request. This script just drives them all in sequence — it is what
 the CI ``bench-trajectory`` job runs before uploading the JSONs as
 artifacts, and what a developer runs locally to refresh the
 trajectory::
@@ -133,12 +131,12 @@ def main(argv: list[str] | None = None) -> int:
             metrics = json.loads(Path(bench_path(name)).read_text()).get(
                 "metrics", {}
             )
-            live = (metrics.get("live") or {}).get("imbalance") or {}
+            live = metrics.get("live") or {}
             scale = metrics.get("scale") or {}
             if live:
                 print(
-                    f"--- live bounded cv {live.get('cv')} vs pinned ring "
-                    f"0.6762; scale ups/downs "
+                    f"--- split keys {live.get('split_keys')}/{live.get('keys')}; "
+                    f"scale ups/downs "
                     f"{scale.get('scale_ups')}/{scale.get('scale_downs')}, "
                     f"lost {scale.get('failures', 0) + scale.get('gave_up', 0)}",
                     flush=True,

@@ -31,7 +31,6 @@ Examples::
     python -m repro serve --socket /tmp/repro.sock --backend process --workers 4
     python -m repro serve --tcp 0.0.0.0:7466
     python -m repro fleet --shards 4 --socket /tmp/fleet.sock
-    python -m repro fleet --shards 4 --load-factor 1.25
     python -m repro fleet --shards 2 --min-shards 2 --max-shards 8
     python -m repro request --socket /tmp/repro.sock --input problems.jsonl
     python -m repro request --tcp 127.0.0.1:7466 --input problems.jsonl
@@ -168,15 +167,6 @@ _OPTIONS: dict[str, dict[str, Any]] = {
         type=_positive_int,
         default=2,
         help="shard processes in the fleet (default: %(default)s)",
-    ),
-    "--load-factor": dict(
-        type=float,
-        default=float("inf"),
-        help=(
-            "bounded-load routing: spill a request off its ring owner when "
-            "the owner's load exceeds this multiple of the mean shard load; "
-            "'inf' never spills (default: inf, pure consistent hashing)"
-        ),
     ),
     "--input": dict(
         default="-",
@@ -442,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_options(
         p_fleet,
         "--shards",
-        "--load-factor",
         *_SERVICE,
         socket={"default": "fleet.sock"},
         cache_dir={
@@ -556,7 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--socket",
         "--tcp",
         "--shards",
-        "--load-factor",
         "--backend",
         "--workers",
         socket={
@@ -887,7 +875,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         args.shards,
         **_service_kwargs(args),
         state_dir=args.state_dir,
-        load_factor=args.load_factor,
         min_shards=args.min_shards,
         max_shards=args.max_shards,
     )
@@ -1005,8 +992,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
             target_kwargs["workers"] = args.workers
         if config.method is not None:
             target_kwargs["method"] = config.method
-        if args.target == "fleet":
-            target_kwargs["load_factor"] = args.load_factor
     result = run_loadtest(
         config,
         events=events,

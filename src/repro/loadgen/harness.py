@@ -33,10 +33,10 @@ anything else
 
 Each request yields one JSON-able record — scheduled/send/receive
 timestamps, ``ok``, the service's ``source`` attribution
-(cache/coalesced/delta/batch), the answering ``shard`` and routing
-decision ``route`` (ring/affinity/spill, both stamped by the fleet
-router; a repeat the router answers from its own table has ``shard``
-``None`` and ``route`` ``front``), the server-side ``elapsed_ms`` and
+(cache/coalesced/delta/batch), the answering ``shard`` and ``route``
+(both stamped by the fleet router: ``ring`` on a shard's answer, and a
+repeat the router answers from its own table has ``shard`` ``None``
+and ``route`` ``front``), the server-side ``elapsed_ms`` and
 the harness-side ``latency_ms`` — which
 :func:`repro.loadgen.analyze.analyze` folds into the tail-latency/SLO
 summary.

@@ -12,7 +12,7 @@ models:
     probability proportional to ``(r + 1) ** -s``. The classic
     skewed-popularity law of production request streams; what the E13
     benchmark replays, and what exposes the consistent-hash ring's
-    load imbalance (ROADMAP item 4).
+    load imbalance.
 ``adversarial``
     Every request hammers pool entry 0 — the degenerate hotspot that
     maximises shard skew (one shard absorbs the entire stream) — and

@@ -29,6 +29,7 @@ import os
 import pickle
 import signal
 import threading
+import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
@@ -66,16 +67,33 @@ def default_start_method() -> str:
     return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
 
 
-def _init_worker() -> None:  # pragma: no cover - worker-side
+#: seconds between a pool worker's checks that its owner still runs
+_OWNER_POLL_S = 0.5
+
+
+def _init_worker(owner: int) -> None:  # pragma: no cover - worker-side
     """Pool initializer: each worker starts with SIGTERM's default action
-    and no wakeup fd. A fork-started worker inherits its parent's
-    handlers, so a caller's SIGTERM handler (an asyncio server's, say)
-    would let the worker miss the SIGTERM of :meth:`ProcessBackend.close`
-    inside a blocking lock wait, and the close would then wait for it
-    forever; the inherited wakeup fd would hand the signal to the
-    parent's event loop instead."""
+    and no wakeup fd, and leaves when its owner (pid ``owner``) does.
+    A fork-started worker inherits its parent's handlers, so a caller's
+    SIGTERM handler (an asyncio server's, say) would let the worker miss
+    the SIGTERM of :meth:`ProcessBackend.close` inside a blocking lock
+    wait, and the close would then wait for it forever; the inherited
+    wakeup fd would hand the signal to the parent's event loop instead.
+    An owner that ends without its cleanup (SIGKILL, the OOM killer,
+    ``os._exit``) leaves the workers waiting on the call queue for good,
+    since every sibling holds its write end and none ever reads EOF: a
+    daemon thread ends the worker once it has been re-parented."""
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.set_wakeup_fd(-1)
+    threading.Thread(
+        target=_exit_with_owner, args=(owner,), name="repro-owner-watch", daemon=True
+    ).start()
+
+
+def _exit_with_owner(owner: int) -> None:  # pragma: no cover - worker-side
+    while os.getppid() == owner:
+        time.sleep(_OWNER_POLL_S)
+    os._exit(0)
 
 
 def _call_pickled(task: tuple[bytes, bytes]) -> Any:  # pragma: no cover - worker-side
@@ -252,7 +270,10 @@ class ProcessBackend(Backend):
         with self._pool_lock:
             if self._pool is None:
                 pool = ProcessPoolExecutor(
-                    self.workers, mp_context=self._ctx, initializer=_init_worker
+                    self.workers,
+                    mp_context=self._ctx,
+                    initializer=_init_worker,
+                    initargs=(os.getpid(),),
                 )
                 # The executor forks its workers at the first submit and
                 # (Python 3.11+) spawns them one per submit; start them

@@ -31,8 +31,8 @@ JSON; fields the parser ignores (``id``, a benchmark's ``rid``, typos)
 stay out. Only a spec the parser accepted and that has an instance key
 enters the memo, so a rejected spec is rebuilt — and rejected — on
 every request. Two texts may share a key (``1`` and ``1.0``); one text
-never has two. The router (:func:`route_key_from_spec`) and the solve
-server look keys up here before building anything.
+never has two. The fleet router and the solve server look keys up here
+before building anything.
 """
 
 from __future__ import annotations

@@ -12,15 +12,13 @@ the same shard, so duplicate-heavy traffic keeps hitting that shard's
 cache and coalescer exactly as it would a single service's; distinct
 requests spread across shards and scale with them.
 
-Routing is **load-aware** (:mod:`repro.service.routing`): one
-bounded-load consistent-hashing policy spills a request off its ring
-owner when the owner's load exceeds ``load_factor`` times the fleet
-mean, with a cache-affinity hint so a spilled hot key's repeats keep
-hitting the shard now holding its L1 entry, and the shared L2 catching
-the keys that do move. The default ``load_factor=inf`` never spills:
-every request goes to its ring owner, the placement above. Every
-response carries the routing decision (``route: ring/affinity/spill``)
-next to the answering ``shard``.
+Placement is the ring and nothing else (:mod:`repro.service.routing`):
+every shard-bound request goes to the ring owner of its instance key,
+or of its spec fingerprint when it has none, at every fleet width and
+through scale events. :meth:`FleetRouter.route` is that placement. Each
+request's key is computed once in the front end and carried to the
+answer table and to the ring. A shard's response carries the answering
+``shard`` and ``route: "ring"``.
 
 Repeats are **answered in the front end**. A shard's answer is a
 function of the request's instance key alone, and no wire op can
@@ -70,7 +68,7 @@ One event loop
 --------------
 The router owns one asyncio event loop, which :meth:`FleetRouter.start`
 runs on a daemon thread named ``repro-fleet-router``. Routing, the
-load gauges, the counters, the ring and every shard connection (one
+in-flight counts, the counters, the ring and every shard connection (one
 asyncio stream per shard, opened on first use) are touched only on
 that loop, so none of them takes a lock. A round sends each shard its
 group in one write and reads the answers under that shard's
@@ -96,7 +94,6 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import itertools
-import math
 import os
 import shutil
 import subprocess
@@ -110,8 +107,8 @@ from pathlib import Path
 from typing import Any, Awaitable, Callable, Coroutine, Optional, Sequence
 
 from repro.errors import ReproError
-from repro.problems.specs import KEY_MEMO_ENTRIES, route_key_from_spec, spec_key
-from repro.service.routing import BoundedLoadPolicy, HashRing, ShardLoad
+from repro.problems.specs import KEY_MEMO_ENTRIES, spec_fingerprint, spec_key
+from repro.service.routing import HashRing
 from repro.service.transport import (
     MAX_LINE_BYTES,
     Address,
@@ -151,10 +148,9 @@ class _Job:
     spec: dict
     shard: int = -1  # placed after the round's scale check
     client_id: Any = None  # the caller's own "id", echoed back verbatim
-    # the policy's decision tag (ring/affinity/spill); a request answered
-    # from the front end's table is no job and is tagged "front"
-    route: str = "ring"
-    key: Optional[bytes] = None  # instance key an ok answer is stored under
+    # instance key: an ok answer is stored under it and the ring places
+    # by it; None (malformed or uncacheable) places by the fingerprint
+    key: Optional[bytes] = None
     dispatches: int = 0
     record: Optional[dict] = None
 
@@ -254,11 +250,6 @@ class FleetRouter:
     ``state_dir``
         Where shard sockets and log files live; a private temporary
         directory (removed on close) when not given.
-    ``load_factor``
-        The routing policy's spill threshold (spill when a shard's load
-        exceeds ``load_factor`` times the fleet mean, see
-        :mod:`repro.service.routing`); the default ``inf`` never spills,
-        so every request goes to its ring owner.
     ``min_shards, max_shards``
         The elastic range for dynamic scaling; both default to
         ``shards`` (autoscaling off). With a real range, the router
@@ -292,7 +283,6 @@ class FleetRouter:
         cache_bytes: int = 128 << 20,
         cache_dir: Optional[str] = None,
         state_dir: Optional[str] = None,
-        load_factor: float = math.inf,
         min_shards: Optional[int] = None,
         max_shards: Optional[int] = None,
         scale_up_depth: float = 32.0,
@@ -312,7 +302,6 @@ class FleetRouter:
                 f"scale_down_depth ({scale_down_depth}) must be below "
                 f"scale_up_depth ({scale_up_depth})"
             )
-        self._policy = BoundedLoadPolicy(load_factor)  # validates before mkdtemp
         self.scale_up_depth = float(scale_up_depth)
         self.scale_down_depth = float(scale_down_depth)
         self.default_method = method
@@ -337,7 +326,9 @@ class FleetRouter:
             for i in range(shards)
         }
         self.ring = HashRing(range(shards))
-        self._loads: dict[int, ShardLoad] = {i: ShardLoad() for i in range(shards)}
+        #: accepted-but-unanswered requests per shard: the autoscaler's
+        #: demand, scale-down's idle test and inflight()
+        self._inflight: dict[int, int] = {i: 0 for i in range(shards)}
         self._started = False
         self._closed = False
         # The router's event loop and the thread running it: from
@@ -358,7 +349,6 @@ class FleetRouter:
         self._demand_ewma = 0.0
         self._scale_ups = 0
         self._scale_downs = 0
-        self._route_tags: dict[str, int] = {}
         #: instance key -> (method, algebra, value, iterations) of a
         #: shard's ok answer, in LRU order; None when caching is off
         self._answers: Optional[OrderedDict[bytes, tuple]] = (
@@ -588,10 +578,10 @@ class FleetRouter:
         return future.result()
 
     def route(self, spec: dict) -> int:
-        """The shard index of a spec's *ring owner* — the pure consistent-
-        hash placement, independent of load and free of load-gauge side
-        effects (so clients and tests can predict it)."""
-        return self._call(self._ring_owner, spec)
+        """The shard index a spec is placed on: the ring owner of its
+        instance key, or of its fingerprint when it has none. It places
+        nothing, so clients and tests can predict every placement."""
+        return self._call(self._route, spec)
 
     def request(self, spec: dict) -> dict:
         """Route and answer one spec; always returns a record."""
@@ -613,9 +603,9 @@ class FleetRouter:
 
     def inflight(self) -> dict[int, int]:
         """Accepted-but-unanswered requests per shard index, read from
-        the router's own load gauges — unlike :meth:`status`, without
+        the router's own counts — unlike :meth:`status`, without
         waiting for a shard that is busy answering a batch."""
-        return self._call(self._inflight)
+        return self._call(self._inflight_counts)
 
     def status(self) -> dict:
         """Aggregate health: per-shard status records (or ``alive:
@@ -628,62 +618,67 @@ class FleetRouter:
 
     # -- routing -------------------------------------------------------------
 
-    def _route_key(self, body: dict) -> bytes:
-        return route_key_from_spec(body, default_method=self.default_method)
+    def _key(self, body: dict) -> Optional[bytes]:
+        """The instance key of one spec (``body``, without its ``id``):
+        the one key computation a request gets in this process. ``None``
+        for a malformed spec, whose shard answers with the error, and
+        for an uncacheable one."""
+        try:
+            key, _ = spec_key(body, default_method=self.default_method)
+        except Exception:  # noqa: BLE001 - its shard answers with the error
+            return None
+        return key
 
-    async def _ring_owner(self, spec: dict) -> int:
+    def _owner(self, body: dict, key: Optional[bytes]) -> int:
+        """The ring owner of a spec whose instance key is ``key``. A dead
+        owner is chosen like a live one: :meth:`_dispatch_to_shard`
+        respawns it before sending."""
+        return self.ring.route(key if key is not None else spec_fingerprint(body))
+
+    async def _route(self, spec: dict) -> int:
         body = {k: v for k, v in spec.items() if k != "id"}
-        return self.ring.route(self._route_key(body))
-
-    def _route_spec(self, body: dict) -> tuple[int, str]:
-        """One load-aware placement: ask the policy, then immediately
-        account for it (``assigned`` forever, ``inflight`` until the
-        record lands) so the next placement — same batch or a concurrent
-        one — sees this request's weight. Returns ``(shard, tag)``. A
-        dead shard may be chosen: :meth:`_dispatch_to_shard` respawns
-        it before sending."""
-        key = self._route_key(body)
-        sid, tag = self._policy.choose(key, self.ring, self._loads)
-        load = self._loads.get(sid)
-        if load is not None:
-            load.assigned += 1
-            load.inflight += 1
-        self._route_tags[tag] = self._route_tags.get(tag, 0) + 1
-        return sid, tag
+        return self._owner(body, self._key(body))
 
     def _finish_job(self, job: _Job) -> None:
-        """Release a routed job's live-load claim (exactly once)."""
-        load = self._loads.get(job.shard)
-        if load is not None and load.inflight > 0:
-            load.inflight -= 1
+        """Release a placed job's in-flight count (exactly once)."""
+        if self._inflight.get(job.shard, 0) > 0:
+            self._inflight[job.shard] -= 1
 
     # -- requests ------------------------------------------------------------
 
-    async def _request_many(self, specs: Sequence[dict]) -> list[dict]:
+    async def _request_many(
+        self,
+        specs: Sequence[dict],
+        keys: Optional[Sequence[Optional[bytes]]] = None,
+    ) -> list[dict]:
         """The one dispatch path: :meth:`request_many` and the front
-        end's rounds both await this on the router's loop. A spec whose
-        instance key has an answer in the table is answered here; the
-        rest are placed and sent to their shards, and every ``ok``
-        answer they get is stored."""
+        end's rounds both await this on the router's loop. ``keys`` are
+        the specs' instance keys when the caller has computed them (see
+        :meth:`_key`). A spec whose key has an answer in the table is
+        answered here; the rest are placed on their ring owners and sent
+        to their shards, and every ``ok`` answer they get is stored."""
         if self._closed:
             raise ReproError("fleet is closed")
         records: list[Optional[dict]] = [None] * len(specs)
         jobs = []
         for index, spec in enumerate(specs):
+            t0 = time.perf_counter()
             body = {k: v for k, v in spec.items() if k != "id"}
+            key = self._key(body) if keys is None else keys[index]
             client_id = spec.get("id", index + 1)
-            key, record = self._front_record(body, client_id)
+            record = self._front_record(key, client_id, t0)
             if record is None:
                 jobs.append(_Job(index, body, client_id=client_id, key=key))
             else:
                 records[index] = record
         self._requests += len(specs)
         # Demand counts the shard-bound requests before placement adds
-        # them to the in-flight gauges; a round answered entirely here
+        # them to the in-flight counts; a round answered entirely here
         # still lets the smoothed demand decay.
         await self._maybe_scale(len(jobs))
         for job in jobs:
-            job.shard, job.route = self._route_spec(job.spec)
+            job.shard = self._owner(job.spec, job.key)
+            self._inflight[job.shard] += 1
 
         pending = jobs
         # Two passes suffice: requests a dead shard absorbed are
@@ -705,7 +700,7 @@ class FleetRouter:
                         "id": job.client_id,
                         "ok": False,
                         "shard": job.shard,
-                        "route": job.route,
+                        "route": "ring",
                         "error": (
                             f"shard {job.shard} died again after the request "
                             "was re-dispatched once; giving up "
@@ -721,42 +716,36 @@ class FleetRouter:
                 "id": job.client_id,
                 "ok": False,
                 "shard": job.shard,
-                "route": job.route,
+                "route": "ring",
                 "error": f"shard {job.shard} kept failing; request abandoned",
             }
             self._finish_job(job)
         for job in jobs:
             records[job.index] = job.record
-            if job.key is not None and job.record.get("ok") is True:
+            ok = job.record.get("ok") is True
+            if ok and job.key is not None and self._answers is not None:
                 self._remember(job.key, job.record)
         return records
 
     # -- answers in the front end ---------------------------------------------
 
     def _front_record(
-        self, body: dict, client_id: Any
-    ) -> tuple[Optional[bytes], Optional[dict]]:
-        """``(instance_key, record)`` for one spec (``body``, without its
-        ``id``). The record is the spec's *front answer* — the table's
-        answer, with no shard and no round — or ``None`` when the spec
-        must go to a shard; a front answer is counted here. The key is
-        ``None`` when no answer may be stored for the spec: the fleet
-        keeps no table, the spec is malformed, or it has no instance
-        key."""
-        if self._answers is None:
-            return None, None
-        t0 = time.perf_counter()
-        try:
-            key, _ = spec_key(body, default_method=self.default_method)
-        except Exception:  # noqa: BLE001 - its shard answers with the error
-            return None, None
-        answer = None if key is None else self._answers.get(key)
+        self, key: Optional[bytes], client_id: Any, t0: float
+    ) -> Optional[dict]:
+        """The *front answer* to a spec whose instance key is ``key`` —
+        the table's answer, with no shard and no round — or ``None`` when
+        the spec must go to a shard; a front answer is counted here.
+        ``t0`` is the ``perf_counter`` reading its ``elapsed_ms`` starts
+        from."""
+        if key is None or self._answers is None:
+            return None
+        answer = self._answers.get(key)
         if answer is None:
-            return key, None
+            return None
         self._answers.move_to_end(key)
         self._front_answers += 1
         method, algebra, value, iterations = answer
-        return key, {
+        return {
             "id": client_id,
             "ok": True,
             "method": method,
@@ -769,27 +758,30 @@ class FleetRouter:
             "route": "front",
         }
 
-    def _answer_at_front(self, msg: dict) -> Optional[dict]:
-        """The front answer to one served spec line, or ``None`` when the
-        line needs a round. :class:`_ConnBatcher` calls this from the
-        read callback, so a repeat is answered before any round that is
-        in flight on its connection. It counts like a round of one
-        answered here: one request, one front answer and one demand
-        sample with no shard-bound request, which may start a scale
-        event (so a fleet that serves only repeats still shrinks)."""
+    def _answer_at_front(self, msg: dict) -> tuple[Optional[bytes], Optional[dict]]:
+        """``(key, record)`` for one served spec line: its instance key
+        (:meth:`_key`), which the line's round carries, and its front
+        answer, or ``None`` when the line needs a round.
+        :class:`_ConnBatcher` calls this from the read callback, so a
+        repeat is answered before any round that is in flight on its
+        connection. It counts like a round of one answered here: one
+        request, one front answer and one demand sample with no
+        shard-bound request, which may start a scale event (so a fleet
+        that serves only repeats still shrinks)."""
+        t0 = time.perf_counter()
+        key = self._key({k: v for k, v in msg.items() if k != "id"})
         if self._closed:
-            return None  # the round answers "fleet is closed"
-        body = {k: v for k, v in msg.items() if k != "id"}
-        _, record = self._front_record(body, msg.get("id"))
+            return key, None  # the round answers "fleet is closed"
+        record = self._front_record(key, msg.get("id"), t0)
         if record is None:
-            return None
+            return key, None
         self._requests += 1
         scale = self._sample_demand(0)
         if scale is not None:
             task = asyncio.ensure_future(scale)
             self._scale_tasks.add(task)
             task.add_done_callback(self._scale_done)
-        return record
+        return key, record
 
     def _scale_done(self, task: asyncio.Task) -> None:
         self._scale_tasks.discard(task)
@@ -870,7 +862,7 @@ class FleetRouter:
                             "id": job.client_id,
                             "ok": False,
                             "shard": shard.index,
-                            "route": job.route,
+                            "route": "ring",
                             "error": (
                                 "request too large: over "
                                 f"{MAX_LINE_BYTES} bytes once re-encoded"
@@ -894,7 +886,7 @@ class FleetRouter:
                     # stamps itself) and rides through the front end,
                     # so a load harness needs no client-side re-route.
                     record["shard"] = shard.index
-                    record["route"] = job.route
+                    record["route"] = "ring"
                     job.record = record
                     self._finish_job(job)
                 return []
@@ -930,7 +922,7 @@ class FleetRouter:
         if self.min_shards == self.max_shards:
             return None
         width = len(self._shards)
-        inflight = sum(load.inflight for load in self._loads.values())
+        inflight = sum(self._inflight.values())
         demand = (incoming + inflight) / max(width, 1)
         self._demand_ewma += _SCALE_ALPHA * (demand - self._demand_ewma)
         if self._scaling:
@@ -958,9 +950,7 @@ class FleetRouter:
         points depend only on the index — reclaims exactly the vnode
         segment its predecessor owned. The process is spawned and
         readied *before* the ring learns about it, so no request routes
-        to a socket that isn't accepting yet; its load gauge starts at
-        the fleet's mean ``assigned`` so the bounded policy ramps it in
-        instead of funnelling every next request at the newcomer.
+        to a socket that isn't accepting yet.
         """
         sid = 0
         while sid in self._shards:
@@ -972,12 +962,8 @@ class FleetRouter:
             # spawning; stop it too rather than leave an orphan.
             await self._stop_shard(shard)
             return
-        mean_assigned = int(
-            sum(load.assigned for load in self._loads.values())
-            / max(len(self._loads), 1)
-        )
         self._shards[sid] = shard
-        self._loads[sid] = ShardLoad(assigned=mean_assigned)
+        self._inflight[sid] = 0
         self.ring.add_shard(sid)
         self._scale_ups += 1
 
@@ -988,17 +974,17 @@ class FleetRouter:
         checked with no ``await`` between the check and its removal
         from the ring, so a placement either lands before (and blocks
         the retirement) or after (and cannot choose the retired shard).
-        Its keyspace hands off to the ring successors; duplicates of its
-        hot keys re-materialise from the shared L2 rather than
-        re-solving.
+        Its keyspace hands off to the next shards along the ring;
+        duplicates of its hot keys re-materialise from the shared L2
+        rather than re-solving.
         """
         victim: Optional[_Shard] = None
         for sid in sorted(self._shards, reverse=True):
             if len(self._shards) <= self.min_shards:
                 break
-            if self._loads[sid].inflight == 0:
+            if self._inflight[sid] == 0:
                 victim = self._shards.pop(sid)
-                self._loads.pop(sid)
+                self._inflight.pop(sid)
                 self.ring.remove_shard(sid)
                 self._retired_respawns += victim.respawns
                 self._scale_downs += 1
@@ -1016,8 +1002,8 @@ class FleetRouter:
     async def _shard_pids(self) -> list[Optional[int]]:
         return [shard.pid() for _, shard in sorted(self._shards.items())]
 
-    async def _inflight(self) -> dict[int, int]:
-        return {sid: load.inflight for sid, load in self._loads.items()}
+    async def _inflight_counts(self) -> dict[int, int]:
+        return dict(self._inflight)
 
     async def _status(self) -> dict:
         shard_records = []
@@ -1056,9 +1042,8 @@ class FleetRouter:
                 totals["queue_depth"] += scheduler.get("queue_depth", 0)
                 totals["cpu_s"] += status.get("cpu_s", 0.0)
             # Read after the await: the shard may have retired meanwhile.
-            load = self._loads.get(sid)
-            if load is not None:
-                record["load"] = load.snapshot()
+            if sid in self._inflight:
+                record["load"] = {"inflight": self._inflight[sid]}
             shard_records.append(record)
         # A front answer is a cache hit the shards never saw.
         totals["cache_hits"] += self._front_answers
@@ -1072,11 +1057,6 @@ class FleetRouter:
             "alive": alive,
             "uptime_s": round(time.monotonic() - self._t0, 3),
             "router": {
-                "load_factor": (
-                    None
-                    if math.isinf(self._policy.load_factor)
-                    else self._policy.load_factor
-                ),
                 "requests": self._requests,
                 "redispatched": self._redispatched,
                 "gave_up": self._gave_up,
@@ -1087,7 +1067,6 @@ class FleetRouter:
                 "scale_ups": self._scale_ups,
                 "scale_downs": self._scale_downs,
                 "demand_ewma": round(self._demand_ewma, 3),
-                "route_tags": dict(sorted(self._route_tags.items())),
                 "front_answers": self._front_answers,
                 "front_entries": 0 if self._answers is None else len(self._answers),
                 "cpu_s": cpu_s,
@@ -1131,18 +1110,19 @@ class _ConnBatcher:
 
     def __init__(self, router: FleetRouter) -> None:
         self._router = router
-        self._pending: list[tuple[dict, Any]] = []
+        #: lines waiting for a round, each with its instance key
+        self._pending: list[tuple[dict, Optional[bytes], Any]] = []
         # Rounds in flight only: a connection can live as long as the
         # fleet, so finished rounds must not pile up here.
         self._rounds: set[asyncio.Task] = set()
         self._running = False
 
     def submit(self, msg: dict, respond: Callable[[dict], None]) -> None:
-        record = self._router._answer_at_front(msg)
+        key, record = self._router._answer_at_front(msg)
         if record is not None:
             respond(record)
             return
-        self._pending.append((msg, respond))
+        self._pending.append((msg, key, respond))
         if not self._running:
             self._start_round()
 
@@ -1158,12 +1138,12 @@ class _ConnBatcher:
                 batch, self._pending = self._pending, []
                 try:
                     records = await self._router._request_many(
-                        [msg for msg, _ in batch]
+                        [msg for msg, _, _ in batch], [key for _, key, _ in batch]
                     )
                 except Exception as exc:  # noqa: BLE001 - errors go on the wire
                     error = f"{type(exc).__name__}: {exc}"
                     records = [{"ok": False, "error": error} for _ in batch]
-                for (msg, respond), record in zip(batch, records):
+                for (msg, _, respond), record in zip(batch, records):
                     record["id"] = msg.get("id")
                     respond(record)
         finally:

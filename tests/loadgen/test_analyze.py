@@ -77,6 +77,25 @@ class TestBreakdowns:
         assert out["by_route"]["ring"]["count"] == 2
         assert out["by_route"]["spill"]["max_ms"] == 8.0
 
+    def test_front_answers_count_by_route_but_not_by_shard(self):
+        """A repeat answered in the fleet's front end carries route
+        ``front`` and no shard, so it shows in the route split and
+        leaves the per-shard counts to the ring-placed requests."""
+        records = [
+            rec(0, 6.0, shard=0, route="ring"),
+            rec(1, 7.0, shard=1, route="ring"),
+            rec(2, 0.2, source="cache", route="front"),
+            rec(3, 0.3, source="cache", route="front"),
+            rec(4, 0.1, source="cache", route="front"),
+        ]
+        out = analyze(records)
+        assert {r: s["count"] for r, s in out["by_route"].items()} == {
+            "front": 3,
+            "ring": 2,
+        }
+        assert out["imbalance"]["counts"] == [1, 1]
+        assert set(out["by_shard"]) == {"0", "1"}
+
     def test_non_fleet_records_have_no_route_breakdown(self):
         records = [rec(i, 1.0) for i in range(4)]  # route is None
         assert analyze(records)["by_route"] == {}

@@ -368,3 +368,59 @@ class TestWorkerSignals:
             writer.close()
         assert action == signal.SIG_DFL
         assert wakeup_fd == -1
+
+
+#: an owner that starts a two-worker pool, runs one map, writes the
+#: worker pids and ends without its cleanup
+_OWNER_SCRIPT = """
+import os, sys
+from repro.parallel.backends import ProcessBackend
+
+if __name__ == "__main__":
+    be = ProcessBackend(workers=2, start_method=sys.argv[1])
+    assert be.map(abs, [-1, -2, -3]) == [1, 2, 3]
+    print(*be.worker_pids(), flush=True)
+    os._exit(0)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` runs: an exited orphan may stay a zombie until
+    its new parent reaps it."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+class TestOrphanedWorkers:
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+    @pytest.mark.parametrize("start_method", START_METHODS)
+    def test_workers_exit_with_their_owner(self, tmp_path, start_method):
+        """An owner that ends without its cleanup (``os._exit``, as after
+        SIGKILL) takes its pool with it: each worker watches its parent
+        and leaves once it is re-parented. The owner writes to a file,
+        since orphans holding a pipe would hang the read."""
+        script = tmp_path / "owner.py"
+        script.write_text(_OWNER_SCRIPT)
+        out = tmp_path / "owner.out"
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        with open(out, "w") as fh:
+            subprocess.run(
+                [sys.executable, str(script), start_method],
+                stdout=fh,
+                env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+                timeout=60,
+                check=True,
+            )
+        pids = [int(p) for p in out.read_text().split()]
+        assert len(pids) == 2
+        try:
+            deadline = time.monotonic() + 5.0
+            while any(map(_running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(_running, pids)), "pool workers outlived their owner"
+        finally:
+            for pid in filter(_running, pids):
+                os.kill(pid, signal.SIGKILL)

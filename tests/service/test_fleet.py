@@ -9,7 +9,6 @@ not the solvers.
 
 import asyncio
 import json
-import math
 import os
 import signal
 import socket
@@ -26,6 +25,7 @@ from hypothesis import strategies as st
 from repro.core import solve
 from repro.errors import ReproError
 from repro.problems import MatrixChainProblem
+from repro.problems import specs as specs_module
 from repro.problems.specs import batch_item_from_spec, route_key_from_spec, spec_key
 from repro.service import ServiceClient
 from repro.service.fleet import FleetRouter, HashRing, serve_fleet
@@ -625,10 +625,10 @@ class TestConnBatcher:
 
         def _answer_at_front(self, msg):
             if msg.get("front"):
-                return {"id": msg["id"], "ok": True, "route": "front"}
-            return None
+                return None, {"id": msg["id"], "ok": True, "route": "front"}
+            return None, None
 
-        async def _request_many(self, specs):
+        async def _request_many(self, specs, keys):
             await asyncio.wait_for(self.gate.wait(), 30)
             return [{"ok": True, "n": spec["n"]} for spec in specs]
 
@@ -709,9 +709,9 @@ class TestConnBatcher:
 
         class _Failing:
             def _answer_at_front(self, msg):
-                return None
+                return None, None
 
-            async def _request_many(self, specs):
+            async def _request_many(self, specs, keys):
                 raise ReproError("fleet is closed")
 
         async def main():
@@ -909,7 +909,6 @@ class TestFrontAnswers:
         assert status["router"]["front_answers"] == 3
         assert status["router"]["front_entries"] == 1
         assert status["router"]["requests"] == 4
-        assert status["router"]["route_tags"] == {"ring": 1}
         hits = sum(c["hits"] for c in shard_caches)
         misses = sum(c["misses"] for c in shard_caches)
         assert status["totals"]["cache_hits"] == hits + 3
@@ -949,7 +948,7 @@ class TestServedFrontAnswers:
         assert fleet.request(dict(spec))["ok"]
         before = fleet.status()
 
-        async def no_rounds(specs):
+        async def no_rounds(specs, keys=None):
             raise AssertionError("a round ran")
 
         monkeypatch.setattr(fleet, "_request_many", no_rounds)
@@ -1060,6 +1059,72 @@ def _sequential_value(spec: dict) -> float:
     return solve(problem, method="sequential", **kwargs).value
 
 
+class TestOneKeyPerRequest:
+    """The router computes a request's instance key once and carries it
+    to the answer table and to the ring: in the router's process a
+    served miss costs one spec identity and one parse, and a malformed
+    spec one parse (its shard parses it again, in its own process)."""
+
+    MISS = {"family": "chain", "n": 9, "seed": 9101}
+    MALFORMED = {"bogus": 9102}
+
+    @staticmethod
+    def _counting(monkeypatch) -> dict:
+        counts = {"identity": 0, "parse": 0}
+        identity = specs_module.spec_identity
+        parse = specs_module.batch_item_from_spec
+
+        def counting_identity(*args, **kwargs):
+            counts["identity"] += 1
+            return identity(*args, **kwargs)
+
+        def counting_parse(*args, **kwargs):
+            counts["parse"] += 1
+            return parse(*args, **kwargs)
+
+        monkeypatch.setattr(specs_module, "spec_identity", counting_identity)
+        monkeypatch.setattr(specs_module, "batch_item_from_spec", counting_parse)
+        specs_module.KEY_MEMO.clear()
+        return counts
+
+    def _spent(self, counts: dict, send) -> dict:
+        before = dict(counts)
+        send()
+        return {name: counts[name] - before[name] for name in counts}
+
+    def test_a_served_request_is_keyed_once(self, fleet, tmp_path, monkeypatch):
+        path = str(tmp_path / "front.sock")
+        thread, outcome = TestServedFront._serve(fleet, path)
+        counts = self._counting(monkeypatch)
+        records, costs = [], []
+        try:
+            for spec in (self.MISS, self.MALFORMED):
+                line = json.dumps({**spec, "id": 1})
+                costs.append(
+                    self._spent(counts, lambda: records.extend(send_lines(path, [line])))
+                )
+        finally:
+            monkeypatch.undo()
+            with ServiceClient(path) as client:
+                client.shutdown()
+            thread.join(timeout=30.0)
+        assert not thread.is_alive() and outcome == {"served": 2}
+        assert records[0]["ok"] and not records[1]["ok"]
+        assert costs == [{"identity": 1, "parse": 1}, {"identity": 1, "parse": 1}]
+
+    def test_request_many_keys_each_spec_once(self, fleet, monkeypatch):
+        counts = self._counting(monkeypatch)
+        miss = {**self.MISS, "seed": 9103}
+        records = []
+        costs = [
+            self._spent(counts, lambda: records.extend(fleet.request_many([spec])))
+            for spec in (miss, self.MALFORMED)
+        ]
+        monkeypatch.undo()
+        assert records[0]["ok"] and not records[1]["ok"]
+        assert costs == [{"identity": 1, "parse": 1}, {"identity": 1, "parse": 1}]
+
+
 class TestServedFrontProperty:
     @settings(max_examples=30)
     @given(picks=st.lists(st.integers(0, len(_POOL_LINES) - 1), min_size=1, max_size=12))
@@ -1140,13 +1205,12 @@ class TestShardDeathRecovery:
             healed = router.request({"dims": [10, 20, 5, 30]})
             assert healed["ok"] and healed["value"] == 2500.0
 
-    @pytest.mark.parametrize("load_factor", [math.inf, 1.25])
-    def test_kill_between_batches_respawns_on_next_use(self, load_factor):
-        """A shard killed while idle heals on its next request under
-        every load factor: the policy places on the dead shard like any
-        other and the dispatch path respawns it. The second batch is
-        new to the fleet, so the front end cannot answer it."""
-        with FleetRouter(2, **FLEET_KWARGS, load_factor=load_factor) as router:
+    def test_kill_between_batches_respawns_on_next_use(self):
+        """A shard killed while idle heals on its next request: the ring
+        places on the dead shard like any other and the dispatch path
+        respawns it. The second batch is new to the fleet, so the front
+        end cannot answer it."""
+        with FleetRouter(2, **FLEET_KWARGS) as router:
             warm = router.request_many(
                 [{"family": "chain", "n": 10, "seed": s} for s in range(6)]
             )
@@ -1166,10 +1230,10 @@ class TestShardDeathRecovery:
             assert new_pid != victim and pid_alive(new_pid)
 
     def test_request_whose_owner_died_is_answered_by_its_respawn(self):
-        """Under a finite factor the policy does not route around a dead
-        shard: the request waits for its owner's respawn and is answered
-        there, tagged ``ring``, instead of spilling to the live shard."""
-        with FleetRouter(2, **FLEET_KWARGS, load_factor=1.25) as router:
+        """The router does not route around a dead shard: the request
+        waits for its owner's respawn and is answered there, tagged
+        ``ring``, instead of going to the live shard."""
+        with FleetRouter(2, **FLEET_KWARGS) as router:
             spec = specs_on(router, 1, 1)[0]
             os.kill(router.shard_pids()[1], signal.SIGKILL)
             router._shards[1].proc.wait(timeout=10.0)
@@ -1223,33 +1287,67 @@ class TestShutdownHygiene:
         assert state.exists(), "caller-owned state dir must survive close"
 
 
-class TestLoadAwareRouting:
-    """Load-aware routing, live: route tags on the wire, and status
-    carrying the routing telemetry."""
+class TestRingPlacement:
+    """Every shard-answered record comes from the ring owner of its
+    spec, whatever the spec and whether the front end keeps a table,
+    and status carries no routing policy."""
 
-    def test_bounded_fleet_answers_and_tags_routes(self):
-        specs = [{"family": "chain", "n": 10, "seed": s % 4} for s in range(16)]
-        with FleetRouter(2, **FLEET_KWARGS, load_factor=1.25) as router:
-            records = router.request_many(specs)
-            assert all(r["ok"] for r in records)
-            assert {r["route"] for r in records} <= {"ring", "affinity", "spill"}
-            status = router.status()
-            assert status["router"]["load_factor"] == 1.25
-            tags = status["router"]["route_tags"]
-            assert sum(tags.values()) == len(specs)
-            for shard in status["per_shard"]:
-                load = shard["load"]
-                assert load["inflight"] == 0
-                assert load["assigned"] >= 0
+    SPECS = [
+        {"family": "chain", "n": 10, "seed": 500 + s} for s in range(6)
+    ] + [{"bogus": s} for s in range(4)]
 
-    def test_ring_policy_tags_every_record_ring(self):
-        specs = [{"family": "chain", "n": 10, "seed": s} for s in range(6)]
+    def _assert_on_owners(self, router, specs):
+        records = router.request_many([dict(spec) for spec in specs])
+        owners = [router.route(dict(spec)) for spec in specs]
+        assert [(r["shard"], r["route"]) for r in records] == [
+            (owner, "ring") for owner in owners
+        ]
+        # the public routing key names the same owner
+        assert owners == [router.ring.route(route_key_from_spec(s)) for s in specs]
+        return records
+
+    def test_keyed_and_malformed_specs_are_answered_by_their_owners(self):
         with FleetRouter(2, **FLEET_KWARGS) as router:
-            records = router.request_many(specs)
-            assert {r["route"] for r in records} == {"ring"}
-            assert [r["shard"] for r in records] == [router.route(s) for s in specs]
-            # the default factor is inf, reported as JSON null
-            assert router.status()["router"]["load_factor"] is None
+            records = self._assert_on_owners(router, self.SPECS)
+            assert [r["ok"] for r in records] == [True] * 6 + [False] * 4
+            # the malformed specs are placed by fingerprint on both shards
+            assert {router.route(dict(s)) for s in self.SPECS[6:]} == {0, 1}
+
+    def test_a_fleet_without_a_table_places_every_request_on_its_owner(self):
+        with FleetRouter(2, **FLEET_KWARGS, cache_bytes=0) as router:
+            self._assert_on_owners(router, self.SPECS)
+            self._assert_on_owners(router, self.SPECS)
+
+    def test_route_places_nothing(self, fleet):
+        """route() predicts a placement without making one: no request
+        is counted and nothing is in flight, and the specs then land
+        exactly where it said."""
+        specs = [{"family": "chain", "n": 9, "seed": 600 + s} for s in range(8)]
+        requests = fleet.status()["router"]["requests"]
+        predicted = [fleet.route(dict(spec)) for spec in specs]
+        assert fleet.status()["router"]["requests"] == requests
+        assert fleet.inflight() == {0: 0, 1: 0}
+        records = fleet.request_many([dict(spec) for spec in specs])
+        assert [(r["shard"], r["route"]) for r in records] == [
+            (owner, "ring") for owner in predicted
+        ]
+
+    def test_repeats_in_one_batch_go_to_one_owner(self, fleet):
+        """Repeats that reach the ring before their instance is answered
+        (here, in the batch that carries its first request, spelled two
+        ways) all go to its owner, so one shard solves it."""
+        spec = {"dims": [13, 7, 19, 3, 11]}
+        same = {"dims": [13.0, 7.0, 19.0, 3.0, 11.0]}
+        owner = fleet.route(dict(spec))
+        records = fleet.request_many([dict(spec), dict(same), dict(spec)])
+        assert [(r["shard"], r["route"]) for r in records] == [(owner, "ring")] * 3
+        assert len({r["value"] for r in records}) == 1 and records[0]["ok"]
+
+    def test_status_carries_no_routing_policy(self, fleet):
+        status = fleet.status()
+        assert "load_factor" not in status["router"]
+        assert "route_tags" not in status["router"]
+        assert [s["load"] for s in status["per_shard"]] == [{"inflight": 0}] * 2
 
 
 class TestDynamicScaling:
@@ -1267,7 +1365,6 @@ class TestDynamicScaling:
         with FleetRouter(
             2,
             **FLEET_KWARGS,
-            load_factor=1.25,
             min_shards=2,
             max_shards=3,
             scale_up_depth=4.0,
@@ -1305,7 +1402,6 @@ class TestDynamicScaling:
         with FleetRouter(
             1,
             **FLEET_KWARGS,
-            load_factor=1.25,
             min_shards=1,
             max_shards=2,
             scale_up_depth=2.0,
@@ -1330,11 +1426,11 @@ class TestDynamicScaling:
             assert len(router._shards) == 2
             assert router._shards[1].socket_path == first_socket
 
-    def test_default_fleet_places_on_ring_owners_across_a_scale_cycle(self):
-        """At the default ``load_factor=inf`` every request lands on its
-        ring owner at every width: the new shard takes exactly its ring
-        segment and hands it back on retirement. Every batch is new to
-        the fleet, so every request is placed."""
+    def test_fleet_places_on_ring_owners_across_a_scale_cycle(self):
+        """Every request lands on its ring owner at every width: the new
+        shard takes exactly its ring segment and hands it back on
+        retirement. Every batch is new to the fleet, so every request is
+        placed."""
         hot = [
             [{"family": "chain", "n": 16, "seed": 100 + 16 * p + i} for i in range(16)]
             for p in range(2)
@@ -1357,7 +1453,6 @@ class TestDynamicScaling:
                     (router.route(spec), "ring") for spec in batch
                 ]
             assert widths == {2, 3}
-            assert router.status()["router"]["route_tags"] == {"ring": 2 * 16 + 8}
 
     def test_autoscaling_off_by_default(self):
         with FleetRouter(2, **FLEET_KWARGS) as router:
@@ -1367,19 +1462,7 @@ class TestDynamicScaling:
             assert status["shards"] == 2
             assert status["router"]["scale_ups"] == 0
 
-    def test_invalid_scale_range_rejected(self):
-        with pytest.raises(ReproError, match="min_shards"):
-            FleetRouter(2, min_shards=3)
-        with pytest.raises(ReproError, match="min_shards"):
-            FleetRouter(2, max_shards=1)
-
-
-class TestValidation:
-    def test_zero_shards_rejected(self):
-        with pytest.raises(ReproError):
-            FleetRouter(0)
-
-    def test_sub_one_load_factor_rejected_before_any_state(self):
+    def test_invalid_scale_range_rejected_before_any_state(self):
         def state_dirs():
             return {
                 name
@@ -1388,6 +1471,18 @@ class TestValidation:
             }
 
         before = state_dirs()
-        with pytest.raises(ReproError, match="load_factor"):
-            FleetRouter(2, load_factor=0.5)
+        with pytest.raises(ReproError, match="min_shards"):
+            FleetRouter(2, min_shards=3)
+        with pytest.raises(ReproError, match="min_shards"):
+            FleetRouter(2, max_shards=1)
         assert state_dirs() == before, "a rejected fleet left a state dir behind"
+
+
+class TestValidation:
+    def test_zero_shards_rejected(self):
+        with pytest.raises(ReproError):
+            FleetRouter(0)
+
+    def test_the_deleted_load_factor_is_refused(self):
+        with pytest.raises(TypeError, match="load_factor"):
+            FleetRouter(2, load_factor=1.25)

@@ -1,29 +1,25 @@
-"""Load-aware routing: ring memoization, bounded-load spill semantics,
-and the property that ``load_factor=inf`` is the ring.
+"""The consistent-hash ring: memoized lookups and the placement a
+mutated ring shares with a fresh one.
 
-Everything here is offline (no shard processes): the policy is a pure
-function of ``(key, ring, loads)`` and its own affinity map, and
-:func:`~repro.service.routing.simulate_routing` replays key sequences
-deterministically — which is exactly why these invariants can be exact
-assertions instead of bands.
+Everything here is offline (no shard processes): the ring is a pure
+function of its shard set, which is why these invariants can be exact
+assertions instead of bands (the near-even shares of uniform keys are
+the bands).
 """
 
-import math
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ReproError
-from repro.loadgen.analyze import imbalance
-from repro.service import routing
-from repro.service.routing import (
-    BoundedLoadPolicy,
-    HashRing,
-    ShardLoad,
-    simulate_routing,
-)
+from repro.service.routing import HashRing, _hash_point
 
 #: a reusable batch of distinct keys (deterministic, no RNG needed)
 KEYS = [f"key-{i}".encode() for i in range(256)]
@@ -50,14 +46,6 @@ class TestHashRingMemoization:
         for key in KEYS:
             ring.route(key)
         assert ring.rebuilds == 2, "N mutations then M routes is one merge"
-
-    def test_successors_shares_the_memoized_arrays(self):
-        ring = HashRing(range(4))
-        list(ring.successors(b"a"))
-        for key in KEYS:
-            ring.route(key)
-            list(ring.successors(key))
-        assert ring.rebuilds == 1
 
     def test_mutated_ring_matches_fresh_construction(self):
         """add/remove must land on exactly the placement a fresh ring
@@ -99,185 +87,158 @@ class TestHashRingMemoization:
         with pytest.raises(ReproError, match="not on the ring"):
             ring.remove_shard(0)
 
-    def test_successors_walk_is_complete_and_starts_at_the_owner(self):
-        ring = HashRing(range(4))
-        for key in KEYS[:32]:
-            walk = list(ring.successors(key))
-            assert walk[0] == ring.route(key)
-            assert sorted(walk) == [0, 1, 2, 3]
 
+class TestRingPlacement:
+    """What the fleet relies on now that the ring alone places every
+    shard-bound request: a placement that is a pure function of the key
+    and the shard set, moves as little as possible when the set changes,
+    and splits uniform keys near evenly."""
 
-class TestShardLoad:
-    def test_value_blends_placements_and_inflight(self):
-        load = ShardLoad(assigned=10)
-        load.inflight = 3
-        assert load.value() == 13
+    def test_placement_ignores_construction_order_and_duplicate_ids(self):
+        ring = HashRing([3, 1, 1, 0, 2])
+        assert len(ring) == 4 and ring.shard_ids() == (0, 1, 2, 3)
+        fresh = HashRing(range(4))
+        assert [ring.route(k) for k in KEYS] == [fresh.route(k) for k in KEYS]
 
-    def test_snapshot_is_json_shaped(self):
-        snap = ShardLoad(assigned=2).snapshot()
-        assert snap == {"assigned": 2, "inflight": 0}
+    def test_a_one_shard_ring_owns_every_key(self):
+        ring = HashRing([7])
+        assert {ring.route(k) for k in KEYS} == {7}
 
+    @pytest.mark.parametrize("shards", [[5, 9], [0, 2, 4, 6, 8], list(range(7))])
+    def test_every_key_routes_to_a_member(self, shards):
+        ring = HashRing(shards)
+        assert {ring.route(k) for k in KEYS} == set(shards)
 
-class TestBoundedDegeneratesToRing:
-    """``load_factor=inf`` makes the capacity test vacuous and records no
-    affinity hint, so bounded routing IS ring routing, placement for
-    placement — through scale events and whatever the load gauges
-    read."""
+    def test_shard_ids_are_plain_ints(self):
+        """Records carry the owner as JSON, so a numpy id from the
+        caller must come back out as a plain int."""
+        ring = HashRing(np.arange(3))
+        assert all(type(s) is int for s in ring.shard_ids())
+        owners = {ring.route(k) for k in KEYS}
+        assert all(type(s) is int for s in owners)
+        json.dumps(sorted(owners))
 
-    @given(
-        events=st.lists(
-            st.one_of(
-                st.tuples(st.just("key"), st.sampled_from(KEYS[:16])),
-                st.tuples(st.sampled_from(["add", "remove"]), st.integers(0, 5)),
-            ),
-            min_size=1,
-            max_size=80,
-        ),
-        gauges=st.lists(
-            st.tuples(st.integers(0, 1000), st.integers(0, 64)),
-            min_size=6,
-            max_size=6,
-        ),
-    )
-    @settings(max_examples=80)
-    def test_every_placement_is_the_ring_owner(self, events, gauges):
-        ring = HashRing(range(2))
-        loads = {}
-        for sid, (assigned, inflight) in enumerate(gauges):
-            loads[sid] = ShardLoad(assigned)
-            loads[sid].inflight = inflight
-        policy = BoundedLoadPolicy(math.inf)
-        for kind, value in events:
-            if kind == "add":
-                ring.add_shard(value)
-            elif kind == "remove":
-                if value in ring and len(ring) > 1:
-                    ring.remove_shard(value)
+    @given(key=st.binary(max_size=64))
+    def test_any_byte_key_routes_to_a_member(self, key):
+        assert HashRing([2, 3, 5]).route(key) in (2, 3, 5)
+
+    @pytest.mark.parametrize("width", [3, 7])
+    def test_a_new_shard_takes_about_its_fair_share(self, width):
+        """Growing from ``width`` to ``width + 1`` shards moves close to
+        1/(width + 1) of the keys, all onto the new shard (measured
+        1.03x and 0.97x of that share on 4096 keys)."""
+        small, big = HashRing(range(width)), HashRing(range(width + 1))
+        keys = [f"key-{i}".encode() for i in range(4096)]
+        moved = [big.route(k) for k in keys if big.route(k) != small.route(k)]
+        assert set(moved) == {width}
+        share = len(moved) / len(keys) * (width + 1)
+        assert 0.9 < share < 1.1, share
+
+    def test_removal_moves_only_the_removed_shards_keys(self):
+        """Retiring a shard hands its keys to the survivors and leaves
+        every other key where it was; the vnodes spread the handed-over
+        keys over every survivor, not onto one neighbour."""
+        before, after = HashRing(range(4)), HashRing([0, 1, 3])
+        taken_over = Counter()
+        for key in KEYS:
+            owner = before.route(key)
+            if owner == 2:
+                taken_over[after.route(key)] += 1
             else:
-                sid, tag = policy.choose(value, ring, loads)
-                assert (sid, tag) == (ring.route(value), "ring")
-                loads[sid].assigned += 1
-        assert not policy._affinity
+                assert after.route(key) == owner, "a surviving shard's key moved"
+        assert set(taken_over) == {0, 1, 3}
 
-    @given(keys=st.lists(st.binary(min_size=1, max_size=16), min_size=1, max_size=64))
-    @settings(max_examples=40)
-    def test_inf_factor_reproduces_ring_exactly(self, keys):
-        """The default factor over a fixed fleet: the simulated counts
-        are a direct tally of ring owners, every tag ``ring``."""
+    def test_route_wraps_past_the_last_point(self):
+        """A key hashing past the ring's last point belongs to the
+        owner of its first point."""
         ring = HashRing(range(4))
-        owners = Counter(ring.route(key) for key in keys)
-        sim = simulate_routing(keys, range(4))
-        assert sim["counts"] == [owners.get(sid, 0) for sid in range(4)]
-        assert sim["tags"] == {"ring": len(keys)}
-        assert sim["load_factor"] is None  # JSON-able inf
-
-    def test_finite_factor_beats_ring_on_a_hot_key(self):
-        """One totally hot key: ring piles everything on the owner;
-        bounded caps the owner at ~load_factor times the mean."""
-        keys = [b"hot"] * 100
-        ring = imbalance(simulate_routing(keys, range(4))["counts"])
-        bounded = imbalance(
-            simulate_routing(keys, range(4), load_factor=1.25)["counts"]
+        points = sorted(
+            (point, sid) for sid in range(4) for point in ring._point_cache[sid]
         )
-        assert ring["peak_to_mean"] == 4.0
-        assert bounded["peak_to_mean"] <= 1.25 * 1.1  # capacity slack margin
-        assert bounded["cv"] < ring["cv"]
+        key = next(
+            k
+            for k in (f"wrap-{i}".encode() for i in range(1 << 16))
+            if _hash_point(k) > points[-1][0]
+        )
+        assert ring.route(key) == points[0][1]
 
-
-class TestBoundedPolicySemantics:
-    def test_overloaded_owner_spills_to_the_ring_successor(self):
+    def test_uniform_keys_split_near_evenly(self):
+        """256 points per shard put each of 4 shards within 10% of its
+        fair share of 16384 distinct keys (measured 0.925-1.058)."""
         ring = HashRing(range(4))
-        loads = {sid: ShardLoad() for sid in range(4)}
-        key = b"spillme"
-        owner = ring.route(key)
-        successor = list(ring.successors(key))[1]
-        loads[owner].assigned = 100  # far over any capacity
-        policy = BoundedLoadPolicy(load_factor=1.25)
-        sid, tag = policy.choose(key, ring, loads)
-        assert sid == successor and tag == "spill"
+        counts = Counter(ring.route(f"key-{i}".encode()) for i in range(16384))
+        shares = [counts[s] / 4096 for s in range(4)]
+        assert all(0.9 < share < 1.1 for share in shares), shares
 
-    def test_repeats_of_a_spilled_key_keep_their_affinity(self):
+    def test_placement_does_not_depend_on_the_hash_seed(self):
+        """Every process places a key alike: the points come from
+        blake2b, not from Python's per-process string hash."""
+        code = (
+            "import json\n"
+            "from repro.service.routing import HashRing\n"
+            "ring = HashRing(range(4))\n"
+            "print(json.dumps([ring.route(f'key-{i}'.encode()) for i in range(256)]))\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
         ring = HashRing(range(4))
-        loads = {sid: ShardLoad() for sid in range(4)}
-        key = b"hotkey"
-        owner = ring.route(key)
-        loads[owner].assigned = 100
-        policy = BoundedLoadPolicy(load_factor=1.25)
-        first, tag1 = policy.choose(key, ring, loads)
-        loads[first].assigned += 1
-        second, tag2 = policy.choose(key, ring, loads)
-        assert tag1 == "spill" and tag2 == "affinity"
-        assert second == first, "the repeat must follow its L1 entry"
-        # Once the hint is over capacity and the owner is not, the key
-        # goes home and its hint is dropped.
-        loads[owner].assigned = 0
-        loads[first].assigned = 100
-        assert policy.choose(key, ring, loads) == (owner, "ring")
-        assert key not in policy._affinity
+        expected = [ring.route(k) for k in KEYS]
+        for seed in ("0", "4242"):
+            out = subprocess.run(
+                [sys.executable, "-c", code],
+                env=dict(os.environ, PYTHONPATH=os.path.abspath(src), PYTHONHASHSEED=seed),
+                capture_output=True,
+                text=True,
+                timeout=60,
+                check=True,
+            ).stdout
+            assert json.loads(out) == expected
 
-    def test_spill_walks_the_ring_in_order(self):
-        """With the owner and its first successor both overloaded the
-        key spills to the second successor, not to any shard with room."""
-        ring = HashRing(range(4))
-        loads = {sid: ShardLoad() for sid in range(4)}
-        key = b"spillme"
-        owner, first, second, _ = ring.successors(key)
-        loads[owner].assigned = loads[first].assigned = 100
-        policy = BoundedLoadPolicy(load_factor=1.25)
-        assert policy.choose(key, ring, loads) == (second, "spill")
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ops=st.lists(
+            st.tuples(st.booleans(), st.integers(0, 7), st.booleans()), max_size=24
+        )
+    )
+    def test_any_mutation_sequence_matches_a_fresh_ring(self, ops):
+        """Adds, removes and routes in any order leave the ring placing
+        exactly as a fresh ring over its final shard set, and each
+        route after a burst of mutations merges the arrays once."""
+        ring = HashRing(range(3))
+        members = {0, 1, 2}
+        routes_after_mutation = 0
+        dirty = True
+        for add, sid, route in ops:
+            if add:
+                ring.add_shard(sid)
+                dirty = dirty or sid not in members
+                members.add(sid)
+            elif sid in members and len(members) > 1:
+                ring.remove_shard(sid)
+                members.remove(sid)
+                dirty = True
+            if route:
+                ring.route(b"probe")
+                routes_after_mutation += dirty
+                dirty = False
+        assert ring.shard_ids() == tuple(sorted(members))
+        fresh = HashRing(members)
+        assert [ring.route(k) for k in KEYS[:64]] == [fresh.route(k) for k in KEYS[:64]]
+        assert ring.rebuilds == routes_after_mutation + dirty
 
-    def test_hint_wins_over_a_recovered_owner(self):
-        """A spilled key's repeats follow its hint, where its L1 entry
-        lives, even once the owner has headroom again."""
-        ring = HashRing(range(4))
-        loads = {sid: ShardLoad() for sid in range(4)}
-        key = b"hotkey"
-        owner = ring.route(key)
-        loads[owner].assigned = 100
-        policy = BoundedLoadPolicy(load_factor=1.25)
-        first, tag = policy.choose(key, ring, loads)
-        assert tag == "spill"
-        loads[owner].assigned = 0
-        assert policy.choose(key, ring, loads) == (first, "affinity")
+    def test_membership_queries_do_not_rebuild(self):
+        ring = HashRing(range(3))
+        ring.add_shard(3)
+        assert ring.shard_ids() == (0, 1, 2, 3) and len(ring) == 4 and 3 in ring
+        assert ring.rebuilds == 0
+        ring.route(b"first")
+        assert ring.rebuilds == 1
 
-    def test_hint_on_a_scaled_away_shard_is_ignored(self):
-        """A hint whose shard left the ring is not a candidate: the key
-        goes back to its owner and the stale hint is dropped."""
-        ring = HashRing(range(4))
-        loads = {sid: ShardLoad() for sid in range(4)}
-        key = b"hotkey"
-        owner = ring.route(key)
-        loads[owner].assigned = 100
-        policy = BoundedLoadPolicy(load_factor=1.25)
-        first, _ = policy.choose(key, ring, loads)
-        ring.remove_shard(first)
-        loads[owner].assigned = 0
-        assert policy.choose(key, ring, loads) == (owner, "ring")
-        assert key not in policy._affinity
-
-    def test_affinity_map_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(routing, "_AFFINITY_LIMIT", 8)
-        policy = BoundedLoadPolicy(load_factor=1.25)
-        ring = HashRing(range(4))
-        # Shards 0-2 are far over capacity, so every key they own
-        # spills to shard 3 and records a hint.
-        loads = {sid: ShardLoad(assigned=100) for sid in range(3)}
-        loads[3] = ShardLoad()
-        tags = [policy.choose(f"k{i}".encode(), ring, loads)[1] for i in range(64)]
-        assert tags.count("spill") > 8
-        assert len(policy._affinity) == 8
-
-    def test_sub_one_load_factor_rejected(self):
-        with pytest.raises(ReproError, match="load_factor"):
-            BoundedLoadPolicy(load_factor=0.9)
-        with pytest.raises(ReproError, match="load_factor"):
-            BoundedLoadPolicy(load_factor=float("nan"))
-
-
-class TestSimulateRouting:
-    def test_simulation_conserves_requests(self):
-        out = simulate_routing(KEYS, range(4), load_factor=1.25)
-        assert sum(out["counts"]) == len(KEYS)
-        assert sum(out["tags"].values()) == len(KEYS)
-        assert out["load_factor"] == 1.25
-        assert simulate_routing(KEYS, range(4))["load_factor"] is None  # JSON-able inf
+    def test_a_refused_removal_leaves_the_ring_as_it_was(self):
+        ring = HashRing([4])
+        before = [ring.route(k) for k in KEYS[:32]]
+        for sid in (4, 5):
+            with pytest.raises(ReproError):
+                ring.remove_shard(sid)
+        assert ring.shard_ids() == (4,)
+        assert [ring.route(k) for k in KEYS[:32]] == before
+        assert ring.rebuilds == 1

@@ -21,7 +21,7 @@ COMMAND_OPTIONS = {
     "--workers --tiles",
     "serve": "--socket --tcp --method --backend --start-method --workers "
     "--max-batch --cache-mb --cache-dir --max-requests",
-    "fleet": "--shards --load-factor --min-shards --max-shards --socket --tcp "
+    "fleet": "--shards --min-shards --max-shards --socket --tcp "
     "--method --backend --start-method --workers --max-batch --cache-mb "
     "--cache-dir --state-dir --max-requests",
     "request": "--socket --tcp --fleet --input --status --shutdown",
@@ -30,7 +30,7 @@ COMMAND_OPTIONS = {
     "--output",
     "loadtest": "--arrival --rate --count --popularity --pool --zipf-s "
     "--burst-factor --burst-enter --burst-exit --family --n --method --seed "
-    "--trace --target --socket --tcp --shards --load-factor --mode --speed "
+    "--trace --target --socket --tcp --shards --mode --speed "
     "--timeout --slo-ms --backend --workers --records --with-status",
     "algebras": "",
     "pebble": "--shape --n --seed --rule --trace",
@@ -591,7 +591,7 @@ class TestImportFootprint:
         assert FleetRouter is fleet.FleetRouter and serve_fleet is fleet.serve_fleet
         assert LoadTestResult is harness.LoadTestResult
         assert run_loadtest is harness.run_loadtest
-        assert routing.BoundedLoadPolicy
+        assert routing.HashRing is fleet.HashRing
         with pytest.raises(ImportError):
             from repro.service import NoSuchName  # noqa: F401
 
@@ -758,13 +758,6 @@ class TestFleetAndTransportCommands:
         assert args.shards == 3 and args.socket == "/tmp/f.sock"
         assert args.backend == "serial" and args.max_requests == 5
 
-    def test_load_factor_defaults_to_inf(self):
-        parser = build_parser()
-        for command in ("fleet", "loadtest"):
-            assert parser.parse_args([command]).load_factor == float("inf")
-            args = parser.parse_args([command, "--load-factor", "1.25"])
-            assert args.load_factor == 1.25
-
     @pytest.mark.parametrize(
         "flag, value, commands",
         [
@@ -780,10 +773,15 @@ class TestFleetAndTransportCommands:
                 parser.parse_args([command, flag, value])
             assert flag in capsys.readouterr().err
 
-    def test_fleet_refuses_a_sub_one_load_factor(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["fleet", "loadtest"])
+    def test_the_deleted_load_factor_flag_exits_2(self, command, tmp_path, capsys):
+        """Every shard-bound request goes to its ring owner: no command
+        takes a routing flag, and a refused one starts nothing."""
         sock = str(tmp_path / "f.sock")
-        assert main(["fleet", "--load-factor", "0.5", "--socket", sock]) == 2
-        assert "load_factor" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--load-factor", "1.25", "--socket", sock])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --load-factor" in capsys.readouterr().err
         assert not os.path.exists(sock)
 
     def test_sigint_stops_the_fleet_and_unlinks_its_socket(self, tmp_path, wait_until_listening):
@@ -1140,24 +1138,18 @@ class TestTraceLoadtestCommands:
             records = [json.loads(line) for line in fh]
         assert len(records) == 10 and all(r["ok"] for r in records)
 
-    @pytest.mark.parametrize(
-        "extra, routes",
-        [([], {"ring", "front"}), (["--load-factor", "1.0"], {"ring", "spill", "front"})],
-        ids=["inf", "1.0"],
-    )
-    def test_loadtest_fleet_honours_the_load_factor(self, extra, routes, capsys):
+    def test_loadtest_fleet_routes_to_the_ring_and_the_front(self, capsys):
         """Eight uniform draws over eight keys replayed closed over two
-        shards: the default factor keeps every key on its owner; 1.0
-        spills some. The two repeats are answered in the front end,
-        which places nothing."""
+        shards: every first request goes to its ring owner, and the two
+        repeats are answered in the front end, which places nothing."""
         rc = main([
             "loadtest", "--arrival", "closed", "--count", "8", "--pool", "8",
             "--popularity", "uniform", "--n", "8", "--backend", "serial",
-            "--target", "fleet", "--shards", "2", *extra,
+            "--target", "fleet", "--shards", "2",
         ])
         summary = json.loads(capsys.readouterr().out)
         assert rc == 0 and summary["target"] == "fleet:2"
-        assert set(summary["by_route"]) == routes
+        assert set(summary["by_route"]) == {"ring", "front"}
 
     def test_loadtest_generates_when_no_trace_given(self, capsys):
         rc = main([
