@@ -20,24 +20,16 @@ that buys (and costs) on real hardware:
   ufunc the same slab operations dispatch to;
 * thread-tile axis — one huang solve at n=32 on two worker threads
   against the serial solve, alternating. The bar (at least 1.15x) is
-  gated only on the blocked numpy fused engine, whose large ufunc and
+  gated only on the blocked numpy engine, whose large ufunc and
   matmul loops release the GIL; the numba engine's ``njit`` kernels
   hold it (no ``nogil``), so under it threads cannot overlap tile
   compute and the axis is only recorded;
-* kernel-tier axis — slab vs fused cold-solve wall-clock per method,
-  each tier forced through the private ``_force_tier`` hook. The fused
-  tier reduces eq. (2c) candidates as cache-blocked semiring matmuls
-  instead of materialising the full lattice; two gates ride it: fused
-  ≥ 3.5x slab on the dense min-plus instance, and fused ≥ 2x slab on
-  the banded method, whose solve is banded squares plus fused activate
-  sweeps;
 * auto-regret axis — the execution the code picks when the caller
-  names nothing (:mod:`repro.core.plan`'s table: kernel tier and tile
-  backend per method and n, batch pool from the batch's predicted
-  serial time) against every alternative: a solve against slab and
-  fused on serial and on thread tiles, a ``solve_many`` batch against
-  serial, thread and process pools, alternating best-of-5 (more rounds
-  for cheap cells). The choice is timed as the configuration it names,
+  names nothing (:mod:`repro.core.plan`'s table: tile backend per
+  method and n, batch pool from the batch's predicted serial time)
+  against every alternative: a solve on serial against thread tiles, a
+  ``solve_many`` batch against serial, thread and process pools,
+  alternating best-of-5 (more rounds for cheap cells). The choice is timed as the configuration it names,
   which runs the same code as a call that names nothing. Each cell
   passes when the choice takes at most ``auto_regret_max`` times the
   best alternative's time, or at most ``auto_regret_slack_ms`` more.
@@ -45,13 +37,12 @@ that buys (and costs) on real hardware:
   :data:`REGRET_BATCHES`: a cell on each side of every switch in the
   table) and records it; the smoke measures :data:`SMOKE_SOLVES` and
   :data:`SMOKE_BATCHES`, a cell on each side of every switch a smoke
-  can afford (the slab solves at huang-banded n=40 take seconds each).
+  can afford.
 
-``--smoke`` runs the four gated axes (thread tiles, dense kernel tier,
-banded/activate kernel tier, auto regret), prints each axis against
-its baseline, and exits non-zero on regression — that is what CI
-invokes. On the numba engine the thread and auto-regret axes are
-recorded, not gated: the table there keeps every solve fused on serial
+``--smoke`` runs the two gated axes (thread tiles, auto regret),
+prints each axis against its baseline, and exits non-zero on
+regression — that is what CI invokes. On the numba engine both axes
+are recorded, not gated: the table there keeps every solve on serial
 tiles, unmeasured.
 
 Correctness is not at stake (every combination commits bitwise-equal
@@ -65,7 +56,7 @@ import sys
 import time
 
 from repro.core import list_algebras, plan_for, solve, solve_many
-from repro.core.plan import _force_tier, choose_batch_pool
+from repro.core.plan import choose_batch_pool
 from repro.problems.generators import random_matrix_chain
 from repro.util.bench import load_bars, record
 from repro.util.tables import format_table
@@ -82,22 +73,13 @@ BENCH_NAME = "e10_backends"
 DEFAULT_BARS = {
     # thread-tile cold-solve speedup over serial, huang n=32 on two
     # worker threads — must stay at or above this; gated on the numpy
-    # fused engine only (numba's njit kernels hold the GIL). Six
-    # smokes on 2 vCPUs read 1.27-1.54x; threads that stopped
-    # overlapping would read about 1.0x
+    # engine only (numba's njit kernels hold the GIL). Six smokes on
+    # 2 vCPUs read 1.27-1.54x; threads that stopped overlapping would
+    # read about 1.0x
     "thread_speedup_min": 1.15,
-    # fused-tier cold-solve speedup over slab on the dense min-plus
-    # gate instance — must stay at or above this (the numpy engine
-    # measures ~4.7-5x unloaded; numba higher)
-    "fused_speedup_min": 3.5,
-    # fused-tier speedup on the banded method (banded squares + fused
-    # activate sweeps; numpy engine measures ~3.2x unloaded at the
-    # gate size — the banded fused win grows with n as the in-band
-    # diagonal composes amortise their per-anchor dispatch)
-    "banded_fused_speedup_min": 2.0,
     # the code's execution choice against the best alternative per
     # cell: at most this many times its time, or at most
-    # auto_regret_slack_ms more; gated on the numpy fused engine only
+    # auto_regret_slack_ms more; gated on the numpy engine only
     "auto_regret_max": 1.15,
     "auto_regret_slack_ms": 2.0,
 }
@@ -133,15 +115,16 @@ REGRET_BATCHES = (
 )
 
 #: the smoke's share of the grid: a cell on each side of every switch
-#: it can afford (not huang-banded's thread switch at n=36 nor
-#: huang-compact's at n=60, whose cells take 20-60 s); rytter's serial
-#: side is n=10, since n=12 ties within 15 % of the threads
+#: it can afford (not huang-compact's thread switch at n=60, whose cells
+#: take seconds each); rytter's serial side is n=10, since n=12 ties
+#: within 15 % of the threads
 SMOKE_SOLVES = (
     ("huang", 8),
     ("huang", 16),
     ("huang", 24),
     ("huang-banded", 8),
     ("huang-banded", 16),
+    ("huang-banded", 40),
     ("huang-compact", 16),
     ("rytter", 10),
     ("rytter", 16),
@@ -151,13 +134,6 @@ SMOKE_BATCHES = tuple(
     for cell in REGRET_BATCHES
     if cell[0] in ("16 x sequential n=64", "32 x sequential n=128", "1 x huang n=24")
 )
-
-
-def _solve_on(tier: str, problem, **kwargs):
-    """One solve with the kernel tier forced (the benchmark's only use
-    of the private hook)."""
-    with _force_tier(tier):
-        return solve(problem, **kwargs)
 
 
 def _time(fn, repeats: int = 3) -> float:
@@ -174,8 +150,8 @@ def _best_alternating(runs: dict, repeats: int, budget_s: float = 8.0) -> dict:
     ``repeats`` rounds, and more (up to 4x) while the rounds so far took
     under ``budget_s``. On a shared 2-vCPU host the memory-bound solves
     (huang-compact at n=24-48) time bimodally, about 140 or 220 ms at
-    n=32 for either tier, so five rounds can miss the fast mode of one
-    configuration and read two tying tiers 1.3-1.5x apart."""
+    n=32, so five rounds can miss the fast mode of one configuration and
+    read two tying ones 1.3-1.5x apart."""
     best = dict.fromkeys(runs, float("inf"))
     start = time.perf_counter()
     for rounds in range(1, 4 * repeats + 1):
@@ -326,99 +302,9 @@ def thread_speedup_table(
         rows,
         title=(
             f"E10e: thread tiles over serial, huang at n={s['thread_n']}, "
-            f"fused engine = {s['thread_engine']}. The threads share the "
+            f"engine = {s['thread_engine']}. The threads share the "
             "solver's tables; they overlap only where the kernels release "
             "the GIL."
-        ),
-    )
-
-
-def _fused_speedup_stats(n: int = 24, repeats: int = 5) -> dict:
-    """Cold-solve slab vs fused on the dense min-plus gate instance
-    (huang, serial — the pure kernel-compute comparison, no dispatch).
-    The gate runs at n=24: the fused win grows with n (less of the
-    solve is sweep bookkeeping), so a smaller instance under-reads it.
-    """
-    from repro.core.kernels_fused import fused_backend
-
-    p = random_matrix_chain(n, seed=4)
-    best = _best_alternating(
-        {
-            tier: lambda tier=tier: _solve_on(tier, p, method="huang", backend="serial")
-            for tier in ("slab", "fused")
-        },
-        repeats,
-    )
-    t_slab, t_fused = best["slab"], best["fused"]
-    return {
-        "fused_n": n,
-        "fused_engine": fused_backend(),
-        "slab_solve_s": t_slab,
-        "fused_solve_s": t_fused,
-        "fused_speedup": t_slab / t_fused if t_fused > 0 else float("inf"),
-    }
-
-
-def _banded_fused_speedup_stats(n: int = 32, repeats: int = 5) -> dict:
-    """Cold-solve slab vs fused on the banded min-plus gate instance
-    (huang-banded, serial). Every step of this solve now runs fused —
-    the banded square as in-band diagonal composes, the activate sweep
-    as a single-pass elementwise lowering — so the row gates both new
-    kernels at once. The gate runs at n=32: the per-anchor dispatch of
-    the banded square amortises with n, so a smaller instance
-    under-reads the win."""
-    p = random_matrix_chain(n, seed=4)
-    best = _best_alternating(
-        {
-            tier: lambda tier=tier: _solve_on(
-                tier, p, method="huang-banded", backend="serial"
-            )
-            for tier in ("slab", "fused")
-        },
-        repeats,
-    )
-    t_slab, t_fused = best["slab"], best["fused"]
-    return {
-        "banded_fused_n": n,
-        "banded_slab_solve_s": t_slab,
-        "banded_fused_solve_s": t_fused,
-        "banded_fused_speedup": t_slab / t_fused if t_fused > 0 else float("inf"),
-    }
-
-
-def kernel_tier_table(n: int = 24, repeats: int = 3):
-    from repro.core.kernels_fused import fused_backend
-
-    p = random_matrix_chain(n, seed=4)
-    rows = []
-    for method in METHODS + ("rytter",):
-        t_slab = _time(
-            lambda: _solve_on("slab", p, method=method, backend="serial"), repeats
-        )
-        t_fused = _time(
-            lambda: _solve_on("fused", p, method=method, backend="serial"), repeats
-        )
-        rows.append(
-            (
-                method,
-                f"{t_slab * 1e3:.1f}",
-                f"{t_fused * 1e3:.1f}",
-                f"{t_slab / t_fused:.2f}x",
-            )
-        )
-    return format_table(
-        ["method", "slab ms", "fused ms", "fused speedup"],
-        rows,
-        title=(
-            f"E10f: kernel tier at n={n}, serial backend, min_plus, "
-            f"fused engine = {fused_backend()}. Same candidate multiset, "
-            "reduced as semiring matmuls (dense/rytter), in-band diagonal "
-            "composes (banded), or single-pass elementwise lowerings "
-            "(activate) instead of materialised slabs; only the compact "
-            "square/pebble keep one compute for both tiers (their "
-            "slice-shift sweeps already reduce as they compose), so the "
-            "compact row tracks how much of that solve the fused "
-            "activate step covers."
         ),
     )
 
@@ -439,22 +325,16 @@ def _regret_cell(label: str, choice: str, best: dict) -> dict:
 
 
 def _regret_solve_cell(method: str, n: int, repeats: int) -> dict:
-    """The table's (tier, tile backend) for one solve against slab and
-    fused on serial and thread tiles (default worker count, as the
-    choice uses)."""
+    """The table's tile backend for one solve against serial and thread
+    tiles (default worker count, as the choice uses)."""
     p = random_matrix_chain(n, seed=5)
     plan = plan_for(p, method=method)
     runs = {
-        f"{tier}/{backend}": (
-            lambda tier=tier, backend=backend: _solve_on(
-                tier, p, method=method, backend=backend
-            )
-        )
-        for tier in ("slab", "fused")
-        for backend in ("serial", "thread")
+        backend: lambda backend=backend: solve(p, method=method, backend=backend)
+        for backend in TILE_BACKENDS
     }
     best = _best_alternating(runs, repeats)
-    return _regret_cell(f"{method} n={n}", f"{plan.tier}/{plan.backend}", best)
+    return _regret_cell(f"{method} n={n}", plan.backend, best)
 
 
 def _regret_batch_cell(label: str, spec: list, repeats: int) -> dict:
@@ -504,7 +384,7 @@ def regret_table(stats: dict, bars: dict) -> str:
         title=(
             "E10g: the code's execution choice against every alternative, "
             f"best of at least {stats['auto_regret_repeats']} alternating "
-            f"(fused engine = {stats['auto_regret_engine']}; bar: "
+            f"(engine = {stats['auto_regret_engine']}; bar: "
             f"<= {bars['auto_regret_max']:.2f}x or "
             f"<= {bars['auto_regret_slack_ms']:.0f} ms over the best)"
         ),
@@ -531,13 +411,9 @@ def regret_run(solves, batches, repeats: int = 5) -> int:
     return 1 if missed else 0
 
 
-def smoke_stats(
-    thread_n: int = 32, workers: int = 2, fused_n: int = 24, banded_n: int = 32
-) -> dict:
+def smoke_stats(thread_n: int = 32, workers: int = 2) -> dict:
     """The smoke measurement, JSON-ready (what the trajectory records)."""
     s = _thread_speedup_stats(n=thread_n, workers=workers)
-    s.update(_fused_speedup_stats(n=fused_n))
-    s.update(_banded_fused_speedup_stats(n=banded_n))
     s.update(regret_stats(SMOKE_SOLVES, SMOKE_BATCHES))
     return s
 
@@ -556,22 +432,8 @@ def smoke_failures(stats: dict, bars: dict) -> list[str]:
             f"{bars['thread_speedup_min']:.2f}x serial cold-solve throughput "
             f"(measured {stats['thread_speedup']:.2f}x)"
         )
-    if stats["fused_speedup"] < bars["fused_speedup_min"]:
-        failed.append(
-            "fused kernel tier is below "
-            f"{bars['fused_speedup_min']:.1f}x slab cold-solve throughput "
-            f"(measured {stats['fused_speedup']:.2f}x on the "
-            f"{stats['fused_engine']} engine)"
-        )
-    if stats["banded_fused_speedup"] < bars["banded_fused_speedup_min"]:
-        failed.append(
-            "banded/activate fused tier is below "
-            f"{bars['banded_fused_speedup_min']:.1f}x slab cold-solve "
-            f"throughput (measured {stats['banded_fused_speedup']:.2f}x "
-            f"on the {stats['fused_engine']} engine)"
-        )
     # the table is measured on the numpy engine; under numba it keeps
-    # every solve fused on serial tiles, unmeasured
+    # every solve on serial tiles, unmeasured
     if stats["auto_regret_engine"] == "numpy":
         for cell in stats["auto_regret_cells"]:
             if _regret_missed(cell, bars):
@@ -583,25 +445,18 @@ def smoke_failures(stats: dict, bars: dict) -> list[str]:
     return failed
 
 
-def smoke(
-    thread_n: int = 32, workers: int = 2, fused_n: int = 24, banded_n: int = 32
-) -> int:
-    """CI guard over the four gated axes: thread tiles must beat the
-    serial solve by ``thread_speedup_min`` (on the numpy fused engine),
-    the fused kernel tier must beat slab cold-solve throughput by the
-    trajectory bars on both the dense and the banded (banded square +
-    fused activate) gate instances, and on the numpy engine the code's
-    execution choice must stay within the auto-regret bar on every
-    smoke cell. Returns a process exit code
+def smoke(thread_n: int = 32, workers: int = 2) -> int:
+    """CI guard over the two gated axes: thread tiles must beat the
+    serial solve by ``thread_speedup_min``, and the code's execution
+    choice must stay within the auto-regret bar on every smoke cell
+    (both on the numpy engine). Returns a process exit code
     (non-zero = regression). The tables and the gates are rendered from
     one measurement, so the printed numbers are the gated numbers; bars
     come from BENCH_e10_backends.json and the measurement is recorded
     back into it (the perf trajectory). The summary prints each axis's
     speedup over its baseline."""
     bars = load_bars(BENCH_NAME, DEFAULT_BARS)
-    s = smoke_stats(
-        thread_n=thread_n, workers=workers, fused_n=fused_n, banded_n=banded_n
-    )
+    s = smoke_stats(thread_n=thread_n, workers=workers)
     print(thread_speedup_table(stats=s))
     gate = (
         f"bar >= {bars['thread_speedup_min']:.2f}x"
@@ -611,19 +466,7 @@ def smoke(
     print(
         f"\naxis thread:      {s['thread_workers']} thread tiles at "
         f"{s['thread_speedup']:.2f}x serial cold-solve throughput, "
-        f"huang n={s['thread_n']} fused[{s['thread_engine']}] ({gate})"
-    )
-    print(
-        f"axis kernel tier: fused[{s['fused_engine']}] at "
-        f"{s['fused_speedup']:.2f}x slab cold-solve throughput, "
-        f"huang n={s['fused_n']} min_plus serial "
-        f"(bar >= {bars['fused_speedup_min']:.1f}x)"
-    )
-    print(
-        f"axis banded/act:  fused[{s['fused_engine']}] at "
-        f"{s['banded_fused_speedup']:.2f}x slab cold-solve throughput, "
-        f"huang-banded n={s['banded_fused_n']} min_plus serial "
-        f"(bar >= {bars['banded_fused_speedup_min']:.1f}x)"
+        f"huang n={s['thread_n']} engine={s['thread_engine']} ({gate})"
     )
     print()
     print(regret_table(s, bars))
@@ -680,13 +523,6 @@ def test_e10_thread_speedup(report, benchmark):
     )
 
 
-def test_e10_kernel_tier_axis(report, benchmark):
-    report(
-        "e10_backends",
-        benchmark.pedantic(kernel_tier_table, rounds=1, iterations=1),
-    )
-
-
 def test_e10_tiled_iteration_kernel(benchmark):
     """Wall-clock kernel: one thread-tiled huang iteration at n=32."""
     from repro.core.huang import HuangSolver
@@ -709,8 +545,6 @@ def main(argv: list[str] | None = None) -> int:
     print(algebra_sweep_table())
     print()
     print(thread_speedup_table())
-    print()
-    print(kernel_tier_table())
     print()
     return regret_run(REGRET_SOLVES, REGRET_BATCHES, repeats=5)
 

@@ -118,8 +118,8 @@ def _mixed_workload(count: int = 32) -> list[tuple]:
     duplicate rate (~60%) a production request stream has — duplicates
     are exactly what coalescing and the result cache exist for. Sizes
     are picked so one unique request costs a few ms of real solver
-    work under the fused kernel tier (re-scaled when the
-    banded/activate fused kernels landed: cheaper cold solves had
+    work (re-scaled when the banded/activate reduce-as-you-compose
+    kernels landed: cheaper cold solves had
     shrunk per-request work to where the service's fixed dispatch
     overhead, not coalescing, dominated the measured ratio)."""
     uniques = [

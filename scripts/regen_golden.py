@@ -32,6 +32,22 @@ GOLDEN_FILE = GOLDEN_PATH / "golden_tables.json"
 #: over min-plus and on families that declare the quadrangle inequality
 METHODS = ("sequential", "huang", "huang-banded", "huang-compact", "rytter")
 
+#: huang-banded (min-plus) below its default band and with the
+#: size-class pebble window, as (case, problem spec, solver keywords).
+#: Both chains' default band is 6. On the second chain bands 0 and 1
+#: commit tables that differ from the sequential one, as narrow bands
+#: may by design, so only these entries pin them.
+_CLRS_CHAIN = {"kind": "chain", "dims": [30, 35, 15, 5, 10, 20, 25]}
+_NARROW_CHAIN = {"kind": "chain", "dims": [86, 64, 52, 27, 31, 5, 8, 2, 18]}
+BANDED_CELLS = (
+    ("clrs_chain", _CLRS_CHAIN, {"band": 0}),
+    ("clrs_chain", _CLRS_CHAIN, {"band": 1}),
+    ("clrs_chain", _CLRS_CHAIN, {"band": 3}),
+    ("clrs_chain", _CLRS_CHAIN, {"size_band": True}),
+    ("narrow_band_chain", _NARROW_CHAIN, {"band": 0}),
+    ("narrow_band_chain", _NARROW_CHAIN, {"band": 1}),
+)
+
 
 def golden_cases():
     """The (case_name, problem_spec, problem, algebras, methods) grid.
@@ -110,22 +126,29 @@ def problem_from_spec(spec: dict):
 def compute_entries() -> list[dict]:
     from repro.core import solve
 
+    cells = [
+        (case_name, spec, problem, method, algebra, {})
+        for case_name, spec, problem, algebras, methods in golden_cases()
+        for algebra in algebras
+        for method in methods
+    ]
+    cells += [
+        (case_name, spec, problem_from_spec(spec), "huang-banded", "min_plus", kwargs)
+        for case_name, spec, kwargs in BANDED_CELLS
+    ]
     entries = []
-    for case_name, spec, problem, algebras, methods in golden_cases():
-        for algebra in algebras:
-            for method in methods:
-                result = solve(problem, method=method, algebra=algebra)
-                entries.append(
-                    {
-                        "case": case_name,
-                        "problem": spec,
-                        "method": method,
-                        "algebra": algebra,
-                        "value": result.value,
-                        "iterations": result.iterations,
-                        "w": [list(row) for row in result.w],
-                    }
-                )
+    for case_name, spec, problem, method, algebra, kwargs in cells:
+        result = solve(problem, method=method, algebra=algebra, **kwargs)
+        entry = {"case": case_name, "problem": spec, "method": method}
+        if kwargs:
+            entry["kwargs"] = kwargs
+        entry.update(
+            algebra=algebra,
+            value=result.value,
+            iterations=result.iterations,
+            w=[list(row) for row in result.w],
+        )
+        entries.append(entry)
     return entries
 
 
@@ -162,7 +185,8 @@ def main(argv: list[str] | None = None) -> int:
             if not same:
                 drift += 1
                 print(
-                    f"drift: {old['case']} {old['method']} {old['algebra']}",
+                    f"drift: {old['case']} {old['method']} {old['algebra']} "
+                    f"{old.get('kwargs', {})}",
                     file=sys.stderr,
                 )
         print(f"{len(entries)} entries checked, {drift} drifted")

@@ -222,8 +222,7 @@ def _add_instance_args(parser: argparse.ArgumentParser, **method: Any) -> None:
             "default": None,
             "help": (
                 "where the iterative methods' sweep tiles run (default: the "
-                "code picks serial or thread by method and n; it also picks "
-                "the kernel tier)"
+                "code picks serial or thread by method and n)"
             ),
         },
     )
@@ -389,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Compile (without running) the sweep plan of an iterative "
             "solve: the resolved kernel schedule and the frozen tile "
-            "partition and compute tier per kernel."
+            "partition per kernel."
         ),
     )
     _add_instance_args(

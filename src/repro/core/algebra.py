@@ -110,7 +110,7 @@ LEX_SCALE = 4096.0
 
 #: largest integer magnitude a float64 represents exactly (2^53 - 1):
 #: sums of packed integer payloads at or below this bound are computed
-#: without rounding, the precondition of the fused tier's packed
+#: without rounding, the precondition of the sweep kernels' packed
 #: ``lex_min_plus`` fast path (the chia ``fast_vdf`` range-check idiom).
 FLOAT_EXACT_INT_MAX = float(2**53 - 1)
 
@@ -190,10 +190,9 @@ def lex_range_check(*arrays: np.ndarray) -> bool:
     """May packed ``lex_min_plus`` values from these operands be summed
     on the packed channel without rounding?
 
-    The fused tier's fast path adds *packed* floats directly (one
-    ``extend`` per candidate, exactly what the slab kernels do), which
-    is exact iff every intermediate stays within float64's exact-integer
-    window. Following the ``fast_vdf`` idiom — check the input range
+    The sweep kernels' fast path adds *packed* floats directly (one
+    ``extend`` per candidate), which is exact iff every intermediate
+    stays within float64's exact-integer window. Following the ``fast_vdf`` idiom — check the input range
     once, then run the branch-free fast path — this sums the largest
     finite magnitude of each operand and compares against
     :data:`FLOAT_EXACT_INT_MAX`. A ``True`` verdict certifies the fast
@@ -216,8 +215,8 @@ def lex_range_check(*arrays: np.ndarray) -> bool:
 @dataclass(frozen=True)
 class KernelLowering:
     """What a compiled kernel needs to know about an algebra — nothing
-    more. The fused tier (:mod:`repro.core.kernels_fused`) and its numba
-    specialisations dispatch on *names*, not ufunc objects (ufuncs do
+    more. The sweep computes of :mod:`repro.core.kernels_fused` and
+    their numba specialisations dispatch on *names*, not ufunc objects (ufuncs do
     not lower into nopython code), so each algebra exports this small
     scalar-level description of itself:
 

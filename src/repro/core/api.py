@@ -5,9 +5,9 @@ recurrence-(*) problem and returns a uniform :class:`SolveResult`:
 the optimal value, the cost table, an optimal tree, and (for the
 iterative parallel algorithms) the iteration count and trace. The
 iterative methods execute their sweeps through the kernel engine
-(:mod:`repro.core.kernels`). The execution table
-(:mod:`repro.core.plan`) picks the kernel tier and, unless the caller
-names one, the backend the sweep tiles run on:
+(:mod:`repro.core.kernels`). Unless the caller names one, the
+execution table (:mod:`repro.core.plan`) picks the backend the sweep
+tiles run on:
 
     >>> from repro.problems import MatrixChainProblem
     >>> from repro.core import solve
@@ -143,8 +143,8 @@ def _validate_execution(backend, *, start_method=None, runs_tiles: bool = True) 
 
 #: solve() and solve_many() keywords that select *how* a result is
 #: computed, never *what* it is: every (backend, workers, tiles,
-#: start_method) combination, and either kernel tier, commits
-#: bitwise-identical tables (DESIGN.md §3/§9). None of
+#: start_method) combination commits bitwise-identical tables
+#: (DESIGN.md §3/§9). None of
 #: these enter the instance hash — a result computed on one execution
 #: configuration answers for all. ``max_n`` is *not* here: it only
 #: guards memory, but a guard that can reject a request changes the
@@ -680,9 +680,8 @@ def plan_for(
 ) -> SweepPlan:
     """Compile (without running) the :class:`~repro.core.plan.SweepPlan`
     a solve of ``problem`` would execute — the resolved kernel
-    schedule, the frozen tile partition and the compute tier per
-    kernel, on the backend :func:`solve` would pick when ``backend``
-    is ``None``. This is what the ``repro plan`` CLI subcommand prints.
+    schedule and the frozen tile partition per kernel, on the backend
+    :func:`solve` would pick when ``backend`` is ``None``. This is what the ``repro plan`` CLI subcommand prints.
 
     Only the iterative methods compile to sweep plans; the sequential
     baselines have no super-step schedule to freeze.

@@ -94,8 +94,6 @@ class BandedSolver(HuangSolver):
     runs through the same banded kernels.
     """
 
-    METHOD = "huang-banded"
-
     def __init__(
         self,
         problem: ParenthesizationProblem,

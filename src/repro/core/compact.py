@@ -73,8 +73,6 @@ class CompactBandedSolver(IterativeTableSolver):
         (n=200 ≈ 0.6 GiB with the default band).
     """
 
-    METHOD = "huang-compact"
-
     def __init__(
         self,
         problem: ParenthesizationProblem,

@@ -55,7 +55,7 @@ from repro.core.kernels import (
     KernelEngine,
     SweepKernel,
 )
-from repro.core.plan import SweepPlan, choose_tier, compile_plan
+from repro.core.plan import SweepPlan, compile_plan
 from repro.core.termination import (
     FixedIterations,
     IterationState,
@@ -132,9 +132,7 @@ class IterativeTableSolver:
     a :class:`~repro.parallel.backends.Backend` instance; a process
     pool is refused before any table exists), ``workers=`` and
     ``tiles=``; every combination commits bitwise-identical tables (the
-    integration suite verifies this). The kernel tier is the execution
-    table's choice for the solver's :attr:`METHOD` and ``n``
-    (:func:`repro.core.plan.choose_tier`), made once at construction.
+    integration suite verifies this).
 
     All of them also accept ``algebra=`` — a registered
     :class:`~repro.core.algebra.SelectionSemiring` name or instance
@@ -148,8 +146,6 @@ class IterativeTableSolver:
 
     #: operation schedule of one iteration, in kernel order
     SCHEDULE: tuple[str, ...] = ("activate", "square", "pebble")
-    #: the ``solve()`` method name the execution table knows this solver by
-    METHOD: str
 
     problem: ParenthesizationProblem
     n: int
@@ -170,9 +166,6 @@ class IterativeTableSolver:
         self._engine = KernelEngine(backend, workers=workers, tiles=tiles)
         self.backend = self._engine.backend
         self.tiles = self._engine.tiles
-        #: kernel tier ("slab" or "fused"); plan compilation freezes
-        #: each step's compute function from it
-        self.tier = choose_tier(self.METHOD, self.n)
         self._kernels = self.build_kernels()
         self._plan: SweepPlan | None = None
 
@@ -186,8 +179,8 @@ class IterativeTableSolver:
     @property
     def plan(self) -> SweepPlan:
         """The compiled :class:`~repro.core.plan.SweepPlan` — resolved
-        schedule, frozen tile partitions, compute tier — compiled
-        lazily once per solver and executed by every sweep."""
+        schedule and frozen tile partitions — compiled lazily once per
+        solver and executed by every sweep."""
         if self._plan is None:
             self._plan = compile_plan(self)
         return self._plan
@@ -316,8 +309,6 @@ class HuangSolver(IterativeTableSolver):
         single-tile — the reference path); see
         :class:`IterativeTableSolver`.
     """
-
-    METHOD = "huang"
 
     def __init__(
         self,

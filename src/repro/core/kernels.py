@@ -13,10 +13,10 @@ that shape out:
 
 * a :class:`SweepKernel` declares (a) the **tiles** an operation sweeps
   (disjoint slabs of the output index space, each a picklable tuple),
-  (b) a pure module-level **compute** function that maps one tile of
-  the pre-step snapshot to its candidate slab, and (c) a **commit**
-  that min-merges the candidate slabs back into the solver state and
-  reports whether anything changed;
+  (b) its one pure module-level **compute** function that maps one
+  tile of the pre-step snapshot to its candidate slab, and (c) a
+  **commit** that min-merges the candidate slabs back into the solver
+  state and reports whether anything changed;
 * a :class:`KernelEngine` owns an execution
   :class:`~repro.parallel.backends.Backend` (serial or thread) and runs
   a kernel as ``tiles -> backend.map -> commit``.
@@ -30,14 +30,19 @@ historical path bit-for-bit; any other registered algebra (``max_plus``,
 ``minimax``, ``maxmin``, ``lex_min_plus``) reuses the same kernels
 unchanged.
 
-Because every update is a monotone *idempotent* merge and every compute
-function evaluates the identical candidate lattice in the identical
-order for a given output cell, the committed tables are **bitwise
-identical** for every tiling and every backend — the CREW discipline
-made executable (see DESIGN.md §"The algebra contract"). Compute
-functions are module-level and receive their array inputs by keyword:
-the engine binds each sweep's snapshot arrays once and maps the bound
-function over the tiles, so every thread reads the same tables.
+Because every update is a monotone *idempotent* merge, ``combine`` is
+an exact selection, and every compute function evaluates the same
+candidate set for a given output cell whatever tile holds it, the
+committed tables are **bitwise identical** for every tiling and every
+backend — the CREW discipline made executable (see DESIGN.md §"The
+algebra contract"). Compute functions are module-level and receive
+their array inputs by keyword: the engine binds each sweep's snapshot
+arrays once and maps the bound function over the tiles, so every
+thread reads the same tables. The dense activate, square and pebble,
+the banded square and the compact activate compute in
+:mod:`repro.core.kernels_fused`, which reduces candidates as it
+composes them; Rytter's square and the compact square and pebble
+compute here.
 
 Adding an execution strategy is one Backend subclass; adding a paper
 variant is one kernel set — neither requires touching the five solvers.
@@ -56,17 +61,17 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.core.algebra import MIN_PLUS, SelectionSemiring
+from repro.core.algebra import MIN_PLUS, SelectionSemiring, lex_range_check
 from repro.core.kernels_fused import (
+    _lex_exact_matmul,
     fused_banded_square_tile,
     fused_compact_activate_tile,
     fused_dense_activate_tile,
     fused_dense_pebble_tile,
     fused_dense_square_tile,
-    fused_rytter_square_tile,
 )
 from repro.parallel.backends import Backend, check_tile_backend, make_backend
-from repro.parallel.partition import split_range
+from repro.parallel.partition import split_range, split_weighted
 
 __all__ = [
     "SweepKernel",
@@ -94,125 +99,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def dense_activate_tile(
-    tile: tuple, *, F: np.ndarray, w: np.ndarray, algebra: SelectionSemiring = MIN_PLUS
-) -> np.ndarray:
-    """Equations (1a)/(1b) candidates for one slab of rows.
-
-    Tile ``("a", lo, hi)``: slab ``[i - lo, j, k]`` of candidates for
-    ``pw'(i, j, i, k)`` (eq. 1a, ``f(i,k,j) + w'(k,j)``).
-    Tile ``("b", lo, hi)``: slab ``[j - lo, i, k]`` of candidates for
-    ``pw'(i, j, k, j)`` (eq. 1b, ``f(i,k,j) + w'(i,k)``).
-    """
-    side, lo, hi = tile
-    if side == "a":
-        A = algebra.extend(F[lo:hi], w[None, :, :])  # A[i - lo, k, j]
-        return A.transpose(0, 2, 1)  # [i - lo, j, k]
-    B = algebra.extend(F[:, :, lo:hi], w[:, :, None])  # B[i, k, j - lo]
-    return B.transpose(2, 0, 1)  # [j - lo, i, k]
-
-
-def dense_square_tile(
-    tile: tuple, *, pw: np.ndarray, algebra: SelectionSemiring = MIN_PLUS
-) -> np.ndarray:
-    """Equation (2c) candidates for rows ``i`` in ``tile`` (full lattice).
-
-    Identical composition order to the historical serial sweep: all
-    right-anchored compositions ``pw(i,j,r,q) ⊗ pw(r,q,p,q)`` over
-    ``r``, then all left-anchored ``pw(i,j,p,s) ⊗ pw(p,s,p,q)`` over
-    ``s``; anchors whose second factor is entirely unreached contribute
-    nothing and are skipped.
-    """
-    lo, hi = tile
-    N = pw.shape[0]
-    ar = np.arange(N)
-    acc = algebra.full((hi - lo, N, N, N))
-    # The N⁴ scratch slab is only needed once an anchor survives the
-    # reachability skip — early sparse/banded sweeps skip them all.
-    tmp = None
-    # Raw ufuncs, hoisted out of the sweep loops (per-call overhead is
-    # visible at this call frequency; for min_plus these are exactly
-    # np.add / np.minimum).
-    ext, comb = algebra.extend_ufunc, algebra.combine_ufunc
-    for r in range(N):
-        Y = pw[r][ar[None, :], ar[:, None], ar[None, :]]  # Y[p, q] = pw[r,q,p,q]
-        if not algebra.reachable(Y).any():
-            continue
-        if tmp is None:
-            tmp = np.empty_like(acc)
-        X = pw[lo:hi, :, r, :]  # X[i - lo, j, q]
-        ext(X[:, :, None, :], Y[None, None, :, :], out=tmp)
-        comb(acc, tmp, out=acc)
-    for s in range(N):
-        Y = pw[:, s, :, :][ar, ar, :]  # Y[p, q] = pw[p,s,p,q]
-        if not algebra.reachable(Y).any():
-            continue
-        if tmp is None:
-            tmp = np.empty_like(acc)
-        X = pw[lo:hi, :, :, s]  # X[i - lo, j, p]
-        ext(X[:, :, :, None], Y[None, None, :, :], out=tmp)
-        comb(acc, tmp, out=acc)
-    return acc
-
-
-def dense_pebble_tile(
-    tile: tuple,
-    *,
-    pw: np.ndarray,
-    w: np.ndarray,
-    span_lo: int = -1,
-    span_hi: int = -1,
-    algebra: SelectionSemiring = MIN_PLUS,
-) -> np.ndarray:
-    """Equation (3) candidates for rows ``i`` in ``tile``.
-
-    ``span_lo``/``span_hi`` carry the Section 5 size-class pebble window
-    (``span_lo < j - i <= span_hi``); negative bounds mean no window.
-    """
-    lo, hi = tile
-    block = algebra.extend(pw[lo:hi], w[None, None, :, :])
-    cand = algebra.select(block, axis=(2, 3))
-    if span_lo >= 0:
-        N = w.shape[0]
-        ii = np.arange(lo, hi)[:, None]
-        jj = np.arange(N)[None, :]
-        window = (jj - ii > span_lo) & (jj - ii <= span_hi)
-        cand = np.where(window, cand, algebra.zero)
-    return cand
-
-
-def banded_square_tile(
-    tile: tuple, *, pw: np.ndarray, band: int, algebra: SelectionSemiring = MIN_PLUS
-) -> np.ndarray:
-    """Equation (2c) restricted to band offsets, rows ``i`` in ``tile``.
-
-    Right-anchored offsets ``r = p - d`` and left-anchored ``s = q + d``
-    for ``d = 0 .. band``, exactly the Section 5 composition set; the
-    band mask on *written* cells is applied by the commit.
-    """
-    lo, hi = tile
-    N = pw.shape[0]
-    ar = np.arange(N)
-    acc = algebra.full((hi - lo, N, N, N))
-    ext, comb = algebra.extend_ufunc, algebra.combine_ufunc
-    for d in range(0, min(band, N - 1) + 1):
-        # pw(i,j,p-d,q) ⊗ pw(p-d,q,p,q) -> acc[i,j,p,q] for p >= d
-        A = pw[lo:hi, :, : N - d, :]  # [i - lo, j, r, q], r = p - d
-        ps = ar[d:]
-        Yr = pw[(ps - d)[:, None], ar[None, :], ps[:, None], ar[None, :]]
-        if algebra.reachable(Yr).any():
-            tmp = ext(A, Yr[None, None, :, :])
-            comb(acc[:, :, d:, :], tmp, out=acc[:, :, d:, :])
-        # pw(i,j,p,q+d) ⊗ pw(p,q+d,p,q) -> acc[i,j,p,q] for q <= N-1-d
-        A2 = pw[lo:hi, :, :, d:]  # [i - lo, j, p, s], s = q + d
-        qs = ar[: N - d]
-        Ys = pw[ar[:, None], (qs + d)[None, :], ar[:, None], qs[None, :]]
-        if algebra.reachable(Ys).any():
-            tmp2 = ext(A2, Ys[None, None, :, :])
-            comb(acc[:, :, :, : N - d], tmp2, out=acc[:, :, :, : N - d])
-    return acc
-
-
 def rytter_square_tile(
     tile: tuple,
     *,
@@ -226,12 +112,18 @@ def rytter_square_tile(
     K = (n+1)²; the tile owns rows ``lo:hi`` of the product. ``useful``
     lists the intermediate indices with a reachable row *and* column
     (anything else cannot contribute), precomputed once per sweep.
+    Packed ``lex_min_plus`` values out of the exact range take the
+    exact two-channel matmul over the useful rows and columns instead
+    (:mod:`repro.core.kernels_fused`), which refuses a result it cannot
+    pack rather than round it.
     """
     lo, hi = tile
     N = pw.shape[0]
     K = N * N
     M = pw.reshape(K, K)
     Mrows = M[lo:hi]
+    if len(useful) and algebra.lowering().packed and not lex_range_check(pw, pw):
+        return _lex_exact_matmul(Mrows[:, useful], M[useful, :])
     acc = algebra.full((hi - lo, K))
     ext, comb = algebra.extend_ufunc, algebra.combine_ufunc
     # One reused scratch slab, allocated lazily on the first useful
@@ -244,23 +136,6 @@ def rytter_square_tile(
         ext(Mrows[:, t][:, None], M[t, :][None, :], out=tmp)
         comb(acc, tmp, out=acc)
     return acc
-
-
-def compact_activate_tile(
-    tile: tuple, *, F: np.ndarray, w: np.ndarray, algebra: SelectionSemiring = MIN_PLUS
-) -> tuple[np.ndarray, np.ndarray]:
-    """Compact-layout activate candidates for rows ``i`` in ``tile``.
-
-    Returns ``(U1, U2)`` slabs: ``U1[i - lo, j, k]`` the eq.-1a
-    candidate for ``A1[i, j, k] = pw'(i, j, i, k)`` and ``U2`` likewise
-    for ``A2[i, j, k] = pw'(i, j, k, j)``. The PB mirroring of in-band
-    cells happens at commit (it reads the merged A1/A2).
-    """
-    lo, hi = tile
-    T = F[lo:hi].transpose(0, 2, 1)  # T[i - lo, j, k] = F[i, k, j]
-    U1 = algebra.extend(T, w.T[None, :, :])  # ⊗ w(k, j)
-    U2 = algebra.extend(T, w[lo:hi, None, :])  # ⊗ w(i, k)
-    return U1, U2
 
 
 def compact_square_tile(
@@ -359,18 +234,6 @@ class SweepKernel:
     updates: str = "pw"
     #: module-level compute function: ``compute_fn(tile, **arrays)``
     compute_fn: Callable[..., Any]
-    #: fused-tier compute (same signature/result contract as
-    #: :attr:`compute_fn`, bitwise-identical tables); ``None`` means the
-    #: slab compute serves both tiers (the compact square/pebble, whose
-    #: in-band slice-shift sweeps are already reduce-as-you-compose).
-    fused_compute_fn: Callable[..., Any] | None = None
-
-    def compute_for(self, tier: str) -> Callable[..., Any]:
-        """The compute function for a kernel tier (``"slab"`` or
-        ``"fused"``)."""
-        if tier == "fused" and self.fused_compute_fn is not None:
-            return self.fused_compute_fn
-        return self.compute_fn
 
     def tiles(self, solver, parts: int) -> list:
         """Disjoint tiles covering the operation's output index space.
@@ -400,8 +263,7 @@ class DenseActivateKernel(SweepKernel):
 
     name = "activate"
     updates = "pw"
-    compute_fn = staticmethod(dense_activate_tile)
-    fused_compute_fn = staticmethod(fused_dense_activate_tile)
+    compute_fn = staticmethod(fused_dense_activate_tile)
 
     def tiles(self, solver, parts):
         rows = self._row_tiles(solver.n + 1, parts)
@@ -430,8 +292,7 @@ class DenseSquareKernel(SweepKernel):
 
     name = "square"
     updates = "pw"
-    compute_fn = staticmethod(dense_square_tile)
-    fused_compute_fn = staticmethod(fused_dense_square_tile)
+    compute_fn = staticmethod(fused_dense_square_tile)
 
     def tiles(self, solver, parts):
         return self._row_tiles(solver.n + 1, parts)
@@ -454,8 +315,7 @@ class DensePebbleKernel(SweepKernel):
 
     name = "pebble"
     updates = "w"
-    compute_fn = staticmethod(dense_pebble_tile)
-    fused_compute_fn = staticmethod(fused_dense_pebble_tile)
+    compute_fn = staticmethod(fused_dense_pebble_tile)
 
     def tiles(self, solver, parts):
         return self._row_tiles(solver.n + 1, parts)
@@ -477,13 +337,16 @@ class BandedSquareKernel(DenseSquareKernel):
     """a-square restricted to Section 5 band offsets; the band mask on
     written cells is enforced at commit so workers never see it."""
 
-    compute_fn = staticmethod(banded_square_tile)
-    # Not the inherited fused dense square (which sweeps the *full*
-    # composition lattice and would break bitwise identity with the
-    # band-offset-restricted slab tables): a dedicated banded matmul
-    # whose anchor planes are band-restricted and whose reduction axis
-    # spans only the in-band diagonals.
-    fused_compute_fn = staticmethod(fused_banded_square_tile)
+    # Not the inherited dense square, which sweeps the *full*
+    # composition lattice: only the Section 5 band offsets compose.
+    compute_fn = staticmethod(fused_banded_square_tile)
+
+    def tiles(self, solver, parts):
+        # The compute skips the rows past each anchor's last composed
+        # row, so row i composes into about (n + 1 - i)³ cells: equal
+        # work, not equal rows, keeps thread tiles balanced.
+        N = solver.n + 1
+        return split_weighted([(N - i) ** 3 for i in range(N)], max(1, parts))
 
     def arrays(self, solver):
         return {"pw": solver.pw, "band": solver.band}
@@ -515,7 +378,6 @@ class RytterSquareKernel(SweepKernel):
     name = "square"
     updates = "pw"
     compute_fn = staticmethod(rytter_square_tile)
-    fused_compute_fn = staticmethod(fused_rytter_square_tile)
 
     def tiles(self, solver, parts):
         return self._row_tiles((solver.n + 1) ** 2, parts)
@@ -544,8 +406,7 @@ class CompactActivateKernel(SweepKernel):
 
     name = "activate"
     updates = "pw"
-    compute_fn = staticmethod(compact_activate_tile)
-    fused_compute_fn = staticmethod(fused_compact_activate_tile)
+    compute_fn = staticmethod(fused_compact_activate_tile)
 
     def tiles(self, solver, parts):
         return self._row_tiles(solver.n + 1, parts)
@@ -689,13 +550,7 @@ class KernelEngine:
         """
         from repro.core.plan import PlanStep
 
-        step = PlanStep(
-            name=kernel.name,
-            kernel=kernel,
-            tiles=tuple(kernel.tiles(solver, self.tiles)),
-            updates=kernel.updates,
-            compute_fn=kernel.compute_for(getattr(solver, "tier", "slab")),
-        )
+        step = PlanStep.for_kernel(kernel.name, kernel, solver, self.tiles)
         return self.execute_step(step, solver)
 
     def execute_step(self, step, solver) -> bool:
@@ -709,14 +564,11 @@ class KernelEngine:
         keyword channel as the snapshot arrays.
         """
         kernel = step.kernel
-        # The plan froze the tier's compute function at compile time
-        # (slab vs fused); older/hand-built steps fall back to slab.
-        compute_fn = (
-            step.compute_fn if step.compute_fn is not None else kernel.compute_fn
-        )
         arrays = dict(kernel.arrays(solver))
         arrays.setdefault("algebra", getattr(solver, "algebra", MIN_PLUS))
-        results = self.backend.map(functools.partial(compute_fn, **arrays), step.tiles)
+        results = self.backend.map(
+            functools.partial(kernel.compute_fn, **arrays), step.tiles
+        )
         return kernel.commit(solver, step.tiles, results)
 
     def close(self) -> None:

@@ -1,16 +1,15 @@
-"""The fused kernel tier: cache-blocked reduce-compose sweeps.
+"""Reduce-as-you-compose sweep computes: the a-activate, a-square and
+a-pebble tile functions of the dense, banded and compact kernels.
 
-The slab kernels in :mod:`repro.core.kernels` evaluate eq. (2c) by
-materialising the full ``(hi - lo, N, N, N)`` candidate lattice twice
-(``acc`` plus ``tmp``) and making ``2N`` whole-lattice ``ext``/``comb``
-passes per a-square step — Θ(N⁴) memory traffic per anchor, which is
-what bounds cold-solve throughput across the whole stack (service,
-fleet, CI trajectory alike). This module is the ``"fused"`` kernel
-tier: the same candidate lattices, reformulated so they are *reduced as
-they are composed* and never materialised. Which tier a solve runs is
-the execution table's choice (:func:`repro.core.plan.choose_tier`): on
-the numpy engine the slab tier still wins the smallest dense and banded
-solves, and Rytter's solves from n=8 up.
+A literal reading of eq. (2c) materialises the whole ``(hi - lo, N, N,
+N)`` candidate lattice of an a-square tile and makes ``2N``
+whole-lattice ``ext``/``comb`` passes over it: Θ(N⁴) memory traffic
+per anchor, most of it on cells that can never be reached. The
+functions here compute the same candidate sets, reformulated so they
+are *reduced as they are composed* and never materialised.
+:mod:`repro.core.kernels` declares which kernel runs which function;
+Rytter's square and the compact square and pebble keep their own
+computes there.
 
 The reformulation
 -----------------
@@ -20,41 +19,46 @@ pw(r, q, p, q)``: for a fixed anchor column ``q`` this is exactly a
 semiring matrix product ``X[(i, j), r] ⊗ Y[r, p]`` with ``Y[r, p] =
 pw(r, q, p, q)`` — combine plays the sum, extend plays the product.
 Left-anchored candidates ``pw(i, j, p, s) ⊗ pw(p, s, p, q)`` are the
-mirror image per anchor row ``p``. So one a-square tile becomes ``2N``
-small semiring matmuls whose reduction ``R`` axis is further restricted
-to the **reachable** rows of ``Y`` (``np.flatnonzero`` of a per-anchor
-reachability mask), and whose output is written directly into the
-triangular slice of ``acc`` it can affect (``j >= q`` right, ``j > p``
-left). Each matmul runs cache-blocked (:data:`CHUNK` elements per
-intermediate) so the working set stays resident.
+mirror image per anchor row ``p``. So one dense a-square tile becomes
+``2N`` small semiring matmuls whose reduction ``R`` axis is further
+restricted to the **reachable** rows of ``Y`` (``np.flatnonzero`` of a
+per-anchor reachability mask), and whose output is written directly
+into the triangular slice of ``acc`` it can affect (``j >= q`` right,
+``j > p`` left). Each matmul runs cache-blocked (:data:`CHUNK`
+elements per intermediate) so the working set stays resident.
 
 The **banded** square (Section 5) composes only offset-``d`` diagonals
-(``d = 0 .. band``), so its per-anchor matmuls are *banded*: the anchor
-plane is band-restricted (:func:`_band_restrict` — the restriction is a
-property of the candidate set, not of the table, since activate writes
-arbitrary-gap cells the banded sweep never composes) and the reduction
-axis spans only the ``band + 1`` in-band rows per output
-(:func:`_banded_matmul_reduce`). The **activate** sweeps have no
-reduction axis at all — one binary ``extend`` per cell — so their fused
-forms are single-pass lowerings written straight into the committed
-layout (dense) or both compact slabs per input read (compact). Only the
-compact square/pebble keep one compute for both tiers: their in-band
-slice-shift sweeps already reduce as they compose over O(band²) slabs.
+(``r = p - d`` and ``s = q + d``, ``d = 0 .. band``). On the numpy
+engine each anchor (``p`` right, ``q`` left) composes all of its live
+offsets in one ``extend`` over zero-copy views of ``pw`` and reduces
+the offset axis in one ``combine.reduce``
+(:func:`_banded_square_grouped`): per sweep that is a fixed number of
+numpy calls per anchor, not per (anchor, offset), and the anchor
+planes and their reachability flags are gathered once per tile, so an
+offset nobody reaches costs no call at all (the early, sparse sweeps).
+The numba engine and the exact lex fallback run the same candidates as
+per-anchor *banded* matmuls whose reduction axis spans only the
+in-band diagonals (:func:`_banded_matmul_reduce`). The **activate**
+sweeps have no reduction axis at all — one binary ``extend`` per cell
+— so their computes are single-pass lowerings written straight into
+the committed layout (dense) or both compact slabs per input read
+(compact).
 
-Why the tables stay bitwise identical
--------------------------------------
+Why every tiling and engine commits the same table
+--------------------------------------------------
 ``combine`` is an exact idempotent *selection* (min/max on float64
 selects an argument, no rounding), so reduction order and grouping
-cannot change the selected value's bits. Each candidate is the same
-single binary ``extend`` the slab kernels evaluate. The restrictions
-drop only candidates that are exactly ``algebra.zero``: invalid ``pw``
-cells (violating ``i <= p < q <= j``) are ``zero`` forever — activate
-only writes where the encoded ``f`` table is non-zero, and zero is
-extend-absorbing — so triangular output slicing and reachable-row
-sub-selection remove exact no-ops and nothing else. Hence
-``fused ≡ slab`` bit-for-bit, for every registered algebra; the golden
-and property suites enforce it along a tier axis, forced through the
-private :func:`repro.core.plan._force_tier` hook.
+cannot change the selected value's bits. Each candidate is the single
+binary ``extend`` eq. (2c) names. The restrictions drop only
+candidates that cannot be selected: invalid ``pw`` cells (violating
+``i <= p < q <= j``) are ``zero`` forever — activate only writes where
+the encoded ``f`` table is non-zero, and zero is extend-absorbing — so
+triangular output slicing and reachable-row sub-selection remove exact
+no-ops; and the banded square's ``d = 0`` compositions are ``pw(i, j,
+p, q) ⊗ one``, the cell itself, which the commit merges anyway. Hence
+the tables match the plain recurrence bit for bit, for every
+registered algebra; the golden suite and the property suite's
+reference DP (explicit scalar loops, no shared code) enforce it.
 
 Execution engines
 -----------------
@@ -63,30 +67,31 @@ runs as a JIT-compiled scalar loop nest specialised per algebra via its
 :class:`~repro.core.algebra.KernelLowering` (ufuncs do not lower into
 nopython code, so the lowering names the scalar semantics and this
 module builds the loop bodies from them). Without numba the same
-loops run as cache-blocked numpy slab operations — same public surface,
-same tables, ~4-5x over slab instead of ~10x. :func:`fused_backend`
-reports which engine this process resolved to.
+candidates run as cache-blocked numpy slab operations — same public
+surface, same tables. :func:`fused_backend` reports which engine this
+process resolved to; the platform picks it, not a caller.
 
 The packed fast path (the ``fast_vdf`` idiom)
 ---------------------------------------------
 ``lex_min_plus`` packs ``(cost, splits)`` into one float64; adding
 packed values is exact only inside float64's exact-integer window.
 Like chia's ``fast_vdf`` — check the input range once, then run the
-branch-free fast path — each fused reduce first calls
+branch-free fast path — each reduce first calls
 :func:`~repro.core.algebra.lex_range_check`; in range, packed floats
-are summed directly (bit-for-bit the slab arithmetic). Out of range,
-the tile falls back to an **exact two-channel** reduce (unpack, add
-cost and split channels separately, lexicographic min, repack), and
-raises :class:`~repro.errors.InvalidProblemError` only if the exact
-*result* itself cannot be packed.
+are summed directly. Out of range, the tile falls back to an **exact
+two-channel** reduce (unpack, add cost and split channels separately,
+lexicographic min, repack), and raises
+:class:`~repro.errors.InvalidProblemError` only if the exact *result*
+itself cannot be packed.
 
 All compute functions are module-level, so the engine binds each
 sweep's snapshot arrays to them once and maps the bound function over
-the tiles on serial or thread backends exactly like the slab tier.
+the tiles on serial or thread backends.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any, Callable
 
 import numpy as np
@@ -110,7 +115,6 @@ __all__ = [
     "fused_dense_square_tile",
     "fused_dense_pebble_tile",
     "fused_banded_square_tile",
-    "fused_rytter_square_tile",
     "fused_compact_activate_tile",
 ]
 
@@ -128,7 +132,7 @@ CHUNK = 1 << 21
 
 
 def fused_backend() -> str:
-    """Which engine the fused tier resolves to in this process:
+    """Which engine the sweep computes resolve to in this process:
     ``"numba"`` (JIT scalar loops) or ``"numpy"`` (blocked slabs)."""
     return "numba" if HAVE_NUMBA else "numpy"
 
@@ -168,8 +172,8 @@ def _scalar_extend(name: str, jit: Callable[..., Any]) -> Callable[..., Any]:
 
     else:  # unreachable for registered algebras; guards custom ones
         raise InvalidProblemError(
-            f"no scalar lowering for extend ufunc {name!r}; the fused tier "
-            "supports add/minimum/maximum"
+            f"no scalar lowering for extend ufunc {name!r}; the sweep "
+            "kernels support add/minimum/maximum"
         )
     return ext
 
@@ -190,8 +194,8 @@ def _scalar_improves(comb_name: str, jit: Callable[..., Any]) -> Callable[..., A
 
     else:
         raise InvalidProblemError(
-            f"no scalar lowering for combine ufunc {comb_name!r}; the fused "
-            "tier supports minimum/maximum"
+            f"no scalar lowering for combine ufunc {comb_name!r}; the "
+            "sweep kernels support minimum/maximum"
         )
     return better
 
@@ -476,8 +480,7 @@ def _band_restrict(plane: np.ndarray, d0: int, d1: int, zero: float) -> np.ndarr
     restriction of the Section 5 square, expressed on the second matmul
     factor. The dropped cells are the activate-written arbitrary-gap
     entries the banded composition set never touches; masking them to
-    ``zero`` (extend-absorbing) is what keeps ``fused ≡ slab`` bitwise
-    for the banded method."""
+    ``zero`` (extend-absorbing) keeps them out of the banded square."""
     R, P = plane.shape
     off = np.arange(P)[None, :] - np.arange(R)[:, None]
     return np.where((off >= d0) & (off <= d1), plane, zero)
@@ -490,70 +493,138 @@ def _banded_matmul_reduce(
     d1: int,
     out: np.ndarray,
     algebra: SelectionSemiring,
-    packed: bool,
+    exact: bool,
 ) -> None:
     """``out ← comb(out, X ⊗ Y)`` with the reduction axis restricted to
-    the in-band diagonals ``d0 <= p - r <= d1`` of ``Y``.
+    the in-band diagonals ``d0 <= p - r <= d1`` of ``Y``: the numba
+    engine's window loop, or with ``exact`` the exact two-channel lex
+    matmul over the band-restricted ``Y`` (the fallback for
+    out-of-range packed tiles, bitwise the packed sum where that one is
+    exact).
 
-    ``X`` is ``(..., R)`` and — unlike :func:`_matmul_reduce`'s left
-    factor — may be *any strided view*: the band restriction makes a
-    contiguous gather a net loss (it costs as much memory traffic as
-    the in-band candidates themselves), so the numpy engine composes
-    the views in place, one diagonal ``o = p - r`` at a time. Each
-    offset is a zero-copy :func:`np.diagonal` of the anchor plane, one
-    ``extend`` and one ``combine`` over exactly the in-band candidates
-    — no rectangular overcount, no mask. ``out`` is ``(..., P)``, any
-    strided view, combined in place and **never reshaped** (the square
-    tile passes non-contiguous triangular slices of ``acc``); per-``o``
-    sub-slices of it are the only indexing applied. The numba engine
-    gathers once and clamps its scalar reduction loop to the window, so
-    per-output work is O(band) either way.
+    ``X`` is ``(..., R)`` and may be any strided view (it is gathered
+    contiguous here); ``out`` is ``(..., P)``, any strided view,
+    combined in place and **never reshaped** (the square tile passes
+    non-contiguous triangular slices of ``acc``).
     """
     R = X.shape[-1]
-    P = Y.shape[1]
+    Xf = np.ascontiguousarray(X).reshape(-1, R)
+    if exact:
+        red = _lex_exact_matmul(Xf, _band_restrict(Y, d0, d1, algebra.zero))
+    else:
+        red = np.full((Xf.shape[0], Y.shape[1]), algebra.zero)
+        _kernels_for(algebra).banded_matmul(Xf, np.ascontiguousarray(Y), d0, d1, red)
+    algebra.combine_ufunc(out, red.reshape(out.shape), out=out)
+
+
+@lru_cache(maxsize=32)
+def _anchor_index(N: int, b: int) -> tuple:
+    """Gather indices of the banded square's anchor planes for offsets
+    ``d = 1 .. b``, with the masks of the cells that exist:
+
+    * right, per anchor row ``p``: ``YR[p, k, q] = pw(r, q, p, q)`` at
+      ``r = p - b + k`` (ascending ``r``, so ``k = b - d``), which
+      exists where ``r >= 0`` and ``q > p``;
+    * left, per anchor column ``q``: ``YL[q, p, k] = pw(p, s, p, q)`` at
+      ``s = q + 1 + k`` (``k = d - 1``), which exists where
+      ``s <= N - 1`` and ``p < q``.
+
+    Clipped indices stand in for the missing cells; the masks keep them
+    out of the reachability flags, and no missing cell is composed."""
+    ar = np.arange(N)
+    k = np.arange(b)
+    p, q = ar[:, None, None], ar[None, None, :]
+    r = p - b + k[None, :, None]
+    right = (np.maximum(r, 0), q, p, q), (r >= 0) & (q > p)
+    q, p = ar[:, None, None], ar[None, :, None]
+    s = q + 1 + k[None, None, :]
+    left = (p, np.minimum(s, N - 1), p, q), (s <= N - 1) & (p < q)
+    return right, left
+
+
+def _live_ranges(
+    planes: np.ndarray, exists: np.ndarray, axis: int, algebra: SelectionSemiring
+) -> list:
+    """Per anchor, ``(k0, k1)``: the span of offsets whose anchor
+    diagonal holds a reachable cell (``None`` when none does)."""
+    live = (algebra.reachable(planes) & exists).any(axis=axis)
+    any_live = live.any(axis=1).tolist()
+    first = live.argmax(axis=1).tolist()
+    stop = (live.shape[1] - live[:, ::-1].argmax(axis=1)).tolist()
+    return [(k0, k1) if ok else None for ok, k0, k1 in zip(any_live, first, stop)]
+
+
+def _banded_square_grouped(
+    pw: np.ndarray, lo: int, hi: int, b: int, acc: np.ndarray, algebra: SelectionSemiring
+) -> None:
+    """The numpy engine's banded square: ``acc ← comb(acc, ...)`` over
+    offsets ``d = 1 .. b`` for rows ``lo:hi``, one anchor at a time.
+
+    Right anchor ``p``: the live rows ``r`` form one strided view
+    ``pw[i, j, r, q]`` of shape ``(i, j, r, q)``, composed with the
+    anchor plane ``YR[p]`` in one ``extend`` and reduced over ``r`` in
+    one ``combine.reduce`` into ``acc[:, j > p, p, q > p]``. Left anchor
+    ``q``: the view ``pw[i, j, p, s]`` composed with ``YL[q]`` and
+    reduced over ``s`` into ``acc[:, j >= s, p, q]``. Rows ``i`` past
+    the last composed ``r`` (right) or ``p`` (left) hold no valid cell
+    and are skipped; the intermediate is blocked to :data:`CHUNK`
+    elements."""
+    N = pw.shape[0]
     ext, comb = algebra.extend_ufunc, algebra.combine_ufunc
-    if packed and not lex_range_check(X, Y):
-        Ym = _band_restrict(Y, d0, d1, algebra.zero)
-        red = _lex_exact_matmul(np.ascontiguousarray(X).reshape(-1, R), Ym)
-        comb(out, red.reshape(out.shape), out=out)
-        return
-    if HAVE_NUMBA:  # pragma: no cover - exercised via the [perf] CI leg
-        Xc = np.ascontiguousarray(X).reshape(-1, R)
-        red = np.full((Xc.shape[0], P), algebra.zero)
-        _kernels_for(algebra).banded_matmul(Xc, np.ascontiguousarray(Y), d0, d1, red)
-        comb(out, red.reshape(out.shape), out=out)
-        return
-    tmp = np.empty(X.shape[:-1] + (P,))
-    for o in range(d0, d1 + 1):
-        yd = np.diagonal(Y, offset=o)  # yd[k] = Y[r, r + o], zero-copy
-        L = yd.shape[0]
-        if L == 0 or not algebra.reachable(yd).any():
+    (right, right_ok), (left, left_ok) = _anchor_index(N, b)
+    YR = pw[right]
+    YL = pw[left]
+    row = N * N * b  # bounds one row's intermediate on either side
+    size = row * max(1, min(hi - lo, CHUNK // row))
+    buf = np.empty(size)
+    for p, span in enumerate(_live_ranges(YR, right_ok, 2, algebra)):
+        if span is None or min(hi, p - b + span[1]) <= lo:
             continue
-        r0, p0 = (0, o) if o >= 0 else (-o, 0)
-        tv = tmp[..., p0 : p0 + L]
-        ext(X[..., r0 : r0 + L], yd, out=tv)
-        ov = out[..., p0 : p0 + L]
-        comb(ov, tv, out=ov)
+        k0, k1 = span
+        r0, r1 = p - b + k0, p - b + k1
+        J, K = N - p - 1, k1 - k0
+        y = YR[p, k0:k1, p + 1 :]
+        step = max(1, size // (J * K * J))
+        for t0 in range(lo, min(hi, r1), step):
+            t1 = min(hi, r1, t0 + step)
+            tmp = buf[: (t1 - t0) * J * K * J].reshape(t1 - t0, J, K, J)
+            ext(pw[t0:t1, p + 1 :, r0:r1, p + 1 :], y, out=tmp)
+            ov = acc[t0 - lo : t1 - lo, p + 1 :, p, p + 1 :]
+            comb(ov, comb.reduce(tmp, axis=2), out=ov)
+    for q, span in enumerate(_live_ranges(YL, left_ok, 1, algebra)):
+        if span is None or min(hi, q) <= lo:
+            continue
+        k0, k1 = span
+        s0, s1 = q + 1 + k0, q + 1 + k1
+        J, P, K = N - s0, q - lo, k1 - k0
+        y = YL[q, lo:q, k0:k1]
+        step = max(1, size // (J * P * K))
+        for t0 in range(lo, min(hi, q), step):
+            t1 = min(hi, q, t0 + step)
+            tmp = buf[: (t1 - t0) * J * P * K].reshape(t1 - t0, J, P, K)
+            ext(pw[t0:t1, s0:, lo:q, s0:s1], y, out=tmp)
+            ov = acc[t0 - lo : t1 - lo, s0:, lo:q, q]
+            comb(ov, comb.reduce(tmp, axis=3), out=ov)
 
 
 # ---------------------------------------------------------------------------
-# Fused tile compute functions (module-level: picklable, same signature
-# and result contract as their slab counterparts).
+# Tile compute functions (module-level, bound and mapped by the engine).
 # ---------------------------------------------------------------------------
 
 
 def fused_dense_activate_tile(
     tile: tuple, *, F: np.ndarray, w: np.ndarray, algebra: SelectionSemiring = MIN_PLUS
 ) -> np.ndarray:
-    """Eqs. (1a)/(1b) candidates for one slab of rows — fused tier.
+    """Eqs. (1a)/(1b) candidates for one slab of rows.
 
-    Activate has no reduction axis: each output cell is one binary
-    ``extend``. The slab kernel materialises the extend block in input
-    order and returns a transposed *view*; here the extend is written
-    straight into a fresh contiguous slab in the committed ``[slab, j,
-    k]`` layout — one pass, no transposed intermediate — via the numba
-    loop nest or a single strided-in/contiguous-out ufunc call. Same
-    per-cell binary op, hence bitwise-identical tables.
+    Tile ``("a", lo, hi)``: slab ``[i - lo, j, k]`` of candidates for
+    ``pw'(i, j, i, k)`` (eq. 1a, ``f(i,k,j) + w'(k,j)``). Tile ``("b",
+    lo, hi)``: slab ``[j - lo, i, k]`` of candidates for ``pw'(i, j, k,
+    j)`` (eq. 1b, ``f(i,k,j) + w'(i,k)``). Activate has no reduction
+    axis: each output cell is one binary ``extend``, written straight
+    into a fresh contiguous slab in the committed layout — one pass, no
+    transposed intermediate — via the numba loop nest or a single
+    strided-in/contiguous-out ufunc call.
     """
     side, lo, hi = tile
     if side == "a":
@@ -575,14 +646,13 @@ def fused_dense_activate_tile(
 def fused_dense_square_tile(
     tile: tuple, *, pw: np.ndarray, algebra: SelectionSemiring = MIN_PLUS
 ) -> np.ndarray:
-    """Eq. (2c) candidates for rows ``i`` in ``tile`` — fused tier.
+    """Eq. (2c) candidates for rows ``i`` in ``tile`` (full lattice).
 
     Per right anchor column ``q``: ``Y[r, p] = pw(r, q, p, q)``
     restricted to its reachable rows, ``X[(i, j), r] = pw(i, j, r, q)``
     for ``j >= q``, reduced into the triangular slice
     ``acc[:, q:, :q, q]``. Per left anchor row ``p``: the mirror with
     ``Z[s, q] = pw(p, s, p, q)`` into ``acc[:, p+1:, p, p+1:]``.
-    Produces the slab kernel's tables bit-for-bit (module docstring).
     """
     lo, hi = tile
     N = pw.shape[0]
@@ -617,66 +687,39 @@ def fused_dense_square_tile(
 def fused_banded_square_tile(
     tile: tuple, *, pw: np.ndarray, band: int, algebra: SelectionSemiring = MIN_PLUS
 ) -> np.ndarray:
-    """Eq. (2c) restricted to band offsets, rows ``i`` in ``tile`` —
-    fused tier.
+    """Eq. (2c) restricted to band offsets, rows ``i`` in ``tile``.
 
-    The banded slab kernel sweeps one whole-lattice ``ext``/``comb``
-    pass per offset ``d = 0 .. band`` per side; here the same candidate
-    set is regrouped per anchor, exactly like
-    :func:`fused_dense_square_tile`, as **banded** semiring matmuls
-    whose reduction axis only spans the in-band diagonals: per right
-    anchor column ``q``, ``Y[r, p] = pw(r, q, p, q)`` restricted to
-    ``0 <= p - r <= band`` reduces into ``acc[:, q:, :q, q]``; per left
-    anchor row ``p``, ``Z[s, q] = pw(p, s, p, q)`` restricted to
-    ``0 <= s - q <= band`` reduces into ``acc[:, p+1:, p, p+1:]``. The
-    band restriction must be applied to the anchor plane (not inferred
-    from zeros): activate writes arbitrary-gap cells the banded
-    composition set never composes, so the full-lattice fused square
-    would see extra candidates and break bitwise identity — which is
-    exactly why this kernel exists. The band mask on *written* cells is
-    still applied by the commit, as for the slab tier.
+    Right-anchored candidates ``pw(i, j, p - d, q) ⊗ pw(p - d, q, p,
+    q)`` and left-anchored ``pw(i, j, p, q + d) ⊗ pw(p, q + d, p, q)``
+    for ``d = 0 .. band``, exactly the Section 5 composition set. The
+    band restriction is a property of the candidate set, not of the
+    table: activate writes arbitrary-gap cells the banded composition
+    set never composes, so the offsets are bounded explicitly, never
+    inferred from zeros. The band mask on *written* cells is applied by
+    the commit.
+
+    The numpy engine groups each anchor's offsets
+    (:func:`_banded_square_grouped`); the numba engine and an
+    out-of-range packed tile run one banded matmul per anchor column
+    ``q`` (``Y[r, p] = pw(r, q, p, q)``, ``0 <= p - r <= band``, into
+    ``acc[:, q:, :q, q]``) and per anchor row ``p`` (``Z[s, q] = pw(p,
+    s, p, q)``, ``0 <= s - q <= band``, into ``acc[:, p+1:, p, p+1:]``).
     """
     lo, hi = tile
     N = pw.shape[0]
     acc = algebra.full((hi - lo, N, N, N))
-    packed = algebra.lowering().packed
     b = min(band, N - 1)
-    # Right-anchored side. The per-anchor-column matmul (numba: gathered
-    # contiguous, O(band) loop window per output) reads pw with a
-    # stride-N inner axis, which the JIT engine absorbs but the numpy
-    # engine pays for per element — so the numpy engine anchors per
-    # output row ``p`` instead: every in-band intermediate ``r = p - d``
-    # contributes one elementwise compose over the *contiguous* trailing
-    # ``q`` axis, with the second factor a zero-copy diagonal
-    # ``y[q] = pw[r, q, p, q]``. An out-of-range packed tile routes
-    # through the per-anchor matmuls too, for their exact two-channel
-    # fallback.
-    if HAVE_NUMBA or (packed and not lex_range_check(pw, pw)):
-        for q in range(1, N):
-            # Y[r, p] = pw[r, q, p, q]; candidates compose r = p - d only.
-            _banded_matmul_reduce(
-                pw[lo:hi, q:, :q, q],
-                pw[:q, q, :q, q],
-                0,
-                b,
-                acc[:, q:, :q, q],
-                algebra,
-                packed,
-            )
-    else:
-        ext, comb = algebra.extend_ufunc, algebra.combine_ufunc
-        for p in range(N - 1):
-            ov = acc[:, p + 1 :, p, p + 1 :]
-            tmp = np.empty(ov.shape)
-            for d in range(0, min(b, p) + 1):
-                r = p - d
-                y = np.diagonal(pw[r, :, p, :])[p + 1 :]  # y[q] = pw[r, q, p, q]
-                if not algebra.reachable(y).any():
-                    continue
-                ext(pw[lo:hi, p + 1 :, r, p + 1 :], y, out=tmp)
-                comb(ov, tmp, out=ov)
+    exact = algebra.lowering().packed and not lex_range_check(pw, pw)
+    if not (exact or HAVE_NUMBA):
+        if b > 0:
+            _banded_square_grouped(pw, lo, hi, b, acc, algebra)
+        return acc
+    for q in range(1, N):
+        _banded_matmul_reduce(
+            pw[lo:hi, q:, :q, q], pw[:q, q, :q, q], 0, b, acc[:, q:, :q, q],
+            algebra, exact,
+        )
     for p in range(N - 1):
-        # Z[s, q] = pw[p, s, p, q]; candidates compose s = q + d only.
         _banded_matmul_reduce(
             pw[lo:hi, p + 1 :, p, p + 1 :],
             pw[p, p + 1 :, p, p + 1 :],
@@ -684,7 +727,7 @@ def fused_banded_square_tile(
             0,
             acc[:, p + 1 :, p, p + 1 :],
             algebra,
-            packed,
+            exact,
         )
     return acc
 
@@ -698,12 +741,12 @@ def fused_dense_pebble_tile(
     span_hi: int = -1,
     algebra: SelectionSemiring = MIN_PLUS,
 ) -> np.ndarray:
-    """Eq. (3) candidates for rows ``i`` in ``tile`` — fused tier.
+    """Eq. (3) candidates for rows ``i`` in ``tile``.
 
-    The slab kernel materialises the whole ``(hi - lo, N, N, N)``
-    ``extend`` block before reducing; here the block is processed in
-    :data:`CHUNK`-sized row groups (numpy) or never materialised at all
-    (numba), with the same Section 5 size-class window semantics.
+    The ``extend`` block is processed in :data:`CHUNK`-sized row groups
+    (numpy) or never materialised at all (numba). ``span_lo``/``span_hi``
+    carry the Section 5 size-class pebble window (``span_lo < j - i <=
+    span_hi``); negative bounds mean no window.
     """
     lo, hi = tile
     N = w.shape[0]
@@ -729,46 +772,19 @@ def fused_dense_pebble_tile(
     return cand
 
 
-def fused_rytter_square_tile(
-    tile: tuple,
-    *,
-    pw: np.ndarray,
-    useful: np.ndarray,
-    algebra: SelectionSemiring = MIN_PLUS,
-) -> np.ndarray:
-    """One tile of Rytter's squaring — fused tier.
-
-    The slab kernel sweeps one rank-1 ``K × K`` update per useful
-    intermediate ``t``; here the useful rows/columns are gathered once
-    and reduced as a single ``(hi - lo, R) ⊗ (R, K)`` semiring matmul —
-    the identical candidate set, so the tables match bit-for-bit.
-    """
-    lo, hi = tile
-    N = pw.shape[0]
-    K = N * N
-    M = pw.reshape(K, K)
-    acc = algebra.full((hi - lo, K))
-    useful = np.asarray(useful)
-    if useful.size == 0:
-        return acc
-    Xf = M[lo:hi][:, useful]  # advanced index: fresh contiguous gather
-    _matmul_reduce(Xf, M[useful, :], acc, algebra, algebra.lowering().packed)
-    return acc
-
-
 def fused_compact_activate_tile(
     tile: tuple, *, F: np.ndarray, w: np.ndarray, algebra: SelectionSemiring = MIN_PLUS
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Compact-layout activate candidates for rows ``i`` in ``tile`` —
-    fused tier.
+    """Compact-layout activate candidates for rows ``i`` in ``tile``.
 
-    Same ``(U1, U2)`` result contract as the slab kernel (two slabs,
-    pickle return path). Both slabs read the same transposed input
-    ``T[t, j, k] = F[i, k, j]``: the numba loop nest computes both in a
-    single pass over it; the numpy engine gathers ``T`` contiguously
-    once (the slab kernel re-reads the strided transpose twice) and
-    runs the two elementwise extends over it. Identical per-cell binary
-    ops, hence bitwise-identical tables.
+    Returns ``(U1, U2)`` slabs: ``U1[i - lo, j, k]`` the eq.-1a
+    candidate for ``A1[i, j, k] = pw'(i, j, i, k)`` and ``U2`` likewise
+    for ``A2[i, j, k] = pw'(i, j, k, j)``; the PB mirroring of in-band
+    cells happens at commit (it reads the merged A1/A2). Both slabs
+    read the same transposed input ``T[t, j, k] = F[i, k, j]``: the
+    numba loop nest computes both in a single pass over it; the numpy
+    engine gathers ``T`` contiguously once and runs the two elementwise
+    extends over it.
     """
     lo, hi = tile
     X = F[lo:hi].transpose(0, 2, 1)  # X[t, j, k] = F[lo + t, k, j]

@@ -8,11 +8,11 @@ instead freezes, once per solve, everything about a solver's schedule
 that cannot change between super-steps:
 
 * the **resolved kernel schedule** — one :class:`PlanStep` per
-  ``SCHEDULE`` entry, binding the entry name to its kernel instance;
+  ``SCHEDULE`` entry, binding the entry name to its kernel instance
+  (and so to the kernel's one compute function);
 * the **tile partition** of each kernel's output index space (tiles
   depend only on static solver shape — ``n``, band, tile count — never
-  on table contents, which is what makes freezing them sound);
-* the kernel tier's **compute function** per step (slab or fused).
+  on table contents, which is what makes freezing them sound).
 
 The engine (:class:`repro.core.kernels.KernelEngine`) executes plan
 steps; ``solver.plan`` compiles lazily on first use and is also what
@@ -24,69 +24,52 @@ its data, so the §2 bitwise invariant is untouched.
 
 The execution table
 -------------------
-How a solve runs is the code's choice, not a caller's knob. Every tier
-and backend commits bitwise-identical tables, but each wins somewhere,
-so one measured table (:data:`EXECUTION`) picks, by method and ``n``,
-the kernel tier every solver runs (:func:`choose_tier`) and the tile
-backend :func:`~repro.core.api.solve` and
+How a solve runs is the code's choice, not a caller's knob. Every tile
+backend commits bitwise-identical tables, but each wins somewhere, so
+one measured table (:data:`EXECUTION`) picks, by method and ``n``, the
+tile backend :func:`~repro.core.api.solve` and
 :func:`~repro.core.api.plan_for` use when the caller names none
 (:func:`choose_tile_backend`). :func:`choose_batch_pool` picks the pool
 of a :func:`~repro.core.api.solve_many` batch whose caller names none,
 from the batch's total predicted serial time (:func:`predict_serial_s`).
-A backend or pool the caller names always wins. Tests force a tier
-through the private :func:`_force_tier` hook; nothing public reaches
-it.
+A backend or pool the caller names always wins.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
 from repro.core.kernels_fused import fused_backend
+from repro.parallel.backends import default_workers
 
 __all__ = [
     "PlanStep",
     "SweepPlan",
     "compile_plan",
-    "TIERS",
     "EXECUTION",
-    "choose_tier",
     "choose_tile_backend",
     "choose_batch_pool",
     "predict_serial_s",
 ]
 
-#: the kernel tiers: ``"slab"`` materialises each step's candidate
-#: lattice (the reference kernels of :mod:`repro.core.kernels`),
-#: ``"fused"`` reduces candidates as it composes them
-#: (:mod:`repro.core.kernels_fused`); both commit identical tables
-TIERS = ("slab", "fused")
-
-#: Per iterative method, ``(from n, kernel tier, tile backend)`` rows in
-#: ascending ``n``; a solve of size ``n`` takes the last row whose
-#: ``from n`` it reaches. Measured on 2 vCPUs with the numpy fused
-#: engine, alternating best-of-5 solves of every (tier, serial|thread)
-#: pair; E10's ``auto_regret`` axis times a cell on each side of every
-#: switch against all four.
-EXECUTION: dict[str, tuple[tuple[int, str, str], ...]] = {
-    "huang": ((1, "slab", "serial"), (10, "fused", "serial"), (24, "fused", "thread")),
-    "huang-banded": (
-        (1, "slab", "serial"),
-        (16, "fused", "serial"),
-        (36, "fused", "thread"),
-    ),
-    "huang-compact": ((1, "fused", "serial"), (60, "fused", "thread")),
-    "rytter": ((1, "slab", "serial"), (14, "slab", "thread")),
+#: Per iterative method, the ``n`` from which a solve's tiles run on
+#: threads; smaller solves run them serially. Measured on 2 vCPUs with
+#: the numpy engine, alternating best-of-5 solves on serial and thread
+#: tiles (huang-banded: serial wins to n=30, threads by 1.17-1.25x at
+#: n=32); E10's ``auto_regret`` axis times a cell on each side of every
+#: switch against both.
+EXECUTION: dict[str, int] = {
+    "huang": 24,
+    "huang-banded": 32,
+    "huang-compact": 60,
+    "rytter": 14,
 }
 
 #: Per method, ``(seconds, exponent)`` of the least-squares fit
-#: ``seconds * n ** exponent`` to one solve on serial tiles at the
-#: table's tier (numpy engine, 2 vCPUs; sequential at n=64-384, the
-#: iterative methods up to n=32-64). The paper's shapes do not fit these
+#: ``seconds * n ** exponent`` to one solve on serial tiles (numpy
+#: engine, 2 vCPUs; sequential at n=64-384, the iterative methods up to
+#: n=32-64, huang-banded at n=8-48). The paper's shapes do not fit these
 #: sizes: the vectorised sweeps are far from their asymptotes (doubling
 #: n costs a sequential chain about 4x, where n³ says 8). The fits are
 #: within 2x of every measured point, which is all a pool choice needs.
@@ -94,7 +77,7 @@ SERIAL_FIT: dict[str, tuple[float, float]] = {
     "sequential": (3.7e-7, 2.0),
     "knuth": (1.8e-5, 1.2),
     "huang": (3.2e-6, 3.4),
-    "huang-banded": (1.9e-6, 3.6),
+    "huang-banded": (2.0e-6, 3.41),
     "huang-compact": (3.3e-5, 2.6),
     "rytter": (2.8e-7, 4.7),
 }
@@ -105,47 +88,19 @@ SERIAL_FIT: dict[str, tuple[float, float]] = {
 #: items, 20-30 ms over most probed batches (more for large tables).
 POOL_OVERHEAD_S = 0.03
 
-_FORCED_TIER: ContextVar[str | None] = ContextVar("forced_tier", default=None)
-
-
-@contextmanager
-def _force_tier(tier: str) -> Iterator[None]:
-    """Test hook: every solver built inside the block runs ``tier``,
-    whatever the table says. The golden, property and fused-kernel
-    suites use it to compare both tiers bit for bit."""
-    if tier not in TIERS:
-        raise ValueError(f"unknown tier {tier!r}; choose from {TIERS}")
-    token = _FORCED_TIER.set(tier)
-    try:
-        yield
-    finally:
-        _FORCED_TIER.reset(token)
-
-
-def _row(method: str, n: int) -> tuple[int, str, str]:
-    return next(row for row in reversed(EXECUTION[method]) if n >= row[0])
-
-
-def choose_tier(method: str, n: int) -> str:
-    """The kernel tier a solver of ``method`` at size ``n`` runs. Under
-    the numba engine, which the table was not measured on, every solve
-    runs fused."""
-    tier = "fused" if fused_backend() == "numba" else _row(method, n)[1]
-    return _FORCED_TIER.get() or tier
-
 
 def _pool_size(workers: int | None) -> int:
-    return workers if workers is not None else min(8, os.cpu_count() or 1)
+    return workers if workers is not None else default_workers()
 
 
 def choose_tile_backend(method: str, n: int, workers: int | None = None) -> str:
     """``"serial"`` or ``"thread"``: where a solve's tiles run when its
     caller names no backend. Threads need two workers to overlap, and
     numba's kernels hold the GIL, so under numba tiles run serially."""
-    backend = _row(method, n)[2]
-    if fused_backend() == "numba" or _pool_size(workers) < 2:
+    threads_from = EXECUTION[method]
+    if n < threads_from or fused_backend() == "numba" or _pool_size(workers) < 2:
         return "serial"
-    return backend
+    return "thread"
 
 
 def predict_serial_s(method: str, n: int) -> float:
@@ -172,26 +127,20 @@ def choose_batch_pool(items: Sequence[tuple], workers: int | None = None) -> str
 
 @dataclass
 class PlanStep:
-    """One scheduled operation: kernel + frozen tiles + compute tier."""
+    """One scheduled operation: kernel + frozen tiles."""
 
     name: str
     kernel: Any
     tiles: tuple
     updates: str
-    #: the tier-resolved compute function (slab vs fused), frozen at
-    #: compile time; ``None`` falls back to the kernel's slab compute
-    compute_fn: Any = None
 
     @classmethod
-    def for_kernel(
-        cls, name: str, kernel, solver, parts: int, tier: str = "slab"
-    ) -> "PlanStep":
+    def for_kernel(cls, name: str, kernel, solver, parts: int) -> "PlanStep":
         return cls(
             name=name,
             kernel=kernel,
             tiles=tuple(kernel.tiles(solver, parts)),
             updates=kernel.updates,
-            compute_fn=kernel.compute_for(tier),
         )
 
 
@@ -210,7 +159,6 @@ class SweepPlan:
         self.algebra = getattr(solver.algebra, "name", str(solver.algebra))
         backend = solver.backend
         self.backend = getattr(backend, "name", type(backend).__name__)
-        self.tier = solver.tier
         self.tiles_per_sweep = int(tiles_per_sweep)
         self.schedule = tuple(step.name for step in steps)
         self.steps = tuple(steps)
@@ -224,21 +172,15 @@ class SweepPlan:
 
     def describe(self) -> str:
         """Human-readable plan: one line per scheduled step."""
-        tier = self.tier
-        if tier == "fused":
-            tier += f"[{fused_backend()}]"
         lines = [
             f"plan: {self.method} n={self.n} algebra={self.algebra} "
-            f"backend={self.backend} tier={tier} "
+            f"backend={self.backend} engine={fused_backend()} "
             f"tiles/sweep={self.tiles_per_sweep}"
         ]
         for idx, step in enumerate(self.steps, start=1):
-            fused = step.kernel.fused_compute_fn is not None
-            impl = "fused" if (self.tier == "fused" and fused) else "slab"
             lines.append(
                 f"  {idx}. {step.name:<9} {type(step.kernel).__name__:<22} "
-                f"impl={impl:<5s} tiles={len(step.tiles):<3d} "
-                f"updates={step.updates}"
+                f"tiles={len(step.tiles):<3d} updates={step.updates}"
             )
         return "\n".join(lines)
 
@@ -252,7 +194,7 @@ def compile_plan(solver) -> SweepPlan:
     """
     parts = solver._engine.tiles
     steps = [
-        PlanStep.for_kernel(name, solver._kernels[name], solver, parts, solver.tier)
+        PlanStep.for_kernel(name, solver._kernels[name], solver, parts)
         for name in solver.SCHEDULE
     ]
     return SweepPlan(solver, steps, parts)

@@ -54,8 +54,6 @@ class RytterSolver(HuangSolver):
     compared are *counted*, not timed.
     """
 
-    METHOD = "rytter"
-
     def __init__(
         self,
         problem: ParenthesizationProblem,

@@ -48,6 +48,7 @@ __all__ = [
     "START_METHODS",
     "check_tile_backend",
     "default_start_method",
+    "default_workers",
 ]
 
 #: the valid ``backend=`` names, single source for every validation site
@@ -65,6 +66,16 @@ START_METHODS = ("fork", "spawn")
 def default_start_method() -> str:
     """``fork`` where the platform has it, else ``spawn``."""
     return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+
+
+def default_workers() -> int:
+    """The pool size when a caller names none: the CPUs this process
+    may run on, capped at 8. The affinity mask counts where the platform
+    has one (``os.cpu_count()`` counts the machine's CPUs, whatever the
+    process may use)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity is not None else os.cpu_count() or 1
+    return max(1, min(8, cpus))
 
 
 #: seconds between a pool worker's checks that its owner still runs
@@ -193,7 +204,7 @@ class ThreadBackend(Backend):
         super().__init__()
         if workers is not None and workers < 1:
             raise BackendError("workers must be >= 1")
-        self.workers = workers if workers is not None else min(8, os.cpu_count() or 1)
+        self.workers = workers if workers is not None else default_workers()
         self._pool = ThreadPoolExecutor(max_workers=self.workers)
 
     def map(self, fn, items):
@@ -225,7 +236,7 @@ class ProcessBackend(Backend):
     Parameters
     ----------
     workers:
-        Pool size (default ``min(8, cpu count)``). Workers are started
+        Pool size (default :func:`default_workers`). Workers are started
         lazily on the first map and then **reused**: across the items
         of a ``solve_many`` batch and — when the caller owns the
         backend instance — across batches.
@@ -258,7 +269,7 @@ class ProcessBackend(Backend):
             raise BackendError(
                 f"start method {start_method!r} is unavailable on this platform"
             )
-        self.workers = workers if workers is not None else min(8, os.cpu_count() or 1)
+        self.workers = workers if workers is not None else default_workers()
         self.start_method = start_method
         self._ctx = mp.get_context(start_method)
         self._pool: Optional[ProcessPoolExecutor] = None

@@ -1,17 +1,19 @@
-"""The fused kernel tier: bitwise identity with the slab kernels, the
-scalar lowerings behind the optional numba engine, the ``fast_vdf``-style
-packed range check with its exact two-channel fallback, and the tier
-that the execution table picks on the public surface.
+"""The sweep computes of :mod:`repro.core.kernels_fused`: tables equal
+to the sequential DP's for every method, algebra and backend, the
+scalar lowerings behind the optional numba engine, the banded square's
+grouped numpy engine against the band-restricted lattice, the
+``fast_vdf``-style packed range check with its exact two-channel
+fallback, and one compute per kernel on the public surface.
 
-The heavy equivalence coverage (golden tables, hypothesis property
-harness) carries a tier axis of its own, forced through the private
-``_force_tier`` hook; this file pins the tier's own machinery —
-including the guarantee that a numba-less environment resolves the
-fused tier to the numpy engine and still solves bitwise-identically
-(exercised in a subprocess with numba imports blocked, so it holds even
-where numba *is* installed).
+The heavy equivalence coverage lives in the golden tables and the
+property suite's explicit-loop reference DP; this file pins the
+computes' own machinery — including the guarantee that a numba-less
+environment resolves to the numpy engine and still solves
+bitwise-identically (exercised in a subprocess with numba imports
+blocked, so it holds even where numba *is* installed).
 """
 
+import inspect
 import os
 import subprocess
 import sys
@@ -20,6 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.core.kernels as kernels
 from repro.core import plan_for, solve
 from repro.core.algebra import (
     FLOAT_EXACT_INT_MAX,
@@ -29,14 +32,13 @@ from repro.core.algebra import (
     lex_unpack,
     list_algebras,
 )
-from repro.core.kernels import (
-    compact_activate_tile,
-    dense_activate_tile,
-)
+from repro.core.banded import BandedSolver
+from repro.core.kernels import SweepKernel, rytter_square_tile
 from repro.core.kernels_fused import (
     HAVE_NUMBA,
     _band_restrict,
     _banded_matmul_reduce,
+    _CompiledKernels,
     _identity_jit,
     _lex_exact_extend,
     _lex_exact_matmul,
@@ -51,10 +53,10 @@ from repro.core.kernels_fused import (
     _scalar_extend,
     _scalar_improves,
     fused_backend,
+    fused_banded_square_tile,
     fused_compact_activate_tile,
     fused_dense_activate_tile,
 )
-from repro.core.plan import _force_tier, choose_tier
 from repro.errors import InvalidProblemError
 from repro.problems.generators import random_generic, random_matrix_chain
 
@@ -68,67 +70,153 @@ def _canon(w: np.ndarray) -> np.ndarray:
     return np.nan_to_num(w, posinf=-1.0)
 
 
-def _solve_on(tier: str, problem, **kwargs):
-    with _force_tier(tier):
-        return solve(problem, **kwargs)
+def _sequential_w(problem, algebra="min_plus") -> np.ndarray:
+    return solve(problem, method="sequential", algebra=algebra).w
 
 
-class TestFusedMatchesSlab:
-    """fused ≡ slab bit-for-bit, per method, algebra and backend."""
+class TestTablesMatchTheSequentialDP:
+    """Integer-cost chains sum exactly, so every method's table is the
+    sequential DP's bit for bit, per method, algebra and backend."""
 
     @pytest.mark.parametrize("method", METHODS)
     def test_methods_bitwise_equal(self, method):
-        p = random_generic(12, seed=11)
-        slab = _solve_on("slab", p, method=method)
-        fused = _solve_on("fused", p, method=method)
-        assert np.array_equal(_canon(slab.w), _canon(fused.w))
-        assert slab.iterations == fused.iterations
-        assert slab.value == fused.value
+        p = random_matrix_chain(12, seed=11)
+        out = solve(p, method=method)
+        assert np.array_equal(_canon(out.w), _canon(_sequential_w(p)))
+        assert out.value == solve(p, method="sequential").value
 
     @pytest.mark.parametrize("algebra", list_algebras())
     def test_algebras_bitwise_equal(self, algebra):
         p = random_matrix_chain(12, seed=5)
-        slab = _solve_on("slab", p, method="huang", algebra=algebra)
-        fused = _solve_on("fused", p, method="huang", algebra=algebra)
-        assert np.array_equal(_canon(slab.w), _canon(fused.w))
-        assert slab.value == fused.value
+        out = solve(p, method="huang", algebra=algebra)
+        assert np.array_equal(_canon(out.w), _canon(_sequential_w(p, algebra)))
 
-    @pytest.mark.parametrize("backend", ["thread"])
-    def test_backends_bitwise_equal(self, backend):
+    @pytest.mark.parametrize("method", METHODS)
+    def test_thread_tiles_bitwise_equal_serial(self, method):
         p = random_generic(10, seed=3)
-        ref = _solve_on("slab", p, method="huang", backend="serial")
-        out = _solve_on("fused", p, method="huang", backend=backend, tiles=3)
+        ref = solve(p, method=method, backend="serial")
+        out = solve(p, method=method, backend="thread", tiles=3)
         assert np.array_equal(_canon(ref.w), _canon(out.w))
         assert ref.iterations == out.iterations
 
-    def test_the_tables_choice_matches_both_forced_tiers(self):
-        """A solve left to the execution table commits the table of
-        either forced tier."""
-        for n in (6, 16):
-            p = random_matrix_chain(n, seed=1)
-            chosen = solve(p, method="huang")
-            for tier in ("slab", "fused"):
-                forced = _solve_on(tier, p, method="huang")
-                assert np.array_equal(_canon(chosen.w), _canon(forced.w))
-
     @pytest.mark.parametrize("algebra", list_algebras())
-    def test_activate_tiles_bitwise_equal_slab(self, algebra):
-        """The fused activate lowerings compose the same (cell, weight)
-        operand pairs as the slab transposes — cell-for-cell bitwise,
-        for both dense sides and the compact pair."""
+    def test_activate_tiles_are_the_equations(self, algebra):
+        """The activate lowerings compose eqs. (1a)/(1b)'s operand
+        pairs — cell-for-cell bitwise against the equations written as
+        transposed extends, for both dense sides and the compact pair."""
         alg = get_algebra(algebra)
         rng = np.random.default_rng(13)
         F = rng.integers(0, 50, size=(7, 7, 7)).astype(np.float64)
         w = rng.integers(0, 50, size=(7, 7)).astype(np.float64)
         w[0, 3] = alg.zero  # an unreached weight cell stays absorbing
-        for tile in [("a", 1, 4), ("b", 2, 6)]:
-            slab = dense_activate_tile(tile, F=F, w=w, algebra=alg)
-            fused = fused_dense_activate_tile(tile, F=F, w=w, algebra=alg)
-            assert np.array_equal(_canon(slab), _canon(fused)), tile
-        s1, s2 = compact_activate_tile((1, 5), F=F, w=w, algebra=alg)
-        f1, f2 = fused_compact_activate_tile((1, 5), F=F, w=w, algebra=alg)
-        assert np.array_equal(_canon(s1), _canon(f1))
-        assert np.array_equal(_canon(s2), _canon(f2))
+        lo, hi = 1, 4
+        eq_1a = alg.extend(F[lo:hi], w[None, :, :]).transpose(0, 2, 1)
+        got = fused_dense_activate_tile(("a", lo, hi), F=F, w=w, algebra=alg)
+        assert np.array_equal(_canon(eq_1a), _canon(got))
+        lo, hi = 2, 6
+        eq_1b = alg.extend(F[:, :, lo:hi], w[:, :, None]).transpose(2, 0, 1)
+        got = fused_dense_activate_tile(("b", lo, hi), F=F, w=w, algebra=alg)
+        assert np.array_equal(_canon(eq_1b), _canon(got))
+        lo, hi = 1, 5
+        T = F[lo:hi].transpose(0, 2, 1)
+        u1, u2 = fused_compact_activate_tile((lo, hi), F=F, w=w, algebra=alg)
+        assert np.array_equal(_canon(alg.extend(T, w.T[None, :, :])), _canon(u1))
+        assert np.array_equal(_canon(alg.extend(T, w[lo:hi, None, :])), _canon(u2))
+
+
+def _banded_lattice(pw, band, lo, hi, alg):
+    """Eq. (2c) over band offsets ``d = 0 .. band``, written as one
+    whole-lattice compose per offset and side — the definition the
+    grouped engine is checked against."""
+    N = pw.shape[0]
+    ar = np.arange(N)
+    acc = alg.full((hi - lo, N, N, N))
+    for d in range(0, min(band, N - 1) + 1):
+        ps = ar[d:]
+        Yr = pw[(ps - d)[:, None], ar[None, :], ps[:, None], ar[None, :]]
+        alg.combine(acc[:, :, d:, :], alg.extend(pw[lo:hi, :, : N - d, :], Yr), out=acc[:, :, d:, :])
+        qs = ar[: N - d]
+        Ys = pw[ar[:, None], (qs + d)[None, :], ar[:, None], qs[None, :]]
+        alg.combine(acc[:, :, :, : N - d], alg.extend(pw[lo:hi, :, :, d:], Ys), out=acc[:, :, :, : N - d])
+    return acc
+
+
+def _committed(solver, lo, acc):
+    """What the banded commit leaves in rows ``lo:`` of pw."""
+    acc = acc.copy()
+    hi = lo + acc.shape[0]
+    acc[~solver._band_mask[lo:hi]] = solver.algebra.zero
+    return solver.algebra.combine(solver.pw[lo:hi], acc)
+
+
+class TestBandedSquare:
+    """The grouped numpy engine commits what the band-restricted
+    eq. (2c) lattice commits, at every band, tiling and sweep."""
+
+    @pytest.mark.parametrize("algebra", list_algebras())
+    @pytest.mark.parametrize("band", [0, 1, 3, None])
+    def test_commits_the_band_restricted_lattice(self, algebra, band):
+        solver = BandedSolver(random_matrix_chain(9, seed=2), algebra=algebra, band=band)
+        N = solver.n + 1
+        for _ in range(solver.paper_schedule_length()):
+            solver.a_activate()
+            for lo, hi in [(0, N), (0, 4), (4, N), (2, 3)]:
+                got = fused_banded_square_tile(
+                    (lo, hi), pw=solver.pw, band=solver.band, algebra=solver.algebra
+                )
+                want = _banded_lattice(solver.pw, solver.band, lo, hi, solver.algebra)
+                assert np.array_equal(
+                    _canon(_committed(solver, lo, got)),
+                    _canon(_committed(solver, lo, want)),
+                ), (lo, hi)
+            solver.a_square()
+            solver.a_pebble()
+            solver.iterations_run += 1
+
+    def test_blocked_rows_match_unblocked(self, monkeypatch):
+        """The intermediate is blocked over rows; a budget below one
+        row's intermediate still runs one row at a time."""
+        import repro.core.kernels_fused as kf
+
+        solver = BandedSolver(random_matrix_chain(9, seed=3), band=9)
+        for _ in range(3):
+            solver.a_activate()
+            solver.a_square()
+            solver.a_pebble()
+        whole = fused_banded_square_tile((1, 8), pw=solver.pw, band=9, algebra=solver.algebra)
+        for chunk in (4 * 10 * 10 * 9, 16):
+            monkeypatch.setattr(kf, "CHUNK", chunk)
+            got = fused_banded_square_tile((1, 8), pw=solver.pw, band=9, algebra=solver.algebra)
+            assert np.array_equal(_canon(got), _canon(whole)), chunk
+
+    def test_thread_tiles_split_the_rows_by_work(self):
+        """Row i composes into about (n + 1 - i)³ cells, so the first
+        of two tiles is the narrow one."""
+        with BandedSolver(random_matrix_chain(40, seed=0), backend="thread", tiles=2) as s:
+            tiles = s.plan.step("square").tiles
+            assert tiles[0][0] == 0 and tiles[-1][1] == s.n + 1
+            assert tiles[0][1] - tiles[0][0] < tiles[1][1] - tiles[1][0]
+            assert s.plan.step("pebble").tiles == ((0, 21), (21, 41))
+
+
+class TestNumbaBranchesUnjitted:
+    def test_the_loop_nests_solve_every_method(self, monkeypatch):
+        """The numba engine's branches, with its loop nests run
+        un-jitted, commit the sequential DP's tables: the glue around
+        the compiled kernels is exercised where numba is absent."""
+        import repro.core.kernels_fused as kf
+
+        monkeypatch.setattr(kf, "HAVE_NUMBA", True)
+        monkeypatch.setattr(
+            kf, "_kernels_for", lambda alg: _CompiledKernels(alg.lowering(), _identity_jit)
+        )
+        p = random_matrix_chain(5, seed=4)
+        for method in METHODS:
+            for algebra in ("min_plus", "minimax"):
+                out = solve(p, method=method, algebra=algebra, backend="serial")
+                assert np.array_equal(
+                    _canon(out.w), _canon(_sequential_w(p, algebra))
+                ), (method, algebra)
 
 
 class TestScalarLowerings:
@@ -312,8 +400,8 @@ class TestMatmulReduce:
 class TestBandedMatmulReduce:
     @pytest.mark.parametrize("d0,d1", [(0, 2), (-2, 0)])
     def test_matches_masked_full_reduce(self, d0, d1):
-        """The per-diagonal numpy engine (and the JIT window loop) must
-        equal the naive mask-the-plane-then-reduce formulation."""
+        """The window loop (un-jitted without numba) behind the wrapper
+        must equal the naive mask-the-plane-then-reduce formulation."""
         for name in list_algebras():
             if name == "lex_min_plus":
                 continue  # packed payloads covered separately below
@@ -323,7 +411,7 @@ class TestBandedMatmulReduce:
             Y = rng.integers(0, 60, size=(5, 6)).astype(np.float64)
             X[0, 1] = alg.zero  # whole unreached row stays absorbing
             out = np.full((2, 4, 6), alg.zero)
-            _banded_matmul_reduce(X, Y, d0, d1, out, alg, packed=False)
+            _banded_matmul_reduce(X, Y, d0, d1, out, alg, exact=False)
             Ym = _band_restrict(Y, d0, d1, alg.zero)
             expect = alg.combine_ufunc.reduce(
                 alg.extend_ufunc(X[..., :, None], Ym[None, None, :, :]), axis=-2
@@ -342,28 +430,28 @@ class TestBandedMatmulReduce:
         rng = np.random.default_rng(9)
         X = rng.integers(0, 60, size=(2, 2, 3)).astype(np.float64)
         Y = rng.integers(0, 60, size=(3, 2)).astype(np.float64)
-        _banded_matmul_reduce(X, Y, 0, 2, out, alg, packed=False)
+        _banded_matmul_reduce(X, Y, 0, 2, out, alg, exact=False)
         Ym = _band_restrict(Y, 0, 2, alg.zero)
         expect = alg.combine_ufunc.reduce(
             alg.extend_ufunc(X[..., :, None], Ym[None, None, :, :]), axis=-2
         )
         assert np.array_equal(acc[:, 2:, :2, 2], expect)
 
-    def test_out_of_range_packed_falls_back_exact(self):
-        """packed=True with out-of-range inputs routes through the
+    def test_exact_reduces_the_band_restricted_two_channels(self):
+        """exact=True (an out-of-range packed tile) runs the
         band-restricted exact two-channel matmul."""
         alg = get_algebra("lex_min_plus")
         big = np.nextafter(FLOAT_EXACT_INT_MAX, 0.0)
         X = np.array([[[big, lex_pack(1.0, 1)]]])
         Y = np.array([[big], [lex_pack(2.0, 1)]])
         out = np.full((1, 1, 1), alg.zero)
-        _banded_matmul_reduce(X, Y, -1, 0, out, alg, packed=True)
+        _banded_matmul_reduce(X, Y, -1, 0, out, alg, exact=True)
         assert out[0, 0, 0] == lex_pack(3.0, 2)
         # the same candidates with the small one pushed out of band
         # must select the remaining (overflowing) candidate and raise
         out = np.full((1, 1, 1), alg.zero)
         with pytest.raises(InvalidProblemError, match="exactly-representable"):
-            _banded_matmul_reduce(X, Y, 0, 0, out, alg, packed=True)
+            _banded_matmul_reduce(X, Y, 0, 0, out, alg, exact=True)
 
 
 class TestLexFastVdf:
@@ -451,14 +539,52 @@ class TestLexFastVdf:
         assert out[0, 0] == lex_pack(3.0, 2)
 
 
-class TestTierSurface:
-    """No public surface names a tier: the execution table picks it, and
-    only the private hook forces one."""
+class TestLexOutOfRange:
+    """Every iterative method gives the same answer to a
+    ``lex_min_plus`` chain whose optimum cannot be packed exactly: it
+    refuses, at every n, instead of rounding."""
 
-    def test_the_hook_refuses_an_unknown_tier(self):
-        with pytest.raises(ValueError, match="unknown tier 'jit'"):
-            with _force_tier("jit"):
-                pass
+    @pytest.mark.parametrize("n", [7, 12, 16])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_every_iterative_method_refuses(self, method, n):
+        p = random_matrix_chain(n, seed=7, dim_low=3000, dim_high=14000)
+        with pytest.raises(InvalidProblemError, match="exactly-representable"):
+            solve(p, method=method, algebra="lex_min_plus")
+
+    def test_rytter_square_falls_back_exact(self):
+        """Out-of-range packed inputs take the exact two-channel matmul
+        over the useful rows and columns: a small selected result comes
+        back exactly, an unpackable one raises instead of rounding."""
+        alg = get_algebra("lex_min_plus")
+        big = np.nextafter(FLOAT_EXACT_INT_MAX, 0.0)
+        M = np.full((4, 4), np.inf)
+        M[0, :2] = [big, lex_pack(3.0, 1)]
+        M[1, :2] = [lex_pack(4.0, 2), lex_pack(1.0, 0)]
+        pw = M.reshape(2, 2, 2, 2)
+        out = rytter_square_tile((0, 1), pw=pw, useful=np.array([0, 1]), algebra=alg)
+        assert out[0, 0] == lex_pack(7.0, 3)
+        assert out[0, 1] == lex_pack(4.0, 1)
+        assert np.isinf(out[0, 2:]).all()
+        with pytest.raises(InvalidProblemError, match="exactly-representable"):
+            rytter_square_tile((0, 1), pw=pw, useful=np.array([0]), algebra=alg)
+        none = rytter_square_tile((0, 2), pw=pw, useful=np.array([], int), algebra=alg)
+        assert np.isinf(none).all() and none.shape == (2, 4)
+
+
+class TestOneComputePerKernel:
+    """Each kernel has exactly one compute; nothing public selects
+    another."""
+
+    def test_every_kernel_names_one_compute(self):
+        found = [
+            cls
+            for _, cls in inspect.getmembers(kernels, inspect.isclass)
+            if issubclass(cls, SweepKernel) and cls is not SweepKernel
+        ]
+        assert len(found) == 9
+        for cls in found:
+            assert callable(cls.compute_fn), cls
+            assert [name for name in dir(cls) if "compute" in name] == ["compute_fn"]
 
     def test_solve_refuses_the_deleted_keyword(self):
         p = random_matrix_chain(5, seed=0)
@@ -470,36 +596,18 @@ class TestTierSurface:
         with pytest.raises(InvalidProblemError, match="takes no keyword kernel_impl"):
             plan_for(p, method="huang", kernel_impl="fused")
 
-    def test_the_hook_is_scoped_to_its_block(self):
-        p = random_matrix_chain(8, seed=0)
-        with _force_tier("fused"):
-            assert plan_for(p, method="rytter").tier == "fused"
-        assert plan_for(p, method="rytter").tier == choose_tier("rytter", 8)
-
-    def test_plan_describe_shows_tiers(self):
-        p = random_matrix_chain(8, seed=0)
-        with _force_tier("fused"):
-            fused = plan_for(p, method="huang").describe()
-            banded = plan_for(p, method="huang-banded").describe()
-            compact = plan_for(p, method="huang-compact").describe()
-        assert f"tier=fused[{fused_backend()}]" in fused
-        assert "impl=fused" in fused
-        assert "impl=slab" not in fused  # every dense step now lowers
-        assert "impl=fused" in banded  # banded square + activate lower
-        assert "impl=slab" not in banded
-        assert "impl=fused" in compact  # the compact activate lowers
-        assert "impl=slab" in compact  # compact square/pebble serve both tiers
-        with _force_tier("slab"):
-            slab = plan_for(p, method="huang").describe()
-        assert "tier=slab" in slab
-        assert "impl=fused" not in slab
+    @pytest.mark.parametrize("method", METHODS)
+    def test_plan_describe_names_the_engine(self, method):
+        text = plan_for(random_matrix_chain(8, seed=0), method=method).describe()
+        assert f"engine={fused_backend()}" in text
+        assert "tier" not in text and "impl=" not in text
 
 
 class TestNumpyFallbackIsolation:
-    def test_fused_without_numba_resolves_numpy_and_matches(self):
+    def test_without_numba_resolves_numpy_and_matches(self):
         """In a fresh interpreter with numba imports *blocked* (not just
-        absent), the fused tier must resolve to the numpy engine and
-        solve bitwise-identically to the slab tier."""
+        absent), the computes must resolve to the numpy engine and solve
+        bitwise-identically to the sequential DP."""
         code = (
             "import sys\n"
             "sys.modules['numba'] = None  # block the import outright\n"
@@ -508,18 +616,15 @@ class TestNumpyFallbackIsolation:
             "assert fused_backend() == 'numpy'\n"
             "import numpy as np\n"
             "from repro.core import solve\n"
-            "from repro.core.plan import _force_tier\n"
             "from repro.problems.generators import random_matrix_chain\n"
             "p = random_matrix_chain(10, seed=3)\n"
-            "with _force_tier('slab'):\n"
-            "    slab = solve(p, method='huang')\n"
-            "with _force_tier('fused'):\n"
-            "    auto = solve(p, method='huang')\n"
-            "assert auto.value == slab.value\n"
-            "assert auto.iterations == slab.iterations\n"
-            "ws = np.nan_to_num(slab.w, posinf=-1.0)\n"
-            "wa = np.nan_to_num(auto.w, posinf=-1.0)\n"
-            "assert np.array_equal(ws, wa)\n"
+            "seq = solve(p, method='sequential')\n"
+            "for method in ('huang', 'huang-banded', 'huang-compact', 'rytter'):\n"
+            "    out = solve(p, method=method)\n"
+            "    assert out.value == seq.value, method\n"
+            "    ws = np.nan_to_num(seq.w, posinf=-1.0)\n"
+            "    wo = np.nan_to_num(out.w, posinf=-1.0)\n"
+            "    assert np.array_equal(ws, wo), method\n"
             "print('numpy-fallback-ok')\n"
         )
         env = dict(os.environ, PYTHONPATH=_SRC_PATH)
@@ -540,16 +645,15 @@ class TestNumbaEngine:
     """Compiled-engine equivalence — runs only on the [perf] CI leg.
 
     The full method × algebra matrix: the JIT engine has its own loop
-    nests for the dense/rytter matmul, the banded window matmul, the
-    pebble reduce and both activate lowerings, so every method routes
-    at least one compiled kernel."""
+    nests for the dense matmul, the banded window matmul, the pebble
+    reduce and both activate lowerings, so every method routes at least
+    one compiled kernel."""
 
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("algebra", list_algebras())
-    def test_jit_solve_matches_slab(self, method, algebra):
+    def test_jit_solve_matches_sequential(self, method, algebra):
         assert fused_backend() == "numba"
         p = random_matrix_chain(12, seed=9)
-        slab = _solve_on("slab", p, method=method, algebra=algebra)
-        fused = _solve_on("fused", p, method=method, algebra=algebra)
-        assert np.array_equal(_canon(slab.w), _canon(fused.w))
-        assert slab.value == fused.value
+        out = solve(p, method=method, algebra=algebra)
+        assert np.array_equal(_canon(out.w), _canon(_sequential_w(p, algebra)))
+        assert out.value == solve(p, method="sequential", algebra=algebra).value

@@ -1,12 +1,14 @@
 """Sweep-plan compilation: the one-time half of the plan/execute split.
 
-The plan freezes schedule + tiles + compute tier once per solve; these
+The plan freezes schedule + tiles once per solve; these
 tests pin that compilation is lazy and cached, that the frozen tiles
 are exactly what the kernels would re-derive, that ``plan_for`` and
 ``solve`` validate their inputs up front (a process pool runs no
 tiles), and that executing through a compiled plan is what
 ``iterate()`` actually does.
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -213,20 +215,15 @@ class TestProcessTilesRefused:
 
 
 class TestExecutionTable:
-    """One table picks the tier, the tile backend and the batch pool;
-    a backend the caller names always wins."""
+    """One table picks the tile backend and the batch pool; a backend
+    the caller names always wins."""
 
     def test_every_iterative_method_and_n_gets_a_choice(self):
         """From n=1 to each solver's default memory guard ``max_n``."""
         import inspect
 
         from repro.core.api import _SOLVER_CLASSES
-        from repro.core.plan import (
-            EXECUTION,
-            TIERS,
-            choose_tier,
-            choose_tile_backend,
-        )
+        from repro.core.plan import EXECUTION, choose_tile_backend
         from repro.parallel.backends import TILE_BACKENDS
 
         assert set(EXECUTION) == set(ITERATIVE_METHODS)
@@ -234,29 +231,34 @@ class TestExecutionTable:
             max_n = inspect.signature(cls).parameters["max_n"].default
             assert max_n >= 28, (method, max_n)
             for n in range(1, max_n + 1):
-                assert choose_tier(method, n) in TIERS, (method, n)
                 assert choose_tile_backend(method, n) in TILE_BACKENDS, (method, n)
         for method in set(METHODS) - set(ITERATIVE_METHODS):
             with pytest.raises(KeyError):
-                choose_tier(method, 8)
-            with pytest.raises(KeyError):
                 choose_tile_backend(method, 8, workers=2)
+
+    def test_threads_run_from_one_size_per_method(self):
+        from repro.core.kernels_fused import fused_backend
+        from repro.core.plan import EXECUTION, choose_tile_backend
+
+        if fused_backend() == "numba":
+            pytest.skip("under numba every solve's tiles run serially")
+        for method, threads_from in EXECUTION.items():
+            assert choose_tile_backend(method, threads_from - 1, workers=2) == "serial"
+            assert choose_tile_backend(method, threads_from, workers=2) == "thread"
 
     @pytest.mark.parametrize("method", ITERATIVE_METHODS)
     @pytest.mark.parametrize("n", [4, 16, 24])
     def test_solvers_and_plans_follow_the_table(self, method, n):
-        from repro.core.plan import choose_tier, choose_tile_backend
+        from repro.core.plan import choose_tile_backend
 
         plan = plan_for(random_matrix_chain(n, seed=0), method=method)
-        assert plan.tier == choose_tier(method, n)
         assert plan.backend == choose_tile_backend(method, n)
 
     def test_one_worker_never_picks_threads(self):
         from repro.core.plan import EXECUTION, choose_tile_backend
 
-        for method, rows in EXECUTION.items():
-            for n, _, _ in rows:
-                assert choose_tile_backend(method, n, workers=1) == "serial"
+        for method, threads_from in EXECUTION.items():
+            assert choose_tile_backend(method, threads_from, workers=1) == "serial"
 
     def test_a_named_backend_wins(self, monkeypatch):
         """By string or instance, the caller's backend runs the tiles
@@ -299,14 +301,48 @@ class TestExecutionTable:
         solve(random_bst(40, seed=1), method=method)
         assert built == []
 
-    def test_the_tier_hook_forces_every_solver(self):
-        from repro.core.plan import _force_tier
 
-        p = random_matrix_chain(8, seed=0)
-        for tier in ("slab", "fused"):
-            with _force_tier(tier):
-                for method in ITERATIVE_METHODS:
-                    assert plan_for(p, method=method).tier == tier
+class TestPoolSizeFromAffinity:
+    """A pool nobody sizes gets the CPUs this process may run on (capped
+    at 8), not the machine's CPU count."""
+
+    @pytest.fixture
+    def one_cpu(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+    def test_thread_backend_gets_one_worker(self, one_cpu):
+        from repro.parallel.backends import ThreadBackend
+
+        with ThreadBackend() as backend:
+            assert backend.workers == 1
+
+    def test_process_backend_gets_one_worker(self, one_cpu):
+        with ProcessBackend() as backend:
+            assert backend.workers == 1
+            assert backend.health()["started"] is False
+
+    def test_tiles_run_serially(self, one_cpu):
+        from repro.core.plan import choose_tile_backend
+
+        assert choose_tile_backend("huang", 32) == "serial"
+
+    def test_a_batch_that_pays_for_two_workers_runs_serially(self, one_cpu):
+        from repro.core.plan import choose_batch_pool
+
+        items = [(random_matrix_chain(256, seed=s), "sequential", {}) for s in range(16)]
+        assert choose_batch_pool(items, workers=2) == "process"
+        assert choose_batch_pool(items) == "serial"
+
+    def test_the_cap_and_the_fallback(self, monkeypatch):
+        from repro.parallel.backends import default_workers
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        assert default_workers() == 8
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert default_workers() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert default_workers() == 1
 
 
 class TestBatchPoolChoice:

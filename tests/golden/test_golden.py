@@ -2,8 +2,8 @@
 
 ``tests/golden/golden_tables.json`` stores the exact float64 ``w``
 table and decoded value for every (instance, method, algebra) cell of
-the golden grid (see ``scripts/regen_golden.py``, which regenerates
-the file). This test recomputes each entry and fails on *any* bitwise
+the golden grid, plus ``huang-banded`` below its default band (see
+``scripts/regen_golden.py``, which regenerates the file). This test recomputes each entry and fails on *any* bitwise
 drift — the engine's tables are deterministic by design, so any diff
 here is a behaviour change that must be reviewed, not noise.
 """
@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro.core import solve
-from repro.core.plan import _force_tier
 
 GOLDEN_FILE = Path(__file__).parent / "golden_tables.json"
 
@@ -33,14 +32,43 @@ def _entries():
     return json.loads(GOLDEN_FILE.read_text())
 
 
+def _kwargs(entry) -> dict:
+    return entry.get("kwargs", {})
+
+
 def test_fixture_file_exists_and_covers_the_grid():
     entries = _entries()
-    assert len(entries) == 47
-    seen = {(e["case"], e["method"], e["algebra"]) for e in entries}
+    assert len(entries) == 53
+    seen = {
+        (e["case"], e["method"], e["algebra"], json.dumps(_kwargs(e), sort_keys=True))
+        for e in entries
+    }
     assert len(seen) == len(entries)
     # The flagship grid: every method × every algebra on the CLRS chain.
-    clrs = {(m, a) for c, m, a in seen if c == "clrs_chain"}
+    clrs = {(m, a) for c, m, a, kw in seen if c == "clrs_chain" and kw == "{}"}
     assert len(clrs) == 25
+    # huang-banded at bands 0, 1 and 3 and with the size-class window
+    # on the CLRS chain, and at bands 0 and 1 on a second chain.
+    banded = [(e["case"], e["method"], _kwargs(e)) for e in entries if _kwargs(e)]
+    assert banded == [
+        ("clrs_chain", "huang-banded", {"band": 0}),
+        ("clrs_chain", "huang-banded", {"band": 1}),
+        ("clrs_chain", "huang-banded", {"band": 3}),
+        ("clrs_chain", "huang-banded", {"size_band": True}),
+        ("narrow_band_chain", "huang-banded", {"band": 0}),
+        ("narrow_band_chain", "huang-banded", {"band": 1}),
+    ]
+
+
+def test_narrow_bands_pin_tables_the_sequential_dp_does_not():
+    """Below its default band huang-banded may commit another table than
+    the sequential DP, by design; on the second chain it does, so these
+    entries are the only reference for it."""
+    narrow = [e for e in _entries() if e["case"] == "narrow_band_chain"]
+    assert narrow
+    for entry in narrow:
+        sequential = solve(_problem_from_spec(entry["problem"]), method="sequential")
+        assert not np.array_equal(sequential.w, np.asarray(entry["w"])), entry["kwargs"]
 
 
 def test_knuth_pins_the_sequential_table():
@@ -51,16 +79,19 @@ def test_knuth_pins_the_sequential_table():
     assert bst["knuth"]["value"] == bst["sequential"]["value"]
 
 
-@pytest.mark.parametrize("tier", ["slab", "fused"])
 @pytest.mark.parametrize(
     "entry",
     _entries(),
-    ids=lambda e: f"{e['case']}-{e['method']}-{e['algebra']}",
+    ids=lambda e: "-".join(
+        [e["case"], e["method"], e["algebra"]]
+        + [f"{k}={v}" for k, v in _kwargs(e).items()]
+    ),
 )
-def test_no_bitwise_drift(entry, tier):
+def test_no_bitwise_drift(entry):
     problem = _problem_from_spec(entry["problem"])
-    with _force_tier(tier):
-        result = solve(problem, method=entry["method"], algebra=entry["algebra"])
+    result = solve(
+        problem, method=entry["method"], algebra=entry["algebra"], **_kwargs(entry)
+    )
     assert result.value == entry["value"]
     assert result.iterations == entry["iterations"]
     golden_w = np.asarray(entry["w"], dtype=np.float64)

@@ -29,7 +29,6 @@ from repro.core.delta import DELTA_METHODS, delta_resolve
 from repro.core.banded import BandedSolver
 from repro.core.compact import CompactBandedSolver
 from repro.core.huang import HuangSolver
-from repro.core.plan import _force_tier
 from repro.core.rytter import RytterSolver
 from repro.core.sequential import solve_sequential
 from repro.problems import (
@@ -163,17 +162,13 @@ class TestEngineMatchesReferenceDP:
         method=st.sampled_from([name for name, _ in ITERATIVE]),
         backend=st.sampled_from(["serial", "thread"]),
         tiles=st.integers(1, 5),
-        tier=st.sampled_from(["slab", "fused"]),
     )
-    def test_iterative_bitwise_equals_reference(
-        self, case, method, backend, tiles, tier
-    ):
+    def test_iterative_bitwise_equals_reference(self, case, method, backend, tiles):
         problem, algebra = case
         ref = reference_dp(problem, algebra)
-        with _force_tier(tier):
-            out = solve(
-                problem, method=method, algebra=algebra, backend=backend, tiles=tiles
-            )
+        out = solve(
+            problem, method=method, algebra=algebra, backend=backend, tiles=tiles
+        )
         assert np.array_equal(out.w, ref)
         assert out.algebra == algebra
 
@@ -356,16 +351,13 @@ def _lockstep_host(problem, algebra, backend, tiles):
 
 @pytest.mark.slow
 class TestPinnedMatrix:
-    @pytest.mark.parametrize("tier", ["slab", "fused"])
     @pytest.mark.parametrize("algebra", ALGEBRAS)
     @pytest.mark.parametrize("backend", ["serial", "thread"])
-    def test_all_methods_bitwise_equal_reference(self, algebra, backend, tier):
+    def test_all_methods_bitwise_equal_reference(self, algebra, backend):
         ref = reference_dp(PINNED, algebra)
-        with _force_tier(tier):
-            for method, cls in ITERATIVE:
-                with cls(PINNED, algebra=algebra, backend=backend, tiles=3) as solver:
-                    assert solver.tier == tier
-                    out = solver.run()
-                assert np.array_equal(out.w, ref), (method, backend, algebra, tier)
-            lockstep = _lockstep_host(PINNED, algebra, backend, 3)
-        assert np.array_equal(lockstep, ref), ("lockstep", backend, algebra, tier)
+        for method, cls in ITERATIVE:
+            with cls(PINNED, algebra=algebra, backend=backend, tiles=3) as solver:
+                out = solver.run()
+            assert np.array_equal(out.w, ref), (method, backend, algebra)
+        lockstep = _lockstep_host(PINNED, algebra, backend, 3)
+        assert np.array_equal(lockstep, ref), ("lockstep", backend, algebra)

@@ -441,7 +441,7 @@ class TestSolveBackendOption:
 
     @pytest.mark.parametrize("command", ["solve", "plan", "batch"])
     def test_the_deleted_kernel_impl_flag_exits_2(self, command, capsys):
-        """The code picks the kernel tier: no command takes a flag for it."""
+        """Each kernel has one compute: no command takes a flag for it."""
         with pytest.raises(SystemExit) as exit_:
             main([command, "--kernel-impl", "fused"])
         assert exit_.value.code == 2
@@ -450,14 +450,18 @@ class TestSolveBackendOption:
     @pytest.mark.parametrize("method,n", [("huang", 24), ("rytter", 16), ("rytter", 8)])
     def test_plan_prints_the_tables_choice(self, method, n, capsys):
         """With no --backend, ``repro plan`` compiles what the execution
-        table picks for the method and n."""
-        from repro.core.plan import choose_tier, choose_tile_backend
+        table picks for the method and n, and names the platform's
+        engine; each step prints its kernel, with no compute column."""
+        from repro.core.kernels_fused import fused_backend
+        from repro.core.plan import choose_tile_backend
 
         rc = main(["plan", "--method", method, "--n", str(n)])
         out = capsys.readouterr().out
         assert rc == 0
-        chosen = f"backend={choose_tile_backend(method, n)} tier={choose_tier(method, n)}"
+        chosen = f"backend={choose_tile_backend(method, n)} engine={fused_backend()}"
         assert chosen in out
+        assert "tier=" not in out and "impl=" not in out
+        assert "RytterSquareKernel" in out or method != "rytter"
 
     @pytest.mark.parametrize("command", ["solve", "plan"])
     @pytest.mark.parametrize(
